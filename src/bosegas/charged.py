@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
-from . import flows
 from .quadrature import tanh_sinh
 
-_GAMMA_RATIO = float(gamma_fn(0.75) / gamma_fn(1.25))
+# equal bit for bit to scipy.special.gamma(0.75) / gamma(1.25) (math.gamma is
+# an ulp off), so that only the two-component flow needs scipy
+_GAMMA_RATIO = 1.3519564801345691  # Gamma(3/4)/Gamma(5/4)
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,7 @@ class DysonMinimizer:
 
 
 def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
+    from . import flows
     i0 = foldy_constant(mu).i0
 
     # u = r Phi representation: E = 4 pi [ mu int u'^2 - I0 int u^{5/2} r^{-1/2} ]
@@ -222,14 +223,16 @@ def _dyson_cached(mu: float, n: int, rmax_factor: float) -> DysonMinimizer:
         if edge_mass < 1e-12:
             return out
         rmax *= 1.6
-    return out
+    raise RuntimeError(f"two-component minimizer: boundary mass {edge_mass:.3e}"
+                       " is still >= 1e-12 after 6 domains")
 
 
 def dyson_functional_minimize(mu: float = 1.0, grid: int = 2048,
                               rmax_factor: float = 30.0) -> DysonMinimizer:
     """Minimize mu int |grad Phi|^2 - I0 int Phi^{5/2} over int Phi^2 = 1.
 
-    The domain auto-expands until the boundary mass is below 1e-12; the
+    The domain auto-expands until the boundary mass is below 1e-12, and
+    RuntimeError is raised if 6 domains do not get there; the
     lambda-dilation stationarity gives the virial identity
     2 * kinetic = (3/4) I0 int Phi^{5/2}.
     """

@@ -5,25 +5,32 @@ Scalar results go to JSON (ResultRecord), curves and profiles to CSV.  All
 outputs are deterministic for a fixed (config, seed); the only run-dependent
 field is the timestamp.  Exit codes: 0 ok, 1 numeric failure, 2 config
 error, 3 IO error.
+
+Each subcommand imports the library module it runs inside its ``cmd_*``
+function, so a query pays only for its own imports (scipy is the bulk of
+import time); importing this module loads only ``config``.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 from . import SCHEMA_VERSION, __version__
-from . import charged, homogeneous, meanfield, onedim, scattering, verify
 from .config import (ConfigError, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                      ResultRecord, SweepSpec, parse_config_file,
                      validate_params, write_csv)
 
+if TYPE_CHECKING:
+    from .meanfield import TrapPotential
+    from .scattering import RadialPotential
+
 
 class NumericError(RuntimeError):
-    pass
+    """A result that is not finite; main() turns it into exit code 1."""
 
 
 def _provenance(**extra) -> dict:
@@ -32,7 +39,20 @@ def _provenance(**extra) -> dict:
     return out
 
 
+def _nonfinite_keys(outputs: dict, prefix: str = "") -> list[str]:
+    bad = []
+    for key, value in outputs.items():
+        if isinstance(value, dict):
+            bad += _nonfinite_keys(value, f"{prefix}{key}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            bad.append(f"{prefix}{key}")
+    return bad
+
+
 def _emit_record(args, record: ResultRecord) -> None:
+    bad = _nonfinite_keys(record.outputs)
+    if bad:
+        raise NumericError(f"{record.subcommand}: non-finite {', '.join(bad)}")
     text = record.to_json()
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -43,7 +63,8 @@ def _emit_record(args, record: ResultRecord) -> None:
 
 # --- subcommand implementations -------------------------------------------
 
-def _potential_from_args(args) -> scattering.RadialPotential:
+def _potential_from_args(args) -> RadialPotential:
+    from . import scattering
     if args.kind == "hard_core":
         return scattering.hard_core(args.R0, args.dim)
     if args.kind == "soft_sphere":
@@ -56,6 +77,7 @@ def _potential_from_args(args) -> scattering.RadialPotential:
 
 
 def cmd_scatter(args) -> int:
+    from . import scattering
     v = _potential_from_args(args)
     sol = scattering.solve_zero_energy(v, args.mu,
                                        scattering.GridSpec(args.n_grid))
@@ -75,6 +97,7 @@ def cmd_scatter(args) -> int:
 
 
 def _bounds_row(Y: float, mu: float) -> tuple:
+    from . import homogeneous
     rho = 3.0 * Y / (4.0 * math.pi)   # a = 1 parametrization of the sweep
     st = homogeneous.GasState3D(rho, 1.0, mu)
     return (Y, homogeneous.lower_bound_3d(st).value,
@@ -86,6 +109,7 @@ def cmd_bounds(args) -> int:
         spec = SweepSpec.parse(args.sweep)
         vals = spec.values()
         if args.workers > 1:
+            import concurrent.futures
             with concurrent.futures.ThreadPoolExecutor(args.workers) as pool:
                 rows = list(pool.map(lambda y: _bounds_row(y, args.mu), vals))
         else:
@@ -93,6 +117,7 @@ def cmd_bounds(args) -> int:
         path = args.out or "bounds.csv"
         write_csv(path, ["Y", "lower", "lhy", "upper"], rows)
         return EXIT_OK
+    from . import homogeneous
     if args.dim == 3:
         st = homogeneous.GasState3D(args.rho, args.a, args.mu)
         lb = homogeneous.lower_bound_3d(st)
@@ -112,7 +137,8 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _trap_from_args(args) -> meanfield.TrapPotential:
+def _trap_from_args(args) -> TrapPotential:
+    from . import meanfield
     if args.trap == "harmonic":
         return meanfield.TrapPotential("harmonic")
     if args.trap == "box":
@@ -121,6 +147,7 @@ def _trap_from_args(args) -> meanfield.TrapPotential:
 
 
 def cmd_gp(args) -> int:
+    from . import meanfield
     trap = _trap_from_args(args)
     prob = meanfield.GPProblem(args.dim, args.N, args.coupling, args.mu, trap,
                                args.n_grid)
@@ -134,6 +161,7 @@ def cmd_gp(args) -> int:
 
 
 def cmd_tf(args) -> int:
+    from . import meanfield
     trap = _trap_from_args(args)
     prof, rep, mu_tf = meanfield.tf_solve(args.dim, args.N, args.coupling,
                                           trap, args.mu)
@@ -147,6 +175,7 @@ def cmd_tf(args) -> int:
 
 
 def cmd_ll(args) -> int:
+    from . import onedim
     curve = onedim.default_curve()
     if args.emit_curve:
         curve.export_csv(args.emit_curve)
@@ -160,6 +189,7 @@ def cmd_ll(args) -> int:
 
 
 def cmd_regimes(args) -> int:
+    from . import onedim
     trap = onedim.ElongatedTrap(args.N, args.L, args.r, args.a, args.s,
                                 args.transverse)
     report = onedim.regime_classify(trap)
@@ -170,6 +200,7 @@ def cmd_regimes(args) -> int:
 
 
 def cmd_charged(args) -> int:
+    from . import charged
     if args.mode == "foldy":
         law = charged.foldy_law(args.rho, args.mu)
         fc = charged.foldy_constant(args.mu)
@@ -197,6 +228,7 @@ def cmd_charged(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     card = verify.run_all(args.seed)
     text = json.dumps(card, sort_keys=True, indent=1)
     if args.out:

@@ -75,20 +75,6 @@ class SweepSpec:
         return np.linspace(self.lo, self.hi, self.n)
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    sweep: SweepSpec | None = None
-    out: str | None = None
-    seed: int = 0
-    workers: int = 1
-    schema_version: str = SCHEMA_VERSION
-
-    def get(self, key, default=None):
-        return self.params.get(key, default)
-
-
 def parse_config_file(path) -> dict:
     """Sectioned key=value text -> {section: {key: raw string}}."""
     sections: dict = {}
@@ -184,7 +170,7 @@ class ResultRecord:
             "provenance": self.provenance,
             "timestamp": self.timestamp,
         }
-        return json.dumps(payload, sort_keys=True, indent=1)
+        return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "ResultRecord":

@@ -153,7 +153,7 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
         banded[2, :-1] = dt * prob._off / prob.w[1:]
         try:
             trial = solve_banded((1, 1), banded, psi)
-        except Exception:
+        except (np.linalg.LinAlgError, ValueError):
             dt *= 0.5
             continue
         trial = prob.normalize(trial)
@@ -209,7 +209,7 @@ def _polish(prob: FlowProblem, psi: np.ndarray, rtol: float, scale: float,
         banded[2, :-1] = dt * prob._off / prob.w[1:]
         try:
             trial = prob.normalize(solve_banded((1, 1), banded, psi))
-        except Exception:
+        except (np.linalg.LinAlgError, ValueError):
             dt *= 0.1
             continue
         res_new = prob.residual(trial)

@@ -132,7 +132,6 @@ class LLCurve:
 
     nodes_t: np.ndarray
     nodes_e: np.ndarray
-    order: int = 3
     _interp: PchipInterpolator = field(default=None, repr=False)
     _low_ratio: float = 0.0
     _high_deficit: float = 0.0

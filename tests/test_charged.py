@@ -54,6 +54,11 @@ def test_x_integrand_endpoint_and_tail():
         assert integrand(x) == pytest.approx(0.5 * x**-4, rel=5e-3)
 
 
+def test_gamma_ratio_literal_matches_scipy():
+    from scipy.special import gamma
+    assert ch._GAMMA_RATIO == float(gamma(0.75) / gamma(1.25))
+
+
 def test_foldy_constant_mu_scaling():
     i0 = ch.foldy_constant(1.0).i0
     assert ch.foldy_constant(16.0).i0 / i0 == pytest.approx(0.5, rel=1e-14)
@@ -139,6 +144,13 @@ def test_dyson_energy_below_gaussian_trial():
         best = min(best, kin - att)
     assert best < 0.0
     assert dm.energy <= best + 1e-9
+
+
+def test_dyson_unconverged_domain_raises():
+    # a domain far too small for the minimizer: 6 expansions of 1.6x cannot
+    # push the boundary mass below 1e-12, and the last iterate must not leak
+    with pytest.raises(RuntimeError, match="boundary mass"):
+        ch.dyson_functional_minimize(1.0, grid=256, rmax_factor=0.05)
 
 
 def test_dyson_cache_reuse():

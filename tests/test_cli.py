@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,9 @@ def test_result_record_round_trip():
     back = ResultRecord.from_json(rec.to_json())
     assert back.outputs["E"] == rec.outputs["E"]   # lossless float
     assert back.subcommand == "gp"
+    nan = ResultRecord("gp", {}, {"E": float("nan")}, {})
+    with pytest.raises(ValueError):
+        nan.to_json()                              # never invalid JSON
 
 
 def test_schema_version_rejection():
@@ -80,6 +87,43 @@ def test_scatter_subcommand(tmp_path, capsys):
     assert code == 0
     rec = ResultRecord.from_json(out.read_text())
     assert rec.outputs["a"] == pytest.approx(1.0)
+
+
+def test_scatter_nonfinite_result_exits_numeric(capsys):
+    # the stiff barrier overflows the RK4 path: a and a_refined are NaN
+    assert run_cli("scatter", "--v0", "1e12") == 1
+    out, err = capsys.readouterr()
+    assert "NaN" not in out and out == ""
+    assert "numeric failure" in err and "a_refined" in err
+
+
+_IMPORT_PROBE = """
+import json
+import sys
+import bosegas.cli
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "bosegas"))
+
+print(json.dumps(loaded()))
+assert bosegas.cli.main(["charged", "foldy", "--out", sys.argv[1]]) == 0
+print(json.dumps(loaded()))
+"""
+
+
+def test_cli_import_loads_only_config(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "foldy.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_foldy = map(json.loads, proc.stdout.splitlines())
+    assert after_import == ["bosegas", "bosegas.cli", "bosegas.config"]
+    assert not [m for m in after_foldy if m.startswith("scipy")]
 
 
 def test_bounds_sweep_contract(tmp_path):
