@@ -33,12 +33,6 @@ class NumericError(RuntimeError):
     """A result that is not finite; main() turns it into exit code 1."""
 
 
-def _provenance(**extra) -> dict:
-    out = {"package_version": __version__, "schema_version": SCHEMA_VERSION}
-    out.update(extra)
-    return out
-
-
 def _nonfinite_keys(outputs: dict, prefix: str = "") -> list[str]:
     bad = []
     for key, value in outputs.items():
@@ -49,16 +43,23 @@ def _nonfinite_keys(outputs: dict, prefix: str = "") -> list[str]:
     return bad
 
 
-def _emit_record(args, record: ResultRecord) -> None:
-    bad = _nonfinite_keys(record.outputs)
+def _emit_record(args, outputs: dict, profile=None, **provenance) -> int:
+    """Write ``profile`` to --profile-out (when given), then the JSON record;
+    nothing is written when an output is not finite."""
+    bad = _nonfinite_keys(outputs)
     if bad:
-        raise NumericError(f"{record.subcommand}: non-finite {', '.join(bad)}")
-    text = record.to_json()
+        raise NumericError(f"{args.subcommand}: non-finite {', '.join(bad)}")
+    if profile is not None and args.profile_out:
+        profile.export_csv(args.profile_out)
+    provenance.update(package_version=__version__, schema_version=SCHEMA_VERSION)
+    text = ResultRecord(args.subcommand, _args_echo(args), outputs,
+                        provenance).to_json()
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    return EXIT_OK
 
 
 # --- subcommand implementations -------------------------------------------
@@ -88,12 +89,7 @@ def cmd_scatter(args) -> int:
         outputs["identity_residuals"] = {
             str(R): scattering.energy_identity_residual(sol, v, R * v.core_radius)["residual"]
             for R in (2, 4, 8)} if v.core_radius > 0 else {}
-    if args.profile_out:
-        sol.export_csv(args.profile_out)
-    rec = ResultRecord("scatter", _args_echo(args), outputs,
-                       _provenance(n_grid=args.n_grid))
-    _emit_record(args, rec)
-    return EXIT_OK
+    return _emit_record(args, outputs, sol, n_grid=args.n_grid)
 
 
 def _bounds_row(Y: float, mu: float) -> tuple:
@@ -106,14 +102,10 @@ def _bounds_row(Y: float, mu: float) -> tuple:
 
 def cmd_bounds(args) -> int:
     if args.sweep:
-        spec = SweepSpec.parse(args.sweep)
-        vals = spec.values()
-        if args.workers > 1:
-            import concurrent.futures
-            with concurrent.futures.ThreadPoolExecutor(args.workers) as pool:
-                rows = list(pool.map(lambda y: _bounds_row(y, args.mu), vals))
-        else:
-            rows = [_bounds_row(y, args.mu) for y in vals]
+        rows = [_bounds_row(y, args.mu) for y in SweepSpec.parse(args.sweep).values()]
+        bad = [row[0] for row in rows if not all(map(math.isfinite, row))]
+        if bad:
+            raise NumericError(f"bounds: non-finite row at Y={float(bad[0])!r}")
         path = args.out or "bounds.csv"
         write_csv(path, ["Y", "lower", "lhy", "upper"], rows)
         return EXIT_OK
@@ -132,9 +124,7 @@ def cmd_bounds(args) -> int:
                    "lower": b2.lower, "b": b2.b,
                    "upper_error_scale": b2.upper_error_scale,
                    "lower_error_scale": b2.lower_error_scale}
-    rec = ResultRecord("bounds", _args_echo(args), outputs, _provenance())
-    _emit_record(args, rec)
-    return EXIT_OK
+    return _emit_record(args, outputs)
 
 
 def _trap_from_args(args) -> TrapPotential:
@@ -152,12 +142,7 @@ def cmd_gp(args) -> int:
     prob = meanfield.GPProblem(args.dim, args.N, args.coupling, args.mu, trap,
                                args.n_grid)
     prof, rep = meanfield.gp_minimize(prob)
-    if args.profile_out:
-        prof.export_csv(args.profile_out)
-    rec = ResultRecord("gp", _args_echo(args), rep.as_dict(),
-                       _provenance(n_grid=args.n_grid))
-    _emit_record(args, rec)
-    return EXIT_OK
+    return _emit_record(args, rep.as_dict(), prof, n_grid=args.n_grid)
 
 
 def cmd_tf(args) -> int:
@@ -165,13 +150,9 @@ def cmd_tf(args) -> int:
     trap = _trap_from_args(args)
     prof, rep, mu_tf = meanfield.tf_solve(args.dim, args.N, args.coupling,
                                           trap, args.mu)
-    if args.profile_out:
-        prof.export_csv(args.profile_out)
     outputs = rep.as_dict()
     outputs["mu_TF"] = mu_tf
-    rec = ResultRecord("tf", _args_echo(args), outputs, _provenance())
-    _emit_record(args, rec)
-    return EXIT_OK
+    return _emit_record(args, outputs, prof)
 
 
 def cmd_ll(args) -> int:
@@ -182,21 +163,14 @@ def cmd_ll(args) -> int:
         return EXIT_OK
     if args.t is None:
         raise ConfigError("ll needs --t or --emit-curve")
-    rec = ResultRecord("ll", _args_echo(args),
-                       {"t": args.t, "e": curve.e(args.t)}, _provenance())
-    _emit_record(args, rec)
-    return EXIT_OK
+    return _emit_record(args, {"t": args.t, "e": curve.e(args.t)})
 
 
 def cmd_regimes(args) -> int:
     from . import onedim
     trap = onedim.ElongatedTrap(args.N, args.L, args.r, args.a, args.s,
                                 args.transverse)
-    report = onedim.regime_classify(trap)
-    rec = ResultRecord("regimes", _args_echo(args), report.as_dict(),
-                       _provenance())
-    _emit_record(args, rec)
-    return EXIT_OK
+    return _emit_record(args, onedim.regime_classify(trap).as_dict())
 
 
 def cmd_charged(args) -> int:
@@ -222,9 +196,7 @@ def cmd_charged(args) -> int:
     else:
         p = charged.BogolubovParams(args.A, args.B_plus, args.B_minus)
         outputs = {"bound": charged.bogolubov_bound(p)}
-    rec = ResultRecord("charged", _args_echo(args), outputs, _provenance())
-    _emit_record(args, rec)
-    return EXIT_OK
+    return _emit_record(args, outputs)
 
 
 def cmd_verify(args) -> int:
@@ -284,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--a", type=float, default=1.0)
     b.add_argument("--mu", type=float, default=1.0)
     b.add_argument("--sweep", help="Y=lo:hi:n (3D sweep at a=1)")
-    b.add_argument("--workers", type=int, default=1)
     b.add_argument("--out")
     b.set_defaults(func=cmd_bounds)
 

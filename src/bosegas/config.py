@@ -102,7 +102,8 @@ def parse_config_file(path) -> dict:
 
 
 _POSITIVE = {"rho", "a", "mu", "N", "L", "r", "R0", "s", "ell", "nu", "side"}
-_NONNEGATIVE = {"coupling", "v0", "t"}   # zero is physical (ideal gas etc.)
+_NONNEGATIVE = {"coupling", "v0", "t",   # zero is physical (ideal gas etc.)
+                "A", "B_plus", "B-plus", "B_minus", "B-minus"}
 _CHOICES = {
     "dim": ("2", "3"),
     "kind": ("hard_core", "soft_sphere", "tabulated"),

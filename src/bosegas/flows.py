@@ -125,6 +125,26 @@ class FlowResult:
     max_energy_increase: float  # largest accepted uphill move (fp noise scale)
 
 
+def _implicit_step(prob: FlowProblem, psi: np.ndarray, dt: float,
+                   banded: np.ndarray) -> np.ndarray | None:
+    """One normalized backward-Euler step of the linearized flow.
+
+    Solves M trial = psi with M = I + dt (W^-1 A + diag(V + q'(psi^2) - lam))
+    (tridiagonal, assembled into the work array ``banded``) and renormalizes;
+    returns None when the solve or the normalization fails.
+    """
+    y = psi**2
+    lam = prob.chemical_potential(psi)
+    dV = prob.V + prob.dq(y, prob.nodes) - lam
+    banded[1, :] = 1.0 + dt * (prob._diag / prob.w + dV)
+    banded[0, 1:] = dt * prob._off / prob.w[:-1]
+    banded[2, :-1] = dt * prob._off / prob.w[1:]
+    try:
+        return prob.normalize(solve_banded((1, 1), banded, psi))
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+
+
 def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
                   rtol: float = 1e-9, max_iter: int = 40000,
                   dt0: float | None = None) -> FlowResult:
@@ -144,19 +164,10 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
     stagnant = 0
     banded = np.zeros((3, n))
     for it in range(1, max_iter + 1):
-        y = psi**2
-        lam = prob.chemical_potential(psi)
-        dV = prob.V + prob.dq(y, prob.nodes) - lam
-        # M = I + dt (W^-1 A + diag(dV)); tridiagonal solve
-        banded[1, :] = 1.0 + dt * (prob._diag / prob.w + dV)
-        banded[0, 1:] = dt * prob._off / prob.w[:-1]
-        banded[2, :-1] = dt * prob._off / prob.w[1:]
-        try:
-            trial = solve_banded((1, 1), banded, psi)
-        except (np.linalg.LinAlgError, ValueError):
+        trial = _implicit_step(prob, psi, dt, banded)
+        if trial is None:
             dt *= 0.5
             continue
-        trial = prob.normalize(trial)
         e_new = prob.energy(trial)
         if not np.isfinite(e_new) or e_new > e + 1e-14 * max(1.0, abs(e)):
             dt *= 0.5
@@ -178,7 +189,7 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
             if stagnant >= 25 or res <= 1e4 * rtol * scale:
                 # energy is stationary to rounding but the EL defect is not
                 # yet at tolerance; finish with the inverse-iteration endgame
-                psi, res, extra = _polish(prob, psi, rtol, scale)
+                psi, res, extra = _polish(prob, psi, rtol, scale, banded)
                 e = prob.energy(psi)
                 return FlowResult(psi, e, prob.chemical_potential(psi), res,
                                   it + extra, res <= rtol * scale, max_up)
@@ -189,27 +200,19 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
 
 
 def _polish(prob: FlowProblem, psi: np.ndarray, rtol: float, scale: float,
-            max_rounds: int = 400) -> tuple[np.ndarray, float, int]:
+            banded: np.ndarray, max_rounds: int = 400
+            ) -> tuple[np.ndarray, float, int]:
     """Residual-driven endgame: the same backward-Euler update with a large
     step acts as shifted inverse iteration on the frozen linearization;
     steps are accepted only when the Euler-Lagrange residual drops."""
-    n = len(prob.nodes)
-    banded = np.zeros((3, n))
     res = prob.residual(psi)
     dt = 1e6 / scale
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         if res <= rtol * scale:
             break
-        y = psi**2
-        lam = prob.chemical_potential(psi)
-        dV = prob.V + prob.dq(y, prob.nodes) - lam
-        banded[1, :] = 1.0 + dt * (prob._diag / prob.w + dV)
-        banded[0, 1:] = dt * prob._off / prob.w[:-1]
-        banded[2, :-1] = dt * prob._off / prob.w[1:]
-        try:
-            trial = prob.normalize(solve_banded((1, 1), banded, psi))
-        except (np.linalg.LinAlgError, ValueError):
+        trial = _implicit_step(prob, psi, dt, banded)
+        if trial is None:
             dt *= 0.1
             continue
         res_new = prob.residual(trial)

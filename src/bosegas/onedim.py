@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,18 +220,30 @@ def default_curve() -> LLCurve:
     global _DEFAULT_CURVE
     if _DEFAULT_CURVE is None:
         cache_dir = os.environ.get("BOSEGAS_CACHE_DIR")
-        if cache_dir:
-            path = os.path.join(cache_dir, "ll_curve_v1.npz")
-            if os.path.exists(path):
-                data = np.load(path)
-                _DEFAULT_CURVE = LLCurve(data["t"], data["e"])
-                return _DEFAULT_CURVE
+        path = os.path.join(cache_dir, "ll_curve_v1.npz") if cache_dir else None
+        if path and os.path.exists(path):
+            data = np.load(path)
+            _DEFAULT_CURVE = LLCurve(data["t"], data["e"])
+        else:
             _DEFAULT_CURVE = build_ll_curve()
-            os.makedirs(cache_dir, exist_ok=True)
-            np.savez(path, t=_DEFAULT_CURVE.nodes_t, e=_DEFAULT_CURVE.nodes_e)
-            return _DEFAULT_CURVE
-        _DEFAULT_CURVE = build_ll_curve()
+            if path:
+                _save_curve(_DEFAULT_CURVE, path)
     return _DEFAULT_CURVE
+
+
+def _save_curve(curve: LLCurve, path: str) -> None:
+    """Write the table to a temporary file beside ``path`` and rename it into
+    place, so a concurrent reader sees either no file or a whole one."""
+    cache_dir = os.path.dirname(path)
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".npz", dir=cache_dir)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, t=curve.nodes_t, e=curve.nodes_e)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def ll_energy_density(t, curve: LLCurve | None = None):
@@ -348,24 +361,31 @@ def _zmax_gradient(kind: str, N: float, L: float, g: float, s: float) -> float:
     return 6.0 * L * base
 
 
+def _ll_argument(g: float, rho: np.ndarray) -> np.ndarray:
+    """t = g / rho, the Lieb-Liniger argument, capped where rho -> 0."""
+    return np.minimum(g / np.maximum(rho, 1e-300), 1e15)
+
+
+def _interaction_density(kind: str, rho: np.ndarray, g: float, curve) -> np.ndarray:
+    """Interaction energy density w(rho) of a 1D functional."""
+    if kind in ("gp1d", "tf1d"):
+        return 0.5 * g * rho**2
+    if kind == "gt":
+        return PI2_3 * rho**3
+    return np.where(rho > 0, rho**3 * curve.e(_ll_argument(g, rho)), 0.0)
+
+
 def _minimize_gradient_kind(kind, N, L, g, s, curve, n_grid, rtol):
     zmax = _zmax_gradient(kind, N, L, g, s)
     V = lambda z: _v_long(z, L, s)
+    q = lambda y, z: _interaction_density(kind, y, g, curve)
     if kind == "gp1d":
-        q = lambda y, z: 0.5 * g * y**2
         dq = lambda y, z: g * y
     else:
-        def q(y, z):
-            out = np.zeros_like(y)
-            pos = y > 0
-            t = np.minimum(g / np.maximum(y[pos], 1e-300), 1e15)
-            out[pos] = y[pos] ** 3 * curve.e(t)
-            return out
-
         def dq(y, z):
             out = np.zeros_like(y)
             pos = y > 0
-            t = np.minimum(g / np.maximum(y[pos], 1e-300), 1e15)
+            t = _ll_argument(g, y[pos])
             out[pos] = 3.0 * y[pos] ** 2 * curve.e(t) - g * y[pos] * curve.de(t)
             return out
     fp = flows.line_problem(zmax, n_grid, 1.0, V, q, dq, N)
@@ -385,15 +405,9 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid):
     if kind == "tf1d":
         def rho_of(mu, V):
             return np.maximum(mu - V, 0.0) / g
-
-        def edge(mu):
-            return (mu * L ** (s + 2.0)) ** (1.0 / s)
     elif kind == "gt":
         def rho_of(mu, V):
             return np.sqrt(np.maximum(mu - V, 0.0)) / math.pi
-
-        def edge(mu):
-            return (mu * L ** (s + 2.0)) ** (1.0 / s)
     else:
         def rho_of(mu, V):
             # invert V + 3 rho^2 e(t) - g rho e'(t) = mu (t = g/rho), convex
@@ -403,26 +417,25 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid):
             target = np.maximum(mu - V, 0.0)
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                t = np.minimum(g / np.maximum(mid, 1e-300), 1e15)
+                t = _ll_argument(g, mid)
                 wprime = 3.0 * mid**2 * curve.e(t) - g * mid * curve.de(t)
                 high = wprime > target
                 hi = np.where(high, mid, hi)
                 lo = np.where(high, lo, mid)
             return 0.5 * (lo + hi)
 
-        def edge(mu):
-            return (mu * L ** (s + 2.0)) ** (1.0 / s)
-
-    def support_grid(zedge):
-        # cluster nodes at the support edge: the minimizers of gt (and, less
-        # severely, tf1d) meet zero with a square-root profile there
+    def support_grid(mu):
+        # the support is |z| <= zedge, where V(zedge) = mu; cluster nodes at
+        # its edge: the minimizers of gt (and, less severely, tf1d) meet zero
+        # with a square-root profile there
+        zedge = (mu * L ** (s + 2.0)) ** (1.0 / s)
         u = np.linspace(-1.0, 1.0, n_grid)
         return zedge * np.sin(0.5 * math.pi * u)
 
     def mass_at(mu):
         if mu <= 0:
             return 0.0
-        z = support_grid(edge(mu))
+        z = support_grid(mu)
         rho = rho_of(mu, _v_long(z, L, s))
         return float(np.trapezoid(rho, z))
 
@@ -433,17 +446,10 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid):
             raise RuntimeError("1D chemical-potential bracket failure")
     mu = brentq(lambda m: mass_at(m) - N, 0.0, hi, xtol=1e-300, rtol=8.9e-16)
 
-    z = support_grid(edge(mu))
+    z = support_grid(mu)
     V = _v_long(z, L, s)
     rho = rho_of(mu, V)
-    if kind == "tf1d":
-        w_dens = 0.5 * g * rho**2
-    elif kind == "gt":
-        w_dens = PI2_3 * rho**3
-    else:
-        t_arr = np.minimum(g / np.maximum(rho, 1e-300), 1e15)
-        w_dens = np.where(rho > 0, rho**3 * curve.e(t_arr), 0.0)
-    energy = float(np.trapezoid(V * rho + w_dens, z))
+    energy = float(np.trapezoid(V * rho + _interaction_density(kind, rho, g, curve), z))
     prof = Profile1D(z, rho, N)
     return prof, energy, float(np.trapezoid(rho**2, z) / N)
 
@@ -477,16 +483,7 @@ def functional_value(kind: str, prof: Profile1D, L: float, g: float,
     curve = ll if ll is not None else default_curve()
     z, rho = prof.z, prof.rho
     V = _v_long(z, L, s)
-    if kind == "gp1d":
-        w_dens = 0.5 * g * rho**2
-    elif kind == "tf1d":
-        w_dens = 0.5 * g * rho**2
-    elif kind == "gt":
-        w_dens = PI2_3 * rho**3
-    else:
-        t_arr = np.minimum(g / np.maximum(rho, 1e-300), 1e15)
-        w_dens = np.where(rho > 0, rho**3 * curve.e(t_arr), 0.0)
-    val = float(np.trapezoid(V * rho + w_dens, z))
+    val = float(np.trapezoid(V * rho + _interaction_density(kind, rho, g, curve), z))
     if kind in ("full", "gp1d"):
         srho = np.sqrt(rho)
         ds = np.gradient(srho, z)

@@ -194,7 +194,7 @@ def _segment_grids(start: float, r0: float, rmax: float, n: int):
     return [inner, outer]
 
 
-def _v_on_segment(v: RadialPotential, r_right: float, mu: float):
+def _v_on_segment(v: RadialPotential, r_right: float):
     """Potential restricted to a segment ending at r_right; at the shared
     boundary node the inside-limit value is used."""
     if r_right <= v.core_radius * (1 + 1e-15):
@@ -205,6 +205,29 @@ def _v_on_segment(v: RadialPotential, r_right: float, mu: float):
     return lambda r: 0.0
 
 
+def _integrate_segments(v: RadialPotential, mu: float, segs, u0: float,
+                        w0: float):
+    """RK4 across consecutive segment grids, each starting from the end
+    state of the previous one; returns the joined (grid, u, u').
+
+    The equation is u'' = v u / (2 mu) in 3D (u = r psi) and
+    psi'' = v psi / (2 mu) - psi' / r in 2D.
+    """
+    f = lambda r, u, w: w
+    grids, us, ws = [], [], []
+    for k, seg in enumerate(segs):
+        vseg = _v_on_segment(v, seg[-1])
+        if v.dimension == 3:
+            g = lambda r, u, w, _vs=vseg: _vs(r) * u / (2.0 * mu)
+        else:
+            g = lambda r, u, w, _vs=vseg: _vs(r) * u / (2.0 * mu) - w / r
+        uu, ww = _rk4_path(f, g, seg, u0, w0)
+        sl = slice(1, None) if k > 0 else slice(None)
+        grids.append(seg[sl]); us.append(uu[sl]); ws.append(ww[sl])
+        u0, w0 = uu[-1], ww[-1]
+    return np.concatenate(grids), np.concatenate(us), np.concatenate(ws)
+
+
 def _solve_3d(v: RadialPotential, mu: float, n: int, rmax: float):
     r0 = v.core_radius
     if v.kind == _HARD_CORE:
@@ -213,20 +236,8 @@ def _solve_3d(v: RadialPotential, mu: float, n: int, rmax: float):
         u = grid - r0
         return grid, u, np.ones_like(grid), float(r0)
 
-    segs = _segment_grids(0.0, r0, rmax, n)
-    grids, us, ws = [], [], []
-    u0, w0 = 0.0, 1.0
-    for k, seg in enumerate(segs):
-        vseg = _v_on_segment(v, seg[-1], mu)
-        f = lambda r, u, w: w
-        g = lambda r, u, w, _vs=vseg: _vs(r) * u / (2.0 * mu)
-        uu, ww = _rk4_path(f, g, seg, u0, w0)
-        sl = slice(1, None) if k > 0 else slice(None)
-        grids.append(seg[sl]); us.append(uu[sl]); ws.append(ww[sl])
-        u0, w0 = uu[-1], ww[-1]
-    grid = np.concatenate(grids)
-    u = np.concatenate(us)
-    up = np.concatenate(ws)
+    grid, u, up = _integrate_segments(v, mu, _segment_grids(0.0, r0, rmax, n),
+                                      0.0, 1.0)
     if up[-1] == 0.0:
         raise ValueError("degenerate exterior solution")
     a = grid[-1] - u[-1] / up[-1]
@@ -257,18 +268,7 @@ def _solve_2d(v: RadialPotential, mu: float, n: int, rmax: float):
         u0, w0 = 1.0 + 0.25 * c * start**2, 0.5 * c * start
 
     segs = _segment_grids(start, r0 if r0 > start else start, rmax, n)
-    grids, us, ws = [], [], []
-    for k, seg in enumerate(segs):
-        vseg = _v_on_segment(v, seg[-1], mu)
-        f = lambda r, u, w: w
-        g = lambda r, u, w, _vs=vseg: _vs(r) * u / (2.0 * mu) - w / r
-        uu, ww = _rk4_path(f, g, seg, u0, w0)
-        sl = slice(1, None) if k > 0 else slice(None)
-        grids.append(seg[sl]); us.append(uu[sl]); ws.append(ww[sl])
-        u0, w0 = uu[-1], ww[-1]
-    grid = np.concatenate(grids)
-    psi = np.concatenate(us)
-    dpsi = np.concatenate(ws)
+    grid, psi, dpsi = _integrate_segments(v, mu, segs, u0, w0)
     outer = grid >= 0.5 * (r0 + rmax)
     a = _fit_log_asymptote(grid[outer], psi[outer])
     return grid, psi, dpsi, a
@@ -289,29 +289,26 @@ def solve_zero_energy(v: RadialPotential, mu: float = 1.0,
     r_ref = v.core_radius if v.core_radius > 0 else 1.0
     rmax = grid_spec.rmax_factor * r_ref
 
-    if v.dimension == 3:
-        grid, u, du, a = _solve_3d(v, mu, grid_spec.n, rmax)
-        _, _, _, a2 = _solve_3d(v, mu, 2 * grid_spec.n, rmax)
-        s = _kinetic_fraction(grid, u, du, a, rmax) if a > 0 else None
-        return ScatteringSolution(grid, u, a, s, mu, 3, v.core_radius, du=du,
-                                  a_refined=a2)
+    solve = _solve_3d if v.dimension == 3 else _solve_2d
+    grid, u, du, a = solve(v, mu, grid_spec.n, rmax)
+    _, _, _, a2 = solve(v, mu, 2 * grid_spec.n, rmax)
+    s = _kinetic_fraction(grid, u, du, a, rmax) if v.dimension == 3 and a > 0 else None
+    return ScatteringSolution(grid, u, a, s, mu, v.dimension, v.core_radius,
+                              du=du, a_refined=a2)
 
-    grid, psi, dpsi, a = _solve_2d(v, mu, grid_spec.n, rmax)
-    _, _, _, a2 = _solve_2d(v, mu, 2 * grid_spec.n, rmax)
-    return ScatteringSolution(grid, psi, a, None, mu, 2, v.core_radius, du=dpsi,
-                              a_refined=a2)
+
+def _psi0_prime(r, u, du) -> np.ndarray:
+    """psi0' = (u / r)' scaled by the exterior slope du[-1] of u, so that
+    psi0 -> 1 at infinity; 0 at r = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(r > 0, (du * r - u) / np.maximum(r, 1e-300) ** 2, 0.0) / du[-1]
 
 
 def _kinetic_fraction(grid, u, du, a, rmax) -> float:
     # s = int |grad psi0|^2 / (4 pi a) with psi0 -> 1 at infinity;
     # analytic tail a^2/rmax accounts for r > rmax where psi0' = a/r^2
-    c = du[-1]  # exterior slope of u
-    r = grid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi_prime = np.where(r > 0, (du * r - u) / np.maximum(r, 1e-300) ** 2, 0.0)
-    psi_prime /= c
-    integrand = psi_prime**2 * r**2
-    s = (simpson(integrand, r) + a**2 / rmax) / a
+    integrand = _psi0_prime(grid, u, du)**2 * grid**2
+    s = (simpson(integrand, grid) + a**2 / rmax) / a
     return float(s)
 
 
@@ -343,11 +340,8 @@ def energy_identity_residual(sol: ScatteringSolution, v: RadialPotential,
     # snap R to the nearest grid node; the snapped value enters both sides
     i_R = int(np.argmin(np.abs(r - R)))
     R_snap = float(r[i_R])
-    c = sol.du[-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi_prime = np.where(r > 0, (sol.du * r - sol.u) / np.maximum(r, 1e-300) ** 2, 0.0) / c
-        psi = np.where(r > 0, sol.u / np.maximum(r, 1e-300), 0.0) / c
-    kin = 2.0 * mu * psi_prime**2 * r**2
+    psi = np.where(r > 0, sol.u / np.maximum(r, 1e-300), 0.0) / sol.du[-1]
+    kin = 2.0 * mu * _psi0_prime(r, sol.u, sol.du)**2 * r**2
     # integrate per smooth segment: [start, R0] with the inside-limit v,
     # then [R0, R] where v = 0 exactly (finite range)
     i_core = int(np.argmin(np.abs(r - v.core_radius)))

@@ -97,6 +97,35 @@ def test_scatter_nonfinite_result_exits_numeric(capsys):
     assert "numeric failure" in err and "a_refined" in err
 
 
+def test_scatter_nonfinite_result_writes_no_files(tmp_path, capsys):
+    prof = tmp_path / "p.csv"
+    out = tmp_path / "scatter.json"
+    assert run_cli("scatter", "--v0", "1e12", "--profile-out", str(prof),
+                   "--out", str(out)) == 1
+    assert "numeric failure" in capsys.readouterr().err
+    assert not prof.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--A", "-1"), ("--A", "inf"),
+                                        ("--B-plus", "nan"),
+                                        ("--B-minus", "nan"),
+                                        ("--B-minus", "-0.5")])
+def test_bogolubov_bad_input_is_config_error(flag, value, capsys):
+    assert run_cli("charged", "bogolubov", flag, value) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_validate_bogolubov_config_spelling(tmp_path, capsys):
+    cfg = tmp_path / "charged.cfg"
+    cfg.write_text("[charged]\nA = nan\nB-plus = -1\nB-minus = inf\n")
+    assert run_cli("validate", str(cfg)) == 2
+    out = capsys.readouterr().out
+    assert "charged.A" in out and "charged.B-plus" in out
+    assert "charged.B-minus" in out
+    cfg.write_text("[charged]\nA = 0\nB-plus = 0.5\nB-minus = 0\n")
+    assert run_cli("validate", str(cfg)) == 0
+
+
 _IMPORT_PROBE = """
 import json
 import sys
@@ -137,13 +166,37 @@ def test_bounds_sweep_contract(tmp_path):
         assert lower <= lhy <= upper
 
 
-def test_bounds_sweep_workers_match_serial(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    run_cli("bounds", "--sweep", "Y=1e-9:1e-6:10", "--out", str(a))
-    run_cli("bounds", "--sweep", "Y=1e-9:1e-6:10", "--out", str(b),
-            "--workers", "4")
-    assert a.read_text() == b.read_text()
+def test_bounds_sweep_matches_scalar_rows(tmp_path):
+    from bosegas import homogeneous as hg
+    out = tmp_path / "sweep.csv"
+    ref = tmp_path / "ref.csv"
+    assert run_cli("bounds", "--sweep", "Y=1e-9:1e-6:10", "--mu", "0.5",
+                   "--out", str(out)) == 0
+    rows = []
+    for Y in SweepSpec.parse("Y=1e-9:1e-6:10").values():
+        st = hg.GasState3D(3.0 * Y / (4.0 * np.pi), 1.0, 0.5)
+        rows.append((Y, hg.lower_bound_3d(st).value, hg.lhy_reference(st),
+                     hg.upper_bound_3d(st)))
+    write_csv(ref, ["Y", "lower", "lhy", "upper"], rows)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_bounds_workers_option_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bounds", "--sweep", "Y=1e-9:1e-6:10", "--workers", "4")
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_bounds_sweep_nonfinite_row_writes_nothing(tmp_path, monkeypatch,
+                                                   capsys):
+    from bosegas import homogeneous as hg
+    monkeypatch.setattr(hg, "lhy_reference", lambda st: float("nan"))
+    out = tmp_path / "sweep.csv"
+    assert run_cli("bounds", "--sweep", "Y=1e-9:1e-6:10",
+                   "--out", str(out)) == 1
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ll_emit_curve_contract(tmp_path):

@@ -256,3 +256,19 @@ def test_curve_disk_cache_round_trip(tmp_path, monkeypatch, ll_curve):
         assert np.allclose(cached.nodes_e, ll_curve.nodes_e)
     finally:
         monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", ll_curve)
+
+
+def test_curve_cold_build_writes_one_cache_file(tmp_path, monkeypatch,
+                                                ll_curve):
+    import bosegas.onedim as od_mod
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("BOSEGAS_CACHE_DIR", str(cache))
+    monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
+    monkeypatch.setattr(od_mod, "build_ll_curve", lambda: ll_curve)
+    assert od_mod.default_curve() is ll_curve
+    assert [p.name for p in cache.iterdir()] == ["ll_curve_v1.npz"]
+    monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
+    monkeypatch.setattr(od_mod, "build_ll_curve", None)   # must load, not build
+    loaded = od_mod.default_curve()
+    assert np.array_equal(loaded.nodes_t, ll_curve.nodes_t)
+    assert np.array_equal(loaded.nodes_e, ll_curve.nodes_e)
