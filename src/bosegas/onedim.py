@@ -366,6 +366,14 @@ def _ll_argument(g: float, rho: np.ndarray) -> np.ndarray:
     return np.minimum(g / np.maximum(rho, 1e-300), 1e15)
 
 
+def _curve_for(kind: str, ll: LLCurve | None) -> LLCurve | None:
+    """The e(t) table a functional reads: ``ll``, or the shared table when
+    none is given and the kind is one of the two that use e(t)."""
+    if ll is None and kind in ("full", "ll_no_grad"):
+        return default_curve()
+    return ll
+
+
 def _interaction_density(kind: str, rho: np.ndarray, g: float, curve) -> np.ndarray:
     """Interaction energy density w(rho) of a 1D functional."""
     if kind in ("gp1d", "tf1d"):
@@ -467,10 +475,7 @@ def minimize_1d(kind: str, N: float, L: float, g: float, s: float = 2.0,
         raise ValueError(f"unknown 1D functional kind {kind!r}")
     if N <= 0:
         raise ValueError("N must be positive")
-    if kind in ("full", "ll_no_grad"):
-        curve = ll if ll is not None else default_curve()
-    else:
-        curve = ll
+    curve = _curve_for(kind, ll)
     if kind in ("full", "gp1d"):
         return _minimize_gradient_kind(kind, N, L, g, s, curve, n_grid, rtol)
     return _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid)
@@ -480,7 +485,7 @@ def functional_value(kind: str, prof: Profile1D, L: float, g: float,
                      s: float = 2.0, ll: LLCurve | None = None) -> float:
     """Evaluate a 1D functional on a given profile (gradient term by central
     differences of sqrt(rho))."""
-    curve = ll if ll is not None else default_curve()
+    curve = _curve_for(kind, ll)
     z, rho = prof.z, prof.rho
     V = _v_long(z, L, s)
     val = float(np.trapezoid(V * rho + _interaction_density(kind, rho, g, curve), z))

@@ -4,10 +4,16 @@ The radial zero-energy equation
 
     -2 mu u''(r) + v(r) u(r) = 0,   u(0) = 0          (3D, u = r psi)
 
-is integrated with a fixed-step classical Runge-Kutta scheme (4th order,
-global error O(h^4); a 2x Richardson refinement is reported alongside every
-solve).  Outside the range of the potential the solution is exactly linear,
-u(r) = c (r - a), which defines the scattering length
+is linear, so one step over [r_i, r_{i+1}] maps (u, u') by a 2x2 matrix.
+On a constant-v segment in 3D (the soft-sphere interior and every exterior)
+the step is exact, [[cosh kh, sinh kh / k], [k sinh kh, cosh kh]] with
+k = sqrt(v / 2 mu) and e^{kh} kept as a log scale; elsewhere it is one
+classical Runge-Kutta step (4th order, global error O(h^4)).  All step
+matrices are built with array operations and combined by a log-depth
+prefix product whose entries are rescaled above 1e100, so the path never
+overflows; a 2x refinement is reported alongside every solve.  Outside the
+range of the potential the solution is exactly linear, u(r) = c (r - a),
+which defines the scattering length
 
     a = lim r - u(r)/u'(r).
 
@@ -22,8 +28,8 @@ core radius with u = 0), never as a large finite barrier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from .quadrature import simpson
 _HARD_CORE = "hard_core"
 _SOFT_SPHERE = "soft_sphere"
 _TABULATED = "tabulated"
+_BIG = 1e100          # rescaling threshold of the propagator
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,8 @@ class RadialPotential:
     height: float = 0.0
     samples: tuple = ()
     dimension: int = 3
+    _rs: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _vs: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (_HARD_CORE, _SOFT_SPHERE, _TABULATED):
@@ -69,6 +78,8 @@ class RadialPotential:
                 raise ValueError("tabulated samples must be strictly increasing in r")
             if np.any(vs < 0):
                 raise ValueError("negative potential sample")
+            object.__setattr__(self, "_rs", rs)
+            object.__setattr__(self, "_vs", vs)
 
     # --- evaluation -----------------------------------------------------
     def __call__(self, r):
@@ -79,9 +90,7 @@ class RadialPotential:
             return np.zeros_like(r)
         if self.kind == _SOFT_SPHERE:
             return np.where(r < self.core_radius, self.height, 0.0)
-        rs = np.array([p[0] for p in self.samples])
-        vs = np.array([p[1] for p in self.samples])
-        out = np.interp(r, rs, vs, left=vs[0], right=0.0)
+        out = np.interp(r, self._rs, self._vs, left=self._vs[0], right=0.0)
         return np.where(r > self.core_radius, 0.0, out)
 
     @property
@@ -157,27 +166,6 @@ class ScatteringSolution:
                 fh.write(f"{float(r)!r},{float(u)!r}\n")
 
 
-def _rk4_path(f: Callable, g: Callable, grid: np.ndarray, y0, y1):
-    """RK4 for the system (u, w)' = (f(r,u,w), g(r,u,w)) along ``grid``."""
-    n = len(grid)
-    us = np.empty(n)
-    ws = np.empty(n)
-    u, w = float(y0), float(y1)
-    us[0], ws[0] = u, w
-    for i in range(n - 1):
-        r = grid[i]
-        h = grid[i + 1] - r
-        rh = r + 0.5 * h
-        k1u, k1w = f(r, u, w), g(r, u, w)
-        k2u, k2w = f(rh, u + 0.5 * h * k1u, w + 0.5 * h * k1w), g(rh, u + 0.5 * h * k1u, w + 0.5 * h * k1w)
-        k3u, k3w = f(rh, u + 0.5 * h * k2u, w + 0.5 * h * k2w), g(rh, u + 0.5 * h * k2u, w + 0.5 * h * k2w)
-        k4u, k4w = f(r + h, u + h * k3u, w + h * k3w), g(r + h, u + h * k3u, w + h * k3w)
-        u += (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        w += (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-        us[i + 1], ws[i + 1] = u, w
-    return us, ws
-
-
 def _segment_grids(start: float, r0: float, rmax: float, n: int):
     """Uniform grids per smooth segment, with r0 an exact endpoint.
 
@@ -194,38 +182,109 @@ def _segment_grids(start: float, r0: float, rmax: float, n: int):
     return [inner, outer]
 
 
-def _v_on_segment(v: RadialPotential, r_right: float):
-    """Potential restricted to a segment ending at r_right; at the shared
-    boundary node the inside-limit value is used."""
-    if r_right <= v.core_radius * (1 + 1e-15):
-        if v.kind == _SOFT_SPHERE:
-            return lambda r: v.height
-        cap = v.core_radius
-        return lambda r: float(v(min(r, cap)))
-    return lambda r: 0.0
+def _exact_steps(h: np.ndarray, q: float):
+    """Exact steps of u'' = q u for a constant q >= 0, as (P, s) with the
+    growth e^{kappa h}, kappa = sqrt(q), factored out into s."""
+    zero = np.zeros_like(h)
+    if q == 0.0:
+        one = zero + 1.0
+        return np.array([one, h, zero, one]), zero
+    kappa = math.sqrt(q)
+    x = kappa * h
+    sh = -0.5 * np.expm1(-2.0 * x)      # e^-x sinh x
+    ch = 1.0 - sh                       # e^-x cosh x
+    return np.array([ch, sh / kappa, kappa * sh, ch]), x
+
+
+def _rk4_steps(h: np.ndarray, r, q, two_d: bool) -> np.ndarray:
+    """Classical RK4 steps of (u, w)' = (w, q u), minus w / r in 2D.
+
+    r and q hold the values at the (left, midpoint, right) nodes of each
+    step.  The stage formulas act on the unit states (1, 0) and (0, 1),
+    which gives the two columns of each step matrix.
+    """
+    def g(k, u, w):
+        return q[k] * u - w / r[k] if two_d else q[k] * u
+
+    cols = []
+    for u, w in ((1.0, 0.0), (0.0, 1.0)):
+        k1u, k1w = w, g(0, u, w)
+        u2, w2 = u + 0.5 * h * k1u, w + 0.5 * h * k1w
+        k2u, k2w = w2, g(1, u2, w2)
+        u3, w3 = u + 0.5 * h * k2u, w + 0.5 * h * k2w
+        k3u, k3w = w3, g(1, u3, w3)
+        u4, w4 = u + h * k3u, w + h * k3w
+        k4u, k4w = w4, g(2, u4, w4)
+        cols.append((u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u),
+                     w + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)))
+    (a, c), (b, d) = cols
+    return np.array([a, b, c, d])
+
+
+def _segment_steps(v: RadialPotential, mu: float, seg: np.ndarray):
+    """Step matrices of one segment grid as (P, s): P holds the entries
+    (a, b, c, d) as four rows, one column per step, with
+    (u, u')(r_{i+1}) = e^{s_i} [[a_i, b_i], [c_i, d_i]] (u, u')(r_i).
+
+    At the shared boundary node the inside-limit value of v is used.  A
+    constant-v segment in 3D takes exact steps, every other segment RK4.
+    """
+    r, h = seg[:-1], np.diff(seg)
+    nodes = (r, r + 0.5 * h, r + h)
+    inside = seg[-1] <= v.core_radius * (1 + 1e-15)
+    if inside and v.kind == _TABULATED:
+        q = [v(np.minimum(x, v.core_radius)) / (2.0 * mu) for x in nodes]
+    else:
+        q0 = v.height / (2.0 * mu) if inside else 0.0
+        if v.dimension == 3:
+            return _exact_steps(h, q0)
+        q = (q0, q0, q0)
+    return _rk4_steps(h, nodes, q, v.dimension == 2), np.zeros_like(h)
+
+
+def _prefix_products(P: np.ndarray, s: np.ndarray) -> None:
+    """Replace the step matrices by their prefix products P_i ... P_0, in
+    place, by a Hillis-Steele scan (log2 n levels of array operations).
+
+    Each product is e^s [[a, b], [c, d]]; one whose largest entry exceeds
+    _BIG is divided by that entry and its log added to s, so no entry
+    overflows.
+    """
+    k = 1
+    while k < P.shape[1]:
+        (a1, b1, c1, d1), (a0, b0, c0, d0) = P[:, k:], P[:, :-k]
+        P[:, k:] = (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
+                    c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
+        s[k:] = s[k:] + s[:-k]
+        top = np.abs(P).max(axis=0)
+        top[top <= _BIG] = 1.0
+        P /= top
+        s += np.log(top)
+        k *= 2
 
 
 def _integrate_segments(v: RadialPotential, mu: float, segs, u0: float,
                         w0: float):
-    """RK4 across consecutive segment grids, each starting from the end
-    state of the previous one; returns the joined (grid, u, u').
+    """Propagate (u0, w0) across consecutive segment grids; returns the
+    joined (grid, u, u').
 
     The equation is u'' = v u / (2 mu) in 3D (u = r psi) and
-    psi'' = v psi / (2 mu) - psi' / r in 2D.
+    psi'' = v psi / (2 mu) - psi' / r in 2D.  It is linear, so the path is
+    the prefix products of the step matrices applied to the start state.
+    It keeps the start normalization unless an entry would exceed _BIG;
+    then the whole path is divided by its largest entry.
     """
-    f = lambda r, u, w: w
-    grids, us, ws = [], [], []
-    for k, seg in enumerate(segs):
-        vseg = _v_on_segment(v, seg[-1])
-        if v.dimension == 3:
-            g = lambda r, u, w, _vs=vseg: _vs(r) * u / (2.0 * mu)
-        else:
-            g = lambda r, u, w, _vs=vseg: _vs(r) * u / (2.0 * mu) - w / r
-        uu, ww = _rk4_path(f, g, seg, u0, w0)
-        sl = slice(1, None) if k > 0 else slice(None)
-        grids.append(seg[sl]); us.append(uu[sl]); ws.append(ww[sl])
-        u0, w0 = uu[-1], ww[-1]
-    return np.concatenate(grids), np.concatenate(us), np.concatenate(ws)
+    steps = [_segment_steps(v, mu, seg) for seg in segs]
+    P = np.concatenate([p for p, _ in steps], axis=1)
+    s = np.concatenate([[0.0]] + [x for _, x in steps])
+    _prefix_products(P, s[1:])
+    u = np.concatenate(([u0], P[0] * u0 + P[1] * w0))
+    w = np.concatenate(([w0], P[2] * u0 + P[3] * w0))
+    with np.errstate(divide="ignore"):
+        top = np.max(s + np.log(np.maximum(np.abs(u), np.abs(w))))
+    scale = np.exp(s - (top if top > math.log(_BIG) else 0.0))
+    grid = np.concatenate([segs[0]] + [seg[1:] for seg in segs[1:]])
+    return grid, u * scale, w * scale
 
 
 def _solve_3d(v: RadialPotential, mu: float, n: int, rmax: float):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,15 +91,25 @@ def test_scatter_subcommand(tmp_path, capsys):
     assert rec.outputs["a"] == pytest.approx(1.0)
 
 
-def test_scatter_nonfinite_result_exits_numeric(capsys):
-    # the stiff barrier overflows the RK4 path: a and a_refined are NaN
+@pytest.fixture
+def nan_scatter(monkeypatch):
+    """scattering.solve_zero_energy returning NaN a and a_refined."""
+    from bosegas import scattering
+    solve = scattering.solve_zero_energy
+    monkeypatch.setattr(
+        scattering, "solve_zero_energy",
+        lambda *args, **kw: dataclasses.replace(solve(*args, **kw), a=math.nan,
+                                                a_refined=math.nan))
+
+
+def test_scatter_nonfinite_result_exits_numeric(nan_scatter, capsys):
     assert run_cli("scatter", "--v0", "1e12") == 1
     out, err = capsys.readouterr()
     assert "NaN" not in out and out == ""
     assert "numeric failure" in err and "a_refined" in err
 
 
-def test_scatter_nonfinite_result_writes_no_files(tmp_path, capsys):
+def test_scatter_nonfinite_result_writes_no_files(nan_scatter, tmp_path, capsys):
     prof = tmp_path / "p.csv"
     out = tmp_path / "scatter.json"
     assert run_cli("scatter", "--v0", "1e12", "--profile-out", str(prof),
@@ -138,6 +150,8 @@ def loaded():
 print(json.dumps(loaded()))
 assert bosegas.cli.main(["charged", "foldy", "--out", sys.argv[1]]) == 0
 print(json.dumps(loaded()))
+assert bosegas.cli.main(["scatter", "--v0", "1e8", "--out", sys.argv[2]]) == 0
+print(json.dumps(loaded()))
 """
 
 
@@ -147,12 +161,16 @@ def test_cli_import_loads_only_config(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "foldy.json")],
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "foldy.json"),
+         str(tmp_path / "scatter.json")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    after_import, after_foldy = map(json.loads, proc.stdout.splitlines())
+    after_import, after_foldy, after_scatter = map(
+        json.loads, proc.stdout.splitlines())
     assert after_import == ["bosegas", "bosegas.cli", "bosegas.config"]
     assert not [m for m in after_foldy if m.startswith("scipy")]
+    assert "bosegas.scattering" in after_scatter
+    assert not [m for m in after_scatter if m.startswith("scipy")]
 
 
 def test_bounds_sweep_contract(tmp_path):

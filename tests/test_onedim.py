@@ -272,3 +272,18 @@ def test_curve_cold_build_writes_one_cache_file(tmp_path, monkeypatch,
     loaded = od_mod.default_curve()
     assert np.array_equal(loaded.nodes_t, ll_curve.nodes_t)
     assert np.array_equal(loaded.nodes_e, ll_curve.nodes_e)
+
+
+def test_functional_value_closed_forms_build_no_table(tmp_path, monkeypatch):
+    import bosegas.onedim as od_mod
+
+    def no_build():
+        raise AssertionError("e(t) table built for a closed-form functional")
+    monkeypatch.setenv("BOSEGAS_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
+    monkeypatch.setattr(od_mod, "build_ll_curve", no_build)
+    z = np.linspace(-2.0, 2.0, 201)
+    prof = od.Profile1D(z, np.maximum(1.0 - z**2, 0.0), 4.0 / 3.0)
+    for kind in ("gp1d", "tf1d", "gt"):
+        assert math.isfinite(od.functional_value(kind, prof, 1.0, 0.5))
+    assert not list(tmp_path.iterdir())

@@ -13,6 +13,91 @@ def soft_sphere_a_exact(R0, v0, mu):
     return R0 * (1.0 - math.tanh(kappa * R0) / (kappa * R0))
 
 
+def _rk4_path(f, g, grid, y0, y1):
+    """Scalar RK4 for the system (u, w)' = (f(r,u,w), g(r,u,w)) along grid."""
+    n = len(grid)
+    us = np.empty(n)
+    ws = np.empty(n)
+    u, w = float(y0), float(y1)
+    us[0], ws[0] = u, w
+    for i in range(n - 1):
+        r = grid[i]
+        h = grid[i + 1] - r
+        rh = r + 0.5 * h
+        k1u, k1w = f(r, u, w), g(r, u, w)
+        k2u, k2w = f(rh, u + 0.5 * h * k1u, w + 0.5 * h * k1w), g(rh, u + 0.5 * h * k1u, w + 0.5 * h * k1w)
+        k3u, k3w = f(rh, u + 0.5 * h * k2u, w + 0.5 * h * k2w), g(rh, u + 0.5 * h * k2u, w + 0.5 * h * k2w)
+        k4u, k4w = f(r + h, u + h * k3u, w + h * k3w), g(r + h, u + h * k3u, w + h * k3w)
+        u += (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        w += (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
+        us[i + 1], ws[i + 1] = u, w
+    return us, ws
+
+
+def _reference_segments(v, mu, segs, u0, w0):
+    """Scalar RK4 reference for scattering._integrate_segments, one closure
+    call per stage; each segment starts from the end state of the last."""
+    grids, us, ws = [], [], []
+    for k, seg in enumerate(segs):
+        if seg[-1] > v.core_radius * (1 + 1e-15):
+            vseg = lambda r: 0.0
+        elif v.kind == "soft_sphere":
+            vseg = lambda r: v.height
+        else:
+            vseg = lambda r: float(v(min(r, v.core_radius)))
+        if v.dimension == 3:
+            g = lambda r, u, w, _vs=vseg: _vs(r) * u / (2.0 * mu)
+        else:
+            g = lambda r, u, w, _vs=vseg: _vs(r) * u / (2.0 * mu) - w / r
+        uu, ww = _rk4_path(lambda r, u, w: w, g, seg, u0, w0)
+        sl = slice(1, None) if k > 0 else slice(None)
+        grids.append(seg[sl]); us.append(uu[sl]); ws.append(ww[sl])
+        u0, w0 = uu[-1], ww[-1]
+    return np.concatenate(grids), np.concatenate(us), np.concatenate(ws)
+
+
+_KINKED = [(0.0, 5.0), (0.4, 3.0), (1.0, 0.0)]
+
+
+@pytest.mark.parametrize("v", [sc.soft_sphere(1.0, 9.0, dimension=2),
+                               sc.hard_core(1.0, dimension=2),
+                               sc.tabulated(_KINKED, dimension=2),
+                               sc.tabulated(_KINKED, dimension=3)],
+                         ids=["soft_disc", "hard_disc", "tabulated_2d",
+                              "tabulated_3d"])
+def test_propagator_matches_scalar_rk4_reference(v, monkeypatch):
+    sol = sc.solve_zero_energy(v)
+    monkeypatch.setattr(sc, "_integrate_segments", _reference_segments)
+    ref = sc.solve_zero_energy(v)
+    # in 3D a = rmax - u/u' cancels digits, so the propagated u/u' ~ rmax
+    # sets the scale: the scalar loop's sequential sums are off by 5e-12 of
+    # a on the refined grid of the tabulated case (long-double check)
+    scale = sol.grid[-1] if v.dimension == 3 else abs(ref.a)
+    assert abs(sol.a - ref.a) <= 1e-12 * scale
+    assert abs(sol.a_refined - ref.a_refined) <= 1e-12 * scale
+    np.testing.assert_array_equal(sol.grid, ref.grid)
+    for got, want in ((sol.u, ref.u), (sol.du, ref.du)):
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite] / sol.du[-1],
+                                   want[finite] / ref.du[-1], rtol=1e-10)
+
+
+@pytest.mark.parametrize("v0", [1.0, 9.0, 1e4, 1e8, 1e12, 1e16])
+def test_stiff_soft_sphere_matches_closed_form(v0):
+    sol = sc.solve_zero_energy(sc.soft_sphere(1.0, v0))
+    a_exact = soft_sphere_a_exact(1.0, v0, 1.0)
+    assert abs(sol.a - a_exact) / a_exact < 1e-12
+    assert abs(sol.a_refined - a_exact) / a_exact < 1e-12
+
+
+@pytest.mark.parametrize("v0", [1e6, 1e8])
+def test_stiff_soft_disc_is_finite_and_refines(v0):
+    sol = sc.solve_zero_energy(sc.soft_sphere(1.0, v0, dimension=2))
+    assert math.isfinite(sol.a) and math.isfinite(sol.a_refined)
+    assert abs(sol.a - sol.a_refined) / sol.a < 1e-6
+    assert np.all(np.isfinite(sol.u)) and np.all(np.isfinite(sol.du))
+
+
 def test_hard_core_scattering_length_is_radius():
     sol = sc.solve_zero_energy(sc.hard_core(1.0))
     assert abs(sol.a - 1.0) < 1e-12
