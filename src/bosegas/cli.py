@@ -163,7 +163,10 @@ def cmd_ll(args) -> int:
         return EXIT_OK
     if args.t is None:
         raise ConfigError("ll needs --t or --emit-curve")
-    return _emit_record(args, {"t": args.t, "e": curve.e(args.t)})
+    outputs = {"t": args.t, "e": curve.e(args.t)}
+    if curve.mesh_error is not None:
+        outputs["e_table_mesh_error"] = curve.mesh_error
+    return _emit_record(args, outputs)
 
 
 def cmd_regimes(args) -> int:

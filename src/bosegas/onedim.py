@@ -18,7 +18,8 @@ convention map e(t) = e_BA(t/2) (the Hamiltonian here carries g delta, the
 Bethe-ansatz literature 2c delta).  The integral equation is discretized by
 product integration: hat functions on a Chebyshev-graded mesh with the
 Lorentzian kernel integrated exactly (arctan/log primitives), which stays
-accurate down to very small kernel widths.  The curve is validated only
+accurate down to very small kernel widths.  The solution is even, so only
+half the system is assembled and solved.  The curve is validated only
 against its two known limits and the exact-diagonalization oracle, never
 against external tables.
 """
@@ -28,15 +29,16 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import eigh_tridiagonal, solve
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import j0, j1, jn_zeros
 
-from . import flows
+from . import __version__, flows
 
 PI2_3 = math.pi**2 / 3.0
 
@@ -45,52 +47,61 @@ PI2_3 = math.pi**2 / 3.0
 # Bethe-ansatz integral equation
 # --------------------------------------------------------------------------
 
+# rows of the Fredholm matrix are assembled in blocks of about this many
+# entries: ~110 kB per temporary stays in cache and below glibc's mmap
+# threshold, so repeated solves reuse heap memory instead of faulting in
+# fresh pages (whole-matrix temporaries spent ~40 % of a solve on that)
+_BLOCK_ELEMENTS = 14000
+
+
 def _chebyshev_mesh(m: int) -> np.ndarray:
-    return -np.cos(np.linspace(0.0, math.pi, m + 1))
+    """Chebyshev-graded nodes on [-1, 1], exactly mirror-symmetric."""
+    x = -np.cos(np.linspace(0.0, math.pi, m + 1))
+    return 0.5 * (x - x[::-1])
 
 
 def solve_ba_density(lam: float, m: int = 440):
     """Solve the Fredholm equation at kernel width ``lam``.
 
-    Returns (gamma, e_BA) for the Bethe-ansatz coupling gamma.
+    Returns (gamma, e_BA) for the Bethe-ansatz coupling gamma.  The mesh
+    has ``m + 1`` nodes; ``m`` must be even, so that x = 0 is a node.
+
+    The kernel is even and the mesh mirror-symmetric, so the solution is
+    even, f(x) = f(-x): only rows 0..m/2 of the system are assembled, the
+    columns of mirrored nodes are added together, and the (m/2 + 1)-node
+    half system is solved.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    if m < 2 or m % 2:
+        raise ValueError("m must be a positive even number")
     x = _chebyshev_mesh(m)
     n = len(x)
+    c = m // 2                  # the centre node, x_c = 0
+    h = np.diff(x)
+    rows = max(1, _BLOCK_ELEMENTS // n)
 
-    def prim_a(u):
-        return np.arctan(u / lam) / math.pi
-
-    def prim_b(u):
-        return (lam / (2.0 * math.pi)) * np.log(lam**2 + u**2)
-
-    # exact integrals of the kernel against each hat function
-    X = x[:, None]
-    u = X - x[None, :]          # u[i, j] = x_i - y_j
-    A = prim_a(u)
-    B = prim_b(u)
-
-    def seg_int0(j0_, j1_):
-        # int_{y_j0}^{y_j1} K(x_i - y) dy, all i
-        return A[:, j0_] - A[:, j1_]
-
-    def seg_int1(j0_, j1_):
-        # int_{y_j0}^{y_j1} y K(x_i - y) dy
-        return x * (A[:, j0_] - A[:, j1_]) - (B[:, j0_] - B[:, j1_])
-
-    M = np.zeros((n, n))
-    for j in range(n):
-        if j > 0:
-            hL = x[j] - x[j - 1]
-            M[:, j] += (seg_int1(j - 1, j) - x[j - 1] * seg_int0(j - 1, j)) / hL
-        if j < n - 1:
-            hR = x[j + 1] - x[j]
-            M[:, j] += (x[j + 1] * seg_int0(j, j + 1) - seg_int1(j, j + 1)) / hR
-    f = solve(np.eye(n) - M, np.full(n, 1.0 / (2.0 * math.pi)))
+    # F[i, j] = int K(x_i - y) (phi_j(y) + phi_(n-1-j)(y)) dy for the hat
+    # functions phi_j (phi_c counted once), with the kernel integrated
+    # exactly through its primitives
+    F = np.empty((c + 1, c + 1))
+    for r in range(0, c + 1, rows):
+        u = x[r:min(r + rows, c + 1), None] - x            # x_i - y_j
+        A = np.arctan(u / lam) / math.pi                   # primitive of K
+        B = (lam / (2.0 * math.pi)) * np.log(lam**2 + u**2)
+        dA = A[:, :-1] - A[:, 1:]   # int of K over [y_k, y_k+1]
+        # int of (y - y_k) K over [y_k, y_k+1], over h_k: rising half of hat k+1
+        up = (u[:, :-1] * dA - (B[:, :-1] - B[:, 1:])) / h
+        M = np.zeros((len(u), n))
+        M[:, 1:] = up
+        M[:, :-1] += dA - up        # falling half of hat k
+        F[r:r + rows] = M[:, :c + 1]
+        F[r:r + rows, :c] += M[:, :c:-1]
+    rhs = np.full(c + 1, 1.0 / (2.0 * math.pi))
+    half = np.linalg.solve(np.eye(c + 1) - F, rhs)
+    f = np.concatenate((half, half[c - 1::-1]))
 
     # exact integrals of the piecewise-linear f and x^2 f
-    h = np.diff(x)
     f0, f1 = f[:-1], f[1:]
     int_f = float(np.sum(0.5 * h * (f0 + f1)))
     x0, x1 = x[:-1], x[1:]
@@ -129,10 +140,13 @@ class LLCurve:
 
     Outside the table the limiting forms take over, continuity-matched:
     e = (t/2) * const below, pi^2/3 - deficit * (t_max/t) above.
+    ``mesh_error`` is the largest relative difference between the table and
+    doubled-mesh solves at a few points (None when it was not measured).
     """
 
     nodes_t: np.ndarray
     nodes_e: np.ndarray
+    mesh_error: float | None = None
     _interp: PchipInterpolator = field(default=None, repr=False)
     _low_ratio: float = 0.0
     _high_deficit: float = 0.0
@@ -194,7 +208,13 @@ class LLCurve:
 def build_ll_curve(n_nodes: int = 200, t_min: float = 1e-4, t_max: float = 1e6,
                    mesh: int = 440, sweep: int = 240) -> LLCurve:
     """Sweep the kernel width, collect (t, e) samples, and resample onto the
-    canonical log-spaced nodes."""
+    canonical log-spaced nodes.
+
+    The first and last sweep points inside [t_min, t_max] and the one
+    midway between them are solved again on the doubled mesh; the largest
+    relative difference of that e from the table's e at the same t becomes
+    the curve's ``mesh_error``.
+    """
     lam_lo = 0.4 * math.sqrt(0.5 * t_min)     # gamma ~ 4 lam^2 as lam -> 0
     lam_hi = 2.0 * (0.5 * t_max) / math.pi    # gamma ~ pi lam as lam -> inf
     lams = np.geomspace(lam_lo, lam_hi, sweep)
@@ -208,27 +228,67 @@ def build_ll_curve(n_nodes: int = 200, t_min: float = 1e-4, t_max: float = 1e6,
     fine = PchipInterpolator(np.log(ts), np.log(es))
     nodes_t = np.geomspace(t_min, t_max, n_nodes)
     nodes_e = np.exp(fine(np.log(nodes_t)))
-    return LLCurve(nodes_t, nodes_e)
+    curve = LLCurve(nodes_t, nodes_e)
 
+    inside = np.flatnonzero((ts >= t_min) & (ts <= t_max))
+    if len(inside):
+        curve.mesh_error = 0.0
+        for i in (inside[0], inside[len(inside) // 2], inside[-1]):
+            gamma2, e2 = solve_ba_density(lams[i], 2 * mesh)
+            curve.mesh_error = max(curve.mesh_error,
+                                   abs(e2 / curve.e(2.0 * gamma2) - 1.0))
+    return curve
+
+
+# bumped whenever the numbers build_ll_curve returns change, so that a
+# cached table from other code is never read
+_CURVE_SCHEME = 2
+_CURVE_DEFAULTS = build_ll_curve.__defaults__
 
 _DEFAULT_CURVE: LLCurve | None = None
 
 
+def curve_cache_name() -> str:
+    """File name of the cached default table, keyed on the build settings,
+    the package version and ``_CURVE_SCHEME``."""
+    n_nodes, t_min, t_max, mesh, sweep = _CURVE_DEFAULTS
+    return (f"ll_curve_s{_CURVE_SCHEME}_{__version__}_n{n_nodes}"
+            f"_t{t_min!r}-{t_max!r}_m{mesh}_w{sweep}.npz")
+
+
 def default_curve() -> LLCurve:
     """The shared e(t) table, built once per process (disk-cached when
-    BOSEGAS_CACHE_DIR is set)."""
+    BOSEGAS_CACHE_DIR is set; a cached table that fails ``_load_curve``'s
+    checks is rebuilt and replaced)."""
     global _DEFAULT_CURVE
     if _DEFAULT_CURVE is None:
         cache_dir = os.environ.get("BOSEGAS_CACHE_DIR")
-        path = os.path.join(cache_dir, "ll_curve_v1.npz") if cache_dir else None
-        if path and os.path.exists(path):
-            data = np.load(path)
-            _DEFAULT_CURVE = LLCurve(data["t"], data["e"])
-        else:
-            _DEFAULT_CURVE = build_ll_curve()
+        path = os.path.join(cache_dir, curve_cache_name()) if cache_dir else None
+        curve = _load_curve(path) if path else None
+        if curve is None:
+            curve = build_ll_curve()
             if path:
-                _save_curve(_DEFAULT_CURVE, path)
+                _save_curve(curve, path)
+        _DEFAULT_CURVE = curve
     return _DEFAULT_CURVE
+
+
+def _load_curve(path: str) -> LLCurve | None:
+    """The table cached at ``path``, or None when there is none or it is not
+    a valid e(t): finite, t and e strictly increasing, 0 < e < pi^2/3."""
+    try:
+        with np.load(path) as data:
+            t, e = data["t"], data["e"]
+            mesh_error = (float(data["mesh_error"])
+                          if "mesh_error" in data.files else None)
+    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile):
+        return None
+    valid = (t.ndim == 1 and t.shape == e.shape and len(t) >= 2
+             and bool(np.all(np.isfinite(t)) and np.all(np.isfinite(e)))
+             and bool(np.all(np.diff(t) > 0) and np.all(np.diff(e) > 0))
+             and t[0] > 0 and e[0] > 0 and e[-1] < PI2_3
+             and (mesh_error is None or 0.0 <= mesh_error < math.inf))
+    return LLCurve(t, e, mesh_error) if valid else None
 
 
 def _save_curve(curve: LLCurve, path: str) -> None:
@@ -236,10 +296,13 @@ def _save_curve(curve: LLCurve, path: str) -> None:
     place, so a concurrent reader sees either no file or a whole one."""
     cache_dir = os.path.dirname(path)
     os.makedirs(cache_dir, exist_ok=True)
+    arrays = {"t": curve.nodes_t, "e": curve.nodes_e}
+    if curve.mesh_error is not None:
+        arrays["mesh_error"] = curve.mesh_error
     fd, tmp = tempfile.mkstemp(suffix=".npz", dir=cache_dir)
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, t=curve.nodes_t, e=curve.nodes_e)
+            np.savez(fh, **arrays)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

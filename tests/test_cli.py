@@ -229,6 +229,21 @@ def test_ll_emit_curve_contract(tmp_path):
     assert all(e2 > e1 for e1, e2 in zip(es, es[1:]))
 
 
+def test_ll_reports_table_mesh_error(monkeypatch, capsys, ll_curve):
+    from bosegas import onedim
+    monkeypatch.setattr(onedim, "_DEFAULT_CURVE", ll_curve)
+    assert run_cli("ll", "--t", "1.0") == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert outputs["e_table_mesh_error"] == ll_curve.mesh_error
+    # a table built without the spot check omits the key, never emits NaN
+    bare = onedim.LLCurve(ll_curve.nodes_t, ll_curve.nodes_e)
+    monkeypatch.setattr(onedim, "_DEFAULT_CURVE", bare)
+    assert run_cli("ll", "--t", "1.0") == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert "e_table_mesh_error" not in outputs
+    assert outputs["e"] == ll_curve.e(1.0)
+
+
 def test_gp_subcommand_energy_report(tmp_path):
     out = tmp_path / "gp.json"
     prof = tmp_path / "gp.csv"

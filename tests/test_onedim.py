@@ -27,6 +27,80 @@ def test_e_limiting_values(ll_curve):
     assert abs(ll_curve.e(1e-2) / 5e-3 - 1.0) < 0.05
 
 
+def _reference_ba_density(lam, m=440):
+    """The Fredholm solve as first written: full Chebyshev mesh, the matrix
+    assembled one column at a time, full-system LU.  The reference the
+    half-mesh solve is checked against."""
+    from scipy.linalg import solve
+    x = -np.cos(np.linspace(0.0, math.pi, m + 1))
+    n = len(x)
+    u = x[:, None] - x[None, :]
+    A = np.arctan(u / lam) / math.pi
+    B = (lam / (2.0 * math.pi)) * np.log(lam**2 + u**2)
+
+    def seg_int0(j0_, j1_):
+        return A[:, j0_] - A[:, j1_]
+
+    def seg_int1(j0_, j1_):
+        return x * (A[:, j0_] - A[:, j1_]) - (B[:, j0_] - B[:, j1_])
+
+    M = np.zeros((n, n))
+    for j in range(n):
+        if j > 0:
+            hL = x[j] - x[j - 1]
+            M[:, j] += (seg_int1(j - 1, j) - x[j - 1] * seg_int0(j - 1, j)) / hL
+        if j < n - 1:
+            hR = x[j + 1] - x[j]
+            M[:, j] += (x[j + 1] * seg_int0(j, j + 1) - seg_int1(j, j + 1)) / hR
+    f = solve(np.eye(n) - M, np.full(n, 1.0 / (2.0 * math.pi)))
+    h = np.diff(x)
+    f0, f1 = f[:-1], f[1:]
+    int_f = float(np.sum(0.5 * h * (f0 + f1)))
+    x0, x1 = x[:-1], x[1:]
+    c1 = (f1 - f0) / h
+    c0 = f0 - c1 * x0
+    int_x2f = float(np.sum(c0 * (x1**3 - x0**3) / 3.0 + c1 * (x1**4 - x0**4) / 4.0))
+    return lam / int_f, int_x2f / int_f**3
+
+
+@pytest.mark.parametrize("lam", np.geomspace(1e-3, 1e5, 9).tolist())
+def test_half_mesh_solve_matches_reference(lam):
+    gamma, e_ba = od.solve_ba_density(lam)
+    gamma_ref, e_ref = _reference_ba_density(lam)
+    assert abs(gamma / gamma_ref - 1.0) < 1e-12
+    assert abs(e_ba / e_ref - 1.0) < 1e-12
+
+
+def test_solve_ba_density_rejects_odd_mesh():
+    with pytest.raises(ValueError):
+        od.solve_ba_density(1.0, 441)
+
+
+# (node index, t, e) of the default table, from the full-mesh column-loop
+# solve the half-mesh one replaced
+_PINNED_NODES = [
+    (0, "0x1.a36e2eb1c432dp-14", "0x1.a2b9d79faa9bbp-15"),
+    (40, "0x1.4f59f88311431p-7", "0x1.4552b318ba586p-8"),
+    (80, "0x1.0c207fc9849b4p+0", "0x1.858ee8254063ap-2"),
+    (120, "0x1.acc1abcc54ee0p+6", "0x1.8765d7066d8fcp+1"),
+    (160, "0x1.56cedd240dd53p+13", "0x1.a4cbd336b91a0p+1"),
+    (199, "0x1.e848000000000p+19", "0x1.a519895de897ep+1"),
+]
+
+
+def test_default_table_pinned_nodes(ll_curve):
+    assert len(ll_curve.nodes_t) == 200
+    for i, t_hex, e_hex in _PINNED_NODES:
+        assert ll_curve.nodes_t[i] == float.fromhex(t_hex)
+        assert abs(ll_curve.nodes_e[i] / float.fromhex(e_hex) - 1.0) < 1e-12
+
+
+def test_table_reports_mesh_error(ll_curve):
+    assert ll_curve.mesh_error is not None
+    assert math.isfinite(ll_curve.mesh_error)
+    assert 0.0 < ll_curve.mesh_error < 1e-2
+
+
 def test_curve_against_direct_root_find(ll_curve):
     for t in (3e-3, 0.37, 42.0):
         direct = od.solve_ll_point(t)
@@ -250,7 +324,7 @@ def test_curve_disk_cache_round_trip(tmp_path, monkeypatch, ll_curve):
     monkeypatch.setenv("BOSEGAS_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
     try:
-        np.savez(tmp_path / "ll_curve_v1.npz",
+        np.savez(tmp_path / od_mod.curve_cache_name(),
                  t=ll_curve.nodes_t, e=ll_curve.nodes_e)
         cached = od_mod.default_curve()
         assert np.allclose(cached.nodes_e, ll_curve.nodes_e)
@@ -266,12 +340,69 @@ def test_curve_cold_build_writes_one_cache_file(tmp_path, monkeypatch,
     monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
     monkeypatch.setattr(od_mod, "build_ll_curve", lambda: ll_curve)
     assert od_mod.default_curve() is ll_curve
-    assert [p.name for p in cache.iterdir()] == ["ll_curve_v1.npz"]
+    assert [p.name for p in cache.iterdir()] == [od_mod.curve_cache_name()]
     monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
     monkeypatch.setattr(od_mod, "build_ll_curve", None)   # must load, not build
     loaded = od_mod.default_curve()
     assert np.array_equal(loaded.nodes_t, ll_curve.nodes_t)
     assert np.array_equal(loaded.nodes_e, ll_curve.nodes_e)
+    assert loaded.mesh_error == ll_curve.mesh_error
+
+
+def test_curve_cache_name_is_keyed():
+    import bosegas
+    name = od.curve_cache_name()
+    assert name != "ll_curve_v1.npz" and name.endswith(".npz")
+    for part in (bosegas.__version__, f"s{od._CURVE_SCHEME}", "n200", "m440",
+                 "w240", "0.0001", "1000000.0"):
+        assert part in name
+
+
+def _poisoned_nan(t, e):
+    e = e.copy()
+    e[17] = np.nan
+    return t, e
+
+
+def _poisoned_order(t, e):
+    e = e.copy()
+    e[[40, 41]] = e[[41, 40]]
+    return t, e
+
+
+@pytest.mark.parametrize("poison", [_poisoned_nan, _poisoned_order],
+                         ids=["nan", "non_monotone"])
+def test_invalid_cache_file_is_rebuilt_and_replaced(tmp_path, monkeypatch,
+                                                    ll_curve, poison):
+    import bosegas.onedim as od_mod
+    path = tmp_path / od_mod.curve_cache_name()
+    t, e = poison(ll_curve.nodes_t, ll_curve.nodes_e)
+    np.savez(path, t=t, e=e)
+    builds = []
+
+    def build():
+        builds.append(1)
+        return ll_curve
+    monkeypatch.setenv("BOSEGAS_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
+    monkeypatch.setattr(od_mod, "build_ll_curve", build)
+    assert od_mod.default_curve() is ll_curve
+    assert builds == [1]
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    with np.load(path) as data:
+        assert np.array_equal(data["e"], ll_curve.nodes_e)
+        assert float(data["mesh_error"]) == ll_curve.mesh_error
+
+
+def test_valid_cache_file_loads_without_build(tmp_path, monkeypatch, ll_curve):
+    import bosegas.onedim as od_mod
+    od_mod._save_curve(ll_curve, str(tmp_path / od_mod.curve_cache_name()))
+    monkeypatch.setenv("BOSEGAS_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
+    monkeypatch.setattr(od_mod, "build_ll_curve", None)   # must load, not build
+    loaded = od_mod.default_curve()
+    assert np.array_equal(loaded.nodes_e, ll_curve.nodes_e)
+    assert loaded.mesh_error == ll_curve.mesh_error
 
 
 def test_functional_value_closed_forms_build_no_table(tmp_path, monkeypatch):
