@@ -204,13 +204,20 @@ def cmd_charged(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify
-    card = verify.run_all(args.seed)
+    timings: dict = {}
+    card = verify.run_all(args.seed, timings)
     text = json.dumps(card, sort_keys=True, indent=1)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    if args.timings_out:
+        sidecar = {"schema_version": SCHEMA_VERSION, "seed": args.seed,
+                   "unit": "s", "sections": timings,
+                   "total": sum(timings.values())}
+        with open(args.timings_out, "w") as fh:
+            fh.write(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
     return EXIT_OK if card["all_passed"] else EXIT_NUMERIC
 
 
@@ -311,6 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run the invariant suite")
     vf.add_argument("--seed", type=int, default=20240)
     vf.add_argument("--out")
+    vf.add_argument("--timings-out",
+                    help="write wall seconds per section to this JSON file")
     vf.set_defaults(func=cmd_verify)
 
     vl = sub.add_parser("validate", help="check a config file without running")

@@ -101,6 +101,9 @@ def parse_config_file(path) -> dict:
     return sections
 
 
+# the coarsest grid any solver accepts (scattering.GridSpec enforces it too)
+N_GRID_MIN = 16
+
 _POSITIVE = {"rho", "a", "mu", "N", "L", "r", "R0", "s", "ell", "nu", "side"}
 _NONNEGATIVE = {"coupling", "v0", "t",   # zero is physical (ideal gas etc.)
                 "A", "B_plus", "B-plus", "B_minus", "B-minus"}
@@ -129,6 +132,15 @@ def validate_params(section: str, params: dict) -> list[str]:
             if str(raw) not in _CHOICES[key]:
                 problems.append(
                     f"{section}.{key}: {raw!r} not one of {_CHOICES[key]}")
+            continue
+        if key in ("n_grid", "n-grid"):
+            try:
+                ok = int(raw) >= N_GRID_MIN
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                problems.append(f"{section}.{key}: must be an integer "
+                                f">= {N_GRID_MIN}, got {raw}")
             continue
         if key in _POSITIVE or key in _NONNEGATIVE:
             try:

@@ -33,7 +33,7 @@ import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import j0, j1, jn_zeros
@@ -148,6 +148,7 @@ class LLCurve:
     nodes_e: np.ndarray
     mesh_error: float | None = None
     _interp: PchipInterpolator = field(default=None, repr=False)
+    _dinterp: PPoly = field(default=None, repr=False)
     _low_ratio: float = 0.0
     _high_deficit: float = 0.0
 
@@ -155,6 +156,7 @@ class LLCurve:
         lt = np.log(self.nodes_t)
         le = np.log(self.nodes_e)
         object.__setattr__(self, "_interp", PchipInterpolator(lt, le))
+        self._dinterp = self._interp.derivative()
         self._low_ratio = float(self.nodes_e[0] / (0.5 * self.nodes_t[0]))
         self._high_deficit = float(PI2_3 - self.nodes_e[-1])
 
@@ -194,7 +196,7 @@ class LLCurve:
         if np.any(mid):
             tm = t[mid]
             em = np.exp(self._interp(np.log(tm)))
-            out[mid] = em * self._interp.derivative()(np.log(tm)) / tm
+            out[mid] = em * self._dinterp(np.log(tm)) / tm
         out[high] = self._high_deficit * self.t_max / t[high] ** 2
         return float(out[0]) if scalar else out
 
@@ -307,12 +309,6 @@ def _save_curve(curve: LLCurve, path: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def ll_energy_density(t, curve: LLCurve | None = None):
-    """e(t) from the shared (or supplied) tabulated curve."""
-    c = curve if curve is not None else default_curve()
-    return c.e(t)
 
 
 # --------------------------------------------------------------------------

@@ -11,11 +11,11 @@ functionals.  All random corpora are seeded; seeds are recorded by callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import eigsh
 
 from . import flows
@@ -68,11 +68,23 @@ def twisted_ground_exact(L: float, phi: float) -> float:
 @dataclass
 class DiscreteField:
     """Complex or real field sampled on a uniform periodic n^3 grid over a
-    cube of side L."""
+    cube of side L.
+
+    ``coeffs`` holds the Fourier coefficients of the trigonometric
+    polynomial the samples come from, one axis per dimension, with modes
+    ``np.arange(K) - K // 2`` along each axis (the ``fftshift`` order).  When
+    it is not given, the gradient takes all n modes from an FFT of the
+    samples.
+    """
 
     values: np.ndarray
     L: float
     boundary: str = "periodic"
+    coeffs: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.coeffs is not None and self.coeffs.shape[0] > self.n:
+            raise ValueError("the grid must resolve every mode: K <= n")
 
     @property
     def n(self) -> int:
@@ -87,21 +99,44 @@ class DiscreteField:
         return self.h ** self.values.ndim
 
 
+def _phase(K: int, n: int) -> np.ndarray:
+    """exp(2 pi i k j / n) for the modes k = np.arange(K) - K // 2 (rows)
+    and the grid points j (columns)."""
+    kj = np.outer(np.arange(K) - K // 2, np.arange(n)) % n
+    return np.exp((2j * math.pi / n) * kj)
+
+
+def _synthesize(coeffs: np.ndarray, n: int, real: bool) -> np.ndarray:
+    """Samples on the n-point periodic grid of sum_k c_k exp(2 pi i k.j/n),
+    or of its real part: one contraction per axis with a K x n phase
+    matrix, K n^d work for the last one instead of an n^d FFT."""
+    phase = _phase(coeffs.shape[0], n)
+    out = coeffs
+    for _ in range(coeffs.ndim - 1):
+        # contracting the leading axis moves the new grid axis to the end
+        out = np.tensordot(out, phase, axes=(0, 0))
+    if real:
+        # Re(p e) = Re p Re e - Im p Im e, as one real contraction
+        out = np.concatenate((out.real, out.imag))
+        phase = np.concatenate((phase.real, -phase.imag))
+    return np.tensordot(out, phase, axes=(0, 0))
+
+
 def random_field(n: int, L: float, rng: np.random.Generator, kmax: int = 3,
                  complex_valued: bool = False) -> DiscreteField:
     """Band-limited random field: Fourier modes |k| <= kmax with Gaussian
-    coefficients (smooth by construction)."""
-    shape = (n, n, n)
-    fhat = np.zeros(shape, dtype=complex)
-    for kx in range(-kmax, kmax + 1):
-        for ky in range(-kmax, kmax + 1):
-            for kz in range(-kmax, kmax + 1):
-                c = rng.normal() + 1j * rng.normal()
-                fhat[kx % n, ky % n, kz % n] = c
-    f = np.fft.ifftn(fhat) * n**3
+    coefficients (smooth by construction).  The coefficients are drawn in
+    (kx, ky, kz) order, real part first."""
+    K = 2 * kmax + 1
+    if n < K:
+        raise ValueError("grid must resolve the band: n >= 2 kmax + 1")
+    z = rng.normal(size=(K**3, 2))
+    coeffs = (z[:, 0] + 1j * z[:, 1]).reshape(K, K, K)
     if not complex_valued:
-        f = f.real
-    return DiscreteField(f, L)
+        # coefficients of the real part: c_k -> (c_k + conj(c_-k)) / 2
+        coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1, ::-1]))
+    return DiscreteField(_synthesize(coeffs, n, not complex_valued), L,
+                         coeffs=coeffs)
 
 
 def random_subset(n: int, rng: np.random.Generator,
@@ -113,20 +148,64 @@ def random_subset(n: int, rng: np.random.Generator,
     return g >= thr
 
 
-def _grad_periodic(f: np.ndarray, h: float):
-    """Spectral gradient (exact for band-limited periodic fields, so the
-    calibrated constants depend on the resolution only through the mask)."""
-    n = f.shape[0]
-    L = n * h
-    k = 2.0j * math.pi * np.fft.fftfreq(n, d=1.0 / n) / L
-    fhat = np.fft.fftn(f)
-    out = []
-    for ax in range(f.ndim):
-        shape = [1] * f.ndim
-        shape[ax] = n
-        out.append(np.fft.ifftn(fhat * k.reshape(shape)))
-    if np.isrealobj(f):
-        out = [g.real for g in out]
+def _gradient_norms(values: np.ndarray, coeffs: np.ndarray | None, L: float,
+                    omega_mask: np.ndarray, phi: float = 0.0):
+    """Sums over Omega and over the whole grid of |grad u + i phi/L e_z u|^2
+    (e_z the last axis) for the field u with samples ``values`` and band
+    coefficients ``coeffs`` (None for a sampled field).  The gradient is
+    the exact one of u's trigonometric polynomial, so the calibrated
+    constants depend on the resolution only through the mask.
+
+    With coefficients a_k of a component, sum_Omega |g|^2 is the quadratic
+    form sum_{k,k'} conj(a_k) a_k' m(k' - k) with m the transform of the
+    mask on the 2K - 1 mode differences, and the full sum is Parseval's
+    n^d sum_k |a_k|^2: no gradient is sampled.  A sampled field gets its
+    gradient from FFTs over all n modes and sums it on the grid.
+    """
+    n, d = values.shape[0], values.ndim
+    sampled = coeffs is None
+    if sampled:
+        coeffs = np.fft.fftshift(np.fft.fftn(values)) / values.size
+    K = coeffs.shape[0]
+    k = (2.0 * math.pi / L) * (np.arange(K) - K // 2)
+    grads = []
+    for ax in range(d):
+        shape = [1] * d
+        shape[ax] = K
+        mult = 1j * (k + phi / L) if ax == d - 1 else 1j * k
+        grads.append(coeffs * mult.reshape(shape))
+    if sampled:
+        g2 = 0.0
+        for a in grads:
+            g = np.fft.ifftn(np.fft.ifftshift(a)) * values.size
+            g2 = g2 + np.abs(g.real if np.isrealobj(values) else g) ** 2
+        return float(np.sum(g2[omega_mask])), float(np.sum(g2))
+    # m(q) = sum_x mask(x) exp(2 pi i q.x/n), q in [-(K-1), K-1]^d; the
+    # first contraction is of a real array, so it is two real products
+    phase = _phase(2 * K - 1, n)
+    m = omega_mask.astype(float)
+    m = (np.tensordot(m, phase.real, axes=(0, 1))
+         + 1j * np.tensordot(m, phase.imag, axes=(0, 1)))
+    for _ in range(d - 1):
+        m = np.tensordot(m, phase, axes=(0, 1))
+    # gram[k, k'] = m(k' - k) over the flattened bands
+    diff = np.arange(K)[None, :] - np.arange(K)[:, None] + K - 1
+    index = []
+    for ax in range(d):
+        shape = [1] * (2 * d)
+        shape[ax] = shape[d + ax] = K
+        index.append(diff.reshape(shape))
+    gram = m[tuple(index)].reshape(K**d, K**d)
+    a = np.stack(grads).reshape(d, -1)
+    omega = float(np.real(np.sum(np.conj(a) * (a @ gram.T))))
+    return omega, n**d * float(np.sum(np.abs(a) ** 2))
+
+
+def _padded(coeffs: np.ndarray, K: int) -> np.ndarray:
+    """Band coefficients embedded in the wider band of K modes per axis."""
+    out = np.zeros((K,) * coeffs.ndim, dtype=complex)
+    lo = K // 2 - coeffs.shape[0] // 2
+    out[(slice(lo, lo + coeffs.shape[0]),) * coeffs.ndim] = coeffs
     return out
 
 
@@ -159,7 +238,6 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
     """
     params = params or {}
     vals = f.values
-    h = f.h
     dV = f.cell_volume
     vol = f.L ** vals.ndim
     comp = ~omega_mask
@@ -168,10 +246,8 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
     if variant == "homogeneous":
         mean = np.mean(vals)
         lhs = float(np.sum(np.abs(vals - mean) ** 2)) * dV
-        grads = _grad_periodic(vals, h)
-        g2 = sum(np.abs(g) ** 2 for g in grads)
-        g2_omega = float(np.sum(g2[omega_mask])) * dV
-        g2_full = float(np.sum(g2)) * dV
+        g2_omega, g2_full = (s * dV for s in
+                             _gradient_norms(vals, f.coeffs, f.L, omega_mask))
         rhs = f.L**2 * g2_omega + comp_vol ** (2.0 / 3.0) * g2_full
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         return PoincareResult(ratio, lhs, rhs, comp_vol / vol,
@@ -181,18 +257,23 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
         weight = params.get("h_weight")
         if weight is None:
             raise ValueError("inhomogeneous variant needs the weight h")
-        wsum = float(np.sum(weight)) * dV
+        if not isinstance(weight, DiscreteField):
+            weight = DiscreteField(np.asarray(weight, dtype=float), f.L)
+        wv = weight.values
+        wsum = float(np.sum(wv)) * dV
         if abs(wsum - 1.0) > 1e-8:
             raise ValueError("weight must integrate to 1")
-        proj = vals - (float(np.sum(vals * weight)) * dV) / \
-            (float(np.sum(weight**2)) * dV) * weight
         # enforce int f h = 0 by projection, then measure
+        c = (float(np.sum(vals * wv)) * dV) / (float(np.sum(wv**2)) * dV)
+        proj = vals - c * wv
         lhs = float(np.sum(np.abs(proj) ** 2)) * dV
-        grads = _grad_periodic(proj, h)
-        g2 = sum(np.abs(g) ** 2 for g in grads)
+        coeffs = None
+        if f.coeffs is not None and weight.coeffs is not None:
+            K = max(f.coeffs.shape[0], weight.coeffs.shape[0])
+            coeffs = _padded(f.coeffs, K) - c * _padded(weight.coeffs, K)
+        g2_omega, g2_full = _gradient_norms(proj, coeffs, f.L, omega_mask)
         d = vals.ndim
-        rhs = float(np.sum(g2[omega_mask])) * dV \
-            + (comp_vol / vol) ** (2.0 / d) * float(np.sum(g2)) * dV
+        rhs = g2_omega * dV + (comp_vol / vol) ** (2.0 / d) * g2_full * dV
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         return PoincareResult(ratio, lhs, rhs, comp_vol / vol, {})
 
@@ -205,11 +286,12 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
         norm2 = float(np.sum(np.abs(w) ** 2)) * dV
         if norm2 == 0.0:
             return PoincareResult(0.0, 0.0, 0.0, comp_vol / vol, {})
-        grads = _grad_periodic(w, h)
-        grads[2] = grads[2] + 1j * (phi / f.L) * w
-        g2 = sum(np.abs(g) ** 2 for g in grads)
-        g2_omega = float(np.sum(g2[omega_mask])) * dV
-        g2_full = float(np.sum(g2)) * dV
+        coeffs = None
+        if f.coeffs is not None:
+            coeffs = f.coeffs.copy()
+            coeffs[(coeffs.shape[0] // 2,) * coeffs.ndim] -= hmean
+        g2_omega, g2_full = (s * dV for s in _gradient_norms(
+            w, coeffs, f.L, omega_mask, phi))
         excess = g2_omega - (phi / f.L) ** 2 * norm2
         if comp_vol == 0.0:
             ratio = excess / (norm2 / f.L**2)
@@ -219,6 +301,17 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
                               {"norm2": norm2, "grad_omega": g2_omega})
 
     raise ValueError(f"unknown Poincare variant {variant!r}")
+
+
+def _cosine_weight(n: int) -> DiscreteField:
+    """The weight h = 1 + cos(2 pi x)/2 on the unit cube, normalized to
+    integrate to 1 on the n^3 grid."""
+    values = 1.0 + 0.5 * np.cos(
+        2 * math.pi * np.arange(n) / n)[:, None, None] * np.ones((n, n, n))
+    norm = np.sum(values) * (1.0 / n) ** 3
+    coeffs = np.zeros((3, 3, 3))
+    coeffs[:, 1, 1] = (0.25, 1.0, 0.25)
+    return DiscreteField(values / norm, 1.0, coeffs=coeffs / norm)
 
 
 def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
@@ -233,6 +326,7 @@ def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
     calibrated constant is resolution-stable.
     """
     rng = np.random.default_rng(seed)
+    weight = _cosine_weight(n) if variant == "inhomogeneous" else None
     ratios = []
     for _ in range(n_cases):
         frac = rng.uniform(0.0, 0.5)
@@ -240,10 +334,7 @@ def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
         f = random_field(n, 1.0, rng, kmax=kmax,
                          complex_valued=(variant == "vector_potential"))
         if variant == "inhomogeneous":
-            wfield = 1.0 + 0.5 * np.cos(
-                2 * math.pi * np.arange(n) / n)[:, None, None] * np.ones((n, n, n))
-            wfield = wfield / (np.sum(wfield) * f.cell_volume)
-            res = poincare_check(variant, f, mask, {"h_weight": wfield})
+            res = poincare_check(variant, f, mask, {"h_weight": weight})
         elif variant == "vector_potential":
             res = poincare_check(variant, f, mask, {"phi": phi})
         else:
@@ -303,22 +394,20 @@ def localize_band_matrix(case: BandMatrixCase) -> LocalizationResult:
     A = case.matrix
     psi = case.psi
     n = A.shape[0]
-    d = np.empty(n)
-    d[0] = float(np.real(np.conj(psi) @ (np.diag(np.diag(A)) @ psi)))
-    for k in range(1, n):
-        diag_k = np.diag(A, k)
-        val = np.conj(psi[:-k]) @ (diag_k * psi[k:])
-        d[k] = float(2.0 * np.real(val))
+    # d_k sums Re conj(psi_i) A_ij psi_j over the upper diagonal j - i = k
+    i, j = np.triu_indices(n)
+    terms = np.real(np.conj(psi[i]) * A[i, j] * psi[j])
+    d = np.bincount(j - i, weights=terms, minlength=n)
+    d[1:] *= 2.0
     lam = float(np.sum(d))
-    best_val, best_start, best_vec = math.inf, 0, None
     M = case.M
-    for start in range(0, n - M + 1):
-        sub = A[start:start + M, start:start + M]
-        vals, vecs = eigh(sub)
-        if vals[0] < best_val:
-            best_val, best_start, best_vec = float(vals[0]), start, vecs[:, 0]
+    starts = np.arange(n - M + 1)
+    windows = sliding_window_view(A, (M, M))[starts, starts]
+    vals, vecs = np.linalg.eigh(windows)
+    best_start = int(np.argmin(vals[:, 0]))       # the first minimal window
+    best_val = float(vals[best_start, 0])
     phi = np.zeros(n)
-    phi[best_start:best_start + M] = best_vec
+    phi[best_start:best_start + M] = vecs[best_start, :, 0]
     ks = np.arange(1, M)
     quad = float(np.sum(ks**2 * np.abs(d[1:M]))) / M**2
     tail = float(np.sum(np.abs(d[M:])))
@@ -418,30 +507,6 @@ def free_fermion_pair_ring(ell: float) -> float:
 # truncated-Fock Bogolubov check
 # --------------------------------------------------------------------------
 
-def _mode_ops(cutoff: int, n_modes: int):
-    dim1 = cutoff + 1
-    a = sp.diags(np.sqrt(np.arange(1, dim1)), 1, format="csr")
-    eye = sp.identity(dim1, format="csr")
-    ops = []
-    for j in range(n_modes):
-        mats = [eye] * n_modes
-        mats[j] = a
-        out = mats[0]
-        for mkl in mats[1:]:
-            out = sp.kron(out, mkl, format="csr")
-        ops.append(out)
-    return ops
-
-
-def _ground_energy(H: sp.spmatrix) -> float:
-    if H.shape[0] <= 1800:
-        return float(np.linalg.eigvalsh(H.toarray())[0])
-    v0 = np.full(H.shape[0], 1.0 / math.sqrt(H.shape[0]))
-    val = eigsh(H.tocsr(), k=1, which="SA", return_eigenvectors=False,
-                maxiter=50000, tol=1e-12, v0=v0)
-    return float(val[0])
-
-
 def fock_quadratic_ground(A: float, B_plus: float, B_minus: float,
                           cutoff: int) -> float:
     """Ground energy of the paired quadratic form on a truncated bosonic
@@ -450,34 +515,76 @@ def fock_quadratic_ground(A: float, B_plus: float, B_minus: float,
     Two modes suffice when B_minus = 0 (one-component convention); the
     general case uses four modes (tau, e) with the ee' sign structure.
     Dimension is capped at 2e4.
+
+    H conserves Q = N_+ - N_- (quanta in tau = + modes minus quanta in
+    tau = - modes), so it is block diagonal in Q.  Each Q sector is built
+    directly from the occupation numbers and the result is the lowest
+    eigenvalue over all sectors.  Swapping tau = + with tau = - maps the
+    sector Q onto -Q with the same matrix entries, so only Q >= 0 is built.
+    Q = 0 is solved first; a later sector is solved only when the Cholesky
+    factorization of H_Q - E I fails, E being the lowest value so far (when
+    it succeeds, H_Q has no eigenvalue below E).  Solves are full dense
+    eigensolves: bisection for the lowest eigenvalue alone is accurate only
+    to eps ||H||, which moves the cutoff-40 value by hundreds of ulps.
     """
     if cutoff < 2:
         raise ValueError("cutoff must allow at least 2 quanta per mode")
     if B_minus == 0.0:
-        dim = (cutoff + 1) ** 2
-        if dim > 2e4:
-            raise ValueError("truncated space too large")
-        bp, bm = _mode_ops(cutoff, 2)     # modes: momentum +k, -k (charge +)
-        n_op = bp.T @ bp + bm.T @ bm
-        H = A * n_op + B_plus * (n_op + bp.T @ bm.T + bp @ bm)
-        return _ground_energy(H)
-    dim = (cutoff + 1) ** 4
-    if dim > 2e4:
+        charges, coup = ("+",), {("+", "+"): B_plus}
+    else:
+        charges = ("+", "-")
+        Bval = {"+": B_plus, "-": B_minus}
+        sgn = {"+": 1.0, "-": -1.0}
+        coup = {(e, ep): math.sqrt(Bval[e] * Bval[ep]) * sgn[e] * sgn[ep]
+                for e in charges for ep in charges}
+    n_modes = 2 * len(charges)
+    if (cutoff + 1) ** n_modes > 2e4:
         raise ValueError("truncated space too large")
-    ops = _mode_ops(cutoff, 4)            # (tau,e): (+,+), (-,+), (+,-), (-,-)
-    b = {("+", "+"): ops[0], ("-", "+"): ops[1],
-         ("+", "-"): ops[2], ("-", "-"): ops[3]}
-    Bval = {"+": B_plus, "-": B_minus}
-    sgn = {"+": 1.0, "-": -1.0}
-    H = A * sum(op.T @ op for op in ops)
-    for e in ("+", "-"):
-        for ep in ("+", "-"):
-            c = math.sqrt(Bval[e] * Bval[ep]) * sgn[e] * sgn[ep]
-            H = H + c * (b[("+", e)].T @ b[("+", ep)]
-                         + b[("-", e)].T @ b[("-", ep)]
-                         + b[("+", e)].T @ b[("-", ep)].T
-                         + b[("+", e)] @ b[("-", ep)])
-    return _ground_energy(H)
+    # modes (tau, e): (+,+), (-,+) [, (+,-), (-,-)]; basis state s has
+    # occ[i, s] quanta in mode i and index s = sum_i occ[i, s] stride[i]
+    mode = {(tau, e): 2 * k + (tau == "-")
+            for k, e in enumerate(charges) for tau in "+-"}
+    occ = np.indices((cutoff + 1,) * n_modes).reshape(n_modes, -1)
+    stride = (cutoff + 1) ** np.arange(n_modes - 1, -1, -1)
+    root = np.sqrt(np.arange(cutoff + 2))
+    # H = A N + sum_{tau,e,e'} c_ee' b+_(tau,e) b_(tau,e')
+    #       + sum_{e,e'} c_ee' (b+_(+,e) b+_(-,e') + h.c.)
+    diag = A * occ.sum(axis=0)
+    for e in charges:
+        diag = diag + coup[e, e] * (occ[mode["+", e]] + occ[mode["-", e]])
+    # off-diagonal entries below: b+_i b+_j (sj = +1) or b+_i b_j (sj = -1)
+    # from state s to s + stride[i] + sj stride[j]; each transposed entry
+    # is the Hermitian conjugate term
+    src, tgt, amp = [], [], []
+    for (e, ep), c in coup.items():
+        terms = [(mode["+", e], mode["-", ep], 1)]
+        if (e, ep) == ("+", "-"):      # the (-, +) hopping is its transpose
+            terms += [(mode[tau, e], mode[tau, ep], -1) for tau in "+-"]
+        for i, j, sj in terms:
+            nj = occ[j] + (sj > 0)       # sqrt(nj) is the factor of b(+)_j
+            s = np.flatnonzero((occ[i] < cutoff) & (nj > 0) & (nj <= cutoff))
+            src.append(s)
+            tgt.append(s + stride[i] + sj * stride[j])
+            amp.append(c * (root[occ[i, s] + 1] * root[nj[s]]))
+    src, tgt, amp = (np.concatenate(x) for x in (src, tgt, amp))
+    q = occ[0::2].sum(axis=0) - occ[1::2].sum(axis=0)
+    q_src = q[src]
+    best = math.inf
+    for sector in range(q.max() + 1):            # Q = 0 first
+        states = np.flatnonzero(q == sector)
+        sel = np.flatnonzero(q_src == sector)
+        rows, cols = (np.searchsorted(states, x[sel]) for x in (tgt, src))
+        H = np.diag(diag[states])
+        H[rows, cols] = amp[sel]
+        H[cols, rows] = amp[sel]
+        if sector > 0:
+            try:
+                np.linalg.cholesky(H - best * np.eye(states.size))
+                continue
+            except np.linalg.LinAlgError:
+                pass
+        best = min(best, float(np.linalg.eigvalsh(H)[0]))
+    return best
 
 
 # --------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import N_GRID_MIN
 from .quadrature import simpson
 
 _HARD_CORE = "hard_core"
@@ -125,8 +126,9 @@ class GridSpec:
     rmax_factor: float = 8.0
 
     def __post_init__(self):
-        if self.n < 16:
-            raise ValueError("non-positive grid")
+        if self.n < N_GRID_MIN:
+            raise ValueError(
+                f"grid needs n >= {N_GRID_MIN} points, got {self.n}")
         if self.rmax_factor < 4.0:
             raise ValueError("grid must extend beyond R0 by a factor >= 4")
 

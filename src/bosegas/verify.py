@@ -9,6 +9,7 @@ constants, and the seeds used.  Any failure makes the whole suite fail.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -292,15 +293,25 @@ def _oracle_checks(seed):
     return out
 
 
-def run_all(seed: int = 20240) -> dict:
-    """Run the whole invariant suite; returns the scorecard dict."""
+def run_all(seed: int = 20240, timings: dict | None = None) -> dict:
+    """Run the whole invariant suite; returns the scorecard dict.
+
+    When ``timings`` is a dict, it receives the wall seconds of each section
+    (scattering, homogeneous, meanfield, onedim, charged, oracles); they are
+    never part of the scorecard, which stays byte-reproducible.
+    """
+    sections = (("scattering", _scattering_checks, ()),
+                ("homogeneous", _homogeneous_checks, (seed,)),
+                ("meanfield", _meanfield_checks, ()),
+                ("onedim", _onedim_checks, (seed,)),
+                ("charged", _charged_checks, (seed + 10,)),
+                ("oracles", _oracle_checks, (seed + 20,)))
     checks = []
-    checks += _scattering_checks()
-    checks += _homogeneous_checks(seed)
-    checks += _meanfield_checks()
-    checks += _onedim_checks(seed)
-    checks += _charged_checks(seed + 10)
-    checks += _oracle_checks(seed + 20)
+    for name, run, args in sections:
+        t0 = time.perf_counter()
+        checks += run(*args)
+        if timings is not None:
+            timings[name] = time.perf_counter() - t0
     n_pass = sum(1 for c in checks if c["passed"])
     return {
         "schema_version": SCHEMA_VERSION,

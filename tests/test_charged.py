@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bosegas import charged as ch
 from bosegas import oracles
@@ -182,6 +184,16 @@ def test_fock_ground_converges_to_bound():
     assert all(g >= -1e-12 for g in gaps)
     assert gaps[0] >= gaps[-1]
     assert gaps[-1] < 1e-3
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(A=st.floats(0.0, 3.0), B_plus=st.floats(0.0, 3.0),
+       B_minus=st.floats(0.0, 3.0))
+@example(A=0.05, B_plus=3.0, B_minus=0.0)
+@example(A=0.05, B_plus=3.0, B_minus=3.0)
+def test_bogolubov_bound_below_fock_property(A, B_plus, B_minus):
+    bound = ch.bogolubov_bound(ch.BogolubovParams(A, B_plus, B_minus))
+    assert bound <= oracles.fock_quadratic_ground(A, B_plus, B_minus, 6) + 1e-9
 
 
 def test_fock_corpus_never_below_bound(rng):

@@ -311,6 +311,43 @@ def test_config_file_defaults_flow(tmp_path):
     assert rec.inputs["N"] == 100.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("gp", "--coupling", "0.01", "--n-grid", "3"),
+    ("tf", "--coupling", "0.01", "--n-grid", "3"),
+    ("gp", "--coupling", "0.01", "--n-grid", "0"),
+    ("scatter", "--kind", "hard_core", "--n-grid", "8"),
+])
+def test_n_grid_below_floor_is_config_error(argv, capsys):
+    assert run_cli(*argv) == 2
+    assert "n_grid: must be an integer >= 16" in capsys.readouterr().err
+
+
+def test_validate_n_grid_floor(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("[gp]\nn-grid = 15\n[scatter]\nn_grid = many\n")
+    assert run_cli("validate", str(cfg)) == 2
+    out = capsys.readouterr().out
+    assert "gp.n-grid" in out and "scatter.n_grid" in out
+    cfg.write_text("[gp]\nn-grid = 16\n[scatter]\nn_grid = 4096\n")
+    assert run_cli("validate", str(cfg)) == 0
+
+
+def test_verify_timings_sidecar(tmp_path, ll_curve):
+    plain, timed, sidecar = (tmp_path / name for name in
+                             ("plain.json", "timed.json", "timings.json"))
+    assert run_cli("verify", "--seed", "7", "--out", str(plain)) == 0
+    assert run_cli("verify", "--seed", "7", "--out", str(timed),
+                   "--timings-out", str(sidecar)) == 0
+    assert timed.read_bytes() == plain.read_bytes()
+    timings = json.loads(sidecar.read_text())
+    sections = timings["sections"]
+    assert set(sections) == {"scattering", "homogeneous", "meanfield",
+                             "onedim", "charged", "oracles"}
+    assert all(s > 0.0 for s in sections.values())
+    assert timings["total"] == pytest.approx(sum(sections.values()))
+    assert timings["seed"] == 7 and timings["unit"] == "s"
+
+
 def test_exit_codes(tmp_path):
     assert run_cli("gp", "--coupling", "-1") == 2          # config error
     assert run_cli("scatter", "--kind", "soft_sphere", "--R0", "-1") == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bosegas import homogeneous as hb
 from bosegas import scattering as sc
@@ -87,6 +89,16 @@ def test_bracketing_sweep():
         st = state_at_Y(Y)
         lo = hb.lower_bound_3d(st).value
         assert lo <= hb.lhy_reference(st) <= hb.upper_bound_3d(st)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(log10_Y=st.floats(-12.0, -3.0))
+@example(log10_Y=-12.0)
+@example(log10_Y=-3.0)
+def test_bracketing_property(log10_Y):
+    state = state_at_Y(10.0**log10_Y)
+    lo = hb.lower_bound_3d(state).value
+    assert lo <= hb.lhy_reference(state) <= hb.upper_bound_3d(state)
 
 
 def test_error_exponent_fits():

@@ -120,6 +120,13 @@ def test_curve_derivative_consistency(ll_curve):
         assert abs(ll_curve.de(t) - fd) < 1e-4 * max(abs(fd), 1e-12)
 
 
+def test_curve_derivative_is_the_interpolant_derivative(ll_curve):
+    t = np.geomspace(ll_curve.t_min, ll_curve.t_max, 37)
+    lt = np.log(t)
+    direct = np.exp(ll_curve._interp(lt)) * ll_curve._interp.derivative()(lt) / t
+    assert np.array_equal(ll_curve.de(t), direct)
+
+
 def test_negative_t_rejected(ll_curve):
     with pytest.raises(ValueError):
         ll_curve.e(-1.0)

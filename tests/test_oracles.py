@@ -2,8 +2,119 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
+from scipy.sparse.linalg import eigsh
 
 from bosegas import oracles as orc
+
+
+# --- reference implementations ------------------------------------------------
+# The straightforward versions of the rewritten oracle kernels: an FFT field
+# with one draw per coefficient, the FFT gradient, the full-space Fock
+# Hamiltonian from Kronecker products, and the loop over windows.  The
+# kernels in bosegas.oracles are checked against them.
+
+def _reference_random_field(n, L, rng, kmax=3, complex_valued=False):
+    fhat = np.zeros((n, n, n), dtype=complex)
+    for kx in range(-kmax, kmax + 1):
+        for ky in range(-kmax, kmax + 1):
+            for kz in range(-kmax, kmax + 1):
+                c = rng.normal() + 1j * rng.normal()
+                fhat[kx % n, ky % n, kz % n] = c
+    f = np.fft.ifftn(fhat) * n**3
+    if not complex_valued:
+        f = f.real
+    return orc.DiscreteField(f, L)
+
+
+def _reference_random_subset(n, rng, frac_complement):
+    g = _reference_random_field(n, 1.0, rng, kmax=2).values
+    thr = np.quantile(g, frac_complement)
+    return g >= thr
+
+
+def _reference_grad_periodic(f, h):
+    n = f.shape[0]
+    L = n * h
+    k = 2.0j * math.pi * np.fft.fftfreq(n, d=1.0 / n) / L
+    fhat = np.fft.fftn(f)
+    out = []
+    for ax in range(f.ndim):
+        shape = [1] * f.ndim
+        shape[ax] = n
+        out.append(np.fft.ifftn(fhat * k.reshape(shape)))
+    if np.isrealobj(f):
+        out = [g.real for g in out]
+    return out
+
+
+def _reference_mode_ops(cutoff, n_modes):
+    dim1 = cutoff + 1
+    a = sp.diags(np.sqrt(np.arange(1, dim1)), 1, format="csr")
+    eye = sp.identity(dim1, format="csr")
+    ops = []
+    for j in range(n_modes):
+        mats = [eye] * n_modes
+        mats[j] = a
+        out = mats[0]
+        for mkl in mats[1:]:
+            out = sp.kron(out, mkl, format="csr")
+        ops.append(out)
+    return ops
+
+
+def _reference_ground_energy(H):
+    if H.shape[0] <= 1800:
+        return float(np.linalg.eigvalsh(H.toarray())[0])
+    v0 = np.full(H.shape[0], 1.0 / math.sqrt(H.shape[0]))
+    val = eigsh(H.tocsr(), k=1, which="SA", return_eigenvectors=False,
+                maxiter=50000, tol=1e-12, v0=v0)
+    return float(val[0])
+
+
+def _reference_fock_ground(A, B_plus, B_minus, cutoff):
+    if B_minus == 0.0:
+        bp, bm = _reference_mode_ops(cutoff, 2)
+        n_op = bp.T @ bp + bm.T @ bm
+        H = A * n_op + B_plus * (n_op + bp.T @ bm.T + bp @ bm)
+        return _reference_ground_energy(H)
+    ops = _reference_mode_ops(cutoff, 4)
+    b = {("+", "+"): ops[0], ("-", "+"): ops[1],
+         ("+", "-"): ops[2], ("-", "-"): ops[3]}
+    Bval = {"+": B_plus, "-": B_minus}
+    sgn = {"+": 1.0, "-": -1.0}
+    H = A * sum(op.T @ op for op in ops)
+    for e in ("+", "-"):
+        for ep in ("+", "-"):
+            c = math.sqrt(Bval[e] * Bval[ep]) * sgn[e] * sgn[ep]
+            H = H + c * (b[("+", e)].T @ b[("+", ep)]
+                         + b[("-", e)].T @ b[("-", ep)]
+                         + b[("+", e)].T @ b[("-", ep)].T
+                         + b[("+", e)] @ b[("-", ep)])
+    return _reference_ground_energy(H)
+
+
+def _reference_localize(case):
+    """(window_start, lhs, phi, d) from the loop over diagonals and
+    windows."""
+    A, psi, M = case.matrix, case.psi, case.M
+    n = A.shape[0]
+    d = np.empty(n)
+    d[0] = float(np.real(np.conj(psi) @ (np.diag(np.diag(A)) @ psi)))
+    for k in range(1, n):
+        val = np.conj(psi[:-k]) @ (np.diag(A, k) * psi[k:])
+        d[k] = float(2.0 * np.real(val))
+    best_val, best_start, best_vec = math.inf, 0, None
+    for start in range(0, n - M + 1):
+        vals, vecs = eigh(A[start:start + M, start:start + M])
+        if vals[0] < best_val:
+            best_val, best_start, best_vec = float(vals[0]), start, vecs[:, 0]
+    phi = np.zeros(n)
+    phi[best_start:best_start + M] = best_vec
+    return best_start, best_val, phi, d
 
 
 # --- twisted Laplacian --------------------------------------------------------
@@ -110,6 +221,98 @@ def test_poincare_unknown_variant():
         orc.poincare_check("bogus", f, np.ones((8, 8, 8), dtype=bool))
 
 
+def _reference_norms(values, L, mask, phi=0.0):
+    """Sums over the mask and over the grid of |grad u + i phi/L e_z u|^2
+    from the FFT gradient of the samples."""
+    grads = _reference_grad_periodic(values, L / values.shape[0])
+    grads[-1] = grads[-1] + 1j * (phi / L) * values
+    g2 = sum(np.abs(g) ** 2 for g in grads)
+    return float(np.sum(g2[mask])), float(np.sum(g2))
+
+
+@pytest.mark.parametrize("n,kmax,complex_valued",
+                         [(12, 2, False), (16, 3, True), (24, 2, False),
+                          (48, 2, True), (48, 3, False)])
+def test_random_field_matches_fft_reference(n, kmax, complex_valued):
+    rng, rng_ref = np.random.default_rng(n + kmax), np.random.default_rng(n + kmax)
+    f = orc.random_field(n, 1.0, rng, kmax, complex_valued)
+    ref = _reference_random_field(n, 1.0, rng_ref, kmax, complex_valued)
+    assert rng.normal() == rng_ref.normal()      # the same draws were used
+    assert np.isrealobj(f.values) == (not complex_valued)
+    scale = np.max(np.abs(ref.values))
+    assert np.max(np.abs(f.values - ref.values)) <= 1e-12 * scale
+    mask = orc.random_subset(n, rng, 0.3)
+    phi = 0.5 * math.pi if complex_valued else 0.0
+    got = orc._gradient_norms(f.values, f.coeffs, f.L, mask, phi)
+    want = _reference_norms(ref.values, ref.L, mask, phi)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_gradient_norms_of_sampled_array_match_fft_reference(complex_valued):
+    # no coefficients given: all n modes (Nyquist included) from an FFT
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=(10, 10, 10))
+    if complex_valued:
+        vals = vals + 1j * rng.normal(size=(10, 10, 10))
+    mask = rng.uniform(size=(10, 10, 10)) < 0.7
+    phi = 1.1 if complex_valued else 0.0
+    got = orc._gradient_norms(vals, None, 2.5, mask, phi)
+    assert got == pytest.approx(_reference_norms(vals, 2.5, mask, phi),
+                                rel=1e-12)
+
+
+def test_inhomogeneous_check_band_matches_samples(rng):
+    # the cosine weight's band (3 modes) is padded into the field's (5)
+    n = 16
+    weight = orc._cosine_weight(n)
+    f = orc.random_field(n, 1.0, rng, kmax=2)
+    mask = orc.random_subset(n, rng, 0.25)
+    band = orc.poincare_check("inhomogeneous", f, mask, {"h_weight": weight})
+    sampled = orc.poincare_check("inhomogeneous",
+                                 orc.DiscreteField(f.values, 1.0), mask,
+                                 {"h_weight": weight.values})
+    assert band.ratio == pytest.approx(sampled.ratio, rel=1e-12)
+
+
+def test_random_subset_masks_match_reference():
+    for seed in range(8):
+        for n in (12, 24, 48):
+            frac = np.random.default_rng(seed).uniform(0.0, 0.5)
+            mask = orc.random_subset(n, np.random.default_rng(seed), frac)
+            ref = _reference_random_subset(n, np.random.default_rng(seed), frac)
+            assert np.array_equal(mask, ref)
+
+
+def test_fields_reject_unresolved_band():
+    with pytest.raises(ValueError):
+        orc.random_field(4, 1.0, np.random.default_rng(0), kmax=2)
+    with pytest.raises(ValueError):
+        orc.DiscreteField(np.zeros((4, 4, 4)), 1.0,
+                          coeffs=np.zeros((5, 5, 5), dtype=complex))
+
+
+# C_hat and min_ratio of the FFT implementation on the verify --seed 7
+# corpora (60 cases each)
+_PINNED_CORPORA = {
+    ("homogeneous", 27, 24): ("0x1.144f2f8cfcb28p-8", "0x1.b1ee3ed372cf1p-9"),
+    ("homogeneous", 27, 48): ("0x1.13eec9f7347a3p-8", "0x1.b235c2ede1a19p-9"),
+    ("vector_potential", 28, 24): ("0x0.0p+0", "0x1.85055394f59ffp-1"),
+    ("vector_potential", 28, 48): ("0x0.0p+0", "0x1.84bcd5f689d6fp-1"),
+    ("inhomogeneous", 29, 24): ("0x1.29b61c90fb9edp-8", "0x1.a5e3a3bc5e682p-9"),
+    ("inhomogeneous", 29, 48): ("0x1.29c889033d428p-8", "0x1.a5f05fce822adp-9"),
+}
+
+
+@pytest.mark.parametrize("variant,seed,n", sorted(_PINNED_CORPORA))
+def test_poincare_constants_pinned(variant, seed, n):
+    c = orc.poincare_calibrate(variant, n=n, n_cases=60, seed=seed)
+    c_hat, min_ratio = (float.fromhex(x)
+                        for x in _PINNED_CORPORA[variant, seed, n])
+    assert abs(c["C_hat"] - c_hat) <= 1e-12 * c_hat
+    assert abs(c["min_ratio"] - min_ratio) <= 1e-12 * abs(min_ratio)
+
+
 # --- band-matrix localization ---------------------------------------------------
 
 def test_band_matrix_full_window_trivial(rng):
@@ -166,6 +369,41 @@ def test_band_matrix_validation():
         orc.BandMatrixCase(np.eye(4), np.array([1.0, 0.0, 0.0, 0.0]), 9)
 
 
+def _band_corpus(rng, count):
+    # verify's tridiagonal cases (N = 64, M = 8) and dense symmetric ones
+    for i in range(count):
+        if i % 2 == 0:
+            N, M = 64, 8
+            off = rng.normal(size=N)
+            A = np.diag(rng.normal(size=N + 1)) + np.diag(off, 1) \
+                + np.diag(off, -1)
+        else:
+            N, M = 24, int(rng.integers(1, 26))
+            A = rng.normal(size=(N + 1, N + 1))
+            A = 0.5 * (A + A.T)
+        psi = rng.normal(size=N + 1)
+        yield orc.BandMatrixCase(A, psi / np.linalg.norm(psi), M)
+
+
+def test_band_windows_match_reference_loop():
+    for case in _band_corpus(np.random.default_rng(2024), 300):
+        res = orc.localize_band_matrix(case)
+        start, lhs, phi, d = _reference_localize(case)
+        assert res.window_start == start
+        assert abs(res.lhs - lhs) <= 2e-14 * max(1.0, abs(lhs))
+        assert abs(abs(res.phi @ phi) - 1.0) <= 1e-8   # same vector up to sign
+        assert np.max(np.abs(res.d - d)) <= 1e-12
+        assert abs(res.lam - np.sum(d)) <= 1e-12
+
+
+def test_band_window_ties_take_the_first():
+    # every window holding the smallest diagonal entry has the same minimum
+    A = np.diag([3.0, 2.0, -1.0, 4.0, 5.0, 6.0])
+    psi = np.full(6, 1.0 / math.sqrt(6.0))
+    res = orc.localize_band_matrix(orc.BandMatrixCase(A, psi, 3))
+    assert res.window_start == 0 and res.lhs == -1.0
+
+
 # --- delta gas ---------------------------------------------------------------
 
 def test_delta_gas_free_limits():
@@ -219,6 +457,37 @@ def test_fock_dimension_guard():
         orc.fock_quadratic_ground(1.0, 0.5, 0.5, 25)
     with pytest.raises(ValueError):
         orc.fock_quadratic_ground(1.0, 0.5, 0.0, 1)
+
+
+@pytest.mark.parametrize("cutoff", [2, 10, 40])
+def test_fock_two_mode_sectors_match_full_space(cutoff):
+    rng = np.random.default_rng(cutoff)
+    for A, Bp in [(1.0, 0.5)] + [tuple(rng.uniform(0.05, 3.0, 2))
+                                 for _ in range(3)]:
+        ref = _reference_fock_ground(A, Bp, 0.0, cutoff)
+        got = orc.fock_quadratic_ground(A, Bp, 0.0, cutoff)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("cutoff", [2, 4, 6, 8])
+def test_fock_four_mode_sectors_match_full_space(cutoff):
+    rng = np.random.default_rng(100 + cutoff)
+    for A, Bp, Bm in [(1.0, 0.8, 0.6)] + [tuple(rng.uniform(0.05, 3.0, 3))
+                                         for _ in range(2)]:
+        ref = _reference_fock_ground(A, Bp, Bm, cutoff)
+        got = orc.fock_quadratic_ground(A, Bp, Bm, cutoff)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(A=st.floats(0.0, 3.0), B_plus=st.floats(0.0, 3.0),
+       B_minus=st.floats(0.0, 3.0), cutoff=st.integers(2, 5))
+@example(A=3.0, B_plus=0.05, B_minus=0.0, cutoff=5)
+@example(A=0.05, B_plus=3.0, B_minus=3.0, cutoff=4)
+def test_fock_sector_minimum_equals_full_space(A, B_plus, B_minus, cutoff):
+    ref = _reference_fock_ground(A, B_plus, B_minus, cutoff)
+    got = orc.fock_quadratic_ground(A, B_plus, B_minus, cutoff)
+    assert abs(got - ref) <= 1e-12 * max(abs(ref), 1e-300) + 1e-15
 
 
 # --- gradient oracle -------------------------------------------------------------

@@ -252,6 +252,8 @@ def test_invalid_inputs():
         sc.tabulated([(0.0, 1.0), (0.5, -1.0)])
     with pytest.raises(ValueError):
         sc.GridSpec(n=4096, rmax_factor=2.0)
+    with pytest.raises(ValueError, match="n >= 16"):
+        sc.GridSpec(n=8)
     sol = sc.solve_zero_energy(sc.hard_core(1.0))
     with pytest.raises(ValueError):
         sc.energy_identity_residual(sol, sc.hard_core(1.0), 0.5)
