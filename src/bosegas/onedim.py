@@ -31,6 +31,7 @@ import os
 import tempfile
 import zipfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator, PPoly
@@ -41,6 +42,13 @@ from scipy.special import j0, j1, jn_zeros
 from . import __version__, flows
 
 PI2_3 = math.pi**2 / 3.0
+
+# LLCurve.f_inverse: Newton in log t stops one step after every |log F -
+# log y| is below _NEWTON_TOL (|d log F/d log t| >= 1, and quadratic
+# convergence leaves ~_NEWTON_TOL^2 behind); a target still unconverged
+# after _NEWTON_STEPS steps is an error
+_NEWTON_TOL = 1e-10
+_NEWTON_STEPS = 12
 
 
 # --------------------------------------------------------------------------
@@ -139,9 +147,13 @@ class LLCurve:
     """Tabulated e(t) on log-spaced nodes with monotone cubic interpolation.
 
     Outside the table the limiting forms take over, continuity-matched:
-    e = (t/2) * const below, pi^2/3 - deficit * (t_max/t) above.
+    e = (t/2) * const below, pi^2/3 - deficit * (t_max/t) above.  They are
+    matched in value, not in slope, so e'(t) jumps at t_min and t_max.
     ``mesh_error`` is the largest relative difference between the table and
     doubled-mesh solves at a few points (None when it was not measured).
+
+    ``f_inverse`` inverts F(t) = 3 e/t^2 - e'/t, the t-form of w'(rho) for
+    w(rho) = rho^3 e(g/rho); the table it needs is built on first use.
     """
 
     nodes_t: np.ndarray
@@ -188,6 +200,8 @@ class LLCurve:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
+        if np.any(t < 0):
+            raise ValueError("t must be nonnegative")
         out = np.empty_like(t)
         low = t < self.t_min
         high = t > self.t_max
@@ -200,11 +214,115 @@ class LLCurve:
         out[high] = self._high_deficit * self.t_max / t[high] ** 2
         return float(out[0]) if scalar else out
 
+    @cached_property
+    def _log_f_nodes(self) -> np.ndarray:
+        """log F at the table nodes: e = exp(p(log t)) gives
+        F = (e/t^2) (3 - p')."""
+        x = self._interp.x
+        return np.log(self.nodes_e) - 2.0 * x + np.log(3.0 - self._dinterp(x))
+
+    def f_inverse(self, y):
+        """t = F^-1(y) for F(t) = 3 e/t^2 - e'/t, so that w'(rho) = g^2 y
+        for w(rho) = rho^3 e(g/rho) at rho = g/t.
+
+        F falls with t on each piece of the curve, but the pieces meet in
+        value only (see the class docstring).  Across t_min F jumps up
+        (on the default table F(t_min-) = 9983.2 < F(t_min+) = 9993.8), so
+        a y in that band has a root in the table and one in the low tail;
+        across t_max it drops by ~1e-8 relative, so a y in that gap has
+        none.  The inverse returns the largest t with F(t) >= y, that is
+        the smallest root rho, which never decreases as y grows: the table
+        root whenever y <= F(t_min+), else the low tail; t_max inside the
+        gap; inf at y = 0.
+
+        - low tail: F = low_ratio/t, so t = low_ratio/y exactly;
+        - table: bracket y between the node values of F, then Newton steps
+          in x = log t on the segment's cubic p,
+          d log F/dx = p' - 2 - p''/(3 - p');
+        - high tail: F = pi^2/t^2 - 4 deficit t_max/t^3, Newton steps from
+          t = pi/sqrt(y).
+
+        Raises RuntimeError if a target has not converged after
+        ``_NEWTON_STEPS`` steps, ValueError for a negative or NaN y.
+        """
+        y = np.asarray(y, dtype=float)
+        scalar = y.ndim == 0
+        y = np.atleast_1d(y)
+        if not np.all(y >= 0):
+            raise ValueError("y must be nonnegative")
+        log_f = self._log_f_nodes
+        x_nodes = self._interp.x
+        q_max = 4.0 * self._high_deficit * self.t_max
+        with np.errstate(divide="ignore"):
+            ly = np.log(y)
+        out = np.full_like(y, math.inf)
+        # log F(t_max+), the top of the high tail
+        high = (y > 0) & (ly <= math.log(math.pi**2 - q_max / self.t_max)
+                          - 2.0 * x_nodes[-1])
+        low = ly > log_f[0]
+        table = (y > 0) & ~(high | low)
+
+        out[low] = self._low_ratio / y[low]
+
+        if np.any(table):
+            lt = ly[table]
+            k = np.searchsorted(-log_f, -lt)     # the first node with F <= y
+            inside = k < len(log_f)              # else y is in the t_max gap
+            j = np.maximum(k[inside] - 1, 0)
+            c = self._interp.c[:, j]
+            x0, x1 = x_nodes[j], x_nodes[j + 1]
+
+            def log_f_segment(x):
+                d = x - x0
+                p = ((c[0] * d + c[1]) * d + c[2]) * d + c[3]
+                dp = (3.0 * c[0] * d + 2.0 * c[1]) * d + c[2]
+                room = 3.0 - dp
+                return (p - 2.0 * x + np.log(room),
+                        dp - 2.0 - (6.0 * c[0] * d + 2.0 * c[1]) / room)
+
+            # start from the log-log chord between the bracketing nodes
+            start = x0 + (log_f[j] - lt[inside]) / (log_f[j] - log_f[j + 1]) * (x1 - x0)
+            t_table = np.full_like(lt, self.t_max)
+            t_table[inside] = np.exp(_newton_log(log_f_segment, lt[inside],
+                                                 start, x0, x1))
+            out[table] = t_table
+
+        if np.any(high):
+            lh = ly[high]
+
+            def log_f_tail(x):
+                q = q_max * np.exp(-x)
+                return np.log(math.pi**2 - q) - 2.0 * x, q / (math.pi**2 - q) - 2.0
+
+            start = math.log(math.pi) - 0.5 * lh        # F < pi^2/t^2
+            out[high] = np.exp(_newton_log(log_f_tail, lh, start,
+                                           x_nodes[-1], start))
+        return float(out[0]) if scalar else out
+
     def export_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("t,e\n")
             for t, e in zip(self.nodes_t, self.nodes_e):
                 fh.write(f"{float(t)!r},{float(e)!r}\n")
+
+
+def _newton_log(log_f, log_y, x, lo, hi):
+    """The root of log F(x) = log_y in [lo, hi] for a decreasing F.
+    ``log_f(x)`` returns (log F, d log F/dx).  Newton steps, each clipped to
+    the bracket, which shrinks to the last iterate on each side of the
+    root; once every residual is below ``_NEWTON_TOL`` one more step is
+    taken and the result returned."""
+    for _ in range(_NEWTON_STEPS):
+        value, slope = log_f(x)
+        res = value - log_y
+        right = res > 0                      # F(x) > y: the root lies right
+        lo = np.where(right, x, lo)
+        hi = np.where(right, hi, x)
+        x = np.clip(x - res / slope, lo, hi)
+        if np.all(np.abs(res) <= _NEWTON_TOL):
+            return x
+    raise RuntimeError(f"F^-1 did not converge in {_NEWTON_STEPS} Newton steps: "
+                       f"log residual {float(np.max(np.abs(res))):.3e}")
 
 
 def build_ll_curve(n_nodes: int = 200, t_min: float = 1e-4, t_max: float = 1e6,
@@ -466,30 +584,27 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve, n_grid, rtol):
     return prof, res.energy, float(np.sum(fp.w * rho**2) / N)
 
 
+def _pointwise_density(kind, mu, V, g, curve):
+    """The rho >= 0 that solves V + w'(rho) = mu pointwise (0 where V >= mu).
+
+    ll_no_grad has w'(rho) = g^2 F(g/rho) with F from ``curve``, so
+    rho = g / F^-1((mu - V)/g^2).  F jumps up across the table's t_min, so
+    w' is not monotone near rho = g/t_min; ``LLCurve.f_inverse`` takes the
+    smallest root, which keeps rho non-decreasing in mu - V."""
+    target = np.maximum(mu - V, 0.0)
+    if kind == "tf1d":
+        return target / g
+    if kind == "gt":
+        return np.sqrt(target) / math.pi
+    return g / curve.f_inverse(target / g**2)
+
+
 def _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid):
     """tf1d / gt / ll_no_grad have no gradient term: the minimizer solves
-    V(z) + w'(rho) = mu pointwise, with mu fixed by normalization."""
-    if kind == "tf1d":
-        def rho_of(mu, V):
-            return np.maximum(mu - V, 0.0) / g
-    elif kind == "gt":
-        def rho_of(mu, V):
-            return np.sqrt(np.maximum(mu - V, 0.0)) / math.pi
-    else:
-        def rho_of(mu, V):
-            # invert V + 3 rho^2 e(t) - g rho e'(t) = mu (t = g/rho), convex
-            lo = np.zeros_like(V)
-            cap = max(2.0 * (mu / PI2_3) ** 0.5, 2.0 * mu / g + 1.0)
-            hi = np.full_like(V, cap)
-            target = np.maximum(mu - V, 0.0)
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                t = _ll_argument(g, mid)
-                wprime = 3.0 * mid**2 * curve.e(t) - g * mid * curve.de(t)
-                high = wprime > target
-                hi = np.where(high, mid, hi)
-                lo = np.where(high, lo, mid)
-            return 0.5 * (lo + hi)
+    V(z) + w'(rho) = mu pointwise (``_pointwise_density``, in closed form
+    or through ``LLCurve.f_inverse``), with mu fixed by normalization."""
+    if kind == "ll_no_grad" and not g > 0:
+        raise ValueError("ll_no_grad needs a positive coupling g")
 
     def support_grid(mu):
         # the support is |z| <= zedge, where V(zedge) = mu; cluster nodes at
@@ -503,7 +618,7 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid):
         if mu <= 0:
             return 0.0
         z = support_grid(mu)
-        rho = rho_of(mu, _v_long(z, L, s))
+        rho = _pointwise_density(kind, mu, _v_long(z, L, s), g, curve)
         return float(np.trapezoid(rho, z))
 
     hi = 1.0
@@ -515,7 +630,7 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid):
 
     z = support_grid(mu)
     V = _v_long(z, L, s)
-    rho = rho_of(mu, V)
+    rho = _pointwise_density(kind, mu, V, g, curve)
     energy = float(np.trapezoid(V * rho + _interaction_density(kind, rho, g, curve), z))
     prof = Profile1D(z, rho, N)
     return prof, energy, float(np.trapezoid(rho**2, z) / N)

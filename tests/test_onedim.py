@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
 from bosegas import flows, onedim as od
@@ -130,6 +133,8 @@ def test_curve_derivative_is_the_interpolant_derivative(ll_curve):
 def test_negative_t_rejected(ll_curve):
     with pytest.raises(ValueError):
         ll_curve.e(-1.0)
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        ll_curve.de(-1.0)
 
 
 # --- transverse modes ---------------------------------------------------------
@@ -246,6 +251,145 @@ def test_minimize_1d_normalization_and_rho_bar(ll_curve):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         od.minimize_1d("bogus", 1.0, 1.0, 1.0)
+
+
+def test_ll_no_grad_rejects_nonpositive_g(ll_curve):
+    for g in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            od.minimize_1d("ll_no_grad", 1.0, 1.0, g, 2.0, ll_curve)
+
+
+# --- ll_no_grad: w'(rho) inverted through the e(t) table ------------------------
+
+_POINTWISE_DENSITY = od._pointwise_density
+
+
+def _reference_ll_density(kind, mu, V, g, curve):
+    """The ll_no_grad density as first written: 80 bisection passes on
+    w'(rho) = 3 rho^2 e(t) - g rho e'(t), t = g/rho, over [0, cap].  The
+    reference ``LLCurve.f_inverse`` is checked against."""
+    lo = np.zeros_like(V)
+    cap = max(2.0 * (mu / od.PI2_3) ** 0.5, 2.0 * mu / g + 1.0)
+    hi = np.full_like(V, cap)
+    target = np.maximum(mu - V, 0.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        t = od._ll_argument(g, mid)
+        wprime = 3.0 * mid**2 * curve.e(t) - g * mid * curve.de(t)
+        high = wprime > target
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _f_of_t(curve, t):
+    """F(t) = 3 e/t^2 - e'/t, straight from e and e'."""
+    return 3.0 * curve.e(t) / t**2 - curve.de(t) / t
+
+
+def _solve_ll_no_grad(monkeypatch, curve, density, N, L, g):
+    """minimize_1d("ll_no_grad") with ``density`` as the pointwise solve;
+    returns (profile, energy, rho_bar, mu), mu being the last brentq root."""
+    roots = []
+
+    def recording_brentq(*args, **kwargs):
+        roots.append(brentq(*args, **kwargs))
+        return roots[-1]
+    monkeypatch.setattr(od, "brentq", recording_brentq)
+    monkeypatch.setattr(od, "_pointwise_density", density)
+    return (*od.minimize_1d("ll_no_grad", N, L, g, 2.0, curve), roots[-1])
+
+
+# the corners of trap-batch's ranges (N 1..100, L 1..10, g 1e-2..10) and one
+# point inside; (100, 1, 1e-2) reaches t = 1.2e-4, next to the table's t_min
+_LL_CASES = [(N, L, g) for N in (1.0, 100.0) for L in (1.0, 10.0)
+             for g in (1e-2, 10.0)] + [(3.7, 4.3, 0.13)]
+
+
+@pytest.mark.parametrize("N, L, g", _LL_CASES)
+def test_ll_no_grad_matches_bisection_reference(monkeypatch, ll_curve, N, L, g):
+    prof, energy, rho_bar, mu = _solve_ll_no_grad(
+        monkeypatch, ll_curve, _POINTWISE_DENSITY, N, L, g)
+    _, ref_energy, ref_rho_bar, ref_mu = _solve_ll_no_grad(
+        monkeypatch, ll_curve, _reference_ll_density, N, L, g)
+    assert abs(energy / ref_energy - 1.0) <= 1e-10
+    assert abs(rho_bar / ref_rho_bar - 1.0) <= 1e-10
+    assert abs(mu / ref_mu - 1.0) <= 1e-12
+
+    # the same mu: the support grid, and targets mu - V down to ~1e-16 mu
+    # at the support edge, where t = g/rho lies beyond the table's t_max
+    V = np.concatenate((od._v_long(prof.z, L, 2.0),
+                        mu * (1.0 - np.geomspace(1e-15, 1e-6, 10))))
+    rho = _POINTWISE_DENSITY("ll_no_grad", mu, V, g, ll_curve)
+    ref = _reference_ll_density("ll_no_grad", mu, V, g, ll_curve)
+    pos = rho > 0
+    assert np.max(g / rho[pos]) > ll_curve.t_max
+    assert np.max(np.abs(rho[pos] / ref[pos] - 1.0)) <= 1e-12
+    # rho = 0 exactly where mu <= V; the bisection stops at its resolution
+    assert np.all(ref[~pos] <= 2.0**-79 * max(2.0 * mu / g + 1.0, 4.0 * mu))
+
+
+def test_ll_density_takes_the_smallest_root_at_t_min(ll_curve):
+    # the low tail meets the table in value but not in slope, and F jumps
+    # up across t_min: a y in (F(t_min-), F(t_min+)] has two roots
+    t_min = ll_curve.t_min
+    f_below = ll_curve._low_ratio / t_min
+    f_above = _f_of_t(ll_curve, t_min)
+    assert f_below < f_above
+    y = np.linspace(f_below, f_above * (1.0 - 1e-12), 6)[1:]
+    t = ll_curve.f_inverse(y)
+    assert np.all(t >= t_min)                     # the table root
+    assert np.max(np.abs(_f_of_t(ll_curve, t) / y - 1.0)) <= 1e-12
+    above = f_above * (1.0 + 1e-9)                # only the low tail is left
+    assert ll_curve.f_inverse(above) == pytest.approx(ll_curve._low_ratio / above,
+                                                      rel=1e-15)
+    # rho (g = 1) rises with mu - V through the band, and stays at or below
+    # g/t_min while mu - V <= g^2 F(t_min+)
+    mu = 2.0 * f_above
+    target = np.linspace(0.99 * f_below, 1.01 * f_above, 2001)
+    rho = od._pointwise_density("ll_no_grad", mu, mu - target, 1.0, ll_curve)
+    assert np.all(np.diff(rho) >= 0.0)
+    assert np.all(rho[target < f_above * (1.0 - 1e-12)] <= 1.0 / t_min)
+    assert np.all(rho[target > f_above * (1.0 + 1e-12)] > 1.0 / t_min)
+
+
+def test_f_inverse_in_the_t_max_gap(ll_curve):
+    # across t_max F drops: a y between F(t_max+) and F(t_max-) has no
+    # root, and the largest t with F(t) >= y is t_max itself
+    t_max = ll_curve.t_max
+    f_below = _f_of_t(ll_curve, t_max)
+    f_above = (math.pi**2 - 4.0 * ll_curve._high_deficit) / t_max**2
+    assert f_above < f_below
+    y = np.linspace(f_above, f_below, 5)[1:-1]
+    assert np.all(ll_curve.f_inverse(y) == t_max)
+    assert ll_curve.f_inverse(f_above * (1.0 - 1e-9)) > t_max
+
+
+def test_f_inverse_rejects_bad_targets_and_raises_unconverged(monkeypatch,
+                                                              ll_curve):
+    assert ll_curve.f_inverse(0.0) == math.inf
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            ll_curve.f_inverse(bad)
+    monkeypatch.setattr(od, "_NEWTON_STEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        ll_curve.f_inverse(np.geomspace(1e-12, 1e3, 50))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(log10_y=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=16))
+@example(log10_y=[-12.0, 12.0])
+@example(log10_y=[3.9992, 3.9993, 3.9997, 3.9998])      # across t_min's band
+@example(log10_y=[-11.0057, -11.0056, -11.0055])         # around t_max
+def test_f_inverse_property(ll_curve, log10_y):
+    y = np.sort(10.0 ** np.asarray(log10_y))
+    t = ll_curve.f_inverse(y)
+    assert np.all(np.diff(t) <= 0.0)
+    gap = t == ll_curve.t_max
+    assert np.all(np.abs(_f_of_t(ll_curve, t[~gap]) / y[~gap] - 1.0) <= 1e-12)
+    f_above = (math.pi**2 - 4.0 * ll_curve._high_deficit) / ll_curve.t_max**2
+    assert np.all((y[gap] >= f_above * (1.0 - 1e-15))
+                  & (y[gap] <= _f_of_t(ll_curve, ll_curve.t_max) * (1.0 + 1e-15)))
 
 
 # --- regime classification ------------------------------------------------------
