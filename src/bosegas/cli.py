@@ -166,14 +166,16 @@ def cmd_ll(args) -> int:
     outputs = {"t": args.t, "e": curve.e(args.t)}
     if curve.mesh_error is not None:
         outputs["e_table_mesh_error"] = curve.mesh_error
-    return _emit_record(args, outputs)
+    return _emit_record(args, outputs, e_table_cache=curve.cache)
 
 
 def cmd_regimes(args) -> int:
     from . import onedim
     trap = onedim.ElongatedTrap(args.N, args.L, args.r, args.a, args.s,
                                 args.transverse)
-    return _emit_record(args, onedim.regime_classify(trap).as_dict())
+    report = onedim.regime_classify(trap)
+    return _emit_record(args, report.as_dict(),
+                        e_table_cache=onedim.default_curve().cache)
 
 
 def cmd_charged(args) -> int:

@@ -107,6 +107,8 @@ N_GRID_MIN = 16
 _POSITIVE = {"rho", "a", "mu", "N", "L", "r", "R0", "s", "ell", "nu", "side"}
 _NONNEGATIVE = {"coupling", "v0", "t",   # zero is physical (ideal gas etc.)
                 "A", "B_plus", "B-plus", "B_minus", "B-minus"}
+# keys that must be positive in one section only: TF has no zero-coupling limit
+_SECTION_POSITIVE = {"tf": {"coupling"}}
 _CHOICES = {
     "dim": ("2", "3"),
     "kind": ("hard_core", "soft_sphere", "tabulated"),
@@ -121,6 +123,7 @@ def validate_params(section: str, params: dict) -> list[str]:
     """Return every violated constraint (named field paths), without
     running anything."""
     problems = []
+    positive = _POSITIVE | _SECTION_POSITIVE.get(section, set())
     for key, raw in params.items():
         if key in ("sweep",):
             try:
@@ -148,9 +151,11 @@ def validate_params(section: str, params: dict) -> list[str]:
             except (TypeError, ValueError):
                 problems.append(f"{section}.{key}: not a number: {raw!r}")
                 continue
-            if key in _POSITIVE and (not math.isfinite(val) or val <= 0):
+            if not math.isfinite(val):
+                problems.append(f"{section}.{key}: must be finite, got {raw}")
+            elif key in positive and val <= 0:
                 problems.append(f"{section}.{key}: must be positive, got {raw}")
-            elif key in _NONNEGATIVE and (not math.isfinite(val) or val < 0):
+            elif val < 0:
                 problems.append(f"{section}.{key}: must be nonnegative, got {raw}")
     # cross-field constraints
     if "b" in params and "a" in params:

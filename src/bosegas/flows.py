@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 
 @dataclass
@@ -133,6 +132,7 @@ def _implicit_step(prob: FlowProblem, psi: np.ndarray, dt: float,
     (tridiagonal, assembled into the work array ``banded``) and renormalizes;
     returns None when the solve or the normalization fails.
     """
+    from scipy.linalg import solve_banded
     y = psi**2
     lam = prob.chemical_potential(psi)
     dV = prob.V + prob.dq(y, prob.nodes) - lam

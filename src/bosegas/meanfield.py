@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import flows
+from .rootfind import brentq
 from .scattering import ScatteringSolution
 
 

@@ -34,12 +34,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, PPoly
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
-from scipy.special import j0, j1, jn_zeros
 
 from . import __version__, flows
+from .rootfind import brentq
 
 PI2_3 = math.pi**2 / 3.0
 
@@ -142,6 +139,79 @@ def solve_ll_point(t: float, m: int = 440) -> float:
     return float(e_ba)
 
 
+class Pchip:
+    """Monotone piecewise-cubic Hermite interpolant (Fritsch & Carlson,
+    SIAM J. Numer. Anal. 17, 238 (1980)), extrapolating with the end cubics.
+
+    A port of scipy's ``PchipInterpolator``: node slopes as in its
+    ``_find_derivatives``/``_edge_case``, coefficients as in
+    ``CubicHermiteSpline`` (``c[:, k]`` are the cubic's coefficients in
+    powers 3..0 of x - x[k]) and evaluation in the order of its power sum,
+    so values and slopes equal scipy's bit for bit.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        if len(x) < 2 or not np.all(h > 0):
+            raise ValueError("x must be strictly increasing, with two nodes or more")
+        m = np.diff(y) / h
+        d = np.empty_like(y)
+        if len(x) == 2:
+            d[:] = m
+        else:
+            # weighted harmonic mean of the neighbouring slopes, 0 at an
+            # extremum or a flat segment
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+            # one-sided three-point end slopes, kept shape-preserving
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            wrong_sign = np.sign(end) != np.sign(m0)
+            overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+            d[[0, -1]] = np.where(wrong_sign, 0.0,
+                                  np.where(overshoot, 3.0 * m0, end))
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+        # rows c3, c2, c1, c0 of the value, then dc2, dc1, dc0 of the slope
+        self._rows = np.concatenate((self.c[::-1], self.c[2::-1]
+                                     * np.array([[1.0], [2.0], [3.0]])))
+
+    def _at(self, xv, rows):
+        """``rows`` of the coefficients of the interval holding each xv
+        (x[k] <= xv < x[k+1], the last one closed and the end ones
+        extended), and the offsets s = xv - x[k]."""
+        k = np.searchsorted(self.x[1:-1], xv, side="right")
+        return self._rows[:rows].take(k, axis=1), xv - self.x[k]
+
+    @staticmethod
+    def _power_sum(c, s, s2):
+        """c[0] + c[1] s + c[2] s^2 (+ c[3] s^3), summed in scipy's order."""
+        out = c[1] * s
+        out += c[0]
+        c[2] *= s2
+        out += c[2]
+        if len(c) == 4:
+            c[3] *= s2 * s
+            out += c[3]
+        return out
+
+    def __call__(self, xv):
+        c, s = self._at(xv, 4)
+        return self._power_sum(c, s, s * s)
+
+    def value_and_slope(self, xv):
+        c, s = self._at(xv, 7)
+        s2 = s * s
+        return self._power_sum(c[:4], s, s2), self._power_sum(c[4:], s, s2)
+
+
 @dataclass
 class LLCurve:
     """Tabulated e(t) on log-spaced nodes with monotone cubic interpolation.
@@ -151,6 +221,9 @@ class LLCurve:
     matched in value, not in slope, so e'(t) jumps at t_min and t_max.
     ``mesh_error`` is the largest relative difference between the table and
     doubled-mesh solves at a few points (None when it was not measured).
+    ``cache`` says where ``default_curve`` got the table: ``"hit"`` (read
+    from the disk cache), ``"built"`` (no cached file) or ``"rebuilt"`` (a
+    cached file failed its checks); None for a table made any other way.
 
     ``f_inverse`` inverts F(t) = 3 e/t^2 - e'/t, the t-form of w'(rho) for
     w(rho) = rho^3 e(g/rho); the table it needs is built on first use.
@@ -159,16 +232,13 @@ class LLCurve:
     nodes_t: np.ndarray
     nodes_e: np.ndarray
     mesh_error: float | None = None
-    _interp: PchipInterpolator = field(default=None, repr=False)
-    _dinterp: PPoly = field(default=None, repr=False)
+    cache: str | None = None
+    _interp: Pchip = field(default=None, repr=False)
     _low_ratio: float = 0.0
     _high_deficit: float = 0.0
 
     def __post_init__(self):
-        lt = np.log(self.nodes_t)
-        le = np.log(self.nodes_e)
-        object.__setattr__(self, "_interp", PchipInterpolator(lt, le))
-        self._dinterp = self._interp.derivative()
+        self._interp = Pchip(np.log(self.nodes_t), np.log(self.nodes_e))
         self._low_ratio = float(self.nodes_e[0] / (0.5 * self.nodes_t[0]))
         self._high_deficit = float(PI2_3 - self.nodes_e[-1])
 
@@ -209,8 +279,8 @@ class LLCurve:
         out[low] = 0.5 * self._low_ratio
         if np.any(mid):
             tm = t[mid]
-            em = np.exp(self._interp(np.log(tm)))
-            out[mid] = em * self._dinterp(np.log(tm)) / tm
+            p, dp = self._interp.value_and_slope(np.log(tm))
+            out[mid] = np.exp(p) * dp / tm
         out[high] = self._high_deficit * self.t_max / t[high] ** 2
         return float(out[0]) if scalar else out
 
@@ -219,7 +289,8 @@ class LLCurve:
         """log F at the table nodes: e = exp(p(log t)) gives
         F = (e/t^2) (3 - p')."""
         x = self._interp.x
-        return np.log(self.nodes_e) - 2.0 * x + np.log(3.0 - self._dinterp(x))
+        _, dp = self._interp.value_and_slope(x)
+        return np.log(self.nodes_e) - 2.0 * x + np.log(3.0 - dp)
 
     def f_inverse(self, y):
         """t = F^-1(y) for F(t) = 3 e/t^2 - e'/t, so that w'(rho) = g^2 y
@@ -345,7 +416,7 @@ def build_ll_curve(n_nodes: int = 200, t_min: float = 1e-4, t_max: float = 1e6,
         es.append(e_ba)
     ts = np.asarray(ts)
     es = np.asarray(es)
-    fine = PchipInterpolator(np.log(ts), np.log(es))
+    fine = Pchip(np.log(ts), np.log(es))
     nodes_t = np.geomspace(t_min, t_max, n_nodes)
     nodes_e = np.exp(fine(np.log(nodes_t)))
     curve = LLCurve(nodes_t, nodes_e)
@@ -379,14 +450,18 @@ def curve_cache_name() -> str:
 def default_curve() -> LLCurve:
     """The shared e(t) table, built once per process (disk-cached when
     BOSEGAS_CACHE_DIR is set; a cached table that fails ``_load_curve``'s
-    checks is rebuilt and replaced)."""
+    checks is rebuilt and replaced).  Its ``cache`` says which happened."""
     global _DEFAULT_CURVE
     if _DEFAULT_CURVE is None:
         cache_dir = os.environ.get("BOSEGAS_CACHE_DIR")
         path = os.path.join(cache_dir, curve_cache_name()) if cache_dir else None
         curve = _load_curve(path) if path else None
-        if curve is None:
+        if curve is not None:
+            curve.cache = "hit"
+        else:
+            rebuilt = path is not None and os.path.exists(path)
             curve = build_ll_curve()
+            curve.cache = "rebuilt" if rebuilt else "built"
             if path:
                 _save_curve(curve, path)
         _DEFAULT_CURVE = curve
@@ -471,6 +546,7 @@ def transverse_mode(trap: ElongatedTrap, n_grid: int = 2000) -> TransverseMode:
         e_unit = 2.0
         int_b4 = 1.0 / (2.0 * math.pi)
     else:
+        from scipy.special import j0, j1, jn_zeros
         z1 = float(jn_zeros(0, 1)[0])
         grid = np.linspace(0.0, 1.0, n_grid)
         norm = math.sqrt(math.pi) * abs(float(j1(z1)))
@@ -485,6 +561,7 @@ def transverse_mode(trap: ElongatedTrap, n_grid: int = 2000) -> TransverseMode:
 def transverse_mode_numeric(kind: str, n_grid: int = 1500) -> tuple[float, float]:
     """Finite-difference radial eigensolve (cell-centered, Richardson in h):
     returns (e_perp_unit, int b^4).  Independent check of the closed forms."""
+    from scipy.linalg import eigh_tridiagonal
 
     def solve_once(n):
         rmax = 6.0 if kind == "harmonic" else 1.0

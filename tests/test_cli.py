@@ -147,12 +147,33 @@ def loaded():
     return sorted(m for m in sys.modules
                   if m.split(".")[0] in ("scipy", "bosegas"))
 
+def run(*argv):
+    assert bosegas.cli.main([*argv, "--out", f"{sys.argv[1]}/{argv[0]}.json"]) == 0
+
 print(json.dumps(loaded()))
-assert bosegas.cli.main(["charged", "foldy", "--out", sys.argv[1]]) == 0
+run("charged", "foldy")
 print(json.dumps(loaded()))
-assert bosegas.cli.main(["scatter", "--v0", "1e8", "--out", sys.argv[2]]) == 0
+run("scatter", "--v0", "1e8")
+print(json.dumps(loaded()))
+import bosegas.onedim, bosegas.meanfield, bosegas.flows
+print(json.dumps(loaded()))
+run("ll", "--t", "1.0")
+assert bosegas.cli.main(["ll", "--emit-curve", f"{sys.argv[1]}/curve.csv"]) == 0
+run("tf", "--N", "100", "--coupling", "0.01")
+print(json.dumps(loaded()))
+run("gp", "--N", "10", "--coupling", "0.1", "--n-grid", "256")
+print(json.dumps(loaded()))
+run("regimes", "--N", "30", "--L", "100", "--r", "0.5", "--a", "1e-4")
+run("charged", "dyson")
 print(json.dumps(loaded()))
 """
+
+
+def _scipy(modules, *packages):
+    """The modules under scipy (or under the given scipy packages)."""
+    packages = packages or ("scipy",)
+    return [m for m in modules
+            if any(m == p or m.startswith(p + ".") for p in packages)]
 
 
 def test_cli_import_loads_only_config(tmp_path):
@@ -160,17 +181,27 @@ def test_cli_import_loads_only_config(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("BOSEGAS_CACHE_DIR", None)       # the e(t) table is built cold
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "foldy.json"),
-         str(tmp_path / "scatter.json")],
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    after_import, after_foldy, after_scatter = map(
-        json.loads, proc.stdout.splitlines())
+    (after_import, after_foldy, after_scatter, after_modules, after_tables,
+     after_gp, after_flows) = map(json.loads, proc.stdout.splitlines())
     assert after_import == ["bosegas", "bosegas.cli", "bosegas.config"]
-    assert not [m for m in after_foldy if m.startswith("scipy")]
+    assert not _scipy(after_foldy)
     assert "bosegas.scattering" in after_scatter
-    assert not [m for m in after_scatter if m.startswith("scipy")]
+    assert not _scipy(after_scatter)
+    # the table queries, the cold table build and TF load no scipy
+    assert {"bosegas.onedim", "bosegas.meanfield", "bosegas.flows"} \
+        <= set(after_modules)
+    assert not _scipy(after_modules)
+    assert not _scipy(after_tables)
+    # a flow step loads scipy.linalg for its banded solve, and nothing else
+    for loaded in (after_gp, after_flows):
+        assert "scipy.linalg" in loaded
+        assert not _scipy(loaded, "scipy.optimize", "scipy.interpolate",
+                          "scipy.special")
 
 
 def test_bounds_sweep_contract(tmp_path):
@@ -227,6 +258,52 @@ def test_ll_emit_curve_contract(tmp_path):
     es = [float(l.split(",")[1]) for l in lines[1:]]
     assert ts[0] == min(ts)
     assert all(e2 > e1 for e1, e2 in zip(es, es[1:]))
+
+
+def test_tf_nonpositive_coupling_is_config_error(tmp_path, capsys):
+    assert run_cli("tf", "--N", "100", "--coupling", "0") == 2
+    assert "tf.coupling: must be positive" in capsys.readouterr().err
+    cfg = tmp_path / "tf.cfg"
+    cfg.write_text("[tf]\ncoupling = -0.5\n[gp]\ncoupling = 0\n")
+    assert run_cli("validate", str(cfg)) == 2
+    out = capsys.readouterr().out
+    assert "tf.coupling" in out and "gp.coupling" not in out
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_nonfinite_value_is_reported_as_not_finite(value, capsys):
+    assert run_cli("ll", f"--t={value}") == 2
+    assert f"ll.t: must be finite, got {value}" in capsys.readouterr().err
+
+
+def test_records_report_e_table_cache(tmp_path, monkeypatch, capsys, ll_curve):
+    from bosegas import onedim
+    monkeypatch.setenv("BOSEGAS_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(onedim, "build_ll_curve", lambda: onedim.LLCurve(
+        ll_curve.nodes_t, ll_curve.nodes_e, ll_curve.mesh_error))
+
+    def records(*argv):
+        monkeypatch.setattr(onedim, "_DEFAULT_CURVE", None)
+        assert run_cli(*argv) == 0
+        first = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(onedim, "_DEFAULT_CURVE", None)
+        assert run_cli(*argv) == 0
+        return first, json.loads(capsys.readouterr().out)
+
+    # no cached file, then a valid one, then a file that fails its checks
+    built, hit = records("ll", "--t", "1.0")
+    (tmp_path / onedim.curve_cache_name()).write_bytes(b"not a table")
+    rebuilt, _ = records("ll", "--t", "1.0")
+    assert [r["provenance"]["e_table_cache"] for r in (built, hit, rebuilt)] \
+        == ["built", "hit", "rebuilt"]
+    for record in (built, hit, rebuilt):
+        assert record["outputs"] == built["outputs"]
+    regimes = records("regimes", "--N", "30", "--L", "100", "--r", "0.5",
+                      "--a", "1e-4")
+    for record in regimes:
+        assert record["provenance"]["e_table_cache"] == "hit"
+        record.pop("timestamp")
+    assert regimes[0] == regimes[1]
 
 
 def test_ll_reports_table_mesh_error(monkeypatch, capsys, ll_curve):

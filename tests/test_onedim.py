@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.interpolate import PchipInterpolator
 from scipy.special import jn_zeros
 
 from bosegas import flows, onedim as od
+from bosegas.rootfind import brentq
 
 
 # --- Lieb-Liniger energy density ---------------------------------------------
@@ -126,8 +127,46 @@ def test_curve_derivative_consistency(ll_curve):
 def test_curve_derivative_is_the_interpolant_derivative(ll_curve):
     t = np.geomspace(ll_curve.t_min, ll_curve.t_max, 37)
     lt = np.log(t)
-    direct = np.exp(ll_curve._interp(lt)) * ll_curve._interp.derivative()(lt) / t
-    assert np.array_equal(ll_curve.de(t), direct)
+    ref = PchipInterpolator(np.log(ll_curve.nodes_t), np.log(ll_curve.nodes_e))
+    assert np.array_equal(ll_curve.e(t), np.exp(ref(lt)))
+    assert np.array_equal(ll_curve.de(t), np.exp(ref(lt)) * ref.derivative()(lt) / t)
+
+
+def _assert_pchip_matches_scipy(x, y, at):
+    ours, ref = od.Pchip(x, y), PchipInterpolator(x, y)
+    assert np.array_equal(ours.x, ref.x)
+    assert np.array_equal(ours.c, ref.c)
+    assert np.array_equal(ours(at), ref(at))
+    value, slope = ours.value_and_slope(at)
+    assert np.array_equal(value, ref(at))
+    assert np.array_equal(slope, ref.derivative()(at))
+
+
+def test_pchip_matches_scipy_on_the_default_table(ll_curve):
+    x = np.log(ll_curve.nodes_t)
+    at = np.concatenate((x, np.linspace(x[0] - 1.0, x[-1] + 1.0, 20001)))
+    _assert_pchip_matches_scipy(x, np.log(ll_curve.nodes_e), at)
+    assert ll_curve._interp.c.shape == (4, len(x) - 1)
+
+
+def test_pchip_matches_scipy_on_shaped_data():
+    # end slopes: (3 m0 - m1)/2 has the wrong sign (set to 0), and the
+    # slopes change sign with |d| > 3 |m0| (clamped to 3 m0)
+    for y in ([0.0, 1.0, 5.0, 6.0], [0.0, 1.0, -9.0, -9.5]):
+        x = np.arange(4.0)
+        _assert_pchip_matches_scipy(x, np.array(y), np.linspace(-1.0, 4.0, 51))
+    assert od.Pchip(np.arange(4.0), [0.0, 1.0, 5.0, 6.0]).c[2, 0] == 0.0
+    assert od.Pchip(np.arange(4.0), [0.0, 1.0, -9.0, -9.5]).c[2, 0] == 3.0
+    rng = np.random.default_rng(20240)
+    for case in range(300):
+        n = int(rng.integers(2, 40))
+        x = np.cumsum(rng.uniform(0.01, 2.0, n))
+        # integer levels give flat segments and repeated sign changes
+        y = rng.integers(-2, 3, n).astype(float) if case % 2 else rng.normal(size=n)
+        at = np.concatenate((x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 200)))
+        _assert_pchip_matches_scipy(x, y, at)
+    with pytest.raises(ValueError):
+        od.Pchip([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
 
 def test_negative_t_rejected(ll_curve):

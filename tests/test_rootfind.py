@@ -1,0 +1,55 @@
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq as scipy_brentq
+
+from bosegas.rootfind import brentq
+
+# (xtol, rtol) of the call sites: meanfield.tf_solve and
+# onedim._minimize_pointwise_kind, then onedim.solve_ll_point
+_TOLERANCES = [(1e-300, 8.9e-16), (1e-12, 8.881784197001252e-16)]
+
+
+def _outcome(solver, f, a, b, xtol, rtol):
+    try:
+        return solver(f, a, b, xtol=xtol, rtol=rtol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+def _corpus(seed, n):
+    """Seeded bracketed functions: smooth, kinked, steep, flat-topped and
+    stiff shapes, some of which scipy itself fails to converge on."""
+    rng = np.random.default_rng(seed)
+    for case in range(n):
+        r, p = rng.uniform(-3.0, 3.0), rng.uniform(0.2, 5.0)
+        a, b = -4.0 - rng.uniform(0.0, 2.0), 4.0 + rng.uniform(0.0, 2.0)
+        f = [lambda x, r=r, p=p: math.copysign(abs(x - r) ** p, x - r),
+             lambda x, r=r, p=p: math.tanh(p * (x - r)),
+             lambda x, r=r, p=p: math.exp(p * x) - math.exp(p * r),
+             lambda x, r=r, p=p: math.atan(x - r) * (1.0 + p * x * x),
+             lambda x, r=r, p=p: max(min(p * (x - r), 1.0), -1.0)][case % 5]
+        yield f, a, b
+
+
+@pytest.mark.parametrize("xtol, rtol", _TOLERANCES)
+def test_brentq_matches_scipy_bit_for_bit(xtol, rtol):
+    for f, a, b in _corpus(7, 1500):
+        ours = _outcome(brentq, f, a, b, xtol, rtol)
+        ref = _outcome(scipy_brentq, f, a, b, xtol, rtol)
+        assert ours == ref and type(ours) is type(ref)
+
+
+def test_brentq_endpoint_roots_and_errors():
+    assert brentq(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+    assert brentq(lambda x: x - 5.0, 2.0, 5.0) == 5.0
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0)
+    with pytest.raises(RuntimeError, match="converge"):
+        brentq(lambda x: math.copysign(abs(x - 0.3) ** 0.2, x - 0.3),
+               -1.0, 1.0, xtol=1e-300, maxiter=5)
+    with pytest.raises(ValueError, match="xtol"):
+        brentq(lambda x: x, -1.0, 1.0, xtol=0.0)
