@@ -127,7 +127,9 @@ def validate_params(section: str, params: dict) -> list[str]:
     for key, raw in params.items():
         if key in ("sweep",):
             try:
-                SweepSpec.parse(raw if "=" in str(raw) else f"Y={raw}")
+                spec = SweepSpec.parse(str(raw))
+                if section == "bounds" and spec.name != "Y":
+                    raise ConfigError(f"bounds sweeps Y only, got {spec.name!r}")
             except ConfigError as exc:
                 problems.append(f"{section}.{key}: {exc}")
             continue

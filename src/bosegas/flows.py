@@ -27,6 +27,9 @@ from typing import Callable
 
 import numpy as np
 
+_MAX_ITER = 40000
+_MAX_POLISH_ROUNDS = 400
+
 
 @dataclass
 class FlowProblem:
@@ -146,8 +149,7 @@ def _implicit_step(prob: FlowProblem, psi: np.ndarray, dt: float,
 
 
 def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
-                  rtol: float = 1e-9, max_iter: int = 40000,
-                  dt0: float | None = None) -> FlowResult:
+                  rtol: float = 1e-9) -> FlowResult:
     """Run the normalized semi-implicit descent to the constrained minimum."""
     n = len(prob.nodes)
     if psi0 is None:
@@ -158,12 +160,11 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
     psi = prob.normalize(psi)
     e = prob.energy(psi)
     scale = max(abs(prob.chemical_potential(psi)), abs(e) / prob.mass, 1e-12)
-    dt = dt0 if dt0 is not None else 1.0 / scale
+    dt = 1.0 / scale
     max_up = 0.0
-    it = 0
     stagnant = 0
     banded = np.zeros((3, n))
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         trial = _implicit_step(prob, psi, dt, banded)
         if trial is None:
             dt *= 0.5
@@ -200,15 +201,13 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
 
 
 def _polish(prob: FlowProblem, psi: np.ndarray, rtol: float, scale: float,
-            banded: np.ndarray, max_rounds: int = 400
-            ) -> tuple[np.ndarray, float, int]:
+            banded: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Residual-driven endgame: the same backward-Euler update with a large
     step acts as shifted inverse iteration on the frozen linearization;
     steps are accepted only when the Euler-Lagrange residual drops."""
     res = prob.residual(psi)
     dt = 1e6 / scale
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, _MAX_POLISH_ROUNDS + 1):
         if res <= rtol * scale:
             break
         trial = _implicit_step(prob, psi, dt, banded)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flows
-from .rootfind import brentq
+from .rootfind import normalization_root
 from .scattering import ScatteringSolution
 
 
@@ -264,12 +264,7 @@ def tf_solve(dimension: int, N: float, coupling: float,
         rho = (m - r**s) / denom
         return float(np.sum(w * omega * r ** (dimension - 1) * rho))
 
-    m_hi = 1.0
-    while mass(m_hi) < N:
-        m_hi *= 2.0
-        if m_hi > 1e30:
-            raise RuntimeError("TF root-find bracket failure")
-    mu_tf = brentq(lambda m: mass(m) - N, 0.0, m_hi, xtol=1e-300, rtol=8.9e-16)
+    mu_tf = normalization_root(mass, N)
 
     redge = mu_tf ** (1.0 / s)
     r = np.linspace(0.0, 1.05 * redge, n_grid)

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__, flows
-from .rootfind import brentq
+from .rootfind import brentq, normalization_root
 
 PI2_3 = math.pi**2 / 3.0
 
@@ -698,12 +698,7 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid):
         rho = _pointwise_density(kind, mu, _v_long(z, L, s), g, curve)
         return float(np.trapezoid(rho, z))
 
-    hi = 1.0
-    while mass_at(hi) < N:
-        hi *= 2.0
-        if hi > 1e40:
-            raise RuntimeError("1D chemical-potential bracket failure")
-    mu = brentq(lambda m: mass_at(m) - N, 0.0, hi, xtol=1e-300, rtol=8.9e-16)
+    mu = normalization_root(mass_at, N)
 
     z = support_grid(mu)
     V = _v_long(z, L, s)
@@ -751,12 +746,10 @@ def functional_value(kind: str, prof: Profile1D, L: float, g: float,
 # regime classification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    cut_low: float = 1e-2       # "<<" means ratio below this
-    cut_high: float = 1e2       # ">>" means ratio above this
-    boundary_band: float = 2.0  # ambiguity band factor around each cut
-    validity_cut: float = 1e-2  # r^2 rhobar min(rhobar, g) must stay below
+_CUT_LOW = 1e-2         # "<<" means ratio below this
+_CUT_HIGH = 1e2         # ">>" means ratio above this
+_BOUNDARY_BAND = 2.0    # ambiguity band factor around each cut
+_VALIDITY_CUT = 1e-2    # r^2 rhobar min(rhobar, g) must stay below
 
 
 _REGION_KIND = {1: "gp1d", 2: "gp1d", 3: "tf1d", 4: "ll_no_grad", 5: "gt"}
@@ -790,21 +783,19 @@ class RegimeReport:
         return d
 
 
-def _pick_region(ratio: float, N: float, th: RegimeThresholds):
+def _pick_region(ratio: float, N: float):
     """Region from g/rhobar against N^-2 and 1; returns an int, or a tuple
     of the two candidates when the ratio sits in a boundary band."""
-    edges = [th.cut_low / N**2, th.cut_high / N**2, th.cut_low, th.cut_high]
-    regions = [1, 2, 3, 4, 5]
-    for i, edge in enumerate(edges):
-        if ratio < edge / th.boundary_band:
-            return regions[i]
-        if ratio <= edge * th.boundary_band:
-            return (regions[i], regions[i + 1])
-    return regions[-1]
+    edges = [_CUT_LOW / N**2, _CUT_HIGH / N**2, _CUT_LOW, _CUT_HIGH]
+    for region, edge in enumerate(edges, 1):
+        if ratio < edge / _BOUNDARY_BAND:
+            return region
+        if ratio <= edge * _BOUNDARY_BAND:
+            return (region, region + 1)
+    return 5
 
 
 def regime_classify(trap: ElongatedTrap,
-                    thresholds: RegimeThresholds = RegimeThresholds(),
                     ll: LLCurve | None = None) -> RegimeReport:
     """Classify an elongated trap into Regions 1-5.
 
@@ -817,16 +808,16 @@ def regime_classify(trap: ElongatedTrap,
     g = mode.g
     _, _, rho_bar = minimize_1d("full", trap.N, trap.L, g, trap.s, curve)
     ratio0 = g / rho_bar
-    region0 = _pick_region(ratio0, trap.N, thresholds)
+    region0 = _pick_region(ratio0, trap.N)
     kind = _REGION_KIND[region0 if isinstance(region0, int) else region0[0]]
     _, _, rho_bar1 = minimize_1d(kind, trap.N, trap.L, g, trap.s, curve)
     ratio1 = g / rho_bar1
-    region1 = _pick_region(ratio1, trap.N, thresholds)
+    region1 = _pick_region(ratio1, trap.N)
     validity = trap.r**2 * rho_bar1 * min(rho_bar1, g)
     scaling = _REGION_SCALING[region1 if isinstance(region1, int)
                               else region1[0]]
     return RegimeReport(region1, g, rho_bar1, ratio1, validity,
-                        validity < thresholds.validity_cut, scaling,
+                        validity < _VALIDITY_CUT, scaling,
                         {"rho_bar_full": rho_bar, "ratio_full": ratio0,
                          "region_first_pass": region0
                          if isinstance(region0, int) else list(region0),

@@ -10,6 +10,7 @@ functionals.  All random corpora are seeded; seeds are recorded by callers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -418,52 +419,50 @@ def localize_band_matrix(case: BandMatrixCase) -> LocalizationResult:
 # exact diagonalization of the 1D delta gas
 # --------------------------------------------------------------------------
 
-def _kinetic_1p(m: int, h: float, boundary: str) -> sp.spmatrix:
-    main = np.full(m, 2.0)
-    if boundary == "neumann":
-        main[0] = main[-1] = 1.0
-    T = sp.diags([main, -np.ones(m - 1), -np.ones(m - 1)], [0, 1, -1],
-                 format="lil")
-    if boundary == "periodic":
-        T[0, -1] = -1.0
-        T[-1, 0] = -1.0
-    return (T / h**2).tocsr()
+_DENSE_MAX = 200     # largest bosonic sector solved dense, not by ARPACK
 
 
 def _delta_gas_energy_at(m: int, n: int, ell: float, g: float,
                          boundary: str) -> float:
-    if boundary == "periodic":
-        h = ell / m
-        coords = np.arange(m)
-    else:
-        h = ell / (m - 1)
-        coords = np.arange(m)
-    T1 = _kinetic_1p(m, h, boundary)
-    eye = sp.identity(m, format="csr")
-    if n == 1:
-        H = T1
-    elif n == 2:
-        H = sp.kron(T1, eye) + sp.kron(eye, T1)
-        idx = np.arange(m * m)
-        same = (idx // m) == (idx % m)
-        H = H + sp.diags(np.where(same, g / h, 0.0))
-    elif n == 3:
-        H = (sp.kron(sp.kron(T1, eye), eye)
-             + sp.kron(sp.kron(eye, T1), eye)
-             + sp.kron(sp.kron(eye, eye), T1))
-        idx = np.arange(m**3)
-        i1 = idx // (m * m)
-        i2 = (idx // m) % m
-        i3 = idx % m
-        coincidences = ((i1 == i2).astype(float) + (i1 == i3) + (i2 == i3))
-        H = H + sp.diags(coincidences * g / h)
-    else:
-        raise ValueError("exact diagonalization supports n <= 3")
-    if H.shape[0] <= 2500:
+    """Ground energy of n bosons on m sites: sum_i T_i (T the second
+    difference, on a ring or with Neumann ends) + g/h per coincident pair.
+
+    On all m^n site tuples H has nonpositive off-diagonal entries on a
+    connected grid: by Perron-Frobenius its ground state is unique and
+    positive, hence symmetric.  H is built on the sorted tuples alone, where
+    a hop from x to y has amplitude -sqrt(n_x (n_y + 1))/h^2."""
+    periodic = boundary == "periodic"
+    h = ell / m if periodic else ell / (m - 1)
+    # lexicographic, so the keys increase and searchsorted finds targets
+    states = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(m), n)),
+        dtype=np.intp).reshape(-1, n)
+    keys = np.ravel_multi_index(states.T, (m,) * n)
+    ends = ((states == 0) | (states == m - 1)) & (not periodic)
+    pairs = (np.sum(states[:, None] == states[..., None], axis=(1, 2)) - n) / 2
+    diag = np.where(ends, 1.0, 2.0).sum(axis=1) / h**2 + (g / h) * pairs
+    # the last particle at each site hops right; the transpose hops left
+    right = (states + 1) % m if periodic else states + 1
+    last = np.ones(states.shape, dtype=bool)
+    last[:, :-1] = states[:, :-1] < states[:, 1:]
+    src, i = np.nonzero(last & (right < m))
+    n_from = np.sum(states[src] == states[src, i, None], axis=1)
+    n_to = np.sum(states[src] == right[src, i, None], axis=1)
+    moved = np.sort(np.where(np.arange(n) == i[:, None], right[src, i, None],
+                             states[src]), axis=1)
+    tgt = np.searchsorted(keys, np.ravel_multi_index(moved.T, (m,) * n))
+    amp = -np.sqrt(n_from * (n_to + 1.0)) / h**2
+    size = len(states)
+    every = np.arange(size)
+    H = sp.csr_matrix((np.r_[diag, amp, amp], (np.r_[every, src, tgt],
+                       np.r_[every, tgt, src])), shape=(size, size))
+    if size <= _DENSE_MAX or n == 1:
+        # n = 1: the uniform v0 below is the ground state; ARPACK fails on it
         return float(np.linalg.eigvalsh(H.toarray())[0])
-    v0 = np.full(H.shape[0], 1.0 / math.sqrt(H.shape[0]))
-    val = eigsh(H.tocsr(), k=1, which="SA", return_eigenvectors=False,
-                maxiter=20000, tol=1e-12, v0=v0)
+    # tol=0 is machine precision: at tol=1e-12 ARPACK returns an excited
+    # level when the ground energy is 0 (g = 0, 300 or 1176 states)
+    val = eigsh(H, k=1, which="SA", return_eigenvectors=False, maxiter=20000,
+                tol=0, v0=np.full(size, 1.0 / math.sqrt(size)))
     return float(val[0])
 
 

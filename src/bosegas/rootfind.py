@@ -91,3 +91,13 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def normalization_root(mass, N: float) -> float:
+    """mu with mass(mu) = N for a nondecreasing mass, 0 at mu = 0."""
+    hi = 1.0
+    while mass(hi) < N:
+        hi *= 2.0
+        if hi > 1e40:
+            raise RuntimeError("normalization bracket failure")
+    return brentq(lambda m: mass(m) - N, 0.0, hi, xtol=1e-300, rtol=8.9e-16)

@@ -248,6 +248,23 @@ def test_bounds_sweep_nonfinite_row_writes_nothing(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_bounds_sweep_of_another_parameter_is_config_error(tmp_path, capsys):
+    # the rows are computed as if the swept values were Y
+    out = tmp_path / "sweep.csv"
+    assert run_cli("bounds", "--sweep", "rho=1e-6:1e-3:3",
+                   "--out", str(out)) == 2
+    assert "bounds.sweep" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "sweep.cfg"
+    # validate agrees with a run: a spec without its name fails both
+    for spec in ("rho=1e-6:1e-3:3", "1e-6:1e-3:3"):
+        cfg.write_text(f"[bounds]\nsweep = {spec}\n")
+        assert run_cli("validate", str(cfg)) == 2
+        assert "bounds.sweep" in capsys.readouterr().out
+    cfg.write_text("[bounds]\nsweep = Y=1e-6:1e-3:3\n")
+    assert run_cli("validate", str(cfg)) == 0
+
+
 def test_ll_emit_curve_contract(tmp_path):
     out = tmp_path / "curve.csv"
     code = run_cli("ll", "--emit-curve", str(out))

@@ -8,7 +8,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import jn_zeros
 
 from bosegas import flows, onedim as od
-from bosegas.rootfind import brentq
+from bosegas.rootfind import normalization_root
 
 
 # --- Lieb-Liniger energy density ---------------------------------------------
@@ -328,13 +328,14 @@ def _f_of_t(curve, t):
 
 def _solve_ll_no_grad(monkeypatch, curve, density, N, L, g):
     """minimize_1d("ll_no_grad") with ``density`` as the pointwise solve;
-    returns (profile, energy, rho_bar, mu), mu being the last brentq root."""
+    returns (profile, energy, rho_bar, mu), mu being the last
+    normalization root."""
     roots = []
 
-    def recording_brentq(*args, **kwargs):
-        roots.append(brentq(*args, **kwargs))
+    def recording_root(*args, **kwargs):
+        roots.append(normalization_root(*args, **kwargs))
         return roots[-1]
-    monkeypatch.setattr(od, "brentq", recording_brentq)
+    monkeypatch.setattr(od, "normalization_root", recording_root)
     monkeypatch.setattr(od, "_pointwise_density", density)
     return (*od.minimize_1d("ll_no_grad", N, L, g, 2.0, curve), roots[-1])
 

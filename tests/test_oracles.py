@@ -13,9 +13,9 @@ from bosegas import oracles as orc
 
 # --- reference implementations ------------------------------------------------
 # The straightforward versions of the rewritten oracle kernels: an FFT field
-# with one draw per coefficient, the FFT gradient, the full-space Fock
-# Hamiltonian from Kronecker products, and the loop over windows.  The
-# kernels in bosegas.oracles are checked against them.
+# with one draw per coefficient, the FFT gradient, the full-space Fock and
+# delta-gas Hamiltonians from Kronecker products, and the loop over
+# windows.  The kernels in bosegas.oracles are checked against them.
 
 def _reference_random_field(n, L, rng, kmax=3, complex_valued=False):
     fhat = np.zeros((n, n, n), dtype=complex)
@@ -115,6 +115,44 @@ def _reference_localize(case):
     phi = np.zeros(n)
     phi[best_start:best_start + M] = best_vec
     return best_start, best_val, phi, d
+
+
+def _reference_kinetic_1p(m, h, boundary):
+    main = np.full(m, 2.0)
+    if boundary == "neumann":
+        main[0] = main[-1] = 1.0
+    T = sp.diags([main, -np.ones(m - 1), -np.ones(m - 1)], [0, 1, -1],
+                 format="lil")
+    if boundary == "periodic":
+        T[0, -1] = -1.0
+        T[-1, 0] = -1.0
+    return (T / h**2).tocsr()
+
+
+def _reference_delta_gas_energy(m, n, ell, g, boundary):
+    """Lowest eigenvalue of the n-particle grid Hamiltonian on all m^n
+    site tuples, distinguishable particles included."""
+    h = ell / m if boundary == "periodic" else ell / (m - 1)
+    T1 = _reference_kinetic_1p(m, h, boundary)
+    eye = sp.identity(m, format="csr")
+    if n == 1:
+        H = T1
+    elif n == 2:
+        H = sp.kron(T1, eye) + sp.kron(eye, T1)
+        idx = np.arange(m * m)
+        same = (idx // m) == (idx % m)
+        H = H + sp.diags(np.where(same, g / h, 0.0))
+    else:
+        H = (sp.kron(sp.kron(T1, eye), eye)
+             + sp.kron(sp.kron(eye, T1), eye)
+             + sp.kron(sp.kron(eye, eye), T1))
+        idx = np.arange(m**3)
+        i1 = idx // (m * m)
+        i2 = (idx // m) % m
+        i3 = idx % m
+        coincidences = ((i1 == i2).astype(float) + (i1 == i3) + (i2 == i3))
+        H = H + sp.diags(coincidences * g / h)
+    return _reference_ground_energy(H)
 
 
 # --- twisted Laplacian --------------------------------------------------------
@@ -405,6 +443,17 @@ def test_band_window_ties_take_the_first():
 
 
 # --- delta gas ---------------------------------------------------------------
+
+@pytest.mark.parametrize("g", [0.0, 1.0, 50.0])
+@pytest.mark.parametrize("boundary", ["periodic", "neumann"])
+@pytest.mark.parametrize("n, m", [(1, 16), (2, 24), (3, 8)])
+def test_delta_gas_bosonic_sector_matches_full_space(n, m, boundary, g):
+    # n = 2, m = 24 has 300 bosonic states, above the dense cut: ARPACK
+    assert (math.comb(m + n - 1, n) > orc._DENSE_MAX) == (n == 2)
+    ref = _reference_delta_gas_energy(m, n, 1.0, g, boundary)
+    got = orc._delta_gas_energy_at(m, n, 1.0, g, boundary)
+    assert abs(got - ref) <= 1e-10 * max(abs(ref), 1.0)
+
 
 def test_delta_gas_free_limits():
     # noninteracting ground energy is 0 for both boundary conditions; the

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
-from bosegas.rootfind import brentq
+from bosegas.rootfind import brentq, normalization_root
 
-# (xtol, rtol) of the call sites: meanfield.tf_solve and
-# onedim._minimize_pointwise_kind, then onedim.solve_ll_point
+# (xtol, rtol) of the call sites: rootfind.normalization_root (used by
+# meanfield.tf_solve and onedim._minimize_pointwise_kind), then
+# onedim.solve_ll_point
 _TOLERANCES = [(1e-300, 8.9e-16), (1e-12, 8.881784197001252e-16)]
 
 
@@ -53,3 +54,13 @@ def test_brentq_endpoint_roots_and_errors():
                -1.0, 1.0, xtol=1e-300, maxiter=5)
     with pytest.raises(ValueError, match="xtol"):
         brentq(lambda x: x, -1.0, 1.0, xtol=0.0)
+
+
+def test_normalization_root_doubles_the_bracket():
+    # mass(mu) = mu^2 reaches 9 first at hi = 4: brentq's root on [0, 4]
+    def mass(mu):
+        return max(mu, 0.0) ** 2
+    ref = brentq(lambda m: mass(m) - 9.0, 0.0, 4.0, xtol=1e-300, rtol=8.9e-16)
+    assert normalization_root(mass, 9.0) == ref
+    with pytest.raises(RuntimeError, match="bracket"):
+        normalization_root(lambda mu: 0.0, 1.0)
