@@ -181,6 +181,8 @@ class DysonMinimizer:
     attraction: float        # I0 int Phi^{5/2}
     virial_residual: float   # |2 T - (3/4) I0 P| / |E|
     iterations: int
+    rejected_steps: int      # flow step halvings
+    polish_rounds: int       # rounds of the flow's residual endgame
 
 
 def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
@@ -206,7 +208,8 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
     virial = abs(2.0 * kin - 0.75 * attraction) / abs(res.energy)
     phi = res.psi / fp.nodes
     return DysonMinimizer(fp.nodes.copy(), np.abs(phi), res.energy, kin,
-                          attraction, virial, res.iterations)
+                          attraction, virial, res.iterations,
+                          res.rejected_steps, res.polish_rounds)
 
 
 @lru_cache(maxsize=16)

@@ -225,8 +225,10 @@ def cmd_verify(args) -> int:
 
 def cmd_validate(args) -> int:
     sections = parse_config_file(args.config)
+    parser = build_parser()
     problems = []
     for section, params in sections.items():
+        problems += _unknown_keys(parser, section, params)
         problems += validate_params(section, params)
     if not sections:
         print("empty config; defaults apply")
@@ -330,12 +332,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return parser._subparsers._group_actions[0].choices
+
+
+def _unknown_keys(parser: argparse.ArgumentParser, section: str,
+                  params: dict) -> list[str]:
+    """``section.key: unknown option`` for each config key that names no
+    option of subcommand ``section`` (none for a section that is not a
+    subcommand: a run never reads it)."""
+    sub = _subparsers(parser).get(section)
+    if sub is None:
+        return []
+    options = {action.dest for action in sub._actions} - {"help"}
+    return [f"{section}.{key}: unknown option" for key in params
+            if key.replace("-", "_") not in options]
+
+
 def _explicit_keys(argv) -> set:
     """Which options the user actually typed (vs parser defaults)."""
     probe = build_parser()
     for action in probe._actions:
         action.default = argparse.SUPPRESS
-    for sub in probe._subparsers._group_actions[0].choices.values():
+    for sub in _subparsers(probe).values():
         for action in sub._actions:
             action.default = argparse.SUPPRESS
     try:
@@ -345,16 +364,17 @@ def _explicit_keys(argv) -> set:
         return set()
 
 
-def _apply_config_defaults(args, argv) -> None:
+def _apply_config_defaults(parser, args, argv) -> None:
     if not getattr(args, "config", None) or args.subcommand == "validate":
         return
     explicit = _explicit_keys(argv)
     sections = parse_config_file(args.config)
     section = sections.get(args.subcommand, {})
+    unknown = _unknown_keys(parser, args.subcommand, section)
+    if unknown:
+        raise ConfigError("; ".join(unknown))
     for key, raw in section.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ConfigError(f"{args.subcommand}.{key}: unknown option")
         if attr in explicit:
             continue  # explicit CLI flags beat config values
         current = getattr(args, attr)
@@ -372,7 +392,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_defaults(args, argv)
+        _apply_config_defaults(parser, args, argv)
         problems = validate_params(args.subcommand, _args_echo(args))
         if problems:
             raise ConfigError("; ".join(problems))

@@ -11,11 +11,11 @@ parameter (phi, u = r phi, or sqrt(rho)); squaring it keeps densities
 nonnegative by construction.
 
 Minimization is an imaginary-time style descent: each step solves the
-linearized backward-Euler system (tridiagonal) and renormalizes; the step
-size is grown gently and halved whenever the energy fails to decrease, so
-the energy is monotone nonincreasing along the iteration.  Convergence is
-declared when the Euler-Lagrange residual sup-norm falls below
-``rtol`` times the energy scale and the energy is stationary to 1e-12
+linearized backward-Euler system (tridiagonal, LAPACK gtsv) and renormalizes;
+the step size is grown gently and halved whenever the energy fails to
+decrease, so the energy is monotone nonincreasing along the iteration.
+Convergence is declared when the Euler-Lagrange residual sup-norm falls
+below ``rtol`` times the energy scale and the energy is stationary to 1e-12
 relative per step.
 """
 
@@ -65,6 +65,7 @@ class FlowProblem:
         # A is the SPD kinetic matrix: psi^T A psi = kin * sum ew (dpsi)^2
         self._diag = self.kin * (self.ew[:-1] + self.ew[1:])
         self._off = -self.kin * self.ew[1:-1]
+        self._diag_w = self._diag / self.w
 
     # --- quadratic form pieces ------------------------------------------
     def kinetic(self, psi: np.ndarray) -> float:
@@ -85,9 +86,8 @@ class FlowProblem:
 
     def gradient(self, psi: np.ndarray) -> np.ndarray:
         """dE/dpsi, exact for the discrete functional."""
-        Apsi = self._apply_A(psi)
-        y = psi**2
-        return 2.0 * (Apsi + self.w * (self.V + self.dq(y, self.nodes)) * psi)
+        Apsi, g, _ = self.terms(psi)
+        return 2.0 * (Apsi + self.w * g * psi)
 
     def _apply_A(self, psi: np.ndarray) -> np.ndarray:
         out = self._diag * psi
@@ -95,18 +95,20 @@ class FlowProblem:
         out[1:] += self._off * psi[:-1]
         return out
 
-    def chemical_potential(self, psi: np.ndarray) -> float:
+    def terms(self, psi: np.ndarray):
+        """(A psi, g = V + q'(psi^2), lam) at ``psi``: every Euler-Lagrange
+        piece one flow iterate reads, each evaluated once."""
         y = psi**2
-        num = float(psi @ self._apply_A(psi)) \
-            + float(np.sum(self.w * (self.V + self.dq(y, self.nodes)) * y))
-        return num / self.mass
+        Apsi = self._apply_A(psi)
+        g = self.V + self.dq(y, self.nodes)
+        lam = (float(psi @ Apsi) + float(np.sum(self.w * g * y))) / self.mass
+        return Apsi, g, lam
 
-    def residual(self, psi: np.ndarray) -> float:
-        """Sup-norm of the Euler-Lagrange defect, normalized by sup|psi|."""
-        y = psi**2
-        lam = self.chemical_potential(psi)
-        defect = self._apply_A(psi) / self.w \
-            + (self.V + self.dq(y, self.nodes)) * psi - lam * psi
+    def residual(self, psi: np.ndarray, terms) -> float:
+        """Sup-norm of the Euler-Lagrange defect at ``psi``, normalized by
+        sup|psi|; ``terms`` = ``self.terms(psi)``."""
+        Apsi, g, lam = terms
+        defect = Apsi / self.w + g * psi - lam * psi
         return float(np.max(np.abs(defect)) / max(np.max(np.abs(psi)), 1e-300))
 
     def normalize(self, psi: np.ndarray) -> np.ndarray:
@@ -125,26 +127,35 @@ class FlowResult:
     iterations: int
     converged: bool
     max_energy_increase: float  # largest accepted uphill move (fp noise scale)
+    rejected_steps: int         # step halvings, failed solves included
+    polish_rounds: int = 0      # rounds of the residual endgame (0: not run)
 
 
-def _implicit_step(prob: FlowProblem, psi: np.ndarray, dt: float,
-                   banded: np.ndarray) -> np.ndarray | None:
+def _implicit_step(prob: FlowProblem, psi: np.ndarray, terms,
+                   dt: float) -> np.ndarray | None:
     """One normalized backward-Euler step of the linearized flow.
 
-    Solves M trial = psi with M = I + dt (W^-1 A + diag(V + q'(psi^2) - lam))
-    (tridiagonal, assembled into the work array ``banded``) and renormalizes;
-    returns None when the solve or the normalization fails.
+    Solves M trial = psi with M = I + dt (W^-1 A + diag(g - lam)), where
+    ``terms`` = ``prob.terms(psi)`` = (A psi, g, lam), by LAPACK ``gtsv`` on
+    the three diagonals, and renormalizes; returns None when an entry of M
+    or psi is not finite, M is singular, or the normalization fails.
     """
-    from scipy.linalg import solve_banded
-    y = psi**2
-    lam = prob.chemical_potential(psi)
-    dV = prob.V + prob.dq(y, prob.nodes) - lam
-    banded[1, :] = 1.0 + dt * (prob._diag / prob.w + dV)
-    banded[0, 1:] = dt * prob._off / prob.w[:-1]
-    banded[2, :-1] = dt * prob._off / prob.w[1:]
+    from scipy.linalg.lapack import dgtsv
+    _, g, lam = terms
+    d = 1.0 + dt * (prob._diag_w + (g - lam))
+    off = dt * prob._off
+    du = off / prob.w[:-1]
+    dl = off / prob.w[1:]
+    if not all(np.isfinite(a).all() for a in (dl, d, du, psi)):
+        return None
+    # the diagonals are temporaries; psi stays intact for a rejected trial
+    *_, trial, info = dgtsv(dl, d, du, psi, overwrite_dl=1, overwrite_d=1,
+                            overwrite_du=1, overwrite_b=0)
+    if info != 0:
+        return None
     try:
-        return prob.normalize(solve_banded((1, 1), banded, psi))
-    except (np.linalg.LinAlgError, ValueError):
+        return prob.normalize(trial)
+    except ValueError:
         return None
 
 
@@ -159,19 +170,18 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
         psi = np.array(psi0, dtype=float)
     psi = prob.normalize(psi)
     e = prob.energy(psi)
-    scale = max(abs(prob.chemical_potential(psi)), abs(e) / prob.mass, 1e-12)
+    terms = prob.terms(psi)
+    scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
     dt = 1.0 / scale
     max_up = 0.0
     stagnant = 0
-    banded = np.zeros((3, n))
+    rejected = 0
     for it in range(1, _MAX_ITER + 1):
-        trial = _implicit_step(prob, psi, dt, banded)
-        if trial is None:
-            dt *= 0.5
-            continue
-        e_new = prob.energy(trial)
+        trial = _implicit_step(prob, psi, terms, dt)
+        e_new = math.nan if trial is None else prob.energy(trial)
         if not np.isfinite(e_new) or e_new > e + 1e-14 * max(1.0, abs(e)):
             dt *= 0.5
+            rejected += 1
             if dt < 1e-18 / scale:
                 break
             continue
@@ -179,50 +189,53 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
             max_up = max(max_up, e_new - e)
         de = abs(e_new - e)
         psi, e = trial, e_new
+        terms = prob.terms(psi)
         dt = min(dt * 1.1, 1e4 / scale)
         stagnant = stagnant + 1 if de <= 1e-12 * max(1.0, abs(e)) else 0
         if stagnant >= 1:
-            res = prob.residual(psi)
-            scale = max(abs(prob.chemical_potential(psi)), abs(e) / prob.mass, 1e-12)
+            res = prob.residual(psi, terms)
+            scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
             if res <= rtol * scale:
-                return FlowResult(psi, e, prob.chemical_potential(psi), res,
-                                  it, True, max_up)
+                return FlowResult(psi, e, terms[2], res, it, True, max_up,
+                                  rejected)
             if stagnant >= 25 or res <= 1e4 * rtol * scale:
                 # energy is stationary to rounding but the EL defect is not
                 # yet at tolerance; finish with the inverse-iteration endgame
-                psi, res, extra = _polish(prob, psi, rtol, scale, banded)
+                psi, terms, res, extra = _polish(prob, psi, terms, res, rtol,
+                                                 scale)
                 e = prob.energy(psi)
-                return FlowResult(psi, e, prob.chemical_potential(psi), res,
-                                  it + extra, res <= rtol * scale, max_up)
-    res = prob.residual(psi)
-    return FlowResult(psi, e, prob.chemical_potential(psi), res, it,
-                      res <= rtol * max(abs(prob.chemical_potential(psi)), 1e-12),
-                      max_up)
+                return FlowResult(psi, e, terms[2], res, it + extra,
+                                  res <= rtol * scale, max_up, rejected, extra)
+    res = prob.residual(psi, terms)
+    scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
+    return FlowResult(psi, e, terms[2], res, it, res <= rtol * scale, max_up,
+                      rejected)
 
 
-def _polish(prob: FlowProblem, psi: np.ndarray, rtol: float, scale: float,
-            banded: np.ndarray) -> tuple[np.ndarray, float, int]:
+def _polish(prob: FlowProblem, psi: np.ndarray, terms, res: float, rtol: float,
+            scale: float):
     """Residual-driven endgame: the same backward-Euler update with a large
     step acts as shifted inverse iteration on the frozen linearization;
-    steps are accepted only when the Euler-Lagrange residual drops."""
-    res = prob.residual(psi)
+    steps are accepted only when the Euler-Lagrange residual drops.
+    ``terms`` and ``res`` belong to ``psi``, and so do the ones returned."""
     dt = 1e6 / scale
     for rounds in range(1, _MAX_POLISH_ROUNDS + 1):
         if res <= rtol * scale:
             break
-        trial = _implicit_step(prob, psi, dt, banded)
+        trial = _implicit_step(prob, psi, terms, dt)
         if trial is None:
             dt *= 0.1
             continue
-        res_new = prob.residual(trial)
+        trial_terms = prob.terms(trial)
+        res_new = prob.residual(trial, trial_terms)
         if np.isfinite(res_new) and res_new < res:
-            psi, res = trial, res_new
+            psi, terms, res = trial, trial_terms, res_new
             dt = min(dt * 2.0, 1e12 / scale)
         else:
             dt *= 0.1
             if dt < 1e-6 / scale:
                 break
-    return psi, res, rounds
+    return psi, terms, res, rounds
 
 
 # --- grid builders --------------------------------------------------------

@@ -97,6 +97,8 @@ class EnergyReport:
     mu_chem: float
     residual_gp: float
     iterations: int = 0
+    rejected_steps: int = 0         # flow step halvings
+    polish_rounds: int = 0          # rounds of the flow's residual endgame
     quartic_integral: float = 0.0   # int |phi|^4
 
     def __post_init__(self):
@@ -109,6 +111,8 @@ class EnergyReport:
             "E_total": self.E_total, "kinetic": self.kinetic, "trap": self.trap,
             "interaction": self.interaction, "mu_chem": self.mu_chem,
             "residual_gp": self.residual_gp, "iterations": self.iterations,
+            "rejected_steps": self.rejected_steps,
+            "polish_rounds": self.polish_rounds,
             "quartic_integral": self.quartic_integral,
         }
 
@@ -196,7 +200,8 @@ def gp_minimize(problem: GPProblem, psi0: np.ndarray | None = None
     quart = inter / (4.0 * math.pi * problem.mu * problem.coupling) \
         if problem.coupling > 0 else _quartic_integral(problem, fp, res.psi)
     report = EnergyReport(res.energy, kin, trap, inter, res.mu_chem,
-                          res.residual, res.iterations, quart)
+                          res.residual, res.iterations, res.rejected_steps,
+                          res.polish_rounds, quart)
     return _profile_from(problem, fp, np.abs(res.psi)), report
 
 

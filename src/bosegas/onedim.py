@@ -266,23 +266,32 @@ class LLCurve:
         out[high] = PI2_3 - self._high_deficit * (self.t_max / t[high])
         return float(out[0]) if scalar else out
 
-    def de(self, t):
+    def e_and_de(self, t):
+        """(e(t), e'(t)) from one table lookup; e equals ``e(t)`` bit for bit."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         if np.any(t < 0):
             raise ValueError("t must be nonnegative")
-        out = np.empty_like(t)
+        e = np.empty_like(t)
+        de = np.empty_like(t)
         low = t < self.t_min
         high = t > self.t_max
         mid = ~(low | high)
-        out[low] = 0.5 * self._low_ratio
-        if np.any(mid):
-            tm = t[mid]
+        e[low] = 0.5 * t[low] * self._low_ratio
+        de[low] = 0.5 * self._low_ratio
+        tm = t[mid]
+        with np.errstate(divide="ignore"):
             p, dp = self._interp.value_and_slope(np.log(tm))
-            out[mid] = np.exp(p) * dp / tm
-        out[high] = self._high_deficit * self.t_max / t[high] ** 2
-        return float(out[0]) if scalar else out
+        e_mid = np.exp(p)
+        e[mid] = e_mid
+        de[mid] = e_mid * dp / tm
+        e[high] = PI2_3 - self._high_deficit * (self.t_max / t[high])
+        de[high] = self._high_deficit * self.t_max / t[high] ** 2
+        return (float(e[0]), float(de[0])) if scalar else (e, de)
+
+    def de(self, t):
+        return self.e_and_de(t)[1]
 
     @cached_property
     def _log_f_nodes(self) -> np.ndarray:
@@ -647,8 +656,9 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve, n_grid, rtol):
         def dq(y, z):
             out = np.zeros_like(y)
             pos = y > 0
-            t = _ll_argument(g, y[pos])
-            out[pos] = 3.0 * y[pos] ** 2 * curve.e(t) - g * y[pos] * curve.de(t)
+            yp = y[pos]
+            e, de = curve.e_and_de(_ll_argument(g, yp))
+            out[pos] = 3.0 * yp ** 2 * e - g * yp * de
             return out
     fp = flows.line_problem(zmax, n_grid, 1.0, V, q, dq, N)
     guess = np.sqrt(np.maximum(1.0 - (fp.nodes / (0.75 * zmax)) ** 2, 0.0)) + 1e-3

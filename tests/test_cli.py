@@ -394,6 +394,19 @@ def test_validate_subcommand(tmp_path, capsys):
     assert "defaults" in capsys.readouterr().out
 
 
+def test_unknown_config_key_fails_validate_and_run_alike(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("[gp]\nfoo = 1\ncoupling = 0.01\n[tf]\nN = 10\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert capsys.readouterr().out.splitlines() == ["gp.foo: unknown option"]
+    assert run_cli("--config", str(cfg), "gp", "--coupling", "0.01") == 2
+    assert "gp.foo: unknown option" in capsys.readouterr().err
+    # every option of the subcommand is a key, in either spelling
+    cfg.write_text("[gp]\nn-grid = 64\nprofile_out = p.csv\ncoupling = 0.01\n"
+                   "[charged]\nmode = foldy\nB-plus = 0.5\n")
+    assert run_cli("validate", str(cfg)) == 0
+
+
 def test_config_file_defaults_flow(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[tf]\ncoupling = 0.05\nN = 100\n")

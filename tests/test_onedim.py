@@ -132,6 +132,29 @@ def test_curve_derivative_is_the_interpolant_derivative(ll_curve):
     assert np.array_equal(ll_curve.de(t), np.exp(ref(lt)) * ref.derivative()(lt) / t)
 
 
+def test_e_and_de_equals_e_and_de(ll_curve):
+    # low tail (t = 0 included), table (ends and nodes included), high tail;
+    # e' written out: the tail forms' slopes, exp(p) p'/t inside the table
+    t_min, t_max = ll_curve.t_min, ll_curve.t_max
+    t = np.concatenate(([0.0], np.geomspace(1e-3 * t_min, t_min, 9, endpoint=False),
+                        ll_curve.nodes_t, np.geomspace(t_min, t_max, 101),
+                        np.geomspace(t_max, 1e3 * t_max, 10)[1:]))
+    low, high = t < t_min, t > t_max
+    mid = ~(low | high)
+    de = np.empty_like(t)
+    de[low] = 0.5 * ll_curve._low_ratio
+    p, dp = ll_curve._interp.value_and_slope(np.log(t[mid]))
+    de[mid] = np.exp(p) * dp / t[mid]
+    de[high] = ll_curve._high_deficit * t_max / t[high] ** 2
+    assert low.sum() == 10 and high.sum() == 9
+    pair = ll_curve.e_and_de(t)
+    assert np.array_equal(pair[0], ll_curve.e(t))
+    assert np.array_equal(pair[1], de)
+    assert np.array_equal(ll_curve.de(t), de)
+    for i in (0, 5, 12, len(t) - 1):
+        assert ll_curve.e_and_de(t[i]) == (ll_curve.e(t[i]), de[i])
+
+
 def _assert_pchip_matches_scipy(x, y, at):
     ours, ref = od.Pchip(x, y), PchipInterpolator(x, y)
     assert np.array_equal(ours.x, ref.x)
