@@ -193,7 +193,10 @@ def cmd_charged(args) -> int:
         outputs = {"energy": tc.energy, "E_star": tc.e_star,
                    "virial_residual": dm.virial_residual,
                    "length_scale": tc.length_scale,
-                   "correlation_length": tc.correlation_length}
+                   "correlation_length": tc.correlation_length,
+                   "iterations": dm.iterations,
+                   "rejected_steps": dm.rejected_steps,
+                   "polish_rounds": dm.polish_rounds}
     elif args.mode == "local":
         le = charged.local_energy_integral(args.nu, args.ell, args.mu)
         outputs = {"value": le.value, "closed_form": le.closed_form,
@@ -228,8 +231,7 @@ def cmd_validate(args) -> int:
     parser = build_parser()
     problems = []
     for section, params in sections.items():
-        problems += _unknown_keys(parser, section, params)
-        problems += validate_params(section, params)
+        problems += _section_values(parser, section, params)[1]
     if not sections:
         print("empty config; defaults apply")
     for p in problems:
@@ -336,54 +338,37 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict:
     return parser._subparsers._group_actions[0].choices
 
 
-def _unknown_keys(parser: argparse.ArgumentParser, section: str,
-                  params: dict) -> list[str]:
-    """``section.key: unknown option`` for each config key that names no
-    option of subcommand ``section`` (none for a section that is not a
-    subcommand: a run never reads it)."""
+def _section_values(parser: argparse.ArgumentParser, section: str,
+                    params: dict) -> tuple[dict, list[str]]:
+    """Parse the raw config values of ``[section]`` with the options of
+    subcommand ``section``: each key (``n-grid`` or ``n_grid``) is converted
+    by its option's own ``type`` and checked against its ``choices``, then
+    range-checked.  Returns (values by option dest, problems)."""
     sub = _subparsers(parser).get(section)
     if sub is None:
-        return []
-    options = {action.dest for action in sub._actions} - {"help"}
-    return [f"{section}.{key}: unknown option" for key in params
-            if key.replace("-", "_") not in options]
-
-
-def _explicit_keys(argv) -> set:
-    """Which options the user actually typed (vs parser defaults)."""
-    probe = build_parser()
-    for action in probe._actions:
-        action.default = argparse.SUPPRESS
-    for sub in _subparsers(probe).values():
-        for action in sub._actions:
-            action.default = argparse.SUPPRESS
-    try:
-        ns, _ = probe.parse_known_args(argv)
-        return set(vars(ns))
-    except SystemExit:
-        return set()
-
-
-def _apply_config_defaults(parser, args, argv) -> None:
-    if not getattr(args, "config", None) or args.subcommand == "validate":
-        return
-    explicit = _explicit_keys(argv)
-    sections = parse_config_file(args.config)
-    section = sections.get(args.subcommand, {})
-    unknown = _unknown_keys(parser, args.subcommand, section)
-    if unknown:
-        raise ConfigError("; ".join(unknown))
-    for key, raw in section.items():
-        attr = key.replace("-", "_")
-        if attr in explicit:
-            continue  # explicit CLI flags beat config values
-        current = getattr(args, attr)
-        if isinstance(current, bool):
-            setattr(args, attr, raw.lower() in ("1", "true", "yes"))
-        elif current is not None:
-            setattr(args, attr, type(current)(raw))
-        else:
-            setattr(args, attr, raw)
+        return {}, [f"{section}: unknown section"]
+    actions = {action.dest: action for action in sub._actions
+               if action.dest != "help"}
+    parsed, problems = {}, []
+    for key, raw in params.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            problems.append(f"{section}.{key}: unknown option")
+            continue
+        try:
+            value = action.type(raw) if action.type else raw
+        except (TypeError, ValueError):
+            problems.append(f"{section}.{key}: invalid "
+                            f"{action.type.__name__} value: {raw!r}")
+            continue
+        if action.choices is not None and value not in action.choices:
+            problems.append(f"{section}.{key}: {raw!r} not one of "
+                            f"{action.choices}")
+            continue
+        parsed[key] = value
+    problems += validate_params(section, parsed)
+    return ({key.replace("-", "_"): value for key, value in parsed.items()},
+            problems)
 
 
 def main(argv=None) -> int:
@@ -392,7 +377,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_defaults(parser, args, argv)
+        if args.config and args.subcommand != "validate":
+            # every section is checked; the run's own section becomes its
+            # subparser's defaults, which the flags in argv override
+            problems, values = [], {}
+            for section, params in parse_config_file(args.config).items():
+                parsed, found = _section_values(parser, section, params)
+                problems += found
+                if section == args.subcommand:
+                    values = parsed
+            if problems:
+                raise ConfigError("; ".join(problems))
+            _subparsers(parser)[args.subcommand].set_defaults(**values)
+            args = parser.parse_args(argv)
         problems = validate_params(args.subcommand, _args_echo(args))
         if problems:
             raise ConfigError("; ".join(problems))

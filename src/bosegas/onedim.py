@@ -250,16 +250,21 @@ class LLCurve:
     def t_max(self) -> float:
         return float(self.nodes_t[-1])
 
-    def e(self, t):
+    def _split(self, t):
+        """t as a 1-d array, whether it was a scalar, and the masks of the
+        low tail, the table and the high tail; ValueError for a t < 0."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         if np.any(t < 0):
             raise ValueError("t must be nonnegative")
-        out = np.empty_like(t)
         low = t < self.t_min
         high = t > self.t_max
-        mid = ~(low | high)
+        return t, scalar, low, ~(low | high), high
+
+    def e(self, t):
+        t, scalar, low, mid, high = self._split(t)
+        out = np.empty_like(t)
         out[low] = 0.5 * t[low] * self._low_ratio
         with np.errstate(divide="ignore"):
             out[mid] = np.exp(self._interp(np.log(t[mid])))
@@ -268,16 +273,9 @@ class LLCurve:
 
     def e_and_de(self, t):
         """(e(t), e'(t)) from one table lookup; e equals ``e(t)`` bit for bit."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        if np.any(t < 0):
-            raise ValueError("t must be nonnegative")
+        t, scalar, low, mid, high = self._split(t)
         e = np.empty_like(t)
         de = np.empty_like(t)
-        low = t < self.t_min
-        high = t > self.t_max
-        mid = ~(low | high)
         e[low] = 0.5 * t[low] * self._low_ratio
         de[low] = 0.5 * self._low_ratio
         tm = t[mid]

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bosegas import cli
-from bosegas.config import (ConfigError, ResultRecord, SweepSpec, check_schema,
-                            parse_config_file, read_csv, validate_params,
-                            write_csv)
+from bosegas.config import (_NONNEGATIVE, _POSITIVE, _SECTION_POSITIVE,
+                            ConfigError, ResultRecord, SweepSpec, check_schema,
+                            parse_config_file, read_csv, write_csv)
 
 
 def run_cli(*argv):
@@ -29,6 +31,8 @@ def test_sweep_spec_parsing():
         SweepSpec.parse("Y=5:1:10")
     with pytest.raises(ConfigError):
         SweepSpec.parse("Y=1:2")
+    with pytest.raises(ConfigError):
+        SweepSpec.parse("Y=a:1e-4:3")
     lin = SweepSpec.parse("x=0.5:1.5:3:lin")
     assert np.allclose(lin.values(), [0.5, 1.0, 1.5])
 
@@ -45,11 +49,73 @@ def test_config_file_parsing(tmp_path):
         parse_config_file(bad)
 
 
-def test_validate_params_diagnostics():
-    probs = validate_params("bounds", {"rho": "-2", "a": "0.1", "b": "0.05"})
-    assert any("bounds.rho" in p for p in probs)
-    assert any("b > a" in p for p in probs)
-    assert validate_params("bounds", {"rho": "1e-4"}) == []
+# valid values for the options a run of each subcommand requires
+_REQUIRED = {"gp": ["--coupling=0.01"], "tf": ["--coupling=0.01"],
+             "regimes": ["--N=30", "--L=100", "--r=0.5", "--a=1e-4"],
+             "charged": ["foldy"]}
+
+
+def _range_checked_options() -> dict:
+    """{subcommand: [(dest, flag, must be positive)]} for every option whose
+    dest has a sign check."""
+    cases = {}
+    for name, sub in cli._subparsers(cli.build_parser()).items():
+        positive = _POSITIVE | _SECTION_POSITIVE.get(name, set())
+        options = [(a.dest, a.option_strings[0], a.dest in positive)
+                   for a in sub._actions if a.dest in _POSITIVE | _NONNEGATIVE]
+        if options:
+            cases[name] = options
+    return cases
+
+
+_RANGE_CHECKED = _range_checked_options()
+
+
+def _bad_value(positive: bool):
+    """nan, +-inf, or a finite value of the wrong sign (zero and -0.0
+    included when the option must be positive)."""
+    sign = st.floats(max_value=0.0 if positive else -math.ulp(0.0),
+                     allow_nan=False, allow_infinity=False)
+    return st.sampled_from([math.nan, math.inf, -math.inf]) | sign
+
+
+def _range_message(path: str, value: str, positive: bool) -> str:
+    kind = ("finite" if not math.isfinite(float(value))
+            else "positive" if positive else "nonnegative")
+    return f"{path}: must be {kind}, got {value}"
+
+
+@settings(derandomize=True, max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_range_checks_reject_nonfinite_and_wrong_sign(data, tmp_path, capsys):
+    # each value is rejected as a flag and as a config key in both
+    # spellings, by validate and by a run alike
+    assert set(_RANGE_CHECKED) == {"scatter", "bounds", "gp", "tf", "ll",
+                                   "regimes", "charged"}
+    cfg = tmp_path / "bad.cfg"
+    for sub, options in _RANGE_CHECKED.items():
+        values = {dest: repr(data.draw(_bad_value(positive),
+                                       label=f"{sub}.{dest}"))
+                  for dest, _, positive in options}
+        run = [sub, *_REQUIRED.get(sub, [])]
+        assert run_cli(*run, *(f"{flag}={values[dest]}"
+                               for dest, flag, _ in options)) == 2
+        err = capsys.readouterr().err
+        for dest, _, positive in options:
+            assert _range_message(f"{sub}.{dest}", values[dest], positive) in err
+        for spell in (lambda dest, flag: flag[2:], lambda dest, flag: dest):
+            keys = {dest: spell(dest, flag) for dest, flag, _ in options}
+            cfg.write_text(f"[{sub}]\n" + "".join(
+                f"{keys[dest]} = {values[dest]}\n" for dest, _, _ in options))
+            assert run_cli("validate", str(cfg)) == 2
+            out = capsys.readouterr().out
+            assert run_cli("--config", str(cfg), *run) == 2
+            err = capsys.readouterr().err
+            for dest, _, positive in options:
+                message = _range_message(f"{sub}.{keys[dest]}", values[dest],
+                                         positive)
+                assert message in out and message in err
 
 
 def test_result_record_round_trip():
@@ -369,6 +435,11 @@ def test_charged_subcommands(tmp_path):
     rec2 = ResultRecord.from_json(out2.read_text())
     assert rec2.outputs["energy"] < 0
     assert rec2.outputs["virial_residual"] < 1e-3
+    from bosegas import charged
+    dm = charged.dyson_functional_minimize(1.0)
+    assert [rec2.outputs[k] for k in ("iterations", "rejected_steps",
+                                      "polish_rounds")] \
+        == [dm.iterations, dm.rejected_steps, dm.polish_rounds]
 
 
 def test_regimes_subcommand(tmp_path):
@@ -405,6 +476,67 @@ def test_unknown_config_key_fails_validate_and_run_alike(tmp_path, capsys):
     cfg.write_text("[gp]\nn-grid = 64\nprofile_out = p.csv\ncoupling = 0.01\n"
                    "[charged]\nmode = foldy\nB-plus = 0.5\n")
     assert run_cli("validate", str(cfg)) == 0
+
+
+def test_unknown_section_fails_validate_and_run_alike(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    for section in ("gpp", "foo"):
+        cfg.write_text(f"[{section}]\nN = 7\n")
+        assert run_cli("validate", str(cfg)) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{section}: unknown section"]
+        assert run_cli("--config", str(cfg), "gp", "--coupling", "0.01") == 2
+        assert f"{section}: unknown section" in capsys.readouterr().err
+    # b is an option of no subcommand
+    cfg.write_text("[bounds]\nrho = 1e-4\na = 0.1\nb = 0.05\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert capsys.readouterr().out.splitlines() == ["bounds.b: unknown option"]
+    # a section of another subcommand is checked, not applied
+    cfg.write_text("[tf]\nN = 10\n")
+    out = tmp_path / "foldy.json"
+    assert run_cli("--config", str(cfg), "charged", "foldy",
+                   "--out", str(out)) == 0
+    assert json.loads(out.read_text())["inputs"]["N"] == 100.0
+
+
+def test_config_values_parse_with_option_types(tmp_path, monkeypatch, capsys,
+                                               ll_curve):
+    from bosegas import onedim
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[scatter]\nv0 = 9\n")
+    assert run_cli("--config", str(cfg), "scatter") == 0
+    from_config = json.loads(capsys.readouterr().out)
+    assert run_cli("scatter", "--v0", "9") == 0
+    from_flag = json.loads(capsys.readouterr().out)
+    assert from_config["outputs"] == from_flag["outputs"]
+    assert from_config["inputs"] == from_flag["inputs"]
+
+    monkeypatch.setattr(onedim, "_DEFAULT_CURVE", ll_curve)
+    cfg.write_text("[ll]\nt = 0.5\n")
+    assert run_cli("--config", str(cfg), "ll") == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["inputs"]["t"] == 0.5 and record["outputs"]["t"] == 0.5
+    assert record["outputs"]["e"] == ll_curve.e(0.5)
+    assert run_cli("--config", str(cfg), "ll", "--t", "2") == 0   # flag wins
+    assert json.loads(capsys.readouterr().out)["inputs"]["t"] == 2.0
+
+    cfg.write_text("[gp]\nn_grid = 64.5\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert "gp.n_grid" in capsys.readouterr().out
+    assert run_cli("--config", str(cfg), "gp", "--coupling", "0.01") == 2
+    assert "gp.n_grid" in capsys.readouterr().err
+
+    cfg.write_text("[gp]\ntrap = boxx\n[scatter]\ndim = 4\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "gp.trap: 'boxx' not one of ['harmonic', 'homogeneous_power', 'box']",
+        "scatter.dim: '4' not one of [2, 3]"]
+    assert run_cli("--config", str(cfg), "scatter", "--v0", "9") == 2
+    assert "scatter.dim" in capsys.readouterr().err
+
+    cfg.write_text("[bounds]\nsweep = Y=a:1e-4:3\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert "bounds.sweep: sweep spec" in capsys.readouterr().out
 
 
 def test_config_file_defaults_flow(tmp_path):
