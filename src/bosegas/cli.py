@@ -371,25 +371,37 @@ def _section_values(parser: argparse.ArgumentParser, section: str,
             problems)
 
 
+def _apply_config(parser: argparse.ArgumentParser, path) -> None:
+    """Check every section of config file ``path``, then make each one its
+    subcommand's defaults: flags override them, and they fill required options."""
+    problems, values = [], {}
+    for section, params in parse_config_file(path).items():
+        values[section], found = _section_values(parser, section, params)
+        problems += found
+    if problems:
+        raise ConfigError("; ".join(problems))
+    for section, parsed in values.items():
+        sub = _subparsers(parser)[section]
+        sub.set_defaults(**parsed)
+        for action in sub._actions:
+            if action.dest in parsed:
+                action.required = False
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # --config is read first, so that its values can stand in for required
+    # options; as a main-parser option it precedes the subcommand
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    config = pre.parse_known_args(argv)[0].config
     try:
-        if args.config and args.subcommand != "validate":
-            # every section is checked; the run's own section becomes its
-            # subparser's defaults, which the flags in argv override
-            problems, values = [], {}
-            for section, params in parse_config_file(args.config).items():
-                parsed, found = _section_values(parser, section, params)
-                problems += found
-                if section == args.subcommand:
-                    values = parsed
-            if problems:
-                raise ConfigError("; ".join(problems))
-            _subparsers(parser)[args.subcommand].set_defaults(**values)
-            args = parser.parse_args(argv)
+        if config:
+            _apply_config(parser, config)
+        args = parser.parse_args(argv)
         problems = validate_params(args.subcommand, _args_echo(args))
         if problems:
             raise ConfigError("; ".join(problems))

@@ -8,9 +8,10 @@ Config files are flat sectioned key=value text (diff-friendly, no nesting):
     a = 0.1
     sweep = Y=1e-9:1e-4:50
 
-Every emitted file carries the schema version; loaders reject unknown major
-versions.  JSON floats use shortest round-trip decimals (bit-exact reload),
-CSV numbers are written with repr for the same reason.
+JSON records and the ``bounds`` sweep CSV (``write_csv``) carry the schema
+version; their loaders reject unknown major versions.  JSON floats use
+shortest round-trip decimals (bit-exact reload), CSV numbers are written
+with repr for the same reason.
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ def parse_config_file(path) -> dict:
             if current is None:
                 raise ConfigError(f"{path}:{lineno}: key outside any [section]")
             key, val = (s.strip() for s in line.split("=", 1))
+            # n-grid and n_grid name one option: either may appear once
+            name = key.replace("-", "_")
+            if any(k.replace("-", "_") == name for k in sections[current]):
+                raise ConfigError(f"{path}:{lineno}: {current}.{name} is set twice")
             sections[current][key] = val
     return sections
 

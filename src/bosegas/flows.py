@@ -258,18 +258,18 @@ def radial_u_problem(rmax: float, n: int, mu: float, V: Callable,
 
 
 def radial_cell_problem(rmax: float, n: int, mu: float, V: Callable,
-                        q, dq, mass: float, d: int = 2) -> FlowProblem:
-    """d-dimensional radial problem on a cell-centered grid (phi itself).
+                        q, dq, mass: float) -> FlowProblem:
+    """2D radial problem on a cell-centered grid (phi itself).
 
     Nodes r_i = (i + 1/2) h; the flux through r = 0 vanishes identically
     (no-flux inner boundary), Dirichlet ghost at rmax.
     """
     h = rmax / (n + 0.5)
     r = h * (np.arange(n) + 0.5)
-    omega = 2.0 * math.pi if d == 2 else 4.0 * math.pi
-    w = omega * r ** (d - 1) * h
+    omega = 2.0 * math.pi
+    w = omega * r * h
     edges = h * np.arange(n + 1)          # edge radii, edge 0 at r=0
-    ew = edges ** (d - 1) / h
+    ew = edges / h
     ew[0] = 0.0
     return FlowProblem(r, w, omega * mu, ew, np.asarray(V(r), dtype=float),
                        q, dq, mass)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flows
-from .rootfind import normalization_root
 from .scattering import ScatteringSolution
 
 
@@ -129,7 +128,7 @@ def _domain_radius(problem: GPProblem) -> float:
     g = max(problem.N * problem.coupling, 0.0)
     s = trap.exponent
     d = problem.dimension
-    # TF estimate of mu (exact for the harmonic 3D case), floor at the
+    # grid-rule estimate of mu (see _tf_mu_estimate), floor at the
     # oscillator scale for weak coupling
     mu_tf_est = _tf_mu_estimate(d, s, g, problem.mu)
     mu_scale = max(mu_tf_est, 2.0 * d ** 0.5)
@@ -139,8 +138,8 @@ def _domain_radius(problem: GPProblem) -> float:
 def _tf_mu_estimate(d: int, s: float, g: float, mu: float) -> float:
     if g <= 0:
         return 0.0
-    # normalization integral of [m - r^s]_+ over R^d gives m^{(d+s)/s} times
-    # a beta-type constant; solved for m with unit constant
+    # the grid rule, not mu_TF (that is _tf_mu): the TF normalization with
+    # its beta-type constant set to 1; every GP grid is sized from it
     return (8.0 * math.pi * mu * g) ** (s / (s + d))
 
 
@@ -157,7 +156,7 @@ def _build_problem(problem: GPProblem) -> flows.FlowProblem:
     q = lambda y, r: g4 * y**2
     dq = lambda y, r: 2.0 * g4 * y
     return flows.radial_cell_problem(rmax, problem.n_grid, mu, problem.trap,
-                                     q, dq, problem.N, d=2)
+                                     q, dq, problem.N)
 
 
 def _profile_from(problem: GPProblem, fp: flows.FlowProblem,
@@ -175,8 +174,8 @@ def _initial_guess(problem: GPProblem, fp: flows.FlowProblem) -> np.ndarray | No
     if g < 10.0 or not problem.trap.is_homogeneous:
         return None
     # TF-shaped start speeds up the strongly interacting regime considerably
-    _, _, mu_tf = tf_solve(problem.dimension, problem.N, problem.coupling,
-                           problem.trap, problem.mu, n_grid=2000)
+    mu_tf = _tf_mu(problem.dimension, problem.N, problem.coupling,
+                   problem.trap.exponent, problem.mu)
     rho0 = np.maximum(mu_tf - problem.trap(fp.nodes), 0.0) \
         / (8.0 * math.pi * problem.mu * problem.coupling)
     psi0 = np.sqrt(rho0 + 1e-12 * max(np.max(rho0), 1.0))
@@ -244,45 +243,36 @@ def coupling_2d(N: float, a: float, trap: TrapPotential = TrapPotential(),
 
 # --- Thomas-Fermi ----------------------------------------------------------
 
+def _tf_mu(d: int, N: float, coupling: float, s: float, mu: float) -> float:
+    """Exact mu_TF of V = r^s: the mass of [m - r^s]_+ / D over R^d is
+    omega m^{(d+s)/s} s / (D d (d+s)), D = 8 pi mu c."""
+    omega = 4.0 * math.pi if d == 3 else 2.0 * math.pi
+    denom = 8.0 * math.pi * mu * coupling
+    return float((N * denom * d * (d + s) / (omega * s)) ** (s / (d + s)))
+
+
 def tf_solve(dimension: int, N: float, coupling: float,
              trap: TrapPotential = TrapPotential(), mu: float = 1.0,
              n_grid: int = 20000) -> tuple[DensityProfile, EnergyReport, float]:
-    """Exact TF minimizer rho = [mu_TF - V]_+/(8 pi mu c); mu_TF from a
-    monotone root-find on the normalization."""
+    """Exact TF minimizer rho = [mu_TF - V]_+/(8 pi mu c) in closed form;
+    the profile samples it at ``n_grid`` points of [0, 1.05 r_edge]."""
     if not trap.is_homogeneous:
         raise ValueError("TF solver requires a homogeneous trap")
     if coupling <= 0:
         raise ValueError("TF requires positive coupling")
-    s = trap.exponent
-    omega = 4.0 * math.pi if dimension == 3 else 2.0 * math.pi
-    denom = 8.0 * math.pi * mu * coupling
-    gl_x, gl_w = np.polynomial.legendre.leggauss(96)
-
-    def mass(m):
-        # int_0^{m^{1/s}} (m - r^s) r^{d-1} dr by Gauss-Legendre (the
-        # integrand is analytic, so brentq can resolve mu_TF to ~1e-14)
-        if m <= 0:
-            return 0.0
-        redge = m ** (1.0 / s)
-        r = 0.5 * redge * (gl_x + 1.0)
-        w = 0.5 * redge * gl_w
-        rho = (m - r**s) / denom
-        return float(np.sum(w * omega * r ** (dimension - 1) * rho))
-
-    mu_tf = normalization_root(mass, N)
-
-    redge = mu_tf ** (1.0 / s)
-    r = np.linspace(0.0, 1.05 * redge, n_grid)
-    rho = np.maximum(mu_tf - r**s, 0.0) / denom
-    w = omega * r ** (dimension - 1)
-    trap_e = float(np.trapezoid(w * r**s * rho, r))
-    inter_e = float(np.trapezoid(w * 4.0 * math.pi * mu * coupling * rho**2, r))
-    e_tot = trap_e + inter_e
-    resid = 0.0  # the explicit minimizer satisfies its EL identity exactly
-    report = EnergyReport(e_tot, 0.0, trap_e, inter_e, mu_tf, resid,
-                          quartic_integral=float(np.trapezoid(w * rho**2, r)))
+    s, d = trap.exponent, dimension
+    mu_tf = _tf_mu(d, N, coupling, s, mu)
+    # the energies are integrals of powers of (mu_TF - r^s); with the
+    # normalization they reduce to d N mu_TF/(2s + d) and s N mu_TF/(2s + d)
+    trap_e = d * N * mu_tf / (2.0 * s + d)
+    inter_e = s * N * mu_tf / (2.0 * s + d)
+    # the explicit minimizer satisfies its EL identity exactly: residual 0
+    report = EnergyReport(trap_e + inter_e, 0.0, trap_e, inter_e, mu_tf, 0.0,
+                          quartic_integral=inter_e / (4.0 * math.pi * mu * coupling))
+    r = np.linspace(0.0, 1.05 * mu_tf ** (1.0 / s), n_grid)
+    rho = np.maximum(mu_tf - r**s, 0.0) / (8.0 * math.pi * mu * coupling)
     prof = DensityProfile(r, np.sqrt(rho), rho, N, dimension)
-    return prof, report, float(mu_tf)
+    return prof, report, mu_tf
 
 
 def tf_energy(dimension: int, N: float, coupling: float,

@@ -153,14 +153,6 @@ class ScatteringSolution:
     du: np.ndarray = field(default=None, repr=False)
     a_refined: float = field(default=float("nan"))
 
-    def psi(self) -> np.ndarray:
-        """psi normalized to 1 at infinity (3D)."""
-        if self.dimension != 3:
-            raise ValueError("psi() is the 3D normalization")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(self.grid > 0, self.u / np.where(self.grid > 0, self.grid, 1.0), 0.0)
-        return out
-
     def export_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("r,u\n")

@@ -550,6 +550,50 @@ def test_config_file_defaults_flow(tmp_path):
     assert rec.inputs["N"] == 100.0
 
 
+def test_required_options_from_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[gp]\ncoupling = 0.01\nn_grid = 256\n")
+    assert run_cli("--config", str(cfg), "gp") == 0
+    from_config = json.loads(capsys.readouterr().out)
+    assert run_cli("gp", "--coupling", "0.01", "--n-grid", "256") == 0
+    from_flag = json.loads(capsys.readouterr().out)
+    assert from_config["outputs"] == from_flag["outputs"]
+    assert from_config["inputs"] == from_flag["inputs"]
+    assert run_cli("--config", str(cfg), "gp", "--coupling", "0.02") == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["coupling"] == 0.02
+    # without the config the option is still required
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gp")
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    cfg.write_text("[tf]\ncoupling = 0.05\n[charged]\nmode = bogolubov\n"
+                   "[regimes]\nN = 30\nL = 100\nr = 0.5\na = 1e-4\n")
+    assert run_cli("--config", str(cfg), "tf") == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["coupling"] == 0.05
+    assert run_cli("--config", str(cfg), "charged") == 0
+    assert "bound" in json.loads(capsys.readouterr().out)["outputs"]
+    assert run_cli("--config", str(cfg), "charged", "foldy") == 0   # flag wins
+    assert "I0" in json.loads(capsys.readouterr().out)["outputs"]
+    parser = cli.build_parser()
+    cli._apply_config(parser, cfg)
+    args = parser.parse_args(["regimes"])
+    assert (args.N, args.L, args.r, args.a) == (30.0, 100.0, 0.5, 1e-4)
+
+
+@pytest.mark.parametrize("text", ["[gp]\nn-grid = 64\nn_grid = 32\n",
+                                  "[gp]\nn_grid = 64\nn_grid = 64\n",
+                                  "[gp]\nn_grid = 64\n[gp]\nn-grid = 32\n"])
+def test_repeated_config_key_fails_validate_and_run_alike(tmp_path, capsys,
+                                                          text):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    assert run_cli("validate", str(cfg)) == 2
+    assert "gp.n_grid is set twice" in capsys.readouterr().err
+    assert run_cli("--config", str(cfg), "gp", "--coupling", "0.01") == 2
+    assert "gp.n_grid is set twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("gp", "--coupling", "0.01", "--n-grid", "3"),
     ("tf", "--coupling", "0.01", "--n-grid", "3"),

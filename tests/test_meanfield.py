@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bosegas import flows, meanfield as mf, oracles, scattering as sc
+from bosegas.rootfind import normalization_root
 
 
 def test_noninteracting_harmonic_3d():
@@ -173,6 +174,75 @@ def test_tf_minimizer_beats_random_profiles(rng):
         rho *= 10.0 / np.trapezoid(w * rho, r)
         e_rand = float(np.trapezoid(w * (r**2 * rho + 4.0 * math.pi * 0.2 * rho**2), r))
         assert e_rand >= rep.E_total - 1e-9
+
+
+def _tf_reference(dimension, N, coupling, trap, mu=1.0, n_grid=20000):
+    """The former tf_solve: mu_TF by a root-find on a 96-node Gauss-Legendre
+    mass, energies by trapezoid sums (error ~h^2 from the kink at the edge)."""
+    s = trap.exponent
+    omega = 4.0 * math.pi if dimension == 3 else 2.0 * math.pi
+    denom = 8.0 * math.pi * mu * coupling
+    gl_x, gl_w = np.polynomial.legendre.leggauss(96)
+
+    def mass(m):
+        if m <= 0:
+            return 0.0
+        redge = m ** (1.0 / s)
+        r = 0.5 * redge * (gl_x + 1.0)
+        w = 0.5 * redge * gl_w
+        return float(np.sum(w * omega * r ** (dimension - 1) * (m - r**s) / denom))
+
+    mu_tf = normalization_root(mass, N)
+    r = np.linspace(0.0, 1.05 * mu_tf ** (1.0 / s), n_grid)
+    rho = np.maximum(mu_tf - r**s, 0.0) / denom
+    w = omega * r ** (dimension - 1)
+    trap_e = float(np.trapezoid(w * r**s * rho, r))
+    quartic = float(np.trapezoid(w * rho**2, r))
+    return mu_tf, trap_e, 4.0 * math.pi * mu * coupling * quartic, quartic
+
+
+_TF_TRAPS = [mf.TrapPotential("harmonic")] + [
+    mf.TrapPotential("homogeneous_power", exponent=s) for s in (1.0, 1.5, 2.0, 3.0, 4.0)]
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("trap", _TF_TRAPS, ids=lambda t: f"{t.kind}-{t.exponent:g}")
+def test_tf_closed_form_matches_quadrature(dimension, trap):
+    for N, coupling in ((1e-3, 1.0), (0.5, 0.02), (7.0, 1.3), (40.0, 25.0)):
+        _, rep, mu_tf = mf.tf_solve(dimension, N, coupling, trap)
+        ref_mu, ref_trap, ref_inter, ref_quart = _tf_reference(
+            dimension, N, coupling, trap)
+        assert mu_tf == pytest.approx(ref_mu, rel=1e-13, abs=0.0)
+        assert rep.mu_chem == mu_tf
+        for got, ref in ((rep.trap, ref_trap), (rep.interaction, ref_inter),
+                         (rep.E_total, ref_trap + ref_inter),
+                         (rep.quartic_integral, ref_quart)):
+            assert got == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("trap", _TF_TRAPS, ids=lambda t: f"{t.kind}-{t.exponent:g}")
+def test_tf_virial_identities(dimension, trap):
+    # s E_trap = d E_int and mu_TF N = E_trap + 2 E_int for V = r^s
+    s = trap.exponent
+    for g in np.geomspace(1e-3, 1e3, 7):
+        for N in (1.0, 30.0):
+            _, rep, mu_tf = mf.tf_solve(dimension, N, g / N, trap)
+            assert s * rep.trap == pytest.approx(dimension * rep.interaction,
+                                                 rel=1e-13, abs=0.0)
+            assert mu_tf * N == pytest.approx(rep.trap + 2.0 * rep.interaction,
+                                              rel=1e-13, abs=0.0)
+
+
+def test_gp_start_uses_exact_mu_tf(monkeypatch):
+    # the TF-shaped GP start reads mu_TF without building a TF profile
+    p = mf.GPProblem(3, 50.0, 1.0, n_grid=256)
+    fp = mf._build_problem(p)
+    monkeypatch.setattr(mf, "tf_solve", None)
+    psi0 = mf._initial_guess(p, fp)
+    mu_tf = _tf_reference(3, 50.0, 1.0, p.trap)[0]
+    edge = fp.nodes[psi0 / fp.nodes > 1e-4].max()
+    assert edge <= mu_tf ** 0.5 < edge + (fp.nodes[1] - fp.nodes[0])
 
 
 def test_tf_requires_homogeneous_trap():

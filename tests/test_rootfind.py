@@ -7,8 +7,7 @@ from scipy.optimize import brentq as scipy_brentq
 from bosegas.rootfind import brentq, normalization_root
 
 # (xtol, rtol) of the call sites: rootfind.normalization_root (used by
-# meanfield.tf_solve and onedim._minimize_pointwise_kind), then
-# onedim.solve_ll_point
+# onedim._minimize_pointwise_kind), then onedim.solve_ll_point
 _TOLERANCES = [(1e-300, 8.9e-16), (1e-12, 8.881784197001252e-16)]
 
 
