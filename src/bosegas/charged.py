@@ -182,7 +182,7 @@ class DysonMinimizer:
     virial_residual: float   # |2 T - (3/4) I0 P| / |E|
     iterations: int
     rejected_steps: int      # flow step halvings
-    polish_rounds: int       # rounds of the flow's residual endgame
+    newton_steps: int        # Newton steps of the flow's endgame
 
 
 def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
@@ -196,8 +196,13 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
     def dq(y, r):
         return -1.25 * i0 * y ** 0.25 / np.sqrt(r)
 
+    def d2q(y, r):
+        # infinite at y = 0, where the 2 y q'' the flow reads vanishes
+        pos = np.where(y > 0, y, 1.0)
+        return np.where(y > 0, -0.3125 * i0 * pos ** -0.75 / np.sqrt(r), 0.0)
+
     fp = flows.radial_u_problem(rmax, n, mu, lambda r: np.zeros_like(r),
-                                q, dq, mass=1.0)
+                                q, dq, d2q, mass=1.0)
     width = 0.35 * rmax
     psi0 = fp.nodes * np.exp(-(fp.nodes / width) ** 2)
     res = flows.minimize_flow(fp, psi0=psi0, rtol=1e-9)
@@ -209,7 +214,7 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
     phi = res.psi / fp.nodes
     return DysonMinimizer(fp.nodes.copy(), np.abs(phi), res.energy, kin,
                           attraction, virial, res.iterations,
-                          res.rejected_steps, res.polish_rounds)
+                          res.rejected_steps, res.newton_steps)
 
 
 @lru_cache(maxsize=16)

@@ -196,7 +196,7 @@ def cmd_charged(args) -> int:
                    "correlation_length": tc.correlation_length,
                    "iterations": dm.iterations,
                    "rejected_steps": dm.rejected_steps,
-                   "polish_rounds": dm.polish_rounds}
+                   "newton_steps": dm.newton_steps}
     elif args.mode == "local":
         le = charged.local_energy_integral(args.nu, args.ell, args.mu)
         outputs = {"value": le.value, "closed_form": le.closed_form,

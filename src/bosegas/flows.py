@@ -10,13 +10,21 @@ with the mass constraint sum_i w_i psi_i^2 = N.  ``psi`` is the order
 parameter (phi, u = r phi, or sqrt(rho)); squaring it keeps densities
 nonnegative by construction.
 
-Minimization is an imaginary-time style descent: each step solves the
-linearized backward-Euler system (tridiagonal, LAPACK gtsv) and renormalizes;
-the step size is grown gently and halved whenever the energy fails to
-decrease, so the energy is monotone nonincreasing along the iteration.
-Convergence is declared when the Euler-Lagrange residual sup-norm falls
-below ``rtol`` times the energy scale and the energy is stationary to 1e-12
-relative per step.
+Minimization starts as an imaginary-time style descent: each step solves
+the linearized backward-Euler system (tridiagonal, LAPACK gtsv) and
+renormalizes; the step size is grown gently and halved whenever the energy
+fails to decrease, so the energy is monotone nonincreasing along the
+descent.  After every accepted step the descent measures the sup-norm of
+the Euler-Lagrange residual; once it is below 1e-2 times the energy scale
+max(|lam|, |E|/N), Newton's method on the Euler-Lagrange equation and the
+mass constraint takes over.  The Newton matrix is the flow's tridiagonal
+plus diag(2 psi^2 q''(psi^2)), bordered by psi; Keller's bordering solves
+it with one gtsv call on two right-hand sides.  A Newton
+step is kept only if it lowers the residual.  Convergence is declared when
+the residual falls below ``rtol`` times the energy scale.  If Newton stalls
+first, the descent resumes from the last kept iterate and hands off again
+at a 100x lower level, at most twice; after that the result is reported as
+not converged.  ``FlowResult.newton_steps`` counts the Newton steps tried.
 """
 
 from __future__ import annotations
@@ -28,7 +36,12 @@ from typing import Callable
 import numpy as np
 
 _MAX_ITER = 40000
-_MAX_POLISH_ROUNDS = 400
+# residual / energy scale at which the descent hands off to Newton: first
+# 1e-2 (1e-1 stalls on some ``full`` solves), then, after each Newton stall,
+# 100x lower; a stall at the last level is final
+_HANDOFF_LEVELS = (1e-2, 1e-4, 1e-6)
+# a safety cap: from the first level Newton takes 2-4 steps
+_MAX_NEWTON_STEPS = 20
 
 
 @dataclass
@@ -41,8 +54,10 @@ class FlowProblem:
     ew       edge weights, length n+1; ew[0]/ew[n] couple to zero ghosts
              (set to 0.0 for a no-flux boundary)
     V        external potential per node
-    q, dq    interaction energy density and its derivative in y = psi^2,
-             signature (y_array, nodes) -> array
+    q, dq, d2q  interaction energy density and its first and second
+             derivatives in y = psi^2, signature (y_array, nodes) -> array;
+             only 2 y q''(y) enters (the Newton step), so d2q may return 0
+             where y = 0 and q'' is infinite
     mass     constraint value N
     """
 
@@ -53,6 +68,7 @@ class FlowProblem:
     V: np.ndarray
     q: Callable
     dq: Callable
+    d2q: Callable
     mass: float
 
     def __post_init__(self):
@@ -104,12 +120,17 @@ class FlowProblem:
         lam = (float(psi @ Apsi) + float(np.sum(self.w * g * y))) / self.mass
         return Apsi, g, lam
 
+    def defect(self, psi: np.ndarray, terms) -> np.ndarray:
+        """Euler-Lagrange defect W^-1 A psi + (g - lam) psi at ``psi``;
+        ``terms`` = ``self.terms(psi)``."""
+        Apsi, g, lam = terms
+        return Apsi / self.w + g * psi - lam * psi
+
     def residual(self, psi: np.ndarray, terms) -> float:
         """Sup-norm of the Euler-Lagrange defect at ``psi``, normalized by
         sup|psi|; ``terms`` = ``self.terms(psi)``."""
-        Apsi, g, lam = terms
-        defect = Apsi / self.w + g * psi - lam * psi
-        return float(np.max(np.abs(defect)) / max(np.max(np.abs(psi)), 1e-300))
+        return float(np.max(np.abs(self.defect(psi, terms)))
+                     / max(np.max(np.abs(psi)), 1e-300))
 
     def normalize(self, psi: np.ndarray) -> np.ndarray:
         m = float(np.sum(self.w * psi**2))
@@ -128,7 +149,7 @@ class FlowResult:
     converged: bool
     max_energy_increase: float  # largest accepted uphill move (fp noise scale)
     rejected_steps: int         # step halvings, failed solves included
-    polish_rounds: int = 0      # rounds of the residual endgame (0: not run)
+    newton_steps: int = 0       # Newton steps tried, refused ones included
 
 
 def _implicit_step(prob: FlowProblem, psi: np.ndarray, terms,
@@ -159,9 +180,69 @@ def _implicit_step(prob: FlowProblem, psi: np.ndarray, terms,
         return None
 
 
+def _newton_step(prob: FlowProblem, psi: np.ndarray,
+                 terms) -> np.ndarray | None:
+    """One Newton step on F(psi, lam) = W^-1 A psi + (g - lam) psi = 0 with
+    sum w psi^2 = N, at the multiplier lam of ``terms`` = ``prob.terms(psi)``.
+
+    The Jacobian J = W^-1 A + diag(g - lam + 2 y q''(y)), y = psi^2, is the
+    flow's tridiagonal plus the curvature of q; it is bordered by -psi (the
+    lam column) and by the linearized constraint.  Keller's bordering
+    (H. B. Keller, in *Applications of Bifurcation Theory*, Academic Press
+    1977, p. 359) solves J a = -F and J b = psi in one LAPACK ``gtsv`` call
+    and takes dlam from sum w psi (a + dlam b) = 0; the step is
+    dpsi = a + dlam b, and the new iterate is renormalized.  Returns None
+    when an entry of the system is not finite, J is singular, or the
+    normalization fails.
+    """
+    from scipy.linalg.lapack import dgtsv
+    _, g, lam = terms
+    y = psi**2
+    d = prob._diag_w + (g - lam) + 2.0 * y * prob.d2q(y, prob.nodes)
+    rhs = np.empty((len(psi), 2), order="F")
+    rhs[:, 0] = -prob.defect(psi, terms)
+    rhs[:, 1] = psi
+    du = prob._off / prob.w[:-1]
+    dl = prob._off / prob.w[1:]
+    if not all(np.isfinite(a).all() for a in (dl, d, du, rhs)):
+        return None
+    *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
+                        overwrite_du=1, overwrite_b=1)
+    if info != 0:
+        return None
+    wpsi = prob.w * psi
+    dlam = -(wpsi @ x[:, 0]) / (wpsi @ x[:, 1])
+    try:
+        return prob.normalize(psi + (x[:, 0] + dlam * x[:, 1]))
+    except ValueError:
+        return None
+
+
+def _newton(prob: FlowProblem, psi: np.ndarray, terms, res: float,
+            tol: float):
+    """The endgame: Newton steps from ``psi`` while the residual is above
+    ``tol``, each kept only if it lowers the residual.  ``terms`` and ``res``
+    belong to ``psi``, and so do the ones returned, with the number of
+    steps tried (a refused one included)."""
+    steps = 0
+    while res > tol and steps < _MAX_NEWTON_STEPS:
+        steps += 1
+        trial = _newton_step(prob, psi, terms)
+        if trial is None:
+            break
+        trial_terms = prob.terms(trial)
+        res_new = prob.residual(trial, trial_terms)
+        if not res_new < res:
+            break
+        psi, terms, res = trial, trial_terms, res_new
+    return psi, terms, res, steps
+
+
 def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
                   rtol: float = 1e-9) -> FlowResult:
-    """Run the normalized semi-implicit descent to the constrained minimum."""
+    """Run the normalized semi-implicit descent until its residual is below
+    a hand-off level (``_HANDOFF_LEVELS``) times the energy scale, then
+    finish with Newton steps."""
     n = len(prob.nodes)
     if psi0 is None:
         psi = np.exp(-np.linspace(0, 4, n) ** 2)
@@ -174,8 +255,10 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
     scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
     dt = 1.0 / scale
     max_up = 0.0
-    stagnant = 0
     rejected = 0
+    newton = 0
+    levels = iter(_HANDOFF_LEVELS)
+    handoff = next(levels)
     for it in range(1, _MAX_ITER + 1):
         trial = _implicit_step(prob, psi, terms, dt)
         e_new = math.nan if trial is None else prob.energy(trial)
@@ -187,61 +270,32 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
             continue
         if e_new > e:
             max_up = max(max_up, e_new - e)
-        de = abs(e_new - e)
         psi, e = trial, e_new
         terms = prob.terms(psi)
         dt = min(dt * 1.1, 1e4 / scale)
-        stagnant = stagnant + 1 if de <= 1e-12 * max(1.0, abs(e)) else 0
-        if stagnant >= 1:
-            res = prob.residual(psi, terms)
-            scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
-            if res <= rtol * scale:
-                return FlowResult(psi, e, terms[2], res, it, True, max_up,
-                                  rejected)
-            if stagnant >= 25 or res <= 1e4 * rtol * scale:
-                # energy is stationary to rounding but the EL defect is not
-                # yet at tolerance; finish with the inverse-iteration endgame
-                psi, terms, res, extra = _polish(prob, psi, terms, res, rtol,
-                                                 scale)
-                e = prob.energy(psi)
-                return FlowResult(psi, e, terms[2], res, it + extra,
-                                  res <= rtol * scale, max_up, rejected, extra)
+        res = prob.residual(psi, terms)
+        scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
+        if res > handoff * scale:
+            continue
+        psi, terms, res, steps = _newton(prob, psi, terms, res, rtol * scale)
+        newton += steps
+        e = prob.energy(psi)
+        # a stalled Newton hands back to the descent, which resumes from the
+        # last kept iterate and hands off again at the next level
+        handoff = next(levels, None)
+        if res <= rtol * scale or handoff is None:
+            return FlowResult(psi, e, terms[2], res, it + newton,
+                              res <= rtol * scale, max_up, rejected, newton)
     res = prob.residual(psi, terms)
     scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
-    return FlowResult(psi, e, terms[2], res, it, res <= rtol * scale, max_up,
-                      rejected)
-
-
-def _polish(prob: FlowProblem, psi: np.ndarray, terms, res: float, rtol: float,
-            scale: float):
-    """Residual-driven endgame: the same backward-Euler update with a large
-    step acts as shifted inverse iteration on the frozen linearization;
-    steps are accepted only when the Euler-Lagrange residual drops.
-    ``terms`` and ``res`` belong to ``psi``, and so do the ones returned."""
-    dt = 1e6 / scale
-    for rounds in range(1, _MAX_POLISH_ROUNDS + 1):
-        if res <= rtol * scale:
-            break
-        trial = _implicit_step(prob, psi, terms, dt)
-        if trial is None:
-            dt *= 0.1
-            continue
-        trial_terms = prob.terms(trial)
-        res_new = prob.residual(trial, trial_terms)
-        if np.isfinite(res_new) and res_new < res:
-            psi, terms, res = trial, trial_terms, res_new
-            dt = min(dt * 2.0, 1e12 / scale)
-        else:
-            dt *= 0.1
-            if dt < 1e-6 / scale:
-                break
-    return psi, terms, res, rounds
+    return FlowResult(psi, e, terms[2], res, it + newton, res <= rtol * scale,
+                      max_up, rejected, newton)
 
 
 # --- grid builders --------------------------------------------------------
 
 def radial_u_problem(rmax: float, n: int, mu: float, V: Callable,
-                     q, dq, mass: float) -> FlowProblem:
+                     q, dq, d2q, mass: float) -> FlowProblem:
     """3D radial problem in the u = r*phi representation.
 
     Nodes r_i = i h, i = 1..n; u(0) = 0 and u(rmax + h) = 0 ghosts.  The
@@ -254,11 +308,11 @@ def radial_u_problem(rmax: float, n: int, mu: float, V: Callable,
     w = 4.0 * math.pi * h * np.ones(n)
     ew = np.full(n + 1, 1.0 / h)
     return FlowProblem(r, w, 4.0 * math.pi * mu, ew, np.asarray(V(r), dtype=float),
-                       q, dq, mass)
+                       q, dq, d2q, mass)
 
 
 def radial_cell_problem(rmax: float, n: int, mu: float, V: Callable,
-                        q, dq, mass: float) -> FlowProblem:
+                        q, dq, d2q, mass: float) -> FlowProblem:
     """2D radial problem on a cell-centered grid (phi itself).
 
     Nodes r_i = (i + 1/2) h; the flux through r = 0 vanishes identically
@@ -272,15 +326,15 @@ def radial_cell_problem(rmax: float, n: int, mu: float, V: Callable,
     ew = edges / h
     ew[0] = 0.0
     return FlowProblem(r, w, omega * mu, ew, np.asarray(V(r), dtype=float),
-                       q, dq, mass)
+                       q, dq, d2q, mass)
 
 
 def line_problem(zmax: float, n: int, kappa: float, V: Callable,
-                 q, dq, mass: float) -> FlowProblem:
+                 q, dq, d2q, mass: float) -> FlowProblem:
     """Symmetric 1D problem on (-zmax, zmax) with Dirichlet ghosts."""
     h = 2.0 * zmax / (n + 1)
     z = -zmax + h * np.arange(1, n + 1)
     w = h * np.ones(n)
     ew = np.full(n + 1, 1.0 / h)
     return FlowProblem(z, w, kappa, ew, np.asarray(V(z), dtype=float),
-                       q, dq, mass)
+                       q, dq, d2q, mass)

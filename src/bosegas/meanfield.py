@@ -97,7 +97,7 @@ class EnergyReport:
     residual_gp: float
     iterations: int = 0
     rejected_steps: int = 0         # flow step halvings
-    polish_rounds: int = 0          # rounds of the flow's residual endgame
+    newton_steps: int = 0           # Newton steps of the flow's endgame
     quartic_integral: float = 0.0   # int |phi|^4
 
     def __post_init__(self):
@@ -111,7 +111,7 @@ class EnergyReport:
             "interaction": self.interaction, "mu_chem": self.mu_chem,
             "residual_gp": self.residual_gp, "iterations": self.iterations,
             "rejected_steps": self.rejected_steps,
-            "polish_rounds": self.polish_rounds,
+            "newton_steps": self.newton_steps,
             "quartic_integral": self.quartic_integral,
         }
 
@@ -151,12 +151,14 @@ def _build_problem(problem: GPProblem) -> flows.FlowProblem:
         # u = r phi: quartic term 4 pi mu a int u^4 / r^2 dr (per measure 4 pi dr)
         q = lambda y, r: g4 * y**2 / r**2
         dq = lambda y, r: 2.0 * g4 * y / r**2
+        d2q = lambda y, r: 2.0 * g4 / r**2
         return flows.radial_u_problem(rmax, problem.n_grid, mu, problem.trap,
-                                      q, dq, problem.N)
+                                      q, dq, d2q, problem.N)
     q = lambda y, r: g4 * y**2
     dq = lambda y, r: 2.0 * g4 * y
+    d2q = lambda y, r: np.full_like(y, 2.0 * g4)
     return flows.radial_cell_problem(rmax, problem.n_grid, mu, problem.trap,
-                                     q, dq, problem.N)
+                                     q, dq, d2q, problem.N)
 
 
 def _profile_from(problem: GPProblem, fp: flows.FlowProblem,
@@ -200,7 +202,7 @@ def gp_minimize(problem: GPProblem, psi0: np.ndarray | None = None
         if problem.coupling > 0 else _quartic_integral(problem, fp, res.psi)
     report = EnergyReport(res.energy, kin, trap, inter, res.mu_chem,
                           res.residual, res.iterations, res.rejected_steps,
-                          res.polish_rounds, quart)
+                          res.newton_steps, quart)
     return _profile_from(problem, fp, np.abs(res.psi)), report
 
 

@@ -179,9 +179,11 @@ class Pchip:
         t = (d[:-1] + d[1:] - 2 * m) / h
         self.x = x
         self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
-        # rows c3, c2, c1, c0 of the value, then dc2, dc1, dc0 of the slope
-        self._rows = np.concatenate((self.c[::-1], self.c[2::-1]
-                                     * np.array([[1.0], [2.0], [3.0]])))
+        # rows c0..c3 of the value, c1, 2 c2, 3 c3 of the slope and 2 c2,
+        # 6 c3 of the second derivative, each in ascending powers
+        self._rows = np.concatenate((self.c[::-1],
+                                     self.c[2::-1] * np.array([[1.0], [2.0], [3.0]]),
+                                     self.c[1::-1] * np.array([[2.0], [6.0]])))
 
     def _at(self, xv, rows):
         """``rows`` of the coefficients of the interval holding each xv
@@ -192,11 +194,12 @@ class Pchip:
 
     @staticmethod
     def _power_sum(c, s, s2):
-        """c[0] + c[1] s + c[2] s^2 (+ c[3] s^3), summed in scipy's order."""
+        """c[0] + c[1] s (+ c[2] s^2 (+ c[3] s^3)), summed in scipy's order."""
         out = c[1] * s
         out += c[0]
-        c[2] *= s2
-        out += c[2]
+        if len(c) > 2:
+            c[2] *= s2
+            out += c[2]
         if len(c) == 4:
             c[3] *= s2 * s
             out += c[3]
@@ -210,6 +213,13 @@ class Pchip:
         c, s = self._at(xv, 7)
         s2 = s * s
         return self._power_sum(c[:4], s, s2), self._power_sum(c[4:], s, s2)
+
+    def derivatives(self, xv):
+        """Value, slope and second derivative at ``xv``."""
+        c, s = self._at(xv, 9)
+        s2 = s * s
+        return (self._power_sum(c[:4], s, s2), self._power_sum(c[4:7], s, s2),
+                self._power_sum(c[7:], s, s2))
 
 
 @dataclass
@@ -273,23 +283,36 @@ class LLCurve:
 
     def e_and_de(self, t):
         """(e(t), e'(t)) from one table lookup; e equals ``e(t)`` bit for bit."""
+        return self.e_derivatives(t)[:2]
+
+    def de(self, t):
+        return self.e_and_de(t)[1]
+
+    def e_derivatives(self, t):
+        """(e(t), e'(t), e''(t)) from one table lookup.  Inside the table
+        e = exp(p(log t)), so e' = e p'/t and e'' = e (p'^2 + p'' - p')/t^2;
+        the low tail is linear and the high tail has e'' = -2 deficit
+        t_max / t^3."""
         t, scalar, low, mid, high = self._split(t)
         e = np.empty_like(t)
         de = np.empty_like(t)
+        d2e = np.zeros_like(t)
         e[low] = 0.5 * t[low] * self._low_ratio
         de[low] = 0.5 * self._low_ratio
         tm = t[mid]
         with np.errstate(divide="ignore"):
-            p, dp = self._interp.value_and_slope(np.log(tm))
+            p, dp, d2p = self._interp.derivatives(np.log(tm))
         e_mid = np.exp(p)
         e[mid] = e_mid
         de[mid] = e_mid * dp / tm
-        e[high] = PI2_3 - self._high_deficit * (self.t_max / t[high])
-        de[high] = self._high_deficit * self.t_max / t[high] ** 2
-        return (float(e[0]), float(de[0])) if scalar else (e, de)
-
-    def de(self, t):
-        return self.e_and_de(t)[1]
+        d2e[mid] = e_mid * (dp * dp + d2p - dp) / tm**2
+        th = t[high]
+        e[high] = PI2_3 - self._high_deficit * (self.t_max / th)
+        de[high] = self._high_deficit * self.t_max / th**2
+        d2e[high] = -2.0 * self._high_deficit * self.t_max / th**3
+        if scalar:
+            return float(e[0]), float(de[0]), float(d2e[0])
+        return e, de, d2e
 
     @cached_property
     def _log_f_nodes(self) -> np.ndarray:
@@ -605,6 +628,10 @@ class Profile1D:
     z: np.ndarray
     rho: np.ndarray
     mass: float
+    # counters of the gradient flow that found rho (0 for the pointwise kinds)
+    iterations: int = 0
+    rejected_steps: int = 0
+    newton_steps: int = 0
 
     def rho_bar(self) -> float:
         return float(np.trapezoid(self.rho**2, self.z) / self.mass)
@@ -650,7 +677,10 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve, n_grid, rtol):
     q = lambda y, z: _interaction_density(kind, y, g, curve)
     if kind == "gp1d":
         dq = lambda y, z: g * y
+        d2q = lambda y, z: np.full_like(y, g)
     else:
+        # w(rho) = rho^3 e(g/rho): w' = 3 rho^2 e - g rho e',
+        # w'' = 6 rho e - 4 g e' + g^2 e'' / rho
         def dq(y, z):
             out = np.zeros_like(y)
             pos = y > 0
@@ -658,14 +688,23 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve, n_grid, rtol):
             e, de = curve.e_and_de(_ll_argument(g, yp))
             out[pos] = 3.0 * yp ** 2 * e - g * yp * de
             return out
-    fp = flows.line_problem(zmax, n_grid, 1.0, V, q, dq, N)
+
+        def d2q(y, z):
+            out = np.zeros_like(y)
+            pos = y > 0
+            yp = y[pos]
+            e, de, d2e = curve.e_derivatives(_ll_argument(g, yp))
+            out[pos] = 6.0 * yp * e - 4.0 * g * de + g * g * d2e / yp
+            return out
+    fp = flows.line_problem(zmax, n_grid, 1.0, V, q, dq, d2q, N)
     guess = np.sqrt(np.maximum(1.0 - (fp.nodes / (0.75 * zmax)) ** 2, 0.0)) + 1e-3
     res = flows.minimize_flow(fp, psi0=guess, rtol=rtol)
     if not res.converged:
         raise RuntimeError(f"1D minimization ({kind}) did not converge: "
                            f"residual {res.residual:.3e}")
     rho = res.psi**2
-    prof = Profile1D(fp.nodes.copy(), rho, N)
+    prof = Profile1D(fp.nodes.copy(), rho, N, res.iterations,
+                     res.rejected_steps, res.newton_steps)
     return prof, res.energy, float(np.sum(fp.w * rho**2) / N)
 
 
@@ -781,12 +820,15 @@ class RegimeReport:
     valid: bool
     scaling: str
     diagnostics: dict
+    # flow counters of the two solves (full, then the region's kind), each
+    # a list of two: "iterations", "rejected_steps", "newton_steps"
+    counters: dict
 
     def as_dict(self) -> dict:
         d = {"region": list(self.region) if isinstance(self.region, tuple) else self.region,
              "g": self.g, "rho_bar": self.rho_bar, "ratio": self.ratio,
              "validity_value": self.validity_value, "valid": self.valid,
-             "scaling": self.scaling}
+             "scaling": self.scaling, **self.counters}
         d.update({f"diag_{k}": v for k, v in self.diagnostics.items()})
         return d
 
@@ -814,11 +856,11 @@ def regime_classify(trap: ElongatedTrap,
     curve = ll if ll is not None else default_curve()
     mode = transverse_mode(trap)
     g = mode.g
-    _, _, rho_bar = minimize_1d("full", trap.N, trap.L, g, trap.s, curve)
+    prof0, _, rho_bar = minimize_1d("full", trap.N, trap.L, g, trap.s, curve)
     ratio0 = g / rho_bar
     region0 = _pick_region(ratio0, trap.N)
     kind = _REGION_KIND[region0 if isinstance(region0, int) else region0[0]]
-    _, _, rho_bar1 = minimize_1d(kind, trap.N, trap.L, g, trap.s, curve)
+    prof1, _, rho_bar1 = minimize_1d(kind, trap.N, trap.L, g, trap.s, curve)
     ratio1 = g / rho_bar1
     region1 = _pick_region(ratio1, trap.N)
     validity = trap.r**2 * rho_bar1 * min(rho_bar1, g)
@@ -829,7 +871,10 @@ def regime_classify(trap: ElongatedTrap,
                         {"rho_bar_full": rho_bar, "ratio_full": ratio0,
                          "region_first_pass": region0
                          if isinstance(region0, int) else list(region0),
-                         "e_perp": mode.e_perp})
+                         "e_perp": mode.e_perp},
+                        {k: [getattr(prof0, k), getattr(prof1, k)]
+                         for k in ("iterations", "rejected_steps",
+                                   "newton_steps")})
 
 
 # --------------------------------------------------------------------------

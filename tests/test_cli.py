@@ -438,8 +438,8 @@ def test_charged_subcommands(tmp_path):
     from bosegas import charged
     dm = charged.dyson_functional_minimize(1.0)
     assert [rec2.outputs[k] for k in ("iterations", "rejected_steps",
-                                      "polish_rounds")] \
-        == [dm.iterations, dm.rejected_steps, dm.polish_rounds]
+                                      "newton_steps")] \
+        == [dm.iterations, dm.rejected_steps, dm.newton_steps]
 
 
 def test_regimes_subcommand(tmp_path):
@@ -449,6 +449,27 @@ def test_regimes_subcommand(tmp_path):
     assert code == 0
     rec = ResultRecord.from_json(out.read_text())
     assert "region" in rec.outputs and "valid" in rec.outputs
+    # flow counters of the full solve and of the Region 2 (gp1d) solve
+    counters = [rec.outputs[k] for k in ("iterations", "rejected_steps",
+                                         "newton_steps")]
+    assert all(len(c) == 2 and all(isinstance(v, int) for v in c)
+               for c in counters)
+    assert min(counters[0]) > 0 and min(counters[2]) > 0
+
+
+def test_regimes_strong_coupling_converges(tmp_path):
+    # N = 1000, g = 4000: the full-kind flow used to stall in its
+    # inverse-iteration endgame (residual 4.2e-5, exit 1)
+    out = tmp_path / "reg.json"
+    code = run_cli("regimes", "--N", "1000", "--L", "1", "--r", "0.01",
+                   "--a", "0.1", "--out", str(out))
+    assert code == 0
+    rec = ResultRecord.from_json(out.read_text())
+    assert rec.outputs["g"] == 4000.0
+    # the full solve runs the flow, the Region 5 (GT) solve is pointwise
+    assert rec.outputs["iterations"][0] > 0 and rec.outputs["newton_steps"][0] > 0
+    assert [rec.outputs[k][1] for k in ("iterations", "rejected_steps",
+                                        "newton_steps")] == [0, 0, 0]
 
 
 def test_validate_subcommand(tmp_path, capsys):

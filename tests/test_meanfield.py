@@ -74,6 +74,16 @@ def test_virial_identity():
     assert abs(lhs - rhs) / abs(lhs) < 1e-6
 
 
+def test_gp_2d_case_that_stalled_the_polish_endgame():
+    # a 2D trap-batch draw (seed 4) that the inverse-iteration endgame left
+    # at residual 1.231e-08 after 421 iterations; Newton converges
+    p = mf.GPProblem(2, 43.04753928539263, 0.017538753359347698, n_grid=4096)
+    _, rep = mf.gp_minimize(p)
+    lhs = rep.mu_chem * p.N
+    rhs = rep.E_total + 4.0 * math.pi * p.mu * p.coupling * rep.quartic_integral
+    assert abs(lhs - rhs) / abs(lhs) < 1e-6
+
+
 def test_uniqueness_two_initializations(rng):
     p = mf.GPProblem(3, 3.0, 0.5, n_grid=1024)
     fp = mf._build_problem(p)

@@ -155,6 +155,33 @@ def test_e_and_de_equals_e_and_de(ll_curve):
         assert ll_curve.e_and_de(t[i]) == (ll_curve.e(t[i]), de[i])
 
 
+def test_e_second_derivative(ll_curve):
+    # e'' in the closed forms of the tails, and inside the table against
+    # central differences of e' at midpoints between nodes (the PCHIP is
+    # only C1)
+    t_min, t_max = ll_curve.t_min, ll_curve.t_max
+    x = np.log(ll_curve.nodes_t)
+    t = np.concatenate(([0.0], np.geomspace(1e-3 * t_min, t_min, 5, endpoint=False),
+                        np.exp(0.5 * (x[:-1] + x[1:])),
+                        np.geomspace(t_max, 1e3 * t_max, 6)[1:]))
+    d2e = ll_curve.e_derivatives(t)[2]
+    assert ll_curve.e_derivatives(t[10])[2] == d2e[10]
+    assert np.all(d2e[:6] == 0.0)
+    assert np.array_equal(d2e[-5:], -2.0 * ll_curve._high_deficit * t_max
+                          / t[-5:] ** 3)
+    h = 1e-6 * t[1:]
+    fd = (ll_curve.de(t[1:] + h) - ll_curve.de(t[1:] - h)) / (2.0 * h)
+    np.testing.assert_allclose(d2e[1:], fd, rtol=1e-6, atol=1e-12 * np.abs(fd).max())
+
+
+def test_full_kind_converges_at_strong_coupling(ll_curve):
+    # the regimes case N = 1000, L = 1, g = 4000 at the default n_grid; the
+    # inverse-iteration endgame stopped at residual 4.2e-5 here
+    prof, energy, _ = od.minimize_1d("full", 1000.0, 1.0, 4000.0, 2.0, ll_curve)
+    assert np.isfinite(energy) and prof.newton_steps > 0
+    assert energy == pytest.approx(987194.73, rel=1e-7)
+
+
 def _assert_pchip_matches_scipy(x, y, at):
     ours, ref = od.Pchip(x, y), PchipInterpolator(x, y)
     assert np.array_equal(ours.x, ref.x)
@@ -163,6 +190,11 @@ def _assert_pchip_matches_scipy(x, y, at):
     value, slope = ours.value_and_slope(at)
     assert np.array_equal(value, ref(at))
     assert np.array_equal(slope, ref.derivative()(at))
+    value2, slope2, curvature = ours.derivatives(at)
+    assert np.array_equal(value2, value) and np.array_equal(slope2, slope)
+    ref2 = ref.derivative(2)(at)
+    np.testing.assert_allclose(curvature, ref2, rtol=1e-13,
+                               atol=1e-13 * np.abs(ref2).max())
 
 
 def test_pchip_matches_scipy_on_the_default_table(ll_curve):
@@ -256,6 +288,7 @@ def test_gt_pointwise_matches_gradient_flow(ll_curve):
         np.abs(z) ** s / L ** (s + 2.0),
         lambda y, zz: od.PI2_3 * y**3,
         lambda y, zz: math.pi**2 * y**2,
+        lambda y, zz: 2.0 * math.pi**2 * y,
         N)
     res = flows.minimize_flow(fp, psi0=np.sqrt(np.maximum(1 - (z / zmax) ** 2, 0.0) + 1e-4))
     assert abs(res.energy - e_gt) / e_gt < 1e-6
