@@ -5,25 +5,27 @@ The radial zero-energy equation
     -2 mu u''(r) + v(r) u(r) = 0,   u(0) = 0          (3D, u = r psi)
 
 is linear, so one step over [r_i, r_{i+1}] maps (u, u') by a 2x2 matrix.
-On a constant-v segment in 3D (the soft-sphere interior and every exterior)
-the step is exact, [[cosh kh, sinh kh / k], [k sinh kh, cosh kh]] with
+Only the interior [0, R0] is propagated.  Inside a 3D soft sphere the step
+is exact, [[cosh kh, sinh kh / k], [k sinh kh, cosh kh]] with
 k = sqrt(v / 2 mu) and e^{kh} kept as a log scale; elsewhere it is one
 classical Runge-Kutta step (4th order, global error O(h^4)).  All step
 matrices are built with array operations and combined by a log-depth
 prefix product whose entries are rescaled above 1e100, so the path never
-overflows; a 2x refinement is reported alongside every solve.  Outside the
-range of the potential the solution is exactly linear, u(r) = c (r - a),
-which defines the scattering length
+overflows; a 2x refinement is reported alongside every solve.
 
-    a = lim r - u(r)/u'(r).
+Outside the range R0 the solution follows in closed form from its state
+(u, u') at R0.  In 3D it is linear, u(r) = u'(R0) (r - a), which defines
+the scattering length
 
-In 2D the regular solution psi(r) of -2 mu (psi'' + psi'/r) + v psi = 0 grows
-like ln(r/a) outside the range; ``a`` is extracted by a least-squares fit of
-psi against ln r on the outer half of the exterior region, which is far less
-noisy than pointwise extraction under a log asymptote.
+    a = R0 - u(R0) / u'(R0).
 
-Hard cores are treated as a boundary condition (integration starts at the
-core radius with u = 0), never as a large finite barrier.
+In 2D the regular solution psi(r) of -2 mu (psi'' + psi'/r) + v psi = 0 is
+psi(R0) + R0 psi'(R0) ln(r/R0) outside, proportional to ln(r/a) with
+
+    a = R0 exp(-psi(R0) / (R0 psi'(R0))).
+
+Hard cores are a boundary condition, never a large finite barrier: the
+interior is empty and the state at the core radius is (u, u') = (0, 1).
 """
 
 from __future__ import annotations
@@ -94,15 +96,6 @@ class RadialPotential:
         out = np.interp(r, self._rs, self._vs, left=self._vs[0], right=0.0)
         return np.where(r > self.core_radius, 0.0, out)
 
-    @property
-    def is_trivial(self) -> bool:
-        """True when v is identically zero."""
-        if self.kind == _HARD_CORE:
-            return self.core_radius == 0.0
-        if self.kind == _SOFT_SPHERE:
-            return self.height == 0.0
-        return all(p[1] == 0.0 for p in self.samples)
-
 
 def hard_core(radius: float, dimension: int = 3) -> RadialPotential:
     return RadialPotential(_HARD_CORE, radius, dimension=dimension)
@@ -160,22 +153,6 @@ class ScatteringSolution:
                 fh.write(f"{float(r)!r},{float(u)!r}\n")
 
 
-def _segment_grids(start: float, r0: float, rmax: float, n: int):
-    """Uniform grids per smooth segment, with r0 an exact endpoint.
-
-    The potential may jump at its range r0; integrating each segment
-    separately keeps the integrator at full order.
-    """
-    if r0 <= start:
-        return [np.linspace(start, rmax, n)]
-    frac = (r0 - start) / (rmax - start)
-    n_in = max(32, int(round(n * frac)))
-    n_out = max(32, n - n_in)
-    inner = np.linspace(start, r0, n_in + 1)
-    outer = np.linspace(r0, rmax, n_out + 1)
-    return [inner, outer]
-
-
 def _exact_steps(h: np.ndarray, q: float):
     """Exact steps of u'' = q u for a constant q >= 0, as (P, s) with the
     growth e^{kappa h}, kappa = sqrt(q), factored out into s."""
@@ -215,21 +192,20 @@ def _rk4_steps(h: np.ndarray, r, q, two_d: bool) -> np.ndarray:
     return np.array([a, b, c, d])
 
 
-def _segment_steps(v: RadialPotential, mu: float, seg: np.ndarray):
-    """Step matrices of one segment grid as (P, s): P holds the entries
+def _interior_steps(v: RadialPotential, mu: float, grid: np.ndarray):
+    """Step matrices of the interior grid as (P, s): P holds the entries
     (a, b, c, d) as four rows, one column per step, with
     (u, u')(r_{i+1}) = e^{s_i} [[a_i, b_i], [c_i, d_i]] (u, u')(r_i).
 
-    At the shared boundary node the inside-limit value of v is used.  A
-    constant-v segment in 3D takes exact steps, every other segment RK4.
+    At R0 the inside-limit value of v is used.  A soft sphere in 3D takes
+    exact steps, every other potential RK4.
     """
-    r, h = seg[:-1], np.diff(seg)
+    r, h = grid[:-1], np.diff(grid)
     nodes = (r, r + 0.5 * h, r + h)
-    inside = seg[-1] <= v.core_radius * (1 + 1e-15)
-    if inside and v.kind == _TABULATED:
+    if v.kind == _TABULATED:
         q = [v(np.minimum(x, v.core_radius)) / (2.0 * mu) for x in nodes]
     else:
-        q0 = v.height / (2.0 * mu) if inside else 0.0
+        q0 = v.height / (2.0 * mu)
         if v.dimension == 3:
             return _exact_steps(h, q0)
         q = (q0, q0, q0)
@@ -257,95 +233,92 @@ def _prefix_products(P: np.ndarray, s: np.ndarray) -> None:
         k *= 2
 
 
-def _integrate_segments(v: RadialPotential, mu: float, segs, u0: float,
-                        w0: float):
-    """Propagate (u0, w0) across consecutive segment grids; returns the
-    joined (grid, u, u').
+def _propagate(v: RadialPotential, mu: float, grid: np.ndarray, u0: float,
+               w0: float):
+    """Propagate (u0, w0) from grid[0] across the interior grid; returns
+    (u, u') at every node.
 
     The equation is u'' = v u / (2 mu) in 3D (u = r psi) and
     psi'' = v psi / (2 mu) - psi' / r in 2D.  It is linear, so the path is
     the prefix products of the step matrices applied to the start state.
     It keeps the start normalization unless an entry would exceed _BIG;
-    then the whole path is divided by its largest entry.
+    then the whole path is divided by its largest entry.  A path that
+    cancels to zero under a huge log scale comes out NaN at R0, where the
+    caller checks it.
     """
-    steps = [_segment_steps(v, mu, seg) for seg in segs]
-    P = np.concatenate([p for p, _ in steps], axis=1)
-    s = np.concatenate([[0.0]] + [x for _, x in steps])
+    P, x = _interior_steps(v, mu, grid)
+    s = np.concatenate(([0.0], x))
     _prefix_products(P, s[1:])
     u = np.concatenate(([u0], P[0] * u0 + P[1] * w0))
     w = np.concatenate(([w0], P[2] * u0 + P[3] * w0))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         top = np.max(s + np.log(np.maximum(np.abs(u), np.abs(w))))
-    scale = np.exp(s - (top if top > math.log(_BIG) else 0.0))
-    grid = np.concatenate([segs[0]] + [seg[1:] for seg in segs[1:]])
-    return grid, u * scale, w * scale
+        scale = np.exp(s - (top if top > math.log(_BIG) else 0.0))
+        return u * scale, w * scale
 
 
-def _solve_3d(v: RadialPotential, mu: float, n: int, rmax: float):
-    r0 = v.core_radius
+def _solve(v: RadialPotential, mu: float, n: int, rmax: float):
+    """(grid, u, u', a) on an n-point grid; u is r psi in 3D and psi in 2D.
+
+    The interior [start, R0] has n_in + 1 uniform nodes and is propagated;
+    the n_out nodes on (R0, rmax] continue the state at R0 in closed form.
+    A hard core has an empty interior and n nodes on [R0, rmax].
+    """
+    r0, two_d = v.core_radius, v.dimension == 2
     if v.kind == _HARD_CORE:
-        # exterior solution is exactly linear: u = r - R0
-        grid = np.linspace(r0, rmax, n)
-        u = grid - r0
-        return grid, u, np.ones_like(grid), float(r0)
-
-    grid, u, up = _integrate_segments(v, mu, _segment_grids(0.0, r0, rmax, n),
-                                      0.0, 1.0)
-    if up[-1] == 0.0:
-        raise ValueError("degenerate exterior solution")
-    a = grid[-1] - u[-1] / up[-1]
-    return grid, u, up, float(a)
-
-
-def _fit_log_asymptote(r: np.ndarray, psi: np.ndarray) -> float:
-    """Least squares psi ~= A ln r + B on the given window -> a = exp(-B/A)."""
-    x = np.log(r)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, psi, rcond=None)
-    slope, intercept = coef
-    if slope <= 0:
-        raise ValueError("no logarithmic asymptote")
-    return float(np.exp(-intercept / slope))
-
-
-def _solve_2d(v: RadialPotential, mu: float, n: int, rmax: float):
-    r0 = v.core_radius
-    if v.is_trivial:
-        raise ValueError("no logarithmic asymptote")
-    if v.kind == _HARD_CORE:
-        start = r0
-        u0, w0 = 0.0, 1.0
-    else:
+        start, u0, w0 = r0, 0.0, 1.0
+    elif two_d:
+        # regular series psi = 1 + c r^2 / 4 at the first node
         start = rmax / (10.0 * n)
         c = float(v(start)) / (2.0 * mu)
         u0, w0 = 1.0 + 0.25 * c * start**2, 0.5 * c * start
+    else:
+        start, u0, w0 = 0.0, 0.0, 1.0
+    if r0 > start:
+        n_in = max(32, int(round(n * ((r0 - start) / (rmax - start)))))
+        inner = np.linspace(start, r0, n_in + 1)
+        outer = np.linspace(r0, rmax, max(32, n - n_in) + 1)[1:]
+    else:
+        inner, outer = np.array([r0]), np.linspace(r0, rmax, n)[1:]
 
-    segs = _segment_grids(start, r0 if r0 > start else start, rmax, n)
-    grid, psi, dpsi = _integrate_segments(v, mu, segs, u0, w0)
-    outer = grid >= 0.5 * (r0 + rmax)
-    a = _fit_log_asymptote(grid[outer], psi[outer])
-    return grid, psi, dpsi, a
+    u, w = _propagate(v, mu, inner, u0, w0)
+    uR, wR = float(u[-1]), float(w[-1])
+    if not (math.isfinite(uR) and math.isfinite(wR)):
+        raise ValueError("interior solution is not finite at R0")
+    if two_d:
+        slope = r0 * wR                 # psi = uR + slope ln(r / R0) outside
+        if slope <= 0:                  # v = 0 leaves psi' = 0 exactly
+            raise ValueError("no logarithmic asymptote")
+        a = r0 * math.exp(-uR / slope)
+        u_out, w_out = uR + slope * np.log(outer / r0), slope / outer
+    else:
+        if wR == 0.0:
+            raise ValueError("degenerate exterior solution")
+        a = r0 - uR / wR                # u = wR (r - a) outside
+        u_out, w_out = uR + wR * (outer - r0), np.full_like(outer, wR)
+    return (np.concatenate((inner, outer)), np.concatenate((u, u_out)),
+            np.concatenate((w, w_out)), a)
 
 
 def solve_zero_energy(v: RadialPotential, mu: float = 1.0,
                       grid_spec: GridSpec = GridSpec()) -> ScatteringSolution:
     """Solve the zero-energy scattering problem and extract a, s.
 
-    3D: integrates u'' = v u / (2 mu) outward from u(0)=0 (or u(R0)=0 for a
-    hard core, handled analytically) and reads off a = r - u/u' at the outer
-    boundary.  2D: integrates the regular radial solution and fits the
-    ln(r/a) asymptote.  The solve is repeated on a 2x refined grid; the
-    refined value is stored in ``a_refined``.
+    Propagates the regular solution across the interior [0, R0] (from
+    u(R0) = 0, u'(R0) = 1 for a hard core, with no step) and reads ``a``
+    from its state at R0: a = R0 - u/u' in 3D, and
+    a = R0 exp(-psi/(R0 psi')) in 2D.  Outside R0 the profile is the closed
+    form through that state.  The solve is repeated on a 2x refined grid;
+    the refined value is stored in ``a_refined``.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
     r_ref = v.core_radius if v.core_radius > 0 else 1.0
     rmax = grid_spec.rmax_factor * r_ref
 
-    solve = _solve_3d if v.dimension == 3 else _solve_2d
-    grid, u, du, a = solve(v, mu, grid_spec.n, rmax)
-    _, _, _, a2 = solve(v, mu, 2 * grid_spec.n, rmax)
-    s = _kinetic_fraction(grid, u, du, a, rmax) if v.dimension == 3 and a > 0 else None
+    grid, u, du, a = _solve(v, mu, grid_spec.n, rmax)
+    a2 = _solve(v, mu, 2 * grid_spec.n, rmax)[3]
+    s = _kinetic_fraction(grid, u, du, a, v.core_radius) if v.dimension == 3 and a > 0 else None
     return ScatteringSolution(grid, u, a, s, mu, v.dimension, v.core_radius,
                               du=du, a_refined=a2)
 
@@ -357,12 +330,12 @@ def _psi0_prime(r, u, du) -> np.ndarray:
         return np.where(r > 0, (du * r - u) / np.maximum(r, 1e-300) ** 2, 0.0) / du[-1]
 
 
-def _kinetic_fraction(grid, u, du, a, rmax) -> float:
-    # s = int |grad psi0|^2 / (4 pi a) with psi0 -> 1 at infinity;
-    # analytic tail a^2/rmax accounts for r > rmax where psi0' = a/r^2
-    integrand = _psi0_prime(grid, u, du)**2 * grid**2
-    s = (simpson(integrand, grid) + a**2 / rmax) / a
-    return float(s)
+def _kinetic_fraction(grid, u, du, a, r0) -> float:
+    # s = int |grad psi0|^2 / (4 pi a) with psi0 -> 1 at infinity: Simpson
+    # on the interior, and the exact a^2/R0 outside, where psi0' = a/r^2
+    k = int(np.searchsorted(grid, r0, side="right"))
+    integrand = _psi0_prime(grid[:k], u[:k], du[:k])**2 * grid[:k]**2
+    return float((simpson(integrand, grid[:k]) + a**2 / r0) / a)
 
 
 def s_parameter(sol: ScatteringSolution) -> float:

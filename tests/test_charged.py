@@ -174,7 +174,16 @@ def test_dyson_heuristic_length_exponent():
     l1 = ch.dyson_heuristic_length(1e2)
     l2 = ch.dyson_heuristic_length(1e4)
     slope = math.log(l2 / l1) / math.log(1e2)
-    assert abs(slope + 0.2) < 1e-3
+    assert abs(slope + 0.2) < 1e-12
+
+
+@pytest.mark.parametrize("N", [1.0, 1e2, 1e4, 1e6])
+def test_dyson_heuristic_length_is_the_numeric_minimizer(N):
+    from scipy.optimize import minimize_scalar
+    f = lambda x: N * math.exp(-2.0 * x) - N * (N * math.exp(-3.0 * x)) ** 0.25
+    res = minimize_scalar(f, bounds=(-8.0, 8.0), method="bounded",
+                          options={"xatol": 1e-10})
+    assert ch.dyson_heuristic_length(N) == pytest.approx(math.exp(res.x), rel=1e-7)
 
 
 def test_fock_ground_converges_to_bound():

@@ -157,6 +157,13 @@ def test_scatter_subcommand(tmp_path, capsys):
     assert rec.outputs["a"] == pytest.approx(1.0)
 
 
+def test_scatter_stiff_disc_exits_numeric(tmp_path, capsys):
+    out = tmp_path / "scatter.json"
+    assert run_cli("scatter", "--dim", "2", "--v0", "1e16", "--out", str(out)) == 1
+    assert "interior solution is not finite at R0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture
 def nan_scatter(monkeypatch):
     """scattering.solve_zero_energy returning NaN a and a_refined."""

@@ -34,26 +34,18 @@ def _rk4_path(f, g, grid, y0, y1):
     return us, ws
 
 
-def _reference_segments(v, mu, segs, u0, w0):
-    """Scalar RK4 reference for scattering._integrate_segments, one closure
-    call per stage; each segment starts from the end state of the last."""
-    grids, us, ws = [], [], []
-    for k, seg in enumerate(segs):
-        if seg[-1] > v.core_radius * (1 + 1e-15):
-            vseg = lambda r: 0.0
-        elif v.kind == "soft_sphere":
-            vseg = lambda r: v.height
-        else:
-            vseg = lambda r: float(v(min(r, v.core_radius)))
-        if v.dimension == 3:
-            g = lambda r, u, w, _vs=vseg: _vs(r) * u / (2.0 * mu)
-        else:
-            g = lambda r, u, w, _vs=vseg: _vs(r) * u / (2.0 * mu) - w / r
-        uu, ww = _rk4_path(lambda r, u, w: w, g, seg, u0, w0)
-        sl = slice(1, None) if k > 0 else slice(None)
-        grids.append(seg[sl]); us.append(uu[sl]); ws.append(ww[sl])
-        u0, w0 = uu[-1], ww[-1]
-    return np.concatenate(grids), np.concatenate(us), np.concatenate(ws)
+def _reference_interior(v, mu, grid, u0, w0):
+    """Scalar RK4 reference for scattering._propagate, one closure call per
+    stage across the interior grid [start, R0]."""
+    if v.kind == "soft_sphere":
+        vr = lambda r: v.height
+    else:
+        vr = lambda r: float(v(min(r, v.core_radius)))
+    if v.dimension == 3:
+        g = lambda r, u, w: vr(r) * u / (2.0 * mu)
+    else:
+        g = lambda r, u, w: vr(r) * u / (2.0 * mu) - w / r
+    return _rk4_path(lambda r, u, w: w, g, grid, u0, w0)
 
 
 _KINKED = [(0.0, 5.0), (0.4, 3.0), (1.0, 0.0)]
@@ -67,12 +59,11 @@ _KINKED = [(0.0, 5.0), (0.4, 3.0), (1.0, 0.0)]
                               "tabulated_3d"])
 def test_propagator_matches_scalar_rk4_reference(v, monkeypatch):
     sol = sc.solve_zero_energy(v)
-    monkeypatch.setattr(sc, "_integrate_segments", _reference_segments)
+    monkeypatch.setattr(sc, "_propagate", _reference_interior)
     ref = sc.solve_zero_energy(v)
-    # in 3D a = rmax - u/u' cancels digits, so the propagated u/u' ~ rmax
-    # sets the scale: the scalar loop's sequential sums are off by 5e-12 of
-    # a on the refined grid of the tabulated case (long-double check)
-    scale = sol.grid[-1] if v.dimension == 3 else abs(ref.a)
+    # in 3D a = R0 - u/u' cancels digits, so the propagated u/u' ~ R0 sets
+    # the scale
+    scale = sol.core_radius if v.dimension == 3 else abs(ref.a)
     assert abs(sol.a - ref.a) <= 1e-12 * scale
     assert abs(sol.a_refined - ref.a_refined) <= 1e-12 * scale
     np.testing.assert_array_equal(sol.grid, ref.grid)
@@ -86,8 +77,8 @@ def test_propagator_matches_scalar_rk4_reference(v, monkeypatch):
 def test_stiff_soft_sphere_matches_closed_form(v0):
     sol = sc.solve_zero_energy(sc.soft_sphere(1.0, v0))
     a_exact = soft_sphere_a_exact(1.0, v0, 1.0)
-    assert abs(sol.a - a_exact) / a_exact < 1e-12
-    assert abs(sol.a_refined - a_exact) / a_exact < 1e-12
+    assert abs(sol.a - a_exact) / a_exact <= 1e-15
+    assert abs(sol.a_refined - a_exact) / a_exact <= 1e-15
 
 
 @pytest.mark.parametrize("v0", [1e6, 1e8])
@@ -98,11 +89,36 @@ def test_stiff_soft_disc_is_finite_and_refines(v0):
     assert np.all(np.isfinite(sol.u)) and np.all(np.isfinite(sol.du))
 
 
+@pytest.mark.parametrize("v0", [1e14, 1e16])
+def test_stiff_soft_disc_nonfinite_interior_is_an_error(v0):
+    # RK4 steps with kappa h >> 1 cancel the refined path to zero under a
+    # huge log scale; the state at R0 is then NaN, not an answer
+    with pytest.raises(ValueError, match="interior solution is not finite at R0"):
+        sc.solve_zero_energy(sc.soft_sphere(1.0, v0, dimension=2))
+
+
+def test_s_does_not_depend_on_the_exterior_spacing():
+    # all three grids share one 512-step interior; the exterior spacings
+    # differ unless n is a multiple of 8
+    ss = [sc.solve_zero_energy(sc.soft_sphere(1.0, 9.0), grid_spec=sc.GridSpec(n)).s
+          for n in (4096, 4097, 4100)]
+    assert max(ss) - min(ss) <= 1e-12
+
+
+def test_2d_a_does_not_depend_on_the_exterior_window():
+    # the three grids share one interior grid; only rmax differs
+    sols = [sc.solve_zero_energy(sc.soft_sphere(1.0, 25.0, dimension=2),
+                                 grid_spec=sc.GridSpec(n, f))
+            for n, f in ((2048, 4.0), (4096, 8.0), (8192, 16.0))]
+    assert len({sol.a for sol in sols}) == 1
+    assert len({sol.a_refined for sol in sols}) == 1
+
+
 def test_hard_core_scattering_length_is_radius():
-    sol = sc.solve_zero_energy(sc.hard_core(1.0))
-    assert abs(sol.a - 1.0) < 1e-12
-    sol = sc.solve_zero_energy(sc.hard_core(0.37))
-    assert abs(sol.a - 0.37) / 0.37 < 1e-12
+    # an empty interior with state (0, 1) at R0: exact in closed form
+    for R0 in (1.0, 0.37):
+        sol = sc.solve_zero_energy(sc.hard_core(R0))
+        assert sol.a == R0 and sol.a_refined == R0
 
 
 def test_zero_potential_has_zero_scattering_length():
@@ -167,8 +183,9 @@ def test_energy_identity_residual_corpus(R_over_R0):
 
 
 def test_s_parameter_hard_core_is_one():
-    sol = sc.solve_zero_energy(sc.hard_core(1.0))
-    assert abs(sc.s_parameter(sol) - 1.0) < 1e-9
+    for R0 in (1.0, 0.37):
+        sol = sc.solve_zero_energy(sc.hard_core(R0))
+        assert sc.s_parameter(sol) == 1.0
 
 
 def test_s_parameter_weak_potential_small_and_monotone():
@@ -201,9 +218,10 @@ def test_s_parameter_errors_for_zero_a():
 
 
 def test_2d_hard_disc():
-    sol = sc.solve_zero_energy(sc.hard_core(1.0, dimension=2))
-    assert sol.dimension == 2
-    assert abs(sol.a - 1.0) < 1e-4
+    for R0 in (1.0, 0.37):
+        sol = sc.solve_zero_energy(sc.hard_core(R0, dimension=2))
+        assert sol.dimension == 2
+        assert sol.a == R0 and sol.a_refined == R0
 
 
 def test_2d_soft_disc_refinement_and_positivity():
@@ -213,8 +231,11 @@ def test_2d_soft_disc_refinement_and_positivity():
 
 
 def test_2d_zero_potential_rejected():
-    with pytest.raises(ValueError, match="no logarithmic asymptote"):
-        sc.solve_zero_energy(sc.soft_sphere(1.0, 0.0, dimension=2))
+    for v in (sc.soft_sphere(1.0, 0.0, dimension=2),
+              sc.hard_core(0.0, dimension=2),
+              sc.tabulated([(0.0, 0.0), (1.0, 0.0)], dimension=2)):
+        with pytest.raises(ValueError, match="no logarithmic asymptote"):
+            sc.solve_zero_energy(v)
 
 
 def test_minimality_of_scattering_solution(rng):
