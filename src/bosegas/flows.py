@@ -152,27 +152,32 @@ class FlowResult:
     newton_steps: int = 0       # Newton steps tried, refused ones included
 
 
+def _solve(prob: FlowProblem, d, rhs, dt: float = 1.0) -> np.ndarray | None:
+    """LAPACK ``gtsv`` solve with diagonal ``d`` and the off-diagonals of
+    dt W^-1 A, leaving ``rhs`` intact; None when an entry is not finite or
+    the matrix is singular."""
+    from scipy.linalg.lapack import dgtsv
+    off = dt * prob._off
+    du = off / prob.w[:-1]
+    dl = off / prob.w[1:]
+    if not all(np.isfinite(a).all() for a in (dl, d, du, rhs)):
+        return None
+    *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
+                        overwrite_du=1, overwrite_b=0)
+    return x if info == 0 else None
+
+
 def _implicit_step(prob: FlowProblem, psi: np.ndarray, terms,
                    dt: float) -> np.ndarray | None:
     """One normalized backward-Euler step of the linearized flow.
 
     Solves M trial = psi with M = I + dt (W^-1 A + diag(g - lam)), where
-    ``terms`` = ``prob.terms(psi)`` = (A psi, g, lam), by LAPACK ``gtsv`` on
-    the three diagonals, and renormalizes; returns None when an entry of M
-    or psi is not finite, M is singular, or the normalization fails.
+    ``terms`` = ``prob.terms(psi)`` = (A psi, g, lam), and renormalizes;
+    returns None when ``_solve`` fails or the normalization does.
     """
-    from scipy.linalg.lapack import dgtsv
     _, g, lam = terms
-    d = 1.0 + dt * (prob._diag_w + (g - lam))
-    off = dt * prob._off
-    du = off / prob.w[:-1]
-    dl = off / prob.w[1:]
-    if not all(np.isfinite(a).all() for a in (dl, d, du, psi)):
-        return None
-    # the diagonals are temporaries; psi stays intact for a rejected trial
-    *_, trial, info = dgtsv(dl, d, du, psi, overwrite_dl=1, overwrite_d=1,
-                            overwrite_du=1, overwrite_b=0)
-    if info != 0:
+    trial = _solve(prob, 1.0 + dt * (prob._diag_w + (g - lam)), psi, dt)
+    if trial is None:
         return None
     try:
         return prob.normalize(trial)
@@ -192,23 +197,16 @@ def _newton_step(prob: FlowProblem, psi: np.ndarray,
     1977, p. 359) solves J a = -F and J b = psi in one LAPACK ``gtsv`` call
     and takes dlam from sum w psi (a + dlam b) = 0; the step is
     dpsi = a + dlam b, and the new iterate is renormalized.  Returns None
-    when an entry of the system is not finite, J is singular, or the
-    normalization fails.
+    when ``_solve`` fails or the normalization does.
     """
-    from scipy.linalg.lapack import dgtsv
     _, g, lam = terms
     y = psi**2
     d = prob._diag_w + (g - lam) + 2.0 * y * prob.d2q(y, prob.nodes)
     rhs = np.empty((len(psi), 2), order="F")
     rhs[:, 0] = -prob.defect(psi, terms)
     rhs[:, 1] = psi
-    du = prob._off / prob.w[:-1]
-    dl = prob._off / prob.w[1:]
-    if not all(np.isfinite(a).all() for a in (dl, d, du, rhs)):
-        return None
-    *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
-                        overwrite_du=1, overwrite_b=1)
-    if info != 0:
+    x = _solve(prob, d, rhs)
+    if x is None:
         return None
     wpsi = prob.w * psi
     dlam = -(wpsi @ x[:, 0]) / (wpsi @ x[:, 1])
@@ -238,6 +236,11 @@ def _newton(prob: FlowProblem, psi: np.ndarray, terms, res: float,
     return psi, terms, res, steps
 
 
+def _energy_scale(prob: FlowProblem, terms, e: float) -> float:
+    """max(|lam|, |E|/N, 1e-12), the scale of the step and residual tests."""
+    return max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
+
+
 def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
                   rtol: float = 1e-9) -> FlowResult:
     """Run the normalized semi-implicit descent until its residual is below
@@ -252,7 +255,7 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
     psi = prob.normalize(psi)
     e = prob.energy(psi)
     terms = prob.terms(psi)
-    scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
+    scale = _energy_scale(prob, terms, e)
     dt = 1.0 / scale
     max_up = 0.0
     rejected = 0
@@ -274,7 +277,7 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
         terms = prob.terms(psi)
         dt = min(dt * 1.1, 1e4 / scale)
         res = prob.residual(psi, terms)
-        scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
+        scale = _energy_scale(prob, terms, e)
         if res > handoff * scale:
             continue
         psi, terms, res, steps = _newton(prob, psi, terms, res, rtol * scale)
@@ -287,7 +290,7 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
             return FlowResult(psi, e, terms[2], res, it + newton,
                               res <= rtol * scale, max_up, rejected, newton)
     res = prob.residual(psi, terms)
-    scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
+    scale = _energy_scale(prob, terms, e)
     return FlowResult(psi, e, terms[2], res, it + newton, res <= rtol * scale,
                       max_up, rejected, newton)
 

@@ -24,6 +24,11 @@ psi(R0) + R0 psi'(R0) ln(r/R0) outside, proportional to ln(r/a) with
 
     a = R0 exp(-psi(R0) / (R0 psi'(R0))).
 
+The kinetic fraction s and the energy identity read the same interior
+integrals, Simpson on the interior nodes; outside R0, psi0 = 1 - a/r is
+exact, so the exterior enters both in closed form and the identity's
+residual does not depend on the radius R it is checked at.
+
 Hard cores are a boundary condition, never a large finite barrier: the
 interior is empty and the state at the core radius is (u, u') = (0, 1).
 """
@@ -68,19 +73,19 @@ class RadialPotential:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.dimension not in (2, 3):
             raise ValueError("dimension must be 2 or 3")
-        if self.core_radius < 0:
-            raise ValueError("core radius must be nonnegative")
-        if self.kind == _SOFT_SPHERE and self.height < 0:
-            raise ValueError("negative potential sample")
+        if not 0.0 <= self.core_radius < math.inf:
+            raise ValueError("core radius must be finite and nonnegative")
+        if not 0.0 <= self.height < math.inf:
+            raise ValueError("height must be finite and nonnegative")
         if self.kind == _TABULATED:
             rs = np.asarray([p[0] for p in self.samples], dtype=float)
             vs = np.asarray([p[1] for p in self.samples], dtype=float)
             if len(rs) < 2:
                 raise ValueError("tabulated potential needs at least 2 samples")
-            if np.any(np.diff(rs) <= 0):
-                raise ValueError("tabulated samples must be strictly increasing in r")
-            if np.any(vs < 0):
-                raise ValueError("negative potential sample")
+            if not (rs[0] >= 0 and np.isfinite(rs).all() and np.all(np.diff(rs) > 0)):
+                raise ValueError("tabulated r must be finite, >= 0 and strictly increasing")
+            if not np.all((vs >= 0) & (vs < math.inf)):
+                raise ValueError("tabulated v must be finite and nonnegative")
             object.__setattr__(self, "_rs", rs)
             object.__setattr__(self, "_vs", vs)
 
@@ -107,7 +112,7 @@ def soft_sphere(radius: float, height: float, dimension: int = 3) -> RadialPoten
 
 def tabulated(samples, dimension: int = 3) -> RadialPotential:
     samples = tuple((float(r), float(v)) for r, v in samples)
-    return RadialPotential(_TABULATED, samples[-1][0], samples=samples,
+    return RadialPotential(_TABULATED, samples[-1][0] if samples else 0.0, samples=samples,
                            dimension=dimension)
 
 
@@ -318,24 +323,25 @@ def solve_zero_energy(v: RadialPotential, mu: float = 1.0,
 
     grid, u, du, a = _solve(v, mu, grid_spec.n, rmax)
     a2 = _solve(v, mu, 2 * grid_spec.n, rmax)[3]
-    s = _kinetic_fraction(grid, u, du, a, v.core_radius) if v.dimension == 3 and a > 0 else None
+    # s = int |grad psi0|^2 / (4 pi a) = (K + a^2/R0) / a: psi0' = a/r^2 outside
+    s = ((_interior_integrals(grid, u, du, v, mu)[0] + a**2 / v.core_radius) / a
+         if v.dimension == 3 and a > 0 else None)
     return ScatteringSolution(grid, u, a, s, mu, v.dimension, v.core_radius,
                               du=du, a_refined=a2)
 
 
-def _psi0_prime(r, u, du) -> np.ndarray:
-    """psi0' = (u / r)' scaled by the exterior slope du[-1] of u, so that
-    psi0 -> 1 at infinity; 0 at r = 0."""
+def _interior_integrals(grid, u, du, v: RadialPotential, mu: float):
+    """(K, P) = (int psi0'^2 r^2 dr, int v psi0^2 r^2 dr / (2 mu)) over
+    [0, R0], by Simpson on the interior nodes, with psi0 = u / r scaled by
+    the exterior slope du[-1] of u, so that psi0 -> 1 at infinity.  At R0
+    the inside-limit value of v is used."""
+    k = int(np.searchsorted(grid, v.core_radius, side="right"))
+    r, u, du = grid[:k], u[:k], du[:k]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(r > 0, (du * r - u) / np.maximum(r, 1e-300) ** 2, 0.0) / du[-1]
-
-
-def _kinetic_fraction(grid, u, du, a, r0) -> float:
-    # s = int |grad psi0|^2 / (4 pi a) with psi0 -> 1 at infinity: Simpson
-    # on the interior, and the exact a^2/R0 outside, where psi0' = a/r^2
-    k = int(np.searchsorted(grid, r0, side="right"))
-    integrand = _psi0_prime(grid[:k], u[:k], du[:k])**2 * grid[:k]**2
-    return float((simpson(integrand, grid[:k]) + a**2 / r0) / a)
+        dpsi = np.where(r > 0, (du * r - u) / np.maximum(r, 1e-300) ** 2, 0.0) / du[-1]
+        psi = np.where(r > 0, u / np.maximum(r, 1e-300), 0.0) / du[-1]
+    vv = np.full(k, v.height) if v.kind == _SOFT_SPHERE else v(np.minimum(r, v.core_radius))
+    return simpson(dpsi**2 * r**2, r), simpson(vv * psi**2 * r**2, r) / (2.0 * mu)
 
 
 def s_parameter(sol: ScatteringSolution) -> float:
@@ -352,8 +358,11 @@ def energy_identity_residual(sol: ScatteringSolution, v: RadialPotential,
                              R: float) -> dict:
     """Check int_{|x|<=R} {2 mu |grad psi0|^2 + v psi0^2} = 8 pi mu a (1 - a/R).
 
-    Returns lhs, rhs and the dimensionless residual |lhs-rhs| / (8 pi mu a),
-    evaluated by radial Simpson quadrature on the solver grid.
+    lhs = 8 pi mu (K + P + a^2 (1/R0 - 1/R)): Simpson inside R0
+    (``_interior_integrals``), exact outside, where psi0 = 1 - a/r.  Returns
+    lhs, rhs, R and the residual |lhs - rhs| / (8 pi mu a), which has no R
+    in it: it is |s_K - s_P|, the gap between the routes s_K = K/a + a/R0
+    and s_P = 1 - P/a to ``s``.
     """
     if sol.dimension != 3:
         raise ValueError("identity check is 3D only")
@@ -361,30 +370,12 @@ def energy_identity_residual(sol: ScatteringSolution, v: RadialPotential,
         raise ValueError("R must be at least the core radius")
     if sol.a <= 0:
         raise ValueError("identity check requires a > 0")
-    mu = sol.mu
-    r = sol.grid
-    # snap R to the nearest grid node; the snapped value enters both sides
-    i_R = int(np.argmin(np.abs(r - R)))
-    R_snap = float(r[i_R])
-    psi = np.where(r > 0, sol.u / np.maximum(r, 1e-300), 0.0) / sol.du[-1]
-    kin = 2.0 * mu * _psi0_prime(r, sol.u, sol.du)**2 * r**2
-    # integrate per smooth segment: [start, R0] with the inside-limit v,
-    # then [R0, R] where v = 0 exactly (finite range)
-    i_core = int(np.argmin(np.abs(r - v.core_radius)))
-    lhs = 0.0
-    if i_core > 0:
-        if v.kind == _SOFT_SPHERE:
-            vv_in = np.full(i_core + 1, v.height)
-        else:
-            vv_in = np.asarray(v(np.minimum(r[: i_core + 1], v.core_radius)))
-        lhs += simpson(kin[: i_core + 1] + vv_in * (psi[: i_core + 1] ** 2) * r[: i_core + 1] ** 2,
-                       r[: i_core + 1])
-    lhs += simpson(kin[i_core: i_R + 1], r[i_core: i_R + 1])
-    lhs *= 4.0 * np.pi
-    rhs = 8.0 * np.pi * mu * sol.a * (1.0 - sol.a / R_snap)
-    residual = abs(lhs - rhs) / (8.0 * np.pi * mu * sol.a)
-    return {"lhs": float(lhs), "rhs": float(rhs), "residual": float(residual),
-            "R": R_snap}
+    mu, a, r0 = sol.mu, sol.a, v.core_radius
+    K, P = _interior_integrals(sol.grid, sol.u, sol.du, v, mu)
+    lhs = 8.0 * np.pi * mu * (K + P + a**2 * (1.0 / r0 - 1.0 / R))
+    rhs = 8.0 * np.pi * mu * a * (1.0 - a / R)
+    return {"lhs": float(lhs), "rhs": float(rhs), "R": float(R),
+            "residual": float(abs(K + P - a * (1.0 - a / r0)) / a)}
 
 
 def scale_potential(v: RadialPotential, a_target: float, mu: float = 1.0,
@@ -409,29 +400,31 @@ def scale_potential(v: RadialPotential, a_target: float, mu: float = 1.0,
 # --- file interface -----------------------------------------------------
 
 def load_potential(path) -> RadialPotential:
-    """Two-column text file (r, v) with '# dimension=' and '# R0=' headers."""
-    dimension = None
-    r0 = None
-    rows = []
+    """Two-column text file (r, v) with '# dimension=' and '# R0=' headers;
+    a malformed one raises ValueError, naming the line where one is at
+    fault."""
+    headers, rows = {}, []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("dimension="):
-                    dimension = int(body.split("=", 1)[1])
-                elif body.startswith("R0="):
-                    r0 = float(body.split("=", 1)[1])
-                continue
-            parts = line.replace(",", " ").split()
-            rows.append((float(parts[0]), float(parts[1])))
-    if dimension is None or r0 is None:
+            try:
+                if line.startswith("#"):
+                    key, _, value = line[1:].strip().partition("=")
+                    if key in ("dimension", "R0"):
+                        headers[key] = (int if key == "dimension" else float)(value)
+                elif line:
+                    r, vv = map(float, line.replace(",", " ").split())
+                    if not (math.isfinite(r) and math.isfinite(vv)):
+                        raise ValueError("r and v must be finite")
+                    rows.append((r, vv))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    if len(headers) < 2:
         raise ValueError("potential file must carry '# dimension=' and '# R0=' headers")
-    pot = tabulated(rows, dimension=dimension)
-    if abs(pot.core_radius - r0) > 1e-9 * max(1.0, r0):
-        pot = RadialPotential(_TABULATED, r0, samples=pot.samples, dimension=dimension)
+    pot = tabulated(rows, dimension=headers["dimension"])
+    if not math.isclose(pot.core_radius, headers["R0"], rel_tol=1e-9, abs_tol=1e-9):
+        pot = RadialPotential(_TABULATED, headers["R0"], samples=pot.samples,
+                              dimension=pot.dimension)
     return pot
 
 

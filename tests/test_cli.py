@@ -37,6 +37,21 @@ def test_sweep_spec_parsing():
     assert np.allclose(lin.values(), [0.5, 1.0, 1.5])
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(name=st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True),
+       lo=st.floats(1e-100, 1e100), ratio=st.floats(1.0 + 1e-6, 1e6),
+       n=st.integers(1, 500), scale=st.sampled_from(["log", "lin"]))
+def test_sweep_spec_values_and_round_trip(name, lo, ratio, n, scale):
+    hi = lo * ratio
+    spec = SweepSpec(name, lo, hi, n, scale == "log")
+    v = spec.values()
+    assert len(v) == n and v[0] == lo
+    if n >= 2:
+        assert v[-1] == hi
+        assert np.all(np.diff(v) > 0)
+    assert SweepSpec.parse(f"{name}={lo!r}:{hi!r}:{n}:{scale}") == spec
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\n[bounds]\nrho = 1e-4\na = 0.1\n\n[gp]\nN = 5\n")
@@ -666,6 +681,32 @@ def test_exit_codes(tmp_path):
                    "--potential-file", str(tmp_path / "missing.txt"))
     assert code in (2, 3)                                   # unreadable input
     assert run_cli("bounds", "--dim", "2", "--rho", "1e-4", "--a", "1e-3") == 0
+
+
+@pytest.mark.parametrize("text,where", [
+    pytest.param("# dimension=3\n# R0=1\n0 5\n0.5\n1 0\n", "line 4", id="one-column"),
+    pytest.param("# dimension=3\n# R0=1\n0 5 1\n1 0\n", "line 3", id="three-columns"),
+    pytest.param("# dimension=3\n# R0=abc\n0 5\n1 0\n", "line 2", id="bad-R0"),
+    pytest.param("# dimension=three\n# R0=1\n0 5\n1 0\n", "line 1", id="bad-dimension"),
+    pytest.param("# dimension=3\n# R0=1\n0 nan\n1 0\n", "line 3", id="nan-v"),
+    pytest.param("# dimension=3\n# R0=1\n0 5\ninf 0\n", "line 4", id="inf-r"),
+    pytest.param("# dimension=4\n# R0=1\n0 5\n1 0\n", "dimension must be 2 or 3",
+                 id="dimension-4"),
+    pytest.param("# dimension=3\n# R0=inf\n0 5\n1 0\n", "must be finite", id="inf-R0"),
+    pytest.param("# dimension=3\n# R0=1\n0 5\n1 -1\n", "nonnegative", id="negative-v"),
+    pytest.param("# dimension=3\n# R0=1\n-1 5\n1 0\n", ">= 0", id="negative-r"),
+    pytest.param("# dimension=3\n# R0=1\n0 5\n0 0\n", "increasing", id="repeated-r"),
+    pytest.param("# dimension=3\n# R0=1\n0 5\n", "at least 2 samples", id="one-sample"),
+    pytest.param("# dimension=3\n# R0=1\n", "at least 2 samples", id="no-samples"),
+    pytest.param("# R0=1\n0 5\n1 0\n", "headers", id="no-dimension"),
+])
+def test_malformed_potential_file_is_config_error(tmp_path, capsys, text, where):
+    path = tmp_path / "pot.txt"
+    path.write_text(text)
+    assert run_cli("scatter", "--kind", "tabulated",
+                   "--potential-file", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err and where in err
 
 
 def test_json_determinism_modulo_timestamp(tmp_path):

@@ -178,8 +178,22 @@ def test_energy_identity_residual_corpus(R_over_R0):
     for v in (sc.hard_core(1.0), sc.soft_sphere(1.0, 25.0),
               sc.tabulated([(0.0, 12.0), (0.3, 8.0), (0.7, 2.0), (1.0, 0.0)])):
         sol = sc.solve_zero_energy(v)
-        res = sc.energy_identity_residual(sol, v, R_over_R0 * v.core_radius)
+        R = R_over_R0 * v.core_radius
+        res = sc.energy_identity_residual(sol, v, R)
         assert res["residual"] < 1e-5
+        assert res["R"] == R
+        # psi0 = 1 - a/r is exact outside R0, so the residual has no R in it
+        for f in (1.0, 2.0, 4.0, 8.0):
+            other = sc.energy_identity_residual(sol, v, f * v.core_radius)
+            assert other["residual"] == res["residual"]
+        # s and the identity read the same interior integrals; the residual
+        # is the gap between the kinetic and the potential route to s
+        K, P = sc._interior_integrals(sol.grid, sol.u, sol.du, v, sol.mu)
+        a, R0 = sol.a, v.core_radius
+        assert sol.s == pytest.approx(K / a + a / R0, rel=1e-14)
+        assert res["residual"] == pytest.approx(abs(sol.s - (1.0 - P / a)), abs=1e-14)
+        if v.kind == "hard_core":
+            assert res["residual"] == 0.0
 
 
 def test_s_parameter_hard_core_is_one():
@@ -278,6 +292,24 @@ def test_invalid_inputs():
     sol = sc.solve_zero_energy(sc.hard_core(1.0))
     with pytest.raises(ValueError):
         sc.energy_identity_residual(sol, sc.hard_core(1.0), 0.5)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: sc.soft_sphere(1.0, math.nan), id="soft-nan-height"),
+    pytest.param(lambda: sc.soft_sphere(1.0, math.inf), id="soft-inf-height"),
+    pytest.param(lambda: sc.soft_sphere(math.nan, 1.0), id="soft-nan-radius"),
+    pytest.param(lambda: sc.hard_core(math.nan), id="hard-nan"),
+    pytest.param(lambda: sc.hard_core(math.inf), id="hard-inf"),
+    pytest.param(lambda: sc.tabulated([(0.0, math.nan), (1.0, 0.0)]), id="tab-nan-v"),
+    pytest.param(lambda: sc.tabulated([(0.0, math.inf), (1.0, 0.0)]), id="tab-inf-v"),
+    pytest.param(lambda: sc.tabulated([(math.nan, 1.0), (1.0, 0.0)]), id="tab-nan-r"),
+    pytest.param(lambda: sc.tabulated([(0.0, 1.0), (math.inf, 0.0)]), id="tab-inf-r"),
+    pytest.param(lambda: sc.RadialPotential("tabulated", 1.0, samples=(
+        (0.0, 1.0), (math.inf, 0.0))), id="tab-inf-r-finite-R0"),
+])
+def test_nonfinite_potential_rejected_at_construction(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_potential_file_round_trip(tmp_path):
