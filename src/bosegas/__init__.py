@@ -12,7 +12,7 @@ Subpackages by topic:
 - ``charged``      Bogolubov quadratic bound, Foldy constant and law, the
   two-component variational problem
 - ``oracles``      independent brute-force verifiers (spectra, exact
-  diagonalization, truncated Fock spaces, finite differences)
+  diagonalization, truncated Fock spaces)
 - ``cli``          command-line front end and batch sweeps
 """
 

@@ -39,26 +39,6 @@ class BogolubovParams:
             raise ValueError("Bogolubov parameters must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ChargedState:
-    """One-component gas state: background density rho, kinetic mu, and the
-    cell data (nu particles in a box of side ell) for local-energy work."""
-
-    rho: float
-    mu: float = 1.0
-    nu: float = 0.0
-    ell: float = 0.0
-
-    def __post_init__(self):
-        if self.rho <= 0 or self.mu <= 0:
-            raise ValueError("rho and mu must be positive")
-
-    @classmethod
-    def for_cell(cls, rho: float, ell: float, mu: float = 1.0) -> "ChargedState":
-        """Neutral cell at background density rho: nu = rho ell^3."""
-        return cls(rho, mu, rho * ell**3, ell)
-
-
 def bogolubov_bound(p: BogolubovParams) -> float:
     """Sharp lower bound of the paired quadratic form:
     -(A+B) + sqrt((A+B)^2 - B^2) with B = B_plus + B_minus."""
@@ -117,25 +97,11 @@ def foldy_law(rho: float, mu: float = 1.0) -> FoldyLaw:
     return FoldyLaw(-i0 * rho**0.25, i0)
 
 
-def fermionic_jellium_form(rho: float, c_tf: float, c_d: float) -> float:
-    """C_TF rho^{5/3} - C_D rho^{4/3}; the constants are caller-supplied,
-    never baked in."""
-    return c_tf * rho ** (5.0 / 3.0) - c_d * rho ** (4.0 / 3.0)
-
-
 @dataclass(frozen=True)
 class LocalEnergy:
     value: float          # radial quadrature of the k-integral
     closed_form: float    # -2^{1/2} pi^{-3/4} nu (nu/(mu ell^3))^{1/4} X
     rel_deviation: float
-
-
-def local_energy_for_state(state: ChargedState) -> LocalEnergy:
-    """Local Bogolubov energy of a neutral cell; leading order is
-    -I0 nu (nu/(mu ell^3))^{1/4}."""
-    if state.nu <= 0 or state.ell <= 0:
-        raise ValueError("state needs cell data (nu, ell)")
-    return local_energy_integral(state.nu, state.ell, state.mu)
 
 
 def local_energy_integral(nu: float, ell: float, mu: float = 1.0,
@@ -265,10 +231,3 @@ def two_component_energy(N: float, mu: float = 1.0) -> TwoComponentEnergy:
     e_star = dyson_functional_minimize(mu).energy
     return TwoComponentEnergy(N ** 1.4 * e_star, e_star, N,
                               N ** -0.2, N ** -0.4)
-
-
-def dyson_heuristic_length(N: float) -> float:
-    """Minimizer of N L^-2 - N (N L^-3)^{1/4} over L: setting the derivative
-    to zero gives L^{5/4} = (8/3) N^{-1/4}, so L = (8/3)^{4/5} N^{-1/5} (the
-    sign of the N^{7/5} law)."""
-    return (8.0 / 3.0) ** 0.8 * N ** -0.2

@@ -204,19 +204,3 @@ def write_csv(path, header: list[str], rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt_cell(x) for x in row) + "\n")
-
-
-def read_csv(path):
-    rows = []
-    header = None
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# schema_version="):
-            raise ConfigError(f"{path}: missing schema_version header")
-        check_schema(first.split("=", 1)[1])
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(x) for x in line.split(",")])
-    return header, rows

@@ -62,24 +62,6 @@ class GasState2D:
         return abs(math.log(self.rho * self.a**2))
 
 
-@dataclass(frozen=True)
-class LengthScales:
-    """The three dilute-gas lengths a << rho^{-1/d} << (rho a)^{-1/2}."""
-
-    a: float
-    mean_spacing: float
-    healing: float
-    ordered: bool
-
-    @classmethod
-    def from_state(cls, state) -> "LengthScales":
-        d = 3 if isinstance(state, GasState3D) else 2
-        spacing = state.rho ** (-1.0 / d)
-        healing = (state.rho * state.a) ** -0.5 if d == 3 else \
-            (state.rho / abs(math.log(state.rho * state.a**2))) ** -0.5
-        return cls(state.a, spacing, healing, state.a < spacing < healing)
-
-
 # --- 3D bounds -----------------------------------------------------------
 
 def upper_bound_3d(state: GasState3D, b: float | None = None,
@@ -145,7 +127,8 @@ def lhy_reference(state: GasState3D) -> float:
 
 def k_factor(n: float, ell: float, R: float, R0: float, eps: float,
              a: float, include_temple: bool = True) -> float:
-    """The cell-method factor K(n, ell).
+    """The cell-method factor K(n, ell) of the Neumann-box lower bound
+    (4 pi mu a / ell^3) n(n-1) K(n, ell).
 
     K = (1-eps) (1-2R/ell)^3 (1 + (4 pi/3)(n/ell^3)(R^3-R0^3))^{-1}
         x (1 - (3/pi) a n / ((R^3-R0^3)(pi eps/ell^2 - 4 a n(n-1)/ell^3)))
@@ -166,38 +149,6 @@ def k_factor(n: float, ell: float, R: float, R0: float, eps: float,
         return 0.0
     temple_factor = 1.0 - (3.0 / math.pi) * a * n / (dR3 * den)
     return first * max(0.0, temple_factor)
-
-
-def finite_box_lower_bound(n: float, ell: float, R: float, R0: float,
-                           eps: float, state: GasState3D,
-                           include_temple: bool = True) -> float:
-    """Neumann-box lower bound (4 pi mu a / ell^3) n(n-1) K(n, ell); returns
-    the trivial bound 0 when the Temple denominator fails or the value is
-    negative."""
-    if R <= R0:
-        raise ValueError("R must exceed R0")
-    K = k_factor(n, ell, R, R0, eps, state.a, include_temple)
-    val = (4.0 * math.pi * state.mu * state.a / ell**3) * n * (n - 1.0) * K
-    return max(0.0, val)
-
-
-def thermodynamic_cell_bound(state: GasState3D, R0: float = 0.0,
-                             c_eps: float = 1.0, c_ell: float = 1.0,
-                             c_gamma: float = 1.0) -> dict:
-    """Convenience mode: picks eps ~ Y^{1/17}, a/ell ~ Y^{6/17},
-    (R^3-R0^3)/ell^3 ~ Y^{3/17} (proportionality constants are knobs, the
-    theory fixes only the exponents) and evaluates the per-particle bound
-
-        4 pi mu rho a (1 - 1/(rho ell^3)) K(4 rho ell^3, ell).
-    """
-    Y = state.Y
-    eps = c_eps * Y ** (1.0 / 17.0)
-    ell = c_ell * state.a * Y ** (-6.0 / 17.0)
-    R = (R0**3 + c_gamma * Y ** (3.0 / 17.0) * ell**3) ** (1.0 / 3.0)
-    n = 4.0 * state.rho * ell**3
-    K = k_factor(n, ell, R, R0, eps, state.a)
-    val = state.leading * (1.0 - 1.0 / (state.rho * ell**3)) * K
-    return {"value": max(0.0, val), "eps": eps, "ell": ell, "R": R, "n": n, "K": K}
 
 
 # --- 2D bounds -----------------------------------------------------------
@@ -277,9 +228,10 @@ def soft_potential(R: float, R0: float, dim: int, a: float | None = None) -> Sof
     raise ValueError("dim must be 2 or 3")
 
 
-def soft_potential_norm_report(U: SoftPotential, n: int = 20001) -> dict:
-    """Numeric check of the defining normalization integral."""
-    r = np.linspace(U.R0, U.R, n)
+def soft_potential_norm_report(U: SoftPotential) -> dict:
+    """Numeric check of the defining normalization integral (Simpson, 20001
+    points)."""
+    r = np.linspace(U.R0, U.R, 20001)
     if U.dimension == 3:
         val = simpson(U.height * r**2, r)
         return {"integral": float(val), "target": 1.0}

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flows
-from .scattering import ScatteringSolution
 
 
 @dataclass(frozen=True)
@@ -219,28 +218,15 @@ def gp_energy(dimension: int, N: float, coupling: float, mu: float = 1.0,
     return rep.E_total
 
 
-def mu_chem_fd(problem: GPProblem, delta_rel: float = 1e-3) -> float:
-    """Finite-difference chemical potential dE/dN (two extra solves)."""
-    dN = delta_rel * problem.N
+def mu_chem_fd(problem: GPProblem) -> float:
+    """Chemical potential dE/dN by a central difference at N(1 +- 1e-3):
+    two extra solves."""
+    dN = 1e-3 * problem.N
     e_plus = gp_energy(problem.dimension, problem.N + dN, problem.coupling,
                        problem.mu, problem.trap, problem.n_grid)
     e_minus = gp_energy(problem.dimension, problem.N - dN, problem.coupling,
                         problem.mu, problem.trap, problem.n_grid)
     return (e_plus - e_minus) / (2.0 * dN)
-
-
-# --- 2D coupling ----------------------------------------------------------
-
-def coupling_2d(N: float, a: float, trap: TrapPotential = TrapPotential(),
-                mu: float = 1.0, n_grid: int = 4096) -> float:
-    """alpha = 1/|ln(rhobar_N a^2)| with rhobar_N = (1/N) int |phi_{N,1}|^4,
-    the mean density of the 2D minimizer at coupling 1."""
-    _, rep = gp_minimize(GPProblem(2, N, 1.0, mu, trap, n_grid))
-    rhobar = rep.quartic_integral / N
-    x = rhobar * a**2
-    if x >= 1:
-        raise ValueError("need rhobar_N a^2 < 1")
-    return 1.0 / abs(math.log(x))
 
 
 # --- Thomas-Fermi ----------------------------------------------------------
@@ -278,54 +264,27 @@ def tf_solve(dimension: int, N: float, coupling: float,
 
 
 def tf_energy(dimension: int, N: float, coupling: float,
-              trap: TrapPotential = TrapPotential(), mu: float = 1.0) -> float:
-    return tf_solve(dimension, N, coupling, trap, mu)[1].E_total
-
-
-# --- energy components in the many-body limit ------------------------------
-
-def energy_components(problem: GPProblem, scattering: ScatteringSolution | float
-                      ) -> dict:
-    """Limiting split of the many-body energy for a converged GP problem.
-
-    kinetic:     mu int |grad phi|^2 + 4 pi mu a s int phi^4
-    trap:        int V phi^2
-    interaction: (1 - s) 4 pi mu a int phi^4
-
-    The three sum exactly to E_GP (bookkeeping identity).  ``s`` is the
-    kinetic fraction of the zero-energy scattering solution.
-    """
-    s = scattering if isinstance(scattering, float) else scattering.s
-    if s is None:
-        raise ValueError("missing kinetic fraction s")
-    _, rep = gp_minimize(problem)
-    shift = 4.0 * math.pi * problem.mu * problem.coupling * rep.quartic_integral
-    kin = rep.kinetic + s * shift
-    inter = (1.0 - s) * shift
-    return {
-        "kinetic": kin, "trap": rep.trap, "interaction": inter,
-        "sum": kin + rep.trap + inter, "E_GP": rep.E_total, "s": s,
-    }
+              trap: TrapPotential = TrapPotential()) -> float:
+    return tf_solve(dimension, N, coupling, trap)[1].E_total
 
 
 # --- GP -> TF limit ---------------------------------------------------------
 
-def gp_tf_limit_scan(dimension: int, trap: TrapPotential, g_list,
-                     mu: float = 1.0, n_grid: int = 4096) -> list[dict]:
+def gp_tf_limit_scan(dimension: int, trap: TrapPotential, g_list) -> list[dict]:
     """For each g: E_GP(1, g), E_TF(1, g) and their ratio (3D), or the
-    rescaled ratio E_GP(1, g)/g^{s/(s+2)} vs E_TF(1,1) (2D)."""
+    rescaled ratio E_GP(1, g)/g^{s/(s+2)} vs E_TF(1,1) (2D), at mu = 1."""
     if not trap.is_homogeneous:
         raise ValueError("limit scan requires a homogeneous trap")
     s = trap.exponent
     rows = []
     for g in g_list:
-        e_gp = gp_energy(dimension, 1.0, g, mu, trap, n_grid)
+        e_gp = gp_energy(dimension, 1.0, g, trap=trap)
         if dimension == 3:
-            e_tf = tf_energy(3, 1.0, g, trap, mu)
+            e_tf = tf_energy(3, 1.0, g, trap)
             rows.append({"g": g, "E_GP": e_gp, "E_TF": e_tf,
                          "ratio": e_gp / e_tf})
         else:
-            e_tf11 = tf_energy(2, 1.0, 1.0, trap, mu)
+            e_tf11 = tf_energy(2, 1.0, 1.0, trap)
             scaled = e_gp / g ** (s / (s + 2.0))
             rows.append({"g": g, "E_GP": e_gp, "E_TF11": e_tf11,
                          "scaled": scaled, "ratio": scaled / e_tf11})

@@ -774,21 +774,6 @@ def minimize_1d(kind: str, N: float, L: float, g: float, s: float = 2.0,
     return _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid)
 
 
-def functional_value(kind: str, prof: Profile1D, L: float, g: float,
-                     s: float = 2.0, ll: LLCurve | None = None) -> float:
-    """Evaluate a 1D functional on a given profile (gradient term by central
-    differences of sqrt(rho))."""
-    curve = _curve_for(kind, ll)
-    z, rho = prof.z, prof.rho
-    V = _v_long(z, L, s)
-    val = float(np.trapezoid(V * rho + _interaction_density(kind, rho, g, curve), z))
-    if kind in ("full", "gp1d"):
-        srho = np.sqrt(rho)
-        ds = np.gradient(srho, z)
-        val += float(np.trapezoid(ds**2, z))
-    return val
-
-
 # --------------------------------------------------------------------------
 # regime classification
 # --------------------------------------------------------------------------
@@ -875,26 +860,3 @@ def regime_classify(trap: ElongatedTrap,
                         {k: [getattr(prof0, k), getattr(prof1, k)]
                          for k in ("iterations", "rejected_steps",
                                    "newton_steps")})
-
-
-# --------------------------------------------------------------------------
-# finite-box brackets
-# --------------------------------------------------------------------------
-
-def box_bounds_1d(n: float, ell: float, r: float, a: float,
-                  E1D_N: float, E1D_D: float, C: float = 1.0) -> tuple[float, float]:
-    """Finite-box bracket around E_QM - n e_perp / r^2.
-
-    lower = E1D_N (1 - C n (a/r)^{1/8} [1 + (n r / ell)(a/r)^{1/8}])
-    upper = E1D_D (1 + C [(n a / r)^2 (1 + a ell / r^2)]^{1/3}),
-    the upper form valid only while its square-bracket term is below 1.
-    """
-    if min(n, ell, r) <= 0 or a < 0:
-        raise ValueError("parameters must be positive")
-    x = (a / r) ** 0.125
-    lower = E1D_N * (1.0 - C * n * x * (1.0 + (n * r / ell) * x))
-    bracket = (n * a / r) ** 2 * (1.0 + a * ell / r**2)
-    if bracket >= 1.0:
-        raise ValueError("upper-bound bracket term must be below 1")
-    upper = E1D_D * (1.0 + C * bracket ** (1.0 / 3.0))
-    return lower, upper

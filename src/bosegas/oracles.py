@@ -3,9 +3,9 @@
 Everything here exists to check the rest of the package by a second route:
 exact plane-wave spectra for the twisted Laplacian, randomized corpora for
 the generalized Poincare inequalities, dense/sparse diagonalization of small
-delta gases and truncated Fock spaces, window searches for the band-matrix
-localization bound, and finite-difference gradient checks of the discrete
-functionals.  All random corpora are seeded; seeds are recorded by callers.
+delta gases and truncated Fock spaces, and window searches for the
+band-matrix localization bound.  All random corpora are seeded; seeds are
+recorded by callers.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import eigsh
-
-from . import flows
 
 
 # --------------------------------------------------------------------------
@@ -496,12 +494,6 @@ def exact_diag_delta_gas_1d(n: int, ell: float, g: float,
     return DeltaGasResult(e12, tuple(es), ms, abs(e12 - e01))
 
 
-def free_fermion_pair_ring(ell: float) -> float:
-    """Fermionization reference: two impenetrable bosons on a ring occupy
-    antiperiodic momenta +-pi/ell, so E = 2 (pi/ell)^2."""
-    return 2.0 * (math.pi / ell) ** 2
-
-
 # --------------------------------------------------------------------------
 # truncated-Fock Bogolubov check
 # --------------------------------------------------------------------------
@@ -584,28 +576,3 @@ def fock_quadratic_ground(A: float, B_plus: float, B_minus: float,
                 pass
         best = min(best, float(np.linalg.eigvalsh(H)[0]))
     return best
-
-
-# --------------------------------------------------------------------------
-# finite-difference gradient checks
-# --------------------------------------------------------------------------
-
-def fd_gradient_check(prob: flows.FlowProblem, psi: np.ndarray,
-                      direction: np.ndarray, h_list=(1e-3, 1e-4, 1e-5)) -> dict:
-    """Central differences of the discrete energy against the analytic
-    gradient; returns deviations per h and the fitted convergence order."""
-    g = prob.gradient(psi)
-    g_dot_d = float(g @ direction)
-    devs = []
-    for h in h_list:
-        ep = prob.energy(psi + h * direction)
-        em = prob.energy(psi - h * direction)
-        fd = (ep - em) / (2.0 * h)
-        devs.append(abs(fd - g_dot_d) / max(abs(g_dot_d), 1e-300))
-    devs = np.asarray(devs)
-    hs = np.asarray(h_list, dtype=float)
-    mask = devs > 1e-14
-    slope = float(np.polyfit(np.log(hs[mask]), np.log(devs[mask]), 1)[0]) \
-        if np.sum(mask) >= 2 else 2.0
-    return {"deviations": devs.tolist(), "max_rel_dev": float(devs.max()),
-            "order": slope, "grad_dot_dir": g_dot_d}

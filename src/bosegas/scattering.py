@@ -136,9 +136,10 @@ class ScatteringSolution:
     """Radial zero-energy profile with extracted scattering data.
 
     grid / u hold u0(r) in 3D and psi(r) in 2D; ``a`` is the scattering
-    length, ``s`` the kinetic fraction (3D only, None in 2D), ``mu`` the
-    kinetic coefficient hbar^2/2m, ``a_refined`` the value from a 2x finer
-    grid (Richardson check).
+    length, ``s`` the kinetic fraction int |grad psi0|^2 / (4 pi a), in
+    (0, 1] (3D with a > 0 only, else None), ``mu`` the kinetic coefficient
+    hbar^2/2m, ``a_refined`` the value from a 2x finer grid (Richardson
+    check).
     """
 
     grid: np.ndarray
@@ -344,16 +345,6 @@ def _interior_integrals(grid, u, du, v: RadialPotential, mu: float):
     return simpson(dpsi**2 * r**2, r), simpson(vv * psi**2 * r**2, r) / (2.0 * mu)
 
 
-def s_parameter(sol: ScatteringSolution) -> float:
-    """Kinetic fraction s = int|grad psi0|^2/(4 pi a), in (0, 1]."""
-    if sol.dimension != 3:
-        raise ValueError("s parameter is defined for 3D solutions")
-    if sol.a <= 0:
-        raise ValueError("s parameter undefined for a <= 0")
-    assert sol.s is not None
-    return sol.s
-
-
 def energy_identity_residual(sol: ScatteringSolution, v: RadialPotential,
                              R: float) -> dict:
     """Check int_{|x|<=R} {2 mu |grad psi0|^2 + v psi0^2} = 8 pi mu a (1 - a/R).
@@ -426,16 +417,3 @@ def load_potential(path) -> RadialPotential:
         pot = RadialPotential(_TABULATED, headers["R0"], samples=pot.samples,
                               dimension=pot.dimension)
     return pot
-
-
-def save_potential(v: RadialPotential, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# dimension={v.dimension}\n")
-        fh.write(f"# R0={v.core_radius!r}\n")
-        if v.kind == _TABULATED:
-            for r, vv in v.samples:
-                fh.write(f"{r!r} {vv!r}\n")
-        else:
-            rs = np.linspace(0.0, v.core_radius, 65)
-            for r in rs:
-                fh.write(f"{r!r} {float(v(r))!r}\n")

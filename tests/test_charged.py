@@ -80,11 +80,6 @@ def test_foldy_law_matches_i0():
     assert "rho^(1/3)" in law.infinite_mass_note
 
 
-def test_fermionic_jellium_form_evaluator():
-    assert ch.fermionic_jellium_form(8.0, 2.0, 1.0) == \
-        pytest.approx(2.0 * 8.0 ** (5 / 3) - 8.0 ** (4 / 3))
-
-
 def test_local_energy_matches_closed_form():
     le = ch.local_energy_integral(100.0, 1.0, 1.0)
     assert le.rel_deviation < 1e-6
@@ -93,14 +88,11 @@ def test_local_energy_matches_closed_form():
 
 
 def test_local_energy_for_cell_state():
-    st = ch.ChargedState.for_cell(100.0, 1.0)
-    assert st.nu == pytest.approx(100.0)
-    le = ch.local_energy_for_state(st)
+    # a neutral cell at background density 100 and side 1 holds nu = 100
+    le = ch.local_energy_integral(100.0, 1.0, 1.0)
     assert le.rel_deviation < 1e-6
     assert le.value == pytest.approx(-ch.foldy_constant(1.0).i0 * 100.0 * 100.0**0.25,
                                      rel=1e-6)
-    with pytest.raises(ValueError):
-        ch.local_energy_for_state(ch.ChargedState(1.0))
 
 
 def test_local_energy_nu_scaling():
@@ -168,22 +160,6 @@ def test_two_component_ratio_exact():
     assert e1.energy < 0.0 and e2.energy < 0.0
     assert e1.length_scale == pytest.approx(100.0**-0.2)
     assert e1.correlation_length == pytest.approx(100.0**-0.4)
-
-
-def test_dyson_heuristic_length_exponent():
-    l1 = ch.dyson_heuristic_length(1e2)
-    l2 = ch.dyson_heuristic_length(1e4)
-    slope = math.log(l2 / l1) / math.log(1e2)
-    assert abs(slope + 0.2) < 1e-12
-
-
-@pytest.mark.parametrize("N", [1.0, 1e2, 1e4, 1e6])
-def test_dyson_heuristic_length_is_the_numeric_minimizer(N):
-    from scipy.optimize import minimize_scalar
-    f = lambda x: N * math.exp(-2.0 * x) - N * (N * math.exp(-3.0 * x)) ** 0.25
-    res = minimize_scalar(f, bounds=(-8.0, 8.0), method="bounded",
-                          options={"xatol": 1e-10})
-    assert ch.dyson_heuristic_length(N) == pytest.approx(math.exp(res.x), rel=1e-7)
 
 
 def test_fock_ground_converges_to_bound():

@@ -14,11 +14,24 @@ from hypothesis import strategies as st
 from bosegas import cli
 from bosegas.config import (_NONNEGATIVE, _POSITIVE, _SECTION_POSITIVE,
                             ConfigError, ResultRecord, SweepSpec, check_schema,
-                            parse_config_file, read_csv, write_csv)
+                            parse_config_file, write_csv)
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def read_csv(path):
+    """Header and float rows of a CSV that ``write_csv`` wrote; a file
+    without a supported schema_version line is a ConfigError."""
+    with open(path) as fh:
+        first = fh.readline().strip()
+        if not first.startswith("# schema_version="):
+            raise ConfigError(f"{path}: missing schema_version header")
+        check_schema(first.split("=", 1)[1])
+        header = fh.readline().strip().split(",")
+        rows = [[float(x) for x in line.split(",")] for line in fh if line.strip()]
+    return header, rows
 
 
 def test_sweep_spec_parsing():

@@ -19,13 +19,6 @@ def test_Y_definition():
     assert st.Y == pytest.approx(4.0 * math.pi * 1e-3 * 0.1**3 / 3.0, rel=1e-15)
 
 
-def test_length_scales_ordering():
-    st = hb.GasState3D(1e-6, 0.1)
-    ls = hb.LengthScales.from_state(st)
-    assert ls.ordered
-    assert ls.a < ls.mean_spacing < ls.healing
-
-
 def test_upper_bound_limits():
     # a/b -> 0: every correction factor -> 1
     st = hb.GasState3D(1e-6, 1.0)
@@ -118,7 +111,9 @@ def test_error_exponent_fits():
 
 def test_finite_box_n1_vanishes():
     st = hb.GasState3D(1e-4, 0.05)
-    assert hb.finite_box_lower_bound(1, 10.0, 1.0, 0.2, 0.3, st) == 0.0
+    n, ell = 1.0, 10.0
+    assert (4.0 * math.pi * st.mu * st.a * n * (n - 1.0) / ell**3
+            * hb.k_factor(n, ell, 1.0, 0.2, 0.3, st.a)) == 0.0
 
 
 def test_K_monotone_decreasing_in_n():
@@ -132,7 +127,8 @@ def test_epsilon_zero_reduces_to_pure_dyson_first_order():
     # first-order nearest-neighbor expectation mu a <W_R>_0 lower bound
     st = hb.GasState3D(1e-3, 0.05)
     n, ell, R, R0 = 40.0, 8.0, 1.0, 0.2
-    got = hb.finite_box_lower_bound(n, ell, R, R0, 0.0, st, include_temple=False)
+    got = (4.0 * math.pi * st.mu * st.a * n * (n - 1.0) / ell**3
+           * hb.k_factor(n, ell, R, R0, 0.0, st.a, include_temple=False))
     rho_cell = n / ell**3
     first_order = (4.0 * math.pi * st.mu * st.a * rho_cell * (1 - 1 / n) * n
                    * (1 - 2 * R / ell) ** 3
@@ -143,14 +139,21 @@ def test_epsilon_zero_reduces_to_pure_dyson_first_order():
 def test_finite_box_trivial_bound_when_temple_fails():
     st = hb.GasState3D(1e-3, 0.5)
     # huge n drives the Temple denominator negative
-    assert hb.finite_box_lower_bound(1e4, 5.0, 1.0, 0.2, 1e-6, st) == 0.0
+    n, ell = 1e4, 5.0
+    assert (4.0 * math.pi * st.mu * st.a * n * (n - 1.0) / ell**3
+            * hb.k_factor(n, ell, 1.0, 0.2, 1e-6, st.a)) == 0.0
 
 
 def test_thermodynamic_cell_bound_positive_for_tiny_Y():
-    st = state_at_Y(1e-25)
-    out = hb.thermodynamic_cell_bound(st)
-    assert 0.0 < out["value"] < st.leading
-    assert out["eps"] == pytest.approx(1e-25 ** (1 / 17))
+    # eps ~ Y^{1/17}, a/ell ~ Y^{6/17}, (R^3 - R0^3)/ell^3 ~ Y^{3/17} with
+    # R0 = 0 and n = 4 rho ell^3: the per-particle cell bound
+    # 4 pi mu rho a (1 - 1/(rho ell^3)) K(n, ell) is positive
+    Y = 1e-25
+    st = state_at_Y(Y)
+    eps, ell = Y ** (1.0 / 17.0), st.a * Y ** (-6.0 / 17.0)
+    R = Y ** (1.0 / 17.0) * ell
+    K = hb.k_factor(4.0 * st.rho * ell**3, ell, R, 0.0, eps, st.a)
+    assert 0.0 < st.leading * (1.0 - 1.0 / (st.rho * ell**3)) * K < st.leading
 
 
 # --- 2D bounds ---------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosegas import flows, meanfield as mf, oracles, scattering as sc
+from bosegas import flows, meanfield as mf
 from bosegas.rootfind import normalization_root
 
 
@@ -101,7 +101,7 @@ def test_energy_descent_monotone():
     assert res.max_energy_increase <= 1e-12 * max(1.0, abs(res.energy))
 
 
-def test_gradient_check_via_fd_oracle(rng):
+def test_gradient_check_via_fd_oracle(rng, fd_gradient_check):
     p = mf.GPProblem(3, 2.0, 0.4, n_grid=512)
     fp = mf._build_problem(p)
     psi = np.abs(rng.normal(size=len(fp.nodes))) + 0.2
@@ -110,9 +110,9 @@ def test_gradient_check_via_fd_oracle(rng):
         d /= np.linalg.norm(d)
         # truncation regime shows the second-order rate; at h = 1e-4 the
         # deviation is already at the 1e-6 level (roundoff floor)
-        out_big = oracles.fd_gradient_check(fp, psi, d, h_list=(0.3, 0.1, 0.03))
+        out_big = fd_gradient_check(fp, psi, d, h_list=(0.3, 0.1, 0.03))
         assert 1.7 < out_big["order"] < 2.3
-        out = oracles.fd_gradient_check(fp, psi, d, h_list=(1e-4,))
+        out = fd_gradient_check(fp, psi, d, h_list=(1e-4,))
         assert out["max_rel_dev"] < 1e-6
 
 
@@ -123,27 +123,10 @@ def test_negative_coupling_rejected():
 
 # --- coupling in 2D -----------------------------------------------------------
 
-def test_coupling_2d_log_arithmetic():
-    _, rep = mf.gp_minimize(mf.GPProblem(2, 1.0, 1.0))
-    rhobar = rep.quartic_integral
-    a = math.exp(-50.0) / math.sqrt(rhobar)
-    assert mf.coupling_2d(1.0, a) == pytest.approx(0.01, rel=1e-10)
-
-
 def test_coupling_2d_rhobar_grid_stable():
     _, rep1 = mf.gp_minimize(mf.GPProblem(2, 1.0, 1.0, n_grid=2048))
     _, rep2 = mf.gp_minimize(mf.GPProblem(2, 1.0, 1.0, n_grid=4096))
     assert abs(rep1.quartic_integral - rep2.quartic_integral) < 1e-6
-
-
-def test_coupling_2d_monotone_in_log_a():
-    alphas = [mf.coupling_2d(1.0, a) for a in (1e-30, 1e-20, 1e-10)]
-    assert alphas[0] < alphas[1] < alphas[2]
-
-
-def test_coupling_2d_rejects_dense():
-    with pytest.raises(ValueError):
-        mf.coupling_2d(1.0, 1e6)
 
 
 # --- Thomas-Fermi ----------------------------------------------------------
@@ -258,39 +241,6 @@ def test_gp_start_uses_exact_mu_tf(monkeypatch):
 def test_tf_requires_homogeneous_trap():
     with pytest.raises(ValueError):
         mf.tf_solve(3, 1.0, 1.0, mf.TrapPotential("box", side=2.0))
-
-
-# --- energy components -------------------------------------------------------
-
-def test_energy_components_hard_core_all_kinetic():
-    p = mf.GPProblem(3, 5.0, 0.2, n_grid=1024)
-    split = mf.energy_components(p, 1.0)  # hard-core kinetic fraction s = 1
-    assert split["interaction"] == pytest.approx(0.0, abs=1e-14)
-    assert split["sum"] == pytest.approx(split["E_GP"], rel=1e-10)
-
-
-def test_energy_components_zero_coupling():
-    p = mf.GPProblem(3, 2.0, 0.0, n_grid=1024)
-    split = mf.energy_components(p, 0.7)
-    assert split["interaction"] == pytest.approx(0.0, abs=1e-12)
-    assert split["kinetic"] + split["trap"] == pytest.approx(split["E_GP"],
-                                                             rel=1e-10)
-
-
-def test_energy_components_with_scattering_solution():
-    sol = sc.solve_zero_energy(sc.soft_sphere(1.0, 9.0))
-    p = mf.GPProblem(3, 5.0, 0.2, n_grid=1024)
-    split = mf.energy_components(p, sol)
-    assert 0.0 < split["s"] <= 1.0
-    assert split["sum"] == pytest.approx(split["E_GP"], rel=1e-10)
-    assert split["interaction"] > 0.0
-
-
-def test_energy_components_missing_s():
-    p = mf.GPProblem(3, 1.0, 0.1, n_grid=512)
-    sol = sc.solve_zero_energy(sc.soft_sphere(1.0, 0.0))  # a = 0, s undefined
-    with pytest.raises(ValueError):
-        mf.energy_components(p, sol)
 
 
 # --- GP -> TF limit -----------------------------------------------------------

@@ -463,7 +463,7 @@ def test_delta_gas_free_limits():
 
 
 def test_delta_gas_fermionization_trend():
-    ff = orc.free_fermion_pair_ring(1.0)
+    ff = 2.0 * math.pi**2   # two impenetrable bosons: momenta +-pi/ell, ell = 1
     e50 = orc.exact_diag_delta_gas_1d(2, 1.0, 50.0, "periodic", 28).energy
     e500 = orc.exact_diag_delta_gas_1d(2, 1.0, 500.0, "periodic", 28).energy
     assert e50 < e500 < ff
@@ -541,7 +541,7 @@ def test_fock_sector_minimum_equals_full_space(A, B_plus, B_minus, cutoff):
 
 # --- gradient oracle -------------------------------------------------------------
 
-def test_fd_gradient_quadratic_is_exact(rng):
+def test_fd_gradient_quadratic_is_exact(rng, fd_gradient_check):
     from bosegas import flows
     n = 64
     z = np.linspace(-1, 1, n)
@@ -553,6 +553,6 @@ def test_fd_gradient_quadratic_is_exact(rng):
     psi = rng.normal(size=n)
     d = rng.normal(size=n)
     d /= np.linalg.norm(d)
-    out = orc.fd_gradient_check(prob, psi, d, h_list=(1e-2,))
+    out = fd_gradient_check(prob, psi, d, h_list=(1e-2,))
     # quadratic functional: central differences are exact to roundoff
     assert out["max_rel_dev"] < 1e-10

@@ -199,14 +199,14 @@ def test_energy_identity_residual_corpus(R_over_R0):
 def test_s_parameter_hard_core_is_one():
     for R0 in (1.0, 0.37):
         sol = sc.solve_zero_energy(sc.hard_core(R0))
-        assert sc.s_parameter(sol) == 1.0
+        assert sol.s == 1.0
 
 
 def test_s_parameter_weak_potential_small_and_monotone():
     previous = 0.0
     for v0 in (0.5, 2.0, 8.0, 32.0):
         sol = sc.solve_zero_energy(sc.soft_sphere(1.0, v0))
-        s = sc.s_parameter(sol)
+        s = sol.s
         assert 0.0 < s < 1.0
         assert s > previous  # harder potential, more kinetic share
         previous = s
@@ -222,13 +222,13 @@ def test_s_parameter_bounded_over_random_corpus(rng):
         v = sc.tabulated(list(zip(rs, vs)))
         sol = sc.solve_zero_energy(v)
         if sol.a > 1e-6:
-            assert 0.0 < sc.s_parameter(sol) <= 1.0 + 1e-9
+            assert 0.0 < sol.s <= 1.0 + 1e-9
 
 
 def test_s_parameter_errors_for_zero_a():
-    sol = sc.solve_zero_energy(sc.soft_sphere(1.0, 0.0))
-    with pytest.raises(ValueError):
-        sc.s_parameter(sol)
+    # s is undefined for a = 0 and outside 3D
+    assert sc.solve_zero_energy(sc.soft_sphere(1.0, 0.0)).s is None
+    assert sc.solve_zero_energy(sc.hard_core(1.0, dimension=2)).s is None
 
 
 def test_2d_hard_disc():
@@ -315,7 +315,9 @@ def test_nonfinite_potential_rejected_at_construction(make):
 def test_potential_file_round_trip(tmp_path):
     v = sc.tabulated([(0.0, 12.0), (0.3, 8.0), (0.7, 2.0), (1.0, 0.0)])
     path = tmp_path / "pot.txt"
-    sc.save_potential(v, path)
+    with open(path, "w") as fh:
+        fh.write(f"# dimension={v.dimension}\n# R0={v.core_radius!r}\n")
+        fh.writelines(f"{r!r} {vv!r}\n" for r, vv in v.samples)
     back = sc.load_potential(path)
     assert back.dimension == 3
     assert back.core_radius == pytest.approx(1.0)
