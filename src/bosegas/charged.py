@@ -27,6 +27,15 @@ from .quadrature import tanh_sinh
 # an ulp off), so that only the two-component flow needs scipy
 _GAMMA_RATIO = 1.3519564801345691  # Gamma(3/4)/Gamma(5/4)
 
+# tanh-sinh covers the x-integral on [0, _X_SPLIT] and the local energy's
+# k-integral on [0, _K_SPLIT * k_c]; algebraic tails cover the rest
+_X_SPLIT = 8.0
+_K_SPLIT = 40.0
+# the two-component minimizer: flow grid, and the first domain radius in
+# units of the dilation scale (mu/I0)^{4/3}
+_DYSON_GRID = 2048
+_DYSON_RMAX_FACTOR = 30.0
+
 
 @dataclass(frozen=True)
 class BogolubovParams:
@@ -51,10 +60,10 @@ def x_integral_closed_form() -> float:
     return float(2.0**0.75 * math.sqrt(math.pi) * _GAMMA_RATIO / 5.0)
 
 
-def x_integral_quadrature(x_split: float = 8.0) -> float:
+def x_integral_quadrature() -> float:
     """int_0^inf (1 + x^4 - x^2 sqrt(2 + x^4)) dx by tanh-sinh on [0, X]
     plus the algebraic tail: the integrand expands to x^-4/2 - x^-8/2 + ...,
-    so the tail contributes 1/(6 X^3) - 1/(14 X^7) + O(X^-11)."""
+    so the tail contributes 1/(6 X^3) - 1/(14 X^7) + O(X^-11); X = _X_SPLIT."""
 
     def integrand(x):
         # rewrite to avoid catastrophic cancellation at large x
@@ -62,8 +71,8 @@ def x_integral_quadrature(x_split: float = 8.0) -> float:
         root = math.sqrt(2.0 + x4)
         return 1.0 + x4 - x * x * root
 
-    head = tanh_sinh(integrand, 0.0, x_split)
-    tail = 1.0 / (6.0 * x_split**3) - 1.0 / (14.0 * x_split**7)
+    head = tanh_sinh(integrand, 0.0, _X_SPLIT)
+    tail = 1.0 / (6.0 * _X_SPLIT**3) - 1.0 / (14.0 * _X_SPLIT**7)
     return head + tail
 
 
@@ -86,7 +95,7 @@ def foldy_constant(mu: float = 1.0) -> FoldyConstant:
 class FoldyLaw:
     energy_per_particle: float
     i0: float
-    infinite_mass_note: str = "infinite-mass reference scales as -rho^(1/3)"
+    infinite_mass_note = "infinite-mass reference scales as -rho^(1/3)"
 
 
 def foldy_law(rho: float, mu: float = 1.0) -> FoldyLaw:
@@ -104,8 +113,7 @@ class LocalEnergy:
     rel_deviation: float
 
 
-def local_energy_integral(nu: float, ell: float, mu: float = 1.0,
-                          k_split: float = 40.0) -> LocalEnergy:
+def local_energy_integral(nu: float, ell: float, mu: float = 1.0) -> LocalEnergy:
     """Leading local Bogolubov energy
 
     -(1/2)(2 pi)^-3 int [4 pi nu/k^2 + mu ell^3 k^2
@@ -124,7 +132,7 @@ def local_energy_integral(nu: float, ell: float, mu: float = 1.0,
         inner = s * s - B * B
         return (s - math.sqrt(max(inner, 0.0))) * k * k
 
-    K = k_split * kc
+    K = _K_SPLIT * kc
     head = tanh_sinh(radial, 0.0, K, level=11)
     # large-k expansion: integrand*k^2 -> B^2/(2A) k^2 = (4pi nu)^2/(2 mu ell^3) k^-4
     tail_coef = (4.0 * math.pi * nu) ** 2 / (2.0 * mu * ell**3)
@@ -171,7 +179,7 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
                                 q, dq, d2q, mass=1.0)
     width = 0.35 * rmax
     psi0 = fp.nodes * np.exp(-(fp.nodes / width) ** 2)
-    res = flows.minimize_flow(fp, psi0=psi0, rtol=1e-9)
+    res = flows.minimize_flow(fp, psi0=psi0)
     if not res.converged:
         raise RuntimeError("two-component minimization did not converge")
     kin, _, inter = fp.energy_parts(res.psi)
@@ -184,14 +192,14 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
 
 
 @lru_cache(maxsize=16)
-def _dyson_cached(mu: float, n: int, rmax_factor: float) -> DysonMinimizer:
+def _dyson_cached(mu: float) -> DysonMinimizer:
     # natural length from the virial balance: mu/L^2 ~ I0 L^{-3/4} L^... ;
     # for mu = 1 the minimizer sits at scale ~ 60, found by domain expansion
     i0 = foldy_constant(mu).i0
     scale = (mu / i0) ** (4.0 / 3.0)  # dilation balance of the two terms
-    rmax = rmax_factor * scale
+    rmax = _DYSON_RMAX_FACTOR * scale
     for _ in range(6):
-        out = _dyson_flow(mu, n, rmax)
+        out = _dyson_flow(mu, _DYSON_GRID, rmax)
         edge_mass = float(out.Phi[-1] ** 2 * out.grid[-1] ** 2 * 4.0 * math.pi
                           * (out.grid[1] - out.grid[0]))
         if edge_mass < 1e-12:
@@ -201,8 +209,7 @@ def _dyson_cached(mu: float, n: int, rmax_factor: float) -> DysonMinimizer:
                        " is still >= 1e-12 after 6 domains")
 
 
-def dyson_functional_minimize(mu: float = 1.0, grid: int = 2048,
-                              rmax_factor: float = 30.0) -> DysonMinimizer:
+def dyson_functional_minimize(mu: float = 1.0) -> DysonMinimizer:
     """Minimize mu int |grad Phi|^2 - I0 int Phi^{5/2} over int Phi^2 = 1.
 
     The domain auto-expands until the boundary mass is below 1e-12, and
@@ -212,7 +219,7 @@ def dyson_functional_minimize(mu: float = 1.0, grid: int = 2048,
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    return _dyson_cached(float(mu), int(grid), float(rmax_factor))
+    return _dyson_cached(float(mu))
 
 
 @dataclass(frozen=True)

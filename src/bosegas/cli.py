@@ -279,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bounds)
 
     for name, fn in (("gp", cmd_gp), ("tf", cmd_tf)):
+        # TF needs a homogeneous trap: only gp takes the box and its side
+        box = ["box"] if name == "gp" else []
         g = sub.add_parser(name, help=f"{name.upper()} minimization")
         g.add_argument("--dim", type=int, default=3, choices=[2, 3])
         g.add_argument("--N", type=float, default=1.0)
@@ -286,9 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="a in 3D, alpha in 2D")
         g.add_argument("--mu", type=float, default=1.0)
         g.add_argument("--trap", default="harmonic",
-                       choices=["harmonic", "homogeneous_power", "box"])
+                       choices=["harmonic", "homogeneous_power"] + box)
         g.add_argument("--s", type=float, default=2.0)
-        g.add_argument("--side", type=float, default=1.0)
+        if box:
+            g.add_argument("--side", type=float, default=1.0)
         g.add_argument("--n-grid", type=int, default=4096)
         g.add_argument("--profile-out")
         g.add_argument("--out")

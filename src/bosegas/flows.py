@@ -21,7 +21,7 @@ mass constraint takes over.  The Newton matrix is the flow's tridiagonal
 plus diag(2 psi^2 q''(psi^2)), bordered by psi; Keller's bordering solves
 it with one gtsv call on two right-hand sides.  A Newton
 step is kept only if it lowers the residual.  Convergence is declared when
-the residual falls below ``rtol`` times the energy scale.  If Newton stalls
+the residual falls below ``_RTOL`` times the energy scale.  If Newton stalls
 first, the descent resumes from the last kept iterate and hands off again
 at a 100x lower level, at most twice; after that the result is reported as
 not converged.  ``FlowResult.newton_steps`` counts the Newton steps tried.
@@ -42,6 +42,8 @@ _MAX_ITER = 40000
 _HANDOFF_LEVELS = (1e-2, 1e-4, 1e-6)
 # a safety cap: from the first level Newton takes 2-4 steps
 _MAX_NEWTON_STEPS = 20
+# converged: residual below _RTOL times the energy scale
+_RTOL = 1e-9
 
 
 @dataclass
@@ -99,11 +101,6 @@ class FlowProblem:
 
     def energy(self, psi: np.ndarray) -> float:
         return sum(self.energy_parts(psi))
-
-    def gradient(self, psi: np.ndarray) -> np.ndarray:
-        """dE/dpsi, exact for the discrete functional."""
-        Apsi, g, _ = self.terms(psi)
-        return 2.0 * (Apsi + self.w * g * psi)
 
     def _apply_A(self, psi: np.ndarray) -> np.ndarray:
         out = self._diag * psi
@@ -241,8 +238,7 @@ def _energy_scale(prob: FlowProblem, terms, e: float) -> float:
     return max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
 
 
-def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
-                  rtol: float = 1e-9) -> FlowResult:
+def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None) -> FlowResult:
     """Run the normalized semi-implicit descent until its residual is below
     a hand-off level (``_HANDOFF_LEVELS``) times the energy scale, then
     finish with Newton steps."""
@@ -280,18 +276,18 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None,
         scale = _energy_scale(prob, terms, e)
         if res > handoff * scale:
             continue
-        psi, terms, res, steps = _newton(prob, psi, terms, res, rtol * scale)
+        psi, terms, res, steps = _newton(prob, psi, terms, res, _RTOL * scale)
         newton += steps
         e = prob.energy(psi)
         # a stalled Newton hands back to the descent, which resumes from the
         # last kept iterate and hands off again at the next level
         handoff = next(levels, None)
-        if res <= rtol * scale or handoff is None:
+        if res <= _RTOL * scale or handoff is None:
             return FlowResult(psi, e, terms[2], res, it + newton,
-                              res <= rtol * scale, max_up, rejected, newton)
+                              res <= _RTOL * scale, max_up, rejected, newton)
     res = prob.residual(psi, terms)
     scale = _energy_scale(prob, terms, e)
-    return FlowResult(psi, e, terms[2], res, it + newton, res <= rtol * scale,
+    return FlowResult(psi, e, terms[2], res, it + newton, res <= _RTOL * scale,
                       max_up, rejected, newton)
 
 

@@ -11,16 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .quadrature import simpson
-from . import scattering as _scatt
+
+if TYPE_CHECKING:
+    from .scattering import RadialPotential
 
 DYSON_CLASSIC = 1.0 / (10.0 * math.sqrt(2.0))
 LOWER_BOUND_C = 8.9
 LHY_C1 = 128.0 / (15.0 * math.sqrt(math.pi))
 LHY_C2 = 8.0 * (4.0 * math.pi / 3.0 - math.sqrt(3.0))
+# occupation numbers the cell-distribution LP enumerates: 0.._CELL_N_MAX
+_CELL_N_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -64,30 +69,16 @@ class GasState2D:
 
 # --- 3D bounds -----------------------------------------------------------
 
-def upper_bound_3d(state: GasState3D, b: float | None = None,
-                   finite_range: bool = False, R0: float | None = None) -> float:
-    """Variational upper bound on e0(rho), energy per particle.
-
-    With ``b`` given, evaluates the finite-b expression (the finite-range
-    variant requires b > R0 and uses the improved numerator/denominator);
-    with ``b`` omitted, the thermodynamic form at b = (4 pi rho/3)^{-1/3},
+def upper_bound_3d(state: GasState3D) -> float:
+    """Variational upper bound on e0(rho), energy per particle, in the
+    thermodynamic form at b = (4 pi rho/3)^{-1/3}:
 
         e0 / (4 pi mu rho a) <= (1 - Y^{1/3} + Y^{2/3} - Y/2)/(1 - Y^{1/3})^8.
     """
-    lead = state.leading
-    if b is None:
-        y3 = state.Y ** (1.0 / 3.0)
-        if y3 >= 1:
-            raise ValueError("upper bound requires Y < 1")
-        return lead * (1.0 - y3 + y3**2 - 0.5 * y3**3) / (1.0 - y3) ** 8
-    if b <= state.a:
-        raise ValueError("upper bound requires b > a")
-    x = state.a / b
-    if finite_range:
-        if R0 is None or b <= R0:
-            raise ValueError("finite-range variant requires b > R0")
-        return lead * (1.0 - x**2 + 0.5 * x**3) / (1.0 - x) ** 4
-    return lead * (1.0 - x + x**2 + 0.5 * x**3) / (1.0 - x) ** 8
+    y3 = state.Y ** (1.0 / 3.0)
+    if y3 >= 1:
+        raise ValueError("upper bound requires Y < 1")
+    return state.leading * (1.0 - y3 + y3**2 - 0.5 * y3**3) / (1.0 - y3) ** 8
 
 
 @dataclass(frozen=True)
@@ -96,10 +87,10 @@ class LowerBound:
     clamped: bool
 
 
-def lower_bound_3d(state: GasState3D, C: float = LOWER_BOUND_C) -> LowerBound:
-    """Lower bound 4 pi mu rho a (1 - C Y^{1/17}), clamped at the trivial
-    bound 0 when the correction exceeds 1."""
-    factor = 1.0 - C * state.Y ** (1.0 / 17.0)
+def lower_bound_3d(state: GasState3D) -> LowerBound:
+    """Lower bound 4 pi mu rho a (1 - C Y^{1/17}), C = LOWER_BOUND_C, clamped
+    at the trivial bound 0 when the correction exceeds 1."""
+    factor = 1.0 - LOWER_BOUND_C * state.Y ** (1.0 / 17.0)
     if factor <= 0.0:
         return LowerBound(0.0, True)
     return LowerBound(state.leading * factor, False)
@@ -126,7 +117,7 @@ def lhy_reference(state: GasState3D) -> float:
 # --- finite-box cell-method bound ---------------------------------------
 
 def k_factor(n: float, ell: float, R: float, R0: float, eps: float,
-             a: float, include_temple: bool = True) -> float:
+             a: float) -> float:
     """The cell-method factor K(n, ell) of the Neumann-box lower bound
     (4 pi mu a / ell^3) n(n-1) K(n, ell).
 
@@ -142,8 +133,6 @@ def k_factor(n: float, ell: float, R: float, R0: float, eps: float,
     dR3 = R**3 - R0**3
     first = (1.0 - eps) * max(0.0, 1.0 - 2.0 * R / ell) ** 3 \
         / (1.0 + (4.0 * math.pi / 3.0) * (n / ell**3) * dR3)
-    if not include_temple:
-        return first
     den = math.pi * eps / ell**2 - 4.0 * a * n * (n - 1.0) / ell**3
     if den <= 0.0:
         return 0.0
@@ -162,18 +151,16 @@ class Bounds2D:
     lower_error_scale: float   # O(|ln rho a^2|^{-1/5}), unit constant
 
 
-def bounds_2d(state: GasState2D, b: float | None = None) -> Bounds2D:
+def bounds_2d(state: GasState2D) -> Bounds2D:
     """Leading-order 2D bounds.
 
-    upper: 2 pi mu rho / (ln(b/a) - pi rho b^2), minimized at
-    b = (2 pi rho)^{-1/2} when b is omitted; lower: 4 pi mu rho/|ln rho a^2|.
+    upper: 2 pi mu rho / (ln(b/a) - pi rho b^2) at its minimizing
+    b = (2 pi rho)^{-1/2}; lower: 4 pi mu rho/|ln rho a^2|.
     Error-term magnitudes are reported separately (unit constants) and are
     never folded into the returned bounds.
     """
-    if b is None:
-        b = (2.0 * math.pi * state.rho) ** -0.5
-    if b <= state.a:
-        raise ValueError("2D upper bound requires b > a")
+    b = (2.0 * math.pi * state.rho) ** -0.5
+    # b <= a makes ln(b/a) <= 0, so this check covers it too
     den = math.log(b / state.a) - math.pi * state.rho * b**2
     if den <= 0:
         raise ValueError("ln(b/a) - pi rho b^2 must be positive")
@@ -199,7 +186,7 @@ class SoftPotential:
     R: float
     dimension: int
     height: float
-    a: float | None = None
+    a: float              # the scattering length of the pair potential
     nu: float | None = None
 
     def __call__(self, r):
@@ -213,18 +200,16 @@ def nu_2d(R: float, R0: float, a: float) -> float:
                    - R0**2 * (math.log(R0**2 / a**2) - 1.0))
 
 
-def soft_potential(R: float, R0: float, dim: int, a: float | None = None) -> SoftPotential:
+def soft_potential(R: float, R0: float, dim: int, a: float) -> SoftPotential:
     if R <= R0:
         raise ValueError("soft potential requires R > R0")
     if dim == 3:
-        return SoftPotential(R0, R, 3, 3.0 / (R**3 - R0**3), a=a)
+        return SoftPotential(R0, R, 3, 3.0 / (R**3 - R0**3), a)
     if dim == 2:
-        if a is None:
-            raise ValueError("2D soft potential needs the scattering length a")
         if R0 <= a:
             raise ValueError("2D soft potential requires R0 > a")
         nu = nu_2d(R, R0, a)
-        return SoftPotential(R0, R, 2, 1.0 / nu, a=a, nu=nu)
+        return SoftPotential(R0, R, 2, 1.0 / nu, a, nu)
     raise ValueError("dim must be 2 or 3")
 
 
@@ -239,15 +224,14 @@ def soft_potential_norm_report(U: SoftPotential) -> dict:
     return {"integral": float(val), "target": 1.0, "nu": U.nu}
 
 
-def dyson_lemma_residual(r: np.ndarray, psi: np.ndarray, v: _scatt.RadialPotential,
-                         U: SoftPotential, R1: float, dim: int,
-                         a: float | None = None) -> float:
+def dyson_lemma_residual(r: np.ndarray, psi: np.ndarray, v: RadialPotential,
+                         U: SoftPotential, R1: float) -> float:
     """Margin of the radial-line inequality, >= 0 when the lemma applies.
 
     3D:  int_0^{R1} [mu psi'^2 + v psi^2 / 2 - mu a U psi^2] r^2 dr
     2D:  int_0^{R1} [mu psi'^2 + v psi^2 / 2 - mu U psi^2] r dr
 
-    ``a`` defaults to the scattering length of ``v`` (solved on demand).
+    The dimension and the scattering length ``a`` are those of ``U``.
     U must be admissible: supported outside the range of v, with
     int U r^2 dr <= 1 (3D) resp. int U ln(r/a) r dr <= 1 (2D).
     """
@@ -257,15 +241,13 @@ def dyson_lemma_residual(r: np.ndarray, psi: np.ndarray, v: _scatt.RadialPotenti
     norm = soft_potential_norm_report(U)["integral"]
     if norm > 1.0 + 1e-8:
         raise ValueError("U violates its normalization constraint")
-    if a is None and dim == 3:
-        a = _scatt.solve_zero_energy(v, mu).a
     mask = r <= R1 * (1 + 1e-12)
     rr, pp = r[mask], psi[mask]
     dp = np.gradient(pp, rr)
     vv = np.asarray(v(rr))
     uu = np.asarray(U(rr))
-    if dim == 3:
-        integrand = (mu * dp**2 + 0.5 * vv * pp**2 - mu * a * uu * pp**2) * rr**2
+    if U.dimension == 3:
+        integrand = (mu * dp**2 + 0.5 * vv * pp**2 - mu * U.a * uu * pp**2) * rr**2
     else:
         integrand = (mu * dp**2 + 0.5 * vv * pp**2 - mu * uu * pp**2) * rr
     return float(np.trapezoid(integrand, rr))
@@ -307,22 +289,22 @@ def cell_distribution_min(k: float, p: int) -> tuple[float, float]:
     return best[0], best[1]
 
 
-def cell_distribution_brute_force(k: float, p: int, n_max: int = 20) -> float:
+def cell_distribution_brute_force(k: float, p: int) -> float:
     """LP oracle: minimize sum_{n<p} c_n n(n-1) + (1/2) sum_{n>=p} c_n n(p-1)
-    over c_n >= 0 with sum c_n = 1 and sum c_n n = k, n <= n_max.
+    over c_n >= 0 with sum c_n = 1 and sum c_n n = k, n <= _CELL_N_MAX.
 
     The objective and constraints are linear in c, so the optimum sits on a
     vertex supported on at most two occupation numbers; exhaustive pair
     enumeration is exact.
     """
-    if k > n_max:
-        raise ValueError("n_max too small for the mean constraint")
+    if k > _CELL_N_MAX:
+        raise ValueError(f"mean occupation k exceeds {_CELL_N_MAX}")
 
     def cost(n):
         return n * (n - 1.0) if n < p else 0.5 * n * (p - 1.0)
 
     best = math.inf
-    ns = range(0, n_max + 1)
+    ns = range(0, _CELL_N_MAX + 1)
     for n1 in ns:
         if n1 == k:
             best = min(best, cost(n1))

@@ -21,6 +21,9 @@ import numpy as np
 
 from . import flows
 
+# points at which tf_solve samples its closed-form profile
+_TF_GRID = 20000
+
 
 @dataclass(frozen=True)
 class TrapPotential:
@@ -60,7 +63,6 @@ class GPProblem:
     mu: float = 1.0
     trap: TrapPotential = TrapPotential()
     n_grid: int = 4096
-    rtol: float = 1e-9
 
     def __post_init__(self):
         if self.dimension not in (2, 3):
@@ -185,14 +187,11 @@ def _initial_guess(problem: GPProblem, fp: flows.FlowProblem) -> np.ndarray | No
     return psi0
 
 
-def gp_minimize(problem: GPProblem, psi0: np.ndarray | None = None
-                ) -> tuple[DensityProfile, EnergyReport]:
+def gp_minimize(problem: GPProblem) -> tuple[DensityProfile, EnergyReport]:
     """Minimize the GP functional; returns the positive minimizer and its
     energy report (components, chemical potential, EL residual)."""
     fp = _build_problem(problem)
-    if psi0 is None:
-        psi0 = _initial_guess(problem, fp)
-    res = flows.minimize_flow(fp, psi0=psi0, rtol=problem.rtol)
+    res = flows.minimize_flow(fp, psi0=_initial_guess(problem, fp))
     if not res.converged:
         raise RuntimeError(f"GP minimization did not converge "
                            f"(residual {res.residual:.3e} after {res.iterations} iterations)")
@@ -240,10 +239,10 @@ def _tf_mu(d: int, N: float, coupling: float, s: float, mu: float) -> float:
 
 
 def tf_solve(dimension: int, N: float, coupling: float,
-             trap: TrapPotential = TrapPotential(), mu: float = 1.0,
-             n_grid: int = 20000) -> tuple[DensityProfile, EnergyReport, float]:
+             trap: TrapPotential = TrapPotential(), mu: float = 1.0
+             ) -> tuple[DensityProfile, EnergyReport, float]:
     """Exact TF minimizer rho = [mu_TF - V]_+/(8 pi mu c) in closed form;
-    the profile samples it at ``n_grid`` points of [0, 1.05 r_edge]."""
+    the profile samples it at ``_TF_GRID`` points of [0, 1.05 r_edge]."""
     if not trap.is_homogeneous:
         raise ValueError("TF solver requires a homogeneous trap")
     if coupling <= 0:
@@ -257,35 +256,33 @@ def tf_solve(dimension: int, N: float, coupling: float,
     # the explicit minimizer satisfies its EL identity exactly: residual 0
     report = EnergyReport(trap_e + inter_e, 0.0, trap_e, inter_e, mu_tf, 0.0,
                           quartic_integral=inter_e / (4.0 * math.pi * mu * coupling))
-    r = np.linspace(0.0, 1.05 * mu_tf ** (1.0 / s), n_grid)
+    r = np.linspace(0.0, 1.05 * mu_tf ** (1.0 / s), _TF_GRID)
     rho = np.maximum(mu_tf - r**s, 0.0) / (8.0 * math.pi * mu * coupling)
     prof = DensityProfile(r, np.sqrt(rho), rho, N, dimension)
     return prof, report, mu_tf
 
 
-def tf_energy(dimension: int, N: float, coupling: float,
-              trap: TrapPotential = TrapPotential()) -> float:
-    return tf_solve(dimension, N, coupling, trap)[1].E_total
+def tf_energy(dimension: int, N: float, coupling: float) -> float:
+    """E_TF in the harmonic trap."""
+    return tf_solve(dimension, N, coupling)[1].E_total
 
 
 # --- GP -> TF limit ---------------------------------------------------------
 
-def gp_tf_limit_scan(dimension: int, trap: TrapPotential, g_list) -> list[dict]:
-    """For each g: E_GP(1, g), E_TF(1, g) and their ratio (3D), or the
-    rescaled ratio E_GP(1, g)/g^{s/(s+2)} vs E_TF(1,1) (2D), at mu = 1."""
-    if not trap.is_homogeneous:
-        raise ValueError("limit scan requires a homogeneous trap")
-    s = trap.exponent
+def gp_tf_limit_scan(dimension: int, g_list) -> list[dict]:
+    """In the harmonic trap (s = 2), for each g: E_GP(1, g), E_TF(1, g) and
+    their ratio (3D), or the rescaled ratio E_GP(1, g)/g^{s/(s+2)} vs
+    E_TF(1,1) (2D), at mu = 1."""
     rows = []
     for g in g_list:
-        e_gp = gp_energy(dimension, 1.0, g, trap=trap)
+        e_gp = gp_energy(dimension, 1.0, g)
         if dimension == 3:
-            e_tf = tf_energy(3, 1.0, g, trap)
+            e_tf = tf_energy(3, 1.0, g)
             rows.append({"g": g, "E_GP": e_gp, "E_TF": e_tf,
                          "ratio": e_gp / e_tf})
         else:
-            e_tf11 = tf_energy(2, 1.0, 1.0, trap)
-            scaled = e_gp / g ** (s / (s + 2.0))
+            e_tf11 = tf_energy(2, 1.0, 1.0)
+            scaled = e_gp / g ** 0.5
             rows.append({"g": g, "E_GP": e_gp, "E_TF11": e_tf11,
                          "scaled": scaled, "ratio": scaled / e_tf11})
     return rows

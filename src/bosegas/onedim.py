@@ -119,8 +119,18 @@ def solve_ba_density(lam: float, m: int = 440):
     return gamma, e_ba
 
 
-def solve_ll_point(t: float, m: int = 440) -> float:
-    """e(t) by a direct coupling <-> t root-find on the kernel width."""
+# the default table: _N_NODES log-spaced nodes on [_T_MIN, _T_MAX], resampled
+# from _SWEEP kernel widths solved on a (_MESH + 1)-node mesh
+_N_NODES = 200
+_T_MIN = 1e-4
+_T_MAX = 1e6
+_MESH = 440
+_SWEEP = 240
+
+
+def solve_ll_point(t: float) -> float:
+    """e(t) by a direct coupling <-> t root-find on the kernel width, on the
+    table's mesh ``_MESH``."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
@@ -128,14 +138,14 @@ def solve_ll_point(t: float, m: int = 440) -> float:
     gamma_target = 0.5 * t
 
     def mismatch(loglam):
-        gamma, _ = solve_ba_density(math.exp(loglam), m)
+        gamma, _ = solve_ba_density(math.exp(loglam), _MESH)
         return math.log(gamma) - math.log(gamma_target)
 
     lo = 0.5 * math.log(gamma_target / 4.0)   # weak-coupling gamma ~ 4 lam^2
     hi = math.log(gamma_target / math.pi) if gamma_target > math.pi else 0.0
     lo, hi = min(lo, hi) - 2.0, max(lo, hi) + 2.0
     loglam = brentq(mismatch, lo, hi, xtol=1e-12)
-    _, e_ba = solve_ba_density(math.exp(loglam), m)
+    _, e_ba = solve_ba_density(math.exp(loglam), _MESH)
     return float(e_ba)
 
 
@@ -242,10 +252,10 @@ class LLCurve:
     nodes_t: np.ndarray
     nodes_e: np.ndarray
     mesh_error: float | None = None
-    cache: str | None = None
-    _interp: Pchip = field(default=None, repr=False)
-    _low_ratio: float = 0.0
-    _high_deficit: float = 0.0
+    cache: str | None = field(default=None, init=False)
+    _interp: Pchip = field(init=False, repr=False)
+    _low_ratio: float = field(init=False)
+    _high_deficit: float = field(init=False)
 
     def __post_init__(self):
         self._interp = Pchip(np.log(self.nodes_t), np.log(self.nodes_e))
@@ -284,9 +294,6 @@ class LLCurve:
     def e_and_de(self, t):
         """(e(t), e'(t)) from one table lookup; e equals ``e(t)`` bit for bit."""
         return self.e_derivatives(t)[:2]
-
-    def de(self, t):
-        return self.e_and_de(t)[1]
 
     def e_derivatives(self, t):
         """(e(t), e'(t), e''(t)) from one table lookup.  Inside the table
@@ -426,36 +433,35 @@ def _newton_log(log_f, log_y, x, lo, hi):
                        f"log residual {float(np.max(np.abs(res))):.3e}")
 
 
-def build_ll_curve(n_nodes: int = 200, t_min: float = 1e-4, t_max: float = 1e6,
-                   mesh: int = 440, sweep: int = 240) -> LLCurve:
+def build_ll_curve() -> LLCurve:
     """Sweep the kernel width, collect (t, e) samples, and resample onto the
     canonical log-spaced nodes.
 
-    The first and last sweep points inside [t_min, t_max] and the one
+    The first and last sweep points inside [_T_MIN, _T_MAX] and the one
     midway between them are solved again on the doubled mesh; the largest
     relative difference of that e from the table's e at the same t becomes
     the curve's ``mesh_error``.
     """
-    lam_lo = 0.4 * math.sqrt(0.5 * t_min)     # gamma ~ 4 lam^2 as lam -> 0
-    lam_hi = 2.0 * (0.5 * t_max) / math.pi    # gamma ~ pi lam as lam -> inf
-    lams = np.geomspace(lam_lo, lam_hi, sweep)
+    lam_lo = 0.4 * math.sqrt(0.5 * _T_MIN)     # gamma ~ 4 lam^2 as lam -> 0
+    lam_hi = 2.0 * (0.5 * _T_MAX) / math.pi    # gamma ~ pi lam as lam -> inf
+    lams = np.geomspace(lam_lo, lam_hi, _SWEEP)
     ts, es = [], []
     for lam in lams:
-        gamma, e_ba = solve_ba_density(lam, mesh)
+        gamma, e_ba = solve_ba_density(lam, _MESH)
         ts.append(2.0 * gamma)
         es.append(e_ba)
     ts = np.asarray(ts)
     es = np.asarray(es)
     fine = Pchip(np.log(ts), np.log(es))
-    nodes_t = np.geomspace(t_min, t_max, n_nodes)
+    nodes_t = np.geomspace(_T_MIN, _T_MAX, _N_NODES)
     nodes_e = np.exp(fine(np.log(nodes_t)))
     curve = LLCurve(nodes_t, nodes_e)
 
-    inside = np.flatnonzero((ts >= t_min) & (ts <= t_max))
+    inside = np.flatnonzero((ts >= _T_MIN) & (ts <= _T_MAX))
     if len(inside):
         curve.mesh_error = 0.0
         for i in (inside[0], inside[len(inside) // 2], inside[-1]):
-            gamma2, e2 = solve_ba_density(lams[i], 2 * mesh)
+            gamma2, e2 = solve_ba_density(lams[i], 2 * _MESH)
             curve.mesh_error = max(curve.mesh_error,
                                    abs(e2 / curve.e(2.0 * gamma2) - 1.0))
     return curve
@@ -464,7 +470,6 @@ def build_ll_curve(n_nodes: int = 200, t_min: float = 1e-4, t_max: float = 1e6,
 # bumped whenever the numbers build_ll_curve returns change, so that a
 # cached table from other code is never read
 _CURVE_SCHEME = 2
-_CURVE_DEFAULTS = build_ll_curve.__defaults__
 
 _DEFAULT_CURVE: LLCurve | None = None
 
@@ -472,9 +477,8 @@ _DEFAULT_CURVE: LLCurve | None = None
 def curve_cache_name() -> str:
     """File name of the cached default table, keyed on the build settings,
     the package version and ``_CURVE_SCHEME``."""
-    n_nodes, t_min, t_max, mesh, sweep = _CURVE_DEFAULTS
-    return (f"ll_curve_s{_CURVE_SCHEME}_{__version__}_n{n_nodes}"
-            f"_t{t_min!r}-{t_max!r}_m{mesh}_w{sweep}.npz")
+    return (f"ll_curve_s{_CURVE_SCHEME}_{__version__}_n{_N_NODES}"
+            f"_t{_T_MIN!r}-{_T_MAX!r}_m{_MESH}_w{_SWEEP}.npz")
 
 
 def default_curve() -> LLCurve:
@@ -564,21 +568,27 @@ class TransverseMode:
     g: float                # 8 pi a / r^2 * int_b4_unit
 
 
-def transverse_mode(trap: ElongatedTrap, n_grid: int = 2000) -> TransverseMode:
+# points of the transverse-mode profile grid, and of the coarser of the two
+# finite-difference solves behind the Richardson step
+_MODE_GRID = 2000
+_MODE_FD_GRID = 1500
+
+
+def transverse_mode(trap: ElongatedTrap) -> TransverseMode:
     """Ground transverse mode and the effective 1D coupling g.
 
     harmonic: closed form (Gaussian, e_perp = 2, int b^4 = 1/(2 pi));
     hard wall: Bessel J0 with the first zero setting the energy.
     """
     if trap.transverse == "harmonic":
-        grid = np.linspace(0.0, 6.0, n_grid)
+        grid = np.linspace(0.0, 6.0, _MODE_GRID)
         b = np.exp(-0.5 * grid**2) / math.sqrt(math.pi)
         e_unit = 2.0
         int_b4 = 1.0 / (2.0 * math.pi)
     else:
         from scipy.special import j0, j1, jn_zeros
         z1 = float(jn_zeros(0, 1)[0])
-        grid = np.linspace(0.0, 1.0, n_grid)
+        grid = np.linspace(0.0, 1.0, _MODE_GRID)
         norm = math.sqrt(math.pi) * abs(float(j1(z1)))
         b = j0(z1 * grid) / norm
         e_unit = z1**2
@@ -588,7 +598,7 @@ def transverse_mode(trap: ElongatedTrap, n_grid: int = 2000) -> TransverseMode:
     return TransverseMode(e_unit, e_unit / trap.r**2, grid, b, int_b4, g)
 
 
-def transverse_mode_numeric(kind: str, n_grid: int = 1500) -> tuple[float, float]:
+def transverse_mode_numeric(kind: str) -> tuple[float, float]:
     """Finite-difference radial eigensolve (cell-centered, Richardson in h):
     returns (e_perp_unit, int b^4).  Independent check of the closed forms."""
     from scipy.linalg import eigh_tridiagonal
@@ -610,8 +620,8 @@ def transverse_mode_numeric(kind: str, n_grid: int = 1500) -> tuple[float, float
         ib4 = float(np.sum(2.0 * math.pi * r * h * b**4))
         return float(vals[0]), ib4
 
-    e1, i1 = solve_once(n_grid)
-    e2, i2 = solve_once(2 * n_grid)
+    e1, i1 = solve_once(_MODE_FD_GRID)
+    e2, i2 = solve_once(2 * _MODE_FD_GRID)
     # second-order scheme: Richardson step kills the h^2 term
     return (4.0 * e2 - e1) / 3.0, (4.0 * i2 - i1) / 3.0
 
@@ -621,6 +631,8 @@ def transverse_mode_numeric(kind: str, n_grid: int = 1500) -> tuple[float, float
 # --------------------------------------------------------------------------
 
 KINDS_1D = ("full", "gp1d", "tf1d", "ll_no_grad", "gt")
+# nodes of every 1D minimization grid
+_N_GRID_1D = 2048
 
 
 @dataclass(frozen=True)
@@ -654,12 +666,10 @@ def _ll_argument(g: float, rho: np.ndarray) -> np.ndarray:
     return np.minimum(g / np.maximum(rho, 1e-300), 1e15)
 
 
-def _curve_for(kind: str, ll: LLCurve | None) -> LLCurve | None:
-    """The e(t) table a functional reads: ``ll``, or the shared table when
-    none is given and the kind is one of the two that use e(t)."""
-    if ll is None and kind in ("full", "ll_no_grad"):
-        return default_curve()
-    return ll
+def _curve_for(kind: str) -> LLCurve | None:
+    """The e(t) table a functional reads: the shared table for the two kinds
+    that use e(t), None for the others."""
+    return default_curve() if kind in ("full", "ll_no_grad") else None
 
 
 def _interaction_density(kind: str, rho: np.ndarray, g: float, curve) -> np.ndarray:
@@ -671,7 +681,7 @@ def _interaction_density(kind: str, rho: np.ndarray, g: float, curve) -> np.ndar
     return np.where(rho > 0, rho**3 * curve.e(_ll_argument(g, rho)), 0.0)
 
 
-def _minimize_gradient_kind(kind, N, L, g, s, curve, n_grid, rtol):
+def _minimize_gradient_kind(kind, N, L, g, s, curve):
     zmax = _zmax_gradient(kind, N, L, g, s)
     V = lambda z: _v_long(z, L, s)
     q = lambda y, z: _interaction_density(kind, y, g, curve)
@@ -696,9 +706,9 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve, n_grid, rtol):
             e, de, d2e = curve.e_derivatives(_ll_argument(g, yp))
             out[pos] = 6.0 * yp * e - 4.0 * g * de + g * g * d2e / yp
             return out
-    fp = flows.line_problem(zmax, n_grid, 1.0, V, q, dq, d2q, N)
+    fp = flows.line_problem(zmax, _N_GRID_1D, 1.0, V, q, dq, d2q, N)
     guess = np.sqrt(np.maximum(1.0 - (fp.nodes / (0.75 * zmax)) ** 2, 0.0)) + 1e-3
-    res = flows.minimize_flow(fp, psi0=guess, rtol=rtol)
+    res = flows.minimize_flow(fp, psi0=guess)
     if not res.converged:
         raise RuntimeError(f"1D minimization ({kind}) did not converge: "
                            f"residual {res.residual:.3e}")
@@ -723,7 +733,7 @@ def _pointwise_density(kind, mu, V, g, curve):
     return g / curve.f_inverse(target / g**2)
 
 
-def _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid):
+def _minimize_pointwise_kind(kind, N, L, g, s, curve):
     """tf1d / gt / ll_no_grad have no gradient term: the minimizer solves
     V(z) + w'(rho) = mu pointwise (``_pointwise_density``, in closed form
     or through ``LLCurve.f_inverse``), with mu fixed by normalization."""
@@ -735,7 +745,7 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid):
         # its edge: the minimizers of gt (and, less severely, tf1d) meet zero
         # with a square-root profile there
         zedge = (mu * L ** (s + 2.0)) ** (1.0 / s)
-        u = np.linspace(-1.0, 1.0, n_grid)
+        u = np.linspace(-1.0, 1.0, _N_GRID_1D)
         return zedge * np.sin(0.5 * math.pi * u)
 
     def mass_at(mu):
@@ -755,23 +765,22 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid):
     return prof, energy, float(np.trapezoid(rho**2, z) / N)
 
 
-def minimize_1d(kind: str, N: float, L: float, g: float, s: float = 2.0,
-                ll: LLCurve | None = None, n_grid: int = 2048,
-                rtol: float = 1e-9):
-    """Minimize one of the five 1D functionals.
+def minimize_1d(kind: str, N: float, L: float, g: float, s: float = 2.0):
+    """Minimize one of the five 1D functionals on ``_N_GRID_1D`` nodes.
 
     Returns (Profile1D, energy, rho_bar).  ``full`` and ``gp1d`` run the
     constrained gradient flow; ``tf1d``, ``ll_no_grad`` and ``gt`` use their
     pointwise Lagrange solutions with a chemical-potential root-find.
+    ``full`` and ``ll_no_grad`` read e(t) from ``default_curve``.
     """
     if kind not in KINDS_1D:
         raise ValueError(f"unknown 1D functional kind {kind!r}")
     if N <= 0:
         raise ValueError("N must be positive")
-    curve = _curve_for(kind, ll)
+    curve = _curve_for(kind)
     if kind in ("full", "gp1d"):
-        return _minimize_gradient_kind(kind, N, L, g, s, curve, n_grid, rtol)
-    return _minimize_pointwise_kind(kind, N, L, g, s, curve, n_grid)
+        return _minimize_gradient_kind(kind, N, L, g, s, curve)
+    return _minimize_pointwise_kind(kind, N, L, g, s, curve)
 
 
 # --------------------------------------------------------------------------
@@ -830,22 +839,20 @@ def _pick_region(ratio: float, N: float):
     return 5
 
 
-def regime_classify(trap: ElongatedTrap,
-                    ll: LLCurve | None = None) -> RegimeReport:
+def regime_classify(trap: ElongatedTrap) -> RegimeReport:
     """Classify an elongated trap into Regions 1-5.
 
     g comes from the transverse mode; rhobar from the full functional, then
     recomputed once with the region-consistent functional (single fixed-point
     pass; the iteration count is deliberately one).
     """
-    curve = ll if ll is not None else default_curve()
     mode = transverse_mode(trap)
     g = mode.g
-    prof0, _, rho_bar = minimize_1d("full", trap.N, trap.L, g, trap.s, curve)
+    prof0, _, rho_bar = minimize_1d("full", trap.N, trap.L, g, trap.s)
     ratio0 = g / rho_bar
     region0 = _pick_region(ratio0, trap.N)
     kind = _REGION_KIND[region0 if isinstance(region0, int) else region0[0]]
-    prof1, _, rho_bar1 = minimize_1d(kind, trap.N, trap.L, g, trap.s, curve)
+    prof1, _, rho_bar1 = minimize_1d(kind, trap.N, trap.L, g, trap.s)
     ratio1 = g / rho_bar1
     region1 = _pick_region(ratio1, trap.N)
     validity = trap.r**2 * rho_bar1 * min(rho_bar1, g)

@@ -78,7 +78,6 @@ class DiscreteField:
 
     values: np.ndarray
     L: float
-    boundary: str = "periodic"
     coeffs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -314,14 +313,14 @@ def _cosine_weight(n: int) -> DiscreteField:
 
 
 def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
-                       seed: int = 1234, phi: float = 0.5 * math.pi,
-                       kmax: int = 2) -> dict:
+                       seed: int = 1234) -> dict:
     """Run a seeded corpus; returns the calibrated constant and extremes.
 
     homogeneous/inhomogeneous: C_hat = max ratio (inequality constant).
-    vector_potential: C_hat = max(0, -min ratio) (the error-term constant).
+    vector_potential: C_hat = max(0, -min ratio) (the error-term constant),
+    at the flux phi = pi/2.
 
-    The field bandwidth kmax must stay well below the grid Nyquist so the
+    The field bandwidth kmax = 2 stays well below the grid Nyquist so the
     calibrated constant is resolution-stable.
     """
     rng = np.random.default_rng(seed)
@@ -330,12 +329,12 @@ def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
     for _ in range(n_cases):
         frac = rng.uniform(0.0, 0.5)
         mask = random_subset(n, rng, frac)
-        f = random_field(n, 1.0, rng, kmax=kmax,
+        f = random_field(n, 1.0, rng, kmax=2,
                          complex_valued=(variant == "vector_potential"))
         if variant == "inhomogeneous":
             res = poincare_check(variant, f, mask, {"h_weight": weight})
         elif variant == "vector_potential":
-            res = poincare_check(variant, f, mask, {"phi": phi})
+            res = poincare_check(variant, f, mask, {"phi": 0.5 * math.pi})
         else:
             res = poincare_check(variant, f, mask)
         ratios.append(res.ratio)

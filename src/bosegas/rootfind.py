@@ -14,20 +14,22 @@ import math
 
 # the smallest rtol accepted: 4 ulp of 1
 _RTOL = 4.0 * 2.0**-52
+# scipy's default iteration cap
+_MAXITER = 100
 
 
 def _signbit(x: float) -> bool:
     return math.copysign(1.0, x) < 0
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
-           maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float = 2e-12,
+           rtol: float = _RTOL) -> float:
     """A root of ``f`` in [a, b], where f(a) and f(b) have opposite signs,
     to within ``xtol + rtol |x|``.
 
     Returns an endpoint where f is exactly 0.  Raises ValueError when f(a)
     and f(b) have the same sign or f returns NaN, and RuntimeError when
-    ``maxiter`` iterations do not converge.
+    ``_MAXITER`` iterations do not converge.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -51,7 +53,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
         return xcur
     if _signbit(fpre) == _signbit(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -90,7 +92,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
 
 def normalization_root(mass, N: float) -> float:

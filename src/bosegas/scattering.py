@@ -47,6 +47,8 @@ _HARD_CORE = "hard_core"
 _SOFT_SPHERE = "soft_sphere"
 _TABULATED = "tabulated"
 _BIG = 1e100          # rescaling threshold of the propagator
+_RMAX_FACTOR = 8.0    # the grid extends to _RMAX_FACTOR * R0
+_UNIT_A_TOL = 1e-6    # largest |a - 1| scale_potential accepts of its input
 
 
 @dataclass(frozen=True)
@@ -118,17 +120,14 @@ def tabulated(samples, dimension: int = 3) -> RadialPotential:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Radial grid: n points out to rmax_factor * R0 (>= 4 required)."""
+    """Radial grid: n points out to _RMAX_FACTOR * R0."""
 
     n: int = 4096
-    rmax_factor: float = 8.0
 
     def __post_init__(self):
         if self.n < N_GRID_MIN:
             raise ValueError(
                 f"grid needs n >= {N_GRID_MIN} points, got {self.n}")
-        if self.rmax_factor < 4.0:
-            raise ValueError("grid must extend beyond R0 by a factor >= 4")
 
 
 @dataclass(frozen=True)
@@ -320,7 +319,7 @@ def solve_zero_energy(v: RadialPotential, mu: float = 1.0,
     if mu <= 0:
         raise ValueError("mu must be positive")
     r_ref = v.core_radius if v.core_radius > 0 else 1.0
-    rmax = grid_spec.rmax_factor * r_ref
+    rmax = _RMAX_FACTOR * r_ref
 
     grid, u, du, a = _solve(v, mu, grid_spec.n, rmax)
     a2 = _solve(v, mu, 2 * grid_spec.n, rmax)[3]
@@ -369,14 +368,13 @@ def energy_identity_residual(sol: ScatteringSolution, v: RadialPotential,
             "residual": float(abs(K + P - a * (1.0 - a / r0)) / a)}
 
 
-def scale_potential(v: RadialPotential, a_target: float, mu: float = 1.0,
-                    tol: float = 1e-6) -> RadialPotential:
-    """Rescale a unit-scattering-length potential to scattering length
-    ``a_target`` via v(x) -> a^-2 v1(x/a)."""
+def scale_potential(v: RadialPotential, a_target: float) -> RadialPotential:
+    """Rescale a unit-scattering-length potential (at mu = 1) to scattering
+    length ``a_target`` via v(x) -> a^-2 v1(x/a)."""
     if a_target <= 0:
         raise ValueError("target scattering length must be positive")
-    base = solve_zero_energy(v, mu)
-    if abs(base.a - 1.0) > tol:
+    base = solve_zero_energy(v)
+    if abs(base.a - 1.0) > _UNIT_A_TOL:
         raise ValueError(f"base potential has scattering length {base.a}, not 1")
     lam = a_target
     if v.kind == _HARD_CORE:

@@ -141,7 +141,7 @@ def _homogeneous_checks(seed):
     r_out = np.linspace(sol.grid[-1], 1.03 * R, 60000)[1:]   # psi0 = 1 - a/r there
     margin = homogeneous.dyson_lemma_residual(
         np.concatenate([sol.grid, r_out]), np.concatenate([psi_in, 1.0 - a / r_out]),
-        v, homogeneous.soft_potential(R, 0.995 * R, 3), 1.02 * R, 3, a=a) / (sol.mu * a)
+        v, homogeneous.soft_potential(R, 0.995 * R, 3, a), 1.02 * R) / (sol.mu * a)
     out.append(_check("homogeneous.dyson_lemma_saturation", margin, 1e-2,
                       passed=-1e-9 <= margin <= 1e-2))
     return out
@@ -165,8 +165,7 @@ def _meanfield_checks():
     # step's (halving it moves the gap by 1.5 %); the tolerance clears n = 1024
     fd = meanfield.mu_chem_fd(p)
     out.append(_check("meanfield.mu_chem_fd", abs(rep.mu_chem - fd) / abs(fd), 1e-5))
-    ratios = [meanfield.gp_tf_limit_scan(d, meanfield.TrapPotential(), [1e4])[0]["ratio"]
-              for d in (3, 2)]
+    ratios = [meanfield.gp_tf_limit_scan(d, [1e4])[0]["ratio"] for d in (3, 2)]
     out.append(_check("meanfield.gp_tf_limit", max(abs(x - 1.0) for x in ratios), 0.05))
     _, _, mu_tf = meanfield.tf_solve(3, 100.0, 0.05)
     out.append(_check("meanfield.tf_harmonic_mu",
@@ -206,8 +205,8 @@ def _onedim_checks():
                       1e-8))
     N, L, g, s = 9.0, 4.0, 0.8, 2.0
     gamma = (N / L) * N ** (-2.0 / (s + 2.0))
-    eA = onedim.minimize_1d("ll_no_grad", N, L, g, s, curve)[1]
-    eB = onedim.minimize_1d("ll_no_grad", 1.0, 1.0, g / gamma, s, curve)[1]
+    eA = onedim.minimize_1d("ll_no_grad", N, L, g, s)[1]
+    eB = onedim.minimize_1d("ll_no_grad", 1.0, 1.0, g / gamma, s)[1]
     out.append(_check("onedim.ll_scaling",
                       abs(eA - N * gamma**2 * eB) / abs(eA), 1e-6))
     eg = onedim.minimize_1d("gt", N, L, 0.0, s)[1]

@@ -143,9 +143,9 @@ def test_criterion_06_gp():
 def test_criterion_07_tf():
     _, _, mu_tf = meanfield.tf_solve(3, 100.0, 0.05)
     ok_mu = abs(mu_tf - (15 * 0.05 * 100.0) ** 0.4) / mu_tf < 1e-10
-    rows = meanfield.gp_tf_limit_scan(3, meanfield.TrapPotential(), [1e4])
+    rows = meanfield.gp_tf_limit_scan(3, [1e4])
     ok_3d = abs(rows[0]["ratio"] - 1.0) < 0.05
-    rows2 = meanfield.gp_tf_limit_scan(2, meanfield.TrapPotential(), [1e4])
+    rows2 = meanfield.gp_tf_limit_scan(2, [1e4])
     ok_2d = abs(rows2[0]["ratio"] - 1.0) < 0.05
     _criterion("7 TF closed form + GP/TF limits at g=1e4",
                ok_mu and ok_3d and ok_2d,
@@ -168,7 +168,7 @@ def test_criterion_08_lieb_liniger(ll_curve):
                f"ring dev={dev:.4f}")
 
 
-def test_criterion_09_regimes(ll_curve):
+def test_criterion_09_regimes():
     e1 = onedim.minimize_1d("gp1d", 7.0, 3.0, 0.11, 2.0)[1]
     e2 = onedim.minimize_1d("gp1d", 1.0, 1.0, 7.0 * 0.11 * 3.0, 2.0)[1]
     ok2 = abs(e1 - 7.0 / 9.0 * e2) / abs(e1) < 1e-8
@@ -180,8 +180,8 @@ def test_criterion_09_regimes(ll_curve):
     ok3 = abs(np.polyfit(np.log(gs), np.log(es), 1)[0] - 2 / 3) < 1e-3 and slope_ok
     N, L, g, s = 9.0, 4.0, 0.8, 2.0
     gamma = (N / L) * N ** (-2 / (s + 2))
-    eA = onedim.minimize_1d("ll_no_grad", N, L, g, s, ll_curve)[1]
-    eB = onedim.minimize_1d("ll_no_grad", 1.0, 1.0, g / gamma, s, ll_curve)[1]
+    eA = onedim.minimize_1d("ll_no_grad", N, L, g, s)[1]
+    eB = onedim.minimize_1d("ll_no_grad", 1.0, 1.0, g / gamma, s)[1]
     ok4 = abs(eA - N * gamma**2 * eB) / abs(eA) < 1e-6
     eg = onedim.minimize_1d("gt", N, L, 0.0, s)[1]
     egB = onedim.minimize_1d("gt", 1.0, 1.0, 0.0, s)[1]
@@ -190,18 +190,18 @@ def test_criterion_09_regimes(ll_curve):
     def probe(target):
         trap0 = onedim.ElongatedTrap(50.0, 200.0, 0.5, 1e-6, 2.0)
         mode = onedim.transverse_mode(trap0)
-        _, _, rb = onedim.minimize_1d("full", 50.0, 200.0, mode.g, 2.0, ll_curve)
+        _, _, rb = onedim.minimize_1d("full", 50.0, 200.0, mode.g, 2.0)
         trap = trap0
         for _ in range(8):
             a = target * rb * 0.25 / (8 * math.pi * mode.int_b4_unit)
             trap = onedim.ElongatedTrap(50.0, 200.0, 0.5, a, 2.0)
             mode = onedim.transverse_mode(trap)
-            _, _, rb = onedim.minimize_1d("full", 50.0, 200.0, mode.g, 2.0, ll_curve)
+            _, _, rb = onedim.minimize_1d("full", 50.0, 200.0, mode.g, 2.0)
             if abs(mode.g / rb - target) / target < 0.02:
                 break
         return trap
 
-    regions = [onedim.regime_classify(probe(t), ll=ll_curve).region
+    regions = [onedim.regime_classify(probe(t)).region
                for t in (1e-4 * 50.0**-2, 1.0, 1e3)]
     ok_probe = regions == [1, 4, 5]
     _criterion("9 region scalings 2-5 + classifier probes 1/4/5",

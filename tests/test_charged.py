@@ -140,11 +140,14 @@ def test_dyson_energy_below_gaussian_trial():
     assert dm.energy <= best + 1e-9
 
 
-def test_dyson_unconverged_domain_raises():
+def test_dyson_unconverged_domain_raises(monkeypatch):
     # a domain far too small for the minimizer: 6 expansions of 1.6x cannot
     # push the boundary mass below 1e-12, and the last iterate must not leak
+    monkeypatch.setattr(ch, "_DYSON_GRID", 256)
+    monkeypatch.setattr(ch, "_DYSON_RMAX_FACTOR", 0.05)
+    ch._dyson_cached.cache_clear()
     with pytest.raises(RuntimeError, match="boundary mass"):
-        ch.dyson_functional_minimize(1.0, grid=256, rmax_factor=0.05)
+        ch.dyson_functional_minimize(1.0)
 
 
 def test_dyson_cache_reuse():

@@ -254,6 +254,8 @@ def run(*argv):
 print(json.dumps(loaded()))
 run("charged", "foldy")
 print(json.dumps(loaded()))
+run("bounds", "--rho", "1e-4")
+print(json.dumps(loaded()))
 run("scatter", "--v0", "1e8")
 print(json.dumps(loaded()))
 import bosegas.onedim, bosegas.meanfield, bosegas.flows
@@ -287,10 +289,15 @@ def test_cli_import_loads_only_config(tmp_path):
         [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    (after_import, after_foldy, after_scatter, after_modules, after_tables,
-     after_gp, after_flows) = map(json.loads, proc.stdout.splitlines())
+    (after_import, after_foldy, after_bounds, after_scatter, after_modules,
+     after_tables, after_gp, after_flows) = map(json.loads,
+                                                proc.stdout.splitlines())
     assert after_import == ["bosegas", "bosegas.cli", "bosegas.config"]
     assert not _scipy(after_foldy)
+    # the closed-form bounds need no scattering solver
+    assert "bosegas.homogeneous" in after_bounds
+    assert "bosegas.scattering" not in after_bounds
+    assert not _scipy(after_bounds)
     assert "bosegas.scattering" in after_scatter
     assert not _scipy(after_scatter)
     # the table queries, the cold table build and TF load no scipy
@@ -376,6 +383,25 @@ def test_ll_emit_curve_contract(tmp_path):
     es = [float(l.split(",")[1]) for l in lines[1:]]
     assert ts[0] == min(ts)
     assert all(e2 > e1 for e1, e2 in zip(es, es[1:]))
+
+
+def test_tf_takes_no_box_trap(tmp_path, capsys):
+    # TF needs a homogeneous trap: box and --side are gp's alone
+    for extra in (["--trap", "box"], ["--side", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("tf", "--coupling", "1", *extra)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "tf.cfg"
+    cfg.write_text("[tf]\ntrap = box\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "tf.trap: 'box' not one of ['harmonic', 'homogeneous_power']"]
+    assert run_cli("--config", str(cfg), "tf", "--coupling", "1") == 2
+    assert "tf.trap" in capsys.readouterr().err
+    cfg.write_text("[tf]\nside = 2\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert "tf.side: unknown option" in capsys.readouterr().out
 
 
 def test_tf_nonpositive_coupling_is_config_error(tmp_path, capsys):

@@ -33,7 +33,7 @@ def test_gp_3d_harmonic_flow_pinned():
     assert rep.E_total == pytest.approx(362.2434068055428, rel=1e-13)
 
 
-def test_full_1d_flow_pinned(monkeypatch, ll_curve):
+def test_full_1d_flow_pinned(monkeypatch):
     results = []
     run = flows.minimize_flow
 
@@ -42,7 +42,7 @@ def test_full_1d_flow_pinned(monkeypatch, ll_curve):
         return results[-1]
 
     monkeypatch.setattr(flows, "minimize_flow", recording)
-    _, energy, _ = onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0, ll_curve)
+    _, energy, _ = onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0)
     assert [r.iterations for r in results] == [34]
     assert [(r.rejected_steps, r.newton_steps) for r in results] == [(0, 3)]
     assert energy == pytest.approx(9.322188962301011, rel=1e-13)
@@ -79,36 +79,35 @@ class _Captured(Exception):
 
 
 def _flow_input(monkeypatch, solve):
-    """The FlowProblem, normalized start vector and rtol ``solve`` hands to
-    the flow."""
+    """The FlowProblem and normalized start vector ``solve`` hands to the
+    flow."""
     seen = []
 
-    def capture(prob, psi0=None, rtol=1e-9):
-        seen.append((prob, psi0, rtol))
+    def capture(prob, psi0=None):
+        seen.append((prob, psi0))
         raise _Captured
 
     with monkeypatch.context() as patch:
         patch.setattr(flows, "minimize_flow", capture)
         with pytest.raises(_Captured):
             solve()
-    prob, psi0, rtol = seen[0]
+    prob, psi0 = seen[0]
     if psi0 is None:
         psi0 = np.exp(-np.linspace(0, 4, len(prob.nodes)) ** 2) + 0.05
-    return prob, prob.normalize(np.array(psi0, dtype=float)), rtol
+    return prob, prob.normalize(np.array(psi0, dtype=float))
 
 
 @pytest.mark.parametrize("case", ["gp_2d_cell", "gp_3d_u", "full_1d", "dyson"])
-def test_step_equals_the_banded_reference(case, monkeypatch, ll_curve):
+def test_step_equals_the_banded_reference(case, monkeypatch):
     solve = {
         "gp_2d_cell": lambda: meanfield.gp_minimize(
             meanfield.GPProblem(2, 5.0, 0.1, n_grid=512)),
         "gp_3d_u": lambda: meanfield.gp_minimize(
             meanfield.GPProblem(3, 100.0, 0.01, n_grid=1024)),
-        "full_1d": lambda: onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0,
-                                              ll_curve),
+        "full_1d": lambda: onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0),
         "dyson": lambda: charged._dyson_flow(1.0, 1024, 60.0),
     }[case]
-    prob, start, _ = _flow_input(monkeypatch, solve)
+    prob, start = _flow_input(monkeypatch, solve)
     # the start and the minimizer; dt over the descent's range (up to 1e4
     # over the energy scale) and far beyond it, where M is nearly singular
     for psi in (start, flows.minimize_flow(prob, start).psi):
@@ -159,7 +158,9 @@ def test_fall_through_exit_uses_the_loop_scale(monkeypatch):
     dq = lambda y, z: y
     d2q = lambda y, z: np.ones_like(y)
     base = flows.line_problem(8.0, 256, 1.0, lambda z: z**2, q, dq, d2q, 10.0)
-    ground = flows.minimize_flow(base, rtol=1e-11)
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "_RTOL", 1e-11)
+        ground = flows.minimize_flow(base)
     assert ground.converged
     shifted = flows.line_problem(8.0, 256, 1.0,
                                  lambda z: z**2 - ground.mu_chem, q, dq, d2q,
@@ -247,37 +248,38 @@ _BOX = meanfield.TrapPotential("box", side=4.0)
 
 # solves on which both the flow and the reference converge
 _CORPUS = {
-    "gp_2d_harmonic_weak": lambda ll: meanfield.gp_minimize(
+    "gp_2d_harmonic_weak": lambda: meanfield.gp_minimize(
         meanfield.GPProblem(2, 5.0, 0.1, n_grid=1024)),
-    "gp_2d_harmonic_tf_start": lambda ll: meanfield.gp_minimize(
+    "gp_2d_harmonic_tf_start": lambda: meanfield.gp_minimize(
         meanfield.GPProblem(2, 200.0, 0.5, n_grid=2048)),
-    "gp_3d_harmonic": lambda ll: meanfield.gp_minimize(
+    "gp_3d_harmonic": lambda: meanfield.gp_minimize(
         meanfield.GPProblem(3, 100.0, 0.01, n_grid=1024)),
-    "gp_3d_harmonic_tf_start": lambda ll: meanfield.gp_minimize(
+    "gp_3d_harmonic_tf_start": lambda: meanfield.gp_minimize(
         meanfield.GPProblem(3, 30.0, 10.0, n_grid=2048)),
-    "gp_2d_s3": lambda ll: meanfield.gp_minimize(
+    "gp_2d_s3": lambda: meanfield.gp_minimize(
         meanfield.GPProblem(2, 20.0, 0.05, trap=_S3, n_grid=1024)),
-    "gp_3d_s3": lambda ll: meanfield.gp_minimize(
+    "gp_3d_s3": lambda: meanfield.gp_minimize(
         meanfield.GPProblem(3, 50.0, 1.0, trap=_S3, n_grid=2048)),
-    "gp_2d_box": lambda ll: meanfield.gp_minimize(
+    "gp_2d_box": lambda: meanfield.gp_minimize(
         meanfield.GPProblem(2, 5.0, 0.1, trap=_BOX, n_grid=1024)),
-    "gp_3d_box": lambda ll: meanfield.gp_minimize(
+    "gp_3d_box": lambda: meanfield.gp_minimize(
         meanfield.GPProblem(3, 50.0, 0.001, trap=_BOX, n_grid=1024)),
-    "full_weak": lambda ll: onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0, ll),
-    "full_strong": lambda ll: onedim.minimize_1d("full", 10.0, 2.0, 8.0, 2.0, ll),
-    "gp1d": lambda ll: onedim.minimize_1d("gp1d", 30.0, 5.0, 0.5, 2.0, ll),
-    "gp1d_s3": lambda ll: onedim.minimize_1d("gp1d", 5.0, 1.0, 2.0, 3.0, ll),
-    "dyson": lambda ll: charged._dyson_flow(1.0, 1024, 60.0),
-    "dyson_mu2": lambda ll: charged._dyson_flow(2.0, 2048, 40.0),
+    "full_weak": lambda: onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0),
+    "full_strong": lambda: onedim.minimize_1d("full", 10.0, 2.0, 8.0, 2.0),
+    "gp1d": lambda: onedim.minimize_1d("gp1d", 30.0, 5.0, 0.5, 2.0),
+    "gp1d_s3": lambda: onedim.minimize_1d("gp1d", 5.0, 1.0, 2.0, 3.0),
+    "dyson": lambda: charged._dyson_flow(1.0, 1024, 60.0),
+    "dyson_mu2": lambda: charged._dyson_flow(2.0, 2048, 40.0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CORPUS))
-def test_energies_match_the_polish_reference(case, monkeypatch, ll_curve):
-    prob, start, rtol = _flow_input(monkeypatch, lambda: _CORPUS[case](ll_curve))
-    new = flows.minimize_flow(prob, start, rtol)
+def test_energies_match_the_polish_reference(case, monkeypatch):
+    prob, start = _flow_input(monkeypatch, _CORPUS[case])
+    new = flows.minimize_flow(prob, start)
     assert new.converged
-    e_ref, _, _, converged_ref = _reference_minimize_flow(prob, start, rtol)
+    e_ref, _, _, converged_ref = _reference_minimize_flow(prob, start,
+                                                          flows._RTOL)
     assert converged_ref
     assert new.energy == pytest.approx(e_ref, rel=1e-12)
 
@@ -288,19 +290,18 @@ def _central_difference(dq, y, nodes, rel=1e-5):
 
 
 @pytest.mark.parametrize("case", ["gp_2d_cell", "gp_3d_u", "gp1d", "full", "dyson"])
-def test_d2q_matches_central_differences_of_dq(case, monkeypatch, ll_curve):
+def test_d2q_matches_central_differences_of_dq(case, monkeypatch):
+    monkeypatch.setattr(onedim, "_N_GRID_1D", 512)
     solve = {
         "gp_2d_cell": lambda: meanfield.gp_minimize(
             meanfield.GPProblem(2, 5.0, 0.1, n_grid=512)),
         "gp_3d_u": lambda: meanfield.gp_minimize(
             meanfield.GPProblem(3, 100.0, 0.01, n_grid=512)),
-        "gp1d": lambda: onedim.minimize_1d("gp1d", 30.0, 5.0, 0.5, 2.0,
-                                           ll_curve, n_grid=512),
-        "full": lambda: onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0,
-                                           ll_curve, n_grid=512),
+        "gp1d": lambda: onedim.minimize_1d("gp1d", 30.0, 5.0, 0.5, 2.0),
+        "full": lambda: onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0),
         "dyson": lambda: charged._dyson_flow(1.0, 512, 60.0),
     }[case]
-    prob, start, _ = _flow_input(monkeypatch, solve)
+    prob, start = _flow_input(monkeypatch, solve)
     y = start**2
     keep = y > 1e-8 * y.max()
     y, nodes = y[keep], prob.nodes[keep]
@@ -312,8 +313,9 @@ def test_d2q_matches_central_differences_of_dq(case, monkeypatch, ll_curve):
 def test_full_d2q_across_the_table_ends(monkeypatch, ll_curve):
     # rho = g / t on both sides of t_min and t_max, at midpoints between
     # table nodes in log t (e'' jumps at the nodes, the PCHIP being C1)
-    prob, _, _ = _flow_input(monkeypatch, lambda: onedim.minimize_1d(
-        "full", 30.0, 5.0, 0.5, 2.0, ll_curve, n_grid=512))
+    monkeypatch.setattr(onedim, "_N_GRID_1D", 512)
+    prob, _ = _flow_input(monkeypatch, lambda: onedim.minimize_1d(
+        "full", 30.0, 5.0, 0.5, 2.0))
     g = 0.5
     x = np.log(ll_curve.nodes_t)
     inner = np.exp(0.5 * (x[:-1] + x[1:]))

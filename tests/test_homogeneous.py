@@ -20,14 +20,13 @@ def test_Y_definition():
 
 
 def test_upper_bound_limits():
-    # a/b -> 0: every correction factor -> 1
-    st = hb.GasState3D(1e-6, 1.0)
-    val = hb.upper_bound_3d(st, b=1e9)
-    assert val / st.leading == pytest.approx(1.0, rel=1e-8)
+    # Y -> 0: every correction factor -> 1
+    st = state_at_Y(1e-30)
+    assert hb.upper_bound_3d(st) / st.leading == pytest.approx(1.0, rel=1e-8)
     with pytest.raises(ValueError):
-        hb.upper_bound_3d(st, b=1.0)  # b = a singular
+        hb.upper_bound_3d(state_at_Y(1.0))  # b = a singular
     with pytest.raises(ValueError):
-        hb.upper_bound_3d(st, b=0.5)
+        hb.upper_bound_3d(state_at_Y(8.0))
 
 
 def test_upper_bound_thermodynamic_form_dual_path():
@@ -36,16 +35,6 @@ def test_upper_bound_thermodynamic_form_dual_path():
     y3 = 1e-1
     expected = st.leading * (1 - y3 + y3**2 - 0.5 * y3**3) / (1 - y3) ** 8
     assert hb.upper_bound_3d(st) == pytest.approx(expected, rel=1e-13)
-
-
-def test_upper_bound_finite_range_variant():
-    st = hb.GasState3D(1e-6, 1.0)
-    v_inf = hb.upper_bound_3d(st, b=5.0)
-    v_fin = hb.upper_bound_3d(st, b=5.0, finite_range=True, R0=1.0)
-    # finite-range expression is the sharper of the two here
-    assert v_fin < v_inf
-    with pytest.raises(ValueError):
-        hb.upper_bound_3d(st, b=5.0, finite_range=True, R0=6.0)
 
 
 def test_lower_bound_explicit_and_clamp():
@@ -122,18 +111,21 @@ def test_K_monotone_decreasing_in_n():
     assert all(ks[i] >= ks[i + 1] - 1e-15 for i in range(len(ks) - 1))
 
 
-def test_epsilon_zero_reduces_to_pure_dyson_first_order():
-    # with eps = 0 and the Temple factor off, the bound is exactly the
-    # first-order nearest-neighbor expectation mu a <W_R>_0 lower bound
-    st = hb.GasState3D(1e-3, 0.05)
-    n, ell, R, R0 = 40.0, 8.0, 1.0, 0.2
+def test_k_factor_is_first_order_times_epsilon_and_temple_factors():
+    # the bound is the first-order nearest-neighbor expectation
+    # mu a <W_R>_0, times 1 - eps and the Temple factor
+    st = hb.GasState3D(1e-3, 1e-5)
+    n, ell, R, R0, eps = 40.0, 8.0, 1.0, 0.2, 0.3
     got = (4.0 * math.pi * st.mu * st.a * n * (n - 1.0) / ell**3
-           * hb.k_factor(n, ell, R, R0, 0.0, st.a, include_temple=False))
+           * hb.k_factor(n, ell, R, R0, eps, st.a))
     rho_cell = n / ell**3
     first_order = (4.0 * math.pi * st.mu * st.a * rho_cell * (1 - 1 / n) * n
                    * (1 - 2 * R / ell) ** 3
                    / (1 + 4 * math.pi * rho_cell * (R**3 - R0**3) / 3))
-    assert got == pytest.approx(first_order, rel=1e-12)
+    temple = 1.0 - (3.0 / math.pi) * st.a * n / (
+        (R**3 - R0**3) * (math.pi * eps / ell**2 - 4.0 * st.a * n * (n - 1.0) / ell**3))
+    assert 0.0 < temple < 1.0
+    assert got == pytest.approx(first_order * (1.0 - eps) * temple, rel=1e-12)
 
 
 def test_finite_box_trivial_bound_when_temple_fails():
@@ -164,10 +156,11 @@ def test_bounds_2d_limits_and_errors():
     lead = 4.0 * math.pi * st.mu * st.rho / st.logY
     assert out.lower == pytest.approx(lead)
     assert out.b == pytest.approx((2.0 * math.pi * st.rho) ** -0.5)
-    with pytest.raises(ValueError):
-        hb.bounds_2d(st, b=1e-3)
-    with pytest.raises(ValueError):
-        hb.bounds_2d(st, b=0.5e-3)
+    # rho a^2 >= 1/(2 pi e) puts b = (2 pi rho)^{-1/2} at or below e^{1/2} a,
+    # where ln(b/a) - pi rho b^2 = ln(b/a) - 1/2 <= 0; at rho a^2 = 0.5, b < a
+    for rho_a2 in (1.0 / (2.0 * math.pi * math.e), 0.1, 0.5):
+        with pytest.raises(ValueError):
+            hb.bounds_2d(hb.GasState2D(rho_a2, 1.0))
 
 
 def test_bounds_2d_converge_together():
@@ -190,7 +183,7 @@ def test_bounds_2d_state_requires_dilute():
 # --- soft potentials and the radial-line lemma -------------------------------
 
 def test_soft_potential_3d_height_and_norm():
-    U = hb.soft_potential(2.0, 1.0, 3)
+    U = hb.soft_potential(2.0, 1.0, 3, 0.5)
     assert U.height == pytest.approx(3.0 / 7.0)
     rep = hb.soft_potential_norm_report(U)
     assert rep["integral"] == pytest.approx(1.0, abs=1e-9)
@@ -209,17 +202,17 @@ def test_soft_potential_2d_norm_and_nu():
 
 def test_soft_potential_preconditions():
     with pytest.raises(ValueError):
-        hb.soft_potential(1.0, 2.0, 3)
+        hb.soft_potential(1.0, 2.0, 3, 0.5)
     with pytest.raises(ValueError):
         hb.soft_potential(3.0, 0.5, 2, a=1.0)  # needs R0 > a
 
 
 def test_dyson_lemma_trivial_when_support_outside():
     v = sc.soft_sphere(1.0, 9.0)
-    U = hb.soft_potential(6.0, 5.0, 3)
+    U = hb.soft_potential(6.0, 5.0, 3, sc.solve_zero_energy(v).a)
     r = np.linspace(1e-6, 4.0, 4000)
     psi = 1.0 - 0.3 / np.maximum(r, 0.3)
-    margin = hb.dyson_lemma_residual(r, psi, v, U, 4.0, 3)
+    margin = hb.dyson_lemma_residual(r, psi, v, U, 4.0)
     assert margin >= 0.0
 
 
@@ -230,7 +223,7 @@ def test_dyson_lemma_near_saturation():
     sol = sc.solve_zero_energy(v)
     a = sol.a
     R = 200.0 * a
-    U = hb.soft_potential(R, 0.995 * R, 3)
+    U = hb.soft_potential(R, 0.995 * R, 3, a)
     c = sol.du[-1]
     psi_in = np.where(sol.grid > 0, sol.u / np.maximum(sol.grid, 1e-300), 0.0) / c
     # beyond the solver grid the solution is exactly 1 - a/r
@@ -238,22 +231,21 @@ def test_dyson_lemma_near_saturation():
     r = np.concatenate([sol.grid, r_out])
     psi = np.concatenate([psi_in, 1.0 - a / r_out])
     lhs_scale = sol.mu * a  # per-line energy identity value ~ mu a (1 - a/R)
-    margin = hb.dyson_lemma_residual(r, psi, v, U, 1.02 * R, 3, a=a)
+    margin = hb.dyson_lemma_residual(r, psi, v, U, 1.02 * R)
     assert margin >= -1e-9 * lhs_scale
     assert margin < 0.01 * lhs_scale
 
 
 def test_dyson_lemma_random_corpus_3d(rng):
     v = sc.soft_sphere(1.0, 9.0)
-    sol_a = sc.solve_zero_energy(v).a
-    U = hb.soft_potential(3.0, 1.0, 3)
+    U = hb.soft_potential(3.0, 1.0, 3, sc.solve_zero_energy(v).a)
     r = np.linspace(1e-6, 8.0, 6000)
     for _ in range(50):
         coef = rng.normal(size=4)
         psi = 1.0 + 0.0 * r
         for k, c in enumerate(coef, start=1):
             psi += 0.2 * c * np.sin(k * r / 8.0 * math.pi / 2)
-        margin = hb.dyson_lemma_residual(r, psi, v, U, 8.0, 3, a=sol_a)
+        margin = hb.dyson_lemma_residual(r, psi, v, U, 8.0)
         assert margin >= -1e-9
 
 
@@ -267,16 +259,16 @@ def test_dyson_lemma_2d_variant(rng):
         psi = 1.0 + 0.0 * r
         for k, c in enumerate(coef, start=1):
             psi += 0.2 * c * np.sin(k * r / 8.0 * math.pi / 2)
-        assert hb.dyson_lemma_residual(r, psi, v, U, 8.0, 2) >= -1e-9
+        assert hb.dyson_lemma_residual(r, psi, v, U, 8.0) >= -1e-9
 
 
 def test_dyson_lemma_rejects_bad_U():
     v = sc.soft_sphere(1.0, 9.0)
-    U = hb.soft_potential(3.0, 1.0, 3)
-    bad = hb.SoftPotential(U.R0, U.R, 3, U.height * 3.0)  # violates norm
+    U = hb.soft_potential(3.0, 1.0, 3, 0.5)
+    bad = hb.SoftPotential(U.R0, U.R, 3, U.height * 3.0, U.a)  # violates norm
     r = np.linspace(1e-6, 8.0, 100)
     with pytest.raises(ValueError):
-        hb.dyson_lemma_residual(r, np.ones_like(r), v, bad, 8.0, 3, a=0.5)
+        hb.dyson_lemma_residual(r, np.ones_like(r), v, bad, 8.0)
 
 
 # --- Temple ------------------------------------------------------------------

@@ -89,15 +89,17 @@ def test_uniqueness_two_initializations(rng):
     fp = mf._build_problem(p)
     psi_a = np.abs(rng.normal(size=len(fp.nodes))) + 0.1
     psi_b = np.exp(-((fp.nodes - 2.0) ** 2))
-    prof_a, _ = mf.gp_minimize(p, psi0=psi_a)
-    prof_b, _ = mf.gp_minimize(p, psi0=psi_b)
-    assert np.max(np.abs(prof_a.phi - prof_b.phi)) < 1e-8 * np.max(prof_a.phi)
+    res_a = flows.minimize_flow(fp, psi0=psi_a)
+    res_b = flows.minimize_flow(fp, psi0=psi_b)
+    assert res_a.converged and res_b.converged
+    phi_a, phi_b = np.abs(res_a.psi) / fp.nodes, np.abs(res_b.psi) / fp.nodes
+    assert np.max(np.abs(phi_a - phi_b)) < 1e-8 * np.max(phi_a)
 
 
 def test_energy_descent_monotone():
     p = mf.GPProblem(3, 2.0, 0.4, n_grid=1024)
     fp = mf._build_problem(p)
-    res = flows.minimize_flow(fp, rtol=1e-9)
+    res = flows.minimize_flow(fp)
     assert res.max_energy_increase <= 1e-12 * max(1.0, abs(res.energy))
 
 
@@ -150,13 +152,13 @@ def test_tf_scaling_exponent():
     assert abs(slope - 0.4) < 1e-3
     # quartic trap: s/(s+3) = 4/7
     trap = mf.TrapPotential("homogeneous_power", exponent=4.0)
-    es = [mf.tf_energy(3, 1.0, g, trap) for g in gs]
+    es = [mf.tf_solve(3, 1.0, g, trap)[1].E_total for g in gs]
     slope = np.polyfit(np.log(gs), np.log(es), 1)[0]
     assert abs(slope - 4.0 / 7.0) < 1e-3
 
 
 def test_tf_minimizer_beats_random_profiles(rng):
-    prof, rep, mu_tf = mf.tf_solve(3, 10.0, 0.2, n_grid=4000)
+    prof, rep, mu_tf = mf.tf_solve(3, 10.0, 0.2)
     r = prof.grid
     w = 4.0 * math.pi * r**2
     for _ in range(50):
@@ -246,7 +248,7 @@ def test_tf_requires_homogeneous_trap():
 # --- GP -> TF limit -----------------------------------------------------------
 
 def test_gp_tf_scan_3d():
-    rows = mf.gp_tf_limit_scan(3, mf.TrapPotential(), [1e2, 1e3, 1e4])
+    rows = mf.gp_tf_limit_scan(3, [1e2, 1e3, 1e4])
     ratios = [row["ratio"] for row in rows]
     assert all(r > 1.0 for r in ratios)         # gradient term adds energy
     assert ratios[0] > ratios[1] > ratios[2]    # monotone approach to 1
@@ -254,7 +256,7 @@ def test_gp_tf_scan_3d():
 
 
 def test_gp_tf_scan_2d_rescaled():
-    rows = mf.gp_tf_limit_scan(2, mf.TrapPotential(), [1e3, 1e4])
+    rows = mf.gp_tf_limit_scan(2, [1e3, 1e4])
     assert abs(rows[-1]["ratio"] - 1.0) < 0.05
 
 

@@ -11,10 +11,10 @@ from bosegas import flows, onedim as od
 from bosegas.rootfind import normalization_root
 
 
-def functional_value(kind, prof, L, g, s=2.0, ll=None):
+def functional_value(kind, prof, L, g, s=2.0):
     """A 1D functional evaluated on a given profile, the gradient term by
     central differences of sqrt(rho)."""
-    curve = od._curve_for(kind, ll)
+    curve = od._curve_for(kind)
     z, rho = prof.z, prof.rho
     val = float(np.trapezoid(od._v_long(z, L, s) * rho
                              + od._interaction_density(kind, rho, g, curve), z))
@@ -133,7 +133,7 @@ def test_curve_derivative_consistency(ll_curve):
     for t in (1e-3, 0.2, 5.0, 2e3):
         h = 1e-5 * t
         fd = (ll_curve.e(t + h) - ll_curve.e(t - h)) / (2 * h)
-        assert abs(ll_curve.de(t) - fd) < 1e-4 * max(abs(fd), 1e-12)
+        assert abs(ll_curve.e_and_de(t)[1] - fd) < 1e-4 * max(abs(fd), 1e-12)
 
 
 def test_curve_derivative_is_the_interpolant_derivative(ll_curve):
@@ -141,7 +141,7 @@ def test_curve_derivative_is_the_interpolant_derivative(ll_curve):
     lt = np.log(t)
     ref = PchipInterpolator(np.log(ll_curve.nodes_t), np.log(ll_curve.nodes_e))
     assert np.array_equal(ll_curve.e(t), np.exp(ref(lt)))
-    assert np.array_equal(ll_curve.de(t), np.exp(ref(lt)) * ref.derivative()(lt) / t)
+    assert np.array_equal(ll_curve.e_and_de(t)[1], np.exp(ref(lt)) * ref.derivative()(lt) / t)
 
 
 def test_e_and_de_equals_e_and_de(ll_curve):
@@ -162,7 +162,6 @@ def test_e_and_de_equals_e_and_de(ll_curve):
     pair = ll_curve.e_and_de(t)
     assert np.array_equal(pair[0], ll_curve.e(t))
     assert np.array_equal(pair[1], de)
-    assert np.array_equal(ll_curve.de(t), de)
     for i in (0, 5, 12, len(t) - 1):
         assert ll_curve.e_and_de(t[i]) == (ll_curve.e(t[i]), de[i])
 
@@ -182,14 +181,14 @@ def test_e_second_derivative(ll_curve):
     assert np.array_equal(d2e[-5:], -2.0 * ll_curve._high_deficit * t_max
                           / t[-5:] ** 3)
     h = 1e-6 * t[1:]
-    fd = (ll_curve.de(t[1:] + h) - ll_curve.de(t[1:] - h)) / (2.0 * h)
+    fd = (ll_curve.e_and_de(t[1:] + h)[1] - ll_curve.e_and_de(t[1:] - h)[1]) / (2.0 * h)
     np.testing.assert_allclose(d2e[1:], fd, rtol=1e-6, atol=1e-12 * np.abs(fd).max())
 
 
-def test_full_kind_converges_at_strong_coupling(ll_curve):
+def test_full_kind_converges_at_strong_coupling():
     # the regimes case N = 1000, L = 1, g = 4000 at the default n_grid; the
     # inverse-iteration endgame stopped at residual 4.2e-5 here
-    prof, energy, _ = od.minimize_1d("full", 1000.0, 1.0, 4000.0, 2.0, ll_curve)
+    prof, energy, _ = od.minimize_1d("full", 1000.0, 1.0, 4000.0, 2.0)
     assert np.isfinite(energy) and prof.newton_steps > 0
     assert energy == pytest.approx(987194.73, rel=1e-7)
 
@@ -240,7 +239,7 @@ def test_negative_t_rejected(ll_curve):
     with pytest.raises(ValueError):
         ll_curve.e(-1.0)
     with pytest.raises(ValueError, match="t must be nonnegative"):
-        ll_curve.de(-1.0)
+        ll_curve.e_and_de(-1.0)
 
 
 # --- transverse modes ---------------------------------------------------------
@@ -322,11 +321,11 @@ def test_tf1d_region3_scaling_exponent():
     assert abs(eNLg - 5.0 / 4.0 * 30.0 ** (2 / 3) * e111) / eNLg < 1e-10
 
 
-def test_ll_region4_scaling(ll_curve):
+def test_ll_region4_scaling():
     N, L, g, s = 9.0, 4.0, 0.8, 2.0
     gamma = (N / L) * N ** (-2.0 / (s + 2.0))
-    eA = od.minimize_1d("ll_no_grad", N, L, g, s, ll_curve)[1]
-    eB = od.minimize_1d("ll_no_grad", 1.0, 1.0, g / gamma, s, ll_curve)[1]
+    eA = od.minimize_1d("ll_no_grad", N, L, g, s)[1]
+    eB = od.minimize_1d("ll_no_grad", 1.0, 1.0, g / gamma, s)[1]
     assert abs(eA - N * gamma**2 * eB) / abs(eA) < 1e-6
 
 
@@ -338,18 +337,18 @@ def test_gt_region5_scaling():
     assert abs(eA - N * gamma**2 * eB) / abs(eA) < 1e-8
 
 
-def test_full_functional_relaxes_nothing(ll_curve):
+def test_full_functional_relaxes_nothing():
     N, L, g, s = 5.0, 3.0, 0.5, 2.0
-    _, e_full, _ = od.minimize_1d("full", N, L, g, s, ll_curve)
+    _, e_full, _ = od.minimize_1d("full", N, L, g, s)
     for kind in ("gp1d", "tf1d", "ll_no_grad", "gt"):
-        prof_k, _, _ = od.minimize_1d(kind, N, L, g, s, ll_curve)
-        v_full = functional_value("full", prof_k, L, g, s, ll_curve)
+        prof_k, _, _ = od.minimize_1d(kind, N, L, g, s)
+        v_full = functional_value("full", prof_k, L, g, s)
         assert v_full >= e_full - 1e-8 * abs(e_full)
 
 
-def test_minimize_1d_normalization_and_rho_bar(ll_curve):
+def test_minimize_1d_normalization_and_rho_bar():
     for kind in od.KINDS_1D:
-        prof, _, rho_bar = od.minimize_1d(kind, 4.0, 2.0, 0.7, 2.0, ll_curve)
+        prof, _, rho_bar = od.minimize_1d(kind, 4.0, 2.0, 0.7, 2.0)
         mass = np.trapezoid(prof.rho, prof.z)
         assert mass == pytest.approx(4.0, rel=1e-6)
         assert rho_bar == pytest.approx(prof.rho_bar(), rel=1e-6)
@@ -360,10 +359,10 @@ def test_unknown_kind_rejected():
         od.minimize_1d("bogus", 1.0, 1.0, 1.0)
 
 
-def test_ll_no_grad_rejects_nonpositive_g(ll_curve):
+def test_ll_no_grad_rejects_nonpositive_g():
     for g in (0.0, -0.5):
         with pytest.raises(ValueError):
-            od.minimize_1d("ll_no_grad", 1.0, 1.0, g, 2.0, ll_curve)
+            od.minimize_1d("ll_no_grad", 1.0, 1.0, g, 2.0)
 
 
 # --- ll_no_grad: w'(rho) inverted through the e(t) table ------------------------
@@ -382,7 +381,7 @@ def _reference_ll_density(kind, mu, V, g, curve):
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         t = od._ll_argument(g, mid)
-        wprime = 3.0 * mid**2 * curve.e(t) - g * mid * curve.de(t)
+        wprime = 3.0 * mid**2 * curve.e(t) - g * mid * curve.e_and_de(t)[1]
         high = wprime > target
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
@@ -391,10 +390,10 @@ def _reference_ll_density(kind, mu, V, g, curve):
 
 def _f_of_t(curve, t):
     """F(t) = 3 e/t^2 - e'/t, straight from e and e'."""
-    return 3.0 * curve.e(t) / t**2 - curve.de(t) / t
+    return 3.0 * curve.e(t) / t**2 - curve.e_and_de(t)[1] / t
 
 
-def _solve_ll_no_grad(monkeypatch, curve, density, N, L, g):
+def _solve_ll_no_grad(monkeypatch, density, N, L, g):
     """minimize_1d("ll_no_grad") with ``density`` as the pointwise solve;
     returns (profile, energy, rho_bar, mu), mu being the last
     normalization root."""
@@ -405,7 +404,7 @@ def _solve_ll_no_grad(monkeypatch, curve, density, N, L, g):
         return roots[-1]
     monkeypatch.setattr(od, "normalization_root", recording_root)
     monkeypatch.setattr(od, "_pointwise_density", density)
-    return (*od.minimize_1d("ll_no_grad", N, L, g, 2.0, curve), roots[-1])
+    return (*od.minimize_1d("ll_no_grad", N, L, g, 2.0), roots[-1])
 
 
 # the corners of trap-batch's ranges (N 1..100, L 1..10, g 1e-2..10) and one
@@ -417,9 +416,9 @@ _LL_CASES = [(N, L, g) for N in (1.0, 100.0) for L in (1.0, 10.0)
 @pytest.mark.parametrize("N, L, g", _LL_CASES)
 def test_ll_no_grad_matches_bisection_reference(monkeypatch, ll_curve, N, L, g):
     prof, energy, rho_bar, mu = _solve_ll_no_grad(
-        monkeypatch, ll_curve, _POINTWISE_DENSITY, N, L, g)
+        monkeypatch, _POINTWISE_DENSITY, N, L, g)
     _, ref_energy, ref_rho_bar, ref_mu = _solve_ll_no_grad(
-        monkeypatch, ll_curve, _reference_ll_density, N, L, g)
+        monkeypatch, _reference_ll_density, N, L, g)
     assert abs(energy / ref_energy - 1.0) <= 1e-10
     assert abs(rho_bar / ref_rho_bar - 1.0) <= 1e-10
     assert abs(mu / ref_mu - 1.0) <= 1e-12
@@ -502,47 +501,47 @@ def test_f_inverse_property(ll_curve, log10_y):
 
 # --- regime classification ------------------------------------------------------
 
-def _probe_trap(target_ratio, ll, N=50.0, L=200.0, r=0.5, s=2.0):
+def _probe_trap(target_ratio, N=50.0, L=200.0, r=0.5, s=2.0):
     trap0 = od.ElongatedTrap(N, L, r, 1e-6, s)
     mode = od.transverse_mode(trap0)
-    _, _, rho_bar = od.minimize_1d("full", N, L, mode.g, s, ll)
+    _, _, rho_bar = od.minimize_1d("full", N, L, mode.g, s)
     trap = trap0
     for _ in range(8):
         a = target_ratio * rho_bar * r**2 / (8.0 * math.pi * mode.int_b4_unit)
         trap = od.ElongatedTrap(N, L, r, a, s)
         mode = od.transverse_mode(trap)
-        _, _, rho_bar = od.minimize_1d("full", N, L, mode.g, s, ll)
+        _, _, rho_bar = od.minimize_1d("full", N, L, mode.g, s)
         if abs(mode.g / rho_bar - target_ratio) / target_ratio < 0.02:
             break
     return trap
 
 
-def test_regime_probes(ll_curve):
-    tr = _probe_trap(1e-4 * 50.0**-2, ll_curve)
-    assert od.regime_classify(tr, ll=ll_curve).region == 1
-    tr = _probe_trap(1.0, ll_curve)
-    rep = od.regime_classify(tr, ll=ll_curve)
+def test_regime_probes():
+    tr = _probe_trap(1e-4 * 50.0**-2)
+    assert od.regime_classify(tr).region == 1
+    tr = _probe_trap(1.0)
+    rep = od.regime_classify(tr)
     assert rep.region == 4
     assert rep.valid
-    tr = _probe_trap(1e3, ll_curve)
-    rep5 = od.regime_classify(tr, ll=ll_curve)
+    tr = _probe_trap(1e3)
+    rep5 = od.regime_classify(tr)
     assert rep5.region == 5
     assert "Girardeau" not in rep5.scaling  # scaling string is formulaic
     assert rep5.scaling.startswith("E_GT")
 
 
-def test_regime_boundary_returns_pair(ll_curve):
+def test_regime_boundary_returns_pair():
     # ratio right at the 4|5 cut -> ambiguous band -> pair, not a guess
-    tr = _probe_trap(1e2, ll_curve)
-    rep = od.regime_classify(tr, ll=ll_curve)
+    tr = _probe_trap(1e2)
+    rep = od.regime_classify(tr)
     assert isinstance(rep.region, tuple)
     assert rep.region == (4, 5)
 
 
-def test_condition_validity_flag(ll_curve):
+def test_condition_validity_flag():
     # fat transverse trap violates e1D << 1/r^2
     trap = od.ElongatedTrap(40.0, 10.0, 5.0, 1.0, 2.0)
-    rep = od.regime_classify(trap, ll=ll_curve)
+    rep = od.regime_classify(trap)
     assert not rep.valid
 
 

@@ -1,11 +1,16 @@
 """The library surface: every public top-level function or class in
-``src/bosegas`` is reached from the command line.
+``src/bosegas`` is reached from the command line, and every parameter with a
+default is set by some caller in ``src/bosegas``.
 
 The closure is by name: start from the body of ``cli.main``, collect every
 name and attribute it mentions, add the body of every top-level definition
 of that name in any module, and repeat.  A public definition the closure
 never reaches has no caller outside the tests, so it belongs in ``tests/``
 or nowhere.
+
+A defaulted parameter (or a defaulted ``__init__`` field of a dataclass)
+that no call in ``src/bosegas`` passes takes one value in every run the
+program makes; it is a constant, or it selects a branch nothing uses.
 """
 
 import ast
@@ -38,3 +43,105 @@ def unreached_definitions(src: Path = SRC) -> list[str]:
 def test_every_public_definition_is_reached_from_cli_main():
     unreached = unreached_definitions()
     assert not unreached, f"{len(unreached)} reached only from tests: {', '.join(unreached)}"
+
+
+# the program's input: the console script and perfbench/cli_child.py pass it
+_PROGRAM_INPUT = "cli.main(argv)"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _field_default(stmt: ast.AnnAssign) -> bool | None:
+    """Whether an ``__init__`` field has a default; None for a
+    ``field(init=False)``."""
+    value = stmt.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        keywords = {k.arg: k.value for k in value.keywords}
+        init = keywords.get("init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            return None
+        return "default" in keywords or "default_factory" in keywords
+    return value is not None
+
+
+def _defaulted(module: str, tree: ast.Module):
+    """(label, callee name, position or None, keyword) of every defaulted
+    parameter of a function or method, and of every defaulted ``__init__``
+    field of a dataclass; a bound method's position does not count self."""
+    bound = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in stmt.decorator_list)
+                bound[stmt] = (f"{cls.name}.", 0 if static else 1)
+        if _is_dataclass(cls):
+            fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
+                      and isinstance(s.target, ast.Name)]
+            fields = [(s.target.id, d) for s in fields
+                      if (d := _field_default(s)) is not None]
+            for i, (name, has_default) in enumerate(fields):
+                if has_default:
+                    yield f"{module}.{cls.name}.{name}", cls.name, i, name
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner, skip = bound.get(fn, ("", 0))
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        for i, arg in enumerate(args[first:], first):
+            yield f"{module}.{owner}{fn.name}({arg.arg})", fn.name, i - skip, arg.arg
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield f"{module}.{owner}{fn.name}({arg.arg})", fn.name, None, arg.arg
+
+
+def _calls(node: ast.AST, cls: str | None = None):
+    """(callee name, call) for every call under ``node``, by the called
+    name or attribute; inside a class body ``cls(...)`` calls that class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            yield (cls if name == "cls" and cls else name), child
+        inner = child.name if isinstance(child, ast.ClassDef) else cls
+        yield from _calls(child, inner)
+
+
+def defaulted_parameters(src: Path = SRC) -> list[tuple]:
+    return [knob for path in sorted(src.glob("*.py"))
+            for knob in _defaulted(path.stem, ast.parse(path.read_text()))]
+
+
+def unset_parameters(src: Path = SRC) -> list[str]:
+    """Labels of the defaulted parameters and fields that no call in
+    ``src`` passes, by position, by keyword or through ``*``/``**``."""
+    calls = {}
+    for path in sorted(src.glob("*.py")):
+        for name, call in _calls(ast.parse(path.read_text())):
+            calls.setdefault(name, []).append(call)
+
+    def passed(position, keyword, call):
+        if any(k.arg in (keyword, None) for k in call.keywords):
+            return True
+        return position is not None and (
+            position < len(call.args)
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+    return [label for label, name, position, keyword in defaulted_parameters(src)
+            if label != _PROGRAM_INPUT
+            and not any(passed(position, keyword, c) for c in calls.get(name, []))]
+
+
+def test_every_defaulted_parameter_is_set_by_a_src_caller():
+    unset = unset_parameters()
+    assert not unset, f"{len(unset)} set only by tests or by nothing: {', '.join(unset)}"
