@@ -18,10 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .quadrature import tanh_sinh
+
+if TYPE_CHECKING:
+    from . import flows
 
 # equal bit for bit to scipy.special.gamma(0.75) / gamma(1.25) (math.gamma is
 # an ulp off), so that only the two-component flow needs scipy
@@ -157,6 +161,7 @@ class DysonMinimizer:
     iterations: int
     rejected_steps: int      # flow step halvings
     newton_steps: int        # Newton steps of the flow's endgame
+    discretization: flows.Discretization   # the coarse grids' estimate
 
 
 def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
@@ -175,11 +180,11 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
         pos = np.where(y > 0, y, 1.0)
         return np.where(y > 0, -0.3125 * i0 * pos ** -0.75 / np.sqrt(r), 0.0)
 
-    fp = flows.radial_u_problem(rmax, n, mu, lambda r: np.zeros_like(r),
-                                q, dq, d2q, mass=1.0)
     width = 0.35 * rmax
-    psi0 = fp.nodes * np.exp(-(fp.nodes / width) ** 2)
-    res = flows.minimize_flow(fp, psi0=psi0)
+    fp, res, disc = flows.minimize_nested(
+        lambda m: flows.radial_u_problem(rmax, m, mu, lambda r: np.zeros_like(r),
+                                         q, dq, d2q, mass=1.0), n,
+        lambda fp: fp.nodes * np.exp(-(fp.nodes / width) ** 2))
     if not res.converged:
         raise RuntimeError("two-component minimization did not converge")
     kin, _, inter = fp.energy_parts(res.psi)
@@ -188,7 +193,7 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
     phi = res.psi / fp.nodes
     return DysonMinimizer(fp.nodes.copy(), np.abs(phi), res.energy, kin,
                           attraction, virial, res.iterations,
-                          res.rejected_steps, res.newton_steps)
+                          res.rejected_steps, res.newton_steps, disc)
 
 
 @lru_cache(maxsize=16)

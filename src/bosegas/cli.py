@@ -54,7 +54,7 @@ def _emit_record(args, outputs: dict, profile=None, **provenance) -> int:
     provenance.update(package_version=__version__, schema_version=SCHEMA_VERSION)
     text = ResultRecord(args.subcommand, _args_echo(args), outputs,
                         provenance).to_json()
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -145,7 +145,8 @@ def cmd_gp(args) -> int:
     prob = meanfield.GPProblem(args.dim, args.N, args.coupling, args.mu, trap,
                                args.n_grid)
     prof, rep = meanfield.gp_minimize(prob)
-    return _emit_record(args, rep.as_dict(), prof, n_grid=args.n_grid)
+    return _emit_record(args, {**rep.as_dict(), **rep.discretization._asdict()},
+                        prof, n_grid=args.n_grid)
 
 
 def cmd_tf(args) -> int:
@@ -199,7 +200,8 @@ def cmd_charged(args) -> int:
                    "correlation_length": tc.correlation_length,
                    "iterations": dm.iterations,
                    "rejected_steps": dm.rejected_steps,
-                   "newton_steps": dm.newton_steps}
+                   "newton_steps": dm.newton_steps,
+                   **dm.discretization._asdict()}
     elif args.mode == "local":
         le = charged.local_energy_integral(args.nu, args.ell, args.mu)
         outputs = {"value": le.value, "closed_form": le.closed_form,
@@ -279,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bounds)
 
     for name, fn in (("gp", cmd_gp), ("tf", cmd_tf)):
-        # TF needs a homogeneous trap: only gp takes the box and its side
-        box = ["box"] if name == "gp" else []
+        # TF needs a homogeneous trap and no grid: only gp takes the box,
+        # its side and --n-grid
+        gp = name == "gp"
         g = sub.add_parser(name, help=f"{name.upper()} minimization")
         g.add_argument("--dim", type=int, default=3, choices=[2, 3])
         g.add_argument("--N", type=float, default=1.0)
@@ -288,11 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="a in 3D, alpha in 2D")
         g.add_argument("--mu", type=float, default=1.0)
         g.add_argument("--trap", default="harmonic",
-                       choices=["harmonic", "homogeneous_power"] + box)
+                       choices=["harmonic", "homogeneous_power"]
+                       + (["box"] if gp else []))
         g.add_argument("--s", type=float, default=2.0)
-        if box:
+        if gp:
             g.add_argument("--side", type=float, default=1.0)
-        g.add_argument("--n-grid", type=int, default=4096)
+            g.add_argument("--n-grid", type=int, default=4096)
         g.add_argument("--profile-out")
         g.add_argument("--out")
         g.set_defaults(func=fn)

@@ -145,7 +145,40 @@ def validate_params(section: str, params: dict) -> list[str]:
                 problems.append(f"{section}.{key}: must be positive, got {val}")
             elif val < 0:
                 problems.append(f"{section}.{key}: must be nonnegative, got {val}")
+    if section == "bounds" and not problems:
+        problems += _bounds_domain(params)
     return problems
+
+
+def _bounds_domain(params: dict) -> list[str]:
+    """The gas states the ``bounds`` formulas are defined on, in the
+    expressions ``homogeneous`` evaluates.  3D: Y^(1/3) < 1, Y = 4 pi rho
+    a^3 / 3 (the upper bound; the LHY series needs rho a^3 < 1, which that
+    implies); a sweep runs Y at a = 1 up to its upper end.  2D: ln(b/a) -
+    pi rho b^2 > 0 at b = (2 pi rho)^(-1/2), so rho a^2 < 1/(2 pi e).
+    Checked once ``rho`` and ``a`` are both given; ``dim`` is 3 unless
+    given, as in the parser."""
+    if params.get("sweep"):
+        Y = SweepSpec.parse(params["sweep"]).hi
+        rho, a, dim = 3.0 * Y / (4.0 * math.pi), 1.0, 3
+    elif "rho" in params and "a" in params:
+        rho, a, dim = params["rho"], params["a"], params.get("dim", 3)
+    else:
+        return []
+    try:
+        if dim == 3:
+            inside = (4.0 * math.pi * rho * a**3 / 3.0) ** (1.0 / 3.0) < 1.0
+        else:
+            b = (2.0 * math.pi * rho) ** -0.5
+            # b / a underflows to 0 only far outside the domain
+            inside = b / a > 0 and math.log(b / a) - math.pi * rho * b**2 > 0
+    except OverflowError:
+        return [f"bounds: rho = {rho!r}, a = {a!r} overflow the {dim}D bounds"]
+    if inside:
+        return []
+    need = "Y = 4 pi rho a^3/3 below 1" if dim == 3 else \
+        "rho a^2 below 1/(2 pi e) = 0.05855"
+    return [f"bounds: {dim}D needs {need}, got rho = {rho!r}, a = {a!r}"]
 
 
 @dataclass

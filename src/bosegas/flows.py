@@ -25,13 +25,21 @@ the residual falls below ``_RTOL`` times the energy scale.  If Newton stalls
 first, the descent resumes from the last kept iterate and hands off again
 at a 100x lower level, at most twice; after that the result is reported as
 not converged.  ``FlowResult.newton_steps`` counts the Newton steps tried.
+
+``minimize_nested`` is how every trap minimizer runs the flow: nested
+iteration (A. Brandt, Math. Comp. 31, 333 (1977)), coarse grids first.  It
+halves n while the next grid keeps at least ``_COARSEST`` nodes, solves the
+coarsest grid from the caller's start and each finer grid from the coarser
+minimizer, interpolated onto it.  A finer grid then takes one descent step
+and one or two Newton steps.  The coarse energies come for free, and with
+them Richardson's h^2 estimate of the n-grid energy's discretization error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +52,11 @@ _HANDOFF_LEVELS = (1e-2, 1e-4, 1e-6)
 _MAX_NEWTON_STEPS = 20
 # converged: residual below _RTOL times the energy scale
 _RTOL = 1e-9
+# minimize_nested halves n while the next grid keeps at least this many nodes
+_COARSEST = 256
+# the three-grid ratio (E_{n/4} - E_{n/2}) / (E_{n/2} - E_n) of a second-order
+# energy is 4; outside 4 (1 -+ 0.25) the h^2 estimate is not reported
+_ORDER_BAND = (3.0, 5.0)
 
 
 @dataclass
@@ -86,17 +99,19 @@ class FlowProblem:
         self._diag_w = self._diag / self.w
 
     # --- quadratic form pieces ------------------------------------------
+    # the reductions below are ndarray methods: on grids of a few hundred
+    # nodes np.sum's dispatch costs more than the sum, which is the same
     def kinetic(self, psi: np.ndarray) -> float:
         d_in = psi[1:] - psi[:-1]
-        e = self.kin * float(np.sum(self.ew[1:-1] * d_in**2))
+        e = self.kin * float((self.ew[1:-1] * d_in**2).sum())
         e += self.kin * float(self.ew[0] * psi[0] ** 2 + self.ew[-1] * psi[-1] ** 2)
         return e
 
     def energy_parts(self, psi: np.ndarray):
         y = psi**2
         kin = self.kinetic(psi)
-        trap = float(np.sum(self.w * self.V * y))
-        inter = float(np.sum(self.w * self.q(y, self.nodes)))
+        trap = float((self.w * self.V * y).sum())
+        inter = float((self.w * self.q(y, self.nodes)).sum())
         return kin, trap, inter
 
     def energy(self, psi: np.ndarray) -> float:
@@ -114,7 +129,7 @@ class FlowProblem:
         y = psi**2
         Apsi = self._apply_A(psi)
         g = self.V + self.dq(y, self.nodes)
-        lam = (float(psi @ Apsi) + float(np.sum(self.w * g * y))) / self.mass
+        lam = (float(psi @ Apsi) + float((self.w * g * y).sum())) / self.mass
         return Apsi, g, lam
 
     def defect(self, psi: np.ndarray, terms) -> np.ndarray:
@@ -126,11 +141,11 @@ class FlowProblem:
     def residual(self, psi: np.ndarray, terms) -> float:
         """Sup-norm of the Euler-Lagrange defect at ``psi``, normalized by
         sup|psi|; ``terms`` = ``self.terms(psi)``."""
-        return float(np.max(np.abs(self.defect(psi, terms)))
-                     / max(np.max(np.abs(psi)), 1e-300))
+        return float(np.abs(self.defect(psi, terms)).max()
+                     / max(np.abs(psi).max(), 1e-300))
 
     def normalize(self, psi: np.ndarray) -> np.ndarray:
-        m = float(np.sum(self.w * psi**2))
+        m = float((self.w * psi**2).sum())
         if m <= 0:
             raise ValueError("cannot normalize zero state")
         return psi * math.sqrt(self.mass / m)
@@ -261,7 +276,7 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None) -> FlowResu
     for it in range(1, _MAX_ITER + 1):
         trial = _implicit_step(prob, psi, terms, dt)
         e_new = math.nan if trial is None else prob.energy(trial)
-        if not np.isfinite(e_new) or e_new > e + 1e-14 * max(1.0, abs(e)):
+        if not math.isfinite(e_new) or e_new > e + 1e-14 * max(1.0, abs(e)):
             dt *= 0.5
             rejected += 1
             if dt < 1e-18 / scale:
@@ -289,6 +304,82 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None) -> FlowResu
     scale = _energy_scale(prob, terms, e)
     return FlowResult(psi, e, terms[2], res, it + newton, res <= _RTOL * scale,
                       max_up, rejected, newton)
+
+
+class Discretization(NamedTuple):
+    """The coarse-grid view of an n-grid energy E_n.
+
+    E_coarse                the energy on the n/2 grid
+    E_discretization_error  (E_n - E_{n/2}) / 3, Richardson's h^2 estimate
+                            of E_inf - E_n: the correction to add to E_n
+    discretization_note     why the estimate is None, else None
+    """
+
+    E_coarse: float | None
+    E_discretization_error: float | None
+    discretization_note: str | None
+
+
+def _discretization(levels: list[FlowResult]) -> Discretization:
+    """The h^2 estimate from the energies of the grids, coarsest first; it is
+    checked by the three-grid ratio, which must lie in ``_ORDER_BAND``."""
+    if len(levels) < 2:
+        return Discretization(None, None, "one grid: no coarse energy")
+    e_coarse = levels[-2].energy
+    if len(levels) < 3:
+        return Discretization(e_coarse, None, "two grids: the order is unchecked")
+    if not (levels[-2].converged and levels[-3].converged):
+        return Discretization(e_coarse, None, "a coarse grid did not converge")
+    e4, e2, e1 = (r.energy for r in levels[-3:])
+    ratio = (e4 - e2) / (e2 - e1) if e2 != e1 else math.inf
+    if not _ORDER_BAND[0] <= ratio <= _ORDER_BAND[1]:
+        return Discretization(e_coarse, None, f"three-grid ratio {ratio:.4g} "
+                              "is not within 25 % of 4")
+    return Discretization(e_coarse, (e1 - e2) / 3.0, None)
+
+
+def _prolong(coarse: FlowProblem, psi: np.ndarray,
+             fine: FlowProblem) -> np.ndarray:
+    """``psi`` on the nodes of ``fine`` by linear interpolation, the coarse
+    nodes padded with the zero Dirichlet ghost at each end whose boundary
+    edge weight is nonzero (the grids are not nested).  At a no-flux end
+    ``np.interp`` holds the end value."""
+    x, y = coarse.nodes, psi
+    if coarse.ew[0] != 0.0:
+        x = np.concatenate(([2.0 * x[0] - x[1]], x))
+        y = np.concatenate(([0.0], y))
+    if coarse.ew[-1] != 0.0:
+        x = np.concatenate((x, [2.0 * x[-1] - x[-2]]))
+        y = np.concatenate((y, [0.0]))
+    return np.interp(fine.nodes, x, y)
+
+
+def minimize_nested(build: Callable[[int], FlowProblem], n: int,
+                    start: Callable[[FlowProblem], np.ndarray | None]
+                    ) -> tuple[FlowProblem, FlowResult, Discretization]:
+    """Minimize ``build(n)`` by nested iteration.
+
+    ``build(m)`` is the problem on m nodes.  n is halved while the next grid
+    keeps ``_COARSEST`` nodes; the coarsest grid starts from ``start(fp)``
+    (None: ``minimize_flow``'s own start), each finer one from the coarser
+    minimizer, prolonged, whether or not that grid converged.  Returns
+    (the n-grid problem, its FlowResult, its ``Discretization``).  The
+    result's convergence is the n grid's alone; its ``iterations``,
+    ``rejected_steps`` and ``newton_steps`` are summed over the grids.
+    """
+    sizes = [n]
+    while sizes[-1] // 2 >= _COARSEST:
+        sizes.append(sizes[-1] // 2)
+    levels, fp = [], None
+    for m in reversed(sizes):
+        coarse, fp = fp, build(m)
+        psi0 = start(fp) if coarse is None else _prolong(coarse, levels[-1].psi, fp)
+        levels.append(minimize_flow(fp, psi0))
+    res = replace(levels[-1],
+                  iterations=sum(r.iterations for r in levels),
+                  rejected_steps=sum(r.rejected_steps for r in levels),
+                  newton_steps=sum(r.newton_steps for r in levels))
+    return fp, res, _discretization(levels)
 
 
 # --- grid builders --------------------------------------------------------

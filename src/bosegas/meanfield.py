@@ -15,7 +15,7 @@ homogeneous of order s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,6 +100,8 @@ class EnergyReport:
     rejected_steps: int = 0         # flow step halvings
     newton_steps: int = 0           # Newton steps of the flow's endgame
     quartic_integral: float = 0.0   # int |phi|^4
+    # the coarse grids' E and error estimate (GP only: TF is exact)
+    discretization: flows.Discretization | None = None
 
     def __post_init__(self):
         total = self.kinetic + self.trap + self.interaction
@@ -107,6 +109,8 @@ class EnergyReport:
             raise ValueError("energy components do not sum to the total")
 
     def as_dict(self) -> dict:
+        """The report's numbers; the gp record adds ``discretization``,
+        whose entries may be null or text."""
         return {
             "E_total": self.E_total, "kinetic": self.kinetic, "trap": self.trap,
             "interaction": self.interaction, "mu_chem": self.mu_chem,
@@ -129,19 +133,10 @@ def _domain_radius(problem: GPProblem) -> float:
     g = max(problem.N * problem.coupling, 0.0)
     s = trap.exponent
     d = problem.dimension
-    # grid-rule estimate of mu (see _tf_mu_estimate), floor at the
-    # oscillator scale for weak coupling
-    mu_tf_est = _tf_mu_estimate(d, s, g, problem.mu)
-    mu_scale = max(mu_tf_est, 2.0 * d ** 0.5)
+    # mu_TF of the scaled problem (1, N c), floored at the oscillator scale
+    # for weak coupling
+    mu_scale = max(_tf_mu(d, 1.0, g, s, problem.mu), 2.0 * d ** 0.5)
     return (50.0 * mu_scale) ** (1.0 / s)
-
-
-def _tf_mu_estimate(d: int, s: float, g: float, mu: float) -> float:
-    if g <= 0:
-        return 0.0
-    # the grid rule, not mu_TF (that is _tf_mu): the TF normalization with
-    # its beta-type constant set to 1; every GP grid is sized from it
-    return (8.0 * math.pi * mu * g) ** (s / (s + d))
 
 
 def _build_problem(problem: GPProblem) -> flows.FlowProblem:
@@ -188,10 +183,13 @@ def _initial_guess(problem: GPProblem, fp: flows.FlowProblem) -> np.ndarray | No
 
 
 def gp_minimize(problem: GPProblem) -> tuple[DensityProfile, EnergyReport]:
-    """Minimize the GP functional; returns the positive minimizer and its
-    energy report (components, chemical potential, EL residual)."""
-    fp = _build_problem(problem)
-    res = flows.minimize_flow(fp, psi0=_initial_guess(problem, fp))
+    """Minimize the GP functional by ``flows.minimize_nested`` on
+    ``problem.n_grid`` nodes; returns the positive minimizer and its energy
+    report (components, chemical potential, EL residual, the coarse grids'
+    error estimate)."""
+    fp, res, disc = flows.minimize_nested(
+        lambda m: _build_problem(replace(problem, n_grid=m)), problem.n_grid,
+        lambda fp: _initial_guess(problem, fp))
     if not res.converged:
         raise RuntimeError(f"GP minimization did not converge "
                            f"(residual {res.residual:.3e} after {res.iterations} iterations)")
@@ -200,7 +198,7 @@ def gp_minimize(problem: GPProblem) -> tuple[DensityProfile, EnergyReport]:
         if problem.coupling > 0 else _quartic_integral(problem, fp, res.psi)
     report = EnergyReport(res.energy, kin, trap, inter, res.mu_chem,
                           res.residual, res.iterations, res.rejected_steps,
-                          res.newton_steps, quart)
+                          res.newton_steps, quart, disc)
     return _profile_from(problem, fp, np.abs(res.psi)), report
 
 

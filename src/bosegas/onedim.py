@@ -640,10 +640,13 @@ class Profile1D:
     z: np.ndarray
     rho: np.ndarray
     mass: float
-    # counters of the gradient flow that found rho (0 for the pointwise kinds)
+    # counters of the gradient flow that found rho, summed over its grids,
+    # and the coarse grids' error estimate (none for the pointwise kinds)
     iterations: int = 0
     rejected_steps: int = 0
     newton_steps: int = 0
+    discretization: flows.Discretization = flows.Discretization(
+        None, None, "pointwise solution: no coarse grids")
 
     def rho_bar(self) -> float:
         return float(np.trapezoid(self.rho**2, self.z) / self.mass)
@@ -706,15 +709,16 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve):
             e, de, d2e = curve.e_derivatives(_ll_argument(g, yp))
             out[pos] = 6.0 * yp * e - 4.0 * g * de + g * g * d2e / yp
             return out
-    fp = flows.line_problem(zmax, _N_GRID_1D, 1.0, V, q, dq, d2q, N)
-    guess = np.sqrt(np.maximum(1.0 - (fp.nodes / (0.75 * zmax)) ** 2, 0.0)) + 1e-3
-    res = flows.minimize_flow(fp, psi0=guess)
+    fp, res, disc = flows.minimize_nested(
+        lambda m: flows.line_problem(zmax, m, 1.0, V, q, dq, d2q, N), _N_GRID_1D,
+        lambda fp: np.sqrt(np.maximum(1.0 - (fp.nodes / (0.75 * zmax)) ** 2,
+                                      0.0)) + 1e-3)
     if not res.converged:
         raise RuntimeError(f"1D minimization ({kind}) did not converge: "
                            f"residual {res.residual:.3e}")
     rho = res.psi**2
     prof = Profile1D(fp.nodes.copy(), rho, N, res.iterations,
-                     res.rejected_steps, res.newton_steps)
+                     res.rejected_steps, res.newton_steps, disc)
     return prof, res.energy, float(np.sum(fp.w * rho**2) / N)
 
 
@@ -814,8 +818,10 @@ class RegimeReport:
     valid: bool
     scaling: str
     diagnostics: dict
-    # flow counters of the two solves (full, then the region's kind), each
-    # a list of two: "iterations", "rejected_steps", "newton_steps"
+    # flow counters and coarse-grid estimates of the two solves (full, then
+    # the region's kind), each a list of two: "iterations",
+    # "rejected_steps", "newton_steps" and the fields of
+    # ``flows.Discretization``
     counters: dict
 
     def as_dict(self) -> dict:
@@ -864,6 +870,12 @@ def regime_classify(trap: ElongatedTrap) -> RegimeReport:
                          "region_first_pass": region0
                          if isinstance(region0, int) else list(region0),
                          "e_perp": mode.e_perp},
-                        {k: [getattr(prof0, k), getattr(prof1, k)]
-                         for k in ("iterations", "rejected_steps",
-                                   "newton_steps")})
+                        _solve_lists(prof0, prof1))
+
+
+def _solve_lists(*profiles: Profile1D) -> dict:
+    """Each flow counter and coarse-grid field of ``profiles`` as a list."""
+    rows = [{"iterations": p.iterations, "rejected_steps": p.rejected_steps,
+             "newton_steps": p.newton_steps, **p.discretization._asdict()}
+            for p in profiles]
+    return {k: [row[k] for row in rows] for k in rows[0]}

@@ -404,6 +404,47 @@ def test_tf_takes_no_box_trap(tmp_path, capsys):
     assert "tf.side: unknown option" in capsys.readouterr().out
 
 
+def test_tf_takes_no_n_grid(tmp_path, capsys):
+    # the closed-form TF solve has no grid to size
+    with pytest.raises(SystemExit) as exc:
+        run_cli("tf", "--coupling", "0.01", "--n-grid", "64")
+    assert exc.value.code == 2
+    assert "--n-grid" in capsys.readouterr().err
+    cfg = tmp_path / "tf.cfg"
+    cfg.write_text("[tf]\nn_grid = 64\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert capsys.readouterr().out.splitlines() == ["tf.n_grid: unknown option"]
+    assert run_cli("--config", str(cfg), "tf", "--coupling", "1") == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--dim", "2", "--rho", "0.1", "--a", "1"), "2D needs rho a^2 below 1/(2 pi e)"),
+    (("--dim", "2", "--rho", "2", "--a", "1"), "2D needs rho a^2 below 1/(2 pi e)"),
+    (("--rho", "1", "--a", "1"), "3D needs Y = 4 pi rho a^3/3 below 1"),
+    (("--rho", "0.1", "--a", "2"), "3D needs Y = 4 pi rho a^3/3 below 1"),
+    (("--sweep", "Y=0.5:2:3"), "3D needs Y = 4 pi rho a^3/3 below 1"),
+    (("--rho", "1e300", "--a", "1e300"), "overflow the 3D bounds"),
+])
+def test_bounds_outside_their_domain_are_config_errors(argv, message, tmp_path,
+                                                       capsys):
+    assert run_cli("bounds", *argv) == 2
+    assert message in capsys.readouterr().err
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text("[bounds]\n" + "".join(
+        f"{flag[2:]} = {value}\n" for flag, value in zip(argv[::2], argv[1::2])))
+    assert run_cli("validate", str(cfg)) == 2
+    assert message in capsys.readouterr().out
+
+
+def test_bounds_inside_their_domain_run(tmp_path, capsys):
+    # just inside each edge: 2 pi e rho a^2 < 1 in 2D, Y < 1 in 3D
+    for argv in (("--dim", "2", "--rho", "0.058", "--a", "1"),
+                 ("--rho", "0.238", "--a", "1"),
+                 ("--sweep", "Y=0.5:0.99:3", "--out", str(tmp_path / "b.csv"))):
+        assert run_cli("bounds", *argv) == 0
+    capsys.readouterr()
+
+
 def test_tf_nonpositive_coupling_is_config_error(tmp_path, capsys):
     assert run_cli("tf", "--N", "100", "--coupling", "0") == 2
     assert "tf.coupling: must be positive" in capsys.readouterr().err
@@ -473,6 +514,14 @@ def test_gp_subcommand_energy_report(tmp_path):
     assert code == 0
     rec = ResultRecord.from_json(out.read_text())
     assert rec.outputs["E_total"] == pytest.approx(3.0, abs=1e-3)
+    # grids 256, 512, 1024: E_1024 - E_512 over 3 is the h^2 correction
+    disc = {k: rec.outputs[k] for k in ("E_coarse", "E_discretization_error",
+                                        "discretization_note")}
+    assert disc["discretization_note"] is None
+    assert disc["E_discretization_error"] == \
+        (rec.outputs["E_total"] - disc["E_coarse"]) / 3.0
+    assert abs(rec.outputs["E_total"] + disc["E_discretization_error"] - 3.0) \
+        < 0.1 * abs(rec.outputs["E_total"] - 3.0)
     assert rec.schema_version == "1.0"
     assert prof.read_text().startswith("r,phi,rho")
 
@@ -501,6 +550,10 @@ def test_charged_subcommands(tmp_path):
     assert [rec2.outputs[k] for k in ("iterations", "rejected_steps",
                                       "newton_steps")] \
         == [dm.iterations, dm.rejected_steps, dm.newton_steps]
+    assert {k: rec2.outputs[k] for k in ("E_coarse", "E_discretization_error",
+                                         "discretization_note")} \
+        == dm.discretization._asdict()
+    assert rec2.outputs["E_coarse"] < 0
 
 
 def test_regimes_subcommand(tmp_path):
@@ -516,6 +569,11 @@ def test_regimes_subcommand(tmp_path):
     assert all(len(c) == 2 and all(isinstance(v, int) for v in c)
                for c in counters)
     assert min(counters[0]) > 0 and min(counters[2]) > 0
+    # and the coarse grids' energies and error estimates of both solves
+    for key in ("E_coarse", "E_discretization_error"):
+        assert len(rec.outputs[key]) == 2
+        assert all(isinstance(v, float) for v in rec.outputs[key])
+    assert rec.outputs["discretization_note"] == [None, None]
 
 
 def test_regimes_strong_coupling_converges(tmp_path):
@@ -531,6 +589,11 @@ def test_regimes_strong_coupling_converges(tmp_path):
     assert rec.outputs["iterations"][0] > 0 and rec.outputs["newton_steps"][0] > 0
     assert [rec.outputs[k][1] for k in ("iterations", "rejected_steps",
                                         "newton_steps")] == [0, 0, 0]
+    # neither solve has an h^2 estimate: the full energies on three grids
+    # are not second order, and GT is solved pointwise
+    assert rec.outputs["E_discretization_error"] == [None, None]
+    assert "25 % of 4" in rec.outputs["discretization_note"][0]
+    assert rec.outputs["E_coarse"][1] is None
 
 
 def test_validate_subcommand(tmp_path, capsys):
@@ -678,7 +741,7 @@ def test_repeated_config_key_fails_validate_and_run_alike(tmp_path, capsys,
 
 @pytest.mark.parametrize("argv", [
     ("gp", "--coupling", "0.01", "--n-grid", "3"),
-    ("tf", "--coupling", "0.01", "--n-grid", "3"),
+    ("gp", "--coupling", "0.01", "--n-grid", "15"),
     ("gp", "--coupling", "0.01", "--n-grid", "0"),
     ("scatter", "--kind", "hard_core", "--n-grid", "8"),
 ])

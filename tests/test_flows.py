@@ -10,13 +10,26 @@ descent now stops at a residual of 1e-2 times the energy scale, where it
 used to run on until the energy was stationary, and 2-3 Newton steps take
 the place of 11-22 polish rounds.
 
-Two references are kept here.  The backward-Euler step is checked bit for
+They were re-set once more when every trap minimizer went through
+``flows.minimize_nested``: the counts now sum over the grids of the
+cascade, coarsest first, and the GP grids are sized from the exact mu_TF.
+The 3D GP went 34 -> 21 (13 on 256 nodes, then 2 on each of 512..4096),
+``full`` 34 -> 33, 3, 3, 3 (256..2048 nodes) and Dyson 15 -> 22 (15, 3, 2,
+2).  ``full`` and Dyson moved by at most 1 ulp; the 3D GP energy moved by
+2.6e-8 relative (362.2434068055428 -> 362.2434160742895) because its
+grid's radius changed, within its E_discretization_error of 5.3e-7
+relative.
+
+Three references are kept here.  The backward-Euler step is checked bit for
 bit against its first form, scipy's ``solve_banded`` on a 3 x n banded
 layout.  The whole minimization is checked against the flow as it was with
 its inverse-iteration endgame (``_reference_minimize_flow``): on a corpus
-where both converge, the energies agree to 1e-12 relative.
+where both converge, the energies agree to 1e-12 relative.  The cascade
+is checked against the single-grid solve it replaced
+(``_single_grid``): the n-grid energies agree to 1e-14 relative.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,9 +41,9 @@ from bosegas import charged, flows, meanfield, onedim
 def test_gp_3d_harmonic_flow_pinned():
     _, rep = meanfield.gp_minimize(meanfield.GPProblem(3, 100.0, 0.01,
                                                        n_grid=4096))
-    assert rep.iterations == 34
-    assert (rep.rejected_steps, rep.newton_steps) == (0, 2)
-    assert rep.E_total == pytest.approx(362.2434068055428, rel=1e-13)
+    assert rep.iterations == 21
+    assert (rep.rejected_steps, rep.newton_steps) == (0, 6)
+    assert rep.E_total == pytest.approx(362.2434160742895, rel=1e-13)
 
 
 def test_full_1d_flow_pinned(monkeypatch):
@@ -43,15 +56,17 @@ def test_full_1d_flow_pinned(monkeypatch):
 
     monkeypatch.setattr(flows, "minimize_flow", recording)
     _, energy, _ = onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0)
-    assert [r.iterations for r in results] == [34]
-    assert [(r.rejected_steps, r.newton_steps) for r in results] == [(0, 3)]
+    assert [len(r.psi) for r in results] == [256, 512, 1024, 2048]
+    assert [r.iterations for r in results] == [33, 3, 3, 3]
+    assert [(r.rejected_steps, r.newton_steps) for r in results] \
+        == [(0, 3), (0, 2), (0, 2), (0, 2)]
     assert energy == pytest.approx(9.322188962301011, rel=1e-13)
 
 
 def test_dyson_flow_pinned():
     dm = charged.dyson_functional_minimize(1.0)
-    assert dm.iterations == 15
-    assert (dm.rejected_steps, dm.newton_steps) == (0, 3)
+    assert dm.iterations == 22
+    assert (dm.rejected_steps, dm.newton_steps) == (0, 7)
     assert dm.energy == pytest.approx(-0.025170640086422558, rel=1e-13)
 
 
@@ -78,20 +93,27 @@ class _Captured(Exception):
     pass
 
 
-def _flow_input(monkeypatch, solve):
-    """The FlowProblem and normalized start vector ``solve`` hands to the
-    flow."""
+def _nested_input(monkeypatch, solve):
+    """The (build, n, start) that ``solve`` hands to ``minimize_nested``."""
     seen = []
 
-    def capture(prob, psi0=None):
-        seen.append((prob, psi0))
+    def capture(build, n, start):
+        seen.append((build, n, start))
         raise _Captured
 
     with monkeypatch.context() as patch:
-        patch.setattr(flows, "minimize_flow", capture)
+        patch.setattr(flows, "minimize_nested", capture)
         with pytest.raises(_Captured):
             solve()
-    prob, psi0 = seen[0]
+    return seen[0]
+
+
+def _flow_input(monkeypatch, solve):
+    """The n-grid FlowProblem of ``solve`` and its normalized single-grid
+    start vector."""
+    build, n, start = _nested_input(monkeypatch, solve)
+    prob = build(n)
+    psi0 = start(prob)
     if psi0 is None:
         psi0 = np.exp(-np.linspace(0, 4, len(prob.nodes)) ** 2) + 0.05
     return prob, prob.normalize(np.array(psi0, dtype=float))
@@ -363,3 +385,161 @@ def test_newton_converges_on_a_linear_problem():
     # the oscillator ground state: -psi'' + z^2 psi = psi
     assert res.mu_chem == pytest.approx(1.0, rel=1e-4)
     assert res.energy == pytest.approx(res.mu_chem, rel=1e-12)
+
+
+# --- the cascade against the single-grid solve it replaced -------------------
+
+def _single_grid(build, n, start):
+    """The solve before ``minimize_nested``: the n grid alone, from the
+    caller's start."""
+    prob = build(n)
+    return flows.minimize_flow(prob, start(prob))
+
+
+_GP_TRAPS = {"harmonic": meanfield.TrapPotential(), "s3": _S3}
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4096, 8192])
+@pytest.mark.parametrize("trap", sorted(_GP_TRAPS))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cascade_matches_the_single_grid_gp(dim, trap, n, monkeypatch):
+    # N c = 1 starts from the Gaussian-like default, N c = 30 from TF
+    for N, c in ((50.0, 0.02), (50.0, 0.6)):
+        solve = lambda: meanfield.gp_minimize(
+            meanfield.GPProblem(dim, N, c, trap=_GP_TRAPS[trap], n_grid=n))
+        ref = _single_grid(*_nested_input(monkeypatch, solve))
+        _, rep = solve()
+        assert ref.converged
+        assert rep.E_total == pytest.approx(ref.energy, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("case", ["full", "gp1d", "dyson"])
+def test_cascade_matches_the_single_grid(case, monkeypatch):
+    solve = {
+        "full": lambda: onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0),
+        "gp1d": lambda: onedim.minimize_1d("gp1d", 5.0, 1.0, 2.0, 3.0),
+        "dyson": lambda: charged._dyson_flow(1.0, 2048, 60.0),
+    }[case]
+    ref = _single_grid(*_nested_input(monkeypatch, solve))
+    energy = solve().energy if case == "dyson" else solve()[1]
+    assert ref.converged
+    assert energy == pytest.approx(ref.energy, rel=1e-14, abs=0.0)
+
+
+def test_cascade_sums_counters_over_its_grids(monkeypatch):
+    results = []
+    run = flows.minimize_flow
+
+    def recording(prob, psi0):
+        results.append(run(prob, psi0))
+        return results[-1]
+
+    monkeypatch.setattr(flows, "minimize_flow", recording)
+    _, rep = meanfield.gp_minimize(meanfield.GPProblem(2, 5.0, 0.1,
+                                                       n_grid=2048))
+    assert [len(r.psi) for r in results] == [256, 512, 1024, 2048]
+    for key in ("iterations", "rejected_steps", "newton_steps"):
+        assert getattr(rep, key) == sum(getattr(r, key) for r in results)
+    assert rep.E_total == results[-1].energy
+    assert rep.discretization.E_coarse == results[-2].energy
+    assert rep.discretization.E_discretization_error \
+        == (results[-1].energy - results[-2].energy) / 3.0
+
+
+def test_only_the_n_grid_decides_convergence(monkeypatch):
+    # a coarse grid that does not converge hands its iterate on, and the
+    # estimate that reads it is withheld
+    run = flows.minimize_flow
+
+    def coarse_fails(prob, psi0):
+        res = run(prob, psi0)
+        return res if len(prob.nodes) == 1024 else \
+            dataclasses.replace(res, converged=False)
+
+    monkeypatch.setattr(flows, "minimize_flow", coarse_fails)
+    _, rep = meanfield.gp_minimize(meanfield.GPProblem(2, 5.0, 0.1,
+                                                       n_grid=1024))
+    assert rep.discretization.E_discretization_error is None
+    assert "did not converge" in rep.discretization.discretization_note
+
+    monkeypatch.setattr(flows, "minimize_flow", lambda prob, psi0: dataclasses.replace(
+        run(prob, psi0), converged=len(prob.nodes) != 1024))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        meanfield.gp_minimize(meanfield.GPProblem(2, 5.0, 0.1, n_grid=1024))
+
+
+def test_cascade_grid_sizes():
+    sizes = []
+    zero = lambda y, z: 0.0 * y
+
+    def build(m):
+        sizes.append(m)
+        return flows.line_problem(8.0, m, 1.0, lambda z: z**2, zero, zero,
+                                  zero, 1.0)
+
+    for n, expect in ((300, [300]), (511, [511]), (512, [256, 512]),
+                      (1000, [500, 1000]), (1025, [256, 512, 1025]),
+                      (2048, [256, 512, 1024, 2048])):
+        sizes.clear()
+        _, res, disc = flows.minimize_nested(build, n, lambda prob: None)
+        assert sizes == expect and len(res.psi) == n
+        assert (disc.E_coarse is None) == (len(expect) == 1)
+        assert (disc.E_discretization_error is None) == (len(expect) < 3)
+        assert (disc.discretization_note is None) == (len(expect) >= 3)
+
+
+@pytest.mark.parametrize("make,dirichlet_at_0", [
+    (flows.radial_u_problem, True), (flows.radial_cell_problem, False),
+    (flows.line_problem, True)])
+def test_prolongation_pads_the_dirichlet_ghosts(make, dirichlet_at_0):
+    zero = lambda y, z: 0.0 * y
+    coarse, fine = (make(4.0, m, 1.0, lambda r: r**2, zero, zero, zero, 1.0)
+                    for m in (64, 128))
+    x = coarse.nodes
+    left = fine.nodes < x[0]
+    right = fine.nodes > x[-1]
+    assert left.any() and right.any()
+    out = flows._prolong(coarse, np.ones(64), fine)
+    assert np.all(out[~(left | right)] == 1.0)
+    # toward the zero ghost one spacing out, or held at a no-flux end
+    assert np.all(out[right] < 1.0)
+    assert np.all(out[left] < 1.0) if dirichlet_at_0 else np.all(out[left] == 1.0)
+    # data linear up to the ghost is reproduced beyond the coarse nodes
+    ghost = x[-1] + (x[-1] - x[-2])
+    np.testing.assert_allclose(flows._prolong(coarse, ghost - x, fine)[right],
+                               ghost - fine.nodes[right], rtol=1e-12)
+
+
+# --- the error estimate -----------------------------------------------------
+
+@pytest.mark.parametrize("trap", sorted(_GP_TRAPS))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_energies_converge_at_second_order(dim, trap):
+    # (E_n - E_2n) / (E_2n - E_4n) on three grids is 4 at second order
+    E = [meanfield.gp_minimize(meanfield.GPProblem(
+        dim, 50.0, 0.02, trap=_GP_TRAPS[trap], n_grid=n))[1].E_total
+        for n in (1024, 2048, 4096)]
+    assert (E[0] - E[1]) / (E[1] - E[2]) == pytest.approx(4.0, rel=0.01)
+
+
+@pytest.mark.parametrize("trap", sorted(_GP_TRAPS))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_error_estimate_matches_a_finer_grid(dim, trap):
+    # E_inf - E_n = (E_4n - E_n) 16/15 at second order
+    reps = [meanfield.gp_minimize(meanfield.GPProblem(
+        dim, 50.0, 0.6, trap=_GP_TRAPS[trap], n_grid=n))[1]
+        for n in (1024, 4096)]
+    est = reps[0].discretization.E_discretization_error
+    assert reps[0].discretization.discretization_note is None
+    assert est == pytest.approx((reps[1].E_total - reps[0].E_total) * 16 / 15,
+                                rel=0.05)
+
+
+def test_nonmonotone_energies_withhold_the_estimate():
+    # E at n = 512, 1024, 2048 is 987194.73... then 987181.04...: the
+    # three-grid ratio is far from 4, so there is no h^2 estimate
+    prof, energy, _ = onedim.minimize_1d("full", 1000.0, 1.0, 4000.0, 2.0)
+    disc = prof.discretization
+    assert disc.E_coarse is not None and disc.E_coarse != energy
+    assert disc.E_discretization_error is None
+    assert "not within 25 % of 4" in disc.discretization_note

@@ -145,3 +145,54 @@ def unset_parameters(src: Path = SRC) -> list[str]:
 def test_every_defaulted_parameter_is_set_by_a_src_caller():
     unset = unset_parameters()
     assert not unset, f"{len(unset)} set only by tests or by nothing: {', '.join(unset)}"
+
+
+# --- every command-line option is read ---------------------------------------
+
+def _reads(fn: ast.FunctionDef, param: str, defs: dict, seen: set) -> set:
+    """The attributes ``<param>.<name>`` that ``fn`` reads, and that the
+    functions of ``defs`` it passes ``param`` to read, by position or
+    keyword."""
+    if (fn.name, param) in seen:
+        return set()
+    seen.add((fn.name, param))
+    out = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == param:
+            out.add(node.attr)
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in defs):
+            continue
+        callee = defs[node.func.id]
+        names = [a.arg for a in callee.args.posonlyargs + callee.args.args]
+        for i, arg in enumerate(node.args):
+            if isinstance(arg, ast.Name) and arg.id == param and i < len(names):
+                out |= _reads(callee, names[i], defs, seen)
+        for kw in node.keywords:
+            if isinstance(kw.value, ast.Name) and kw.value.id == param:
+                out |= _reads(callee, kw.arg, defs, seen)
+    return out
+
+
+def unread_options(src: Path = SRC) -> list[str]:
+    """``subcommand.dest`` of every option that the subcommand's ``cmd_*``
+    function never reads as ``args.<dest>``, itself or through a helper it
+    hands ``args`` to; an option nothing reads does nothing."""
+    import argparse
+
+    from bosegas import cli
+    defs = {n.name: n for n in ast.parse((src / "cli.py").read_text()).body
+            if isinstance(n, ast.FunctionDef)}
+    unread = []
+    for name, sub in cli._subparsers(cli.build_parser()).items():
+        cmd = defs[sub.get_default("func").__name__]
+        read = _reads(cmd, cmd.args.args[0].arg, defs, set())
+        unread += [f"{name}.{a.dest}" for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction) and a.dest not in read]
+    return unread
+
+
+def test_every_option_is_read_by_its_subcommand():
+    unread = unread_options()
+    assert not unread, f"options that do nothing: {', '.join(unread)}"
