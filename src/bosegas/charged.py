@@ -169,11 +169,9 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
     i0 = foldy_constant(mu).i0
 
     # u = r Phi representation: E = 4 pi [ mu int u'^2 - I0 int u^{5/2} r^{-1/2} ]
-    def q(y, r):
-        return -i0 * y ** 1.25 / np.sqrt(r)
-
-    def dq(y, r):
-        return -1.25 * i0 * y ** 0.25 / np.sqrt(r)
+    def local(y, r):
+        root = np.sqrt(r)
+        return -i0 * y ** 1.25 / root, -1.25 * i0 * y ** 0.25 / root
 
     def d2q(y, r):
         # infinite at y = 0, where the 2 y q'' the flow reads vanishes
@@ -183,7 +181,7 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
     width = 0.35 * rmax
     fp, res, disc = flows.minimize_nested(
         lambda m: flows.radial_u_problem(rmax, m, mu, lambda r: np.zeros_like(r),
-                                         q, dq, d2q, mass=1.0), n,
+                                         local, d2q, mass=1.0), n,
         lambda fp: fp.nodes * np.exp(-(fp.nodes / width) ** 2))
     if not res.converged:
         raise RuntimeError("two-component minimization did not converge")

@@ -12,9 +12,13 @@ nonnegative by construction.
 
 Minimization starts as an imaginary-time style descent: each step solves
 the linearized backward-Euler system (tridiagonal, LAPACK gtsv) and
-renormalizes; the step size is grown gently and halved whenever the energy
-fails to decrease, so the energy is monotone nonincreasing along the
-descent.  After every accepted step the descent measures the sup-norm of
+renormalizes; the step size grows by ``_DT_GROWTH`` after an accepted step
+and is halved whenever the energy fails to decrease, so the energy is
+monotone nonincreasing along the descent.  Each trial iterate is evaluated
+once (``FlowProblem.evaluate``): one call of the local terms gives both the
+energy the step is judged by and, if it is accepted, the Euler-Lagrange
+pieces the next step reads.  After every accepted step the descent
+measures the sup-norm of
 the Euler-Lagrange residual; once it is below 1e-2 times the energy scale
 max(|lam|, |E|/N), Newton's method on the Euler-Lagrange equation and the
 mass constraint takes over.  The Newton matrix is the flow's tridiagonal
@@ -50,6 +54,11 @@ _MAX_ITER = 40000
 _HANDOFF_LEVELS = (1e-2, 1e-4, 1e-6)
 # a safety cap: from the first level Newton takes 2-4 steps
 _MAX_NEWTON_STEPS = 20
+# the descent step grows by this factor after each accepted step (x2.0
+# draws so many rejections that gp1d needs more steps than at x1.1)
+_DT_GROWTH = 1.1
+# the descent step stays within [_DT_MIN, _DT_MAX] / energy scale
+_DT_MIN, _DT_MAX = 1e-18, 1e4
 # converged: residual below _RTOL times the energy scale
 _RTOL = 1e-9
 # minimize_nested halves n while the next grid keeps at least this many nodes
@@ -69,11 +78,14 @@ class FlowProblem:
     ew       edge weights, length n+1; ew[0]/ew[n] couple to zero ghosts
              (set to 0.0 for a no-flux boundary)
     V        external potential per node
-    q, dq, d2q  interaction energy density and its first and second
-             derivatives in y = psi^2, signature (y_array, nodes) -> array;
-             only 2 y q''(y) enters (the Newton step), so d2q may return 0
-             where y = 0 and q'' is infinite
+    local    (y_array, nodes) -> (q, q'): the interaction energy density q
+             and its derivative in y = psi^2, from one evaluation
+    d2q      (y_array, nodes) -> q''(y); only 2 y q''(y) enters (the Newton
+             step), so d2q may return 0 where y = 0 and q'' is infinite
     mass     constraint value N
+
+    The off-diagonals of W^-1 A must be finite: building a problem whose
+    off-diagonals are not raises ValueError.
     """
 
     nodes: np.ndarray
@@ -81,8 +93,7 @@ class FlowProblem:
     kin: float
     ew: np.ndarray
     V: np.ndarray
-    q: Callable
-    dq: Callable
+    local: Callable
     d2q: Callable
     mass: float
 
@@ -96,7 +107,12 @@ class FlowProblem:
         # A is the SPD kinetic matrix: psi^T A psi = kin * sum ew (dpsi)^2
         self._diag = self.kin * (self.ew[:-1] + self.ew[1:])
         self._off = -self.kin * self.ew[1:-1]
-        self._diag_w = self._diag / self.w
+        with np.errstate(all="ignore"):
+            self._diag_w = self._diag / self.w
+            finite = (np.isfinite(self._off / self.w[:-1]).all()
+                      and np.isfinite(self._off / self.w[1:]).all())
+        if not finite:
+            raise ValueError("the off-diagonals of W^-1 A are not finite")
 
     # --- quadratic form pieces ------------------------------------------
     # the reductions below are ndarray methods: on grids of a few hundred
@@ -107,12 +123,15 @@ class FlowProblem:
         e += self.kin * float(self.ew[0] * psi[0] ** 2 + self.ew[-1] * psi[-1] ** 2)
         return e
 
-    def energy_parts(self, psi: np.ndarray):
-        y = psi**2
+    def _energy_parts(self, psi, y, q):
         kin = self.kinetic(psi)
         trap = float((self.w * self.V * y).sum())
-        inter = float((self.w * self.q(y, self.nodes)).sum())
+        inter = float((self.w * q).sum())
         return kin, trap, inter
+
+    def energy_parts(self, psi: np.ndarray):
+        y = psi**2
+        return self._energy_parts(psi, y, self.local(y, self.nodes)[0])
 
     def energy(self, psi: np.ndarray) -> float:
         return sum(self.energy_parts(psi))
@@ -123,14 +142,24 @@ class FlowProblem:
         out[1:] += self._off * psi[:-1]
         return out
 
+    def _terms(self, psi, y, dq):
+        Apsi = self._apply_A(psi)
+        g = self.V + dq
+        lam = (float(psi @ Apsi) + float((self.w * g * y).sum())) / self.mass
+        return Apsi, g, lam
+
     def terms(self, psi: np.ndarray):
         """(A psi, g = V + q'(psi^2), lam) at ``psi``: every Euler-Lagrange
         piece one flow iterate reads, each evaluated once."""
         y = psi**2
-        Apsi = self._apply_A(psi)
-        g = self.V + self.dq(y, self.nodes)
-        lam = (float(psi @ Apsi) + float((self.w * g * y).sum())) / self.mass
-        return Apsi, g, lam
+        return self._terms(psi, y, self.local(y, self.nodes)[1])
+
+    def evaluate(self, psi: np.ndarray):
+        """(``energy(psi)``, ``terms(psi)``), bit for bit, from one square
+        and one call of ``local``."""
+        y = psi**2
+        q, dq = self.local(y, self.nodes)
+        return sum(self._energy_parts(psi, y, q)), self._terms(psi, y, dq)
 
     def defect(self, psi: np.ndarray, terms) -> np.ndarray:
         """Euler-Lagrange defect W^-1 A psi + (g - lam) psi at ``psi``;
@@ -166,14 +195,16 @@ class FlowResult:
 
 def _solve(prob: FlowProblem, d, rhs, dt: float = 1.0) -> np.ndarray | None:
     """LAPACK ``gtsv`` solve with diagonal ``d`` and the off-diagonals of
-    dt W^-1 A, leaving ``rhs`` intact; None when an entry is not finite or
-    the matrix is singular."""
+    dt W^-1 A, leaving ``rhs`` intact; None when an entry of ``d`` or
+    ``rhs`` is not finite or the matrix is singular.  The off-diagonals of
+    W^-1 A were checked when ``prob`` was built, and dt is within the
+    descent's bounds, so dt W^-1 A needs no check."""
     from scipy.linalg.lapack import dgtsv
+    if not (np.isfinite(d).all() and np.isfinite(rhs).all()):
+        return None
     off = dt * prob._off
     du = off / prob.w[:-1]
     dl = off / prob.w[1:]
-    if not all(np.isfinite(a).all() for a in (dl, d, du, rhs)):
-        return None
     *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
                         overwrite_du=1, overwrite_b=0)
     return x if info == 0 else None
@@ -228,24 +259,24 @@ def _newton_step(prob: FlowProblem, psi: np.ndarray,
         return None
 
 
-def _newton(prob: FlowProblem, psi: np.ndarray, terms, res: float,
+def _newton(prob: FlowProblem, psi: np.ndarray, e: float, terms, res: float,
             tol: float):
     """The endgame: Newton steps from ``psi`` while the residual is above
-    ``tol``, each kept only if it lowers the residual.  ``terms`` and ``res``
-    belong to ``psi``, and so do the ones returned, with the number of
-    steps tried (a refused one included)."""
+    ``tol``, each kept only if it lowers the residual.  ``e``, ``terms`` and
+    ``res`` belong to ``psi``, and so do the ones returned, with the number
+    of steps tried (a refused one included)."""
     steps = 0
     while res > tol and steps < _MAX_NEWTON_STEPS:
         steps += 1
         trial = _newton_step(prob, psi, terms)
         if trial is None:
             break
-        trial_terms = prob.terms(trial)
+        e_new, trial_terms = prob.evaluate(trial)
         res_new = prob.residual(trial, trial_terms)
         if not res_new < res:
             break
-        psi, terms, res = trial, trial_terms, res_new
-    return psi, terms, res, steps
+        psi, e, terms, res = trial, e_new, trial_terms, res_new
+    return psi, e, terms, res, steps
 
 
 def _energy_scale(prob: FlowProblem, terms, e: float) -> float:
@@ -264,8 +295,7 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None) -> FlowResu
     else:
         psi = np.array(psi0, dtype=float)
     psi = prob.normalize(psi)
-    e = prob.energy(psi)
-    terms = prob.terms(psi)
+    e, terms = prob.evaluate(psi)
     scale = _energy_scale(prob, terms, e)
     dt = 1.0 / scale
     max_up = 0.0
@@ -275,25 +305,25 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None) -> FlowResu
     handoff = next(levels)
     for it in range(1, _MAX_ITER + 1):
         trial = _implicit_step(prob, psi, terms, dt)
-        e_new = math.nan if trial is None else prob.energy(trial)
+        e_new, trial_terms = (math.nan, None) if trial is None \
+            else prob.evaluate(trial)
         if not math.isfinite(e_new) or e_new > e + 1e-14 * max(1.0, abs(e)):
             dt *= 0.5
             rejected += 1
-            if dt < 1e-18 / scale:
+            if dt < _DT_MIN / scale:
                 break
             continue
         if e_new > e:
             max_up = max(max_up, e_new - e)
-        psi, e = trial, e_new
-        terms = prob.terms(psi)
-        dt = min(dt * 1.1, 1e4 / scale)
+        psi, e, terms = trial, e_new, trial_terms
+        dt = min(dt * _DT_GROWTH, _DT_MAX / scale)
         res = prob.residual(psi, terms)
         scale = _energy_scale(prob, terms, e)
         if res > handoff * scale:
             continue
-        psi, terms, res, steps = _newton(prob, psi, terms, res, _RTOL * scale)
+        psi, e, terms, res, steps = _newton(prob, psi, e, terms, res,
+                                            _RTOL * scale)
         newton += steps
-        e = prob.energy(psi)
         # a stalled Newton hands back to the descent, which resumes from the
         # last kept iterate and hands off again at the next level
         handoff = next(levels, None)
@@ -385,7 +415,7 @@ def minimize_nested(build: Callable[[int], FlowProblem], n: int,
 # --- grid builders --------------------------------------------------------
 
 def radial_u_problem(rmax: float, n: int, mu: float, V: Callable,
-                     q, dq, d2q, mass: float) -> FlowProblem:
+                     local, d2q, mass: float) -> FlowProblem:
     """3D radial problem in the u = r*phi representation.
 
     Nodes r_i = i h, i = 1..n; u(0) = 0 and u(rmax + h) = 0 ghosts.  The
@@ -398,11 +428,11 @@ def radial_u_problem(rmax: float, n: int, mu: float, V: Callable,
     w = 4.0 * math.pi * h * np.ones(n)
     ew = np.full(n + 1, 1.0 / h)
     return FlowProblem(r, w, 4.0 * math.pi * mu, ew, np.asarray(V(r), dtype=float),
-                       q, dq, d2q, mass)
+                       local, d2q, mass)
 
 
 def radial_cell_problem(rmax: float, n: int, mu: float, V: Callable,
-                        q, dq, d2q, mass: float) -> FlowProblem:
+                        local, d2q, mass: float) -> FlowProblem:
     """2D radial problem on a cell-centered grid (phi itself).
 
     Nodes r_i = (i + 1/2) h; the flux through r = 0 vanishes identically
@@ -416,15 +446,15 @@ def radial_cell_problem(rmax: float, n: int, mu: float, V: Callable,
     ew = edges / h
     ew[0] = 0.0
     return FlowProblem(r, w, omega * mu, ew, np.asarray(V(r), dtype=float),
-                       q, dq, d2q, mass)
+                       local, d2q, mass)
 
 
 def line_problem(zmax: float, n: int, kappa: float, V: Callable,
-                 q, dq, d2q, mass: float) -> FlowProblem:
+                 local, d2q, mass: float) -> FlowProblem:
     """Symmetric 1D problem on (-zmax, zmax) with Dirichlet ghosts."""
     h = 2.0 * zmax / (n + 1)
     z = -zmax + h * np.arange(1, n + 1)
     w = h * np.ones(n)
     ew = np.full(n + 1, 1.0 / h)
     return FlowProblem(z, w, kappa, ew, np.asarray(V(z), dtype=float),
-                       q, dq, d2q, mass)
+                       local, d2q, mass)

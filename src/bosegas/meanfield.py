@@ -145,16 +145,17 @@ def _build_problem(problem: GPProblem) -> flows.FlowProblem:
     g4 = 4.0 * math.pi * mu * c
     if problem.dimension == 3:
         # u = r phi: quartic term 4 pi mu a int u^4 / r^2 dr (per measure 4 pi dr)
-        q = lambda y, r: g4 * y**2 / r**2
-        dq = lambda y, r: 2.0 * g4 * y / r**2
+        def local(y, r):
+            r2 = r**2
+            return g4 * y**2 / r2, 2.0 * g4 * y / r2
+
         d2q = lambda y, r: 2.0 * g4 / r**2
         return flows.radial_u_problem(rmax, problem.n_grid, mu, problem.trap,
-                                      q, dq, d2q, problem.N)
-    q = lambda y, r: g4 * y**2
-    dq = lambda y, r: 2.0 * g4 * y
+                                      local, d2q, problem.N)
+    local = lambda y, r: (g4 * y**2, 2.0 * g4 * y)
     d2q = lambda y, r: np.full_like(y, 2.0 * g4)
     return flows.radial_cell_problem(rmax, problem.n_grid, mu, problem.trap,
-                                     q, dq, d2q, problem.N)
+                                     local, d2q, problem.N)
 
 
 def _profile_from(problem: GPProblem, fp: flows.FlowProblem,

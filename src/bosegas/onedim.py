@@ -292,34 +292,46 @@ class LLCurve:
         return float(out[0]) if scalar else out
 
     def e_and_de(self, t):
-        """(e(t), e'(t)) from one table lookup; e equals ``e(t)`` bit for bit."""
-        return self.e_derivatives(t)[:2]
+        """(e(t), e'(t)) from one table lookup, with no e''; e equals
+        ``e(t)`` bit for bit."""
+        return self._lookup(t, False)
 
     def e_derivatives(self, t):
-        """(e(t), e'(t), e''(t)) from one table lookup.  Inside the table
+        """(e(t), e'(t), e''(t)) from one table lookup."""
+        return self._lookup(t, True)
+
+    def _lookup(self, t, second: bool):
+        """(e, e') at t, and e'' when ``second``.  Inside the table
         e = exp(p(log t)), so e' = e p'/t and e'' = e (p'^2 + p'' - p')/t^2;
         the low tail is linear and the high tail has e'' = -2 deficit
         t_max / t^3."""
         t, scalar, low, mid, high = self._split(t)
         e = np.empty_like(t)
         de = np.empty_like(t)
-        d2e = np.zeros_like(t)
         e[low] = 0.5 * t[low] * self._low_ratio
         de[low] = 0.5 * self._low_ratio
         tm = t[mid]
         with np.errstate(divide="ignore"):
-            p, dp, d2p = self._interp.derivatives(np.log(tm))
+            x = np.log(tm)
+        if second:
+            p, dp, d2p = self._interp.derivatives(x)
+        else:
+            p, dp = self._interp.value_and_slope(x)
         e_mid = np.exp(p)
         e[mid] = e_mid
         de[mid] = e_mid * dp / tm
-        d2e[mid] = e_mid * (dp * dp + d2p - dp) / tm**2
         th = t[high]
         e[high] = PI2_3 - self._high_deficit * (self.t_max / th)
         de[high] = self._high_deficit * self.t_max / th**2
-        d2e[high] = -2.0 * self._high_deficit * self.t_max / th**3
+        out = (e, de)
+        if second:
+            d2e = np.zeros_like(t)
+            d2e[mid] = e_mid * (dp * dp + d2p - dp) / tm**2
+            d2e[high] = -2.0 * self._high_deficit * self.t_max / th**3
+            out += (d2e,)
         if scalar:
-            return float(e[0]), float(de[0]), float(d2e[0])
-        return e, de, d2e
+            return tuple(float(v[0]) for v in out)
+        return out
 
     @cached_property
     def _log_f_nodes(self) -> np.ndarray:
@@ -687,20 +699,21 @@ def _interaction_density(kind: str, rho: np.ndarray, g: float, curve) -> np.ndar
 def _minimize_gradient_kind(kind, N, L, g, s, curve):
     zmax = _zmax_gradient(kind, N, L, g, s)
     V = lambda z: _v_long(z, L, s)
-    q = lambda y, z: _interaction_density(kind, y, g, curve)
     if kind == "gp1d":
-        dq = lambda y, z: g * y
+        local = lambda y, z: (0.5 * g * y**2, g * y)
         d2q = lambda y, z: np.full_like(y, g)
     else:
         # w(rho) = rho^3 e(g/rho): w' = 3 rho^2 e - g rho e',
         # w'' = 6 rho e - 4 g e' + g^2 e'' / rho
-        def dq(y, z):
-            out = np.zeros_like(y)
+        def local(y, z):
+            w = np.zeros_like(y)
+            dw = np.zeros_like(y)
             pos = y > 0
             yp = y[pos]
             e, de = curve.e_and_de(_ll_argument(g, yp))
-            out[pos] = 3.0 * yp ** 2 * e - g * yp * de
-            return out
+            w[pos] = yp**3 * e
+            dw[pos] = 3.0 * yp ** 2 * e - g * yp * de
+            return w, dw
 
         def d2q(y, z):
             out = np.zeros_like(y)
@@ -710,7 +723,7 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve):
             out[pos] = 6.0 * yp * e - 4.0 * g * de + g * g * d2e / yp
             return out
     fp, res, disc = flows.minimize_nested(
-        lambda m: flows.line_problem(zmax, m, 1.0, V, q, dq, d2q, N), _N_GRID_1D,
+        lambda m: flows.line_problem(zmax, m, 1.0, V, local, d2q, N), _N_GRID_1D,
         lambda fp: np.sqrt(np.maximum(1.0 - (fp.nodes / (0.75 * zmax)) ** 2,
                                       0.0)) + 1e-3)
     if not res.converged:

@@ -38,6 +38,24 @@ import pytest
 from bosegas import charged, flows, meanfield, onedim
 
 
+def _free(y, z):
+    """No interaction: q = q' = 0."""
+    return 0.0 * y, 0.0 * y
+
+
+def _zero(y, z):
+    return 0.0 * y
+
+
+def _quartic(y, z):
+    """q = y^2 / 2 and q' = y."""
+    return 0.5 * y**2, y
+
+
+def _quartic_d2q(y, z):
+    return np.ones_like(y)
+
+
 def test_gp_3d_harmonic_flow_pinned():
     _, rep = meanfield.gp_minimize(meanfield.GPProblem(3, 100.0, 0.01,
                                                        n_grid=4096))
@@ -76,9 +94,10 @@ def _reference_step(prob, psi, dt):
     ``solve_banded``, which refuses non-finite input and a singular system."""
     from scipy.linalg import solve_banded
     y = psi**2
+    dq = prob.local(y, prob.nodes)[1]
     lam = (float(psi @ prob._apply_A(psi))
-           + float(np.sum(prob.w * (prob.V + prob.dq(y, prob.nodes)) * y))) / prob.mass
-    dV = prob.V + prob.dq(y, prob.nodes) - lam
+           + float(np.sum(prob.w * (prob.V + dq) * y))) / prob.mass
+    dV = prob.V + dq - lam
     banded = np.zeros((3, len(psi)))
     banded[1, :] = 1.0 + dt * (prob._diag / prob.w + dV)
     banded[0, 1:] = dt * prob._off / prob.w[:-1]
@@ -144,16 +163,14 @@ def test_step_equals_the_banded_reference(case, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_step_refuses_nonfinite_and_singular_systems():
-    zero = lambda y, z: 0.0 * y
     bad_v = flows.line_problem(4.0, 64, 1.0,
                                lambda z: np.where(z > 3.5, np.inf, z**2),
-                               zero, zero, zero, 1.0)
+                               _free, _zero, 1.0)
     psi = bad_v.normalize(np.ones(64))
     assert flows._implicit_step(bad_v, psi, bad_v.terms(psi), 0.1) is None
     assert _reference_step(bad_v, psi, 0.1) is None
 
-    prob = flows.line_problem(4.0, 64, 1.0, lambda z: z**2, zero, zero, zero,
-                              1.0)
+    prob = flows.line_problem(4.0, 64, 1.0, lambda z: z**2, _free, _zero, 1.0)
     good = prob.normalize(np.ones(64))
     for value in (np.nan, np.inf):
         psi = good.copy()
@@ -164,29 +181,88 @@ def test_step_refuses_nonfinite_and_singular_systems():
     # no kinetic term and lam = mean(V) = 1 exactly: M = I + (V - lam) has
     # a zero first entry
     singular = flows.FlowProblem(np.arange(3.0), np.ones(3), 0.0, np.ones(4),
-                                 np.array([0.0, 1.0, 2.0]), zero, zero, zero,
-                                 3.0)
+                                 np.array([0.0, 1.0, 2.0]), _free, _zero, 3.0)
     psi = np.ones(3)
     assert singular.terms(psi)[2] == 1.0
     assert flows._implicit_step(singular, psi, singular.terms(psi), 1.0) is None
     assert _reference_step(singular, psi, 1.0) is None
 
 
+def test_solve_refuses_nonfinite_input_and_a_singular_matrix():
+    prob = flows.line_problem(4.0, 16, 1.0, lambda z: z**2, _free, _zero, 1.0)
+    d = 1.0 + prob._diag_w
+    rhs = np.ones(16)
+    assert flows._solve(prob, d, rhs, 0.1) is not None
+    for value in (np.nan, np.inf, -np.inf):
+        bad = d.copy()
+        bad[3] = value
+        assert flows._solve(prob, bad, rhs, 0.1) is None
+        bad = np.ones((16, 2), order="F")
+        bad[5, 1] = value
+        assert flows._solve(prob, d, bad) is None
+    # no kinetic term: the matrix is diag(d), singular at a zero entry
+    flat = flows.FlowProblem(np.arange(3.0), np.ones(3), 0.0, np.ones(4),
+                             np.zeros(3), _free, _zero, 3.0)
+    assert flows._solve(flat, np.array([1.0, 0.0, 2.0]), np.ones(3)) is None
+    # the inputs are left as they were
+    assert np.array_equal(rhs, np.ones(16))
+
+
+@pytest.mark.parametrize("w", [np.array([1.0, 0.0, 1.0]),
+                               np.array([1.0, 1e-320, 1.0]),
+                               np.array([1.0, np.nan, 1.0])])
+def test_nonfinite_off_diagonal_is_refused_when_built(w):
+    # W^-1 A has off-diagonals -kin ew_i / w_j: a zero, denormal or NaN
+    # weight makes one of them infinite or NaN
+    with pytest.raises(ValueError, match="not finite"):
+        flows.FlowProblem(np.arange(3.0), w, 1.0, np.ones(4), np.zeros(3),
+                          _free, _zero, 1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        flows.FlowProblem(np.arange(3.0), np.ones(3), 1.0,
+                          np.array([1.0, np.inf, 1.0, 1.0]), np.zeros(3),
+                          _free, _zero, 1.0)
+
+
+_PROBLEMS = {
+    "gp_2d": lambda: meanfield.gp_minimize(
+        meanfield.GPProblem(2, 5.0, 0.1, n_grid=512)),
+    "gp_3d": lambda: meanfield.gp_minimize(
+        meanfield.GPProblem(3, 100.0, 0.01, n_grid=1024)),
+    "gp1d": lambda: onedim.minimize_1d("gp1d", 5.0, 1.0, 2.0, 3.0),
+    "full": lambda: onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0),
+    "dyson": lambda: charged._dyson_flow(1.0, 1024, 60.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROBLEMS))
+def test_evaluate_is_energy_and_terms(case, monkeypatch):
+    # one call of ``local`` gives what energy() and terms() give apart,
+    # bit for bit: at the start, at a descent iterate and at the minimizer
+    prob, start = _flow_input(monkeypatch, _PROBLEMS[case])
+    e0, terms0 = prob.evaluate(start)
+    step = flows._implicit_step(prob, start, terms0, 1.0 / abs(terms0[2]))
+    for psi in (start, step, flows.minimize_flow(prob, start).psi):
+        e, (Apsi, g, lam) = prob.evaluate(psi)
+        ref_Apsi, ref_g, ref_lam = prob.terms(psi)
+        assert e == prob.energy(psi) == sum(prob.energy_parts(psi))
+        assert Apsi.tobytes() == ref_Apsi.tobytes()
+        assert g.tobytes() == ref_g.tobytes()
+        assert lam == ref_lam
+
+
 def test_fall_through_exit_uses_the_loop_scale(monkeypatch):
     # V shifted by -mu puts the chemical potential at ~0 while |E|/N stays
     # O(1); with every step refused the flow leaves through the exit after
     # the loop, which must judge the residual on the loop's scale
-    q = lambda y, z: 0.5 * y**2
-    dq = lambda y, z: y
-    d2q = lambda y, z: np.ones_like(y)
-    base = flows.line_problem(8.0, 256, 1.0, lambda z: z**2, q, dq, d2q, 10.0)
+    base = flows.line_problem(8.0, 256, 1.0, lambda z: z**2, _quartic,
+                              _quartic_d2q, 10.0)
     with monkeypatch.context() as patch:
         patch.setattr(flows, "_RTOL", 1e-11)
         ground = flows.minimize_flow(base)
     assert ground.converged
     shifted = flows.line_problem(8.0, 256, 1.0,
-                                 lambda z: z**2 - ground.mu_chem, q, dq, d2q,
-                                 10.0)
+                                 lambda z: z**2 - ground.mu_chem, _quartic,
+                                 _quartic_d2q, 10.0)
     monkeypatch.setattr(flows, "_MAX_ITER", 3)
     monkeypatch.setattr(flows, "_implicit_step", lambda *args: None)
     res = flows.minimize_flow(shifted, psi0=ground.psi)
@@ -306,9 +382,10 @@ def test_energies_match_the_polish_reference(case, monkeypatch):
     assert new.energy == pytest.approx(e_ref, rel=1e-12)
 
 
-def _central_difference(dq, y, nodes, rel=1e-5):
+def _central_difference(local, y, nodes, rel=1e-5):
+    """Central differences of q' = ``local(y, nodes)[1]``."""
     h = rel * y
-    return (dq(y + h, nodes) - dq(y - h, nodes)) / (2.0 * h)
+    return (local(y + h, nodes)[1] - local(y - h, nodes)[1]) / (2.0 * h)
 
 
 @pytest.mark.parametrize("case", ["gp_2d_cell", "gp_3d_u", "gp1d", "full", "dyson"])
@@ -328,7 +405,7 @@ def test_d2q_matches_central_differences_of_dq(case, monkeypatch):
     keep = y > 1e-8 * y.max()
     y, nodes = y[keep], prob.nodes[keep]
     np.testing.assert_allclose(prob.d2q(y, nodes),
-                               _central_difference(prob.dq, y, nodes),
+                               _central_difference(prob.local, y, nodes),
                                rtol=1e-7, atol=0.0)
 
 
@@ -346,7 +423,7 @@ def test_full_d2q_across_the_table_ends(monkeypatch, ll_curve):
     y = g / t
     nodes = np.zeros_like(y)
     np.testing.assert_allclose(prob.d2q(y, nodes),
-                               _central_difference(prob.dq, y, nodes, 1e-6),
+                               _central_difference(prob.local, y, nodes, 1e-6),
                                rtol=1e-6, atol=0.0)
     assert prob.d2q(np.zeros(1), nodes[:1]) == 0.0
 
@@ -354,10 +431,8 @@ def test_full_d2q_across_the_table_ends(monkeypatch, ll_curve):
 def test_newton_stall_hands_back_to_the_descent(monkeypatch):
     # every Newton step refused: the descent takes over again, hands off at
     # 1e-4 and then 1e-6 times the scale, and the third stall is final
-    q = lambda y, z: 0.5 * y**2
-    dq = lambda y, z: y
-    d2q = lambda y, z: np.ones_like(y)
-    prob = flows.line_problem(8.0, 256, 1.0, lambda z: z**2, q, dq, d2q, 10.0)
+    prob = flows.line_problem(8.0, 256, 1.0, lambda z: z**2, _quartic,
+                              _quartic_d2q, 10.0)
     seen = []
 
     def refuse(prob, psi, terms):
@@ -377,9 +452,7 @@ def test_newton_stall_hands_back_to_the_descent(monkeypatch):
 def test_newton_converges_on_a_linear_problem():
     # no interaction: the Newton matrix W^-1 A + V - lam is singular at the
     # ground state, and the bordered step must still converge
-    zero = lambda y, z: 0.0 * y
-    prob = flows.line_problem(8.0, 512, 1.0, lambda z: z**2, zero, zero, zero,
-                              1.0)
+    prob = flows.line_problem(8.0, 512, 1.0, lambda z: z**2, _free, _zero, 1.0)
     res = flows.minimize_flow(prob)
     assert res.converged and res.newton_steps >= 1
     # the oscillator ground state: -psi'' + z^2 psi = psi
@@ -470,12 +543,11 @@ def test_only_the_n_grid_decides_convergence(monkeypatch):
 
 def test_cascade_grid_sizes():
     sizes = []
-    zero = lambda y, z: 0.0 * y
 
     def build(m):
         sizes.append(m)
-        return flows.line_problem(8.0, m, 1.0, lambda z: z**2, zero, zero,
-                                  zero, 1.0)
+        return flows.line_problem(8.0, m, 1.0, lambda z: z**2, _free, _zero,
+                                  1.0)
 
     for n, expect in ((300, [300]), (511, [511]), (512, [256, 512]),
                       (1000, [500, 1000]), (1025, [256, 512, 1025]),
@@ -492,8 +564,7 @@ def test_cascade_grid_sizes():
     (flows.radial_u_problem, True), (flows.radial_cell_problem, False),
     (flows.line_problem, True)])
 def test_prolongation_pads_the_dirichlet_ghosts(make, dirichlet_at_0):
-    zero = lambda y, z: 0.0 * y
-    coarse, fine = (make(4.0, m, 1.0, lambda r: r**2, zero, zero, zero, 1.0)
+    coarse, fine = (make(4.0, m, 1.0, lambda r: r**2, _free, _zero, 1.0)
                     for m in (64, 128))
     x = coarse.nodes
     left = fine.nodes < x[0]

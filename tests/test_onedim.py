@@ -166,6 +166,24 @@ def test_e_and_de_equals_e_and_de(ll_curve):
         assert ll_curve.e_and_de(t[i]) == (ll_curve.e(t[i]), de[i])
 
 
+def test_e_and_de_is_the_first_two_of_e_derivatives(ll_curve):
+    # the lookup without e'' gives e and e' bit for bit as the one with it:
+    # t = 0, the low tail, t_min, table nodes and points between them, t_max
+    # and the high tail, as one array and one scalar at a time
+    t_min, t_max = ll_curve.t_min, ll_curve.t_max
+    t = np.concatenate(([0.0], np.geomspace(1e-3 * t_min, t_min, 7, endpoint=False),
+                        ll_curve.nodes_t, np.geomspace(t_min, t_max, 53)[1:-1],
+                        np.geomspace(t_max, 1e3 * t_max, 8)[1:], [1e15]))
+    pair = ll_curve.e_and_de(t)
+    triple = ll_curve.e_derivatives(t)
+    assert len(pair) == 2
+    for got, ref in zip(pair, triple[:2]):
+        assert got.tobytes() == ref.tobytes()
+    for ti in (0.0, 0.5 * t_min, t_min, 1.0, t_max, 2.0 * t_max):
+        assert ll_curve.e_and_de(ti) == ll_curve.e_derivatives(ti)[:2]
+        assert all(type(v) is float for v in ll_curve.e_and_de(ti))
+
+
 def test_e_second_derivative(ll_curve):
     # e'' in the closed forms of the tails, and inside the table against
     # central differences of e' at midpoints between nodes (the PCHIP is
@@ -297,8 +315,7 @@ def test_gt_pointwise_matches_gradient_flow(ll_curve):
     fp = flows.FlowProblem(
         z, h * np.ones(n), 0.0, np.zeros(n + 1),
         np.abs(z) ** s / L ** (s + 2.0),
-        lambda y, zz: od.PI2_3 * y**3,
-        lambda y, zz: math.pi**2 * y**2,
+        lambda y, zz: (od.PI2_3 * y**3, math.pi**2 * y**2),
         lambda y, zz: 2.0 * math.pi**2 * y,
         N)
     res = flows.minimize_flow(fp, psi0=np.sqrt(np.maximum(1 - (z / zmax) ** 2, 0.0) + 1e-4))
