@@ -56,7 +56,7 @@ _HANDOFF_LEVELS = (1e-2, 1e-4, 1e-6)
 _MAX_NEWTON_STEPS = 20
 # the descent step grows by this factor after each accepted step (x2.0
 # draws so many rejections that gp1d needs more steps than at x1.1)
-_DT_GROWTH = 1.1
+_DT_GROWTH = 1.5
 # the descent step stays within [_DT_MIN, _DT_MAX] / energy scale
 _DT_MIN, _DT_MAX = 1e-18, 1e4
 # converged: residual below _RTOL times the energy scale
