@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .quadrature import tanh_sinh
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import flows
 
 # equal bit for bit to scipy.special.gamma(0.75) / gamma(1.25) (math.gamma is
@@ -165,6 +165,8 @@ class DysonMinimizer:
 
 
 def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
+    import numpy as np
+
     from . import flows
     i0 = foldy_constant(mu).i0
 

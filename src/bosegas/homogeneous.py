@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .quadrature import simpson
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .scattering import RadialPotential
 
 DYSON_CLASSIC = 1.0 / (10.0 * math.sqrt(2.0))
@@ -190,6 +190,7 @@ class SoftPotential:
     nu: float | None = None
 
     def __call__(self, r):
+        import numpy as np
         r = np.asarray(r, dtype=float)
         return np.where((r > self.R0) & (r < self.R), self.height, 0.0)
 
@@ -216,6 +217,7 @@ def soft_potential(R: float, R0: float, dim: int, a: float) -> SoftPotential:
 def soft_potential_norm_report(U: SoftPotential) -> dict:
     """Numeric check of the defining normalization integral (Simpson, 20001
     points)."""
+    import numpy as np
     r = np.linspace(U.R0, U.R, 20001)
     if U.dimension == 3:
         val = simpson(U.height * r**2, r)
@@ -235,6 +237,7 @@ def dyson_lemma_residual(r: np.ndarray, psi: np.ndarray, v: RadialPotential,
     U must be admissible: supported outside the range of v, with
     int U r^2 dr <= 1 (3D) resp. int U ln(r/a) r dr <= 1 (2D).
     """
+    import numpy as np
     mu = 1.0
     if U.R0 < v.core_radius * (1 - 1e-12):
         raise ValueError("U must vanish inside the range of v")
@@ -326,6 +329,7 @@ def lemma_xb_margin(x, b, k):
     """Margin of  x^2/|ln x| - 2(b/|ln b|) x k + (b^2/|ln b|)(1 + 1/(2|ln b|)^2) k^2 >= 0
     for 0 < x, b < 1 and k >= 1.  Vectorized; |ln .| evaluated via log1p for
     arguments near 1."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
     k = np.asarray(k, dtype=float)

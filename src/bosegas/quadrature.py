@@ -9,13 +9,16 @@ tanh-sinh level until two successive levels agree.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def simpson(y: np.ndarray, x: np.ndarray) -> float:
     """Composite Simpson rule on a uniform grid, trapezoid fallback on the
     last interval when the point count is even."""
+    import numpy as np
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     n = len(x)

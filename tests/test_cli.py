@@ -246,15 +246,18 @@ import bosegas.cli
 
 def loaded():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("scipy", "bosegas"))
+                  if m.split(".")[0] in ("scipy", "bosegas", "numpy"))
 
 def run(*argv):
     assert bosegas.cli.main([*argv, "--out", f"{sys.argv[1]}/{argv[0]}.json"]) == 0
 
 print(json.dumps(loaded()))
 run("charged", "foldy")
+run("charged", "local")
+run("charged", "bogolubov")
 print(json.dumps(loaded()))
 run("bounds", "--rho", "1e-4")
+run("bounds", "--dim", "2", "--rho", "1e-3")
 print(json.dumps(loaded()))
 run("scatter", "--v0", "1e8")
 print(json.dumps(loaded()))
@@ -293,11 +296,15 @@ def test_cli_import_loads_only_config(tmp_path):
      after_tables, after_gp, after_flows) = map(json.loads,
                                                 proc.stdout.splitlines())
     assert after_import == ["bosegas", "bosegas.cli", "bosegas.config"]
-    assert not _scipy(after_foldy)
+    # the closed-form charged queries and the scalar bounds compute with
+    # math alone: no numpy, let alone scipy
+    assert after_foldy == ["bosegas", "bosegas.charged", "bosegas.cli",
+                           "bosegas.config", "bosegas.quadrature"]
     # the closed-form bounds need no scattering solver
     assert "bosegas.homogeneous" in after_bounds
     assert "bosegas.scattering" not in after_bounds
-    assert not _scipy(after_bounds)
+    assert not [m for m in after_bounds if m.split(".")[0] != "bosegas"]
+    assert "numpy" in after_scatter
     assert "bosegas.scattering" in after_scatter
     assert not _scipy(after_scatter)
     # the table queries, the cold table build and TF load no scipy
