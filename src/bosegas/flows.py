@@ -12,23 +12,23 @@ nonnegative by construction.
 
 Minimization starts as an imaginary-time style descent: each step solves
 the linearized backward-Euler system (tridiagonal, LAPACK gtsv) and
-renormalizes; the step size grows by ``_DT_GROWTH`` after an accepted step
-and is halved whenever the energy fails to decrease, so the energy is
-monotone nonincreasing along the descent.  Each trial iterate is evaluated
-once (``FlowProblem.evaluate``): one call of the local terms gives both the
-energy the step is judged by and, if it is accepted, the Euler-Lagrange
-pieces the next step reads.  After every accepted step the descent
-measures the sup-norm of
-the Euler-Lagrange residual; once it is below 1e-2 times the energy scale
-max(|lam|, |E|/N), Newton's method on the Euler-Lagrange equation and the
-mass constraint takes over.  The Newton matrix is the flow's tridiagonal
-plus diag(2 psi^2 q''(psi^2)), bordered by psi; Keller's bordering solves
-it with one gtsv call on two right-hand sides.  A Newton
-step is kept only if it lowers the residual.  Convergence is declared when
-the residual falls below ``_RTOL`` times the energy scale.  If Newton stalls
-first, the descent resumes from the last kept iterate and hands off again
-at a 100x lower level, at most twice; after that the result is reported as
-not converged.  ``FlowResult.newton_steps`` counts the Newton steps tried.
+renormalizes; the step size grows by x1.5 (``_DT_GROWTH``) after an
+accepted step and is halved whenever the energy fails to decrease, so the
+energy is monotone nonincreasing along the descent.  Each trial iterate is
+evaluated once (``FlowProblem.evaluate``): one call of the local terms gives
+both the energy the step is judged by and, if it is accepted, the
+Euler-Lagrange pieces the next step reads.  After every accepted step the
+descent measures the sup-norm of the Euler-Lagrange residual; once it is
+below 1e-2 times the energy scale max(|lam|, |E|/N), Newton's method on the
+Euler-Lagrange equation and the mass constraint takes over.  The Newton
+matrix is the flow's tridiagonal plus diag(2 psi^2 q''(psi^2)), bordered by
+psi; Keller's bordering solves it with one gtsv call on two right-hand
+sides.  A Newton step is kept only if it lowers the residual.  Convergence
+is declared when the residual falls below ``_RTOL`` times the energy scale.
+If Newton stalls first, the descent resumes from the last kept iterate and
+hands off again at a 100x lower level, at most twice; after that the result
+is reported as not converged.  ``FlowResult.newton_steps`` counts the Newton
+steps tried.
 
 ``minimize_nested`` is how every trap minimizer runs the flow: nested
 iteration (A. Brandt, Math. Comp. 31, 333 (1977)), coarse grids first.  It
