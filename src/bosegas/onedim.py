@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__, flows
-from .rootfind import brentq, normalization_root
+from .rootfind import brentq
 
 PI2_3 = math.pi**2 / 3.0
 
@@ -362,8 +362,12 @@ class LLCurve:
         - high tail: F = pi^2/t^2 - 4 deficit t_max/t^3, Newton steps from
           t = pi/sqrt(y).
 
-        Raises RuntimeError if a target has not converged after
-        ``_NEWTON_STEPS`` steps, ValueError for a negative or NaN y.
+        Returns t and sigma = d log F/d log t there, which fixes
+        d log rho/d log y = -1/sigma: -1 in the low tail, the Newton slope
+        of the last step inside the table and in the high tail, -inf in the
+        t_max gap (rho does not move with y there) and -2, the high tail's
+        limit, at y = 0.  Raises RuntimeError if a target has not converged
+        after ``_NEWTON_STEPS`` steps, ValueError for a negative or NaN y.
         """
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 0
@@ -376,6 +380,7 @@ class LLCurve:
         with np.errstate(divide="ignore"):
             ly = np.log(y)
         out = np.full_like(y, math.inf)
+        sigma = np.full_like(y, -2.0)
         # log F(t_max+), the top of the high tail
         high = (y > 0) & (ly <= math.log(math.pi**2 - q_max / self.t_max)
                           - 2.0 * x_nodes[-1])
@@ -383,6 +388,7 @@ class LLCurve:
         table = (y > 0) & ~(high | low)
 
         out[low] = self._low_ratio / y[low]
+        sigma[low] = -1.0
 
         if np.any(table):
             lt = ly[table]
@@ -403,9 +409,12 @@ class LLCurve:
             # start from the log-log chord between the bracketing nodes
             start = x0 + (log_f[j] - lt[inside]) / (log_f[j] - log_f[j + 1]) * (x1 - x0)
             t_table = np.full_like(lt, self.t_max)
-            t_table[inside] = np.exp(_newton_log(log_f_segment, lt[inside],
-                                                 start, x0, x1))
+            s_table = np.full_like(lt, -math.inf)
+            x, s_table[inside] = _newton_log(log_f_segment, lt[inside],
+                                             start, x0, x1)
+            t_table[inside] = np.exp(x)
             out[table] = t_table
+            sigma[table] = s_table
 
         if np.any(high):
             lh = ly[high]
@@ -415,9 +424,10 @@ class LLCurve:
                 return np.log(math.pi**2 - q) - 2.0 * x, q / (math.pi**2 - q) - 2.0
 
             start = math.log(math.pi) - 0.5 * lh        # F < pi^2/t^2
-            out[high] = np.exp(_newton_log(log_f_tail, lh, start,
-                                           x_nodes[-1], start))
-        return float(out[0]) if scalar else out
+            x, sigma[high] = _newton_log(log_f_tail, lh, start,
+                                         x_nodes[-1], start)
+            out[high] = np.exp(x)
+        return (float(out[0]), float(sigma[0])) if scalar else (out, sigma)
 
     def export_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -431,7 +441,7 @@ def _newton_log(log_f, log_y, x, lo, hi):
     ``log_f(x)`` returns (log F, d log F/dx).  Newton steps, each clipped to
     the bracket, which shrinks to the last iterate on each side of the
     root; once every residual is below ``_NEWTON_TOL`` one more step is
-    taken and the result returned."""
+    taken, and the root is returned with the slope that step used."""
     for _ in range(_NEWTON_STEPS):
         value, slope = log_f(x)
         res = value - log_y
@@ -440,7 +450,7 @@ def _newton_log(log_f, log_y, x, lo, hi):
         hi = np.where(right, hi, x)
         x = np.clip(x - res / slope, lo, hi)
         if np.all(np.abs(res) <= _NEWTON_TOL):
-            return x
+            return x, slope
     raise RuntimeError(f"F^-1 did not converge in {_NEWTON_STEPS} Newton steps: "
                        f"log residual {float(np.max(np.abs(res))):.3e}")
 
@@ -645,6 +655,11 @@ def transverse_mode_numeric(kind: str) -> tuple[float, float]:
 KINDS_1D = ("full", "gp1d", "tf1d", "ll_no_grad", "gt")
 # nodes of every 1D minimization grid
 _N_GRID_1D = 2048
+# the pointwise kinds' normalization: done once |log(mass/N)| is within
+# _NORM_TOL (4 ulp of 1); a mu still unconverged after _NORM_SWEEPS density
+# sweeps is an error
+_NORM_TOL = 4.0 * 2.0**-52
+_NORM_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -652,8 +667,10 @@ class Profile1D:
     z: np.ndarray
     rho: np.ndarray
     mass: float
-    # counters of the gradient flow that found rho, summed over its grids,
-    # and the coarse grids' error estimate (none for the pointwise kinds)
+    # counters of the gradient flow that found rho, summed over its grids
+    # (for the pointwise kinds: iterations counts the density sweeps of the
+    # normalization), and the coarse grids' error estimate (none for the
+    # pointwise kinds)
     iterations: int = 0
     rejected_steps: int = 0
     newton_steps: int = 0
@@ -736,49 +753,90 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve):
 
 
 def _pointwise_density(kind, mu, V, g, curve):
-    """The rho >= 0 that solves V + w'(rho) = mu pointwise (0 where V >= mu).
+    """The rho >= 0 that solves V + w'(rho) = mu pointwise (0 where V >= mu),
+    and kappa = d log rho/d log(mu - V).
 
-    ll_no_grad has w'(rho) = g^2 F(g/rho) with F from ``curve``, so
-    rho = g / F^-1((mu - V)/g^2).  F jumps up across the table's t_min, so
-    w' is not monotone near rho = g/t_min; ``LLCurve.f_inverse`` takes the
-    smallest root, which keeps rho non-decreasing in mu - V."""
+    tf1d has rho = (mu - V)/g (kappa = 1) and gt rho = sqrt(mu - V)/pi
+    (kappa = 1/2).  ll_no_grad has w'(rho) = g^2 F(g/rho) with F from
+    ``curve``, so rho = g / F^-1((mu - V)/g^2) and kappa = -1/sigma for
+    sigma = d log F/d log t at the root.  F jumps up across the table's
+    t_min, so w' is not monotone near rho = g/t_min; ``LLCurve.f_inverse``
+    takes the smallest root, which keeps rho non-decreasing in mu - V."""
     target = np.maximum(mu - V, 0.0)
     if kind == "tf1d":
-        return target / g
+        return target / g, 1.0
     if kind == "gt":
-        return np.sqrt(target) / math.pi
-    return g / curve.f_inverse(target / g**2)
+        return np.sqrt(target) / math.pi, 0.5
+    t, sigma = curve.f_inverse(target / g**2)
+    return g / t, -1.0 / sigma
+
+
+def _pointwise_mu(N, L, s, scale, kappa):
+    """The mu at which rho = scale (mu - V)^kappa holds mass N in the
+    continuum: N = 2 zedge scale mu^kappa int_0^1 (1 - x^s)^kappa dx with
+    zedge = (mu L^(s+2))^(1/s), the integral a Beta function."""
+    shape = (math.gamma(1.0 + 1.0 / s) * math.gamma(1.0 + kappa)
+             / math.gamma(1.0 + 1.0 / s + kappa))
+    return (N / (2.0 * scale * shape * L ** ((s + 2.0) / s))) ** (s / (1.0 + kappa * s))
 
 
 def _minimize_pointwise_kind(kind, N, L, g, s, curve):
     """tf1d / gt / ll_no_grad have no gradient term: the minimizer solves
     V(z) + w'(rho) = mu pointwise (``_pointwise_density``, in closed form
-    or through ``LLCurve.f_inverse``), with mu fixed by normalization."""
-    if kind == "ll_no_grad" and not g > 0:
-        raise ValueError("ll_no_grad needs a positive coupling g")
+    or through ``LLCurve.f_inverse``), with mu fixed by normalization.
 
-    def support_grid(mu):
-        # the support is |z| <= zedge, where V(zedge) = mu; cluster nodes at
-        # its edge: the minimizers of gt (and, less severely, tf1d) meet zero
-        # with a square-root profile there
-        zedge = (mu * L ** (s + 2.0)) ** (1.0 / s)
-        u = np.linspace(-1.0, 1.0, _N_GRID_1D)
-        return zedge * np.sin(0.5 * math.pi * u)
+    mu comes from Newton steps on log mass against log mu.  On the support
+    grid z = zedge(mu) sin(pi u/2), V = mu |sin(pi u/2)|^s is homogeneous
+    of degree s, so d log mass/d log mu = 1/s + int rho kappa dz / mass
+    exactly, kappa from ``_pointwise_density``.  The steps start from the
+    continuum mu of tf1d or gt (for ll_no_grad the smaller of the two, as
+    e(t) <= min(t/2, pi^2/3)), are kept inside the bracket that the
+    residual signs give (else they bisect it in log mu), and stop at a
+    residual within _NORM_TOL or when no float is left inside the bracket;
+    the last sweep's rho is the result, and the sweep count the profile's
+    ``iterations``."""
+    if kind != "gt" and not g > 0:
+        raise ValueError(f"{kind} needs a positive coupling g")
+    # cluster nodes at the support's edge: the minimizers of gt (and, less
+    # severely, tf1d) meet zero with a square-root profile there
+    u = np.linspace(-1.0, 1.0, _N_GRID_1D)
+    edge = np.sin(0.5 * math.pi * u)
+    reach = np.abs(edge) ** s           # V / mu, exactly 1 at both ends
+    if kind == "gt":
+        mu = _pointwise_mu(N, L, s, 1.0 / math.pi, 0.5)
+    else:
+        mu = _pointwise_mu(N, L, s, 1.0 / g, 1.0)
+        if kind == "ll_no_grad":
+            mu = min(mu, _pointwise_mu(N, L, s, 1.0 / math.pi, 0.5))
+    lo, hi = 0.0, math.inf
+    for sweeps in range(1, _NORM_SWEEPS + 1):
+        z = (mu * L ** (s + 2.0)) ** (1.0 / s) * edge
+        V = mu * reach
+        rho, kappa = _pointwise_density(kind, mu, V, g, curve)
+        mass = float(np.trapezoid(rho, z))
+        if not 0.0 < mass < math.inf:
+            raise RuntimeError(f"1D normalization ({kind}) failed: "
+                               f"mass {mass!r} at mu = {mu!r}")
+        res = math.log(mass / N)
+        if abs(res) <= _NORM_TOL:
+            break
+        if res > 0:
+            hi = mu
+        else:
+            lo = mu
+        slope = 1.0 / s + float(np.trapezoid(rho * kappa, z)) / mass
+        step = mu * math.exp(-res / slope)
+        if step != mu and not lo < step < hi:
+            step = math.sqrt(lo) * math.sqrt(hi)        # bisect in log mu
+        if not lo < step < hi:
+            break       # the step keeps mu, or lo and hi are neighbouring floats
+        mu = step
+    else:
+        raise RuntimeError(f"1D normalization ({kind}) did not converge in "
+                           f"{_NORM_SWEEPS} sweeps: log mass/N {res:.3e}")
 
-    def mass_at(mu):
-        if mu <= 0:
-            return 0.0
-        z = support_grid(mu)
-        rho = _pointwise_density(kind, mu, _v_long(z, L, s), g, curve)
-        return float(np.trapezoid(rho, z))
-
-    mu = normalization_root(mass_at, N)
-
-    z = support_grid(mu)
-    V = _v_long(z, L, s)
-    rho = _pointwise_density(kind, mu, V, g, curve)
     energy = float(np.trapezoid(V * rho + _interaction_density(kind, rho, g, curve), z))
-    prof = Profile1D(z, rho, N)
+    prof = Profile1D(z, rho, N, sweeps)
     return prof, energy, float(np.trapezoid(rho**2, z) / N)
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
 from bosegas import onedim
 
 
@@ -35,3 +37,21 @@ def _fd_gradient_check(prob, psi, direction, h_list):
 @pytest.fixture()
 def fd_gradient_check():
     return _fd_gradient_check
+
+
+def _normalization_root(mass, N):
+    """mu with mass(mu) = N for a nondecreasing mass, 0 at mu = 0: the
+    bracket doubles from mu = 1, then brentq to 8.9e-16.  The reference
+    route for the pointwise 1D kinds' Newton normalization and for the
+    closed-form Thomas-Fermi mu."""
+    hi = 1.0
+    while mass(hi) < N:
+        hi *= 2.0
+        if hi > 1e40:
+            raise RuntimeError("normalization bracket failure")
+    return brentq(lambda m: mass(m) - N, 0.0, hi, xtol=1e-300, rtol=8.9e-16)
+
+
+@pytest.fixture()
+def normalization_root():
+    return _normalization_root

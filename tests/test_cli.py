@@ -592,10 +592,11 @@ def test_regimes_strong_coupling_converges(tmp_path):
     assert code == 0
     rec = ResultRecord.from_json(out.read_text())
     assert rec.outputs["g"] == 4000.0
-    # the full solve runs the flow, the Region 5 (GT) solve is pointwise
+    # the full solve runs the flow, the Region 5 (GT) solve is pointwise:
+    # its iterations are the normalization's 2 density sweeps
     assert rec.outputs["iterations"][0] > 0 and rec.outputs["newton_steps"][0] > 0
     assert [rec.outputs[k][1] for k in ("iterations", "rejected_steps",
-                                        "newton_steps")] == [0, 0, 0]
+                                        "newton_steps")] == [2, 0, 0]
     # neither solve has an h^2 estimate: the full energies on three grids
     # are not second order, and GT is solved pointwise
     assert rec.outputs["E_discretization_error"] == [None, None]

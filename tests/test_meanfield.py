@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bosegas import flows, meanfield as mf
-from bosegas.rootfind import normalization_root
 
 
 def test_noninteracting_harmonic_3d():
@@ -171,7 +170,8 @@ def test_tf_minimizer_beats_random_profiles(rng):
         assert e_rand >= rep.E_total - 1e-9
 
 
-def _tf_reference(dimension, N, coupling, trap, mu=1.0, n_grid=20000):
+def _tf_reference(normalization_root, dimension, N, coupling, trap, mu=1.0,
+                  n_grid=20000):
     """The former tf_solve: mu_TF by a root-find on a 96-node Gauss-Legendre
     mass, energies by trapezoid sums (error ~h^2 from the kink at the edge)."""
     s = trap.exponent
@@ -202,11 +202,11 @@ _TF_TRAPS = [mf.TrapPotential("harmonic")] + [
 
 @pytest.mark.parametrize("dimension", [2, 3])
 @pytest.mark.parametrize("trap", _TF_TRAPS, ids=lambda t: f"{t.kind}-{t.exponent:g}")
-def test_tf_closed_form_matches_quadrature(dimension, trap):
+def test_tf_closed_form_matches_quadrature(normalization_root, dimension, trap):
     for N, coupling in ((1e-3, 1.0), (0.5, 0.02), (7.0, 1.3), (40.0, 25.0)):
         _, rep, mu_tf = mf.tf_solve(dimension, N, coupling, trap)
         ref_mu, ref_trap, ref_inter, ref_quart = _tf_reference(
-            dimension, N, coupling, trap)
+            normalization_root, dimension, N, coupling, trap)
         assert mu_tf == pytest.approx(ref_mu, rel=1e-13, abs=0.0)
         assert rep.mu_chem == mu_tf
         for got, ref in ((rep.trap, ref_trap), (rep.interaction, ref_inter),
@@ -229,13 +229,13 @@ def test_tf_virial_identities(dimension, trap):
                                               rel=1e-13, abs=0.0)
 
 
-def test_gp_start_uses_exact_mu_tf(monkeypatch):
+def test_gp_start_uses_exact_mu_tf(monkeypatch, normalization_root):
     # the TF-shaped GP start reads mu_TF without building a TF profile
     p = mf.GPProblem(3, 50.0, 1.0, n_grid=256)
     fp = mf._build_problem(p)
     monkeypatch.setattr(mf, "tf_solve", None)
     psi0 = mf._initial_guess(p, fp)
-    mu_tf = _tf_reference(3, 50.0, 1.0, p.trap)[0]
+    mu_tf = _tf_reference(normalization_root, 3, 50.0, 1.0, p.trap)[0]
     edge = fp.nodes[psi0 / fp.nodes > 1e-4].max()
     assert edge <= mu_tf ** 0.5 < edge + (fp.nodes[1] - fp.nodes[0])
 

@@ -8,7 +8,6 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import jn_zeros
 
 from bosegas import flows, onedim as od
-from bosegas.rootfind import normalization_root
 
 
 def functional_value(kind, prof, L, g, s=2.0):
@@ -382,6 +381,13 @@ def test_ll_no_grad_rejects_nonpositive_g():
             od.minimize_1d("ll_no_grad", 1.0, 1.0, g, 2.0)
 
 
+def test_tf1d_rejects_nonpositive_g():
+    # rho = (mu - V)/g: the continuum mu start would be complex for g < 0
+    for g in (0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="positive coupling"):
+            od.minimize_1d("tf1d", 1.0, 1.0, g, 2.0)
+
+
 # --- ll_no_grad: w'(rho) inverted through the e(t) table ------------------------
 
 _POINTWISE_DENSITY = od._pointwise_density
@@ -410,18 +416,45 @@ def _f_of_t(curve, t):
     return 3.0 * curve.e(t) / t**2 - curve.e_and_de(t)[1] / t
 
 
-def _solve_ll_no_grad(monkeypatch, density, N, L, g):
-    """minimize_1d("ll_no_grad") with ``density`` as the pointwise solve;
-    returns (profile, energy, rho_bar, mu), mu being the last
-    normalization root."""
-    roots = []
+def _sigma_of_t(curve, t):
+    """d log F/d log t = t F'/F, with F' = 4 e'/t^2 - 6 e/t^3 - e''/t."""
+    e, de, d2e = curve.e_derivatives(t)
+    return (4.0 * de / t - 6.0 * e / t**2 - d2e) / (3.0 * e / t**2 - de / t)
 
-    def recording_root(*args, **kwargs):
-        roots.append(normalization_root(*args, **kwargs))
-        return roots[-1]
-    monkeypatch.setattr(od, "normalization_root", recording_root)
-    monkeypatch.setattr(od, "_pointwise_density", density)
-    return (*od.minimize_1d("ll_no_grad", N, L, g, 2.0), roots[-1])
+
+def _reference_ll_no_grad(normalization_root, curve, N, L, g):
+    """ll_no_grad as first written: mu by bracket doubling and brentq on
+    the trapezoid mass, rho by ``_reference_ll_density`` on the support
+    grid, V = |z|^2/L^4.  Returns (energy, rho_bar, mu)."""
+    edge = np.sin(0.5 * math.pi * np.linspace(-1.0, 1.0, od._N_GRID_1D))
+
+    def density(mu):
+        z = (mu * L**4) ** 0.5 * edge
+        V = od._v_long(z, L, 2.0)
+        return z, V, _reference_ll_density("ll_no_grad", mu, V, g, curve)
+
+    def mass(mu):
+        if mu <= 0:
+            return 0.0
+        z, _, rho = density(mu)
+        return float(np.trapezoid(rho, z))
+
+    mu = normalization_root(mass, N)
+    z, V, rho = density(mu)
+    w = od._interaction_density("ll_no_grad", rho, g, curve)
+    return (float(np.trapezoid(V * rho + w, z)),
+            float(np.trapezoid(rho**2, z) / N), mu)
+
+
+def _solve_recorded(monkeypatch, kind, N, L, g):
+    """minimize_1d(kind) and the mu of every density sweep it made."""
+    mus = []
+
+    def recording_density(kind, mu, V, g, curve):
+        mus.append(mu)
+        return _POINTWISE_DENSITY(kind, mu, V, g, curve)
+    monkeypatch.setattr(od, "_pointwise_density", recording_density)
+    return (*od.minimize_1d(kind, N, L, g, 2.0), mus)
 
 
 # the corners of trap-batch's ranges (N 1..100, L 1..10, g 1e-2..10) and one
@@ -431,11 +464,13 @@ _LL_CASES = [(N, L, g) for N in (1.0, 100.0) for L in (1.0, 10.0)
 
 
 @pytest.mark.parametrize("N, L, g", _LL_CASES)
-def test_ll_no_grad_matches_bisection_reference(monkeypatch, ll_curve, N, L, g):
-    prof, energy, rho_bar, mu = _solve_ll_no_grad(
-        monkeypatch, _POINTWISE_DENSITY, N, L, g)
-    _, ref_energy, ref_rho_bar, ref_mu = _solve_ll_no_grad(
-        monkeypatch, _reference_ll_density, N, L, g)
+def test_ll_no_grad_matches_bisection_reference(monkeypatch, ll_curve,
+                                                normalization_root, N, L, g):
+    prof, energy, rho_bar, mus = _solve_recorded(monkeypatch, "ll_no_grad",
+                                                 N, L, g)
+    mu = mus[-1]
+    ref_energy, ref_rho_bar, ref_mu = _reference_ll_no_grad(
+        normalization_root, ll_curve, N, L, g)
     assert abs(energy / ref_energy - 1.0) <= 1e-10
     assert abs(rho_bar / ref_rho_bar - 1.0) <= 1e-10
     assert abs(mu / ref_mu - 1.0) <= 1e-12
@@ -444,13 +479,72 @@ def test_ll_no_grad_matches_bisection_reference(monkeypatch, ll_curve, N, L, g):
     # at the support edge, where t = g/rho lies beyond the table's t_max
     V = np.concatenate((od._v_long(prof.z, L, 2.0),
                         mu * (1.0 - np.geomspace(1e-15, 1e-6, 10))))
-    rho = _POINTWISE_DENSITY("ll_no_grad", mu, V, g, ll_curve)
+    rho, _ = _POINTWISE_DENSITY("ll_no_grad", mu, V, g, ll_curve)
     ref = _reference_ll_density("ll_no_grad", mu, V, g, ll_curve)
     pos = rho > 0
     assert np.max(g / rho[pos]) > ll_curve.t_max
     assert np.max(np.abs(rho[pos] / ref[pos] - 1.0)) <= 1e-12
     # rho = 0 exactly where mu <= V; the bisection stops at its resolution
     assert np.all(ref[~pos] <= 2.0**-79 * max(2.0 * mu / g + 1.0, 4.0 * mu))
+
+
+# density sweeps of the Newton normalization on each of _LL_CASES: one
+# Newton step is exact for the power laws of tf1d and gt
+_SWEEPS = {"tf1d": [2] * 9, "gt": [2] * 9,
+           "ll_no_grad": [3, 4, 4, 4, 3, 4, 3, 4, 4]}
+
+
+@pytest.mark.parametrize("kind", ["tf1d", "gt", "ll_no_grad"])
+def test_pointwise_normalization_sweeps(monkeypatch, kind):
+    sweeps = []
+    for N, L, g in _LL_CASES:
+        prof, _, _, mus = _solve_recorded(monkeypatch, kind, N, L, g)
+        assert prof.iterations == len(mus)
+        assert prof.rejected_steps == prof.newton_steps == 0
+        sweeps.append(prof.iterations)
+        assert abs(np.trapezoid(prof.rho, prof.z) / N - 1.0) <= 4e-15
+        # the profile is the last sweep's: its support edge is at that mu
+        assert prof.z[-1] == pytest.approx((mus[-1] * L**4) ** 0.5, rel=1e-15)
+    assert sweeps == _SWEEPS[kind]
+
+
+@pytest.mark.parametrize("kind", ["tf1d", "gt", "ll_no_grad"])
+def test_pointwise_normalization_cap_raises(monkeypatch, kind):
+    monkeypatch.setattr(od, "_NORM_SWEEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        od.minimize_1d(kind, 3.7, 4.3, 0.13, 2.0)
+
+
+def test_ll_no_grad_normalization_across_a_mass_jump(monkeypatch, ll_curve,
+                                                   normalization_root):
+    # rho jumps by ~1e-3 where a node's mu - V crosses g^2 F(t_min+) (the
+    # t_min band), so the mass jumps with mu; an N inside the jump has no
+    # root, and the bracket closes on the jump, as brentq's does
+    g, L = 0.01, 1.0
+    edge = np.sin(0.5 * math.pi * np.linspace(-1.0, 1.0, od._N_GRID_1D))
+
+    def mass(mu):
+        rho, _ = _POINTWISE_DENSITY("ll_no_grad", mu, mu * edge**2, g, ll_curve)
+        return float(np.trapezoid(rho, mu**0.5 * edge))
+    # the two nodes next to z = 0 cross together
+    mu_jump = g * g * _f_of_t(ll_curve, ll_curve.t_min) / (1.0 - edge[1024] ** 2)
+    below, above = mass(mu_jump * (1.0 - 1e-9)), mass(mu_jump * (1.0 + 1e-9))
+    assert above / below - 1.0 > 1e-6
+    N = 0.5 * (below + above)
+    prof, _, _, mus = _solve_recorded(monkeypatch, "ll_no_grad", N, L, g)
+    assert prof.iterations < od._NORM_SWEEPS
+    assert abs(mus[-1] / normalization_root(mass, N) - 1.0) <= 1e-14
+    assert abs(np.trapezoid(prof.rho, prof.z) / N - 1.0) <= above / below - 1.0
+
+
+@pytest.mark.parametrize("kind, N, L, g", [("gt", 3.7, 4.3, 0.0),
+                                           ("ll_no_grad", 100.0, 1.0, 0.01),
+                                           ("tf1d", 9.0, 4.0, 0.8)])
+def test_pointwise_density_vanishes_at_the_support_edge(kind, N, L, g):
+    # V = mu at the support's ends, where |z|^2/L^4 rounds to just below mu
+    prof, _, _ = od.minimize_1d(kind, N, L, g, 2.0)
+    assert prof.rho[0] == prof.rho[-1] == 0.0
+    assert np.all(prof.rho[1:-1] > 0.0)
 
 
 def test_ll_density_takes_the_smallest_root_at_t_min(ll_curve):
@@ -461,17 +555,19 @@ def test_ll_density_takes_the_smallest_root_at_t_min(ll_curve):
     f_above = _f_of_t(ll_curve, t_min)
     assert f_below < f_above
     y = np.linspace(f_below, f_above * (1.0 - 1e-12), 6)[1:]
-    t = ll_curve.f_inverse(y)
+    t, sigma = ll_curve.f_inverse(y)
     assert np.all(t >= t_min)                     # the table root
     assert np.max(np.abs(_f_of_t(ll_curve, t) / y - 1.0)) <= 1e-12
+    assert np.max(np.abs(sigma / _sigma_of_t(ll_curve, t) - 1.0)) <= 1e-8
     above = f_above * (1.0 + 1e-9)                # only the low tail is left
-    assert ll_curve.f_inverse(above) == pytest.approx(ll_curve._low_ratio / above,
-                                                      rel=1e-15)
+    t, sigma = ll_curve.f_inverse(above)
+    assert t == pytest.approx(ll_curve._low_ratio / above, rel=1e-15)
+    assert sigma == -1.0
     # rho (g = 1) rises with mu - V through the band, and stays at or below
     # g/t_min while mu - V <= g^2 F(t_min+)
     mu = 2.0 * f_above
     target = np.linspace(0.99 * f_below, 1.01 * f_above, 2001)
-    rho = od._pointwise_density("ll_no_grad", mu, mu - target, 1.0, ll_curve)
+    rho, _ = od._pointwise_density("ll_no_grad", mu, mu - target, 1.0, ll_curve)
     assert np.all(np.diff(rho) >= 0.0)
     assert np.all(rho[target < f_above * (1.0 - 1e-12)] <= 1.0 / t_min)
     assert np.all(rho[target > f_above * (1.0 + 1e-12)] > 1.0 / t_min)
@@ -485,13 +581,16 @@ def test_f_inverse_in_the_t_max_gap(ll_curve):
     f_above = (math.pi**2 - 4.0 * ll_curve._high_deficit) / t_max**2
     assert f_above < f_below
     y = np.linspace(f_above, f_below, 5)[1:-1]
-    assert np.all(ll_curve.f_inverse(y) == t_max)
-    assert ll_curve.f_inverse(f_above * (1.0 - 1e-9)) > t_max
+    t, sigma = ll_curve.f_inverse(y)
+    assert np.all(t == t_max)
+    # rho = g/t_max does not move with y there: kappa = -1/sigma = 0
+    assert np.all(sigma == -math.inf)
+    assert ll_curve.f_inverse(f_above * (1.0 - 1e-9))[0] > t_max
 
 
 def test_f_inverse_rejects_bad_targets_and_raises_unconverged(monkeypatch,
                                                               ll_curve):
-    assert ll_curve.f_inverse(0.0) == math.inf
+    assert ll_curve.f_inverse(0.0) == (math.inf, -2.0)
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError):
             ll_curve.f_inverse(bad)
@@ -507,10 +606,15 @@ def test_f_inverse_rejects_bad_targets_and_raises_unconverged(monkeypatch,
 @example(log10_y=[-11.0057, -11.0056, -11.0055])         # around t_max
 def test_f_inverse_property(ll_curve, log10_y):
     y = np.sort(10.0 ** np.asarray(log10_y))
-    t = ll_curve.f_inverse(y)
+    t, sigma = ll_curve.f_inverse(y)
     assert np.all(np.diff(t) <= 0.0)
     gap = t == ll_curve.t_max
     assert np.all(np.abs(_f_of_t(ll_curve, t[~gap]) / y[~gap] - 1.0) <= 1e-12)
+    # sigma = d log F/d log t at the root: -1 in the low tail, -inf in the gap
+    low = t < ll_curve.t_min
+    assert np.all(sigma[low] == -1.0) and np.all(sigma[gap] == -math.inf)
+    rest = ~(low | gap)
+    assert np.all(np.abs(sigma[rest] / _sigma_of_t(ll_curve, t[rest]) - 1.0) <= 1e-8)
     f_above = (math.pi**2 - 4.0 * ll_curve._high_deficit) / ll_curve.t_max**2
     assert np.all((y[gap] >= f_above * (1.0 - 1e-15))
                   & (y[gap] <= _f_of_t(ll_curve, ll_curve.t_max) * (1.0 + 1e-15)))

@@ -5,16 +5,15 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 
 from bosegas import rootfind
-from bosegas.rootfind import brentq, normalization_root
+from bosegas.rootfind import brentq
 
-# (xtol, rtol) of the call sites: rootfind.normalization_root (used by
-# onedim._minimize_pointwise_kind), then onedim.solve_ll_point
-_TOLERANCES = [(1e-300, 8.9e-16), (1e-12, 8.881784197001252e-16)]
+# xtol of onedim.solve_ll_point, and 1e-300, where only rtol ends a search
+_XTOLS = [1e-300, 1e-12]
 
 
-def _outcome(solver, f, a, b, xtol, rtol):
+def _outcome(solver, f, a, b, xtol):
     try:
-        return solver(f, a, b, xtol=xtol, rtol=rtol)
+        return solver(f, a, b, xtol=xtol)
     except (ValueError, RuntimeError) as exc:
         return type(exc).__name__
 
@@ -34,11 +33,15 @@ def _corpus(seed, n):
         yield f, a, b
 
 
-@pytest.mark.parametrize("xtol, rtol", _TOLERANCES)
-def test_brentq_matches_scipy_bit_for_bit(xtol, rtol):
+def _scipy_brentq(f, a, b, xtol):
+    return scipy_brentq(f, a, b, xtol=xtol, rtol=rootfind._RTOL)
+
+
+@pytest.mark.parametrize("xtol", _XTOLS)
+def test_brentq_matches_scipy_bit_for_bit(xtol):
     for f, a, b in _corpus(7, 1500):
-        ours = _outcome(brentq, f, a, b, xtol, rtol)
-        ref = _outcome(scipy_brentq, f, a, b, xtol, rtol)
+        ours = _outcome(brentq, f, a, b, xtol)
+        ref = _outcome(_scipy_brentq, f, a, b, xtol)
         assert ours == ref and type(ours) is type(ref)
 
 
@@ -57,11 +60,12 @@ def test_brentq_endpoint_roots_and_errors(monkeypatch):
         brentq(lambda x: x, -1.0, 1.0, xtol=0.0)
 
 
-def test_normalization_root_doubles_the_bracket():
+def test_normalization_root_doubles_the_bracket(normalization_root):
     # mass(mu) = mu^2 reaches 9 first at hi = 4: brentq's root on [0, 4]
     def mass(mu):
         return max(mu, 0.0) ** 2
-    ref = brentq(lambda m: mass(m) - 9.0, 0.0, 4.0, xtol=1e-300, rtol=8.9e-16)
+    ref = scipy_brentq(lambda m: mass(m) - 9.0, 0.0, 4.0, xtol=1e-300,
+                       rtol=8.9e-16)
     assert normalization_root(mass, 9.0) == ref
     with pytest.raises(RuntimeError, match="bracket"):
         normalization_root(lambda mu: 0.0, 1.0)
