@@ -775,9 +775,9 @@ def _pointwise_mu(N, L, s, scale, kappa):
     """The mu at which rho = scale (mu - V)^kappa holds mass N in the
     continuum: N = 2 zedge scale mu^kappa int_0^1 (1 - x^s)^kappa dx with
     zedge = (mu L^(s+2))^(1/s), the integral a Beta function."""
-    shape = (math.gamma(1.0 + 1.0 / s) * math.gamma(1.0 + kappa)
-             / math.gamma(1.0 + 1.0 / s + kappa))
-    return (N / (2.0 * scale * shape * L ** ((s + 2.0) / s))) ** (s / (1.0 + kappa * s))
+    beta = (math.gamma(1.0 + 1.0 / s) * math.gamma(1.0 + kappa)
+            / math.gamma(1.0 + 1.0 / s + kappa))
+    return (N / (2.0 * scale * beta * L ** ((s + 2.0) / s))) ** (s / (1.0 + kappa * s))
 
 
 def _minimize_pointwise_kind(kind, N, L, g, s, curve):
