@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .quadrature import tanh_sinh
@@ -35,8 +34,8 @@ _GAMMA_RATIO = 1.3519564801345691  # Gamma(3/4)/Gamma(5/4)
 # k-integral on [0, _K_SPLIT * k_c]; algebraic tails cover the rest
 _X_SPLIT = 8.0
 _K_SPLIT = 40.0
-# the two-component minimizer: flow grid, and the first domain radius in
-# units of the dilation scale (mu/I0)^{4/3}
+# the two-component minimizer at mu = 1: flow grid, and the domain radius in
+# units of the dilation scale (1/I0)^{4/3}
 _DYSON_GRID = 2048
 _DYSON_RMAX_FACTOR = 30.0
 
@@ -87,12 +86,16 @@ class FoldyConstant:
     x_integral_quadrature: float
 
 
-def foldy_constant(mu: float = 1.0) -> FoldyConstant:
-    """I0 and the x-integral, each by two independent routes."""
+def _i0(mu: float) -> float:
     if mu <= 0:
         raise ValueError("mu must be positive")
-    i0 = 0.4 * _GAMMA_RATIO * (2.0 / (mu * math.pi)) ** 0.25
-    return FoldyConstant(i0, x_integral_closed_form(), x_integral_quadrature())
+    return 0.4 * _GAMMA_RATIO * (2.0 / (mu * math.pi)) ** 0.25
+
+
+def foldy_constant(mu: float = 1.0) -> FoldyConstant:
+    """I0 and the x-integral, each by two independent routes."""
+    return FoldyConstant(_i0(mu), x_integral_closed_form(),
+                         x_integral_quadrature())
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def foldy_law(rho: float, mu: float = 1.0) -> FoldyLaw:
     """High-density one-component asymptote e0(rho) ~ -I0 rho^{1/4}."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    i0 = foldy_constant(mu).i0
+    i0 = _i0(mu)
     return FoldyLaw(-i0 * rho**0.25, i0)
 
 
@@ -152,6 +155,7 @@ def local_energy_integral(nu: float, ell: float, mu: float = 1.0) -> LocalEnergy
 
 @dataclass(frozen=True)
 class DysonMinimizer:
+    mu: float                # the kinetic coefficient the minimizer is for
     grid: np.ndarray
     Phi: np.ndarray
     energy: float            # E_star < 0
@@ -168,7 +172,7 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
     import numpy as np
 
     from . import flows
-    i0 = foldy_constant(mu).i0
+    i0 = _i0(mu)
 
     # u = r Phi representation: E = 4 pi [ mu int u'^2 - I0 int u^{5/2} r^{-1/2} ]
     def local(y, r):
@@ -191,40 +195,38 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
     attraction = -inter
     virial = abs(2.0 * kin - 0.75 * attraction) / abs(res.energy)
     phi = res.psi / fp.nodes
-    return DysonMinimizer(fp.nodes.copy(), np.abs(phi), res.energy, kin,
+    return DysonMinimizer(mu, fp.nodes.copy(), np.abs(phi), res.energy, kin,
                           attraction, virial, res.iterations,
                           res.rejected_steps, res.newton_steps, disc)
-
-
-@lru_cache(maxsize=16)
-def _dyson_cached(mu: float) -> DysonMinimizer:
-    # natural length from the virial balance: mu/L^2 ~ I0 L^{-3/4} L^... ;
-    # for mu = 1 the minimizer sits at scale ~ 60, found by domain expansion
-    i0 = foldy_constant(mu).i0
-    scale = (mu / i0) ** (4.0 / 3.0)  # dilation balance of the two terms
-    rmax = _DYSON_RMAX_FACTOR * scale
-    for _ in range(6):
-        out = _dyson_flow(mu, _DYSON_GRID, rmax)
-        edge_mass = float(out.Phi[-1] ** 2 * out.grid[-1] ** 2 * 4.0 * math.pi
-                          * (out.grid[1] - out.grid[0]))
-        if edge_mass < 1e-12:
-            return out
-        rmax *= 1.6
-    raise RuntimeError(f"two-component minimizer: boundary mass {edge_mass:.3e}"
-                       " is still >= 1e-12 after 6 domains")
 
 
 def dyson_functional_minimize(mu: float = 1.0) -> DysonMinimizer:
     """Minimize mu int |grad Phi|^2 - I0 int Phi^{5/2} over int Phi^2 = 1.
 
-    The domain auto-expands until the boundary mass is below 1e-12, and
-    RuntimeError is raised if 6 domains do not get there; the
-    lambda-dilation stationarity gives the virial identity
-    2 * kinetic = (3/4) I0 int Phi^{5/2}.
+    One flow solve at mu = 1, then the dilation Phi(x) = mu^{-3/2} Psi(x/mu)
+    of its minimizer Psi: I0 carries mu^{-1/4}, so E*(mu) = E*(1)/mu exactly.
+    Lengths scale by mu, energies by 1/mu; the virial residual (the dilation
+    stationarity 2 * kinetic = (3/4) I0 int Phi^{5/2}) and the flow's
+    counters carry no units.  RuntimeError if the boundary mass of the
+    mu = 1 domain is 1e-12 or more.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    return _dyson_cached(float(mu))
+    rmax = _DYSON_RMAX_FACTOR * (1.0 / _i0(1.0)) ** (4.0 / 3.0)
+    one = _dyson_flow(1.0, _DYSON_GRID, rmax)
+    edge_mass = float(one.Phi[-1] ** 2 * one.grid[-1] ** 2 * 4.0 * math.pi
+                      * (one.grid[1] - one.grid[0]))
+    if edge_mass >= 1e-12:
+        raise RuntimeError(f"two-component minimizer: boundary mass "
+                           f"{edge_mass:.3e} is >= 1e-12")
+    d = one.discretization
+    coarse, error = (None if e is None else e / mu
+                     for e in (d.E_coarse, d.E_discretization_error))
+    return DysonMinimizer(
+        mu, one.grid * mu, one.Phi * mu ** -1.5, one.energy / mu,
+        one.kinetic / mu, one.attraction / mu, one.virial_residual,
+        one.iterations, one.rejected_steps, one.newton_steps,
+        d._replace(E_coarse=coarse, E_discretization_error=error))
 
 
 @dataclass(frozen=True)
@@ -232,14 +234,13 @@ class TwoComponentEnergy:
     energy: float
     e_star: float
     N: float
-    length_scale: float       # gas radius ~ N^{-1/5}
-    correlation_length: float  # ~ N^{-2/5}
+    length_scale: float       # gas radius ~ mu N^{-1/5}: lengths scale as mu
+    correlation_length: float  # ~ mu N^{-2/5}
 
 
-def two_component_energy(N: float, mu: float = 1.0) -> TwoComponentEnergy:
-    """E0(N) ~ N^{7/5} E_star for the two-component gas."""
+def two_component_energy(N: float, dm: DysonMinimizer) -> TwoComponentEnergy:
+    """E0(N) ~ N^{7/5} E_star for the two-component gas; dm gives E_star, mu."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    e_star = dyson_functional_minimize(mu).energy
-    return TwoComponentEnergy(N ** 1.4 * e_star, e_star, N,
-                              N ** -0.2, N ** -0.4)
+    return TwoComponentEnergy(N ** 1.4 * dm.energy, dm.energy, N,
+                              dm.mu * N ** -0.2, dm.mu * N ** -0.4)

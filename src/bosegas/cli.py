@@ -192,8 +192,8 @@ def cmd_charged(args) -> int:
                    "x_integral_quadrature": fc.x_integral_quadrature,
                    "note": law.infinite_mass_note}
     elif args.mode == "dyson":
-        tc = charged.two_component_energy(args.N, args.mu)
         dm = charged.dyson_functional_minimize(args.mu)
+        tc = charged.two_component_energy(args.N, dm)
         outputs = {"energy": tc.energy, "E_star": tc.e_star,
                    "virial_residual": dm.virial_residual,
                    "length_scale": tc.length_scale,

@@ -677,9 +677,6 @@ class Profile1D:
     discretization: flows.Discretization = flows.Discretization(
         None, None, "pointwise solution: no coarse grids")
 
-    def rho_bar(self) -> float:
-        return float(np.trapezoid(self.rho**2, self.z) / self.mass)
-
 
 def _v_long(z, L: float, s: float):
     return np.abs(z) ** s / L ** (s + 2.0)

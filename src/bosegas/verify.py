@@ -227,8 +227,8 @@ def _charged_checks(seed):
     out.append(_check("charged.dyson_virial", dm.virial_residual, 1e-3))
     out.append(_check("charged.dyson_negative", dm.energy, 0.0,
                       passed=dm.energy < 0.0))
-    tc1 = charged.two_component_energy(50.0)
-    tc2 = charged.two_component_energy(100.0)
+    tc1 = charged.two_component_energy(50.0, dm)
+    tc2 = charged.two_component_energy(100.0, dm)
     out.append(_check("charged.two_component_ratio",
                       abs(tc2.energy / tc1.energy - 2.0**1.4), 1e-12))
     b = charged.bogolubov_bound(charged.BogolubovParams(1.0, 0.5, 0.0))

@@ -141,28 +141,85 @@ def test_dyson_energy_below_gaussian_trial():
 
 
 def test_dyson_unconverged_domain_raises(monkeypatch):
-    # a domain far too small for the minimizer: 6 expansions of 1.6x cannot
-    # push the boundary mass below 1e-12, and the last iterate must not leak
+    # a domain far too small for the minimizer: the boundary mass stays above
+    # 1e-12, and the iterate must not leak
     monkeypatch.setattr(ch, "_DYSON_GRID", 256)
     monkeypatch.setattr(ch, "_DYSON_RMAX_FACTOR", 0.05)
-    ch._dyson_cached.cache_clear()
     with pytest.raises(RuntimeError, match="boundary mass"):
         ch.dyson_functional_minimize(1.0)
 
 
-def test_dyson_cache_reuse():
-    a = ch.dyson_functional_minimize(1.0)
-    b = ch.dyson_functional_minimize(1.0)
-    assert a is b
+@pytest.fixture(scope="module")
+def dyson_one():
+    return ch.dyson_functional_minimize(1.0)
 
 
-def test_two_component_ratio_exact():
-    e1 = ch.two_component_energy(100.0)
-    e2 = ch.two_component_energy(200.0)
+@pytest.mark.parametrize("mu", [1e-8, 1e-4, 0.5, 2.0, 1e4, 1e8])
+def test_dyson_exact_dilation(dyson_one, mu):
+    # Phi(x) = mu^{-3/2} Psi(x/mu) and E*(mu) = E*(1)/mu
+    dm = ch.dyson_functional_minimize(mu)
+    assert dm.mu == mu
+    assert abs(mu * dm.energy / dyson_one.energy - 1.0) <= 1e-15
+    for f in ("kinetic", "attraction"):
+        assert mu * getattr(dm, f) == pytest.approx(getattr(dyson_one, f),
+                                                    rel=1e-15)
+    assert dm.virial_residual == dyson_one.virial_residual <= 1e-3
+    assert np.array_equal(dm.grid, mu * dyson_one.grid)
+    assert np.array_equal(dm.Phi, mu ** -1.5 * dyson_one.Phi)
+    d, d1 = dm.discretization, dyson_one.discretization
+    assert d.discretization_note == d1.discretization_note
+    assert mu * d.E_coarse == pytest.approx(d1.E_coarse, rel=1e-15)
+    assert mu * d.E_discretization_error == pytest.approx(
+        d1.E_discretization_error, rel=1e-15)
+    assert (dm.iterations, dm.rejected_steps, dm.newton_steps) == \
+        (dyson_one.iterations, dyson_one.rejected_steps, dyson_one.newton_steps)
+
+
+@pytest.mark.parametrize("mu", [2.0, 0.5])
+def test_dyson_dilation_matches_a_direct_solve(dyson_one, mu):
+    # second route: the flow at mu itself, on a domain scaled by mu
+    rmax = ch._DYSON_RMAX_FACTOR * (1.0 / ch._i0(1.0)) ** (4.0 / 3.0)
+    direct = ch._dyson_flow(mu, ch._DYSON_GRID, mu * rmax)
+    assert direct.energy == pytest.approx(ch.dyson_functional_minimize(mu).energy,
+                                          rel=1e-13)
+
+
+def test_dyson_one_flow_per_caller(monkeypatch, tmp_path):
+    # every minimizer a caller needs is one flow solve, with no memo between
+    from bosegas import cli, verify
+    calls = []
+    flow = ch._dyson_flow
+
+    def counted(*args):
+        calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(ch, "_dyson_flow", counted)
+    assert cli.main(["charged", "dyson", "--N", "100",
+                     "--out", str(tmp_path / "dyson.json")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    verify._charged_checks(17)
+    assert len(calls) == 1
+    calls.clear()
+    ch.dyson_functional_minimize(0.7)
+    assert len(calls) == 1
+    ch.dyson_functional_minimize(0.7)
+    assert len(calls) == 2
+
+
+def test_two_component_ratio_exact(dyson_one):
+    e1 = ch.two_component_energy(100.0, dyson_one)
+    e2 = ch.two_component_energy(200.0, dyson_one)
     assert e2.energy / e1.energy == pytest.approx(2.0**1.4, rel=1e-12)
     assert e1.energy < 0.0 and e2.energy < 0.0
     assert e1.length_scale == pytest.approx(100.0**-0.2)
     assert e1.correlation_length == pytest.approx(100.0**-0.4)
+    # at mu = 2 energies halve and lengths double
+    e3 = ch.two_component_energy(100.0, ch.dyson_functional_minimize(2.0))
+    assert e3.energy == pytest.approx(e1.energy / 2.0, rel=1e-15)
+    assert e3.length_scale == pytest.approx(2.0 * 100.0**-0.2, rel=1e-15)
+    assert e3.correlation_length == pytest.approx(2.0 * 100.0**-0.4, rel=1e-15)
 
 
 def test_fock_ground_converges_to_bound():

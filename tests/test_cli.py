@@ -563,6 +563,21 @@ def test_charged_subcommands(tmp_path):
     assert rec2.outputs["E_coarse"] < 0
 
 
+@pytest.mark.parametrize("mu", ["1e8", "1e-6"])
+def test_charged_dyson_far_from_unit_mu(tmp_path, mu):
+    # the mu = 1 minimizer dilated: E* scales as 1/mu, lengths as mu
+    from bosegas import charged
+    out = tmp_path / "dyson.json"
+    assert run_cli("charged", "dyson", "--N", "100", "--mu", mu,
+                   "--out", str(out)) == 0
+    rec = ResultRecord.from_json(out.read_text()).outputs
+    e_one = charged.dyson_functional_minimize(1.0).energy
+    assert float(mu) * rec["E_star"] == pytest.approx(e_one, rel=1e-15)
+    assert rec["virial_residual"] <= 1e-3
+    assert rec["length_scale"] == pytest.approx(float(mu) * 100.0**-0.2,
+                                                rel=1e-15)
+
+
 def test_regimes_subcommand(tmp_path):
     out = tmp_path / "reg.json"
     code = run_cli("regimes", "--N", "30", "--L", "100", "--r", "0.5",

@@ -367,7 +367,8 @@ def test_minimize_1d_normalization_and_rho_bar():
         prof, _, rho_bar = od.minimize_1d(kind, 4.0, 2.0, 0.7, 2.0)
         mass = np.trapezoid(prof.rho, prof.z)
         assert mass == pytest.approx(4.0, rel=1e-6)
-        assert rho_bar == pytest.approx(prof.rho_bar(), rel=1e-6)
+        assert rho_bar == pytest.approx(
+            np.trapezoid(prof.rho**2, prof.z) / prof.mass, rel=1e-6)
 
 
 def test_unknown_kind_rejected():
