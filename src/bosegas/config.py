@@ -147,6 +147,10 @@ def validate_params(section: str, params: dict) -> list[str]:
                 problems.append(f"{section}.{key}: must be nonnegative, got {val}")
     if section == "bounds" and not problems:
         problems += _bounds_domain(params)
+    # E0(N) ~ N^(7/5) E_star holds for N >= 1 (charged.two_component_energy)
+    if section == "charged" and params.get("mode") == "dyson" \
+            and 0 < params.get("N", 1.0) < 1:
+        problems.append(f"charged.N: dyson needs N >= 1, got {params['N']}")
     return problems
 
 

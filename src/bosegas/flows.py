@@ -37,6 +37,10 @@ coarsest grid from the caller's start and each finer grid from the coarser
 minimizer, interpolated onto it.  A finer grid then takes one descent step
 and one or two Newton steps.  The coarse energies come for free, and with
 them Richardson's h^2 estimate of the n-grid energy's discretization error.
+
+``radial_u_problem`` builds the 3D grid (u = r phi); ``cell_problem`` the
+cell-centred grid with no flux through 0 of the 2D radial problem and of
+the even 1D problems, which it solves on the half line.
 """
 
 from __future__ import annotations
@@ -431,30 +435,19 @@ def radial_u_problem(rmax: float, n: int, mu: float, V: Callable,
                        local, d2q, mass)
 
 
-def radial_cell_problem(rmax: float, n: int, mu: float, V: Callable,
-                        local, d2q, mass: float) -> FlowProblem:
-    """2D radial problem on a cell-centered grid (phi itself).
-
-    Nodes r_i = (i + 1/2) h; the flux through r = 0 vanishes identically
-    (no-flux inner boundary), Dirichlet ghost at rmax.
+def cell_problem(d: int, rmax: float, n: int, mu: float, V: Callable,
+                 local, d2q, mass: float) -> FlowProblem:
+    """Even 1D (d = 1) or radial 2D (d = 2) problem for phi itself on a
+    cell-centred grid: nodes r_i = (i + 1/2) h, no flux through r = 0,
+    Dirichlet ghost at rmax.  The measure is omega r^(d-1) dr, omega = 2
+    (both halves of the line) or 2 pi.  In 1D it is the 2n-node problem on
+    (-rmax, rmax), with the same h, restricted to even phi.
     """
     h = rmax / (n + 0.5)
     r = h * (np.arange(n) + 0.5)
-    omega = 2.0 * math.pi
-    w = omega * r * h
-    edges = h * np.arange(n + 1)          # edge radii, edge 0 at r=0
-    ew = edges / h
+    omega = 2.0 if d == 1 else 2.0 * math.pi
+    w = omega * r ** (d - 1) * h
+    ew = (h * np.arange(n + 1)) ** (d - 1) / h     # edge 0 at r = 0
     ew[0] = 0.0
     return FlowProblem(r, w, omega * mu, ew, np.asarray(V(r), dtype=float),
-                       local, d2q, mass)
-
-
-def line_problem(zmax: float, n: int, kappa: float, V: Callable,
-                 local, d2q, mass: float) -> FlowProblem:
-    """Symmetric 1D problem on (-zmax, zmax) with Dirichlet ghosts."""
-    h = 2.0 * zmax / (n + 1)
-    z = -zmax + h * np.arange(1, n + 1)
-    w = h * np.ones(n)
-    ew = np.full(n + 1, 1.0 / h)
-    return FlowProblem(z, w, kappa, ew, np.asarray(V(z), dtype=float),
                        local, d2q, mass)

@@ -154,8 +154,8 @@ def _build_problem(problem: GPProblem) -> flows.FlowProblem:
                                       local, d2q, problem.N)
     local = lambda y, r: (g4 * y**2, 2.0 * g4 * y)
     d2q = lambda y, r: np.full_like(y, 2.0 * g4)
-    return flows.radial_cell_problem(rmax, problem.n_grid, mu, problem.trap,
-                                     local, d2q, problem.N)
+    return flows.cell_problem(2, rmax, problem.n_grid, mu, problem.trap,
+                              local, d2q, problem.N)
 
 
 def _profile_from(problem: GPProblem, fp: flows.FlowProblem,

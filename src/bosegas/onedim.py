@@ -664,7 +664,11 @@ _NORM_SWEEPS = 100
 
 @dataclass(frozen=True)
 class Profile1D:
+    """A 1D minimizer, even in z, at the nodes z > 0; ``w`` are the solver's
+    weights for the whole line: mass = w . rho, rho_bar = w . rho^2 / mass."""
+
     z: np.ndarray
+    w: np.ndarray
     rho: np.ndarray
     mass: float
     # counters of the gradient flow that found rho, summed over its grids
@@ -737,14 +741,15 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve):
             out[pos] = 6.0 * yp * e - 4.0 * g * de + g * g * d2e / yp
             return out
     fp, res, disc = flows.minimize_nested(
-        lambda m: flows.line_problem(zmax, m, 1.0, V, local, d2q, N), _N_GRID_1D,
+        lambda m: flows.cell_problem(1, zmax, m, 1.0, V, local, d2q, N),
+        _N_GRID_1D // 2,
         lambda fp: np.sqrt(np.maximum(1.0 - (fp.nodes / (0.75 * zmax)) ** 2,
                                       0.0)) + 1e-3)
     if not res.converged:
         raise RuntimeError(f"1D minimization ({kind}) did not converge: "
                            f"residual {res.residual:.3e}")
     rho = res.psi**2
-    prof = Profile1D(fp.nodes.copy(), rho, N, res.iterations,
+    prof = Profile1D(fp.nodes.copy(), fp.w, rho, N, res.iterations,
                      res.rejected_steps, res.newton_steps, disc)
     return prof, res.energy, float(np.sum(fp.w * rho**2) / N)
 
@@ -791,14 +796,19 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve):
     residual signs give (else they bisect it in log mu), and stop at a
     residual within _NORM_TOL or when no float is left inside the bracket;
     the last sweep's rho is the result, and the sweep count the profile's
-    ``iterations``."""
+    ``iterations``.  rho is even: only the nodes u > 0 of u = linspace(-1,
+    1, _N_GRID_1D) are sampled, and every integral reads one weight vector,
+    the full grid's trapezoid weights folded onto them, times zedge."""
     if kind != "gt" and not g > 0:
         raise ValueError(f"{kind} needs a positive coupling g")
     # cluster nodes at the support's edge: the minimizers of gt (and, less
     # severely, tf1d) meet zero with a square-root profile there
-    u = np.linspace(-1.0, 1.0, _N_GRID_1D)
+    u = np.linspace(-1.0, 1.0, _N_GRID_1D)[_N_GRID_1D // 2:]
     edge = np.sin(0.5 * math.pi * u)
-    reach = np.abs(edge) ** s           # V / mu, exactly 1 at both ends
+    reach = edge ** s                   # V / mu, exactly 1 at the end
+    # each node's two intervals; the first node's left one is [-z_0, z_0]
+    left = np.diff(edge, prepend=-edge[0])
+    unit_w = left + np.append(left[1:], 0.0)
     if kind == "gt":
         mu = _pointwise_mu(N, L, s, 1.0 / math.pi, 0.5)
     else:
@@ -807,10 +817,11 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve):
             mu = min(mu, _pointwise_mu(N, L, s, 1.0 / math.pi, 0.5))
     lo, hi = 0.0, math.inf
     for sweeps in range(1, _NORM_SWEEPS + 1):
-        z = (mu * L ** (s + 2.0)) ** (1.0 / s) * edge
+        zedge = (mu * L ** (s + 2.0)) ** (1.0 / s)
+        w = zedge * unit_w
         V = mu * reach
         rho, kappa = _pointwise_density(kind, mu, V, g, curve)
-        mass = float(np.trapezoid(rho, z))
+        mass = float(w @ rho)
         if not 0.0 < mass < math.inf:
             raise RuntimeError(f"1D normalization ({kind}) failed: "
                                f"mass {mass!r} at mu = {mu!r}")
@@ -821,7 +832,7 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve):
             hi = mu
         else:
             lo = mu
-        slope = 1.0 / s + float(np.trapezoid(rho * kappa, z)) / mass
+        slope = 1.0 / s + float(w @ (rho * kappa)) / mass
         step = mu * math.exp(-res / slope)
         if step != mu and not lo < step < hi:
             step = math.sqrt(lo) * math.sqrt(hi)        # bisect in log mu
@@ -832,13 +843,15 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve):
         raise RuntimeError(f"1D normalization ({kind}) did not converge in "
                            f"{_NORM_SWEEPS} sweeps: log mass/N {res:.3e}")
 
-    energy = float(np.trapezoid(V * rho + _interaction_density(kind, rho, g, curve), z))
-    prof = Profile1D(z, rho, N, sweeps)
-    return prof, energy, float(np.trapezoid(rho**2, z) / N)
+    energy = float(w @ (V * rho + _interaction_density(kind, rho, g, curve)))
+    prof = Profile1D(zedge * edge, w, rho, N, sweeps)
+    return prof, energy, float(w @ rho**2) / N
 
 
 def minimize_1d(kind: str, N: float, L: float, g: float, s: float = 2.0):
-    """Minimize one of the five 1D functionals on ``_N_GRID_1D`` nodes.
+    """Minimize one of the five 1D functionals on the ``_N_GRID_1D``-node
+    grid, which is symmetric about z = 0.  The minimizer is even, so each
+    kind solves on the grid's ``_N_GRID_1D // 2`` nodes z > 0 only.
 
     Returns (Profile1D, energy, rho_bar).  ``full`` and ``gp1d`` run the
     constrained gradient flow; ``tf1d``, ``ll_no_grad`` and ``gt`` use their

@@ -55,3 +55,11 @@ def _normalization_root(mass, N):
 @pytest.fixture()
 def normalization_root():
     return _normalization_root
+
+
+@pytest.fixture(scope="session")
+def half_line_corpus():
+    """(N, L, g, s) on which the 1D kinds' half-line solves are checked
+    against the full line."""
+    return [(N, L, g, s) for N in (1.0, 10.0, 100.0) for L in (1.0, 5.0)
+            for g in (0.01, 0.3, 10.0) for s in (2.0, 3.0)]

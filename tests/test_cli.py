@@ -563,6 +563,28 @@ def test_charged_subcommands(tmp_path):
     assert rec2.outputs["E_coarse"] < 0
 
 
+def test_charged_dyson_below_one_particle_is_config_error(monkeypatch,
+                                                         tmp_path, capsys):
+    # E0(N) ~ N^(7/5) E_star needs N >= 1: refused before any flow runs
+    from bosegas import charged
+
+    def no_flow(mu):
+        raise AssertionError("the Dyson flow ran")
+    monkeypatch.setattr(charged, "dyson_functional_minimize", no_flow)
+    assert run_cli("charged", "dyson", "--N", "0.5") == 2
+    assert "charged.N: dyson needs N >= 1, got 0.5" in capsys.readouterr().err
+    cfg = tmp_path / "charged.cfg"
+    cfg.write_text("[charged]\nmode = dyson\nN = 0.5\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert "charged.N: dyson needs N >= 1, got 0.5" in capsys.readouterr().out
+    # N below 1 is fine for the other modes, and N = 1 for Dyson's
+    cfg.write_text("[charged]\nmode = foldy\nN = 0.5\n")
+    assert run_cli("validate", str(cfg)) == 0
+    assert run_cli("charged", "foldy", "--N", "0.5") == 0
+    cfg.write_text("[charged]\nmode = dyson\nN = 1\n")
+    assert run_cli("validate", str(cfg)) == 0
+
+
 @pytest.mark.parametrize("mu", ["1e8", "1e-6"])
 def test_charged_dyson_far_from_unit_mu(tmp_path, mu):
     # the mu = 1 minimizer dilated: E* scales as 1/mu, lengths as mu

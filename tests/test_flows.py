@@ -27,14 +27,28 @@ reaches the Newton hand-off in fewer steps.  The 3D GP went 21 -> 16,
 and the Newton counts are unchanged.  The pinned energies moved by at most
 2 ulp and were not re-set.
 
-Three references are kept here.  The backward-Euler step is checked bit for
+They moved a fourth time when the 1D kinds came to solve on the half line
+(``flows.cell_problem`` at d = 1).  ``full`` is the same discrete problem
+on the nodes z > 0 of its old 2048-node grid, so its cascade runs 256, 512
+and 1024 half-line nodes, the old 512-, 1024- and 2048-node full-line
+grids; the old 256-node grid, which started the cascade, is dropped, and
+the half of the 512-node grid starts from the caller's start.  ``full``
+went 14, 3, 3, 3 -> 14, 3, 3; its energy moved by 1 ulp and was not
+re-set.
+
+Four references are kept here.  The backward-Euler step is checked bit for
 bit against its first form, scipy's ``solve_banded`` on a 3 x n banded
 layout.  The whole minimization is checked against the flow as it was with
 its inverse-iteration endgame (``_reference_minimize_flow``): on a corpus
 where both converge, the energies agree to 1e-12 relative.  The cascade
 is checked against the single-grid solve it replaced
-(``_single_grid``): the n-grid energies agree to 1e-14 relative.
+(``_single_grid``): the n-grid energies agree to 1e-14 relative.  The
+half-line 1D problem is checked against the symmetric full-line problem
+it replaced (``line_problem``): on a corpus of ``full`` and ``gp1d``
+solves the energies and coarse-grid energies agree to 1e-13 relative.
 """
+
+import functools
 
 import dataclasses
 import math
@@ -63,6 +77,17 @@ def _quartic_d2q(y, z):
     return np.ones_like(y)
 
 
+def line_problem(zmax, n, kappa, V, local, d2q, mass):
+    """Symmetric 1D problem on (-zmax, zmax) with Dirichlet ghosts: the
+    grid of the 1D kinds before they solved on the half line."""
+    h = 2.0 * zmax / (n + 1)
+    z = -zmax + h * np.arange(1, n + 1)
+    w = h * np.ones(n)
+    ew = np.full(n + 1, 1.0 / h)
+    return flows.FlowProblem(z, w, kappa, ew, np.asarray(V(z), dtype=float),
+                             local, d2q, mass)
+
+
 def test_gp_3d_harmonic_flow_pinned():
     _, rep = meanfield.gp_minimize(meanfield.GPProblem(3, 100.0, 0.01,
                                                        n_grid=4096))
@@ -81,10 +106,10 @@ def test_full_1d_flow_pinned(monkeypatch):
 
     monkeypatch.setattr(flows, "minimize_flow", recording)
     _, energy, _ = onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0)
-    assert [len(r.psi) for r in results] == [256, 512, 1024, 2048]
-    assert [r.iterations for r in results] == [14, 3, 3, 3]
+    assert [len(r.psi) for r in results] == [256, 512, 1024]
+    assert [r.iterations for r in results] == [14, 3, 3]
     assert [(r.rejected_steps, r.newton_steps) for r in results] \
-        == [(0, 3), (0, 2), (0, 2), (0, 2)]
+        == [(0, 3), (0, 2), (0, 2)]
     assert energy == pytest.approx(9.322188962301011, rel=1e-13)
 
 
@@ -170,14 +195,14 @@ def test_step_equals_the_banded_reference(case, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_step_refuses_nonfinite_and_singular_systems():
-    bad_v = flows.line_problem(4.0, 64, 1.0,
+    bad_v = line_problem(4.0, 64, 1.0,
                                lambda z: np.where(z > 3.5, np.inf, z**2),
                                _free, _zero, 1.0)
     psi = bad_v.normalize(np.ones(64))
     assert flows._implicit_step(bad_v, psi, bad_v.terms(psi), 0.1) is None
     assert _reference_step(bad_v, psi, 0.1) is None
 
-    prob = flows.line_problem(4.0, 64, 1.0, lambda z: z**2, _free, _zero, 1.0)
+    prob = line_problem(4.0, 64, 1.0, lambda z: z**2, _free, _zero, 1.0)
     good = prob.normalize(np.ones(64))
     for value in (np.nan, np.inf):
         psi = good.copy()
@@ -196,7 +221,7 @@ def test_step_refuses_nonfinite_and_singular_systems():
 
 
 def test_solve_refuses_nonfinite_input_and_a_singular_matrix():
-    prob = flows.line_problem(4.0, 16, 1.0, lambda z: z**2, _free, _zero, 1.0)
+    prob = line_problem(4.0, 16, 1.0, lambda z: z**2, _free, _zero, 1.0)
     d = 1.0 + prob._diag_w
     rhs = np.ones(16)
     # gtsv overwrites the diagonal it is given, not the right-hand side
@@ -261,13 +286,13 @@ def test_fall_through_exit_uses_the_loop_scale(monkeypatch):
     # V shifted by -mu puts the chemical potential at ~0 while |E|/N stays
     # O(1); with every step refused the flow leaves through the exit after
     # the loop, which must judge the residual on the loop's scale
-    base = flows.line_problem(8.0, 256, 1.0, lambda z: z**2, _quartic,
+    base = line_problem(8.0, 256, 1.0, lambda z: z**2, _quartic,
                               _quartic_d2q, 10.0)
     with monkeypatch.context() as patch:
         patch.setattr(flows, "_RTOL", 1e-11)
         ground = flows.minimize_flow(base)
     assert ground.converged
-    shifted = flows.line_problem(8.0, 256, 1.0,
+    shifted = line_problem(8.0, 256, 1.0,
                                  lambda z: z**2 - ground.mu_chem, _quartic,
                                  _quartic_d2q, 10.0)
     monkeypatch.setattr(flows, "_MAX_ITER", 3)
@@ -438,7 +463,7 @@ def test_full_d2q_across_the_table_ends(monkeypatch, ll_curve):
 def test_newton_stall_hands_back_to_the_descent(monkeypatch):
     # every Newton step refused: the descent takes over again, hands off at
     # 1e-4 and then 1e-6 times the scale, and the third stall is final
-    prob = flows.line_problem(8.0, 256, 1.0, lambda z: z**2, _quartic,
+    prob = line_problem(8.0, 256, 1.0, lambda z: z**2, _quartic,
                               _quartic_d2q, 10.0)
     seen = []
 
@@ -459,7 +484,7 @@ def test_newton_stall_hands_back_to_the_descent(monkeypatch):
 def test_newton_converges_on_a_linear_problem():
     # no interaction: the Newton matrix W^-1 A + V - lam is singular at the
     # ground state, and the bordered step must still converge
-    prob = flows.line_problem(8.0, 512, 1.0, lambda z: z**2, _free, _zero, 1.0)
+    prob = line_problem(8.0, 512, 1.0, lambda z: z**2, _free, _zero, 1.0)
     res = flows.minimize_flow(prob)
     assert res.converged and res.newton_steps >= 1
     # the oscillator ground state: -psi'' + z^2 psi = psi
@@ -553,7 +578,7 @@ def test_cascade_grid_sizes():
 
     def build(m):
         sizes.append(m)
-        return flows.line_problem(8.0, m, 1.0, lambda z: z**2, _free, _zero,
+        return line_problem(8.0, m, 1.0, lambda z: z**2, _free, _zero,
                                   1.0)
 
     for n, expect in ((300, [300]), (511, [511]), (512, [256, 512]),
@@ -567,11 +592,20 @@ def test_cascade_grid_sizes():
         assert (disc.discretization_note is None) == (len(expect) >= 3)
 
 
+_BUILDERS = {
+    "radial_u_problem": flows.radial_u_problem,
+    "radial_cell_problem": functools.partial(flows.cell_problem, 2),
+    "half_line_problem": functools.partial(flows.cell_problem, 1),
+    "line_problem": line_problem,
+}
+
+
 @pytest.mark.parametrize("make,dirichlet_at_0", [
-    (flows.radial_u_problem, True), (flows.radial_cell_problem, False),
-    (flows.line_problem, True)])
+    ("radial_u_problem", True), ("radial_cell_problem", False),
+    ("half_line_problem", False), ("line_problem", True)])
 def test_prolongation_pads_the_dirichlet_ghosts(make, dirichlet_at_0):
-    coarse, fine = (make(4.0, m, 1.0, lambda r: r**2, _free, _zero, 1.0)
+    coarse, fine = (_BUILDERS[make](4.0, m, 1.0, lambda r: r**2, _free,
+                                    _zero, 1.0)
                     for m in (64, 128))
     x = coarse.nodes
     left = fine.nodes < x[0]
@@ -586,6 +620,88 @@ def test_prolongation_pads_the_dirichlet_ghosts(make, dirichlet_at_0):
     ghost = x[-1] + (x[-1] - x[-2])
     np.testing.assert_allclose(flows._prolong(coarse, ghost - x, fine)[right],
                                ghost - fine.nodes[right], rtol=1e-12)
+
+
+# --- one cell builder for d = 1 and 2 ----------------------------------------
+
+def _radial_cell_reference(rmax, n, mu, V, local, d2q, mass):
+    """The 2D radial cell grid as it was built before ``flows.cell_problem``
+    served d = 1 as well."""
+    h = rmax / (n + 0.5)
+    r = h * (np.arange(n) + 0.5)
+    omega = 2.0 * math.pi
+    w = omega * r * h
+    edges = h * np.arange(n + 1)
+    ew = edges / h
+    ew[0] = 0.0
+    return flows.FlowProblem(r, w, omega * mu, ew, np.asarray(V(r), dtype=float),
+                             local, d2q, mass)
+
+
+@pytest.mark.parametrize("rmax, n, mu", [(4.0, 64, 1.0), (37.3, 2048, 0.31),
+                                         (1e3, 1000, 7.0)])
+def test_cell_problem_in_2d_is_the_radial_cell_grid(rmax, n, mu):
+    new = flows.cell_problem(2, rmax, n, mu, lambda r: r**2, _free, _zero, 2.0)
+    ref = _radial_cell_reference(rmax, n, mu, lambda r: r**2, _free, _zero, 2.0)
+    assert new.kin == ref.kin
+    for key in ("nodes", "w", "ew", "V", "_diag", "_off", "_diag_w"):
+        assert getattr(new, key).tobytes() == getattr(ref, key).tobytes(), key
+
+
+@pytest.mark.parametrize("zmax, n", [(4.0, 64), (31.7, 1024)])
+def test_half_line_is_the_even_line_problem(zmax, n):
+    # the nodes z > 0 of the 2n-node line, the same h, and on an even psi
+    # the same energy and Euler-Lagrange terms
+    half = flows.cell_problem(1, zmax, n, 1.0, lambda z: z**2, _quartic,
+                              _quartic_d2q, 3.0)
+    line = line_problem(zmax, 2 * n, 1.0, lambda z: z**2, _quartic,
+                        _quartic_d2q, 3.0)
+    np.testing.assert_allclose(half.nodes, line.nodes[n:], rtol=1e-14,
+                               atol=1e-14 * zmax)
+    np.testing.assert_allclose(-half.nodes[::-1], line.nodes[:n], rtol=1e-14,
+                               atol=1e-14 * zmax)
+    assert half.w[0] == 2.0 * line.w[0]
+    psi = np.exp(-half.nodes**2 / 4.0) * (1.0 + 0.3 * np.cos(half.nodes))
+    psi_line = np.concatenate((psi[::-1], psi))
+    assert half.energy(psi) == pytest.approx(line.energy(psi_line), rel=1e-14)
+    assert half.normalize(psi) == pytest.approx(
+        line.normalize(psi_line)[n:], rel=1e-14)
+    (Apsi, g, lam), (Apsi_l, g_l, lam_l) = half.terms(psi), line.terms(psi_line)
+    assert lam == pytest.approx(lam_l, rel=1e-14)
+    np.testing.assert_allclose(Apsi / half.w, (Apsi_l / line.w)[n:],
+                               rtol=1e-12, atol=1e-13 * np.abs(Apsi_l / line.w).max())
+    np.testing.assert_allclose(g, g_l[n:], rtol=1e-13)
+
+
+def _full_line_solve(monkeypatch, kind, N, L, g, s):
+    """``kind`` on the symmetric full line, as the 1D kinds solved before
+    the half line: ``minimize_nested`` on ``line_problem`` with twice the
+    nodes, from the same start.  Returns (problem, result, estimate)."""
+    build, n, start = _nested_input(
+        monkeypatch, lambda: onedim.minimize_1d(kind, N, L, g, s))
+    half = build(n)
+    zmax = onedim._zmax_gradient(kind, N, L, g, s)
+    return flows.minimize_nested(
+        lambda m: line_problem(zmax, m, 1.0, lambda z: onedim._v_long(z, L, s),
+                               half.local, half.d2q, N), 2 * n, start)
+
+
+@pytest.mark.parametrize("kind", ["full", "gp1d"])
+def test_half_line_matches_the_full_line(kind, monkeypatch, half_line_corpus):
+    for N, L, g, s in half_line_corpus:
+        fp, ref, disc = _full_line_solve(monkeypatch, kind, N, L, g, s)
+        assert ref.converged
+        prof, energy, rho_bar = onedim.minimize_1d(kind, N, L, g, s)
+        new = prof.discretization
+        assert energy == pytest.approx(ref.energy, rel=1e-13, abs=0.0)
+        assert rho_bar == pytest.approx(float(np.sum(fp.w * ref.psi**4)) / N,
+                                        rel=1e-13, abs=0.0)
+        assert new.discretization_note == disc.discretization_note
+        assert new.E_coarse == pytest.approx(disc.E_coarse, rel=1e-13, abs=0.0)
+        if disc.E_discretization_error is not None:
+            # a difference of two energies: it agrees to 1e-13 of them
+            assert new.E_discretization_error == pytest.approx(
+                disc.E_discretization_error, rel=0.0, abs=1e-13 * abs(energy))
 
 
 # --- the error estimate -----------------------------------------------------

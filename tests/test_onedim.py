@@ -10,11 +10,18 @@ from scipy.special import jn_zeros
 from bosegas import flows, onedim as od
 
 
+def mirrored(prof):
+    """(z, rho) of a half-line profile on the whole line: the nodes -z and
+    z, rho even."""
+    return (np.concatenate((-prof.z[::-1], prof.z)),
+            np.concatenate((prof.rho[::-1], prof.rho)))
+
+
 def functional_value(kind, prof, L, g, s=2.0):
-    """A 1D functional evaluated on a given profile, the gradient term by
-    central differences of sqrt(rho)."""
+    """A 1D functional evaluated on a given profile, mirrored onto the whole
+    line, the gradient term by central differences of sqrt(rho)."""
     curve = od._curve_for(kind)
-    z, rho = prof.z, prof.rho
+    z, rho = mirrored(prof)
     val = float(np.trapezoid(od._v_long(z, L, s) * rho
                              + od._interaction_density(kind, rho, g, curve), z))
     if kind in ("full", "gp1d"):
@@ -365,10 +372,14 @@ def test_full_functional_relaxes_nothing():
 def test_minimize_1d_normalization_and_rho_bar():
     for kind in od.KINDS_1D:
         prof, _, rho_bar = od.minimize_1d(kind, 4.0, 2.0, 0.7, 2.0)
-        mass = np.trapezoid(prof.rho, prof.z)
+        z, rho = mirrored(prof)
+        mass = np.trapezoid(rho, z)
         assert mass == pytest.approx(4.0, rel=1e-6)
         assert rho_bar == pytest.approx(
-            np.trapezoid(prof.rho**2, prof.z) / prof.mass, rel=1e-6)
+            np.trapezoid(rho**2, z) / prof.mass, rel=1e-6)
+        # the solver's own weights give the mass and rho_bar to rounding
+        assert prof.w @ prof.rho == pytest.approx(4.0, rel=4e-15)
+        assert rho_bar == pytest.approx(prof.w @ prof.rho**2 / 4.0, rel=4e-15)
 
 
 def test_unknown_kind_rejected():
@@ -423,31 +434,36 @@ def _sigma_of_t(curve, t):
     return (4.0 * de / t - 6.0 * e / t**2 - d2e) / (3.0 * e / t**2 - de / t)
 
 
-def _reference_ll_no_grad(normalization_root, curve, N, L, g):
-    """ll_no_grad as first written: mu by bracket doubling and brentq on
-    the trapezoid mass, rho by ``_reference_ll_density`` on the support
-    grid, V = |z|^2/L^4.  Returns (energy, rho_bar, mu)."""
+def _full_grid_route(normalization_root, kind, N, L, g, s=2.0,
+                     density=lambda *args: _POINTWISE_DENSITY(*args)[0]):
+    """A pointwise kind as solved before the half line, with mu as first
+    found: rho by ``density`` on the whole support grid u = linspace(-1, 1,
+    _N_GRID_1D), V = mu |sin(pi u/2)|^s, every integral by ``np.trapezoid``
+    and mu by bracket doubling and brentq on the mass.  With
+    ``_reference_ll_density`` it is the bisection reference for ll_no_grad.
+    Returns (energy, rho_bar, mu)."""
+    curve = od._curve_for(kind)
     edge = np.sin(0.5 * math.pi * np.linspace(-1.0, 1.0, od._N_GRID_1D))
 
-    def density(mu):
-        z = (mu * L**4) ** 0.5 * edge
-        V = od._v_long(z, L, 2.0)
-        return z, V, _reference_ll_density("ll_no_grad", mu, V, g, curve)
+    def profile(mu):
+        z = (mu * L ** (s + 2.0)) ** (1.0 / s) * edge
+        V = mu * np.abs(edge) ** s
+        return z, V, density(kind, mu, V, g, curve)
 
     def mass(mu):
         if mu <= 0:
             return 0.0
-        z, _, rho = density(mu)
+        z, _, rho = profile(mu)
         return float(np.trapezoid(rho, z))
 
     mu = normalization_root(mass, N)
-    z, V, rho = density(mu)
-    w = od._interaction_density("ll_no_grad", rho, g, curve)
+    z, V, rho = profile(mu)
+    w = od._interaction_density(kind, rho, g, curve)
     return (float(np.trapezoid(V * rho + w, z)),
             float(np.trapezoid(rho**2, z) / N), mu)
 
 
-def _solve_recorded(monkeypatch, kind, N, L, g):
+def _solve_recorded(monkeypatch, kind, N, L, g, s=2.0):
     """minimize_1d(kind) and the mu of every density sweep it made."""
     mus = []
 
@@ -455,7 +471,7 @@ def _solve_recorded(monkeypatch, kind, N, L, g):
         mus.append(mu)
         return _POINTWISE_DENSITY(kind, mu, V, g, curve)
     monkeypatch.setattr(od, "_pointwise_density", recording_density)
-    return (*od.minimize_1d(kind, N, L, g, 2.0), mus)
+    return (*od.minimize_1d(kind, N, L, g, s), mus)
 
 
 # the corners of trap-batch's ranges (N 1..100, L 1..10, g 1e-2..10) and one
@@ -470,8 +486,9 @@ def test_ll_no_grad_matches_bisection_reference(monkeypatch, ll_curve,
     prof, energy, rho_bar, mus = _solve_recorded(monkeypatch, "ll_no_grad",
                                                  N, L, g)
     mu = mus[-1]
-    ref_energy, ref_rho_bar, ref_mu = _reference_ll_no_grad(
-        normalization_root, ll_curve, N, L, g)
+    ref_energy, ref_rho_bar, ref_mu = _full_grid_route(
+        normalization_root, "ll_no_grad", N, L, g,
+        density=_reference_ll_density)
     assert abs(energy / ref_energy - 1.0) <= 1e-10
     assert abs(rho_bar / ref_rho_bar - 1.0) <= 1e-10
     assert abs(mu / ref_mu - 1.0) <= 1e-12
@@ -503,7 +520,7 @@ def test_pointwise_normalization_sweeps(monkeypatch, kind):
         assert prof.iterations == len(mus)
         assert prof.rejected_steps == prof.newton_steps == 0
         sweeps.append(prof.iterations)
-        assert abs(np.trapezoid(prof.rho, prof.z) / N - 1.0) <= 4e-15
+        assert abs(prof.w @ prof.rho / N - 1.0) <= 4e-15
         # the profile is the last sweep's: its support edge is at that mu
         assert prof.z[-1] == pytest.approx((mus[-1] * L**4) ** 0.5, rel=1e-15)
     assert sweeps == _SWEEPS[kind]
@@ -535,17 +552,56 @@ def test_ll_no_grad_normalization_across_a_mass_jump(monkeypatch, ll_curve,
     prof, _, _, mus = _solve_recorded(monkeypatch, "ll_no_grad", N, L, g)
     assert prof.iterations < od._NORM_SWEEPS
     assert abs(mus[-1] / normalization_root(mass, N) - 1.0) <= 1e-14
-    assert abs(np.trapezoid(prof.rho, prof.z) / N - 1.0) <= above / below - 1.0
+    assert abs(prof.w @ prof.rho / N - 1.0) <= above / below - 1.0
 
 
 @pytest.mark.parametrize("kind, N, L, g", [("gt", 3.7, 4.3, 0.0),
                                            ("ll_no_grad", 100.0, 1.0, 0.01),
                                            ("tf1d", 9.0, 4.0, 0.8)])
 def test_pointwise_density_vanishes_at_the_support_edge(kind, N, L, g):
-    # V = mu at the support's ends, where |z|^2/L^4 rounds to just below mu
+    # V = mu at the support's edge, where |z|^2/L^4 rounds to just below mu;
+    # rho[0] is the centre, its largest value
     prof, _, _ = od.minimize_1d(kind, N, L, g, 2.0)
-    assert prof.rho[0] == prof.rho[-1] == 0.0
-    assert np.all(prof.rho[1:-1] > 0.0)
+    assert prof.rho[-1] == 0.0
+    assert np.all(prof.rho[:-1] > 0.0)
+    assert prof.rho[0] == prof.rho.max()
+
+
+@pytest.mark.parametrize("kind", ["tf1d", "gt", "ll_no_grad"])
+def test_half_line_matches_the_full_grid_route(monkeypatch, normalization_root,
+                                               half_line_corpus, kind):
+    # the folded weights are the full grid's trapezoid rule: the same mu,
+    # energy and rho_bar to rounding
+    for N, L, g, s in half_line_corpus:
+        _, energy, rho_bar, mus = _solve_recorded(monkeypatch, kind, N, L, g, s)
+        ref_energy, ref_rho_bar, mu = _full_grid_route(normalization_root,
+                                                       kind, N, L, g, s)
+        assert mus[-1] == pytest.approx(mu, rel=1e-14, abs=0.0)
+        assert energy == pytest.approx(ref_energy, rel=1e-14, abs=0.0)
+        assert rho_bar == pytest.approx(ref_rho_bar, rel=1e-14, abs=0.0)
+
+
+def test_1d_solves_read_the_half_line(monkeypatch, ll_curve):
+    # no 1D solve passes e(t) or F^-1 more than the 1024 nodes of the half
+    # line, and the cascade of full builds the grids 256, 512 and 1024
+    sizes, grids = {}, []
+    for name in ("e_and_de", "e_derivatives", "f_inverse"):
+        def wrapped(self, t, method=getattr(od.LLCurve, name), name=name):
+            sizes.setdefault(name, []).append(np.size(t))
+            return method(self, t)
+        monkeypatch.setattr(od.LLCurve, name, wrapped)
+    build = flows.cell_problem
+
+    def recording(d, zmax, n, *args):
+        grids.append(n)
+        return build(d, zmax, n, *args)
+    monkeypatch.setattr(flows, "cell_problem", recording)
+    for kind in od.KINDS_1D:
+        od.minimize_1d(kind, 30.0, 5.0, 0.5, 2.0)
+        if kind == "full":
+            assert grids == [256, 512, 1024]
+    assert sorted(sizes) == ["e_and_de", "e_derivatives", "f_inverse"]
+    assert max(max(n) for n in sizes.values()) == 1024
 
 
 def test_ll_density_takes_the_smallest_root_at_t_min(ll_curve):
