@@ -668,8 +668,9 @@ def test_half_line_is_the_even_line_problem(zmax, n):
         line.normalize(psi_line)[n:], rel=1e-14)
     (Apsi, g, lam), (Apsi_l, g_l, lam_l) = half.terms(psi), line.terms(psi_line)
     assert lam == pytest.approx(lam_l, rel=1e-14)
-    np.testing.assert_allclose(Apsi / half.w, (Apsi_l / line.w)[n:],
-                               rtol=1e-12, atol=1e-13 * np.abs(Apsi_l / line.w).max())
+    kinetic = (Apsi_l / line.w)[n:]
+    np.testing.assert_allclose(Apsi / half.w, kinetic, rtol=1e-12,
+                               atol=1e-13 * np.abs(kinetic).max())
     np.testing.assert_allclose(g, g_l[n:], rtol=1e-13)
 
 
