@@ -174,28 +174,26 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
     from . import flows
     i0 = _i0(mu)
 
-    # u = r Phi representation: E = 4 pi [ mu int u'^2 - I0 int u^{5/2} r^{-1/2} ]
-    def local(y, r):
-        root = np.sqrt(r)
-        return -i0 * y ** 1.25 / root, -1.25 * i0 * y ** 0.25 / root
+    # E = mu int |grad Phi|^2 - I0 int Phi^{5/2}: q(y) = -I0 y^{5/4}
+    def local(y):
+        return -i0 * y ** 1.25, -1.25 * i0 * y ** 0.25
 
-    def d2q(y, r):
+    def d2q(y):
         # infinite at y = 0, where the 2 y q'' the flow reads vanishes
         pos = np.where(y > 0, y, 1.0)
-        return np.where(y > 0, -0.3125 * i0 * pos ** -0.75 / np.sqrt(r), 0.0)
+        return np.where(y > 0, -0.3125 * i0 * pos ** -0.75, 0.0)
 
     width = 0.35 * rmax
     fp, res, disc = flows.minimize_nested(
-        lambda m: flows.radial_u_problem(rmax, m, mu, lambda r: np.zeros_like(r),
-                                         local, d2q, mass=1.0), n,
-        lambda fp: fp.nodes * np.exp(-(fp.nodes / width) ** 2))
+        lambda m: flows.sphere_problem(rmax, m, mu, lambda r: np.zeros_like(r),
+                                       local, d2q, mass=1.0), n,
+        lambda fp: np.exp(-(fp.nodes / width) ** 2))
     if not res.converged:
         raise RuntimeError("two-component minimization did not converge")
     kin, _, inter = fp.energy_parts(res.psi)
     attraction = -inter
     virial = abs(2.0 * kin - 0.75 * attraction) / abs(res.energy)
-    phi = res.psi / fp.nodes
-    return DysonMinimizer(mu, fp.nodes.copy(), np.abs(phi), res.energy, kin,
+    return DysonMinimizer(mu, fp.nodes.copy(), np.abs(res.psi), res.energy, kin,
                           attraction, virial, res.iterations,
                           res.rejected_steps, res.newton_steps, disc)
 

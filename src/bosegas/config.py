@@ -151,6 +151,12 @@ def validate_params(section: str, params: dict) -> list[str]:
     if section == "charged" and params.get("mode") == "dyson" \
             and 0 < params.get("N", 1.0) < 1:
         problems.append(f"charged.N: dyson needs N >= 1, got {params['N']}")
+    # in 2D a zero potential leaves psi constant: no logarithmic asymptote,
+    # no scattering length (scattering.solve_zero_energy)
+    if section == "scatter" and params.get("kind", "soft_sphere") == "soft_sphere" \
+            and params.get("dim", 3) == 2 and params.get("v0") == 0:
+        problems.append(f"scatter.v0: a 2D soft sphere needs v0 > 0, "
+                        f"got {params['v0']}")
     return problems
 
 

@@ -4,11 +4,12 @@ All trap minimizers in the package (Gross-Pitaevskii, the 1D hierarchy, the
 two-component variational problem) reduce to the same discrete template
 
     E[psi] = kin * sum_edges ew_e (psi_r - psi_l)^2
-             + sum_i w_i [ V_i psi_i^2 + q(psi_i^2, i) ]
+             + sum_i w_i [ V_i psi_i^2 + q(psi_i^2) ]
 
 with the mass constraint sum_i w_i psi_i^2 = N.  ``psi`` is the order
-parameter (phi, u = r phi, or sqrt(rho)); squaring it keeps densities
-nonnegative by construction.
+parameter (phi, or sqrt(rho) in 1D); squaring it keeps densities
+nonnegative by construction.  The geometry lives in the grid builder's
+weights alone: the local term q is a function of the density y = psi^2.
 
 Minimization starts as an imaginary-time style descent: each step solves
 the linearized backward-Euler system (tridiagonal, LAPACK gtsv) and
@@ -38,9 +39,9 @@ minimizer, interpolated onto it.  A finer grid then takes one descent step
 and one or two Newton steps.  The coarse energies come for free, and with
 them Richardson's h^2 estimate of the n-grid energy's discretization error.
 
-``radial_u_problem`` builds the 3D grid (u = r phi); ``cell_problem`` the
-cell-centred grid with no flux through 0 of the 2D radial problem and of
-the even 1D problems, which it solves on the half line.
+``sphere_problem`` builds the 3D radial grid; ``cell_problem`` the
+cell-centred grid of the 2D radial problem and of the even 1D problems,
+which it solves on the half line.  Both have no flux through 0.
 """
 
 from __future__ import annotations
@@ -82,10 +83,10 @@ class FlowProblem:
     ew       edge weights, length n+1; ew[0]/ew[n] couple to zero ghosts
              (set to 0.0 for a no-flux boundary)
     V        external potential per node
-    local    (y_array, nodes) -> (q, q'): the interaction energy density q
-             and its derivative in y = psi^2, from one evaluation
-    d2q      (y_array, nodes) -> q''(y); only 2 y q''(y) enters (the Newton
-             step), so d2q may return 0 where y = 0 and q'' is infinite
+    local    y -> (q, q'): the interaction energy density q and its
+             derivative in the density y = psi^2, from one evaluation
+    d2q      y -> q''(y); only 2 y q''(y) enters (the Newton step), so d2q
+             may return 0 where y = 0 and q'' is infinite
     mass     constraint value N
 
     The off-diagonals of W^-1 A must be finite: building a problem whose
@@ -135,7 +136,7 @@ class FlowProblem:
 
     def energy_parts(self, psi: np.ndarray):
         y = psi**2
-        return self._energy_parts(psi, y, self.local(y, self.nodes)[0])
+        return self._energy_parts(psi, y, self.local(y)[0])
 
     def energy(self, psi: np.ndarray) -> float:
         return sum(self.energy_parts(psi))
@@ -156,13 +157,13 @@ class FlowProblem:
         """(A psi, g = V + q'(psi^2), lam) at ``psi``: every Euler-Lagrange
         piece one flow iterate reads, each evaluated once."""
         y = psi**2
-        return self._terms(psi, y, self.local(y, self.nodes)[1])
+        return self._terms(psi, y, self.local(y)[1])
 
     def evaluate(self, psi: np.ndarray):
         """(``energy(psi)``, ``terms(psi)``), bit for bit, from one square
         and one call of ``local``."""
         y = psi**2
-        q, dq = self.local(y, self.nodes)
+        q, dq = self.local(y)
         return sum(self._energy_parts(psi, y, q)), self._terms(psi, y, dq)
 
     def defect(self, psi: np.ndarray, terms) -> np.ndarray:
@@ -248,7 +249,7 @@ def _newton_step(prob: FlowProblem, psi: np.ndarray,
     """
     _, g, lam = terms
     y = psi**2
-    d = prob._diag_w + (g - lam) + 2.0 * y * prob.d2q(y, prob.nodes)
+    d = prob._diag_w + (g - lam) + 2.0 * y * prob.d2q(y)
     rhs = np.empty((len(psi), 2), order="F")
     rhs[:, 0] = -prob.defect(psi, terms)
     rhs[:, 1] = psi
@@ -418,26 +419,27 @@ def minimize_nested(build: Callable[[int], FlowProblem], n: int,
 
 # --- grid builders --------------------------------------------------------
 
-def radial_u_problem(rmax: float, n: int, mu: float, V: Callable,
-                     local, d2q, mass: float) -> FlowProblem:
-    """3D radial problem in the u = r*phi representation.
-
-    Nodes r_i = i h, i = 1..n; u(0) = 0 and u(rmax + h) = 0 ghosts.  The
-    norm is 4 pi int u^2 dr, the kinetic term 4 pi mu int u'^2 dr (exact
-    transform of int |grad phi|^2 d^3x), and local terms carry weight
-    4 pi h.
+def sphere_problem(rmax: float, n: int, mu: float, V: Callable,
+                   local, d2q, mass: float) -> FlowProblem:
+    """3D radial problem for phi on the vertex grid r_i = i h, i = 1..n,
+    h = rmax/(n+1): weights 4 pi r_i^2 h, kin = 4 pi mu and edge weights
+    r_e r_(e+1) / h with r_0 = 0 and r_(n+1) = rmax, so no flux through 0
+    and a zero ghost at rmax.  The energy is exactly that of u = r phi with
+    zero ghosts at both ends: (u_(i+1) - u_i)^2 / h = r_i r_(i+1)
+    (phi_(i+1) - phi_i)^2 / h + r_(i+1) phi_(i+1)^2 - r_i phi_i^2, and the
+    last two terms telescope to the ghosts.
     """
     h = rmax / (n + 1)
     r = h * np.arange(1, n + 1)
-    w = 4.0 * math.pi * h * np.ones(n)
-    ew = np.full(n + 1, 1.0 / h)
-    return FlowProblem(r, w, 4.0 * math.pi * mu, ew, np.asarray(V(r), dtype=float),
-                       local, d2q, mass)
+    edges = h * np.arange(n + 2)
+    ew = edges[:-1] * edges[1:] / h
+    return FlowProblem(r, 4.0 * math.pi * r**2 * h, 4.0 * math.pi * mu, ew,
+                       np.asarray(V(r), dtype=float), local, d2q, mass)
 
 
 def cell_problem(d: int, rmax: float, n: int, mu: float, V: Callable,
                  local, d2q, mass: float) -> FlowProblem:
-    """Even 1D (d = 1) or radial 2D (d = 2) problem for phi itself on a
+    """Even 1D (d = 1) or radial 2D (d = 2) problem for phi on a
     cell-centred grid: nodes r_i = (i + 1/2) h, no flux through r = 0,
     Dirichlet ghost at rmax.  The measure is omega r^(d-1) dr, omega = 2
     (both halves of the line) or 2 pi.  In 1D it is the 2n-node problem on

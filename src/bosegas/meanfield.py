@@ -143,29 +143,13 @@ def _build_problem(problem: GPProblem) -> flows.FlowProblem:
     mu, c = problem.mu, problem.coupling
     rmax = _domain_radius(problem)
     g4 = 4.0 * math.pi * mu * c
+    local = lambda y: (g4 * y**2, 2.0 * g4 * y)
+    d2q = lambda y: np.full_like(y, 2.0 * g4)
     if problem.dimension == 3:
-        # u = r phi: quartic term 4 pi mu a int u^4 / r^2 dr (per measure 4 pi dr)
-        def local(y, r):
-            r2 = r**2
-            return g4 * y**2 / r2, 2.0 * g4 * y / r2
-
-        d2q = lambda y, r: 2.0 * g4 / r**2
-        return flows.radial_u_problem(rmax, problem.n_grid, mu, problem.trap,
-                                      local, d2q, problem.N)
-    local = lambda y, r: (g4 * y**2, 2.0 * g4 * y)
-    d2q = lambda y, r: np.full_like(y, 2.0 * g4)
+        return flows.sphere_problem(rmax, problem.n_grid, mu, problem.trap,
+                                    local, d2q, problem.N)
     return flows.cell_problem(2, rmax, problem.n_grid, mu, problem.trap,
                               local, d2q, problem.N)
-
-
-def _profile_from(problem: GPProblem, fp: flows.FlowProblem,
-                  psi: np.ndarray) -> DensityProfile:
-    if problem.dimension == 3:
-        phi = psi / fp.nodes
-    else:
-        phi = psi.copy()
-    return DensityProfile(fp.nodes.copy(), phi, phi**2, problem.N,
-                          problem.dimension)
 
 
 def _initial_guess(problem: GPProblem, fp: flows.FlowProblem) -> np.ndarray | None:
@@ -177,10 +161,7 @@ def _initial_guess(problem: GPProblem, fp: flows.FlowProblem) -> np.ndarray | No
                    problem.trap.exponent, problem.mu)
     rho0 = np.maximum(mu_tf - problem.trap(fp.nodes), 0.0) \
         / (8.0 * math.pi * problem.mu * problem.coupling)
-    psi0 = np.sqrt(rho0 + 1e-12 * max(np.max(rho0), 1.0))
-    if problem.dimension == 3:
-        psi0 = psi0 * fp.nodes
-    return psi0
+    return np.sqrt(rho0 + 1e-12 * max(np.max(rho0), 1.0))
 
 
 def gp_minimize(problem: GPProblem) -> tuple[DensityProfile, EnergyReport]:
@@ -196,18 +177,13 @@ def gp_minimize(problem: GPProblem) -> tuple[DensityProfile, EnergyReport]:
                            f"(residual {res.residual:.3e} after {res.iterations} iterations)")
     kin, trap, inter = fp.energy_parts(res.psi)
     quart = inter / (4.0 * math.pi * problem.mu * problem.coupling) \
-        if problem.coupling > 0 else _quartic_integral(problem, fp, res.psi)
+        if problem.coupling > 0 else float(np.sum(fp.w * res.psi**4))
     report = EnergyReport(res.energy, kin, trap, inter, res.mu_chem,
                           res.residual, res.iterations, res.rejected_steps,
                           res.newton_steps, quart, disc)
-    return _profile_from(problem, fp, np.abs(res.psi)), report
-
-
-def _quartic_integral(problem: GPProblem, fp: flows.FlowProblem,
-                      psi: np.ndarray) -> float:
-    if problem.dimension == 3:
-        return float(np.sum(fp.w * psi**4 / fp.nodes**2))
-    return float(np.sum(fp.w * psi**4))
+    phi = np.abs(res.psi)
+    return DensityProfile(fp.nodes.copy(), phi, phi**2, problem.N,
+                          problem.dimension), report
 
 
 def gp_energy(dimension: int, N: float, coupling: float, mu: float = 1.0,

@@ -718,12 +718,12 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve):
     zmax = _zmax_gradient(kind, N, L, g, s)
     V = lambda z: _v_long(z, L, s)
     if kind == "gp1d":
-        local = lambda y, z: (0.5 * g * y**2, g * y)
-        d2q = lambda y, z: np.full_like(y, g)
+        local = lambda y: (0.5 * g * y**2, g * y)
+        d2q = lambda y: np.full_like(y, g)
     else:
         # w(rho) = rho^3 e(g/rho): w' = 3 rho^2 e - g rho e',
         # w'' = 6 rho e - 4 g e' + g^2 e'' / rho
-        def local(y, z):
+        def local(y):
             w = np.zeros_like(y)
             dw = np.zeros_like(y)
             pos = y > 0
@@ -733,7 +733,7 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve):
             dw[pos] = 3.0 * yp ** 2 * e - g * yp * de
             return w, dw
 
-        def d2q(y, z):
+        def d2q(y):
             out = np.zeros_like(y)
             pos = y > 0
             yp = y[pos]

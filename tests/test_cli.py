@@ -585,6 +585,25 @@ def test_charged_dyson_below_one_particle_is_config_error(monkeypatch,
     assert run_cli("validate", str(cfg)) == 0
 
 
+def test_scatter_2d_zero_soft_sphere_is_config_error(tmp_path, capsys):
+    # psi stays constant in 2D at v0 = 0: no scattering length to solve for
+    assert run_cli("scatter", "--dim", "2", "--v0", "0") == 2
+    assert "scatter.v0: a 2D soft sphere needs v0 > 0, got 0.0" \
+        in capsys.readouterr().err
+    cfg = tmp_path / "scatter.cfg"
+    cfg.write_text("[scatter]\ndim = 2\nv0 = 0\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert capsys.readouterr().out.splitlines() \
+        == ["scatter.v0: a 2D soft sphere needs v0 > 0, got 0.0"]
+    # v0 = 0 is a free particle in 3D (a = 0), and a 2D hard core needs none
+    for text in ("dim = 3\nv0 = 0\n", "dim = 2\nkind = hard_core\nv0 = 0\n",
+                 "dim = 2\nv0 = 1\n"):
+        cfg.write_text("[scatter]\n" + text)
+        assert run_cli("validate", str(cfg)) == 0
+    assert run_cli("scatter", "--v0", "0", "--out", str(tmp_path / "s.json")) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("mu", ["1e8", "1e-6"])
 def test_charged_dyson_far_from_unit_mu(tmp_path, mu):
     # the mu = 1 minimizer dilated: E* scales as 1/mu, lengths as mu

@@ -36,7 +36,17 @@ the half of the 512-node grid starts from the caller's start.  ``full``
 went 14, 3, 3, 3 -> 14, 3, 3; its energy moved by 1 ulp and was not
 re-set.
 
-Four references are kept here.  The backward-Euler step is checked bit for
+They moved a fifth time when the 3D grid came to solve for phi instead of
+u = r phi (``flows.sphere_problem``).  The discrete energy is the u grid's,
+and every descent step is the old step in other coordinates, but the
+sup-norm residual now measures phi's defect, u's divided by r, and the
+default start is read as phi, so the coarsest grid hands off to Newton at
+another iterate.  The 3D GP went (16, 0, 6) -> (17, 0, 7) and Dyson 19 ->
+21 iterations, with (0, 7) kept; neither energy was re-set (the GP's is
+unchanged, Dyson's moved by 2 ulp).  In the prolongation test the 3D grid
+has no flux through 0, and the u grid stays as the Dirichlet-at-0 case.
+
+Five references are kept here.  The backward-Euler step is checked bit for
 bit against its first form, scipy's ``solve_banded`` on a 3 x n banded
 layout.  The whole minimization is checked against the flow as it was with
 its inverse-iteration endgame (``_reference_minimize_flow``): on a corpus
@@ -46,6 +56,10 @@ is checked against the single-grid solve it replaced
 half-line 1D problem is checked against the symmetric full-line problem
 it replaced (``line_problem``): on a corpus of ``full`` and ``gp1d``
 solves the energies and coarse-grid energies agree to 1e-13 relative.
+The 3D grid in phi is checked against the u = r phi grid it replaced
+(``radial_u_problem``): at a fixed state the energies agree to 1e-15
+relative and the defect is u's divided by r, and on a corpus of GP and
+Dyson solves the energies agree to 2e-15 relative and phi = u / r.
 """
 
 import functools
@@ -59,21 +73,21 @@ import pytest
 from bosegas import charged, flows, meanfield, onedim
 
 
-def _free(y, z):
+def _free(y):
     """No interaction: q = q' = 0."""
     return 0.0 * y, 0.0 * y
 
 
-def _zero(y, z):
+def _zero(y):
     return 0.0 * y
 
 
-def _quartic(y, z):
+def _quartic(y):
     """q = y^2 / 2 and q' = y."""
     return 0.5 * y**2, y
 
 
-def _quartic_d2q(y, z):
+def _quartic_d2q(y):
     return np.ones_like(y)
 
 
@@ -88,11 +102,32 @@ def line_problem(zmax, n, kappa, V, local, d2q, mass):
                              local, d2q, mass)
 
 
+def radial_u_problem(rmax, n, mu, V, local, d2q, mass):
+    """The 3D u = r phi grid as first built, before ``flows.sphere_problem``
+    solved for phi: nodes r_i = i h, h = rmax/(n+1), zero ghosts u(0) and
+    u(rmax), norm 4 pi int u^2 dr, kinetic term 4 pi mu int u'^2 dr, local
+    terms with weight 4 pi h.  ``local`` and ``d2q`` are phi's, functions of
+    the density; the u grid reads them at y = u^2, as r^2 q(y / r^2)."""
+    h = rmax / (n + 1)
+    r = h * np.arange(1, n + 1)
+    r2 = r**2
+
+    def local_u(y):
+        q, dq = local(y / r2)
+        return r2 * q, dq
+
+    w = 4.0 * math.pi * h * np.ones(n)
+    ew = np.full(n + 1, 1.0 / h)
+    return flows.FlowProblem(r, w, 4.0 * math.pi * mu, ew,
+                             np.asarray(V(r), dtype=float), local_u,
+                             lambda y: d2q(y / r2) / r2, mass)
+
+
 def test_gp_3d_harmonic_flow_pinned():
     _, rep = meanfield.gp_minimize(meanfield.GPProblem(3, 100.0, 0.01,
                                                        n_grid=4096))
-    assert rep.iterations == 16
-    assert (rep.rejected_steps, rep.newton_steps) == (0, 6)
+    assert rep.iterations == 17
+    assert (rep.rejected_steps, rep.newton_steps) == (0, 7)
     assert rep.E_total == pytest.approx(362.2434160742895, rel=1e-13)
 
 
@@ -115,7 +150,7 @@ def test_full_1d_flow_pinned(monkeypatch):
 
 def test_dyson_flow_pinned():
     dm = charged.dyson_functional_minimize(1.0)
-    assert dm.iterations == 19
+    assert dm.iterations == 21
     assert (dm.rejected_steps, dm.newton_steps) == (0, 7)
     assert dm.energy == pytest.approx(-0.025170640086422558, rel=1e-13)
 
@@ -126,7 +161,7 @@ def _reference_step(prob, psi, dt):
     ``solve_banded``, which refuses non-finite input and a singular system."""
     from scipy.linalg import solve_banded
     y = psi**2
-    dq = prob.local(y, prob.nodes)[1]
+    dq = prob.local(y)[1]
     lam = (float(psi @ prob._apply_A(psi))
            + float(np.sum(prob.w * (prob.V + dq) * y))) / prob.mass
     dV = prob.V + dq - lam
@@ -414,10 +449,10 @@ def test_energies_match_the_polish_reference(case, monkeypatch):
     assert new.energy == pytest.approx(e_ref, rel=1e-12)
 
 
-def _central_difference(local, y, nodes, rel=1e-5):
-    """Central differences of q' = ``local(y, nodes)[1]``."""
+def _central_difference(local, y, rel=1e-5):
+    """Central differences of q' = ``local(y)[1]``."""
     h = rel * y
-    return (local(y + h, nodes)[1] - local(y - h, nodes)[1]) / (2.0 * h)
+    return (local(y + h)[1] - local(y - h)[1]) / (2.0 * h)
 
 
 @pytest.mark.parametrize("case", ["gp_2d_cell", "gp_3d_u", "gp1d", "full", "dyson"])
@@ -435,9 +470,8 @@ def test_d2q_matches_central_differences_of_dq(case, monkeypatch):
     prob, start = _flow_input(monkeypatch, solve)
     y = start**2
     keep = y > 1e-8 * y.max()
-    y, nodes = y[keep], prob.nodes[keep]
-    np.testing.assert_allclose(prob.d2q(y, nodes),
-                               _central_difference(prob.local, y, nodes),
+    y = y[keep]
+    np.testing.assert_allclose(prob.d2q(y), _central_difference(prob.local, y),
                                rtol=1e-7, atol=0.0)
 
 
@@ -453,11 +487,10 @@ def test_full_d2q_across_the_table_ends(monkeypatch, ll_curve):
     t = np.concatenate((ll_curve.t_min * np.array([0.2, 0.5, 0.9]), inner[:3],
                         inner[-3:], ll_curve.t_max * np.array([1.1, 2.0, 5.0])))
     y = g / t
-    nodes = np.zeros_like(y)
-    np.testing.assert_allclose(prob.d2q(y, nodes),
-                               _central_difference(prob.local, y, nodes, 1e-6),
+    np.testing.assert_allclose(prob.d2q(y),
+                               _central_difference(prob.local, y, 1e-6),
                                rtol=1e-6, atol=0.0)
-    assert prob.d2q(np.zeros(1), nodes[:1]) == 0.0
+    assert prob.d2q(np.zeros(1)) == 0.0
 
 
 def test_newton_stall_hands_back_to_the_descent(monkeypatch):
@@ -593,7 +626,8 @@ def test_cascade_grid_sizes():
 
 
 _BUILDERS = {
-    "radial_u_problem": flows.radial_u_problem,
+    "sphere_problem": flows.sphere_problem,
+    "radial_u_problem": radial_u_problem,
     "radial_cell_problem": functools.partial(flows.cell_problem, 2),
     "half_line_problem": functools.partial(flows.cell_problem, 1),
     "line_problem": line_problem,
@@ -601,7 +635,8 @@ _BUILDERS = {
 
 
 @pytest.mark.parametrize("make,dirichlet_at_0", [
-    ("radial_u_problem", True), ("radial_cell_problem", False),
+    ("sphere_problem", False), ("radial_u_problem", True),
+    ("radial_cell_problem", False),
     ("half_line_problem", False), ("line_problem", True)])
 def test_prolongation_pads_the_dirichlet_ghosts(make, dirichlet_at_0):
     coarse, fine = (_BUILDERS[make](4.0, m, 1.0, lambda r: r**2, _free,
@@ -620,6 +655,72 @@ def test_prolongation_pads_the_dirichlet_ghosts(make, dirichlet_at_0):
     ghost = x[-1] + (x[-1] - x[-2])
     np.testing.assert_allclose(flows._prolong(coarse, ghost - x, fine)[right],
                                ghost - fine.nodes[right], rtol=1e-12)
+
+
+# --- the 3D grid in phi against the u = r phi grid ----------------------------
+
+@pytest.mark.parametrize("n", [16, 257, 4096])
+def test_sphere_problem_is_the_u_grid_at_a_fixed_state(n, rng):
+    g4 = 4.0 * math.pi * 0.7
+    local = lambda y: (g4 * y**2, 2.0 * g4 * y)
+    d2q = lambda y: np.full_like(y, 2.0 * g4)
+    sphere, ref = (make(6.0, n, 1.3, lambda r: r**2, local, d2q, 5.0)
+                   for make in (flows.sphere_problem, radial_u_problem))
+    r = sphere.nodes
+    assert r.tobytes() == ref.nodes.tobytes()
+    phi = rng.uniform(0.1, 1.0, n)
+    u = r * phi
+    e, terms = sphere.evaluate(phi)
+    e_u, terms_u = ref.evaluate(u)
+    assert e == pytest.approx(e_u, rel=1e-15, abs=0.0)
+    assert terms[2] == pytest.approx(terms_u[2], rel=1e-13, abs=0.0)
+    defect, defect_u = sphere.defect(phi, terms), ref.defect(u, terms_u) / r
+    np.testing.assert_allclose(defect, defect_u, rtol=1e-13,
+                               atol=1e-13 * np.abs(defect_u).max())
+
+
+def _u_grid_solve(monkeypatch, solve):
+    """``solve`` on the u = r phi grid: its ``minimize_nested`` with
+    ``radial_u_problem`` in place of ``flows.sphere_problem`` and the
+    caller's start times r.  Returns (problem, result, estimate)."""
+    build, n, start = _nested_input(monkeypatch, solve)
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "sphere_problem", radial_u_problem)
+        return flows.minimize_nested(
+            build, n,
+            lambda fp: None if (psi := start(fp)) is None else psi * fp.nodes)
+
+
+_TRAP_KINDS = dict(_GP_TRAPS, box=_BOX)
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("trap, Nc", [("harmonic", 1.0), ("harmonic", 1e3),
+                                      ("s3", 30.0), ("box", 0.01),
+                                      ("box", 30.0)])
+def test_sphere_problem_matches_the_u_grid_gp(trap, Nc, n, monkeypatch):
+    solve = lambda: meanfield.gp_minimize(meanfield.GPProblem(
+        3, 50.0, Nc / 50.0, trap=_TRAP_KINDS[trap], n_grid=n))
+    fp, ref, disc = _u_grid_solve(monkeypatch, solve)
+    assert ref.converged
+    prof, rep = solve()
+    assert rep.E_total == pytest.approx(ref.energy, rel=2e-15, abs=0.0)
+    assert rep.discretization.E_coarse == pytest.approx(disc.E_coarse,
+                                                        rel=2e-15, abs=0.0)
+    np.testing.assert_allclose(prof.phi, np.abs(ref.psi) / fp.nodes, rtol=0.0,
+                               atol=1e-8 * prof.phi.max())
+
+
+def test_sphere_problem_matches_the_u_grid_dyson(monkeypatch):
+    solve = lambda: charged._dyson_flow(1.0, 1024, 60.0)
+    fp, ref, disc = _u_grid_solve(monkeypatch, solve)
+    assert ref.converged
+    dm = solve()
+    assert dm.energy == pytest.approx(ref.energy, rel=2e-15, abs=0.0)
+    assert dm.discretization.E_coarse == pytest.approx(disc.E_coarse,
+                                                       rel=2e-15, abs=0.0)
+    np.testing.assert_allclose(dm.Phi, np.abs(ref.psi) / fp.nodes, rtol=0.0,
+                               atol=1e-8 * dm.Phi.max())
 
 
 # --- one cell builder for d = 1 and 2 ----------------------------------------

@@ -91,7 +91,7 @@ def test_uniqueness_two_initializations(rng):
     res_a = flows.minimize_flow(fp, psi0=psi_a)
     res_b = flows.minimize_flow(fp, psi0=psi_b)
     assert res_a.converged and res_b.converged
-    phi_a, phi_b = np.abs(res_a.psi) / fp.nodes, np.abs(res_b.psi) / fp.nodes
+    phi_a, phi_b = np.abs(res_a.psi), np.abs(res_b.psi)
     assert np.max(np.abs(phi_a - phi_b)) < 1e-8 * np.max(phi_a)
 
 
@@ -236,7 +236,7 @@ def test_gp_start_uses_exact_mu_tf(monkeypatch, normalization_root):
     monkeypatch.setattr(mf, "tf_solve", None)
     psi0 = mf._initial_guess(p, fp)
     mu_tf = _tf_reference(normalization_root, 3, 50.0, 1.0, p.trap)[0]
-    edge = fp.nodes[psi0 / fp.nodes > 1e-4].max()
+    edge = fp.nodes[psi0 > 1e-4].max()
     assert edge <= mu_tf ** 0.5 < edge + (fp.nodes[1] - fp.nodes[0])
 
 

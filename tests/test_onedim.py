@@ -321,8 +321,8 @@ def test_gt_pointwise_matches_gradient_flow(ll_curve):
     fp = flows.FlowProblem(
         z, h * np.ones(n), 0.0, np.zeros(n + 1),
         np.abs(z) ** s / L ** (s + 2.0),
-        lambda y, zz: (od.PI2_3 * y**3, math.pi**2 * y**2),
-        lambda y, zz: 2.0 * math.pi**2 * y,
+        lambda y: (od.PI2_3 * y**3, math.pi**2 * y**2),
+        lambda y: 2.0 * math.pi**2 * y,
         N)
     res = flows.minimize_flow(fp, psi0=np.sqrt(np.maximum(1 - (z / zmax) ** 2, 0.0) + 1e-4))
     assert abs(res.energy - e_gt) / e_gt < 1e-6

@@ -196,3 +196,31 @@ def unread_options(src: Path = SRC) -> list[str]:
 def test_every_option_is_read_by_its_subcommand():
     unread = unread_options()
     assert not unread, f"options that do nothing: {', '.join(unread)}"
+
+
+# --- every parameter is read -------------------------------------------------
+
+def unread_parameters(src: Path = SRC) -> list[str]:
+    """``module:line name`` of every parameter of a function or lambda in
+    ``src`` (``self`` and ``cls`` aside) that its body never reads; a
+    parameter nothing reads makes every caller pass a value for nothing."""
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs \
+                + [p for p in (a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.py:{fn.lineno} {p.arg}" for p in params
+                       if p.arg not in ("self", "cls") and p.arg not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters()
+    assert not unread, f"parameters nothing reads: {', '.join(unread)}"
