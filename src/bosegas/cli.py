@@ -75,9 +75,12 @@ def _potential_from_args(args) -> RadialPotential:
     if args.potential_file is None:
         raise ConfigError("tabulated potential needs --potential-file")
     try:
-        return scattering.load_potential(args.potential_file)
+        v = scattering.load_potential(args.potential_file)
     except ValueError as exc:
         raise ConfigError(f"{args.potential_file}: {exc}") from None
+    # the file's headers, not --dim and --R0, set what the solve uses: echo them
+    args.dim, args.R0 = v.dimension, v.core_radius
+    return v
 
 
 def cmd_scatter(args) -> int:

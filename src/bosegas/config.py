@@ -145,6 +145,9 @@ def validate_params(section: str, params: dict) -> list[str]:
                 problems.append(f"{section}.{key}: must be positive, got {val}")
             elif val < 0:
                 problems.append(f"{section}.{key}: must be nonnegative, got {val}")
+    # the sweep runs Y at a = 1 in 3D only
+    if section == "bounds" and params.get("sweep") and params.get("dim", 3) == 2:
+        problems.append("bounds.dim: the Y sweep is 3D only, got dim = 2")
     if section == "bounds" and not problems:
         problems += _bounds_domain(params)
     # E0(N) ~ N^(7/5) E_star holds for N >= 1 (charged.two_component_energy)

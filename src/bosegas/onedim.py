@@ -36,7 +36,6 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__, flows
-from .rootfind import brentq
 
 PI2_3 = math.pi**2 / 3.0
 
@@ -65,7 +64,7 @@ def _chebyshev_mesh(m: int) -> np.ndarray:
     return 0.5 * (x - x[::-1])
 
 
-def solve_ba_density(lam: float, m: int = 440):
+def solve_ba_density(lam: float, m: int):
     """Solve the Fredholm equation at kernel width ``lam``.
 
     Returns (gamma, e_BA) for the Bethe-ansatz coupling gamma.  The mesh
@@ -126,27 +125,6 @@ _T_MIN = 1e-4
 _T_MAX = 1e6
 _MESH = 440
 _SWEEP = 240
-
-
-def solve_ll_point(t: float) -> float:
-    """e(t) by a direct coupling <-> t root-find on the kernel width, on the
-    table's mesh ``_MESH``."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    gamma_target = 0.5 * t
-
-    def mismatch(loglam):
-        gamma, _ = solve_ba_density(math.exp(loglam), _MESH)
-        return math.log(gamma) - math.log(gamma_target)
-
-    lo = 0.5 * math.log(gamma_target / 4.0)   # weak-coupling gamma ~ 4 lam^2
-    hi = math.log(gamma_target / math.pi) if gamma_target > math.pi else 0.0
-    lo, hi = min(lo, hi) - 2.0, max(lo, hi) + 2.0
-    loglam = brentq(mismatch, lo, hi, xtol=1e-12)
-    _, e_ba = solve_ba_density(math.exp(loglam), _MESH)
-    return float(e_ba)
 
 
 class Pchip:
@@ -215,21 +193,12 @@ class Pchip:
             out += c[3]
         return out
 
-    def __call__(self, xv):
-        c, s = self._at(xv, 4)
-        return self._power_sum(c, s, s * s)
-
-    def value_and_slope(self, xv):
-        c, s = self._at(xv, 7)
+    def derivatives(self, xv, order: int):
+        """(p, p', p'')[:order + 1] at ``xv``."""
+        c, s = self._at(xv, (4, 7, 9)[order])
         s2 = s * s
-        return self._power_sum(c[:4], s, s2), self._power_sum(c[4:], s, s2)
-
-    def derivatives(self, xv):
-        """Value, slope and second derivative at ``xv``."""
-        c, s = self._at(xv, 9)
-        s2 = s * s
-        return (self._power_sum(c[:4], s, s2), self._power_sum(c[4:7], s, s2),
-                self._power_sum(c[7:], s, s2))
+        return tuple(self._power_sum(c[lo:hi], s, s2)
+                     for lo, hi in ((0, 4), (4, 7), (7, 9))[:order + 1])
 
 
 @dataclass
@@ -270,63 +239,38 @@ class LLCurve:
     def t_max(self) -> float:
         return float(self.nodes_t[-1])
 
-    def _split(self, t):
-        """t as a 1-d array, whether it was a scalar, and the masks of the
-        low tail, the table and the high tail; ValueError for a t < 0."""
+    def e(self, t):
+        return self.derivatives(t, 0)[0]
+
+    def derivatives(self, t, order: int):
+        """(e, e', e'')[:order + 1] at t from one table lookup.  Inside the
+        table e = exp(p(log t)), so e' = e p'/t and e'' = e (p'^2 + p'' -
+        p')/t^2; the low tail is linear and the high tail has e'' = -2
+        deficit t_max / t^3."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         if np.any(t < 0):
             raise ValueError("t must be nonnegative")
-        low = t < self.t_min
-        high = t > self.t_max
-        return t, scalar, low, ~(low | high), high
-
-    def e(self, t):
-        t, scalar, low, mid, high = self._split(t)
-        out = np.empty_like(t)
-        out[low] = 0.5 * t[low] * self._low_ratio
-        with np.errstate(divide="ignore"):
-            out[mid] = np.exp(self._interp(np.log(t[mid])))
-        out[high] = PI2_3 - self._high_deficit * (self.t_max / t[high])
-        return float(out[0]) if scalar else out
-
-    def e_and_de(self, t):
-        """(e(t), e'(t)) from one table lookup, with no e''; e equals
-        ``e(t)`` bit for bit."""
-        return self._lookup(t, False)
-
-    def e_derivatives(self, t):
-        """(e(t), e'(t), e''(t)) from one table lookup."""
-        return self._lookup(t, True)
-
-    def _lookup(self, t, second: bool):
-        """(e, e') at t, and e'' when ``second``.  Inside the table
-        e = exp(p(log t)), so e' = e p'/t and e'' = e (p'^2 + p'' - p')/t^2;
-        the low tail is linear and the high tail has e'' = -2 deficit
-        t_max / t^3."""
-        t, scalar, low, mid, high = self._split(t)
+        low, high = t < self.t_min, t > self.t_max
+        mid = ~(low | high)
+        tm, th = t[mid], t[high]
+        p = self._interp.derivatives(np.log(tm), order)
+        e_mid = np.exp(p[0])
         e = np.empty_like(t)
-        de = np.empty_like(t)
         e[low] = 0.5 * t[low] * self._low_ratio
-        de[low] = 0.5 * self._low_ratio
-        tm = t[mid]
-        with np.errstate(divide="ignore"):
-            x = np.log(tm)
-        if second:
-            p, dp, d2p = self._interp.derivatives(x)
-        else:
-            p, dp = self._interp.value_and_slope(x)
-        e_mid = np.exp(p)
         e[mid] = e_mid
-        de[mid] = e_mid * dp / tm
-        th = t[high]
         e[high] = PI2_3 - self._high_deficit * (self.t_max / th)
-        de[high] = self._high_deficit * self.t_max / th**2
-        out = (e, de)
-        if second:
+        out = (e,)
+        if order >= 1:
+            de = np.empty_like(t)
+            de[low] = 0.5 * self._low_ratio
+            de[mid] = e_mid * p[1] / tm
+            de[high] = self._high_deficit * self.t_max / th**2
+            out += (de,)
+        if order == 2:
             d2e = np.zeros_like(t)
-            d2e[mid] = e_mid * (dp * dp + d2p - dp) / tm**2
+            d2e[mid] = e_mid * (p[1] * p[1] + p[2] - p[1]) / tm**2
             d2e[high] = -2.0 * self._high_deficit * self.t_max / th**3
             out += (d2e,)
         if scalar:
@@ -338,7 +282,7 @@ class LLCurve:
         """log F at the table nodes: e = exp(p(log t)) gives
         F = (e/t^2) (3 - p')."""
         x = self._interp.x
-        _, dp = self._interp.value_and_slope(x)
+        _, dp = self._interp.derivatives(x, 1)
         return np.log(self.nodes_e) - 2.0 * x + np.log(3.0 - dp)
 
     def f_inverse(self, y):
@@ -455,6 +399,17 @@ def _newton_log(log_f, log_y, x, lo, hi):
                        f"log residual {float(np.max(np.abs(res))):.3e}")
 
 
+def table_error(curve: LLCurve, lams, m: int = _MESH) -> float:
+    """The largest |e_BA / e(2 gamma) - 1| over the kernel widths ``lams``:
+    one direct Fredholm solve on an (m + 1)-node mesh per width, against
+    the table ``curve`` at the t = 2 gamma that solve gives."""
+    err = 0.0
+    for lam in lams:
+        gamma, e_ba = solve_ba_density(lam, m)
+        err = max(err, abs(e_ba / curve.e(2.0 * gamma) - 1.0))
+    return err
+
+
 def build_ll_curve() -> LLCurve:
     """Sweep the kernel width, collect (t, e) samples, and resample onto the
     canonical log-spaced nodes.
@@ -476,16 +431,13 @@ def build_ll_curve() -> LLCurve:
     es = np.asarray(es)
     fine = Pchip(np.log(ts), np.log(es))
     nodes_t = np.geomspace(_T_MIN, _T_MAX, _N_NODES)
-    nodes_e = np.exp(fine(np.log(nodes_t)))
+    nodes_e = np.exp(fine.derivatives(np.log(nodes_t), 0)[0])
     curve = LLCurve(nodes_t, nodes_e)
 
     inside = np.flatnonzero((ts >= _T_MIN) & (ts <= _T_MAX))
     if len(inside):
-        curve.mesh_error = 0.0
-        for i in (inside[0], inside[len(inside) // 2], inside[-1]):
-            gamma2, e2 = solve_ba_density(lams[i], 2 * _MESH)
-            curve.mesh_error = max(curve.mesh_error,
-                                   abs(e2 / curve.e(2.0 * gamma2) - 1.0))
+        curve.mesh_error = table_error(
+            curve, lams[inside[[0, len(inside) // 2, -1]]], 2 * _MESH)
     return curve
 
 
@@ -728,7 +680,7 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve):
             dw = np.zeros_like(y)
             pos = y > 0
             yp = y[pos]
-            e, de = curve.e_and_de(_ll_argument(g, yp))
+            e, de = curve.derivatives(_ll_argument(g, yp), 1)
             w[pos] = yp**3 * e
             dw[pos] = 3.0 * yp ** 2 * e - g * yp * de
             return w, dw
@@ -737,7 +689,7 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve):
             out = np.zeros_like(y)
             pos = y > 0
             yp = y[pos]
-            e, de, d2e = curve.e_derivatives(_ll_argument(g, yp))
+            e, de, d2e = curve.derivatives(_ll_argument(g, yp), 2)
             out[pos] = 6.0 * yp * e - 4.0 * g * de + g * g * d2e / yp
             return out
     fp, res, disc = flows.minimize_nested(

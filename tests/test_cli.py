@@ -380,6 +380,23 @@ def test_bounds_sweep_of_another_parameter_is_config_error(tmp_path, capsys):
     assert run_cli("validate", str(cfg)) == 0
 
 
+def test_bounds_2d_sweep_is_config_error(tmp_path, capsys):
+    # the sweep runs Y at a = 1 in 3D: a 2D request gets no 3D rows
+    out = tmp_path / "sweep.csv"
+    assert run_cli("bounds", "--dim", "2", "--sweep", "Y=1e-9:1e-4:3",
+                   "--out", str(out)) == 2
+    assert "bounds.dim" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[bounds]\ndim = 2\nsweep = Y=1e-9:1e-4:3\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "bounds.dim: the Y sweep is 3D only, got dim = 2"]
+    # rho and a beside a 3D sweep stay accepted
+    cfg.write_text("[bounds]\ndim = 3\nrho = 1e-4\na = 0.5\nsweep = Y=1e-9:1e-4:3\n")
+    assert run_cli("validate", str(cfg)) == 0
+
+
 def test_ll_emit_curve_contract(tmp_path):
     out = tmp_path / "curve.csv"
     code = run_cli("ll", "--emit-curve", str(out))
@@ -873,6 +890,23 @@ def test_malformed_potential_file_is_config_error(tmp_path, capsys, text, where)
                    "--potential-file", str(path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(path) in err and where in err
+
+
+def test_tabulated_scatter_echoes_the_file_dimension_and_R0(tmp_path):
+    # the file's headers set the dimension and R0 of the solve, so the
+    # record echoes them; --dim and --R0 change nothing
+    pot = tmp_path / "pot2d.txt"
+    pot.write_text("# dimension=2\n# R0=1.5\n0 4\n0.75 4\n1.5 0\n")
+    records = []
+    for extra in ((), ("--dim", "3", "--R0", "7")):
+        out = tmp_path / "rec.json"
+        assert run_cli("scatter", "--kind", "tabulated", "--potential-file",
+                       str(pot), *extra, "--out", str(out)) == 0
+        records.append(json.loads(out.read_text()))
+    for record in records:
+        assert record["outputs"]["dimension"] == 2
+        assert record["inputs"]["dim"] == 2 and record["inputs"]["R0"] == 1.5
+    assert records[0]["outputs"] == records[1]["outputs"]
 
 
 def test_json_determinism_modulo_timestamp(tmp_path):

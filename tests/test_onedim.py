@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
-from bosegas import flows, onedim as od
+from bosegas import flows, onedim as od, verify
 
 
 def mirrored(prof):
@@ -33,7 +34,6 @@ def functional_value(kind, prof, L, g, s=2.0):
 
 def test_e_of_zero_is_zero(ll_curve):
     assert ll_curve.e(0.0) == 0.0
-    assert od.solve_ll_point(0.0) == 0.0
 
 
 def test_e_monotone_and_bounded(ll_curve):
@@ -87,7 +87,7 @@ def _reference_ba_density(lam, m=440):
 
 @pytest.mark.parametrize("lam", np.geomspace(1e-3, 1e5, 9).tolist())
 def test_half_mesh_solve_matches_reference(lam):
-    gamma, e_ba = od.solve_ba_density(lam)
+    gamma, e_ba = od.solve_ba_density(lam, od._MESH)
     gamma_ref, e_ref = _reference_ba_density(lam)
     assert abs(gamma / gamma_ref - 1.0) < 1e-12
     assert abs(e_ba / e_ref - 1.0) < 1e-12
@@ -108,6 +108,10 @@ _PINNED_NODES = [
     (160, "0x1.56cedd240dd53p+13", "0x1.a4cbd336b91a0p+1"),
     (199, "0x1.e848000000000p+19", "0x1.a519895de897ep+1"),
 ]
+# the default table's mesh_error with one BLAS thread.  The LU's rounding
+# moves with the thread count, and mesh_error = |e2/e - 1| ~ 1e-3 magnifies
+# it: two threads give 0x1.00e5f294bb800p-10, 2e-12 away
+_PINNED_MESH_ERROR = "0x1.00e5f294bdc00p-10"
 
 
 def test_default_table_pinned_nodes(ll_curve):
@@ -115,6 +119,7 @@ def test_default_table_pinned_nodes(ll_curve):
     for i, t_hex, e_hex in _PINNED_NODES:
         assert ll_curve.nodes_t[i] == float.fromhex(t_hex)
         assert abs(ll_curve.nodes_e[i] / float.fromhex(e_hex) - 1.0) < 1e-12
+    assert abs(ll_curve.mesh_error / float.fromhex(_PINNED_MESH_ERROR) - 1.0) < 1e-10
 
 
 def test_table_reports_mesh_error(ll_curve):
@@ -123,10 +128,38 @@ def test_table_reports_mesh_error(ll_curve):
     assert 0.0 < ll_curve.mesh_error < 1e-2
 
 
-def test_curve_against_direct_root_find(ll_curve):
-    for t in (3e-3, 0.37, 42.0):
-        direct = od.solve_ll_point(t)
-        assert abs(ll_curve.e(t) / direct - 1.0) < 1e-5
+def test_table_error_is_the_worst_direct_solve(ll_curve):
+    # one Fredholm solve per width, read against the table at t = 2 gamma
+    lams = verify._LL_DIRECT_WIDTHS
+    errors = []
+    for lam in lams:
+        gamma, e_ba = od.solve_ba_density(lam, od._MESH)
+        errors.append(abs(e_ba / ll_curve.e(2.0 * gamma) - 1.0))
+    assert od.table_error(ll_curve, lams) == max(errors) < 1e-5
+    assert od.table_error(ll_curve, lams[1:2]) == errors[1]
+    assert od.table_error(ll_curve, ()) == 0.0
+
+
+def test_direct_route_widths_fall_between_sweep_widths(monkeypatch):
+    # record the widths build_ll_curve sweeps, with a cheap stand-in for
+    # the Fredholm solve (gamma = lam, e rising to 1)
+    sweep = []
+
+    def record(lam, m):
+        if m == od._MESH:
+            sweep.append(lam)
+        return lam, lam / (1.0 + lam)
+    monkeypatch.setattr(od, "solve_ba_density", record)
+    od.build_ll_curve()
+    monkeypatch.undo()
+    log_sweep = np.log(sweep)
+    step = log_sweep[1] - log_sweep[0]
+    assert len(sweep) == od._SWEEP
+    np.testing.assert_allclose(np.diff(log_sweep), step, rtol=1e-9)
+    for lam in verify._LL_DIRECT_WIDTHS:
+        assert np.min(np.abs(math.log(lam) - log_sweep)) >= 0.25 * step
+        gamma, _ = od.solve_ba_density(lam, od._MESH)
+        assert od._T_MIN <= 2.0 * gamma <= od._T_MAX
 
 
 def test_composite_convexity(ll_curve):
@@ -139,7 +172,7 @@ def test_curve_derivative_consistency(ll_curve):
     for t in (1e-3, 0.2, 5.0, 2e3):
         h = 1e-5 * t
         fd = (ll_curve.e(t + h) - ll_curve.e(t - h)) / (2 * h)
-        assert abs(ll_curve.e_and_de(t)[1] - fd) < 1e-4 * max(abs(fd), 1e-12)
+        assert abs(ll_curve.derivatives(t, 1)[1] - fd) < 1e-4 * max(abs(fd), 1e-12)
 
 
 def test_curve_derivative_is_the_interpolant_derivative(ll_curve):
@@ -147,7 +180,7 @@ def test_curve_derivative_is_the_interpolant_derivative(ll_curve):
     lt = np.log(t)
     ref = PchipInterpolator(np.log(ll_curve.nodes_t), np.log(ll_curve.nodes_e))
     assert np.array_equal(ll_curve.e(t), np.exp(ref(lt)))
-    assert np.array_equal(ll_curve.e_and_de(t)[1], np.exp(ref(lt)) * ref.derivative()(lt) / t)
+    assert np.array_equal(ll_curve.derivatives(t, 1)[1], np.exp(ref(lt)) * ref.derivative()(lt) / t)
 
 
 def test_e_and_de_equals_e_and_de(ll_curve):
@@ -161,15 +194,15 @@ def test_e_and_de_equals_e_and_de(ll_curve):
     mid = ~(low | high)
     de = np.empty_like(t)
     de[low] = 0.5 * ll_curve._low_ratio
-    p, dp = ll_curve._interp.value_and_slope(np.log(t[mid]))
+    p, dp = ll_curve._interp.derivatives(np.log(t[mid]), 1)
     de[mid] = np.exp(p) * dp / t[mid]
     de[high] = ll_curve._high_deficit * t_max / t[high] ** 2
     assert low.sum() == 10 and high.sum() == 9
-    pair = ll_curve.e_and_de(t)
+    pair = ll_curve.derivatives(t, 1)
     assert np.array_equal(pair[0], ll_curve.e(t))
     assert np.array_equal(pair[1], de)
     for i in (0, 5, 12, len(t) - 1):
-        assert ll_curve.e_and_de(t[i]) == (ll_curve.e(t[i]), de[i])
+        assert ll_curve.derivatives(t[i], 1) == (ll_curve.e(t[i]), de[i])
 
 
 def test_e_and_de_is_the_first_two_of_e_derivatives(ll_curve):
@@ -180,14 +213,14 @@ def test_e_and_de_is_the_first_two_of_e_derivatives(ll_curve):
     t = np.concatenate(([0.0], np.geomspace(1e-3 * t_min, t_min, 7, endpoint=False),
                         ll_curve.nodes_t, np.geomspace(t_min, t_max, 53)[1:-1],
                         np.geomspace(t_max, 1e3 * t_max, 8)[1:], [1e15]))
-    pair = ll_curve.e_and_de(t)
-    triple = ll_curve.e_derivatives(t)
+    pair = ll_curve.derivatives(t, 1)
+    triple = ll_curve.derivatives(t, 2)
     assert len(pair) == 2
     for got, ref in zip(pair, triple[:2]):
         assert got.tobytes() == ref.tobytes()
     for ti in (0.0, 0.5 * t_min, t_min, 1.0, t_max, 2.0 * t_max):
-        assert ll_curve.e_and_de(ti) == ll_curve.e_derivatives(ti)[:2]
-        assert all(type(v) is float for v in ll_curve.e_and_de(ti))
+        assert ll_curve.derivatives(ti, 1) == ll_curve.derivatives(ti, 2)[:2]
+        assert all(type(v) is float for v in ll_curve.derivatives(ti, 1))
 
 
 def test_e_second_derivative(ll_curve):
@@ -199,13 +232,14 @@ def test_e_second_derivative(ll_curve):
     t = np.concatenate(([0.0], np.geomspace(1e-3 * t_min, t_min, 5, endpoint=False),
                         np.exp(0.5 * (x[:-1] + x[1:])),
                         np.geomspace(t_max, 1e3 * t_max, 6)[1:]))
-    d2e = ll_curve.e_derivatives(t)[2]
-    assert ll_curve.e_derivatives(t[10])[2] == d2e[10]
+    d2e = ll_curve.derivatives(t, 2)[2]
+    assert ll_curve.derivatives(t[10], 2)[2] == d2e[10]
     assert np.all(d2e[:6] == 0.0)
     assert np.array_equal(d2e[-5:], -2.0 * ll_curve._high_deficit * t_max
                           / t[-5:] ** 3)
     h = 1e-6 * t[1:]
-    fd = (ll_curve.e_and_de(t[1:] + h)[1] - ll_curve.e_and_de(t[1:] - h)[1]) / (2.0 * h)
+    fd = (ll_curve.derivatives(t[1:] + h, 1)[1]
+          - ll_curve.derivatives(t[1:] - h, 1)[1]) / (2.0 * h)
     np.testing.assert_allclose(d2e[1:], fd, rtol=1e-6, atol=1e-12 * np.abs(fd).max())
 
 
@@ -221,11 +255,11 @@ def _assert_pchip_matches_scipy(x, y, at):
     ours, ref = od.Pchip(x, y), PchipInterpolator(x, y)
     assert np.array_equal(ours.x, ref.x)
     assert np.array_equal(ours.c, ref.c)
-    assert np.array_equal(ours(at), ref(at))
-    value, slope = ours.value_and_slope(at)
+    assert np.array_equal(ours.derivatives(at, 0)[0], ref(at))
+    value, slope = ours.derivatives(at, 1)
     assert np.array_equal(value, ref(at))
     assert np.array_equal(slope, ref.derivative()(at))
-    value2, slope2, curvature = ours.derivatives(at)
+    value2, slope2, curvature = ours.derivatives(at, 2)
     assert np.array_equal(value2, value) and np.array_equal(slope2, slope)
     ref2 = ref.derivative(2)(at)
     np.testing.assert_allclose(curvature, ref2, rtol=1e-13,
@@ -263,7 +297,7 @@ def test_negative_t_rejected(ll_curve):
     with pytest.raises(ValueError):
         ll_curve.e(-1.0)
     with pytest.raises(ValueError, match="t must be nonnegative"):
-        ll_curve.e_and_de(-1.0)
+        ll_curve.derivatives(-1.0, 1)
 
 
 # --- transverse modes ---------------------------------------------------------
@@ -416,7 +450,7 @@ def _reference_ll_density(kind, mu, V, g, curve):
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         t = od._ll_argument(g, mid)
-        wprime = 3.0 * mid**2 * curve.e(t) - g * mid * curve.e_and_de(t)[1]
+        wprime = 3.0 * mid**2 * curve.e(t) - g * mid * curve.derivatives(t, 1)[1]
         high = wprime > target
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
@@ -425,12 +459,12 @@ def _reference_ll_density(kind, mu, V, g, curve):
 
 def _f_of_t(curve, t):
     """F(t) = 3 e/t^2 - e'/t, straight from e and e'."""
-    return 3.0 * curve.e(t) / t**2 - curve.e_and_de(t)[1] / t
+    return 3.0 * curve.e(t) / t**2 - curve.derivatives(t, 1)[1] / t
 
 
 def _sigma_of_t(curve, t):
     """d log F/d log t = t F'/F, with F' = 4 e'/t^2 - 6 e/t^3 - e''/t."""
-    e, de, d2e = curve.e_derivatives(t)
+    e, de, d2e = curve.derivatives(t, 2)
     return (4.0 * de / t - 6.0 * e / t**2 - d2e) / (3.0 * e / t**2 - de / t)
 
 
@@ -461,6 +495,16 @@ def _full_grid_route(normalization_root, kind, N, L, g, s=2.0,
     w = od._interaction_density(kind, rho, g, curve)
     return (float(np.trapezoid(V * rho + w, z)),
             float(np.trapezoid(rho**2, z) / N), mu)
+
+
+def test_normalization_root_doubles_the_bracket(normalization_root):
+    # mass(mu) = mu^2 reaches 9 first at hi = 4: brentq's root on [0, 4]
+    def mass(mu):
+        return max(mu, 0.0) ** 2
+    ref = brentq(lambda m: mass(m) - 9.0, 0.0, 4.0, xtol=1e-300, rtol=8.9e-16)
+    assert normalization_root(mass, 9.0) == ref
+    with pytest.raises(RuntimeError, match="bracket"):
+        normalization_root(lambda mu: 0.0, 1.0)
 
 
 def _solve_recorded(monkeypatch, kind, N, L, g, s=2.0):
@@ -585,10 +629,11 @@ def test_1d_solves_read_the_half_line(monkeypatch, ll_curve):
     # no 1D solve passes e(t) or F^-1 more than the 1024 nodes of the half
     # line, and the cascade of full builds the grids 256, 512 and 1024
     sizes, grids = {}, []
-    for name in ("e_and_de", "e_derivatives", "f_inverse"):
-        def wrapped(self, t, method=getattr(od.LLCurve, name), name=name):
-            sizes.setdefault(name, []).append(np.size(t))
-            return method(self, t)
+    # the e(t) lookups are recorded by derivative order: derivatives0 is e
+    for name in ("derivatives", "f_inverse"):
+        def wrapped(self, t, *order, method=getattr(od.LLCurve, name), name=name):
+            sizes.setdefault(name + "".join(map(str, order)), []).append(np.size(t))
+            return method(self, t, *order)
         monkeypatch.setattr(od.LLCurve, name, wrapped)
     build = flows.cell_problem
 
@@ -600,7 +645,7 @@ def test_1d_solves_read_the_half_line(monkeypatch, ll_curve):
         od.minimize_1d(kind, 30.0, 5.0, 0.5, 2.0)
         if kind == "full":
             assert grids == [256, 512, 1024]
-    assert sorted(sizes) == ["e_and_de", "e_derivatives", "f_inverse"]
+    assert sorted(sizes) == ["derivatives0", "derivatives1", "derivatives2", "f_inverse"]
     assert max(max(n) for n in sizes.values()) == 1024
 
 

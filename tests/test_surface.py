@@ -224,3 +224,31 @@ def unread_parameters(src: Path = SRC) -> list[str]:
 def test_every_parameter_is_read():
     unread = unread_parameters()
     assert not unread, f"parameters nothing reads: {', '.join(unread)}"
+
+
+# --- every import is read ----------------------------------------------------
+
+def unused_imports(src: Path = SRC) -> list[str]:
+    """``module:line name`` of every name that an import in ``src`` binds
+    (``from __future__`` aside) and its module never reads; an import
+    nothing reads costs start-up time and keeps dead code alive."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.stem}.py:{node.lineno} {name}" for name in names
+                       if name not in read]
+    return unused
+
+
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert not unused, f"imports nothing reads: {', '.join(unused)}"
