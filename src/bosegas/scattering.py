@@ -11,7 +11,10 @@ k = sqrt(v / 2 mu) and e^{kh} kept as a log scale; elsewhere it is one
 classical Runge-Kutta step (4th order, global error O(h^4)).  All step
 matrices are built with array operations and combined by a log-depth
 prefix product whose entries are rescaled above 1e100, so the path never
-overflows; a 2x refinement is reported alongside every solve.
+overflows.  Every solve also reports ``a`` on a 2x refined grid; that
+check needs only the state at R0, so it takes the total product of the
+step matrices alone, a pairwise tree grouped like the prefix product's
+last column (bit for bit the same), with no path and no exterior grid.
 
 Outside the range R0 the solution follows in closed form from its state
 (u, u') at R0.  In 3D it is linear, u(r) = u'(R0) (r - a), which defines
@@ -25,7 +28,8 @@ psi(R0) + R0 psi'(R0) ln(r/R0) outside, proportional to ln(r/a) with
     a = R0 exp(-psi(R0) / (R0 psi'(R0))).
 
 The kinetic fraction s and the energy identity read the same interior
-integrals, Simpson on the interior nodes; outside R0, psi0 = 1 - a/r is
+integrals (K, P), Simpson on the interior nodes, taken once per solve and
+stored on the solution; outside R0, psi0 = 1 - a/r is
 exact, so the exterior enters both in closed form and the identity's
 residual does not depend on the radius R it is checked at.
 
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -51,15 +56,18 @@ _RMAX_FACTOR = 8.0    # the grid extends to _RMAX_FACTOR * R0
 _UNIT_A_TOL = 1e-6    # largest |a - 1| scale_potential accepts of its input
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialPotential:
     """Nonnegative, finite-range, spherically symmetric pair potential.
 
     kind        one of 'hard_core', 'soft_sphere', 'tabulated'
     core_radius range R0 of the potential (core radius for hard cores)
     height      barrier height v0, soft spheres only
-    samples     (r, v(r)) pairs with strictly increasing r, tabulated only
+    samples     (r, v(r)) pairs with strictly increasing r, as pairs or an
+                (n, 2) array, tabulated only
     dimension   2 or 3
+
+    Potentials compare by identity, since ``samples`` may be an array.
     """
 
     kind: str
@@ -80,10 +88,10 @@ class RadialPotential:
         if not 0.0 <= self.height < math.inf:
             raise ValueError("height must be finite and nonnegative")
         if self.kind == _TABULATED:
-            rs = np.asarray([p[0] for p in self.samples], dtype=float)
-            vs = np.asarray([p[1] for p in self.samples], dtype=float)
-            if len(rs) < 2:
+            pts = np.asarray(self.samples, dtype=float)
+            if len(pts) < 2:
                 raise ValueError("tabulated potential needs at least 2 samples")
+            rs, vs = np.ascontiguousarray(pts.T)
             if not (rs[0] >= 0 and np.isfinite(rs).all() and np.all(np.diff(rs) > 0)):
                 raise ValueError("tabulated r must be finite, >= 0 and strictly increasing")
             if not np.all((vs >= 0) & (vs < math.inf)):
@@ -112,12 +120,6 @@ def soft_sphere(radius: float, height: float, dimension: int = 3) -> RadialPoten
     return RadialPotential(_SOFT_SPHERE, radius, height=height, dimension=dimension)
 
 
-def tabulated(samples, dimension: int = 3) -> RadialPotential:
-    samples = tuple((float(r), float(v)) for r, v in samples)
-    return RadialPotential(_TABULATED, samples[-1][0] if samples else 0.0, samples=samples,
-                           dimension=dimension)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Radial grid: n points out to _RMAX_FACTOR * R0."""
@@ -138,7 +140,8 @@ class ScatteringSolution:
     length, ``s`` the kinetic fraction int |grad psi0|^2 / (4 pi a), in
     (0, 1] (3D with a > 0 only, else None), ``mu`` the kinetic coefficient
     hbar^2/2m, ``a_refined`` the value from a 2x finer grid (Richardson
-    check).
+    check), ``integrals`` the interior (K, P) that ``s`` and
+    ``energy_identity_residual`` read (with ``s``, else None).
     """
 
     grid: np.ndarray
@@ -150,6 +153,7 @@ class ScatteringSolution:
     core_radius: float
     du: np.ndarray = field(default=None, repr=False)
     a_refined: float = field(default=float("nan"))
+    integrals: tuple | None = field(default=None, repr=False)
 
     def export_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -217,25 +221,73 @@ def _interior_steps(v: RadialPotential, mu: float, grid: np.ndarray):
     return _rk4_steps(h, nodes, q, v.dimension == 2), np.zeros_like(h)
 
 
+def _times(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """The products later @ earlier of two rows of 2x2 matrices, each held
+    as a column (a, b, c, d): entry (i, j) is L_i0 E_0j + L_i1 E_1j."""
+    L, E = later.reshape(2, 2, 1, -1), earlier.reshape(1, 2, 2, -1)
+    return (L[:, 0] * E[:, 0] + L[:, 1] * E[:, 1]).reshape(4, -1)
+
+
+def _rescale(P: np.ndarray):
+    """Divide each matrix whose largest entry exceeds _BIG by that entry,
+    in place; returns the logs of the divisors (0.0 when none does)."""
+    top = np.abs(P).max(axis=0)
+    if top.max() <= _BIG:
+        return 0.0
+    top[top <= _BIG] = 1.0
+    P /= top
+    return np.log(top)
+
+
 def _prefix_products(P: np.ndarray, s: np.ndarray) -> None:
     """Replace the step matrices by their prefix products P_i ... P_0, in
     place, by a Hillis-Steele scan (log2 n levels of array operations).
 
-    Each product is e^s [[a, b], [c, d]]; one whose largest entry exceeds
-    _BIG is divided by that entry and its log added to s, so no entry
-    overflows.
+    Each product is e^s [[a, b], [c, d]], rescaled after every level so
+    that no entry overflows.
     """
     k = 1
     while k < P.shape[1]:
-        (a1, b1, c1, d1), (a0, b0, c0, d0) = P[:, k:], P[:, :-k]
-        P[:, k:] = (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
-                    c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
+        P[:, k:] = _times(P[:, k:], P[:, :-k])
         s[k:] = s[k:] + s[:-k]
-        top = np.abs(P).max(axis=0)
-        top[top <= _BIG] = 1.0
-        P /= top
-        s += np.log(top)
+        s += _rescale(P)
         k *= 2
+
+
+def _total_product(P: np.ndarray, s: np.ndarray):
+    """The full product P_{n-1} ... P_0 as one column (P, s): the last
+    column of ``_prefix_products``, bit for bit, at n - 1 matrix products
+    instead of ~n log2 n.
+
+    At each level the scan's last column combines the entries at indices
+    n-1, n-1-k, n-1-2k, ... pairwise from the right, so a pairwise tree
+    grouped from the right end, with the same rescaling after each level,
+    forms the same products in the same order.
+    """
+    while P.shape[1] > 1:
+        o = P.shape[1] % 2                  # an odd count leaves the first alone
+        P = np.concatenate((P[:, :o], _times(P[:, o + 1::2], P[:, o::2])), axis=1)
+        s = np.concatenate((s[:o], s[o + 1::2] + s[o::2]))
+        s += _rescale(P)
+    return P, s
+
+
+def _path(P: np.ndarray, s: np.ndarray, u0: float, w0: float):
+    """The states (u, u') that the products (P, s) take (u0, w0) to,
+    behind the start state itself.
+
+    The path keeps the start normalization unless an entry would exceed
+    _BIG; then the whole path is divided by its largest entry.  A path
+    that cancels to zero under a huge log scale comes out NaN at R0,
+    where the caller checks it.
+    """
+    u = np.concatenate(([u0], P[0] * u0 + P[1] * w0))
+    w = np.concatenate(([w0], P[2] * u0 + P[3] * w0))
+    s = np.concatenate(([0.0], s))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        top = np.max(s + np.log(np.maximum(np.abs(u), np.abs(w))))
+        scale = np.exp(s - (top if top > math.log(_BIG) else 0.0))
+        return u * scale, w * scale
 
 
 def _propagate(v: RadialPotential, mu: float, grid: np.ndarray, u0: float,
@@ -246,63 +298,81 @@ def _propagate(v: RadialPotential, mu: float, grid: np.ndarray, u0: float,
     The equation is u'' = v u / (2 mu) in 3D (u = r psi) and
     psi'' = v psi / (2 mu) - psi' / r in 2D.  It is linear, so the path is
     the prefix products of the step matrices applied to the start state.
-    It keeps the start normalization unless an entry would exceed _BIG;
-    then the whole path is divided by its largest entry.  A path that
-    cancels to zero under a huge log scale comes out NaN at R0, where the
-    caller checks it.
     """
-    P, x = _interior_steps(v, mu, grid)
-    s = np.concatenate(([0.0], x))
-    _prefix_products(P, s[1:])
-    u = np.concatenate(([u0], P[0] * u0 + P[1] * w0))
-    w = np.concatenate(([w0], P[2] * u0 + P[3] * w0))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        top = np.max(s + np.log(np.maximum(np.abs(u), np.abs(w))))
-        scale = np.exp(s - (top if top > math.log(_BIG) else 0.0))
-        return u * scale, w * scale
+    P, s = _interior_steps(v, mu, grid)
+    _prefix_products(P, s)
+    return _path(P, s, u0, w0)
 
 
-def _solve(v: RadialPotential, mu: float, n: int, rmax: float):
-    """(grid, u, u', a) on an n-point grid; u is r psi in 3D and psi in 2D.
+def _interior(v: RadialPotential, mu: float, n: int, rmax: float):
+    """The interior grid [start, R0] of an n-point solve and the start state
+    (u0, w0) on it; u is r psi in 3D and psi in 2D.
 
-    The interior [start, R0] has n_in + 1 uniform nodes and is propagated;
-    the n_out nodes on (R0, rmax] continue the state at R0 in closed form.
-    A hard core has an empty interior and n nodes on [R0, rmax].
+    The interior has n_in + 1 uniform nodes, n_in the share of n that
+    [start, R0] has of [start, rmax]; a hard core has the single node R0.
     """
-    r0, two_d = v.core_radius, v.dimension == 2
+    r0 = v.core_radius
     if v.kind == _HARD_CORE:
         start, u0, w0 = r0, 0.0, 1.0
-    elif two_d:
+    elif v.dimension == 2:
         # regular series psi = 1 + c r^2 / 4 at the first node
         start = rmax / (10.0 * n)
         c = float(v(start)) / (2.0 * mu)
         u0, w0 = 1.0 + 0.25 * c * start**2, 0.5 * c * start
     else:
         start, u0, w0 = 0.0, 0.0, 1.0
-    if r0 > start:
-        n_in = max(32, int(round(n * ((r0 - start) / (rmax - start)))))
-        inner = np.linspace(start, r0, n_in + 1)
-        outer = np.linspace(r0, rmax, max(32, n - n_in) + 1)[1:]
-    else:
-        inner, outer = np.array([r0]), np.linspace(r0, rmax, n)[1:]
+    if r0 <= start:
+        return np.array([r0]), u0, w0
+    n_in = max(32, int(round(n * ((r0 - start) / (rmax - start)))))
+    return np.linspace(start, r0, n_in + 1), u0, w0
 
-    u, w = _propagate(v, mu, inner, u0, w0)
-    uR, wR = float(u[-1]), float(w[-1])
+
+def _scattering_length(v: RadialPotential, uR: float, wR: float) -> float:
+    """``a`` from the state (u, u') at R0: R0 - u/u' in 3D and
+    R0 exp(-psi / (R0 psi')) in 2D."""
+    r0 = v.core_radius
     if not (math.isfinite(uR) and math.isfinite(wR)):
         raise ValueError("interior solution is not finite at R0")
-    if two_d:
+    if v.dimension == 2:
         slope = r0 * wR                 # psi = uR + slope ln(r / R0) outside
         if slope <= 0:                  # v = 0 leaves psi' = 0 exactly
             raise ValueError("no logarithmic asymptote")
-        a = r0 * math.exp(-uR / slope)
+        return r0 * math.exp(-uR / slope)
+    if wR == 0.0:
+        raise ValueError("degenerate exterior solution")
+    return r0 - uR / wR                 # u = wR (r - a) outside
+
+
+def _solve(v: RadialPotential, mu: float, n: int, rmax: float):
+    """(grid, u, u', a) on an n-point grid.
+
+    The interior is propagated along its path (``_prefix_products``); the
+    nodes on (R0, rmax] continue the state at R0 in closed form, n_out =
+    max(32, n - n_in) of them, or n - 1 after an empty interior.
+    """
+    inner, u0, w0 = _interior(v, mu, n, rmax)
+    u, w = _propagate(v, mu, inner, u0, w0)
+    uR, wR = float(u[-1]), float(w[-1])
+    a = _scattering_length(v, uR, wR)
+    r0, n_in = v.core_radius, len(inner) - 1
+    outer = np.linspace(r0, rmax, (max(32, n - n_in) if n_in else n - 1) + 1)[1:]
+    if v.dimension == 2:
+        slope = r0 * wR
         u_out, w_out = uR + slope * np.log(outer / r0), slope / outer
     else:
-        if wR == 0.0:
-            raise ValueError("degenerate exterior solution")
-        a = r0 - uR / wR                # u = wR (r - a) outside
         u_out, w_out = uR + wR * (outer - r0), np.full_like(outer, wR)
     return (np.concatenate((inner, outer)), np.concatenate((u, u_out)),
             np.concatenate((w, w_out)), a)
+
+
+def _refined_a(v: RadialPotential, mu: float, n: int, rmax: float) -> float:
+    """``a`` on an n-point grid from the total product of its steps alone:
+    no path and no exterior grid.  It is the ``a`` of ``_solve`` bit for
+    bit unless the path exceeds _BIG at a node before R0 by more than at
+    R0; u and u' grow along every 3D interior and inside 2D soft discs."""
+    inner, u0, w0 = _interior(v, mu, n, rmax)
+    u, w = _path(*_total_product(*_interior_steps(v, mu, inner)), u0, w0)
+    return _scattering_length(v, float(u[-1]), float(w[-1]))
 
 
 def solve_zero_energy(v: RadialPotential, mu: float = 1.0,
@@ -313,8 +383,8 @@ def solve_zero_energy(v: RadialPotential, mu: float = 1.0,
     u(R0) = 0, u'(R0) = 1 for a hard core, with no step) and reads ``a``
     from its state at R0: a = R0 - u/u' in 3D, and
     a = R0 exp(-psi/(R0 psi')) in 2D.  Outside R0 the profile is the closed
-    form through that state.  The solve is repeated on a 2x refined grid;
-    the refined value is stored in ``a_refined``.
+    form through that state.  ``a_refined`` is ``a`` on a 2x refined grid,
+    read from the total product of its steps.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -322,12 +392,14 @@ def solve_zero_energy(v: RadialPotential, mu: float = 1.0,
     rmax = _RMAX_FACTOR * r_ref
 
     grid, u, du, a = _solve(v, mu, grid_spec.n, rmax)
-    a2 = _solve(v, mu, 2 * grid_spec.n, rmax)[3]
-    # s = int |grad psi0|^2 / (4 pi a) = (K + a^2/R0) / a: psi0' = a/r^2 outside
-    s = ((_interior_integrals(grid, u, du, v, mu)[0] + a**2 / v.core_radius) / a
-         if v.dimension == 3 and a > 0 else None)
+    a2 = _refined_a(v, mu, 2 * grid_spec.n, rmax)
+    s = integrals = None
+    if v.dimension == 3 and a > 0:
+        integrals = _interior_integrals(grid, u, du, v, mu)
+        # s = int |grad psi0|^2 / (4 pi a) = (K + a^2/R0) / a: psi0' = a/r^2 outside
+        s = (integrals[0] + a**2 / v.core_radius) / a
     return ScatteringSolution(grid, u, a, s, mu, v.dimension, v.core_radius,
-                              du=du, a_refined=a2)
+                              du=du, a_refined=a2, integrals=integrals)
 
 
 def _interior_integrals(grid, u, du, v: RadialPotential, mu: float):
@@ -348,20 +420,22 @@ def energy_identity_residual(sol: ScatteringSolution, v: RadialPotential,
                              R: float) -> dict:
     """Check int_{|x|<=R} {2 mu |grad psi0|^2 + v psi0^2} = 8 pi mu a (1 - a/R).
 
-    lhs = 8 pi mu (K + P + a^2 (1/R0 - 1/R)): Simpson inside R0
-    (``_interior_integrals``), exact outside, where psi0 = 1 - a/r.  Returns
-    lhs, rhs, R and the residual |lhs - rhs| / (8 pi mu a), which has no R
-    in it: it is |s_K - s_P|, the gap between the routes s_K = K/a + a/R0
-    and s_P = 1 - P/a to ``s``.
+    lhs = 8 pi mu (K + P + a^2 (1/R0 - 1/R)): the solution's interior
+    (K, P), exact outside, where psi0 = 1 - a/r.  ``v`` must be the solved
+    potential's dimension and range.  Returns lhs, rhs, R and the residual
+    |lhs - rhs| / (8 pi mu a), which has no R in it: it is |s_K - s_P|, the
+    gap between the routes s_K = K/a + a/R0 and s_P = 1 - P/a to ``s``.
     """
     if sol.dimension != 3:
         raise ValueError("identity check is 3D only")
+    if (v.dimension, v.core_radius) != (sol.dimension, sol.core_radius):
+        raise ValueError("potential is not the one the solution solved")
     if R < v.core_radius:
         raise ValueError("R must be at least the core radius")
-    if sol.a <= 0:
+    if sol.integrals is None:
         raise ValueError("identity check requires a > 0")
     mu, a, r0 = sol.mu, sol.a, v.core_radius
-    K, P = _interior_integrals(sol.grid, sol.u, sol.du, v, mu)
+    K, P = sol.integrals
     lhs = 8.0 * np.pi * mu * (K + P + a**2 * (1.0 / r0 - 1.0 / R))
     rhs = 8.0 * np.pi * mu * a * (1.0 - a / R)
     return {"lhs": float(lhs), "rhs": float(rhs), "R": float(R),
@@ -388,30 +462,62 @@ def scale_potential(v: RadialPotential, a_target: float) -> RadialPotential:
 
 # --- file interface -----------------------------------------------------
 
+_HEADERS = {"dimension": int, "R0": float}
+
+
+def _check_rows(path, stop=None) -> None:
+    """Raise ValueError naming the first data line (before line ``stop``)
+    of a potential file that is not two finite numbers."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if lineno == stop:
+                return
+            line = line.strip()
+            if line and not line.startswith("#"):
+                try:
+                    r, vv = map(float, line.replace(",", " ").split())
+                    if not (math.isfinite(r) and math.isfinite(vv)):
+                        raise ValueError("r and v must be finite")
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+
+
 def load_potential(path) -> RadialPotential:
     """Two-column text file (r, v) with '# dimension=' and '# R0=' headers;
-    a malformed one raises ValueError, naming the line where one is at
-    fault."""
+    a malformed one raises ValueError, naming the first line at fault.
+
+    One pass over the lines sorts the headers from the data rows, and one
+    conversion streams every token through ``float`` into the array; only
+    when that fails is the file read again to name the bad line.
+    """
     headers, rows = {}, []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            try:
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    if key in ("dimension", "R0"):
-                        headers[key] = (int if key == "dimension" else float)(value)
-                elif line:
-                    r, vv = map(float, line.replace(",", " ").split())
-                    if not (math.isfinite(r) and math.isfinite(vv)):
-                        raise ValueError("r and v must be finite")
-                    rows.append((r, vv))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                if key in _HEADERS:
+                    try:
+                        headers[key] = _HEADERS[key](value)
+                    except ValueError as exc:
+                        _check_rows(path, lineno)
+                        raise ValueError(f"line {lineno}: {exc}") from None
+            elif line:
+                rows.append(line.replace(",", " "))
+    try:
+        if set(map(len, map(str.split, rows))) - {2}:
+            raise ValueError("a data row is not two numbers")
+        pts = np.fromiter(map(float, chain.from_iterable(map(str.split, rows))),
+                          float, 2 * len(rows)).reshape(-1, 2)
+        if not np.isfinite(pts).all():
+            raise ValueError("r and v must be finite")
+    except ValueError:
+        _check_rows(path)
+        raise
     if len(headers) < 2:
         raise ValueError("potential file must carry '# dimension=' and '# R0=' headers")
-    pot = tabulated(rows, dimension=headers["dimension"])
-    if not math.isclose(pot.core_radius, headers["R0"], rel_tol=1e-9, abs_tol=1e-9):
-        pot = RadialPotential(_TABULATED, headers["R0"], samples=pot.samples,
-                              dimension=pot.dimension)
-    return pot
+    r_last = float(pts[-1, 0]) if len(pts) else 0.0
+    R0 = headers["R0"]
+    if math.isclose(r_last, R0, rel_tol=1e-9, abs_tol=1e-9):
+        R0 = r_last
+    return RadialPotential(_TABULATED, R0, samples=pts, dimension=headers["dimension"])

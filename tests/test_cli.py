@@ -873,6 +873,10 @@ def test_exit_codes(tmp_path):
     pytest.param("# dimension=three\n# R0=1\n0 5\n1 0\n", "line 1", id="bad-dimension"),
     pytest.param("# dimension=3\n# R0=1\n0 nan\n1 0\n", "line 3", id="nan-v"),
     pytest.param("# dimension=3\n# R0=1\n0 5\ninf 0\n", "line 4", id="inf-r"),
+    pytest.param("# dimension=3\n# R0=1\n0 5 # note\n1 0\n", "line 3",
+                 id="trailing-comment"),
+    pytest.param("# dimension=3\n# R0=1\n0 5\n0.5 4\n1 0\n1.5 0 0\n", "line 6",
+                 id="three-columns-after-block"),
     pytest.param("# dimension=4\n# R0=1\n0 5\n1 0\n", "dimension must be 2 or 3",
                  id="dimension-4"),
     pytest.param("# dimension=3\n# R0=inf\n0 5\n1 0\n", "must be finite", id="inf-R0"),

@@ -7,6 +7,13 @@ from bosegas import scattering as sc
 from bosegas.quadrature import simpson
 
 
+def tabulated(samples, dimension=3):
+    """A tabulated potential from (r, v) pairs, with range the last r."""
+    samples = tuple((float(r), float(v)) for r, v in samples)
+    return sc.RadialPotential("tabulated", samples[-1][0] if samples else 0.0,
+                              samples=samples, dimension=dimension)
+
+
 def soft_sphere_a_exact(R0, v0, mu):
     # piecewise solution: u = sinh(kappa r) inside, r - a outside
     kappa = math.sqrt(v0 / (2.0 * mu))
@@ -53,24 +60,62 @@ _KINKED = [(0.0, 5.0), (0.4, 3.0), (1.0, 0.0)]
 
 @pytest.mark.parametrize("v", [sc.soft_sphere(1.0, 9.0, dimension=2),
                                sc.hard_core(1.0, dimension=2),
-                               sc.tabulated(_KINKED, dimension=2),
-                               sc.tabulated(_KINKED, dimension=3)],
+                               tabulated(_KINKED, dimension=2),
+                               tabulated(_KINKED, dimension=3)],
                          ids=["soft_disc", "hard_disc", "tabulated_2d",
                               "tabulated_3d"])
 def test_propagator_matches_scalar_rk4_reference(v, monkeypatch):
     sol = sc.solve_zero_energy(v)
     monkeypatch.setattr(sc, "_propagate", _reference_interior)
     ref = sc.solve_zero_energy(v)
+    # a_refined comes from the total product alone; the reference walks the
+    # 2x grid's path
+    ref2 = sc.solve_zero_energy(v, grid_spec=sc.GridSpec(2 * sc.GridSpec().n))
     # in 3D a = R0 - u/u' cancels digits, so the propagated u/u' ~ R0 sets
     # the scale
     scale = sol.core_radius if v.dimension == 3 else abs(ref.a)
     assert abs(sol.a - ref.a) <= 1e-12 * scale
-    assert abs(sol.a_refined - ref.a_refined) <= 1e-12 * scale
+    assert abs(sol.a_refined - ref2.a) <= 1e-12 * scale
     np.testing.assert_array_equal(sol.grid, ref.grid)
     for got, want in ((sol.u, ref.u), (sol.du, ref.du)):
         finite = np.isfinite(want)
         np.testing.assert_allclose(got[finite] / sol.du[-1],
                                    want[finite] / ref.du[-1], rtol=1e-10)
+
+
+_PRODUCT_CASES = [sc.soft_sphere(1.0, 9.0), sc.soft_sphere(1.0, 1e8),
+                  sc.soft_sphere(1.0, 1e16), sc.soft_sphere(1.3, 25.0, dimension=2),
+                  sc.soft_sphere(1.0, 1e6, dimension=2),
+                  sc.soft_sphere(1.0, 1e8, dimension=2),
+                  tabulated(_KINKED, dimension=2), tabulated(_KINKED, dimension=3)]
+_PRODUCT_IDS = ["soft_3d", "stiff_3d_1e8", "stiff_3d_1e16", "soft_disc",
+                "stiff_disc_1e6", "stiff_disc_1e8", "tabulated_2d", "tabulated_3d"]
+
+
+@pytest.mark.parametrize("v", _PRODUCT_CASES, ids=_PRODUCT_IDS)
+@pytest.mark.parametrize("n,steps", [(4096, 512), (8192, 1024), (8000, 1000),
+                                     (8200, 1025)])
+def test_total_product_is_the_scans_last_column(v, n, steps):
+    inner, _, _ = sc._interior(v, 1.0, n, sc._RMAX_FACTOR * v.core_radius)
+    P, s = sc._interior_steps(v, 1.0, inner)
+    assert P.shape == (4, steps)
+    total, log_scale = sc._total_product(P.copy(), s.copy())
+    sc._prefix_products(P, s)
+    assert total.shape == (4, 1) and log_scale.shape == (1,)
+    assert total[:, 0].tobytes() == P[:, -1].tobytes()
+    assert log_scale[0].tobytes() == s[-1].tobytes()
+    # the log scale at work: 3D exact steps start it at kappa h; RK4 steps
+    # start it at 0, so in 2D only the _BIG rescaling can have raised it
+    if v.height >= 1e6:
+        assert log_scale[0] > math.log(sc._BIG)
+
+
+@pytest.mark.parametrize("v", _PRODUCT_CASES, ids=_PRODUCT_IDS)
+@pytest.mark.parametrize("n", [4096, 4100])
+def test_refined_a_is_the_refined_path_a(v, n):
+    sol = sc.solve_zero_energy(v, grid_spec=sc.GridSpec(n))
+    path_a = sc._solve(v, 1.0, 2 * n, sc._RMAX_FACTOR * v.core_radius)[3]
+    assert float(sol.a_refined).hex() == float(path_a).hex()
 
 
 @pytest.mark.parametrize("v0", [1.0, 9.0, 1e4, 1e8, 1e12, 1e16])
@@ -137,7 +182,7 @@ def test_soft_sphere_matches_closed_form(v0, mu):
 
 def test_grid_round_trip_refinement():
     for v in (sc.soft_sphere(1.0, 9.0),
-              sc.tabulated([(0.0, 5.0), (0.5, 3.0), (1.0, 0.0)])):
+              tabulated([(0.0, 5.0), (0.5, 3.0), (1.0, 0.0)])):
         sol = sc.solve_zero_energy(v)
         assert abs(sol.a - sol.a_refined) / abs(sol.a) < 1e-6
 
@@ -177,9 +222,10 @@ def test_energy_identity_hard_core_value():
 
 @pytest.mark.parametrize("R_over_R0", [2.0, 4.0, 8.0])
 def test_energy_identity_residual_corpus(R_over_R0):
-    for v in (sc.hard_core(1.0), sc.soft_sphere(1.0, 25.0),
-              sc.tabulated([(0.0, 12.0), (0.3, 8.0), (0.7, 2.0), (1.0, 0.0)])):
-        sol = sc.solve_zero_energy(v)
+    for v, mu in ((sc.hard_core(1.0), 1.0), (sc.soft_sphere(1.0, 25.0), 1.0),
+                  (sc.soft_sphere(1.0, 25.0), 0.5),
+                  (tabulated([(0.0, 12.0), (0.3, 8.0), (0.7, 2.0), (1.0, 0.0)]), 1.0)):
+        sol = sc.solve_zero_energy(v, mu)
         R = R_over_R0 * v.core_radius
         res = sc.energy_identity_residual(sol, v, R)
         assert res["residual"] < 1e-5
@@ -188,14 +234,28 @@ def test_energy_identity_residual_corpus(R_over_R0):
         for f in (1.0, 2.0, 4.0, 8.0):
             other = sc.energy_identity_residual(sol, v, f * v.core_radius)
             assert other["residual"] == res["residual"]
-        # s and the identity read the same interior integrals; the residual
-        # is the gap between the kinetic and the potential route to s
+        # s and the identity read the same interior integrals, taken once
+        # by the solve; the residual is the gap between the kinetic and the
+        # potential route to s
         K, P = sc._interior_integrals(sol.grid, sol.u, sol.du, v, sol.mu)
+        assert [float(x).hex() for x in (K, P)] == [float(x).hex() for x in sol.integrals]
         a, R0 = sol.a, v.core_radius
         assert sol.s == pytest.approx(K / a + a / R0, rel=1e-14)
         assert res["residual"] == pytest.approx(abs(sol.s - (1.0 - P / a)), abs=1e-14)
         if v.kind == "hard_core":
             assert res["residual"] == 0.0
+
+
+def test_energy_identity_rejects_another_potential():
+    v = sc.soft_sphere(1.0, 25.0)
+    sol = sc.solve_zero_energy(v)
+    for other in (sc.soft_sphere(1.0, 25.0, dimension=2), sc.soft_sphere(1.5, 25.0)):
+        with pytest.raises(ValueError, match="not the one the solution solved"):
+            sc.energy_identity_residual(sol, other, 2.0)
+    # a 2D solution is rejected as before, whatever the potential
+    sol2 = sc.solve_zero_energy(sc.soft_sphere(1.0, 25.0, dimension=2))
+    with pytest.raises(ValueError, match="3D only"):
+        sc.energy_identity_residual(sol2, v, 2.0)
 
 
 def test_s_parameter_hard_core_is_one():
@@ -221,7 +281,7 @@ def test_s_parameter_bounded_over_random_corpus(rng):
         rs[-1] = 1.0
         vs = rng.uniform(0.0, 30.0, n_pts)
         vs[-1] = 0.0
-        v = sc.tabulated(list(zip(rs, vs)))
+        v = tabulated(list(zip(rs, vs)))
         sol = sc.solve_zero_energy(v)
         if sol.a > 1e-6:
             assert 0.0 < sol.s <= 1.0 + 1e-9
@@ -249,7 +309,7 @@ def test_2d_soft_disc_refinement_and_positivity():
 def test_2d_zero_potential_rejected():
     for v in (sc.soft_sphere(1.0, 0.0, dimension=2),
               sc.hard_core(0.0, dimension=2),
-              sc.tabulated([(0.0, 0.0), (1.0, 0.0)], dimension=2)):
+              tabulated([(0.0, 0.0), (1.0, 0.0)], dimension=2)):
         with pytest.raises(ValueError, match="no logarithmic asymptote"):
             sc.solve_zero_energy(v)
 
@@ -284,9 +344,9 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         sc.soft_sphere(1.0, -2.0)
     with pytest.raises(ValueError):
-        sc.tabulated([(0.5, 1.0), (0.2, 1.0)])
+        tabulated([(0.5, 1.0), (0.2, 1.0)])
     with pytest.raises(ValueError):
-        sc.tabulated([(0.0, 1.0), (0.5, -1.0)])
+        tabulated([(0.0, 1.0), (0.5, -1.0)])
     with pytest.raises(ValueError, match="n >= 16"):
         sc.GridSpec(n=8)
     sol = sc.solve_zero_energy(sc.hard_core(1.0))
@@ -300,10 +360,10 @@ def test_invalid_inputs():
     pytest.param(lambda: sc.soft_sphere(math.nan, 1.0), id="soft-nan-radius"),
     pytest.param(lambda: sc.hard_core(math.nan), id="hard-nan"),
     pytest.param(lambda: sc.hard_core(math.inf), id="hard-inf"),
-    pytest.param(lambda: sc.tabulated([(0.0, math.nan), (1.0, 0.0)]), id="tab-nan-v"),
-    pytest.param(lambda: sc.tabulated([(0.0, math.inf), (1.0, 0.0)]), id="tab-inf-v"),
-    pytest.param(lambda: sc.tabulated([(math.nan, 1.0), (1.0, 0.0)]), id="tab-nan-r"),
-    pytest.param(lambda: sc.tabulated([(0.0, 1.0), (math.inf, 0.0)]), id="tab-inf-r"),
+    pytest.param(lambda: tabulated([(0.0, math.nan), (1.0, 0.0)]), id="tab-nan-v"),
+    pytest.param(lambda: tabulated([(0.0, math.inf), (1.0, 0.0)]), id="tab-inf-v"),
+    pytest.param(lambda: tabulated([(math.nan, 1.0), (1.0, 0.0)]), id="tab-nan-r"),
+    pytest.param(lambda: tabulated([(0.0, 1.0), (math.inf, 0.0)]), id="tab-inf-r"),
     pytest.param(lambda: sc.RadialPotential("tabulated", 1.0, samples=(
         (0.0, 1.0), (math.inf, 0.0))), id="tab-inf-r-finite-R0"),
 ])
@@ -313,7 +373,7 @@ def test_nonfinite_potential_rejected_at_construction(make):
 
 
 def test_potential_file_round_trip(tmp_path):
-    v = sc.tabulated([(0.0, 12.0), (0.3, 8.0), (0.7, 2.0), (1.0, 0.0)])
+    v = tabulated([(0.0, 12.0), (0.3, 8.0), (0.7, 2.0), (1.0, 0.0)])
     path = tmp_path / "pot.txt"
     with open(path, "w") as fh:
         fh.write(f"# dimension={v.dimension}\n# R0={v.core_radius!r}\n")
@@ -324,6 +384,86 @@ def test_potential_file_round_trip(tmp_path):
     a1 = sc.solve_zero_energy(v).a
     a2 = sc.solve_zero_energy(back).a
     assert a1 == pytest.approx(a2, rel=1e-12)
+
+
+def _reference_load_potential(path):
+    """The per-line parser that load_potential's one-pass parse replaced:
+    one float conversion per token and a tuple of pairs."""
+    headers, rows = {}, []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            try:
+                if line.startswith("#"):
+                    key, _, value = line[1:].strip().partition("=")
+                    if key in ("dimension", "R0"):
+                        headers[key] = (int if key == "dimension" else float)(value)
+                elif line:
+                    r, vv = map(float, line.replace(",", " ").split())
+                    if not (math.isfinite(r) and math.isfinite(vv)):
+                        raise ValueError("r and v must be finite")
+                    rows.append((r, vv))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    if len(headers) < 2:
+        raise ValueError("potential file must carry '# dimension=' and '# R0=' headers")
+    pot = tabulated(rows, dimension=headers["dimension"])
+    if not math.isclose(pot.core_radius, headers["R0"], rel_tol=1e-9, abs_tol=1e-9):
+        pot = sc.RadialPotential("tabulated", headers["R0"], samples=pot.samples,
+                                 dimension=pot.dimension)
+    return pot
+
+
+def _same_potential(got, want):
+    assert (got.kind, got.dimension) == (want.kind, want.dimension)
+    assert float(got.core_radius).hex() == float(want.core_radius).hex()
+    assert np.asarray(got.samples, dtype=float).tobytes() == \
+        np.asarray(want.samples, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("samples", [64, 100, 257, 1024])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_load_potential_matches_the_per_line_parser(tmp_path, samples, dim):
+    # written the way the benchmark writes its potential files
+    R0, height = 0.5 + 0.37 * samples / 1024, 10.0 ** (samples % 4)
+    r = np.linspace(0.0, R0, samples)
+    v = height * (1.0 - (r / R0) ** 2) ** 2
+    path = tmp_path / "pot.txt"
+    with open(path, "w") as fh:
+        fh.write(f"# dimension={dim}\n# R0={R0!r}\n")
+        fh.writelines(f"{float(ri)!r} {float(vi)!r}\n" for ri, vi in zip(r, v))
+    _same_potential(sc.load_potential(path), _reference_load_potential(path))
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("# dimension=2\n0,5\n0.25,\t4.5\n\n0.5 ,1e-3\n# R0=0.5\n", id="commas-tabs-late-header"),
+    pytest.param("# dimension=3\r\n# R0=1.0000000001\r\n0 7\r\n\r\n  1 0  \r\n", id="crlf-close-R0"),
+    pytest.param("# comment\n#R0=2\n# dimension=3\n\n,0 3,\n1.5\t2\n\t\n2 0\n", id="stray-commas"),
+    pytest.param("# dimension=3\n# R0=2.5\n0 1\n1 0\n# note\n", id="R0-beyond-samples"),
+])
+def test_load_potential_matches_the_per_line_parser_on_odd_layouts(tmp_path, text):
+    path = tmp_path / "pot.txt"
+    path.write_bytes(text.encode())
+    _same_potential(sc.load_potential(path), _reference_load_potential(path))
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("# dimension=3\n# R0=1\n0 5 # note\n1 0\n", id="trailing-comment"),
+    pytest.param("# dimension=3\n# R0=1\n0 5\n0.5 4\n1 0 2\n", id="three-tokens-after-block"),
+    pytest.param("# dimension=3\n# R0=1\n0 5\n0.5\n2 0 1\n", id="one-then-three-tokens"),
+    pytest.param("# dimension=3\n# R0=1\n0 x\n# dimension=three\n", id="bad-row-before-bad-header"),
+    pytest.param("# dimension=3\n# R0=1\n0 5\n# R0=abc\n1 nan\n", id="bad-header-before-bad-row"),
+    pytest.param("# dimension=3\n# R0=1\n0 5\n1 -inf\n", id="infinite-v"),
+])
+def test_load_potential_names_the_per_line_parsers_line(tmp_path, text):
+    path = tmp_path / "pot.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as want:
+        _reference_load_potential(path)
+    with pytest.raises(ValueError) as got:
+        sc.load_potential(path)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("line ")
 
 
 def test_solution_csv_export(tmp_path):
