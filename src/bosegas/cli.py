@@ -170,10 +170,8 @@ def cmd_ll(args) -> int:
         return EXIT_OK
     if args.t is None:
         raise ConfigError("ll needs --t or --emit-curve")
-    outputs = {"t": args.t, "e": curve.e(args.t)}
-    if curve.mesh_error is not None:
-        outputs["e_table_mesh_error"] = curve.mesh_error
-    return _emit_record(args, outputs, e_table_cache=curve.cache)
+    return _emit_record(args, {"t": args.t, "e": curve.e(args.t),
+                               "e_table_mesh_error": curve.mesh_error})
 
 
 def cmd_regimes(args) -> int:
@@ -181,8 +179,7 @@ def cmd_regimes(args) -> int:
     trap = onedim.ElongatedTrap(args.N, args.L, args.r, args.a, args.s,
                                 args.transverse)
     report = onedim.regime_classify(trap)
-    return _emit_record(args, report.as_dict(),
-                        e_table_cache=onedim.default_curve().cache)
+    return _emit_record(args, report.as_dict())
 
 
 def cmd_charged(args) -> int:

@@ -19,23 +19,25 @@ Bethe-ansatz literature 2c delta).  The integral equation is discretized by
 product integration: hat functions on a Chebyshev-graded mesh with the
 Lorentzian kernel integrated exactly (arctan/log primitives), which stays
 accurate down to very small kernel widths.  The solution is even, so only
-half the system is assembled and solved.  The curve is validated only
-against its two known limits and the exact-diagonalization oracle, never
-against external tables.
+half the system is assembled and solved.  The e(t) table ships with the
+package as ``ll_table.csv``, resampled from a sweep of such solves by the
+reference build in the tests, which also checks that the shipped bytes are
+current; at run time ``verify`` solves the equation directly at three widths
+against it.  The curve is validated only against its two known limits, the
+direct solves and the exact-diagonalization oracle, never against external
+tables.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import tempfile
-import zipfile
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
-from . import __version__, flows
+from . import flows
 
 PI2_3 = math.pi**2 / 3.0
 
@@ -118,13 +120,9 @@ def solve_ba_density(lam: float, m: int):
     return gamma, e_ba
 
 
-# the default table: _N_NODES log-spaced nodes on [_T_MIN, _T_MAX], resampled
-# from _SWEEP kernel widths solved on a (_MESH + 1)-node mesh
-_N_NODES = 200
-_T_MIN = 1e-4
-_T_MAX = 1e6
+# the (_MESH + 1)-node mesh the default table was solved on, and that
+# table_error's direct solves use
 _MESH = 440
-_SWEEP = 240
 
 
 class Pchip:
@@ -209,10 +207,8 @@ class LLCurve:
     e = (t/2) * const below, pi^2/3 - deficit * (t_max/t) above.  They are
     matched in value, not in slope, so e'(t) jumps at t_min and t_max.
     ``mesh_error`` is the largest relative difference between the table and
-    doubled-mesh solves at a few points (None when it was not measured).
-    ``cache`` says where ``default_curve`` got the table: ``"hit"`` (read
-    from the disk cache), ``"built"`` (no cached file) or ``"rebuilt"`` (a
-    cached file failed its checks); None for a table made any other way.
+    doubled-mesh solves at the first, middle and last sweep widths inside
+    the table, measured when the table was built.
 
     ``f_inverse`` inverts F(t) = 3 e/t^2 - e'/t, the t-form of w'(rho) for
     w(rho) = rho^3 e(g/rho); the table it needs is built on first use.
@@ -220,8 +216,7 @@ class LLCurve:
 
     nodes_t: np.ndarray
     nodes_e: np.ndarray
-    mesh_error: float | None = None
-    cache: str | None = field(default=None, init=False)
+    mesh_error: float
     _interp: Pchip = field(init=False, repr=False)
     _low_ratio: float = field(init=False)
     _high_deficit: float = field(init=False)
@@ -399,117 +394,32 @@ def _newton_log(log_f, log_y, x, lo, hi):
                        f"log residual {float(np.max(np.abs(res))):.3e}")
 
 
-def table_error(curve: LLCurve, lams, m: int = _MESH) -> float:
+def table_error(curve: LLCurve, lams) -> float:
     """The largest |e_BA / e(2 gamma) - 1| over the kernel widths ``lams``:
-    one direct Fredholm solve on an (m + 1)-node mesh per width, against
+    one direct Fredholm solve on the (_MESH + 1)-node mesh per width, against
     the table ``curve`` at the t = 2 gamma that solve gives."""
     err = 0.0
     for lam in lams:
-        gamma, e_ba = solve_ba_density(lam, m)
+        gamma, e_ba = solve_ba_density(lam, _MESH)
         err = max(err, abs(e_ba / curve.e(2.0 * gamma) - 1.0))
     return err
 
 
-def build_ll_curve() -> LLCurve:
-    """Sweep the kernel width, collect (t, e) samples, and resample onto the
-    canonical log-spaced nodes.
-
-    The first and last sweep points inside [_T_MIN, _T_MAX] and the one
-    midway between them are solved again on the doubled mesh; the largest
-    relative difference of that e from the table's e at the same t becomes
-    the curve's ``mesh_error``.
-    """
-    lam_lo = 0.4 * math.sqrt(0.5 * _T_MIN)     # gamma ~ 4 lam^2 as lam -> 0
-    lam_hi = 2.0 * (0.5 * _T_MAX) / math.pi    # gamma ~ pi lam as lam -> inf
-    lams = np.geomspace(lam_lo, lam_hi, _SWEEP)
-    ts, es = [], []
-    for lam in lams:
-        gamma, e_ba = solve_ba_density(lam, _MESH)
-        ts.append(2.0 * gamma)
-        es.append(e_ba)
-    ts = np.asarray(ts)
-    es = np.asarray(es)
-    fine = Pchip(np.log(ts), np.log(es))
-    nodes_t = np.geomspace(_T_MIN, _T_MAX, _N_NODES)
-    nodes_e = np.exp(fine.derivatives(np.log(nodes_t), 0)[0])
-    curve = LLCurve(nodes_t, nodes_e)
-
-    inside = np.flatnonzero((ts >= _T_MIN) & (ts <= _T_MAX))
-    if len(inside):
-        curve.mesh_error = table_error(
-            curve, lams[inside[[0, len(inside) // 2, -1]]], 2 * _MESH)
-    return curve
-
-
-# bumped whenever the numbers build_ll_curve returns change, so that a
-# cached table from other code is never read
-_CURVE_SCHEME = 2
+# the default table as ``LLCurve.export_csv`` writes it, and its mesh_error;
+# both come from the reference build in tests/test_onedim.py
+_TABLE = Path(__file__).with_name("ll_table.csv")
+_TABLE_MESH_ERROR = 0.000979988985987168
 
 _DEFAULT_CURVE: LLCurve | None = None
 
 
-def curve_cache_name() -> str:
-    """File name of the cached default table, keyed on the build settings,
-    the package version and ``_CURVE_SCHEME``."""
-    return (f"ll_curve_s{_CURVE_SCHEME}_{__version__}_n{_N_NODES}"
-            f"_t{_T_MIN!r}-{_T_MAX!r}_m{_MESH}_w{_SWEEP}.npz")
-
-
 def default_curve() -> LLCurve:
-    """The shared e(t) table, built once per process (disk-cached when
-    BOSEGAS_CACHE_DIR is set; a cached table that fails ``_load_curve``'s
-    checks is rebuilt and replaced).  Its ``cache`` says which happened."""
+    """The shipped e(t) table, read once per process."""
     global _DEFAULT_CURVE
     if _DEFAULT_CURVE is None:
-        cache_dir = os.environ.get("BOSEGAS_CACHE_DIR")
-        path = os.path.join(cache_dir, curve_cache_name()) if cache_dir else None
-        curve = _load_curve(path) if path else None
-        if curve is not None:
-            curve.cache = "hit"
-        else:
-            rebuilt = path is not None and os.path.exists(path)
-            curve = build_ll_curve()
-            curve.cache = "rebuilt" if rebuilt else "built"
-            if path:
-                _save_curve(curve, path)
-        _DEFAULT_CURVE = curve
+        t, e = np.loadtxt(_TABLE, delimiter=",", skiprows=1).T.copy()
+        _DEFAULT_CURVE = LLCurve(t, e, _TABLE_MESH_ERROR)
     return _DEFAULT_CURVE
-
-
-def _load_curve(path: str) -> LLCurve | None:
-    """The table cached at ``path``, or None when there is none or it is not
-    a valid e(t): finite, t and e strictly increasing, 0 < e < pi^2/3."""
-    try:
-        with np.load(path) as data:
-            t, e = data["t"], data["e"]
-            mesh_error = (float(data["mesh_error"])
-                          if "mesh_error" in data.files else None)
-    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile):
-        return None
-    valid = (t.ndim == 1 and t.shape == e.shape and len(t) >= 2
-             and bool(np.all(np.isfinite(t)) and np.all(np.isfinite(e)))
-             and bool(np.all(np.diff(t) > 0) and np.all(np.diff(e) > 0))
-             and t[0] > 0 and e[0] > 0 and e[-1] < PI2_3
-             and (mesh_error is None or 0.0 <= mesh_error < math.inf))
-    return LLCurve(t, e, mesh_error) if valid else None
-
-
-def _save_curve(curve: LLCurve, path: str) -> None:
-    """Write the table to a temporary file beside ``path`` and rename it into
-    place, so a concurrent reader sees either no file or a whole one."""
-    cache_dir = os.path.dirname(path)
-    os.makedirs(cache_dir, exist_ok=True)
-    arrays = {"t": curve.nodes_t, "e": curve.nodes_e}
-    if curve.mesh_error is not None:
-        arrays["mesh_error"] = curve.mesh_error
-    fd, tmp = tempfile.mkstemp(suffix=".npz", dir=cache_dir)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 # --------------------------------------------------------------------------
@@ -542,8 +452,8 @@ class TransverseMode:
     g: float                # 8 pi a / r^2 * int_b4_unit
 
 
-# points of the transverse-mode profile grid, and of the coarser of the two
-# finite-difference solves behind the Richardson step
+# points of the transverse-mode profile grid, and of the middle of the three
+# finite-difference solves behind the order check and the Richardson step
 _MODE_GRID = 2000
 _MODE_FD_GRID = 1500
 
@@ -574,7 +484,8 @@ def transverse_mode(trap: ElongatedTrap) -> TransverseMode:
 
 def transverse_mode_numeric(kind: str) -> tuple[float, float]:
     """Finite-difference radial eigensolve (cell-centered, Richardson in h):
-    returns (e_perp_unit, int b^4).  Independent check of the closed forms."""
+    returns (e_perp_unit, int b^4).  Independent check of the closed forms;
+    raises RuntimeError when a value does not converge at second order."""
     from scipy.linalg import eigh_tridiagonal
 
     def solve_once(n):
@@ -594,10 +505,16 @@ def transverse_mode_numeric(kind: str) -> tuple[float, float]:
         ib4 = float(np.sum(2.0 * math.pi * r * h * b**4))
         return float(vals[0]), ib4
 
-    e1, i1 = solve_once(_MODE_FD_GRID)
-    e2, i2 = solve_once(2 * _MODE_FD_GRID)
-    # second-order scheme: Richardson step kills the h^2 term
-    return (4.0 * e2 - e1) / 3.0, (4.0 * i2 - i1) / 3.0
+    coarse, mid, fine = (solve_once(n) for n in (_MODE_FD_GRID // 2, _MODE_FD_GRID,
+                                                 2 * _MODE_FD_GRID))
+    # second-order scheme: the three-grid ratio of each value must be near 4
+    # (as for the flows' estimates), and the Richardson step kills the h^2 term
+    for x0, x1, x2 in zip(coarse, mid, fine):
+        ratio = (x0 - x1) / (x1 - x2) if x1 != x2 else math.inf
+        if not flows._ORDER_BAND[0] <= ratio <= flows._ORDER_BAND[1]:
+            raise RuntimeError(f"transverse mode ({kind}): three-grid ratio "
+                               f"{ratio:.4g} is not within 25 % of 4")
+    return tuple((4.0 * x2 - x1) / 3.0 for x1, x2 in zip(mid, fine))
 
 
 # --------------------------------------------------------------------------

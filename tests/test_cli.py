@@ -287,7 +287,6 @@ def test_cli_import_loads_only_config(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    env.pop("BOSEGAS_CACHE_DIR", None)       # the e(t) table is built cold
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
@@ -307,7 +306,7 @@ def test_cli_import_loads_only_config(tmp_path):
     assert "numpy" in after_scatter
     assert "bosegas.scattering" in after_scatter
     assert not _scipy(after_scatter)
-    # the table queries, the cold table build and TF load no scipy
+    # the table queries and TF load no scipy
     assert {"bosegas.onedim", "bosegas.meanfield", "bosegas.flows"} \
         <= set(after_modules)
     assert not _scipy(after_modules)
@@ -407,6 +406,9 @@ def test_ll_emit_curve_contract(tmp_path):
     es = [float(l.split(",")[1]) for l in lines[1:]]
     assert ts[0] == min(ts)
     assert all(e2 > e1 for e1, e2 in zip(es, es[1:]))
+    # the curve written is the shipped table, byte for byte
+    from bosegas import onedim
+    assert out.read_bytes() == onedim._TABLE.read_bytes()
 
 
 def test_tf_takes_no_box_trap(tmp_path, capsys):
@@ -485,48 +487,11 @@ def test_nonfinite_value_is_reported_as_not_finite(value, capsys):
     assert f"ll.t: must be finite, got {value}" in capsys.readouterr().err
 
 
-def test_records_report_e_table_cache(tmp_path, monkeypatch, capsys, ll_curve):
+def test_ll_reports_table_mesh_error(capsys, ll_curve):
     from bosegas import onedim
-    monkeypatch.setenv("BOSEGAS_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(onedim, "build_ll_curve", lambda: onedim.LLCurve(
-        ll_curve.nodes_t, ll_curve.nodes_e, ll_curve.mesh_error))
-
-    def records(*argv):
-        monkeypatch.setattr(onedim, "_DEFAULT_CURVE", None)
-        assert run_cli(*argv) == 0
-        first = json.loads(capsys.readouterr().out)
-        monkeypatch.setattr(onedim, "_DEFAULT_CURVE", None)
-        assert run_cli(*argv) == 0
-        return first, json.loads(capsys.readouterr().out)
-
-    # no cached file, then a valid one, then a file that fails its checks
-    built, hit = records("ll", "--t", "1.0")
-    (tmp_path / onedim.curve_cache_name()).write_bytes(b"not a table")
-    rebuilt, _ = records("ll", "--t", "1.0")
-    assert [r["provenance"]["e_table_cache"] for r in (built, hit, rebuilt)] \
-        == ["built", "hit", "rebuilt"]
-    for record in (built, hit, rebuilt):
-        assert record["outputs"] == built["outputs"]
-    regimes = records("regimes", "--N", "30", "--L", "100", "--r", "0.5",
-                      "--a", "1e-4")
-    for record in regimes:
-        assert record["provenance"]["e_table_cache"] == "hit"
-        record.pop("timestamp")
-    assert regimes[0] == regimes[1]
-
-
-def test_ll_reports_table_mesh_error(monkeypatch, capsys, ll_curve):
-    from bosegas import onedim
-    monkeypatch.setattr(onedim, "_DEFAULT_CURVE", ll_curve)
     assert run_cli("ll", "--t", "1.0") == 0
     outputs = json.loads(capsys.readouterr().out)["outputs"]
-    assert outputs["e_table_mesh_error"] == ll_curve.mesh_error
-    # a table built without the spot check omits the key, never emits NaN
-    bare = onedim.LLCurve(ll_curve.nodes_t, ll_curve.nodes_e)
-    monkeypatch.setattr(onedim, "_DEFAULT_CURVE", bare)
-    assert run_cli("ll", "--t", "1.0") == 0
-    outputs = json.loads(capsys.readouterr().out)["outputs"]
-    assert "e_table_mesh_error" not in outputs
+    assert outputs["e_table_mesh_error"] == onedim._TABLE_MESH_ERROR
     assert outputs["e"] == ll_curve.e(1.0)
 
 

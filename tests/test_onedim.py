@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,9 +112,7 @@ _PINNED_NODES = [
     (160, "0x1.56cedd240dd53p+13", "0x1.a4cbd336b91a0p+1"),
     (199, "0x1.e848000000000p+19", "0x1.a519895de897ep+1"),
 ]
-# the default table's mesh_error with one BLAS thread.  The LU's rounding
-# moves with the thread count, and mesh_error = |e2/e - 1| ~ 1e-3 magnifies
-# it: two threads give 0x1.00e5f294bb800p-10, 2e-12 away
+# the default table's mesh_error, built with one BLAS thread
 _PINNED_MESH_ERROR = "0x1.00e5f294bdc00p-10"
 
 
@@ -119,7 +121,7 @@ def test_default_table_pinned_nodes(ll_curve):
     for i, t_hex, e_hex in _PINNED_NODES:
         assert ll_curve.nodes_t[i] == float.fromhex(t_hex)
         assert abs(ll_curve.nodes_e[i] / float.fromhex(e_hex) - 1.0) < 1e-12
-    assert abs(ll_curve.mesh_error / float.fromhex(_PINNED_MESH_ERROR) - 1.0) < 1e-10
+    assert ll_curve.mesh_error == float.fromhex(_PINNED_MESH_ERROR)
 
 
 def test_table_reports_mesh_error(ll_curve):
@@ -140,6 +142,74 @@ def test_table_error_is_the_worst_direct_solve(ll_curve):
     assert od.table_error(ll_curve, ()) == 0.0
 
 
+# --- the reference build of the shipped e(t) table ---------------------------
+
+# the default table: _N_NODES log-spaced nodes on [_T_MIN, _T_MAX], resampled
+# from _SWEEP kernel widths solved on the (od._MESH + 1)-node mesh
+_N_NODES = 200
+_T_MIN = 1e-4
+_T_MAX = 1e6
+_SWEEP = 240
+
+# how to regenerate the shipped table: this file, run as a script, writes
+# the reference build to the path given and prints its mesh_error
+_REGENERATE = ("OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_onedim.py "
+               "src/bosegas/ll_table.csv, then set onedim._TABLE_MESH_ERROR to the "
+               "value it prints")
+
+
+def build_ll_curve() -> od.LLCurve:
+    """Sweep the kernel width, collect (t, e) samples, and resample onto the
+    canonical log-spaced nodes.
+
+    The first and last sweep points inside [_T_MIN, _T_MAX] and the one
+    midway between them are solved again on the doubled mesh; the largest
+    relative difference of that e from the table's e at the same t becomes
+    the curve's ``mesh_error``.
+    """
+    lam_lo = 0.4 * math.sqrt(0.5 * _T_MIN)     # gamma ~ 4 lam^2 as lam -> 0
+    lam_hi = 2.0 * (0.5 * _T_MAX) / math.pi    # gamma ~ pi lam as lam -> inf
+    lams = np.geomspace(lam_lo, lam_hi, _SWEEP)
+    ts, es = [], []
+    for lam in lams:
+        gamma, e_ba = od.solve_ba_density(lam, od._MESH)
+        ts.append(2.0 * gamma)
+        es.append(e_ba)
+    ts = np.asarray(ts)
+    es = np.asarray(es)
+    fine = od.Pchip(np.log(ts), np.log(es))
+    nodes_t = np.geomspace(_T_MIN, _T_MAX, _N_NODES)
+    nodes_e = np.exp(fine.derivatives(np.log(nodes_t), 0)[0])
+    curve = od.LLCurve(nodes_t, nodes_e, math.nan)
+
+    inside = np.flatnonzero((ts >= _T_MIN) & (ts <= _T_MAX))
+    doubled = (od.solve_ba_density(lam, 2 * od._MESH)
+               for lam in lams[inside[[0, len(inside) // 2, -1]]])
+    curve.mesh_error = max(abs(e_ba / curve.e(2.0 * gamma) - 1.0)
+                           for gamma, e_ba in doubled)
+    return curve
+
+
+def test_shipped_table_is_the_reference_build(tmp_path, ll_curve):
+    # bit for bit at one BLAS thread, set in the child's environment only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "ll_table.csv"
+    proc = subprocess.run([sys.executable, __file__, str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    stale = f"ll_table.csv is not the reference build; regenerate it: {_REGENERATE}"
+    assert out.read_bytes() == od._TABLE.read_bytes(), stale
+    assert float(proc.stdout) == od._TABLE_MESH_ERROR, stale
+    # the LU rounds differently at other thread counts: two threads move 88
+    # of the 200 e values, by at most 5.4e-15 relative
+    curve = build_ll_curve()
+    np.testing.assert_array_equal(curve.nodes_t, ll_curve.nodes_t)
+    np.testing.assert_allclose(curve.nodes_e, ll_curve.nodes_e, rtol=1e-12, atol=0.0)
+    assert abs(curve.mesh_error / ll_curve.mesh_error - 1.0) < 1e-10
+
+
 def test_direct_route_widths_fall_between_sweep_widths(monkeypatch):
     # record the widths build_ll_curve sweeps, with a cheap stand-in for
     # the Fredholm solve (gamma = lam, e rising to 1)
@@ -150,16 +220,16 @@ def test_direct_route_widths_fall_between_sweep_widths(monkeypatch):
             sweep.append(lam)
         return lam, lam / (1.0 + lam)
     monkeypatch.setattr(od, "solve_ba_density", record)
-    od.build_ll_curve()
+    build_ll_curve()
     monkeypatch.undo()
     log_sweep = np.log(sweep)
     step = log_sweep[1] - log_sweep[0]
-    assert len(sweep) == od._SWEEP
+    assert len(sweep) == _SWEEP
     np.testing.assert_allclose(np.diff(log_sweep), step, rtol=1e-9)
     for lam in verify._LL_DIRECT_WIDTHS:
         assert np.min(np.abs(math.log(lam) - log_sweep)) >= 0.25 * step
         gamma, _ = od.solve_ba_density(lam, od._MESH)
-        assert od._T_MIN <= 2.0 * gamma <= od._T_MAX
+        assert _T_MIN <= 2.0 * gamma <= _T_MAX
 
 
 def test_composite_convexity(ll_curve):
@@ -331,6 +401,14 @@ def test_transverse_numeric_agreement():
     mode = od.transverse_mode(trap)
     assert abs(e_hw - mode.e_perp_unit) < 1e-8
     assert abs(ib4_hw - mode.int_b4_unit) < 1e-6
+
+
+def test_transverse_numeric_checks_its_order(monkeypatch):
+    # on 2-, 4- and 8-cell grids no value converges at second order
+    monkeypatch.setattr(od, "_MODE_FD_GRID", 4)
+    for kind in ("harmonic", "hard_wall"):
+        with pytest.raises(RuntimeError, match="three-grid ratio"):
+            od.transverse_mode_numeric(kind)
 
 
 def test_g_scales_as_a_over_r_squared():
@@ -780,102 +858,20 @@ def test_llcurve_export(tmp_path, ll_curve):
     assert es == sorted(es)
 
 
-def test_curve_disk_cache_round_trip(tmp_path, monkeypatch, ll_curve):
-    import bosegas.onedim as od_mod
-    monkeypatch.setenv("BOSEGAS_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
-    try:
-        np.savez(tmp_path / od_mod.curve_cache_name(),
-                 t=ll_curve.nodes_t, e=ll_curve.nodes_e)
-        cached = od_mod.default_curve()
-        assert np.allclose(cached.nodes_e, ll_curve.nodes_e)
-    finally:
-        monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", ll_curve)
-
-
-def test_curve_cold_build_writes_one_cache_file(tmp_path, monkeypatch,
-                                                ll_curve):
-    import bosegas.onedim as od_mod
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("BOSEGAS_CACHE_DIR", str(cache))
-    monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
-    monkeypatch.setattr(od_mod, "build_ll_curve", lambda: ll_curve)
-    assert od_mod.default_curve() is ll_curve
-    assert [p.name for p in cache.iterdir()] == [od_mod.curve_cache_name()]
-    monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
-    monkeypatch.setattr(od_mod, "build_ll_curve", None)   # must load, not build
-    loaded = od_mod.default_curve()
-    assert np.array_equal(loaded.nodes_t, ll_curve.nodes_t)
-    assert np.array_equal(loaded.nodes_e, ll_curve.nodes_e)
-    assert loaded.mesh_error == ll_curve.mesh_error
-
-
-def test_curve_cache_name_is_keyed():
-    import bosegas
-    name = od.curve_cache_name()
-    assert name != "ll_curve_v1.npz" and name.endswith(".npz")
-    for part in (bosegas.__version__, f"s{od._CURVE_SCHEME}", "n200", "m440",
-                 "w240", "0.0001", "1000000.0"):
-        assert part in name
-
-
-def _poisoned_nan(t, e):
-    e = e.copy()
-    e[17] = np.nan
-    return t, e
-
-
-def _poisoned_order(t, e):
-    e = e.copy()
-    e[[40, 41]] = e[[41, 40]]
-    return t, e
-
-
-@pytest.mark.parametrize("poison", [_poisoned_nan, _poisoned_order],
-                         ids=["nan", "non_monotone"])
-def test_invalid_cache_file_is_rebuilt_and_replaced(tmp_path, monkeypatch,
-                                                    ll_curve, poison):
-    import bosegas.onedim as od_mod
-    path = tmp_path / od_mod.curve_cache_name()
-    t, e = poison(ll_curve.nodes_t, ll_curve.nodes_e)
-    np.savez(path, t=t, e=e)
-    builds = []
-
-    def build():
-        builds.append(1)
-        return ll_curve
-    monkeypatch.setenv("BOSEGAS_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
-    monkeypatch.setattr(od_mod, "build_ll_curve", build)
-    assert od_mod.default_curve() is ll_curve
-    assert builds == [1]
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
-    with np.load(path) as data:
-        assert np.array_equal(data["e"], ll_curve.nodes_e)
-        assert float(data["mesh_error"]) == ll_curve.mesh_error
-
-
-def test_valid_cache_file_loads_without_build(tmp_path, monkeypatch, ll_curve):
-    import bosegas.onedim as od_mod
-    od_mod._save_curve(ll_curve, str(tmp_path / od_mod.curve_cache_name()))
-    monkeypatch.setenv("BOSEGAS_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
-    monkeypatch.setattr(od_mod, "build_ll_curve", None)   # must load, not build
-    loaded = od_mod.default_curve()
-    assert np.array_equal(loaded.nodes_e, ll_curve.nodes_e)
-    assert loaded.mesh_error == ll_curve.mesh_error
-
-
 def test_functional_value_closed_forms_build_no_table(tmp_path, monkeypatch):
-    import bosegas.onedim as od_mod
-
-    def no_build():
-        raise AssertionError("e(t) table built for a closed-form functional")
-    monkeypatch.setenv("BOSEGAS_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(od_mod, "_DEFAULT_CURVE", None)
-    monkeypatch.setattr(od_mod, "build_ll_curve", no_build)
+    # with the shipped table unreadable, a kind that reads e(t) raises
+    monkeypatch.setattr(od, "_DEFAULT_CURVE", None)
+    monkeypatch.setattr(od, "_TABLE", tmp_path / "no_table.csv")
     for kind in ("gp1d", "tf1d", "gt"):
         prof, energy, _ = od.minimize_1d(kind, 4.0 / 3.0, 1.0, 0.5, 2.0)
         assert math.isfinite(energy)
         assert math.isfinite(functional_value(kind, prof, 1.0, 0.5))
-    assert not list(tmp_path.iterdir())
+    with pytest.raises(FileNotFoundError):
+        od.minimize_1d("ll_no_grad", 4.0 / 3.0, 1.0, 0.5, 2.0)
+
+
+if __name__ == "__main__":
+    # the reference build, written as the shipped table: see _REGENERATE
+    curve = build_ll_curve()
+    curve.export_csv(sys.argv[1])
+    print(repr(curve.mesh_error))
