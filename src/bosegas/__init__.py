@@ -16,6 +16,12 @@ Subpackages by topic:
 - ``cli``          command-line front end and batch sweeps
 """
 
+import os
+
 __version__ = "0.1.0"
 
 SCHEMA_VERSION = "1.0"
+
+# the shipped e(t) table that ``onedim.default_curve`` reads and
+# ``bosegas ll --emit-curve`` copies
+LL_TABLE = os.path.join(os.path.dirname(__file__), "ll_table.csv")

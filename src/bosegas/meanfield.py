@@ -10,16 +10,23 @@ normalization.
 Scaling laws used throughout: E_GP(N, a) = N E_GP(1, Na) with minimizer
 sqrt(N) phi_{1,Na}, and E_TF(1, g) = g^{s/(s+3)} E_TF(1, 1) in 3D for traps
 homogeneous of order s.
+
+numpy and ``flows`` are imported inside the functions that build arrays or
+run a flow, so the closed-form TF energies load neither: ``tf_solve``
+samples its profile only when something reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from . import flows
+    from . import flows
 
 # points at which tf_solve samples its closed-form profile
 _TF_GRID = 20000
@@ -45,6 +52,7 @@ class TrapPotential:
             raise ValueError("box trap needs a positive side")
 
     def __call__(self, r):
+        import numpy as np
         r = np.asarray(r, dtype=float)
         if self.kind == "box":
             return np.zeros_like(r)
@@ -86,6 +94,36 @@ class DensityProfile:
             fh.write("r,phi,rho\n")
             for r, p, d in zip(self.grid, self.phi, self.rho):
                 fh.write(f"{float(r)!r},{float(p)!r},{float(d)!r}\n")
+
+
+@dataclass(frozen=True)
+class TFProfile:
+    """The TF minimizer rho = [mu_TF - r^s]_+ / denom, denom = 8 pi mu c,
+    read as a DensityProfile: its samples at ``_TF_GRID`` points of
+    [0, 1.05 r_edge] are built on first read."""
+
+    mu_tf: float
+    exponent: float
+    denom: float
+    mass: float
+    dimension: int
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        import numpy as np
+        return np.linspace(0.0, 1.05 * self.mu_tf ** (1.0 / self.exponent), _TF_GRID)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        import numpy as np
+        return np.maximum(self.mu_tf - self.grid**self.exponent, 0.0) / self.denom
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        import numpy as np
+        return np.sqrt(self.rho)
+
+    export_csv = DensityProfile.export_csv
 
 
 @dataclass(frozen=True)
@@ -140,6 +178,9 @@ def _domain_radius(problem: GPProblem) -> float:
 
 
 def _build_problem(problem: GPProblem) -> flows.FlowProblem:
+    import numpy as np
+
+    from . import flows
     mu, c = problem.mu, problem.coupling
     rmax = _domain_radius(problem)
     g4 = 4.0 * math.pi * mu * c
@@ -153,6 +194,7 @@ def _build_problem(problem: GPProblem) -> flows.FlowProblem:
 
 
 def _initial_guess(problem: GPProblem, fp: flows.FlowProblem) -> np.ndarray | None:
+    import numpy as np
     g = problem.N * problem.coupling
     if g < 10.0 or not problem.trap.is_homogeneous:
         return None
@@ -169,6 +211,9 @@ def gp_minimize(problem: GPProblem) -> tuple[DensityProfile, EnergyReport]:
     ``problem.n_grid`` nodes; returns the positive minimizer and its energy
     report (components, chemical potential, EL residual, the coarse grids'
     error estimate)."""
+    import numpy as np
+
+    from . import flows
     fp, res, disc = flows.minimize_nested(
         lambda m: _build_problem(replace(problem, n_grid=m)), problem.n_grid,
         lambda fp: _initial_guess(problem, fp))
@@ -215,9 +260,10 @@ def _tf_mu(d: int, N: float, coupling: float, s: float, mu: float) -> float:
 
 def tf_solve(dimension: int, N: float, coupling: float,
              trap: TrapPotential = TrapPotential(), mu: float = 1.0
-             ) -> tuple[DensityProfile, EnergyReport, float]:
+             ) -> tuple[TFProfile, EnergyReport, float]:
     """Exact TF minimizer rho = [mu_TF - V]_+/(8 pi mu c) in closed form;
-    the profile samples it at ``_TF_GRID`` points of [0, 1.05 r_edge]."""
+    the profile samples it at ``_TF_GRID`` points of [0, 1.05 r_edge] when
+    it is read."""
     if not trap.is_homogeneous:
         raise ValueError("TF solver requires a homogeneous trap")
     if coupling <= 0:
@@ -231,9 +277,7 @@ def tf_solve(dimension: int, N: float, coupling: float,
     # the explicit minimizer satisfies its EL identity exactly: residual 0
     report = EnergyReport(trap_e + inter_e, 0.0, trap_e, inter_e, mu_tf, 0.0,
                           quartic_integral=inter_e / (4.0 * math.pi * mu * coupling))
-    r = np.linspace(0.0, 1.05 * mu_tf ** (1.0 / s), _TF_GRID)
-    rho = np.maximum(mu_tf - r**s, 0.0) / (8.0 * math.pi * mu * coupling)
-    prof = DensityProfile(r, np.sqrt(rho), rho, N, dimension)
+    prof = TFProfile(mu_tf, s, 8.0 * math.pi * mu * coupling, N, dimension)
     return prof, report, mu_tf
 
 

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import flows
+from . import LL_TABLE, flows
 
 PI2_3 = math.pi**2 / 3.0
 
@@ -368,12 +368,6 @@ class LLCurve:
             out[high] = np.exp(x)
         return (float(out[0]), float(sigma[0])) if scalar else (out, sigma)
 
-    def export_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,e\n")
-            for t, e in zip(self.nodes_t, self.nodes_e):
-                fh.write(f"{float(t)!r},{float(e)!r}\n")
-
 
 def _newton_log(log_f, log_y, x, lo, hi):
     """The root of log F(x) = log_y in [lo, hi] for a decreasing F.
@@ -405,9 +399,9 @@ def table_error(curve: LLCurve, lams) -> float:
     return err
 
 
-# the default table as ``LLCurve.export_csv`` writes it, and its mesh_error;
-# both come from the reference build in tests/test_onedim.py
-_TABLE = Path(__file__).with_name("ll_table.csv")
+# the default table, as the reference build in tests/test_onedim.py writes
+# it, and that build's mesh_error
+_TABLE = Path(LL_TABLE)
 _TABLE_MESH_ERROR = 0.000979988985987168
 
 _DEFAULT_CURVE: LLCurve | None = None

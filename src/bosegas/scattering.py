@@ -201,24 +201,35 @@ def _rk4_steps(h: np.ndarray, r, q, two_d: bool) -> np.ndarray:
     return np.array([a, b, c, d])
 
 
-def _interior_steps(v: RadialPotential, mu: float, grid: np.ndarray):
-    """Step matrices of the interior grid as (P, s): P holds the entries
+def _interior_steps(v: RadialPotential, mu: float, *grids: np.ndarray) -> list:
+    """Step matrices of each interior grid as (P, s): P holds the entries
     (a, b, c, d) as four rows, one column per step, with
     (u, u')(r_{i+1}) = e^{s_i} [[a_i, b_i], [c_i, d_i]] (u, u')(r_i).
 
     At R0 the inside-limit value of v is used.  A soft sphere in 3D takes
-    exact steps, every other potential RK4.
+    exact steps, every other potential RK4.  The steps of all grids are
+    built side by side in one pass and then split: each step's entries
+    depend on its own nodes alone, so they are those of its grid built
+    alone, bit for bit, at a fraction of the per-call numpy overhead.  Each
+    grid's P is copied out whole, since the products run faster on rows
+    that lie together than on views of the joint array.
     """
-    r, h = grid[:-1], np.diff(grid)
-    nodes = (r, r + 0.5 * h, r + h)
-    if v.kind == _TABULATED:
-        q = [v(np.minimum(x, v.core_radius)) / (2.0 * mu) for x in nodes]
+    r = np.concatenate([grid[:-1] for grid in grids])
+    h = np.concatenate([np.diff(grid) for grid in grids])
+    q0 = v.height / (2.0 * mu)
+    if v.kind != _TABULATED and v.dimension == 3:
+        P, s = _exact_steps(h, q0)
     else:
-        q0 = v.height / (2.0 * mu)
-        if v.dimension == 3:
-            return _exact_steps(h, q0)
-        q = (q0, q0, q0)
-    return _rk4_steps(h, nodes, q, v.dimension == 2), np.zeros_like(h)
+        nodes = (r, r + 0.5 * h, r + h)
+        q = ([v(np.minimum(x, v.core_radius)) / (2.0 * mu) for x in nodes]
+             if v.kind == _TABULATED else (q0, q0, q0))
+        P, s = _rk4_steps(h, nodes, q, v.dimension == 2), np.zeros_like(h)
+    steps, lo = [], 0
+    for grid in grids:
+        hi = lo + len(grid) - 1
+        steps.append((P[:, lo:hi].copy(), s[lo:hi]))
+        lo = hi
+    return steps
 
 
 def _times(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -290,20 +301,6 @@ def _path(P: np.ndarray, s: np.ndarray, u0: float, w0: float):
         return u * scale, w * scale
 
 
-def _propagate(v: RadialPotential, mu: float, grid: np.ndarray, u0: float,
-               w0: float):
-    """Propagate (u0, w0) from grid[0] across the interior grid; returns
-    (u, u') at every node.
-
-    The equation is u'' = v u / (2 mu) in 3D (u = r psi) and
-    psi'' = v psi / (2 mu) - psi' / r in 2D.  It is linear, so the path is
-    the prefix products of the step matrices applied to the start state.
-    """
-    P, s = _interior_steps(v, mu, grid)
-    _prefix_products(P, s)
-    return _path(P, s, u0, w0)
-
-
 def _interior(v: RadialPotential, mu: float, n: int, rmax: float):
     """The interior grid [start, R0] of an n-point solve and the start state
     (u0, w0) on it; u is r psi in 3D and psi in 2D.
@@ -344,14 +341,27 @@ def _scattering_length(v: RadialPotential, uR: float, wR: float) -> float:
 
 
 def _solve(v: RadialPotential, mu: float, n: int, rmax: float):
-    """(grid, u, u', a) on an n-point grid.
+    """(grid, u, u', a) on an n-point grid, then ``a`` on the 2n-point grid.
 
-    The interior is propagated along its path (``_prefix_products``); the
-    nodes on (R0, rmax] continue the state at R0 in closed form, n_out =
-    max(32, n - n_in) of them, or n - 1 after an empty interior.
+    The equation is u'' = v u / (2 mu) in 3D (u = r psi) and
+    psi'' = v psi / (2 mu) - psi' / r in 2D.  It is linear, so the n-point
+    path across the interior is the prefix products of its step matrices
+    applied to the start state; the nodes on (R0, rmax] continue the state
+    at R0 in closed form, n_out = max(32, n - n_in) of them, or n - 1 after
+    an empty interior.  The steps of both grids come from one
+    ``_interior_steps`` call.
+
+    The 2n-point ``a`` needs only the state at R0: it is read from the
+    total product of that grid's steps, with no path and no exterior grid.
+    It is the ``a`` of the 2n-point path bit for bit unless that path
+    exceeds _BIG at a node before R0 by more than at R0; u and u' grow
+    along every 3D interior and inside 2D soft discs.
     """
     inner, u0, w0 = _interior(v, mu, n, rmax)
-    u, w = _propagate(v, mu, inner, u0, w0)
+    fine, fine_u0, fine_w0 = _interior(v, mu, 2 * n, rmax)
+    (P, s), fine_steps = _interior_steps(v, mu, inner, fine)
+    _prefix_products(P, s)
+    u, w = _path(P, s, u0, w0)
     uR, wR = float(u[-1]), float(w[-1])
     a = _scattering_length(v, uR, wR)
     r0, n_in = v.core_radius, len(inner) - 1
@@ -361,18 +371,10 @@ def _solve(v: RadialPotential, mu: float, n: int, rmax: float):
         u_out, w_out = uR + slope * np.log(outer / r0), slope / outer
     else:
         u_out, w_out = uR + wR * (outer - r0), np.full_like(outer, wR)
+    fine_u, fine_w = _path(*_total_product(*fine_steps), fine_u0, fine_w0)
+    a_refined = _scattering_length(v, float(fine_u[-1]), float(fine_w[-1]))
     return (np.concatenate((inner, outer)), np.concatenate((u, u_out)),
-            np.concatenate((w, w_out)), a)
-
-
-def _refined_a(v: RadialPotential, mu: float, n: int, rmax: float) -> float:
-    """``a`` on an n-point grid from the total product of its steps alone:
-    no path and no exterior grid.  It is the ``a`` of ``_solve`` bit for
-    bit unless the path exceeds _BIG at a node before R0 by more than at
-    R0; u and u' grow along every 3D interior and inside 2D soft discs."""
-    inner, u0, w0 = _interior(v, mu, n, rmax)
-    u, w = _path(*_total_product(*_interior_steps(v, mu, inner)), u0, w0)
-    return _scattering_length(v, float(u[-1]), float(w[-1]))
+            np.concatenate((w, w_out)), a, a_refined)
 
 
 def solve_zero_energy(v: RadialPotential, mu: float = 1.0,
@@ -391,8 +393,7 @@ def solve_zero_energy(v: RadialPotential, mu: float = 1.0,
     r_ref = v.core_radius if v.core_radius > 0 else 1.0
     rmax = _RMAX_FACTOR * r_ref
 
-    grid, u, du, a = _solve(v, mu, grid_spec.n, rmax)
-    a2 = _refined_a(v, mu, 2 * grid_spec.n, rmax)
+    grid, u, du, a, a2 = _solve(v, mu, grid_spec.n, rmax)
     s = integrals = None
     if v.dimension == 3 and a > 0:
         integrals = _interior_integrals(grid, u, du, v, mu)

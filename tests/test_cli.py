@@ -259,6 +259,14 @@ print(json.dumps(loaded()))
 run("bounds", "--rho", "1e-4")
 run("bounds", "--dim", "2", "--rho", "1e-3")
 print(json.dumps(loaded()))
+run("tf", "--N", "100", "--coupling", "0.01")
+run("tf", "--dim", "2", "--trap", "homogeneous_power", "--s", "3",
+    "--coupling", "0.5")
+assert bosegas.cli.main(["ll", "--emit-curve", f"{sys.argv[1]}/curve.csv"]) == 0
+print(json.dumps(loaded()))
+run("tf", "--N", "100", "--coupling", "0.01",
+    "--profile-out", f"{sys.argv[1]}/tf.csv")
+print(json.dumps(loaded()))
 run("scatter", "--v0", "1e8")
 print(json.dumps(loaded()))
 import bosegas.onedim, bosegas.meanfield, bosegas.flows
@@ -283,6 +291,7 @@ def _scipy(modules, *packages):
 
 
 def test_cli_import_loads_only_config(tmp_path):
+    from bosegas import meanfield as mf, onedim
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -291,9 +300,9 @@ def test_cli_import_loads_only_config(tmp_path):
         [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    (after_import, after_foldy, after_bounds, after_scatter, after_modules,
-     after_tables, after_gp, after_flows) = map(json.loads,
-                                                proc.stdout.splitlines())
+    (after_import, after_foldy, after_bounds, after_closed, after_profile,
+     after_scatter, after_modules, after_tables, after_gp,
+     after_flows) = map(json.loads, proc.stdout.splitlines())
     assert after_import == ["bosegas", "bosegas.cli", "bosegas.config"]
     # the closed-form charged queries and the scalar bounds compute with
     # math alone: no numpy, let alone scipy
@@ -303,6 +312,22 @@ def test_cli_import_loads_only_config(tmp_path):
     assert "bosegas.homogeneous" in after_bounds
     assert "bosegas.scattering" not in after_bounds
     assert not [m for m in after_bounds if m.split(".")[0] != "bosegas"]
+    # TF without a profile is closed-form, and --emit-curve copies the
+    # shipped table: neither loads numpy, a flow or the e(t) machinery
+    assert "bosegas.meanfield" in after_closed
+    for module in ("numpy", "bosegas.flows", "bosegas.onedim"):
+        assert module not in after_closed
+    assert (tmp_path / "curve.csv").read_bytes() == onedim._TABLE.read_bytes()
+    # the profile is sampled with numpy when --profile-out asks for it, as
+    # the DensityProfile that tf_solve used to build
+    assert "numpy" in after_profile
+    assert "bosegas.flows" not in after_profile
+    N, coupling, s = 100.0, 0.01, 2.0
+    mu_tf = json.loads((tmp_path / "tf.json").read_text())["outputs"]["mu_TF"]
+    r = np.linspace(0.0, 1.05 * mu_tf ** (1.0 / s), 20000)
+    rho = np.maximum(mu_tf - r**s, 0.0) / (8.0 * math.pi * 1.0 * coupling)
+    mf.DensityProfile(r, np.sqrt(rho), rho, N, 3).export_csv(tmp_path / "ref.csv")
+    assert (tmp_path / "tf.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert "numpy" in after_scatter
     assert "bosegas.scattering" in after_scatter
     assert not _scipy(after_scatter)

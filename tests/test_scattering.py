@@ -42,8 +42,8 @@ def _rk4_path(f, g, grid, y0, y1):
 
 
 def _reference_interior(v, mu, grid, u0, w0):
-    """Scalar RK4 reference for scattering._propagate, one closure call per
-    stage across the interior grid [start, R0]."""
+    """Scalar RK4 reference for the interior path of scattering._solve, one
+    closure call per stage across the interior grid [start, R0]."""
     if v.kind == "soft_sphere":
         vr = lambda r: v.height
     else:
@@ -64,23 +64,31 @@ _KINKED = [(0.0, 5.0), (0.4, 3.0), (1.0, 0.0)]
                                tabulated(_KINKED, dimension=3)],
                          ids=["soft_disc", "hard_disc", "tabulated_2d",
                               "tabulated_3d"])
-def test_propagator_matches_scalar_rk4_reference(v, monkeypatch):
+def test_propagator_matches_scalar_rk4_reference(v):
     sol = sc.solve_zero_energy(v)
-    monkeypatch.setattr(sc, "_propagate", _reference_interior)
-    ref = sc.solve_zero_energy(v)
-    # a_refined comes from the total product alone; the reference walks the
-    # 2x grid's path
-    ref2 = sc.solve_zero_energy(v, grid_spec=sc.GridSpec(2 * sc.GridSpec().n))
+    n, rmax = sc.GridSpec().n, sc._RMAX_FACTOR * v.core_radius
+    # the reference walks the paths of the n and 2x grids; a_refined comes
+    # from the total product alone
+    ref = []
+    for m in (n, 2 * n):
+        inner, u0, w0 = sc._interior(v, 1.0, m, rmax)
+        u, du = _reference_interior(v, 1.0, inner, u0, w0)
+        ref.append((inner, u, du,
+                    sc._scattering_length(v, float(u[-1]), float(du[-1]))))
+    (grid, u, du, a), (*_, a2) = ref
     # in 3D a = R0 - u/u' cancels digits, so the propagated u/u' ~ R0 sets
     # the scale
-    scale = sol.core_radius if v.dimension == 3 else abs(ref.a)
-    assert abs(sol.a - ref.a) <= 1e-12 * scale
-    assert abs(sol.a_refined - ref2.a) <= 1e-12 * scale
-    np.testing.assert_array_equal(sol.grid, ref.grid)
-    for got, want in ((sol.u, ref.u), (sol.du, ref.du)):
+    scale = sol.core_radius if v.dimension == 3 else abs(a)
+    assert abs(sol.a - a) <= 1e-12 * scale
+    assert abs(sol.a_refined - a2) <= 1e-12 * scale
+    # the interior path; past R0 the profile is the closed form through the
+    # state at R0, which a checks
+    k = len(grid)
+    np.testing.assert_array_equal(sol.grid[:k], grid)
+    for got, want in ((sol.u[:k], u), (sol.du[:k], du)):
         finite = np.isfinite(want)
-        np.testing.assert_allclose(got[finite] / sol.du[-1],
-                                   want[finite] / ref.du[-1], rtol=1e-10)
+        np.testing.assert_allclose(got[finite] / sol.du[k - 1],
+                                   want[finite] / du[-1], rtol=1e-10)
 
 
 _PRODUCT_CASES = [sc.soft_sphere(1.0, 9.0), sc.soft_sphere(1.0, 1e8),
@@ -97,7 +105,7 @@ _PRODUCT_IDS = ["soft_3d", "stiff_3d_1e8", "stiff_3d_1e16", "soft_disc",
                                      (8200, 1025)])
 def test_total_product_is_the_scans_last_column(v, n, steps):
     inner, _, _ = sc._interior(v, 1.0, n, sc._RMAX_FACTOR * v.core_radius)
-    P, s = sc._interior_steps(v, 1.0, inner)
+    [(P, s)] = sc._interior_steps(v, 1.0, inner)
     assert P.shape == (4, steps)
     total, log_scale = sc._total_product(P.copy(), s.copy())
     sc._prefix_products(P, s)
@@ -108,6 +116,20 @@ def test_total_product_is_the_scans_last_column(v, n, steps):
     # start it at 0, so in 2D only the _BIG rescaling can have raised it
     if v.height >= 1e6:
         assert log_scale[0] > math.log(sc._BIG)
+
+
+@pytest.mark.parametrize("v", _PRODUCT_CASES, ids=_PRODUCT_IDS)
+@pytest.mark.parametrize("n,steps", [(4096, 512), (8192, 1024), (8000, 1000),
+                                     (8200, 1025)])
+def test_steps_built_together_are_each_grids_own(v, n, steps):
+    rmax = sc._RMAX_FACTOR * v.core_radius
+    grids = [sc._interior(v, 1.0, m, rmax)[0] for m in (n, 2 * n)]
+    together = sc._interior_steps(v, 1.0, *grids)
+    assert [P.shape for P, _ in together] == [(4, steps), (4, 2 * steps)]
+    for (P, s), grid in zip(together, grids):
+        [(P_alone, s_alone)] = sc._interior_steps(v, 1.0, grid)
+        assert P.tobytes() == P_alone.tobytes()
+        assert s.tobytes() == s_alone.tobytes()
 
 
 @pytest.mark.parametrize("v", _PRODUCT_CASES, ids=_PRODUCT_IDS)
