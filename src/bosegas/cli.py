@@ -164,6 +164,9 @@ def cmd_tf(args) -> int:
 
 def cmd_ll(args) -> int:
     if args.emit_curve:
+        if args.t is not None or args.out:
+            raise ConfigError("ll --emit-curve writes the curve only, no "
+                              "record: give --t and --out in a run of their own")
         # the shipped table is the curve's CSV: copy its bytes
         with open(LL_TABLE, "rb") as src, open(args.emit_curve, "wb") as dst:
             dst.write(src.read())
@@ -217,7 +220,8 @@ def cmd_charged(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
     timings: dict = {}
-    card = verify.run_all(args.seed, timings)
+    max_rss_mb: dict = {}
+    card = verify.run_all(args.seed, timings, max_rss_mb)
     text = json.dumps(card, sort_keys=True, indent=1)
     if args.out:
         with open(args.out, "w") as fh:
@@ -227,7 +231,7 @@ def cmd_verify(args) -> int:
     if args.timings_out:
         sidecar = {"schema_version": SCHEMA_VERSION, "seed": args.seed,
                    "unit": "s", "sections": timings,
-                   "total": sum(timings.values())}
+                   "total": sum(timings.values()), "max_rss_mb": max_rss_mb}
         with open(args.timings_out, "w") as fh:
             fh.write(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
     return EXIT_OK if card["all_passed"] else EXIT_NUMERIC
@@ -337,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--seed", type=int, default=20240)
     vf.add_argument("--out")
     vf.add_argument("--timings-out",
-                    help="write wall seconds per section to this JSON file")
+                    help="write wall seconds and peak RSS per section to "
+                         "this JSON file")
     vf.set_defaults(func=cmd_verify)
 
     vl = sub.add_parser("validate", help="check a config file without running")

@@ -145,6 +145,12 @@ def validate_params(section: str, params: dict) -> list[str]:
                 problems.append(f"{section}.{key}: must be positive, got {val}")
             elif val < 0:
                 problems.append(f"{section}.{key}: must be nonnegative, got {val}")
+    # ll --emit-curve copies the table and writes no record (cli.cmd_ll
+    # refuses the same flags)
+    names = {key.replace("-", "_"): key for key in params}
+    if section == "ll" and "emit_curve" in names:
+        problems += [f"ll.{names[k]}: emit-curve writes the curve only, no "
+                     f"record" for k in ("t", "out") if k in names]
     # the sweep runs Y at a = 1 in 3D only
     if section == "bounds" and params.get("sweep") and params.get("dim", 3) == 2:
         problems.append("bounds.dim: the Y sweep is 3D only, got dim = 2")

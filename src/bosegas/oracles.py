@@ -2,10 +2,12 @@
 
 Everything here exists to check the rest of the package by a second route:
 exact plane-wave spectra for the twisted Laplacian, randomized corpora for
-the generalized Poincare inequalities, dense/sparse diagonalization of small
-delta gases and truncated Fock spaces, and window searches for the
-band-matrix localization bound.  All random corpora are seeded; seeds are
-recorded by callers.
+the generalized Poincare inequalities, dense diagonalization of small delta
+gases (in their zero-momentum sector) and truncated Fock spaces (by charge
+sector), and window searches for the band-matrix localization bound.  All
+random corpora are seeded; seeds are recorded by callers.  The Poincare
+corpora sum band-limited fields over the grid in coefficient space, so the
+test fields are never sampled.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse.linalg import eigsh
 
 
 # --------------------------------------------------------------------------
@@ -66,35 +67,36 @@ def twisted_ground_exact(L: float, phi: float) -> float:
 
 @dataclass
 class DiscreteField:
-    """Complex or real field sampled on a uniform periodic n^3 grid over a
-    cube of side L.
+    """Complex or real field on a uniform periodic n^d grid over a cube of
+    side L, given by its samples or by its Fourier coefficients.
 
     ``coeffs`` holds the Fourier coefficients of the trigonometric
-    polynomial the samples come from, one axis per dimension, with modes
-    ``np.arange(K) - K // 2`` along each axis (the ``fftshift`` order).  When
-    it is not given, the gradient takes all n modes from an FFT of the
+    polynomial the field is, one axis per dimension, with modes
+    ``np.arange(K) - K // 2`` along each axis (the ``fftshift`` order).  A
+    field given by them alone (``samples`` None) names its grid size
+    ``n_grid`` and whether it is ``real``, and synthesizes its samples on
+    the first read of ``values``; ``poincare_check`` never reads them.
+    Without coefficients, the gradient takes all n modes from an FFT of the
     samples.
     """
 
-    values: np.ndarray
+    samples: np.ndarray | None
     L: float
     coeffs: np.ndarray | None = field(default=None, repr=False)
+    n_grid: int = 0
+    real: bool = False
 
     def __post_init__(self):
-        if self.coeffs is not None and self.coeffs.shape[0] > self.n:
+        if self.samples is not None:
+            self.n_grid = self.samples.shape[0]
+        if self.coeffs is not None and self.coeffs.shape[0] > self.n_grid:
             raise ValueError("the grid must resolve every mode: K <= n")
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def h(self) -> float:
-        return self.L / self.n
-
-    @property
-    def cell_volume(self) -> float:
-        return self.h ** self.values.ndim
+    @cached_property
+    def values(self) -> np.ndarray:
+        if self.samples is not None:
+            return self.samples
+        return _synthesize(self.coeffs, self.n_grid, self.real)
 
 
 def _phase(K: int, n: int) -> np.ndarray:
@@ -124,7 +126,8 @@ def random_field(n: int, L: float, rng: np.random.Generator, kmax: int = 3,
                  complex_valued: bool = False) -> DiscreteField:
     """Band-limited random field: Fourier modes |k| <= kmax with Gaussian
     coefficients (smooth by construction).  The coefficients are drawn in
-    (kx, ky, kz) order, real part first."""
+    (kx, ky, kz) order, real part first; the samples on the n^3 grid are
+    synthesized only when read."""
     K = 2 * kmax + 1
     if n < K:
         raise ValueError("grid must resolve the band: n >= 2 kmax + 1")
@@ -133,8 +136,7 @@ def random_field(n: int, L: float, rng: np.random.Generator, kmax: int = 3,
     if not complex_valued:
         # coefficients of the real part: c_k -> (c_k + conj(c_-k)) / 2
         coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1, ::-1]))
-    return DiscreteField(_synthesize(coeffs, n, not complex_valued), L,
-                         coeffs=coeffs)
+    return DiscreteField(None, L, coeffs, n, not complex_valued)
 
 
 def random_subset(n: int, rng: np.random.Generator,
@@ -142,17 +144,21 @@ def random_subset(n: int, rng: np.random.Generator,
     """Smooth random super-level-set mask with |Omega^c|/|K| near the
     requested fraction."""
     g = random_field(n, 1.0, rng, kmax=2).values
-    thr = np.quantile(g, frac_complement)
-    return g >= thr
+    # np.quantile's threshold lies between the lo-th and hi-th smallest
+    # samples (lo, hi the floor and ceiling of frac (n^3 - 1)), and no sample
+    # lies strictly between them, so its mask is g >= the hi-th smallest
+    hi = math.ceil(frac_complement * (g.size - 1))
+    return g >= np.partition(g, hi, axis=None)[hi]
 
 
-def _gradient_norms(values: np.ndarray, coeffs: np.ndarray | None, L: float,
-                    omega_mask: np.ndarray, phi: float = 0.0):
+def _gradient_norms(values: np.ndarray | None, coeffs: np.ndarray | None,
+                    L: float, omega_mask: np.ndarray, phi: float = 0.0):
     """Sums over Omega and over the whole grid of |grad u + i phi/L e_z u|^2
-    (e_z the last axis) for the field u with samples ``values`` and band
-    coefficients ``coeffs`` (None for a sampled field).  The gradient is
-    the exact one of u's trigonometric polynomial, so the calibrated
-    constants depend on the resolution only through the mask.
+    (e_z the last axis) for the field u with band coefficients ``coeffs``,
+    or, when they are None, with samples ``values``.  The grid's size and
+    dimension are the mask's.  The gradient is the exact one of u's
+    trigonometric polynomial, so the calibrated constants depend on the
+    resolution only through the mask.
 
     With coefficients a_k of a component, sum_Omega |g|^2 is the quadratic
     form sum_{k,k'} conj(a_k) a_k' m(k' - k) with m the transform of the
@@ -160,7 +166,7 @@ def _gradient_norms(values: np.ndarray, coeffs: np.ndarray | None, L: float,
     n^d sum_k |a_k|^2: no gradient is sampled.  A sampled field gets its
     gradient from FFTs over all n modes and sums it on the grid.
     """
-    n, d = values.shape[0], values.ndim
+    n, d = omega_mask.shape[0], omega_mask.ndim
     sampled = coeffs is None
     if sampled:
         coeffs = np.fft.fftshift(np.fft.fftn(values)) / values.size
@@ -207,6 +213,24 @@ def _padded(coeffs: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
+def _parseval(coeffs: np.ndarray, n: int) -> float:
+    """Sum of |u|^2 over the periodic n^d grid for the field u with band
+    coefficients ``coeffs``: n^d sum_k |c_k|^2 (Parseval; K <= n)."""
+    return n ** coeffs.ndim * float(np.sum(np.abs(coeffs) ** 2))
+
+
+def _centred(f: DiscreteField, n: int):
+    """u - <u> for the field f on the n^d grid, as (samples, coefficients),
+    one of them None, and the sum of its |.|^2 over the grid.  With
+    coefficients the mean is the zero mode, and the sum is Parseval's."""
+    if f.coeffs is None:
+        w = f.values - np.mean(f.values)
+        return w, None, float(np.sum(np.abs(w) ** 2))
+    coeffs = f.coeffs.copy()
+    coeffs[(coeffs.shape[0] // 2,) * coeffs.ndim] = 0.0
+    return None, coeffs, _parseval(coeffs, n)
+
+
 @dataclass(frozen=True)
 class PoincareResult:
     ratio: float
@@ -233,19 +257,23 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
                   nondegenerate for |phi| < pi).
 
     Returns the measured ratio LHS / structural RHS (no constants folded in).
+    A field with band coefficients (and a weight with them) has every sum
+    over the grid taken from them by Parseval, sum_x |u|^2 =
+    n^d sum_k |c_k|^2: the mean is the zero mode, and the centred norm,
+    the projection and the weight's inner products are sums over modes.
+    Its samples are never synthesized.  A sampled field sums on the grid.
     """
     params = params or {}
-    vals = f.values
-    dV = f.cell_volume
-    vol = f.L ** vals.ndim
-    comp = ~omega_mask
-    comp_vol = float(np.sum(comp)) * dV
+    n, d = omega_mask.shape[0], omega_mask.ndim
+    dV = (f.L / n) ** d
+    vol = f.L ** d
+    comp_vol = float(omega_mask.size - np.count_nonzero(omega_mask)) * dV
 
     if variant == "homogeneous":
-        mean = np.mean(vals)
-        lhs = float(np.sum(np.abs(vals - mean) ** 2)) * dV
-        g2_omega, g2_full = (s * dV for s in
-                             _gradient_norms(vals, f.coeffs, f.L, omega_mask))
+        w, coeffs, lhs = _centred(f, n)
+        lhs *= dV
+        g2_omega, g2_full = (s * dV for s in _gradient_norms(
+            w, coeffs, f.L, omega_mask))
         rhs = f.L**2 * g2_omega + comp_vol ** (2.0 / 3.0) * g2_full
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         return PoincareResult(ratio, lhs, rhs, comp_vol / vol,
@@ -257,20 +285,24 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
             raise ValueError("inhomogeneous variant needs the weight h")
         if not isinstance(weight, DiscreteField):
             weight = DiscreteField(np.asarray(weight, dtype=float), f.L)
-        wv = weight.values
-        wsum = float(np.sum(wv)) * dV
-        if abs(wsum - 1.0) > 1e-8:
-            raise ValueError("weight must integrate to 1")
         # enforce int f h = 0 by projection, then measure
-        c = (float(np.sum(vals * wv)) * dV) / (float(np.sum(wv**2)) * dV)
-        proj = vals - c * wv
-        lhs = float(np.sum(np.abs(proj) ** 2)) * dV
-        coeffs = None
         if f.coeffs is not None and weight.coeffs is not None:
             K = max(f.coeffs.shape[0], weight.coeffs.shape[0])
-            coeffs = _padded(f.coeffs, K) - c * _padded(weight.coeffs, K)
+            a, b = _padded(f.coeffs, K), _padded(weight.coeffs, K)
+            # sum_x u conj(w) = n^d sum_k a_k conj(b_k), w real
+            wsum = n**d * float(b[(K // 2,) * d].real) * dV
+            c = float(np.vdot(b, a).real) / float(np.vdot(b, b).real)
+            proj, coeffs = None, a - c * b
+            lhs = _parseval(coeffs, n) * dV
+        else:
+            vals, wv = f.values, weight.values
+            wsum = float(np.sum(wv)) * dV
+            c = (float(np.sum(vals * wv)) * dV) / (float(np.sum(wv**2)) * dV)
+            proj, coeffs = vals - c * wv, None
+            lhs = float(np.sum(np.abs(proj) ** 2)) * dV
+        if abs(wsum - 1.0) > 1e-8:
+            raise ValueError("weight must integrate to 1")
         g2_omega, g2_full = _gradient_norms(proj, coeffs, f.L, omega_mask)
-        d = vals.ndim
         rhs = g2_omega * dV + (comp_vol / vol) ** (2.0 / d) * g2_full * dV
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         return PoincareResult(ratio, lhs, rhs, comp_vol / vol, {})
@@ -279,15 +311,10 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
         phi = float(params.get("phi", 0.5 * math.pi))
         if abs(phi) >= math.pi:
             raise ValueError("vector-potential variant needs |phi| < pi")
-        hmean = np.mean(vals)
-        w = vals - hmean
-        norm2 = float(np.sum(np.abs(w) ** 2)) * dV
+        w, coeffs, norm2 = _centred(f, n)
+        norm2 *= dV
         if norm2 == 0.0:
             return PoincareResult(0.0, 0.0, 0.0, comp_vol / vol, {})
-        coeffs = None
-        if f.coeffs is not None:
-            coeffs = f.coeffs.copy()
-            coeffs[(coeffs.shape[0] // 2,) * coeffs.ndim] -= hmean
         g2_omega, g2_full = (s * dV for s in _gradient_norms(
             w, coeffs, f.L, omega_mask, phi))
         excess = g2_omega - (phi / f.L) ** 2 * norm2
@@ -302,14 +329,11 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
 
 
 def _cosine_weight(n: int) -> DiscreteField:
-    """The weight h = 1 + cos(2 pi x)/2 on the unit cube, normalized to
-    integrate to 1 on the n^3 grid."""
-    values = 1.0 + 0.5 * np.cos(
-        2 * math.pi * np.arange(n) / n)[:, None, None] * np.ones((n, n, n))
-    norm = np.sum(values) * (1.0 / n) ** 3
+    """The weight h = 1 + cos(2 pi x)/2 on the unit cube, which integrates
+    to 1: three modes along x, on the n^3 grid."""
     coeffs = np.zeros((3, 3, 3))
     coeffs[:, 1, 1] = (0.25, 1.0, 0.25)
-    return DiscreteField(values / norm, 1.0, coeffs=coeffs / norm)
+    return DiscreteField(None, 1.0, coeffs, n, True)
 
 
 def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
@@ -416,51 +440,64 @@ def localize_band_matrix(case: BandMatrixCase) -> LocalizationResult:
 # exact diagonalization of the 1D delta gas
 # --------------------------------------------------------------------------
 
-_DENSE_MAX = 200     # largest bosonic sector solved dense, not by ARPACK
+def _rotated_keys(states: np.ndarray, m: int) -> np.ndarray:
+    """Keys (lexicographic ranks) of the sorted site tuples ``states`` on
+    the m-site ring, rotated so that their i-th particle sits at site 0:
+    column i of the result."""
+    n = states.shape[1]
+    rotated = np.sort((states[:, None, :] - states[:, :, None]) % m, axis=2)
+    return np.ravel_multi_index(tuple(np.moveaxis(rotated, 2, 0)), (m,) * n)
 
 
-def _delta_gas_energy_at(m: int, n: int, ell: float, g: float,
-                         boundary: str) -> float:
-    """Ground energy of n bosons on m sites: sum_i T_i (T the second
-    difference, on a ring or with Neumann ends) + g/h per coincident pair.
+def _delta_gas_energy_at(m: int, n: int, ell: float, g: float) -> float:
+    """Ground energy of n bosons on a ring of m >= 3 sites: sum_i T_i (T the
+    periodic second difference, h = ell/m) + g/h per coincident pair.
 
     On all m^n site tuples H has nonpositive off-diagonal entries on a
     connected grid: by Perron-Frobenius its ground state is unique and
-    positive, hence symmetric.  H is built on the sorted tuples alone, where
-    a hop from x to y has amplitude -sqrt(n_x (n_y + 1))/h^2."""
-    periodic = boundary == "periodic"
-    h = ell / m if periodic else ell / (m - 1)
-    # lexicographic, so the keys increase and searchsorted finds targets
-    states = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(m), n)),
-        dtype=np.intp).reshape(-1, n)
-    keys = np.ravel_multi_index(states.T, (m,) * n)
-    ends = ((states == 0) | (states == m - 1)) & (not periodic)
+    positive, hence symmetric, and translation invariant, since the
+    rotation T of the ring commutes with H and T psi is again a positive
+    ground state.  So H is solved on the zero-momentum states of the sorted
+    tuples, |O> = |O|^{-1/2} sum_{s in O} |s> for each orbit O of the
+    rotations, where H_red[O, O'] = sqrt(|O|/|O'|) sum_{s' in O'} H[s0, s']
+    for the representative s0 of O (Sandvik, AIP Conf. Proc. 1297, 135
+    (2010)).  Among the sorted tuples a hop from x to y has amplitude
+    -sqrt(n_x (n_y + 1))/h^2.
+
+    Every orbit holds tuples with a particle at site 0, and its
+    representative is the smallest of them: the one that no rotation
+    bringing another of its particles to 0 makes smaller.  So only the
+    C(m + n - 2, n - 1) tuples that start at 0 are enumerated, and the
+    hops are built from the representatives alone.
+    """
+    h = ell / m
+    tails = list(itertools.combinations_with_replacement(range(m), n - 1))
+    starts = np.zeros((len(tails), n), dtype=np.intp)
+    starts[:, 1:] = tails
+    keys = _rotated_keys(starts, m)
+    canon = keys.min(axis=1)
+    rep = keys[:, 0] == canon
+    states, keys, canon = starts[rep], keys[rep], canon[rep]
+    # |O| = m / #(rotations that fix s0), each of which brings a distinct
+    # occupied site to 0
+    first = np.ones(states.shape, dtype=bool)
+    first[:, 1:] = states[:, 1:] != states[:, :-1]
+    size = m / np.sum((keys == canon[:, None]) & first, axis=1)
     pairs = (np.sum(states[:, None] == states[..., None], axis=(1, 2)) - n) / 2
-    diag = np.where(ends, 1.0, 2.0).sum(axis=1) / h**2 + (g / h) * pairs
-    # the last particle at each site hops right; the transpose hops left
-    right = (states + 1) % m if periodic else states + 1
-    last = np.ones(states.shape, dtype=bool)
-    last[:, :-1] = states[:, :-1] < states[:, 1:]
-    src, i = np.nonzero(last & (right < m))
-    n_from = np.sum(states[src] == states[src, i, None], axis=1)
-    n_to = np.sum(states[src] == right[src, i, None], axis=1)
-    moved = np.sort(np.where(np.arange(n) == i[:, None], right[src, i, None],
-                             states[src]), axis=1)
-    tgt = np.searchsorted(keys, np.ravel_multi_index(moved.T, (m,) * n))
+    H = np.diag(2.0 * n / h**2 + (g / h) * pairs)
+    # the first particle at each site hops right and left
+    src, i = np.nonzero(first)
+    src, i = np.r_[src, src], np.r_[i, i]
+    x = states[src, i]
+    y = (x + np.repeat((1, -1), len(x) // 2)) % m
+    n_from = np.sum(states[src] == x[:, None], axis=1)
+    n_to = np.sum(states[src] == y[:, None], axis=1)
+    moved = np.where(np.arange(n) == i[:, None], y[:, None], states[src])
+    tgt = np.searchsorted(canon, _rotated_keys(np.sort(moved, axis=1),
+                                               m).min(axis=1))
     amp = -np.sqrt(n_from * (n_to + 1.0)) / h**2
-    size = len(states)
-    every = np.arange(size)
-    H = sp.csr_matrix((np.r_[diag, amp, amp], (np.r_[every, src, tgt],
-                       np.r_[every, tgt, src])), shape=(size, size))
-    if size <= _DENSE_MAX or n == 1:
-        # n = 1: the uniform v0 below is the ground state; ARPACK fails on it
-        return float(np.linalg.eigvalsh(H.toarray())[0])
-    # tol=0 is machine precision: at tol=1e-12 ARPACK returns an excited
-    # level when the ground energy is 0 (g = 0, 300 or 1176 states)
-    val = eigsh(H, k=1, which="SA", return_eigenvectors=False, maxiter=20000,
-                tol=0, v0=np.full(size, 1.0 / math.sqrt(size)))
-    return float(val[0])
+    np.add.at(H, (src, tgt), np.sqrt(size[src] / size[tgt]) * amp)
+    return float(np.linalg.eigvalsh(H)[0])
 
 
 @dataclass(frozen=True)
@@ -472,20 +509,18 @@ class DeltaGasResult:
 
 
 def exact_diag_delta_gas_1d(n: int, ell: float, g: float,
-                            boundary: str = "periodic",
                             m_base: int = 24) -> DeltaGasResult:
-    """Ground energy of n <= 3 bosons with g sum delta(z_i - z_j).
+    """Ground energy of n <= 3 bosons with g sum delta(z_i - z_j) on a ring
+    of length ell.
 
     The contact interaction is an on-site potential g/dz (standard grid
     realization); the leading grid error is O(dz), removed by Richardson
     extrapolation over three resolutions.
     """
-    if boundary not in ("periodic", "neumann"):
-        raise ValueError("boundary must be periodic or neumann")
     if n < 1 or n > 3:
         raise ValueError("n must be 1, 2 or 3")
     ms = (m_base, int(1.5 * m_base), 2 * m_base)
-    es = [_delta_gas_energy_at(m, n, ell, g, boundary) for m in ms]
+    es = [_delta_gas_energy_at(m, n, ell, g) for m in ms]
     # E(h) = E0 + c h: eliminate pairwise, report the spread
     h = np.array([ell / m for m in ms])
     e01 = (es[1] * h[0] - es[0] * h[1]) / (h[0] - h[1])

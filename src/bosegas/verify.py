@@ -9,6 +9,8 @@ constants, and the seeds used.  Any failure makes the whole suite fail.
 from __future__ import annotations
 
 import math
+import resource
+import sys
 import time
 
 import numpy as np
@@ -306,11 +308,11 @@ def _oracle_checks(seed):
     out.append(_check("oracles.band_matrix_corpus", viol, 0.5, seed=seed + 3,
                       calibrated_C=10.0))
 
-    worst = -1.0
+    worst = -math.inf
     for g in (1.0, 10.0):
-        e3 = oracles.exact_diag_delta_gas_1d(3, 1.0, g, "periodic", 16).energy
-        e2 = oracles.exact_diag_delta_gas_1d(2, 1.0, g, "periodic", 16).energy
-        e1 = oracles.exact_diag_delta_gas_1d(1, 1.0, g, "periodic", 16).energy
+        e3 = oracles.exact_diag_delta_gas_1d(3, 1.0, g, 16).energy
+        e2 = oracles.exact_diag_delta_gas_1d(2, 1.0, g, 16).energy
+        e1 = oracles.exact_diag_delta_gas_1d(1, 1.0, g, 16).energy
         worst = max(worst, (e2 + e1) - e3)
     out.append(_check("oracles.delta_gas_superadditivity", worst, 1e-9))
 
@@ -321,12 +323,21 @@ def _oracle_checks(seed):
     return out
 
 
-def run_all(seed: int = 20240, timings: dict | None = None) -> dict:
+def _max_rss_mb() -> float:
+    """The process's peak resident set so far, in MB (ru_maxrss is in
+    kilobytes on Linux and in bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0**2 if sys.platform == "darwin" else 1024.0)
+
+
+def run_all(seed: int = 20240, timings: dict | None = None,
+            max_rss_mb: dict | None = None) -> dict:
     """Run the whole invariant suite; returns the scorecard dict.
 
     When ``timings`` is a dict, it receives the wall seconds of each section
-    (scattering, homogeneous, meanfield, onedim, charged, oracles); they are
-    never part of the scorecard, which stays byte-reproducible.
+    (scattering, homogeneous, meanfield, onedim, charged, oracles), and
+    ``max_rss_mb`` the process's peak resident set in MB after each; they
+    are never part of the scorecard, which stays byte-reproducible.
     """
     sections = (("scattering", _scattering_checks, ()),
                 ("homogeneous", _homogeneous_checks, (seed,)),
@@ -340,6 +351,8 @@ def run_all(seed: int = 20240, timings: dict | None = None) -> dict:
         checks += run(*args)
         if timings is not None:
             timings[name] = time.perf_counter() - t0
+        if max_rss_mb is not None:
+            max_rss_mb[name] = _max_rss_mb()
     n_pass = sum(1 for c in checks if c["passed"])
     return {
         "schema_version": SCHEMA_VERSION,

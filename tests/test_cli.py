@@ -269,7 +269,7 @@ run("tf", "--N", "100", "--coupling", "0.01",
 print(json.dumps(loaded()))
 run("scatter", "--v0", "1e8")
 print(json.dumps(loaded()))
-import bosegas.onedim, bosegas.meanfield, bosegas.flows
+import bosegas.onedim, bosegas.meanfield, bosegas.flows, bosegas.oracles
 print(json.dumps(loaded()))
 run("ll", "--t", "1.0")
 assert bosegas.cli.main(["ll", "--emit-curve", f"{sys.argv[1]}/curve.csv"]) == 0
@@ -279,6 +279,8 @@ run("gp", "--N", "10", "--coupling", "0.1", "--n-grid", "256")
 print(json.dumps(loaded()))
 run("regimes", "--N", "30", "--L", "100", "--r", "0.5", "--a", "1e-4")
 run("charged", "dyson")
+print(json.dumps(loaded()))
+run("verify", "--seed", "7")
 print(json.dumps(loaded()))
 """
 
@@ -302,7 +304,7 @@ def test_cli_import_loads_only_config(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (after_import, after_foldy, after_bounds, after_closed, after_profile,
      after_scatter, after_modules, after_tables, after_gp,
-     after_flows) = map(json.loads, proc.stdout.splitlines())
+     after_flows, after_verify) = map(json.loads, proc.stdout.splitlines())
     assert after_import == ["bosegas", "bosegas.cli", "bosegas.config"]
     # the closed-form charged queries and the scalar bounds compute with
     # math alone: no numpy, let alone scipy
@@ -331,9 +333,9 @@ def test_cli_import_loads_only_config(tmp_path):
     assert "numpy" in after_scatter
     assert "bosegas.scattering" in after_scatter
     assert not _scipy(after_scatter)
-    # the table queries and TF load no scipy
-    assert {"bosegas.onedim", "bosegas.meanfield", "bosegas.flows"} \
-        <= set(after_modules)
+    # the table queries and TF load no scipy, and neither do the oracles
+    assert {"bosegas.onedim", "bosegas.meanfield", "bosegas.flows",
+            "bosegas.oracles"} <= set(after_modules)
     assert not _scipy(after_modules)
     assert not _scipy(after_tables)
     # a flow step loads scipy.linalg for its banded solve, and nothing else
@@ -341,6 +343,10 @@ def test_cli_import_loads_only_config(tmp_path):
         assert "scipy.linalg" in loaded
         assert not _scipy(loaded, "scipy.optimize", "scipy.interpolate",
                           "scipy.special")
+    # verify solves its delta gases dense in the zero-momentum sector: no
+    # scipy.sparse, no ARPACK
+    assert "bosegas.verify" in after_verify
+    assert not _scipy(after_verify, "scipy.sparse")
 
 
 def test_bounds_sweep_contract(tmp_path):
@@ -434,6 +440,29 @@ def test_ll_emit_curve_contract(tmp_path):
     # the curve written is the shipped table, byte for byte
     from bosegas import onedim
     assert out.read_bytes() == onedim._TABLE.read_bytes()
+
+
+def test_ll_emit_curve_takes_no_record_options(tmp_path, capsys):
+    # --emit-curve writes the curve only: --t or --out beside it is refused
+    # before anything is written, at a run and in validate
+    curve, rec = tmp_path / "curve.csv", tmp_path / "r.json"
+    for extra in (["--t", "1.0"], ["--out", str(rec)],
+                  ["--t", "1.0", "--out", str(rec)]):
+        assert run_cli("ll", "--emit-curve", str(curve), *extra) == 2
+        assert "ll --emit-curve writes the curve only" in capsys.readouterr().err
+        assert not curve.exists() and not rec.exists()
+    cfg = tmp_path / "ll.cfg"
+    cfg.write_text(f"[ll]\nt = 1.0\nemit-curve = {curve}\nout = {rec}\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "ll.t: emit-curve writes the curve only, no record",
+        "ll.out: emit-curve writes the curve only, no record"]
+    assert run_cli("--config", str(cfg), "ll") == 2
+    assert not curve.exists() and not rec.exists()
+    cfg.write_text(f"[ll]\nemit_curve = {curve}\n")
+    assert run_cli("validate", str(cfg)) == 0
+    cfg.write_text("[ll]\nt = 1.0\n")
+    assert run_cli("validate", str(cfg)) == 0
 
 
 def test_tf_takes_no_box_trap(tmp_path, capsys):
@@ -845,6 +874,14 @@ def test_verify_timings_sidecar(tmp_path, ll_curve):
     assert all(s > 0.0 for s in sections.values())
     assert timings["total"] == pytest.approx(sum(sections.values()))
     assert timings["seed"] == 7 and timings["unit"] == "s"
+    # the peak resident set after each section, in the order they run
+    order = ("scattering", "homogeneous", "meanfield", "onedim", "charged",
+             "oracles")
+    peaks = [timings["max_rss_mb"][name] for name in order]
+    assert set(timings["max_rss_mb"]) == set(order)
+    assert all(p > 0.0 for p in peaks)
+    assert peaks == sorted(peaks)
+    assert "max_rss_mb" not in timed.read_text()
 
 
 def test_exit_codes(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,8 +15,9 @@ from bosegas import oracles as orc
 # --- reference implementations ------------------------------------------------
 # The straightforward versions of the rewritten oracle kernels: an FFT field
 # with one draw per coefficient, the FFT gradient, the full-space Fock and
-# delta-gas Hamiltonians from Kronecker products, and the loop over
-# windows.  The kernels in bosegas.oracles are checked against them.
+# delta-gas Hamiltonians from Kronecker products, the delta gas's bosonic
+# sector (with the Neumann ends the ring solve has no use for), and the loop
+# over windows.  The kernels in bosegas.oracles are checked against them.
 
 def _reference_random_field(n, L, rng, kmax=3, complex_valued=False):
     fhat = np.zeros((n, n, n), dtype=complex)
@@ -127,6 +129,49 @@ def _reference_kinetic_1p(m, h, boundary):
         T[0, -1] = -1.0
         T[-1, 0] = -1.0
     return (T / h**2).tocsr()
+
+
+_BOSONIC_DENSE_MAX = 200    # largest bosonic sector solved dense, not by ARPACK
+
+
+def _reference_bosonic_delta_gas_energy(m, n, ell, g, boundary):
+    """Ground energy of n bosons on m sites (a ring or Neumann ends) from
+    the sorted site tuples, the bosonic sector of the full space: H as a csr
+    matrix, solved dense up to 200 states and by ARPACK above.  A hop from x
+    to y has amplitude -sqrt(n_x (n_y + 1))/h^2; the last particle at each
+    site hops right, and the transpose hops left."""
+    periodic = boundary == "periodic"
+    h = ell / m if periodic else ell / (m - 1)
+    # lexicographic, so the keys increase and searchsorted finds targets
+    states = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(m), n)),
+        dtype=np.intp).reshape(-1, n)
+    keys = np.ravel_multi_index(states.T, (m,) * n)
+    ends = ((states == 0) | (states == m - 1)) & (not periodic)
+    pairs = (np.sum(states[:, None] == states[..., None], axis=(1, 2)) - n) / 2
+    diag = np.where(ends, 1.0, 2.0).sum(axis=1) / h**2 + (g / h) * pairs
+    right = (states + 1) % m if periodic else states + 1
+    last = np.ones(states.shape, dtype=bool)
+    last[:, :-1] = states[:, :-1] < states[:, 1:]
+    src, i = np.nonzero(last & (right < m))
+    n_from = np.sum(states[src] == states[src, i, None], axis=1)
+    n_to = np.sum(states[src] == right[src, i, None], axis=1)
+    moved = np.sort(np.where(np.arange(n) == i[:, None], right[src, i, None],
+                             states[src]), axis=1)
+    tgt = np.searchsorted(keys, np.ravel_multi_index(moved.T, (m,) * n))
+    amp = -np.sqrt(n_from * (n_to + 1.0)) / h**2
+    size = len(states)
+    every = np.arange(size)
+    H = sp.csr_matrix((np.r_[diag, amp, amp], (np.r_[every, src, tgt],
+                       np.r_[every, tgt, src])), shape=(size, size))
+    if size <= _BOSONIC_DENSE_MAX or n == 1:
+        # n = 1: the uniform v0 below is the ground state; ARPACK fails on it
+        return float(np.linalg.eigvalsh(H.toarray())[0])
+    # tol=0 is machine precision: at tol=1e-12 ARPACK returns an excited
+    # level when the ground energy is 0 (g = 0, 300 or 1176 states)
+    val = eigsh(H, k=1, which="SA", return_eigenvectors=False, maxiter=20000,
+                tol=0, v0=np.full(size, 1.0 / math.sqrt(size)))
+    return float(val[0])
 
 
 def _reference_delta_gas_energy(m, n, ell, g, boundary):
@@ -322,6 +367,80 @@ def test_random_subset_masks_match_reference():
             assert np.array_equal(mask, ref)
 
 
+def _quantile_mask(g, frac_complement):
+    return g >= np.quantile(g, frac_complement)
+
+
+@pytest.mark.parametrize("variant,seed", [("homogeneous", 27),
+                                          ("vector_potential", 28),
+                                          ("inhomogeneous", 29)])
+def test_partition_masks_equal_quantile_masks_on_verify_corpora(variant,
+                                                                seed):
+    # the corpora of verify --seed 7, drawn as poincare_calibrate draws them
+    for n in (24, 48):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            frac = rng.uniform(0.0, 0.5)
+            state = rng.bit_generator.state
+            mask = orc.random_subset(n, rng, frac)
+            rng.bit_generator.state = state
+            g = orc.random_field(n, 1.0, rng, kmax=2).values
+            assert np.array_equal(mask, _quantile_mask(g, frac))
+            orc.random_field(n, 1.0, rng, kmax=2,
+                             complex_valued=(variant == "vector_potential"))
+
+
+def test_partition_mask_at_the_ends():
+    # the ends, a midpoint, and fractions whose quantile index frac (n^3 - 1)
+    # is an integer
+    for frac in (0.0, 0.5, 1.0, 1.0 / 215.0, 107.0 / 215.0):
+        rng = np.random.default_rng(0)
+        got = orc.random_subset(6, rng, frac)
+        ref = _quantile_mask(orc.random_field(
+            6, 1.0, np.random.default_rng(0), kmax=2).values, frac)
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [24, 48])
+@pytest.mark.parametrize("variant", ["homogeneous", "inhomogeneous",
+                                     "vector_potential"])
+def test_coefficient_sums_match_sampled_route(variant, n):
+    # every grid sum by Parseval against the same sums on synthesized samples
+    rng = np.random.default_rng(n)
+    weight = orc._cosine_weight(n)
+    sampled_weight = orc.DiscreteField(weight.values, 1.0)
+    for _ in range(8):
+        mask = orc.random_subset(n, rng, rng.uniform(0.0, 0.5))
+        f = orc.random_field(n, 1.0, rng, kmax=2,
+                             complex_valued=(variant == "vector_potential"))
+        band = orc.poincare_check(variant, f, mask, {"h_weight": weight})
+        assert "values" not in vars(f)              # never synthesized
+        sampled = orc.poincare_check(variant, orc.DiscreteField(f.values, 1.0),
+                                     mask, {"h_weight": sampled_weight})
+        for got, want in [(band.ratio, sampled.ratio), (band.lhs, sampled.lhs),
+                          (band.rhs_structural, sampled.rhs_structural),
+                          *zip(band.pieces.values(), sampled.pieces.values())]:
+            assert got == pytest.approx(want, rel=1e-12)
+        assert band.omega_complement_fraction == \
+            sampled.omega_complement_fraction
+
+
+def test_calibration_synthesizes_the_masks_only(monkeypatch):
+    shapes = []
+    synthesize = orc._synthesize
+
+    def counted(coeffs, n, real):
+        shapes.append((coeffs.shape[0], n, real))
+        return synthesize(coeffs, n, real)
+
+    monkeypatch.setattr(orc, "_synthesize", counted)
+    for variant in ("homogeneous", "vector_potential", "inhomogeneous"):
+        shapes.clear()
+        orc.poincare_calibrate(variant, n=24, n_cases=5, seed=1)
+        # one real kmax = 2 field per mask, no test field and no weight
+        assert shapes == [(5, 24, True)] * 5
+
+
 def test_fields_reject_unresolved_band():
     with pytest.raises(ValueError):
         orc.random_field(4, 1.0, np.random.default_rng(0), kmax=2)
@@ -446,40 +565,58 @@ def test_band_window_ties_take_the_first():
 
 @pytest.mark.parametrize("g", [0.0, 1.0, 50.0])
 @pytest.mark.parametrize("boundary", ["periodic", "neumann"])
-@pytest.mark.parametrize("n, m", [(1, 16), (2, 24), (3, 8)])
+@pytest.mark.parametrize("n, m", [(1, 16), (1, 17), (2, 24), (2, 25),
+                                  (3, 8), (3, 9)])
 def test_delta_gas_bosonic_sector_matches_full_space(n, m, boundary, g):
-    # n = 2, m = 24 has 300 bosonic states, above the dense cut: ARPACK
-    assert (math.comb(m + n - 1, n) > orc._DENSE_MAX) == (n == 2)
+    # n = 2 has 300 and 325 bosonic states, above the dense cut: ARPACK.  The
+    # ring is also solved in its zero-momentum sector, on odd and even m;
+    # (0, 12) at m = 24 and (0, 3, 6) at m = 9 are orbits a rotation fixes
+    assert (math.comb(m + n - 1, n) > _BOSONIC_DENSE_MAX) == (n == 2)
     ref = _reference_delta_gas_energy(m, n, 1.0, g, boundary)
-    got = orc._delta_gas_energy_at(m, n, 1.0, g, boundary)
-    assert abs(got - ref) <= 1e-10 * max(abs(ref), 1.0)
+    got = [_reference_bosonic_delta_gas_energy(m, n, 1.0, g, boundary)]
+    if boundary == "periodic":
+        got.append(orc._delta_gas_energy_at(m, n, 1.0, g))
+    for e in got:
+        assert abs(e - ref) <= 1e-10 * max(abs(ref), 1.0)
+
+
+@pytest.mark.parametrize("n, m", [(2, 44), (3, 30), (3, 32)])
+def test_delta_gas_zero_momentum_sector_matches_bosonic_sector(n, m):
+    # the sizes verify and the acceptance test solve, against ARPACK on
+    # every bosonic state (5984 at n = 3, m = 32)
+    for g in (1.0, 10.0):
+        ref = _reference_bosonic_delta_gas_energy(m, n, 1.0, g, "periodic")
+        got = orc._delta_gas_energy_at(m, n, 1.0, g)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
 def test_delta_gas_free_limits():
     # noninteracting ground energy is 0 for both boundary conditions; the
     # Richardson step amplifies eigensolver roundoff slightly
-    assert abs(orc.exact_diag_delta_gas_1d(2, 1.0, 0.0, "periodic").energy) < 1e-8
-    assert abs(orc.exact_diag_delta_gas_1d(2, 1.0, 0.0, "neumann").energy) < 1e-8
+    assert abs(orc.exact_diag_delta_gas_1d(2, 1.0, 0.0).energy) < 1e-8
+    for m in (24, 36, 48):
+        assert abs(_reference_bosonic_delta_gas_energy(
+            m, 2, 1.0, 0.0, "neumann")) < 1e-8
 
 
 def test_delta_gas_fermionization_trend():
     ff = 2.0 * math.pi**2   # two impenetrable bosons: momenta +-pi/ell, ell = 1
-    e50 = orc.exact_diag_delta_gas_1d(2, 1.0, 50.0, "periodic", 28).energy
-    e500 = orc.exact_diag_delta_gas_1d(2, 1.0, 500.0, "periodic", 28).energy
+    e50 = orc.exact_diag_delta_gas_1d(2, 1.0, 50.0, 28).energy
+    e500 = orc.exact_diag_delta_gas_1d(2, 1.0, 500.0, 28).energy
     assert e50 < e500 < ff
     assert abs(e500 - ff) / ff < 0.1
 
 
 def test_delta_gas_superadditivity():
     for g in (1.0, 10.0):
-        e3 = orc.exact_diag_delta_gas_1d(3, 1.0, g, "periodic", 16).energy
-        e2 = orc.exact_diag_delta_gas_1d(2, 1.0, g, "periodic", 16).energy
-        e1 = orc.exact_diag_delta_gas_1d(1, 1.0, g, "periodic", 16).energy
+        e3 = orc.exact_diag_delta_gas_1d(3, 1.0, g, 16).energy
+        e2 = orc.exact_diag_delta_gas_1d(2, 1.0, g, 16).energy
+        e1 = orc.exact_diag_delta_gas_1d(1, 1.0, g, 16).energy
         assert e3 >= e2 + e1 - 1e-9
 
 
 def test_delta_gas_error_estimate_reported():
-    res = orc.exact_diag_delta_gas_1d(2, 1.0, 5.0, "periodic", 20)
+    res = orc.exact_diag_delta_gas_1d(2, 1.0, 5.0, 20)
     assert res.error_estimate < 0.01 * abs(res.energy)
     assert len(res.energies_raw) == 3
 
