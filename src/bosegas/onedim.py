@@ -436,44 +436,62 @@ class ElongatedTrap:
             raise ValueError("trap parameters must be positive")
 
 
-@dataclass(frozen=True)
-class TransverseMode:
-    e_perp_unit: float      # ground energy of -Lap + V_perp at unit r
-    e_perp: float           # e_perp_unit / r^2
-    grid: np.ndarray
-    b: np.ndarray           # unit-scale normalized profile
-    int_b4_unit: float      # int |b|^4 d^2x at unit scale
-    g: float                # 8 pi a / r^2 * int_b4_unit
-
-
 # points of the transverse-mode profile grid, and of the middle of the three
 # finite-difference solves behind the order check and the Richardson step
 _MODE_GRID = 2000
 _MODE_FD_GRID = 1500
+# the first zero of J0, equal bit for bit to scipy.special.jn_zeros(0, 1)[0]
+_J0_FIRST_ZERO = 2.4048255576957724
+
+
+@dataclass(frozen=True)
+class TransverseMode:
+    """Ground transverse mode of ``trap`` and the effective 1D coupling g.
+
+    harmonic: closed form (Gaussian, e_perp = 2, int b^4 = 1/(2 pi));
+    hard wall: Bessel J0 with its first zero setting the energy.  The energy
+    is a constant; the unit-scale profile, int b^4 and g are built on first
+    read (the hard wall's profile is the one place scipy.special loads).
+    """
+
+    trap: ElongatedTrap
+    e_perp_unit: float      # ground energy of -Lap + V_perp at unit r
+
+    @property
+    def e_perp(self) -> float:
+        return self.e_perp_unit / self.trap.r**2
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        rmax = 6.0 if self.trap.transverse == "harmonic" else 1.0
+        return np.linspace(0.0, rmax, _MODE_GRID)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """The unit-scale normalized profile on ``grid``."""
+        if self.trap.transverse == "harmonic":
+            return np.exp(-0.5 * self.grid**2) / math.sqrt(math.pi)
+        from scipy.special import j0, j1
+        norm = math.sqrt(math.pi) * abs(float(j1(_J0_FIRST_ZERO)))
+        return j0(_J0_FIRST_ZERO * self.grid) / norm
+
+    @cached_property
+    def int_b4_unit(self) -> float:
+        """int |b|^4 d^2x at unit scale."""
+        if self.trap.transverse == "harmonic":
+            return 1.0 / (2.0 * math.pi)
+        return float(2.0 * math.pi * np.trapezoid(self.b**4 * self.grid, self.grid))
+
+    @cached_property
+    def g(self) -> float:
+        """8 pi a / r^2 * int_b4_unit."""
+        return 8.0 * math.pi * self.trap.a / self.trap.r**2 * self.int_b4_unit
 
 
 def transverse_mode(trap: ElongatedTrap) -> TransverseMode:
-    """Ground transverse mode and the effective 1D coupling g.
-
-    harmonic: closed form (Gaussian, e_perp = 2, int b^4 = 1/(2 pi));
-    hard wall: Bessel J0 with the first zero setting the energy.
-    """
-    if trap.transverse == "harmonic":
-        grid = np.linspace(0.0, 6.0, _MODE_GRID)
-        b = np.exp(-0.5 * grid**2) / math.sqrt(math.pi)
-        e_unit = 2.0
-        int_b4 = 1.0 / (2.0 * math.pi)
-    else:
-        from scipy.special import j0, j1, jn_zeros
-        z1 = float(jn_zeros(0, 1)[0])
-        grid = np.linspace(0.0, 1.0, _MODE_GRID)
-        norm = math.sqrt(math.pi) * abs(float(j1(z1)))
-        b = j0(z1 * grid) / norm
-        e_unit = z1**2
-        rho = grid
-        int_b4 = float(2.0 * math.pi * np.trapezoid(b**4 * rho, rho))
-    g = 8.0 * math.pi * trap.a / trap.r**2 * int_b4
-    return TransverseMode(e_unit, e_unit / trap.r**2, grid, b, int_b4, g)
+    """The ground transverse mode of ``trap``."""
+    return TransverseMode(trap, 2.0 if trap.transverse == "harmonic"
+                          else _J0_FIRST_ZERO**2)
 
 
 def transverse_mode_numeric(kind: str) -> tuple[float, float]:

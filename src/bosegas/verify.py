@@ -12,6 +12,7 @@ import math
 import resource
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -330,14 +331,36 @@ def _max_rss_mb() -> float:
     return peak / (1024.0**2 if sys.platform == "darwin" else 1024.0)
 
 
+def _run_sections(sections) -> dict:
+    """Run ``sections``, (name, function, args) triples, in order; returns
+    each one's checks, wall seconds and this process's peak RSS after it."""
+    out = {}
+    for name, run, args in sections:
+        t0 = time.perf_counter()
+        checks = run(*args)
+        out[name] = (checks, time.perf_counter() - t0, _max_rss_mb())
+    return out
+
+
+# the sections that run a flow, and so load scipy.linalg: they run in a
+# worker process while the numpy-only ones run in the caller
+WORKER_SECTIONS = ("meanfield", "onedim", "charged")
+
+
 def run_all(seed: int = 20240, timings: dict | None = None,
             max_rss_mb: dict | None = None) -> dict:
     """Run the whole invariant suite; returns the scorecard dict.
 
+    The sections in ``WORKER_SECTIONS`` run in one worker process, started
+    first; the others run meanwhile in this one.  The checks are then put
+    together in the sections' order, so the scorecard does not depend on the
+    split.
+
     When ``timings`` is a dict, it receives the wall seconds of each section
     (scattering, homogeneous, meanfield, onedim, charged, oracles), and
-    ``max_rss_mb`` the process's peak resident set in MB after each; they
-    are never part of the scorecard, which stays byte-reproducible.
+    ``max_rss_mb`` the peak resident set in MB, after each, of the process
+    that ran it; they are never part of the scorecard, which stays
+    byte-reproducible.
     """
     sections = (("scattering", _scattering_checks, ()),
                 ("homogeneous", _homogeneous_checks, (seed,)),
@@ -345,14 +368,20 @@ def run_all(seed: int = 20240, timings: dict | None = None,
                 ("onedim", _onedim_checks, ()),
                 ("charged", _charged_checks, (seed + 10,)),
                 ("oracles", _oracle_checks, (seed + 20,)))
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(_run_sections, [s for s in sections
+                                             if s[0] in WORKER_SECTIONS])
+        done = _run_sections([s for s in sections
+                              if s[0] not in WORKER_SECTIONS])
+        done.update(worker.result())
     checks = []
-    for name, run, args in sections:
-        t0 = time.perf_counter()
-        checks += run(*args)
+    for name, _, _ in sections:
+        part, seconds, peak = done[name]
+        checks += part
         if timings is not None:
-            timings[name] = time.perf_counter() - t0
+            timings[name] = seconds
         if max_rss_mb is not None:
-            max_rss_mb[name] = _max_rss_mb()
+            max_rss_mb[name] = peak
     n_pass = sum(1 for c in checks if c["passed"])
     return {
         "schema_version": SCHEMA_VERSION,

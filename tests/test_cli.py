@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -346,7 +347,7 @@ def test_cli_import_loads_only_config(tmp_path):
     # verify solves its delta gases dense in the zero-momentum sector: no
     # scipy.sparse, no ARPACK
     assert "bosegas.verify" in after_verify
-    assert not _scipy(after_verify, "scipy.sparse")
+    assert not _scipy(after_verify, "scipy.sparse", "scipy.special")
 
 
 def test_bounds_sweep_contract(tmp_path):
@@ -872,16 +873,133 @@ def test_verify_timings_sidecar(tmp_path, ll_curve):
     assert set(sections) == {"scattering", "homogeneous", "meanfield",
                              "onedim", "charged", "oracles"}
     assert all(s > 0.0 for s in sections.values())
-    assert timings["total"] == pytest.approx(sum(sections.values()))
+    # the two processes overlap: the suite's wall time is below the sum
+    assert 0.0 < timings["total"] <= sum(sections.values())
     assert timings["seed"] == 7 and timings["unit"] == "s"
-    # the peak resident set after each section, in the order they run
-    order = ("scattering", "homogeneous", "meanfield", "onedim", "charged",
-             "oracles")
-    peaks = [timings["max_rss_mb"][name] for name in order]
-    assert set(timings["max_rss_mb"]) == set(order)
-    assert all(p > 0.0 for p in peaks)
-    assert peaks == sorted(peaks)
+    # each process's sections in the order it ran them, with the peak
+    # resident set of that process after each
+    assert timings["processes"] == {
+        "main": ["scattering", "homogeneous", "oracles"],
+        "worker": ["meanfield", "onedim", "charged"]}
+    assert set(timings["max_rss_mb"]) == set(sections)
+    for order in timings["processes"].values():
+        peaks = [timings["max_rss_mb"][name] for name in order]
+        assert all(p > 0.0 for p in peaks)
+        assert peaks == sorted(peaks)
     assert "max_rss_mb" not in timed.read_text()
+
+
+def _in_process_scorecard(seed):
+    """The scorecard of the six sections run in this process, in order."""
+    from bosegas import SCHEMA_VERSION, verify
+    checks = (verify._scattering_checks() + verify._homogeneous_checks(seed)
+              + verify._meanfield_checks() + verify._onedim_checks()
+              + verify._charged_checks(seed + 10)
+              + verify._oracle_checks(seed + 20))
+    n_pass = sum(1 for c in checks if c["passed"])
+    return {"schema_version": SCHEMA_VERSION, "seed": seed, "checks": checks,
+            "n_checks": len(checks), "n_passed": n_pass,
+            "all_passed": n_pass == len(checks)}
+
+
+@pytest.mark.parametrize("seed", [7, 1])
+def test_verify_split_scorecard_equals_in_process(seed, ll_curve):
+    from bosegas import verify
+    card = verify.run_all(seed)
+    assert not multiprocessing.active_children()
+    assert card["all_passed"]
+    assert (json.dumps(card, sort_keys=True, indent=1)
+            == json.dumps(_in_process_scorecard(seed), sort_keys=True, indent=1))
+
+
+# worker sections for the tests below: sent to the worker by reference, so
+# they live at module level
+def _no_checks(*args):
+    return []
+
+
+def _value_error(*args):
+    raise ValueError("worker section failed")
+
+
+def _os_error(*args):
+    raise OSError("worker section could not read")
+
+
+def _dead_worker(*args):
+    os._exit(7)
+
+
+def _local_error(*args):
+    raise ValueError("local section failed")
+
+
+@pytest.mark.parametrize("section,code,message", [
+    pytest.param(_value_error, 1, "numeric failure: worker section failed",
+                 id="value-error"),
+    pytest.param(_os_error, 3, "io error: worker section could not read",
+                 id="os-error"),
+    pytest.param(_dead_worker, 1, "numeric failure: A process in the process "
+                 "pool was terminated abruptly", id="dead-worker"),
+])
+def test_verify_worker_failure_exit_code(monkeypatch, capsys, tmp_path,
+                                         section, code, message):
+    from bosegas import verify
+    for name in ("_scattering_checks", "_homogeneous_checks", "_oracle_checks",
+                 "_meanfield_checks", "_onedim_checks"):
+        monkeypatch.setattr(verify, name, _no_checks)
+    monkeypatch.setattr(verify, "_charged_checks", section)
+    out = tmp_path / "card.json"
+    assert run_cli("verify", "--seed", "7", "--out", str(out)) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
+def test_verify_joins_worker_when_a_local_section_raises(monkeypatch):
+    from bosegas import verify
+    for name in ("_meanfield_checks", "_onedim_checks", "_charged_checks",
+                 "_homogeneous_checks", "_oracle_checks"):
+        monkeypatch.setattr(verify, name, _no_checks)
+    monkeypatch.setattr(verify, "_scattering_checks", _local_error)
+    with pytest.raises(ValueError, match="local section failed"):
+        verify.run_all(7)
+    assert not multiprocessing.active_children()
+
+
+_SECTION_IMPORTS = """
+import json
+import sys
+from bosegas import verify
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+verify._scattering_checks()
+verify._homogeneous_checks(7)
+verify._oracle_checks(27)
+print(json.dumps(loaded()))
+verify._meanfield_checks()
+verify._onedim_checks()
+verify._charged_checks(17)
+print(json.dumps(loaded()))
+"""
+
+
+def test_verify_sections_import_boundary():
+    # the caller's sections need numpy alone; the worker's load scipy.linalg
+    # for the flows' banded solve, and no scipy.special
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SECTION_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_local, after_flow = map(json.loads, proc.stdout.splitlines())
+    assert after_local == []
+    assert "scipy.linalg" in after_flow
+    assert not _scipy(after_flow, "scipy.special")
 
 
 def test_exit_codes(tmp_path):

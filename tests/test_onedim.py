@@ -401,6 +401,44 @@ def test_hard_wall_transverse_bessel():
     assert mode.e_perp == pytest.approx(z1**2 / 4.0, rel=1e-12)
 
 
+def _eager_transverse_mode(trap):
+    """Every field of the transverse mode, built at once with scipy.special's
+    zero of J0: the reference for TransverseMode's fields built on first read."""
+    from scipy.special import j0, j1
+    if trap.transverse == "harmonic":
+        grid = np.linspace(0.0, 6.0, od._MODE_GRID)
+        b = np.exp(-0.5 * grid**2) / math.sqrt(math.pi)
+        e_unit = 2.0
+        int_b4 = 1.0 / (2.0 * math.pi)
+    else:
+        z1 = float(jn_zeros(0, 1)[0])
+        grid = np.linspace(0.0, 1.0, od._MODE_GRID)
+        norm = math.sqrt(math.pi) * abs(float(j1(z1)))
+        b = j0(z1 * grid) / norm
+        e_unit = z1**2
+        rho = grid
+        int_b4 = float(2.0 * math.pi * np.trapezoid(b**4 * rho, rho))
+    g = 8.0 * math.pi * trap.a / trap.r**2 * int_b4
+    return e_unit, e_unit / trap.r**2, grid, b, int_b4, g
+
+
+def test_j0_first_zero_is_scipys():
+    assert od._J0_FIRST_ZERO == float(jn_zeros(0, 1)[0])
+
+
+@pytest.mark.parametrize("transverse", ["harmonic", "hard_wall"])
+@pytest.mark.parametrize("r,a", [(1.0, 0.01), (0.5, 1e-4), (2.0, 0.25),
+                                 (0.2, 1e-2)])
+def test_transverse_mode_equals_eager_build(transverse, r, a):
+    trap = od.ElongatedTrap(30.0, 100.0, r, a, transverse=transverse)
+    mode = od.transverse_mode(trap)
+    e_unit, e_perp, grid, b, int_b4, g = _eager_transverse_mode(trap)
+    assert (mode.e_perp_unit, mode.e_perp) == (e_unit, e_perp)
+    assert mode.grid.tobytes() == grid.tobytes()
+    assert mode.b.tobytes() == b.tobytes()
+    assert (mode.int_b4_unit, mode.g) == (int_b4, g)
+
+
 def test_transverse_numeric_agreement():
     e_unit, ib4 = od.transverse_mode_numeric("harmonic")
     assert abs(e_unit - 2.0) < 1e-8
