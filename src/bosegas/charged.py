@@ -162,10 +162,7 @@ class DysonMinimizer:
     kinetic: float
     attraction: float        # I0 int Phi^{5/2}
     virial_residual: float   # |2 T - (3/4) I0 P| / |E|
-    iterations: int
-    rejected_steps: int      # flow step halvings
-    newton_steps: int        # Newton steps of the flow's endgame
-    discretization: flows.Discretization   # the coarse grids' estimate
+    solve: flows.Solve       # what the flow did
 
 
 def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
@@ -184,18 +181,16 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
         return np.where(y > 0, -0.3125 * i0 * pos ** -0.75, 0.0)
 
     width = 0.35 * rmax
-    fp, res, disc = flows.minimize_nested(
+    fp, res, solve = flows.minimize_nested(
         lambda m: flows.sphere_problem(rmax, m, mu, lambda r: np.zeros_like(r),
                                        local, d2q, mass=1.0), n,
         lambda fp: np.exp(-(fp.nodes / width) ** 2))
-    if not res.converged:
-        raise RuntimeError("two-component minimization did not converge")
+    flows.require_converged("two-component minimization", res, solve)
     kin, _, inter = fp.energy_parts(res.psi)
     attraction = -inter
     virial = abs(2.0 * kin - 0.75 * attraction) / abs(res.energy)
     return DysonMinimizer(mu, fp.nodes.copy(), np.abs(res.psi), res.energy, kin,
-                          attraction, virial, res.iterations,
-                          res.rejected_steps, res.newton_steps, disc)
+                          attraction, virial, solve)
 
 
 def dyson_functional_minimize(mu: float = 1.0) -> DysonMinimizer:
@@ -217,14 +212,13 @@ def dyson_functional_minimize(mu: float = 1.0) -> DysonMinimizer:
     if edge_mass >= 1e-12:
         raise RuntimeError(f"two-component minimizer: boundary mass "
                            f"{edge_mass:.3e} is >= 1e-12")
-    d = one.discretization
+    solve = one.solve
     coarse, error = (None if e is None else e / mu
-                     for e in (d.E_coarse, d.E_discretization_error))
+                     for e in (solve.E_coarse, solve.E_discretization_error))
     return DysonMinimizer(
         mu, one.grid * mu, one.Phi * mu ** -1.5, one.energy / mu,
         one.kinetic / mu, one.attraction / mu, one.virial_residual,
-        one.iterations, one.rejected_steps, one.newton_steps,
-        d._replace(E_coarse=coarse, E_discretization_error=error))
+        solve._replace(E_coarse=coarse, E_discretization_error=error))
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def cmd_gp(args) -> int:
     prob = meanfield.GPProblem(args.dim, args.N, args.coupling, args.mu, trap,
                                args.n_grid)
     prof, rep = meanfield.gp_minimize(prob)
-    return _emit_record(args, {**rep.as_dict(), **rep.discretization._asdict()},
+    return _emit_record(args, {**rep.as_dict(), **rep.solve._asdict()},
                         prof, n_grid=args.n_grid)
 
 
@@ -204,10 +204,7 @@ def cmd_charged(args) -> int:
                    "virial_residual": dm.virial_residual,
                    "length_scale": tc.length_scale,
                    "correlation_length": tc.correlation_length,
-                   "iterations": dm.iterations,
-                   "rejected_steps": dm.rejected_steps,
-                   "newton_steps": dm.newton_steps,
-                   **dm.discretization._asdict()}
+                   **dm.solve._asdict()}
     elif args.mode == "local":
         le = charged.local_energy_integral(args.nu, args.ell, args.mu)
         outputs = {"value": le.value, "closed_form": le.closed_form,

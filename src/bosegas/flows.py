@@ -38,6 +38,8 @@ coarsest grid from the caller's start and each finer grid from the coarser
 minimizer, interpolated onto it.  A finer grid then takes one descent step
 and one or two Newton steps.  The coarse energies come for free, and with
 them Richardson's h^2 estimate of the n-grid energy's discretization error.
+What the cascade did, its counters summed over the grids and that
+estimate, is one ``Solve`` record, which every trap result carries.
 
 ``sphere_problem`` builds the 3D radial grid; ``cell_problem`` the
 cell-centred grid of the 2D radial problem and of the even 1D problems,
@@ -47,7 +49,7 @@ which it solves on the half line.  Both have no flux through 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -341,36 +343,60 @@ def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None) -> FlowResu
                       max_up, rejected, newton)
 
 
-class Discretization(NamedTuple):
-    """The coarse-grid view of an n-grid energy E_n.
+class Solve(NamedTuple):
+    """What a trap minimization did: ``minimize_nested``'s record.
 
+    iterations              flow iterations, summed over the grids
+    rejected_steps          descent step halvings, summed over the grids
+    newton_steps            Newton steps tried, summed over the grids
     E_coarse                the energy on the n/2 grid
     E_discretization_error  (E_n - E_{n/2}) / 3, Richardson's h^2 estimate
                             of E_inf - E_n: the correction to add to E_n
     discretization_note     why the estimate is None, else None
     """
 
+    iterations: int
+    rejected_steps: int
+    newton_steps: int
     E_coarse: float | None
     E_discretization_error: float | None
     discretization_note: str | None
 
 
-def _discretization(levels: list[FlowResult]) -> Discretization:
-    """The h^2 estimate from the energies of the grids, coarsest first; it is
-    checked by the three-grid ratio, which must lie in ``_ORDER_BAND``."""
+def order_note(x4, x2, x1) -> str | None:
+    """None when the three-grid ratio (x4 - x2) / (x2 - x1) of values on
+    the h = 4, 2, 1 grids lies in ``_ORDER_BAND`` (second order), else why
+    it does not."""
+    ratio = (x4 - x2) / (x2 - x1) if x2 != x1 else math.inf
+    if _ORDER_BAND[0] <= ratio <= _ORDER_BAND[1]:
+        return None
+    return f"three-grid ratio {ratio:.4g} is not within 25 % of 4"
+
+
+def _solve_record(levels: list[FlowResult]) -> Solve:
+    """The counters of the grids, coarsest first, summed, and the h^2
+    estimate from their energies, checked by ``order_note``."""
+    counts = (sum(r.iterations for r in levels),
+              sum(r.rejected_steps for r in levels),
+              sum(r.newton_steps for r in levels))
     if len(levels) < 2:
-        return Discretization(None, None, "one grid: no coarse energy")
+        return Solve(*counts, None, None, "one grid: no coarse energy")
     e_coarse = levels[-2].energy
     if len(levels) < 3:
-        return Discretization(e_coarse, None, "two grids: the order is unchecked")
+        return Solve(*counts, e_coarse, None, "two grids: the order is unchecked")
     if not (levels[-2].converged and levels[-3].converged):
-        return Discretization(e_coarse, None, "a coarse grid did not converge")
+        return Solve(*counts, e_coarse, None, "a coarse grid did not converge")
     e4, e2, e1 = (r.energy for r in levels[-3:])
-    ratio = (e4 - e2) / (e2 - e1) if e2 != e1 else math.inf
-    if not _ORDER_BAND[0] <= ratio <= _ORDER_BAND[1]:
-        return Discretization(e_coarse, None, f"three-grid ratio {ratio:.4g} "
-                              "is not within 25 % of 4")
-    return Discretization(e_coarse, (e1 - e2) / 3.0, None)
+    note = order_note(e4, e2, e1)
+    return Solve(*counts, e_coarse, None if note else (e1 - e2) / 3.0, note)
+
+
+def require_converged(what: str, res: FlowResult, solve: Solve) -> None:
+    """RuntimeError naming ``what`` unless the n grid of ``minimize_nested``
+    converged."""
+    if not res.converged:
+        raise RuntimeError(f"{what} did not converge (residual {res.residual:.3e} "
+                           f"after {solve.iterations} iterations)")
 
 
 def _prolong(coarse: FlowProblem, psi: np.ndarray,
@@ -391,16 +417,15 @@ def _prolong(coarse: FlowProblem, psi: np.ndarray,
 
 def minimize_nested(build: Callable[[int], FlowProblem], n: int,
                     start: Callable[[FlowProblem], np.ndarray | None]
-                    ) -> tuple[FlowProblem, FlowResult, Discretization]:
+                    ) -> tuple[FlowProblem, FlowResult, Solve]:
     """Minimize ``build(n)`` by nested iteration.
 
     ``build(m)`` is the problem on m nodes.  n is halved while the next grid
     keeps ``_COARSEST`` nodes; the coarsest grid starts from ``start(fp)``
     (None: ``minimize_flow``'s own start), each finer one from the coarser
     minimizer, prolonged, whether or not that grid converged.  Returns
-    (the n-grid problem, its FlowResult, its ``Discretization``).  The
-    result's convergence is the n grid's alone; its ``iterations``,
-    ``rejected_steps`` and ``newton_steps`` are summed over the grids.
+    (the n-grid problem, its own FlowResult, the cascade's ``Solve``
+    record).  Convergence is the n grid's alone.
     """
     sizes = [n]
     while sizes[-1] // 2 >= _COARSEST:
@@ -410,11 +435,7 @@ def minimize_nested(build: Callable[[int], FlowProblem], n: int,
         coarse, fp = fp, build(m)
         psi0 = start(fp) if coarse is None else _prolong(coarse, levels[-1].psi, fp)
         levels.append(minimize_flow(fp, psi0))
-    res = replace(levels[-1],
-                  iterations=sum(r.iterations for r in levels),
-                  rejected_steps=sum(r.rejected_steps for r in levels),
-                  newton_steps=sum(r.newton_steps for r in levels))
-    return fp, res, _discretization(levels)
+    return fp, levels[-1], _solve_record(levels)
 
 
 # --- grid builders --------------------------------------------------------

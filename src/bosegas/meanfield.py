@@ -134,12 +134,9 @@ class EnergyReport:
     interaction: float
     mu_chem: float
     residual_gp: float
-    iterations: int = 0
-    rejected_steps: int = 0         # flow step halvings
-    newton_steps: int = 0           # Newton steps of the flow's endgame
-    quartic_integral: float = 0.0   # int |phi|^4
-    # the coarse grids' E and error estimate (GP only: TF is exact)
-    discretization: flows.Discretization | None = None
+    quartic_integral: float         # int |phi|^4
+    # what the flow did (GP only: TF is exact, and its counters are zero)
+    solve: flows.Solve | None = None
 
     def __post_init__(self):
         total = self.kinetic + self.trap + self.interaction
@@ -147,14 +144,15 @@ class EnergyReport:
             raise ValueError("energy components do not sum to the total")
 
     def as_dict(self) -> dict:
-        """The report's numbers; the gp record adds ``discretization``,
-        whose entries may be null or text."""
+        """The report's numbers, with the counters of ``solve``; the gp
+        record adds the rest of ``solve``, whose entries may be null or
+        text."""
         return {
             "E_total": self.E_total, "kinetic": self.kinetic, "trap": self.trap,
             "interaction": self.interaction, "mu_chem": self.mu_chem,
-            "residual_gp": self.residual_gp, "iterations": self.iterations,
-            "rejected_steps": self.rejected_steps,
-            "newton_steps": self.newton_steps,
+            "residual_gp": self.residual_gp,
+            **{k: getattr(self.solve, k, 0)
+               for k in ("iterations", "rejected_steps", "newton_steps")},
             "quartic_integral": self.quartic_integral,
         }
 
@@ -214,18 +212,15 @@ def gp_minimize(problem: GPProblem) -> tuple[DensityProfile, EnergyReport]:
     import numpy as np
 
     from . import flows
-    fp, res, disc = flows.minimize_nested(
+    fp, res, solve = flows.minimize_nested(
         lambda m: _build_problem(replace(problem, n_grid=m)), problem.n_grid,
         lambda fp: _initial_guess(problem, fp))
-    if not res.converged:
-        raise RuntimeError(f"GP minimization did not converge "
-                           f"(residual {res.residual:.3e} after {res.iterations} iterations)")
+    flows.require_converged("GP minimization", res, solve)
     kin, trap, inter = fp.energy_parts(res.psi)
     quart = inter / (4.0 * math.pi * problem.mu * problem.coupling) \
         if problem.coupling > 0 else float(np.sum(fp.w * res.psi**4))
     report = EnergyReport(res.energy, kin, trap, inter, res.mu_chem,
-                          res.residual, res.iterations, res.rejected_steps,
-                          res.newton_steps, quart, disc)
+                          res.residual, quart, solve)
     phi = np.abs(res.psi)
     return DensityProfile(fp.nodes.copy(), phi, phi**2, problem.N,
                           problem.dimension), report
@@ -276,7 +271,7 @@ def tf_solve(dimension: int, N: float, coupling: float,
     inter_e = s * N * mu_tf / (2.0 * s + d)
     # the explicit minimizer satisfies its EL identity exactly: residual 0
     report = EnergyReport(trap_e + inter_e, 0.0, trap_e, inter_e, mu_tf, 0.0,
-                          quartic_integral=inter_e / (4.0 * math.pi * mu * coupling))
+                          inter_e / (4.0 * math.pi * mu * coupling))
     prof = TFProfile(mu_tf, s, 8.0 * math.pi * mu * coupling, N, dimension)
     return prof, report, mu_tf
 

@@ -521,11 +521,10 @@ def transverse_mode_numeric(kind: str) -> tuple[float, float]:
                                                  2 * _MODE_FD_GRID))
     # second-order scheme: the three-grid ratio of each value must be near 4
     # (as for the flows' estimates), and the Richardson step kills the h^2 term
-    for x0, x1, x2 in zip(coarse, mid, fine):
-        ratio = (x0 - x1) / (x1 - x2) if x1 != x2 else math.inf
-        if not flows._ORDER_BAND[0] <= ratio <= flows._ORDER_BAND[1]:
-            raise RuntimeError(f"transverse mode ({kind}): three-grid ratio "
-                               f"{ratio:.4g} is not within 25 % of 4")
+    for values in zip(coarse, mid, fine):
+        note = flows.order_note(*values)
+        if note:
+            raise RuntimeError(f"transverse mode ({kind}): {note}")
     return tuple((4.0 * x2 - x1) / 3.0 for x1, x2 in zip(mid, fine))
 
 
@@ -552,15 +551,10 @@ class Profile1D:
     w: np.ndarray
     rho: np.ndarray
     mass: float
-    # counters of the gradient flow that found rho, summed over its grids
-    # (for the pointwise kinds: iterations counts the density sweeps of the
-    # normalization), and the coarse grids' error estimate (none for the
-    # pointwise kinds)
-    iterations: int = 0
-    rejected_steps: int = 0
-    newton_steps: int = 0
-    discretization: flows.Discretization = flows.Discretization(
-        None, None, "pointwise solution: no coarse grids")
+    # what the gradient flow that found rho did; the pointwise kinds build
+    # their own: iterations counts the normalization's density sweeps, and
+    # there are no coarse grids
+    solve: flows.Solve
 
 
 def _v_long(z, L: float, s: float):
@@ -621,17 +615,14 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve):
             e, de, d2e = curve.derivatives(_ll_argument(g, yp), 2)
             out[pos] = 6.0 * yp * e - 4.0 * g * de + g * g * d2e / yp
             return out
-    fp, res, disc = flows.minimize_nested(
+    fp, res, solve = flows.minimize_nested(
         lambda m: flows.cell_problem(1, zmax, m, 1.0, V, local, d2q, N),
         _N_GRID_1D // 2,
         lambda fp: np.sqrt(np.maximum(1.0 - (fp.nodes / (0.75 * zmax)) ** 2,
                                       0.0)) + 1e-3)
-    if not res.converged:
-        raise RuntimeError(f"1D minimization ({kind}) did not converge: "
-                           f"residual {res.residual:.3e}")
+    flows.require_converged(f"1D minimization ({kind})", res, solve)
     rho = res.psi**2
-    prof = Profile1D(fp.nodes.copy(), fp.w, rho, N, res.iterations,
-                     res.rejected_steps, res.newton_steps, disc)
+    prof = Profile1D(fp.nodes.copy(), fp.w, rho, N, solve)
     return prof, res.energy, float(np.sum(fp.w * rho**2) / N)
 
 
@@ -676,10 +667,11 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve):
     e(t) <= min(t/2, pi^2/3)), are kept inside the bracket that the
     residual signs give (else they bisect it in log mu), and stop at a
     residual within _NORM_TOL or when no float is left inside the bracket;
-    the last sweep's rho is the result, and the sweep count the profile's
-    ``iterations``.  rho is even: only the nodes u > 0 of u = linspace(-1,
-    1, _N_GRID_1D) are sampled, and every integral reads one weight vector,
-    the full grid's trapezoid weights folded onto them, times zedge."""
+    the last sweep's rho is the result, and the sweep count the
+    ``iterations`` of the profile's ``solve``.  rho is even: only the nodes
+    u > 0 of u = linspace(-1, 1, _N_GRID_1D) are sampled, and every
+    integral reads one weight vector, the full grid's trapezoid weights
+    folded onto them, times zedge."""
     if kind != "gt" and not g > 0:
         raise ValueError(f"{kind} needs a positive coupling g")
     # cluster nodes at the support's edge: the minimizers of gt (and, less
@@ -725,7 +717,8 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve):
                            f"{_NORM_SWEEPS} sweeps: log mass/N {res:.3e}")
 
     energy = float(w @ (V * rho + _interaction_density(kind, rho, g, curve)))
-    prof = Profile1D(zedge * edge, w, rho, N, sweeps)
+    prof = Profile1D(zedge * edge, w, rho, N, flows.Solve(
+        sweeps, 0, 0, None, None, "pointwise solution: no coarse grids"))
     return prof, energy, float(w @ rho**2) / N
 
 
@@ -780,10 +773,8 @@ class RegimeReport:
     valid: bool
     scaling: str
     diagnostics: dict
-    # flow counters and coarse-grid estimates of the two solves (full, then
-    # the region's kind), each a list of two: "iterations",
-    # "rejected_steps", "newton_steps" and the fields of
-    # ``flows.Discretization``
+    # the ``flows.Solve`` records of the two solves (full, then the
+    # region's kind): each field a list of two
     counters: dict
 
     def as_dict(self) -> dict:
@@ -826,18 +817,11 @@ def regime_classify(trap: ElongatedTrap) -> RegimeReport:
     validity = trap.r**2 * rho_bar1 * min(rho_bar1, g)
     scaling = _REGION_SCALING[region1 if isinstance(region1, int)
                               else region1[0]]
+    solves = zip(flows.Solve._fields, zip(prof0.solve, prof1.solve))
     return RegimeReport(region1, g, rho_bar1, ratio1, validity,
                         validity < _VALIDITY_CUT, scaling,
                         {"rho_bar_full": rho_bar, "ratio_full": ratio0,
                          "region_first_pass": region0
                          if isinstance(region0, int) else list(region0),
                          "e_perp": mode.e_perp},
-                        _solve_lists(prof0, prof1))
-
-
-def _solve_lists(*profiles: Profile1D) -> dict:
-    """Each flow counter and coarse-grid field of ``profiles`` as a list."""
-    rows = [{"iterations": p.iterations, "rejected_steps": p.rejected_steps,
-             "newton_steps": p.newton_steps, **p.discretization._asdict()}
-            for p in profiles]
-    return {k: [row[k] for row in rows] for k in rows[0]}
+                        {k: list(pair) for k, pair in solves})

@@ -166,13 +166,13 @@ def test_dyson_exact_dilation(dyson_one, mu):
     assert dm.virial_residual == dyson_one.virial_residual <= 1e-3
     assert np.array_equal(dm.grid, mu * dyson_one.grid)
     assert np.array_equal(dm.Phi, mu ** -1.5 * dyson_one.Phi)
-    d, d1 = dm.discretization, dyson_one.discretization
+    d, d1 = dm.solve, dyson_one.solve
     assert d.discretization_note == d1.discretization_note
     assert mu * d.E_coarse == pytest.approx(d1.E_coarse, rel=1e-15)
     assert mu * d.E_discretization_error == pytest.approx(
         d1.E_discretization_error, rel=1e-15)
-    assert (dm.iterations, dm.rejected_steps, dm.newton_steps) == \
-        (dyson_one.iterations, dyson_one.rejected_steps, dyson_one.newton_steps)
+    assert (d.iterations, d.rejected_steps, d.newton_steps) == \
+        (d1.iterations, d1.rejected_steps, d1.newton_steps)
 
 
 @pytest.mark.parametrize("mu", [2.0, 0.5])

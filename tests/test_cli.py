@@ -591,12 +591,7 @@ def test_charged_subcommands(tmp_path):
     assert rec2.outputs["virial_residual"] < 1e-3
     from bosegas import charged
     dm = charged.dyson_functional_minimize(1.0)
-    assert [rec2.outputs[k] for k in ("iterations", "rejected_steps",
-                                      "newton_steps")] \
-        == [dm.iterations, dm.rejected_steps, dm.newton_steps]
-    assert {k: rec2.outputs[k] for k in ("E_coarse", "E_discretization_error",
-                                         "discretization_note")} \
-        == dm.discretization._asdict()
+    assert {k: rec2.outputs[k] for k in dm.solve._fields} == dm.solve._asdict()
     assert rec2.outputs["E_coarse"] < 0
 
 
@@ -695,6 +690,43 @@ def test_regimes_strong_coupling_converges(tmp_path):
     assert rec.outputs["E_discretization_error"] == [None, None]
     assert "25 % of 4" in rec.outputs["discretization_note"][0]
     assert rec.outputs["E_coarse"][1] is None
+
+
+def test_records_carry_the_solve_record(tmp_path):
+    # gp and charged dyson carry each field of the flows.Solve record,
+    # regimes each field as a list over its two solves, and tf only the
+    # three counters, all zero
+    from bosegas import charged, flows, meanfield, onedim
+    fields = flows.Solve._fields
+
+    def outputs(*argv):
+        out = tmp_path / "rec.json"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        return ResultRecord.from_json(out.read_text()).outputs
+
+    gp = outputs("gp", "--dim", "2", "--N", "5", "--coupling", "0.1",
+                 "--n-grid", "1024")
+    _, rep = meanfield.gp_minimize(meanfield.GPProblem(2, 5.0, 0.1, n_grid=1024))
+    assert gp.keys() == rep.as_dict().keys() | set(fields)
+    assert {k: gp[k] for k in fields} == rep.solve._asdict()
+
+    dyson = outputs("charged", "dyson", "--mu", "2")
+    dm = charged.dyson_functional_minimize(2.0)
+    assert dyson.keys() - set(fields) == {"energy", "E_star", "virial_residual",
+                                          "length_scale", "correlation_length"}
+    assert {k: dyson[k] for k in fields} == dm.solve._asdict()
+
+    reg = outputs("regimes", "--N", "30", "--L", "100", "--r", "0.5",
+                  "--a", "1e-4")
+    report = onedim.regime_classify(onedim.ElongatedTrap(30.0, 100.0, 0.5, 1e-4))
+    assert tuple(report.counters) == fields
+    assert all(len(reg[k]) == 2 for k in fields)
+    full = onedim.minimize_1d("full", 30.0, 100.0, report.g)[0].solve
+    assert {k: reg[k][0] for k in fields} == full._asdict()
+
+    tf = outputs("tf", "--coupling", "0.05", "--N", "100")
+    assert {k: tf[k] for k in tf.keys() & set(fields)} \
+        == {"iterations": 0, "rejected_steps": 0, "newton_steps": 0}
 
 
 def test_validate_subcommand(tmp_path, capsys):

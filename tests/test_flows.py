@@ -126,8 +126,8 @@ def radial_u_problem(rmax, n, mu, V, local, d2q, mass):
 def test_gp_3d_harmonic_flow_pinned():
     _, rep = meanfield.gp_minimize(meanfield.GPProblem(3, 100.0, 0.01,
                                                        n_grid=4096))
-    assert rep.iterations == 17
-    assert (rep.rejected_steps, rep.newton_steps) == (0, 7)
+    assert rep.solve.iterations == 17
+    assert (rep.solve.rejected_steps, rep.solve.newton_steps) == (0, 7)
     assert rep.E_total == pytest.approx(362.2434160742895, rel=1e-13)
 
 
@@ -150,8 +150,8 @@ def test_full_1d_flow_pinned(monkeypatch):
 
 def test_dyson_flow_pinned():
     dm = charged.dyson_functional_minimize(1.0)
-    assert dm.iterations == 21
-    assert (dm.rejected_steps, dm.newton_steps) == (0, 7)
+    assert dm.solve.iterations == 21
+    assert (dm.solve.rejected_steps, dm.solve.newton_steps) == (0, 7)
     assert dm.energy == pytest.approx(-0.025170640086422558, rel=1e-13)
 
 
@@ -573,15 +573,21 @@ def test_cascade_sums_counters_over_its_grids(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(flows, "minimize_flow", recording)
-    _, rep = meanfield.gp_minimize(meanfield.GPProblem(2, 5.0, 0.1,
-                                                       n_grid=2048))
+    solve = lambda: meanfield.gp_minimize(meanfield.GPProblem(2, 5.0, 0.1,
+                                                              n_grid=2048))
+    _, rep = solve()
     assert [len(r.psi) for r in results] == [256, 512, 1024, 2048]
     for key in ("iterations", "rejected_steps", "newton_steps"):
-        assert getattr(rep, key) == sum(getattr(r, key) for r in results)
+        assert getattr(rep.solve, key) == sum(getattr(r, key) for r in results)
     assert rep.E_total == results[-1].energy
-    assert rep.discretization.E_coarse == results[-2].energy
-    assert rep.discretization.E_discretization_error \
+    assert rep.solve.E_coarse == results[-2].energy
+    assert rep.solve.E_discretization_error \
         == (results[-1].energy - results[-2].energy) / 3.0
+    # the FlowResult returned is the n grid's own, with its own counters
+    results.clear()
+    _, res, record = flows.minimize_nested(*_nested_input(monkeypatch, solve))
+    assert res is results[-1] and record == rep.solve
+    assert res.iterations < record.iterations
 
 
 def test_only_the_n_grid_decides_convergence(monkeypatch):
@@ -597,13 +603,38 @@ def test_only_the_n_grid_decides_convergence(monkeypatch):
     monkeypatch.setattr(flows, "minimize_flow", coarse_fails)
     _, rep = meanfield.gp_minimize(meanfield.GPProblem(2, 5.0, 0.1,
                                                        n_grid=1024))
-    assert rep.discretization.E_discretization_error is None
-    assert "did not converge" in rep.discretization.discretization_note
+    assert rep.solve.E_discretization_error is None
+    assert "did not converge" in rep.solve.discretization_note
 
     monkeypatch.setattr(flows, "minimize_flow", lambda prob, psi0: dataclasses.replace(
         run(prob, psi0), converged=len(prob.nodes) != 1024))
     with pytest.raises(RuntimeError, match="did not converge"):
         meanfield.gp_minimize(meanfield.GPProblem(2, 5.0, 0.1, n_grid=1024))
+
+
+_UNCONVERGED = {
+    "GP minimization": lambda: meanfield.gp_minimize(
+        meanfield.GPProblem(2, 5.0, 0.1, n_grid=1024)),
+    "1D minimization (gp1d)": lambda: onedim.minimize_1d("gp1d", 5.0, 1.0, 2.0),
+    "two-component minimization": lambda: charged.dyson_functional_minimize(1.0),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_UNCONVERGED))
+def test_nonconvergence_names_the_residual_and_iterations(what, monkeypatch):
+    results = []
+    run = flows.minimize_flow
+
+    def unconverged(prob, psi0):
+        results.append(dataclasses.replace(run(prob, psi0), converged=False))
+        return results[-1]
+
+    monkeypatch.setattr(flows, "minimize_flow", unconverged)
+    with pytest.raises(RuntimeError) as err:
+        _UNCONVERGED[what]()
+    assert str(err.value) == (
+        f"{what} did not converge (residual {results[-1].residual:.3e} "
+        f"after {sum(r.iterations for r in results)} iterations)")
 
 
 def test_cascade_grid_sizes():
@@ -705,8 +736,8 @@ def test_sphere_problem_matches_the_u_grid_gp(trap, Nc, n, monkeypatch):
     assert ref.converged
     prof, rep = solve()
     assert rep.E_total == pytest.approx(ref.energy, rel=2e-15, abs=0.0)
-    assert rep.discretization.E_coarse == pytest.approx(disc.E_coarse,
-                                                        rel=2e-15, abs=0.0)
+    assert rep.solve.E_coarse == pytest.approx(disc.E_coarse,
+                                               rel=2e-15, abs=0.0)
     np.testing.assert_allclose(prof.phi, np.abs(ref.psi) / fp.nodes, rtol=0.0,
                                atol=1e-8 * prof.phi.max())
 
@@ -717,8 +748,8 @@ def test_sphere_problem_matches_the_u_grid_dyson(monkeypatch):
     assert ref.converged
     dm = solve()
     assert dm.energy == pytest.approx(ref.energy, rel=2e-15, abs=0.0)
-    assert dm.discretization.E_coarse == pytest.approx(disc.E_coarse,
-                                                       rel=2e-15, abs=0.0)
+    assert dm.solve.E_coarse == pytest.approx(disc.E_coarse,
+                                              rel=2e-15, abs=0.0)
     np.testing.assert_allclose(dm.Phi, np.abs(ref.psi) / fp.nodes, rtol=0.0,
                                atol=1e-8 * dm.Phi.max())
 
@@ -794,7 +825,7 @@ def test_half_line_matches_the_full_line(kind, monkeypatch, half_line_corpus):
         fp, ref, disc = _full_line_solve(monkeypatch, kind, N, L, g, s)
         assert ref.converged
         prof, energy, rho_bar = onedim.minimize_1d(kind, N, L, g, s)
-        new = prof.discretization
+        new = prof.solve
         assert energy == pytest.approx(ref.energy, rel=1e-13, abs=0.0)
         assert rho_bar == pytest.approx(float(np.sum(fp.w * ref.psi**4)) / N,
                                         rel=1e-13, abs=0.0)
@@ -825,8 +856,8 @@ def test_error_estimate_matches_a_finer_grid(dim, trap):
     reps = [meanfield.gp_minimize(meanfield.GPProblem(
         dim, 50.0, 0.6, trap=_GP_TRAPS[trap], n_grid=n))[1]
         for n in (1024, 4096)]
-    est = reps[0].discretization.E_discretization_error
-    assert reps[0].discretization.discretization_note is None
+    est = reps[0].solve.E_discretization_error
+    assert reps[0].solve.discretization_note is None
     assert est == pytest.approx((reps[1].E_total - reps[0].E_total) * 16 / 15,
                                 rel=0.05)
 
@@ -835,7 +866,23 @@ def test_nonmonotone_energies_withhold_the_estimate():
     # E at n = 512, 1024, 2048 is 987194.73... then 987181.04...: the
     # three-grid ratio is far from 4, so there is no h^2 estimate
     prof, energy, _ = onedim.minimize_1d("full", 1000.0, 1.0, 4000.0, 2.0)
-    disc = prof.discretization
+    disc = prof.solve
     assert disc.E_coarse is not None and disc.E_coarse != energy
     assert disc.E_discretization_error is None
     assert "not within 25 % of 4" in disc.discretization_note
+
+
+@pytest.mark.parametrize("x4, note", [
+    (3.0, False), (5.0, False), (4.0, False),
+    (math.nextafter(3.0, 0.0), True), (math.nextafter(5.0, math.inf), True)])
+def test_order_note_band_edges(x4, note):
+    # x2 = 0, x1 = -1: the three-grid ratio is x4 itself
+    got = flows.order_note(x4, 0.0, -1.0)
+    assert (got is not None) == note
+    if note:
+        assert got == f"three-grid ratio {x4:.4g} is not within 25 % of 4"
+
+
+def test_order_note_of_equal_fine_values_is_infinite():
+    assert flows.order_note(1.0, 2.0, 2.0) \
+        == "three-grid ratio inf is not within 25 % of 4"

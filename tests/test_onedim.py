@@ -326,7 +326,7 @@ def test_full_kind_converges_at_strong_coupling():
     # the regimes case N = 1000, L = 1, g = 4000 at the default n_grid; the
     # inverse-iteration endgame stopped at residual 4.2e-5 here
     prof, energy, _ = od.minimize_1d("full", 1000.0, 1.0, 4000.0, 2.0)
-    assert np.isfinite(energy) and prof.newton_steps > 0
+    assert np.isfinite(energy) and prof.solve.newton_steps > 0
     assert energy == pytest.approx(987194.73, rel=1e-7)
 
 
@@ -686,9 +686,9 @@ def test_pointwise_normalization_sweeps(monkeypatch, kind):
     sweeps = []
     for N, L, g in _LL_CASES:
         prof, _, _, mus = _solve_recorded(monkeypatch, kind, N, L, g)
-        assert prof.iterations == len(mus)
-        assert prof.rejected_steps == prof.newton_steps == 0
-        sweeps.append(prof.iterations)
+        assert prof.solve.iterations == len(mus)
+        assert prof.solve.rejected_steps == prof.solve.newton_steps == 0
+        sweeps.append(prof.solve.iterations)
         assert abs(prof.w @ prof.rho / N - 1.0) <= 4e-15
         # the profile is the last sweep's: its support edge is at that mu
         assert prof.z[-1] == pytest.approx((mus[-1] * L**4) ** 0.5, rel=1e-15)
@@ -719,7 +719,7 @@ def test_ll_no_grad_normalization_across_a_mass_jump(monkeypatch, ll_curve,
     assert above / below - 1.0 > 1e-6
     N = 0.5 * (below + above)
     prof, _, _, mus = _solve_recorded(monkeypatch, "ll_no_grad", N, L, g)
-    assert prof.iterations < od._NORM_SWEEPS
+    assert prof.solve.iterations < od._NORM_SWEEPS
     assert abs(mus[-1] / normalization_root(mass, N) - 1.0) <= 1e-14
     assert abs(prof.w @ prof.rho / N - 1.0) <= above / below - 1.0
 

@@ -252,3 +252,38 @@ def unused_imports(src: Path = SRC) -> list[str]:
 def test_every_import_is_used():
     unused = unused_imports()
     assert not unused, f"imports nothing reads: {', '.join(unused)}"
+
+
+# --- no module reads another's private names ---------------------------------
+
+def private_reads(src: Path = SRC) -> list[str]:
+    """``module:line sibling._name`` of every underscore name (dunders
+    aside) that a module in ``src`` reads from another bosegas module, as
+    an attribute of the module it imported or by ``from .sibling import
+    _name``; a private name is the sibling's to change."""
+    modules = {path.stem for path in src.glob("*.py")}
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = set()
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            if node.module is None:
+                siblings |= {a.asname or a.name for a in node.names
+                             if a.name in modules}
+            elif node.module in modules:
+                reads += [f"{path.stem}:{node.lineno} {node.module}.{a.name}"
+                          for a in node.names if private(a.name)]
+        reads += [f"{path.stem}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings and private(node.attr)]
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = private_reads()
+    assert not reads, f"private names read across modules: {', '.join(reads)}"
