@@ -34,13 +34,13 @@ class NumericError(RuntimeError):
     """A result that is not finite; main() turns it into exit code 1."""
 
 
-def _nonfinite_keys(outputs: dict, prefix: str = "") -> list[str]:
+def _nonfinite_keys(outputs: dict) -> list[str]:
     bad = []
     for key, value in outputs.items():
         if isinstance(value, dict):
-            bad += _nonfinite_keys(value, f"{prefix}{key}.")
+            bad += [f"{key}.{sub}" for sub in _nonfinite_keys(value)]
         elif isinstance(value, float) and not math.isfinite(value):
-            bad.append(f"{prefix}{key}")
+            bad.append(key)
     return bad
 
 
@@ -217,10 +217,8 @@ def cmd_charged(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify
-    timings: dict = {}
-    max_rss_mb: dict = {}
     t0 = time.perf_counter()
-    card = verify.run_all(args.seed, timings, max_rss_mb)
+    card, timings = verify.run_all(args.seed)
     total = time.perf_counter() - t0
     text = json.dumps(card, sort_keys=True, indent=1)
     if args.out:
@@ -229,15 +227,11 @@ def cmd_verify(args) -> int:
     else:
         print(text)
     if args.timings_out:
-        # the sections of each process in their run order; a section's
-        # max_rss_mb is its own process's peak, and the two processes overlap,
-        # so total is the suite's wall time, not the sections' sum
-        worker = [name for name in timings if name in verify.WORKER_SECTIONS]
-        main = [name for name in timings if name not in worker]
+        # a section's max_rss_mb is its own process's peak, and the two
+        # processes overlap, so total is the suite's wall time, not the
+        # sections' sum
         sidecar = {"schema_version": SCHEMA_VERSION, "seed": args.seed,
-                   "unit": "s", "sections": timings, "total": total,
-                   "max_rss_mb": max_rss_mb,
-                   "processes": {"main": main, "worker": worker}}
+                   "unit": "s", "total": total, **timings}
         with open(args.timings_out, "w") as fh:
             fh.write(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
     return EXIT_OK if card["all_passed"] else EXIT_NUMERIC

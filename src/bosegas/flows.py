@@ -54,6 +54,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .quadrature import richardson
+
 _MAX_ITER = 40000
 # residual / energy scale at which the descent hands off to Newton: first
 # 1e-2 (1e-1 stalls on some ``full`` solves), then, after each Newton stall,
@@ -70,9 +72,6 @@ _DT_MIN, _DT_MAX = 1e-18, 1e4
 _RTOL = 1e-9
 # minimize_nested halves n while the next grid keeps at least this many nodes
 _COARSEST = 256
-# the three-grid ratio (E_{n/4} - E_{n/2}) / (E_{n/2} - E_n) of a second-order
-# energy is 4; outside 4 (1 -+ 0.25) the h^2 estimate is not reported
-_ORDER_BAND = (3.0, 5.0)
 
 
 @dataclass
@@ -363,19 +362,9 @@ class Solve(NamedTuple):
     discretization_note: str | None
 
 
-def order_note(x4, x2, x1) -> str | None:
-    """None when the three-grid ratio (x4 - x2) / (x2 - x1) of values on
-    the h = 4, 2, 1 grids lies in ``_ORDER_BAND`` (second order), else why
-    it does not."""
-    ratio = (x4 - x2) / (x2 - x1) if x2 != x1 else math.inf
-    if _ORDER_BAND[0] <= ratio <= _ORDER_BAND[1]:
-        return None
-    return f"three-grid ratio {ratio:.4g} is not within 25 % of 4"
-
-
 def _solve_record(levels: list[FlowResult]) -> Solve:
     """The counters of the grids, coarsest first, summed, and the h^2
-    estimate from their energies, checked by ``order_note``."""
+    estimate from their energies by ``quadrature.richardson``."""
     counts = (sum(r.iterations for r in levels),
               sum(r.rejected_steps for r in levels),
               sum(r.newton_steps for r in levels))
@@ -386,9 +375,8 @@ def _solve_record(levels: list[FlowResult]) -> Solve:
         return Solve(*counts, e_coarse, None, "two grids: the order is unchecked")
     if not (levels[-2].converged and levels[-3].converged):
         return Solve(*counts, e_coarse, None, "a coarse grid did not converge")
-    e4, e2, e1 = (r.energy for r in levels[-3:])
-    note = order_note(e4, e2, e1)
-    return Solve(*counts, e_coarse, None if note else (e1 - e2) / 3.0, note)
+    _, estimate, note = richardson([r.energy for r in levels[-3:]], 2)
+    return Solve(*counts, e_coarse, estimate, note)
 
 
 def require_converged(what: str, res: FlowResult, solve: Solve) -> None:

@@ -26,6 +26,12 @@ current; at run time ``verify`` solves the equation directly at three widths
 against it.  The curve is validated only against its two known limits, the
 direct solves and the exact-diagonalization oracle, never against external
 tables.
+
+The transverse confinement enters through its ground mode b alone, as two
+constants per kind at unit radius: e_perp and int |b|^4 d^2x, which give
+the 1D coupling g = 8 pi a / r^2 int |b|^4.  The harmonic mode is a
+Gaussian and the hard wall's is J0; ``transverse_mode_numeric`` solves
+both by finite differences as the second route.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import LL_TABLE, flows
+from . import LL_TABLE, flows, quadrature
 
 PI2_3 = math.pi**2 / 3.0
 
@@ -436,53 +442,33 @@ class ElongatedTrap:
             raise ValueError("trap parameters must be positive")
 
 
-# points of the transverse-mode profile grid, and of the middle of the three
-# finite-difference solves behind the order check and the Richardson step
-_MODE_GRID = 2000
+# points of the middle of the three finite-difference solves behind
+# transverse_mode_numeric's order check and Richardson step
 _MODE_FD_GRID = 1500
 # the first zero of J0, equal bit for bit to scipy.special.jn_zeros(0, 1)[0]
 _J0_FIRST_ZERO = 2.4048255576957724
+# (e_perp, int |b|^4 d^2x) of the ground transverse mode at unit radius.
+# harmonic: b = exp(-r^2/2) / sqrt(pi).  hard wall: b = J0(j r) /
+# (sqrt(pi) |J1(j)|) with j the first zero of J0, and int b^4 = 2 int_0^1
+# J0(j r)^4 r dr / (pi J1(j)^4), by mpmath at 30 digits
+_UNIT_MODES = {"harmonic": (2.0, 1.0 / (2.0 * math.pi)),
+               "hard_wall": (_J0_FIRST_ZERO**2, 0.6679272899645546)}
 
 
 @dataclass(frozen=True)
 class TransverseMode:
-    """Ground transverse mode of ``trap`` and the effective 1D coupling g.
-
-    harmonic: closed form (Gaussian, e_perp = 2, int b^4 = 1/(2 pi));
-    hard wall: Bessel J0 with its first zero setting the energy.  The energy
-    is a constant; the unit-scale profile, int b^4 and g are built on first
-    read (the hard wall's profile is the one place scipy.special loads).
-    """
+    """Ground transverse mode of ``trap`` and the effective 1D coupling g,
+    from the two unit-radius constants of its kind in ``_UNIT_MODES``."""
 
     trap: ElongatedTrap
     e_perp_unit: float      # ground energy of -Lap + V_perp at unit r
+    int_b4_unit: float      # int |b|^4 d^2x at unit r
 
     @property
     def e_perp(self) -> float:
         return self.e_perp_unit / self.trap.r**2
 
-    @cached_property
-    def grid(self) -> np.ndarray:
-        rmax = 6.0 if self.trap.transverse == "harmonic" else 1.0
-        return np.linspace(0.0, rmax, _MODE_GRID)
-
-    @cached_property
-    def b(self) -> np.ndarray:
-        """The unit-scale normalized profile on ``grid``."""
-        if self.trap.transverse == "harmonic":
-            return np.exp(-0.5 * self.grid**2) / math.sqrt(math.pi)
-        from scipy.special import j0, j1
-        norm = math.sqrt(math.pi) * abs(float(j1(_J0_FIRST_ZERO)))
-        return j0(_J0_FIRST_ZERO * self.grid) / norm
-
-    @cached_property
-    def int_b4_unit(self) -> float:
-        """int |b|^4 d^2x at unit scale."""
-        if self.trap.transverse == "harmonic":
-            return 1.0 / (2.0 * math.pi)
-        return float(2.0 * math.pi * np.trapezoid(self.b**4 * self.grid, self.grid))
-
-    @cached_property
+    @property
     def g(self) -> float:
         """8 pi a / r^2 * int_b4_unit."""
         return 8.0 * math.pi * self.trap.a / self.trap.r**2 * self.int_b4_unit
@@ -490,8 +476,7 @@ class TransverseMode:
 
 def transverse_mode(trap: ElongatedTrap) -> TransverseMode:
     """The ground transverse mode of ``trap``."""
-    return TransverseMode(trap, 2.0 if trap.transverse == "harmonic"
-                          else _J0_FIRST_ZERO**2)
+    return TransverseMode(trap, *_UNIT_MODES[trap.transverse])
 
 
 def transverse_mode_numeric(kind: str) -> tuple[float, float]:
@@ -519,13 +504,15 @@ def transverse_mode_numeric(kind: str) -> tuple[float, float]:
 
     coarse, mid, fine = (solve_once(n) for n in (_MODE_FD_GRID // 2, _MODE_FD_GRID,
                                                  2 * _MODE_FD_GRID))
-    # second-order scheme: the three-grid ratio of each value must be near 4
-    # (as for the flows' estimates), and the Richardson step kills the h^2 term
+    # second-order scheme: each value must show that order on the three
+    # grids, and Richardson's step kills its h^2 term
+    out = []
     for values in zip(coarse, mid, fine):
-        note = flows.order_note(*values)
+        extrapolated, _, note = quadrature.richardson(values, 2)
         if note:
             raise RuntimeError(f"transverse mode ({kind}): {note}")
-    return tuple((4.0 * x2 - x1) / 3.0 for x1, x2 in zip(mid, fine))
+        out.append(extrapolated)
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------

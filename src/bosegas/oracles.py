@@ -68,34 +68,27 @@ def twisted_ground_exact(L: float, phi: float) -> float:
 @dataclass
 class DiscreteField:
     """Complex or real field on a uniform periodic n^d grid over a cube of
-    side L, given by its samples or by its Fourier coefficients.
+    side L, given by its Fourier coefficients.
 
     ``coeffs`` holds the Fourier coefficients of the trigonometric
     polynomial the field is, one axis per dimension, with modes
-    ``np.arange(K) - K // 2`` along each axis (the ``fftshift`` order).  A
-    field given by them alone (``samples`` None) names its grid size
-    ``n_grid`` and whether it is ``real``, and synthesizes its samples on
-    the first read of ``values``; ``poincare_check`` never reads them.
-    Without coefficients, the gradient takes all n modes from an FFT of the
-    samples.
+    ``np.arange(K) - K // 2`` along each axis (the ``fftshift`` order).
+    The field names its grid size ``n_grid`` and whether it is ``real``,
+    and synthesizes its samples on the first read of ``values``;
+    ``poincare_check`` never reads them.
     """
 
-    samples: np.ndarray | None
     L: float
-    coeffs: np.ndarray | None = field(default=None, repr=False)
-    n_grid: int = 0
-    real: bool = False
+    coeffs: np.ndarray = field(repr=False)
+    n_grid: int
+    real: bool
 
     def __post_init__(self):
-        if self.samples is not None:
-            self.n_grid = self.samples.shape[0]
-        if self.coeffs is not None and self.coeffs.shape[0] > self.n_grid:
+        if self.coeffs.shape[0] > self.n_grid:
             raise ValueError("the grid must resolve every mode: K <= n")
 
     @cached_property
     def values(self) -> np.ndarray:
-        if self.samples is not None:
-            return self.samples
         return _synthesize(self.coeffs, self.n_grid, self.real)
 
 
@@ -136,7 +129,7 @@ def random_field(n: int, L: float, rng: np.random.Generator, kmax: int = 3,
     if not complex_valued:
         # coefficients of the real part: c_k -> (c_k + conj(c_-k)) / 2
         coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1, ::-1]))
-    return DiscreteField(None, L, coeffs, n, not complex_valued)
+    return DiscreteField(L, coeffs, n, not complex_valued)
 
 
 def random_subset(n: int, rng: np.random.Generator,
@@ -151,25 +144,20 @@ def random_subset(n: int, rng: np.random.Generator,
     return g >= np.partition(g, hi, axis=None)[hi]
 
 
-def _gradient_norms(values: np.ndarray | None, coeffs: np.ndarray | None,
-                    L: float, omega_mask: np.ndarray, phi: float = 0.0):
+def _gradient_norms(coeffs: np.ndarray, L: float, omega_mask: np.ndarray,
+                    phi: float = 0.0):
     """Sums over Omega and over the whole grid of |grad u + i phi/L e_z u|^2
-    (e_z the last axis) for the field u with band coefficients ``coeffs``,
-    or, when they are None, with samples ``values``.  The grid's size and
-    dimension are the mask's.  The gradient is the exact one of u's
-    trigonometric polynomial, so the calibrated constants depend on the
-    resolution only through the mask.
+    (e_z the last axis) for the field u with band coefficients ``coeffs``.
+    The grid's size and dimension are the mask's.  The gradient is the exact
+    one of u's trigonometric polynomial, so the calibrated constants depend
+    on the resolution only through the mask.
 
     With coefficients a_k of a component, sum_Omega |g|^2 is the quadratic
     form sum_{k,k'} conj(a_k) a_k' m(k' - k) with m the transform of the
     mask on the 2K - 1 mode differences, and the full sum is Parseval's
-    n^d sum_k |a_k|^2: no gradient is sampled.  A sampled field gets its
-    gradient from FFTs over all n modes and sums it on the grid.
+    n^d sum_k |a_k|^2: no gradient is sampled.
     """
     n, d = omega_mask.shape[0], omega_mask.ndim
-    sampled = coeffs is None
-    if sampled:
-        coeffs = np.fft.fftshift(np.fft.fftn(values)) / values.size
     K = coeffs.shape[0]
     k = (2.0 * math.pi / L) * (np.arange(K) - K // 2)
     grads = []
@@ -178,12 +166,6 @@ def _gradient_norms(values: np.ndarray | None, coeffs: np.ndarray | None,
         shape[ax] = K
         mult = 1j * (k + phi / L) if ax == d - 1 else 1j * k
         grads.append(coeffs * mult.reshape(shape))
-    if sampled:
-        g2 = 0.0
-        for a in grads:
-            g = np.fft.ifftn(np.fft.ifftshift(a)) * values.size
-            g2 = g2 + np.abs(g.real if np.isrealobj(values) else g) ** 2
-        return float(np.sum(g2[omega_mask])), float(np.sum(g2))
     # m(q) = sum_x mask(x) exp(2 pi i q.x/n), q in [-(K-1), K-1]^d; the
     # first contraction is of a real array, so it is two real products
     phase = _phase(2 * K - 1, n)
@@ -220,15 +202,11 @@ def _parseval(coeffs: np.ndarray, n: int) -> float:
 
 
 def _centred(f: DiscreteField, n: int):
-    """u - <u> for the field f on the n^d grid, as (samples, coefficients),
-    one of them None, and the sum of its |.|^2 over the grid.  With
-    coefficients the mean is the zero mode, and the sum is Parseval's."""
-    if f.coeffs is None:
-        w = f.values - np.mean(f.values)
-        return w, None, float(np.sum(np.abs(w) ** 2))
+    """The coefficients of u - <u> for the field f on the n^d grid (the mean
+    is the zero mode), and the sum of its |.|^2 over the grid (Parseval's)."""
     coeffs = f.coeffs.copy()
     coeffs[(coeffs.shape[0] // 2,) * coeffs.ndim] = 0.0
-    return None, coeffs, _parseval(coeffs, n)
+    return coeffs, _parseval(coeffs, n)
 
 
 @dataclass(frozen=True)
@@ -257,11 +235,10 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
                   nondegenerate for |phi| < pi).
 
     Returns the measured ratio LHS / structural RHS (no constants folded in).
-    A field with band coefficients (and a weight with them) has every sum
-    over the grid taken from them by Parseval, sum_x |u|^2 =
-    n^d sum_k |c_k|^2: the mean is the zero mode, and the centred norm,
-    the projection and the weight's inner products are sums over modes.
-    Its samples are never synthesized.  A sampled field sums on the grid.
+    The field and the weight are band coefficients, and every sum over the
+    grid is taken from them by Parseval, sum_x |u|^2 = n^d sum_k |c_k|^2:
+    the mean is the zero mode, and the centred norm, the projection and the
+    weight's inner products are sums over modes.  No sample is synthesized.
     """
     params = params or {}
     n, d = omega_mask.shape[0], omega_mask.ndim
@@ -270,10 +247,10 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
     comp_vol = float(omega_mask.size - np.count_nonzero(omega_mask)) * dV
 
     if variant == "homogeneous":
-        w, coeffs, lhs = _centred(f, n)
+        coeffs, lhs = _centred(f, n)
         lhs *= dV
         g2_omega, g2_full = (s * dV for s in _gradient_norms(
-            w, coeffs, f.L, omega_mask))
+            coeffs, f.L, omega_mask))
         rhs = f.L**2 * g2_omega + comp_vol ** (2.0 / 3.0) * g2_full
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         return PoincareResult(ratio, lhs, rhs, comp_vol / vol,
@@ -283,26 +260,17 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
         weight = params.get("h_weight")
         if weight is None:
             raise ValueError("inhomogeneous variant needs the weight h")
-        if not isinstance(weight, DiscreteField):
-            weight = DiscreteField(np.asarray(weight, dtype=float), f.L)
         # enforce int f h = 0 by projection, then measure
-        if f.coeffs is not None and weight.coeffs is not None:
-            K = max(f.coeffs.shape[0], weight.coeffs.shape[0])
-            a, b = _padded(f.coeffs, K), _padded(weight.coeffs, K)
-            # sum_x u conj(w) = n^d sum_k a_k conj(b_k), w real
-            wsum = n**d * float(b[(K // 2,) * d].real) * dV
-            c = float(np.vdot(b, a).real) / float(np.vdot(b, b).real)
-            proj, coeffs = None, a - c * b
-            lhs = _parseval(coeffs, n) * dV
-        else:
-            vals, wv = f.values, weight.values
-            wsum = float(np.sum(wv)) * dV
-            c = (float(np.sum(vals * wv)) * dV) / (float(np.sum(wv**2)) * dV)
-            proj, coeffs = vals - c * wv, None
-            lhs = float(np.sum(np.abs(proj) ** 2)) * dV
+        K = max(f.coeffs.shape[0], weight.coeffs.shape[0])
+        a, b = _padded(f.coeffs, K), _padded(weight.coeffs, K)
+        # sum_x u conj(w) = n^d sum_k a_k conj(b_k), w real
+        wsum = n**d * float(b[(K // 2,) * d].real) * dV
         if abs(wsum - 1.0) > 1e-8:
             raise ValueError("weight must integrate to 1")
-        g2_omega, g2_full = _gradient_norms(proj, coeffs, f.L, omega_mask)
+        c = float(np.vdot(b, a).real) / float(np.vdot(b, b).real)
+        coeffs = a - c * b
+        lhs = _parseval(coeffs, n) * dV
+        g2_omega, g2_full = _gradient_norms(coeffs, f.L, omega_mask)
         rhs = g2_omega * dV + (comp_vol / vol) ** (2.0 / d) * g2_full * dV
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         return PoincareResult(ratio, lhs, rhs, comp_vol / vol, {})
@@ -311,12 +279,12 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
         phi = float(params.get("phi", 0.5 * math.pi))
         if abs(phi) >= math.pi:
             raise ValueError("vector-potential variant needs |phi| < pi")
-        w, coeffs, norm2 = _centred(f, n)
+        coeffs, norm2 = _centred(f, n)
         norm2 *= dV
         if norm2 == 0.0:
             return PoincareResult(0.0, 0.0, 0.0, comp_vol / vol, {})
         g2_omega, g2_full = (s * dV for s in _gradient_norms(
-            w, coeffs, f.L, omega_mask, phi))
+            coeffs, f.L, omega_mask, phi))
         excess = g2_omega - (phi / f.L) ** 2 * norm2
         if comp_vol == 0.0:
             ratio = excess / (norm2 / f.L**2)
@@ -333,7 +301,7 @@ def _cosine_weight(n: int) -> DiscreteField:
     to 1: three modes along x, on the n^3 grid."""
     coeffs = np.zeros((3, 3, 3))
     coeffs[:, 1, 1] = (0.25, 1.0, 0.25)
-    return DiscreteField(None, 1.0, coeffs, n, True)
+    return DiscreteField(1.0, coeffs, n, True)
 
 
 def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,

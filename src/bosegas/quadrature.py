@@ -1,8 +1,9 @@
 """Small quadrature helpers shared across modules.
 
-Two tools live here: a fixed composite Simpson rule for sampled radial
-integrands, and a Takahashi-Mori (tanh-sinh) rule for smooth integrands on a
-finite interval.  Both are deterministic; no adaptivity beyond doubling the
+Three tools live here: a fixed composite Simpson rule for sampled radial
+integrands, a Takahashi-Mori (tanh-sinh) rule for smooth integrands on a
+finite interval, and the one Richardson rule for values refined on grids of
+step ratio 2.  All are deterministic; no adaptivity beyond doubling the
 tanh-sinh level until two successive levels agree.
 """
 
@@ -35,18 +36,26 @@ def simpson(y: np.ndarray, x: np.ndarray) -> float:
     return float(out)
 
 
-def tanh_sinh(f, a: float, b: float, level: int = 10, rtol: float = 1e-13) -> float:
+# tanh_sinh stops once two successive levels agree to this relative tolerance
+_TANH_SINH_RTOL = 1e-13
+# richardson reports an estimate while the three-grid ratio lies within this
+# fraction of 2^order
+_ORDER_BAND = 0.25
+
+
+def tanh_sinh(f, a: float, b: float, level: int = 10) -> float:
     """Integrate ``f`` over the finite interval [a, b] with the tanh-sinh rule.
 
     The trapezoid step in the transformed variable is halved until two
-    successive refinements agree to ``rtol`` or ``level`` halvings are done.
+    successive refinements agree to ``_TANH_SINH_RTOL`` or ``level``
+    halvings are done.
     Endpoint singularities integrable in the tanh-sinh sense are handled by
     construction (nodes never touch a or b).
     """
     if a == b:
         return 0.0
     if a > b:
-        return -tanh_sinh(f, b, a, level, rtol)
+        return -tanh_sinh(f, b, a, level)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     piov2 = 0.5 * math.pi
@@ -82,8 +91,26 @@ def tanh_sinh(f, a: float, b: float, level: int = 10, rtol: float = 1e-13) -> fl
         h *= 0.5
         acc += layer(h, only_odd=True)
         new = acc * h * half
-        if abs(new - result) <= rtol * max(1.0, abs(new)):
+        if abs(new - result) <= _TANH_SINH_RTOL * max(1.0, abs(new)):
             result = new
             break
         result = new
     return result
+
+
+def richardson(values, order: int):
+    """Richardson's rule on the last three of ``values``, refined on grids
+    of step ratio 2, coarsest first, whose error is expected to fall as
+    h^order.  Returns (extrapolated, estimate, note): estimate = (x1 -
+    x2) / (2^order - 1) is the correction to add to the finest value x1,
+    and extrapolated = x1 + estimate.  Both are None, with the note saying
+    why, unless the three-grid ratio (x4 - x2) / (x2 - x1) lies within
+    ``_ORDER_BAND`` of 2^order."""
+    x4, x2, x1 = values[-3:]
+    ratio = float((x4 - x2) / (x2 - x1)) if x2 != x1 else math.inf
+    expected = 2**order
+    if not (1.0 - _ORDER_BAND) * expected <= ratio <= (1.0 + _ORDER_BAND) * expected:
+        return None, None, (f"three-grid ratio {ratio!r} is not within "
+                            f"{_ORDER_BAND * 100:g} % of {expected}")
+    estimate = (x1 - x2) / (expected - 1)
+    return x1 + estimate, estimate, None

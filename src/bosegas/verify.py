@@ -198,9 +198,10 @@ def _onedim_checks():
                       max(abs(e_unit - 2.0), abs(ib4 - 1 / (2 * math.pi))), 1e-8))
     trap = onedim.ElongatedTrap(10.0, 10.0, 1.0, 0.01, transverse="hard_wall")
     mode = onedim.transverse_mode(trap)
-    e_unit, _ = onedim.transverse_mode_numeric("hard_wall")
+    e_unit, ib4 = onedim.transverse_mode_numeric("hard_wall")
     out.append(_check("onedim.transverse_hard_wall",
-                      abs(e_unit - mode.e_perp_unit), 1e-8))
+                      max(abs(e_unit - mode.e_perp_unit),
+                          abs(ib4 - mode.int_b4_unit)), 1e-8))
     # region scaling identities
     e1 = onedim.minimize_1d("gp1d", 7.0, 3.0, 0.11, 2.0)[1]
     e2 = onedim.minimize_1d("gp1d", 1.0, 1.0, 7.0 * 0.11 * 3.0, 2.0)[1]
@@ -344,22 +345,22 @@ def _run_sections(sections) -> dict:
 
 # the sections that run a flow, and so load scipy.linalg: they run in a
 # worker process while the numpy-only ones run in the caller
-WORKER_SECTIONS = ("meanfield", "onedim", "charged")
+_WORKER_SECTIONS = ("meanfield", "onedim", "charged")
 
 
-def run_all(seed: int = 20240, timings: dict | None = None,
-            max_rss_mb: dict | None = None) -> dict:
-    """Run the whole invariant suite; returns the scorecard dict.
+def run_all(seed: int = 20240) -> tuple[dict, dict]:
+    """Run the whole invariant suite; returns (scorecard, timings).
 
-    The sections in ``WORKER_SECTIONS`` run in one worker process, started
+    The sections in ``_WORKER_SECTIONS`` run in one worker process, started
     first; the others run meanwhile in this one.  The checks are then put
     together in the sections' order, so the scorecard does not depend on the
     split.
 
-    When ``timings`` is a dict, it receives the wall seconds of each section
-    (scattering, homogeneous, meanfield, onedim, charged, oracles), and
-    ``max_rss_mb`` the peak resident set in MB, after each, of the process
-    that ran it; they are never part of the scorecard, which stays
+    ``timings`` holds the wall seconds of each section (scattering,
+    homogeneous, meanfield, onedim, charged, oracles) under "sections", the
+    peak resident set in MB, after each, of the process that ran it under
+    "max_rss_mb", and each process's sections in run order under
+    "processes"; they are never part of the scorecard, which stays
     byte-reproducible.
     """
     sections = (("scattering", _scattering_checks, ()),
@@ -368,20 +369,17 @@ def run_all(seed: int = 20240, timings: dict | None = None,
                 ("onedim", _onedim_checks, ()),
                 ("charged", _charged_checks, (seed + 10,)),
                 ("oracles", _oracle_checks, (seed + 20,)))
+    split = {"main": [s for s in sections if s[0] not in _WORKER_SECTIONS],
+             "worker": [s for s in sections if s[0] in _WORKER_SECTIONS]}
     with ProcessPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(_run_sections, [s for s in sections
-                                             if s[0] in WORKER_SECTIONS])
-        done = _run_sections([s for s in sections
-                              if s[0] not in WORKER_SECTIONS])
+        worker = pool.submit(_run_sections, split["worker"])
+        done = _run_sections(split["main"])
         done.update(worker.result())
-    checks = []
-    for name, _, _ in sections:
-        part, seconds, peak = done[name]
-        checks += part
-        if timings is not None:
-            timings[name] = seconds
-        if max_rss_mb is not None:
-            max_rss_mb[name] = peak
+    checks = [c for name, _, _ in sections for c in done[name][0]]
+    timings = {"sections": {name: done[name][1] for name in done},
+               "max_rss_mb": {name: done[name][2] for name in done},
+               "processes": {process: [name for name, _, _ in run]
+                             for process, run in split.items()}}
     n_pass = sum(1 for c in checks if c["passed"])
     return {
         "schema_version": SCHEMA_VERSION,
@@ -390,4 +388,4 @@ def run_all(seed: int = 20240, timings: dict | None = None,
         "n_checks": len(checks),
         "n_passed": n_pass,
         "all_passed": n_pass == len(checks),
-    }
+    }, timings

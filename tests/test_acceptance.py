@@ -273,8 +273,8 @@ def test_criterion_12_poincare():
 
 def test_criterion_13_determinism():
     t0 = time.perf_counter()
-    card1 = verify.run_all(seed=777)
-    card2 = verify.run_all(seed=777)
+    card1, _ = verify.run_all(seed=777)
+    card2, _ = verify.run_all(seed=777)
     elapsed = time.perf_counter() - t0
     same = json.dumps(card1, sort_keys=True) == json.dumps(card2, sort_keys=True)
     _criterion("13 verify determinism + suite runtime",

@@ -211,6 +211,13 @@ def test_scatter_nonfinite_result_exits_numeric(nan_scatter, capsys):
     assert "numeric failure" in err and "a_refined" in err
 
 
+def test_nonfinite_keys_name_nested_outputs_by_path():
+    from bosegas import cli
+    outputs = {"a": 1.0, "b": {"c": math.nan, "d": {"e": math.inf, "x": 2.0}},
+               "f": -math.inf, "g": [math.nan], "h": "nan"}
+    assert cli._nonfinite_keys(outputs) == ["b.c", "b.d.e", "f"]
+
+
 def test_scatter_nonfinite_result_writes_no_files(nan_scatter, tmp_path, capsys):
     prof = tmp_path / "p.csv"
     out = tmp_path / "scatter.json"
@@ -279,6 +286,8 @@ print(json.dumps(loaded()))
 run("gp", "--N", "10", "--coupling", "0.1", "--n-grid", "256")
 print(json.dumps(loaded()))
 run("regimes", "--N", "30", "--L", "100", "--r", "0.5", "--a", "1e-4")
+run("regimes", "--N", "30", "--L", "100", "--r", "0.5", "--a", "1e-4",
+    "--transverse", "hard_wall")
 run("charged", "dyson")
 print(json.dumps(loaded()))
 run("verify", "--seed", "7")
@@ -339,7 +348,8 @@ def test_cli_import_loads_only_config(tmp_path):
             "bosegas.oracles"} <= set(after_modules)
     assert not _scipy(after_modules)
     assert not _scipy(after_tables)
-    # a flow step loads scipy.linalg for its banded solve, and nothing else
+    # a flow step loads scipy.linalg for its banded solve, and nothing else:
+    # the hard-wall transverse mode is two constants, so no scipy.special
     for loaded in (after_gp, after_flows):
         assert "scipy.linalg" in loaded
         assert not _scipy(loaded, "scipy.optimize", "scipy.interpolate",
@@ -937,7 +947,7 @@ def _in_process_scorecard(seed):
 @pytest.mark.parametrize("seed", [7, 1])
 def test_verify_split_scorecard_equals_in_process(seed, ll_curve):
     from bosegas import verify
-    card = verify.run_all(seed)
+    card, _ = verify.run_all(seed)
     assert not multiprocessing.active_children()
     assert card["all_passed"]
     assert (json.dumps(card, sort_keys=True, indent=1)

@@ -70,7 +70,7 @@ import math
 import numpy as np
 import pytest
 
-from bosegas import charged, flows, meanfield, onedim
+from bosegas import charged, flows, meanfield, onedim, quadrature
 
 
 def _free(y):
@@ -819,6 +819,16 @@ def _full_line_solve(monkeypatch, kind, N, L, g, s):
                                half.local, half.d2q, N), 2 * n, start)
 
 
+def _split_note(note):
+    """(the note with its three-grid ratio left out, the ratio), or (note,
+    None) for a note without one."""
+    head, sep, tail = (note or "").partition("three-grid ratio ")
+    if not sep:
+        return note, None
+    ratio, _, rest = tail.partition(" ")
+    return head + sep + rest, float(ratio)
+
+
 @pytest.mark.parametrize("kind", ["full", "gp1d"])
 def test_half_line_matches_the_full_line(kind, monkeypatch, half_line_corpus):
     for N, L, g, s in half_line_corpus:
@@ -829,7 +839,11 @@ def test_half_line_matches_the_full_line(kind, monkeypatch, half_line_corpus):
         assert energy == pytest.approx(ref.energy, rel=1e-13, abs=0.0)
         assert rho_bar == pytest.approx(float(np.sum(fp.w * ref.psi**4)) / N,
                                         rel=1e-13, abs=0.0)
-        assert new.discretization_note == disc.discretization_note
+        # the note prints the three-grid ratio in full, and the two routes'
+        # ratios, quotients of energy differences, agree to ~1e-10
+        note, ratio = _split_note(new.discretization_note)
+        assert (note, ratio) == pytest.approx(
+            _split_note(disc.discretization_note), rel=1e-8)
         assert new.E_coarse == pytest.approx(disc.E_coarse, rel=1e-13, abs=0.0)
         if disc.E_discretization_error is not None:
             # a difference of two energies: it agrees to 1e-13 of them
@@ -876,13 +890,38 @@ def test_nonmonotone_energies_withhold_the_estimate():
     (3.0, False), (5.0, False), (4.0, False),
     (math.nextafter(3.0, 0.0), True), (math.nextafter(5.0, math.inf), True)])
 def test_order_note_band_edges(x4, note):
-    # x2 = 0, x1 = -1: the three-grid ratio is x4 itself
-    got = flows.order_note(x4, 0.0, -1.0)
+    # x2 = 0, x1 = -1: the three-grid ratio is x4 itself, printed in full
+    extrapolated, estimate, got = quadrature.richardson([x4, 0.0, -1.0], 2)
     assert (got is not None) == note
     if note:
-        assert got == f"three-grid ratio {x4:.4g} is not within 25 % of 4"
+        assert got == f"three-grid ratio {x4!r} is not within 25 % of 4"
+        assert extrapolated is None and estimate is None
+    else:
+        assert (extrapolated, estimate) == (-1.0 - 1.0 / 3.0, -1.0 / 3.0)
 
 
 def test_order_note_of_equal_fine_values_is_infinite():
-    assert flows.order_note(1.0, 2.0, 2.0) \
+    assert quadrature.richardson([1.0, 2.0, 2.0], 2)[2] \
         == "three-grid ratio inf is not within 25 % of 4"
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_richardson_removes_the_leading_power(order):
+    # x_h = 1 + h^order on h = 4, 2, 1 (coarsest first, more values before
+    # the last three are ignored): the ratio is 2^order exactly, and the
+    # extrapolation is the h = 0 value
+    values = [7.0] + [1.0 + h**order for h in (4.0, 2.0, 1.0)]
+    extrapolated, estimate, note = quadrature.richardson(values, order)
+    assert note is None
+    assert estimate == -1.0
+    assert extrapolated == 1.0
+    assert quadrature.richardson(values, order + 1)[2] \
+        == f"three-grid ratio {2.0**order!r} is not within 25 % of {2**(order + 1)}"
+
+
+def test_solve_record_estimate_is_richardsons():
+    # the cascade's estimate is (E_n - E_{n/2}) / 3, bit for bit
+    rep = meanfield.gp_minimize(meanfield.GPProblem(3, 1.0, 1.0, n_grid=1024))[1]
+    assert rep.solve.discretization_note is None
+    assert rep.solve.E_discretization_error \
+        == (rep.E_total - rep.solve.E_coarse) / 3.0

@@ -387,10 +387,6 @@ def test_harmonic_transverse_closed_form():
     assert mode.e_perp_unit == 2.0
     assert mode.int_b4_unit == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
     assert mode.g == pytest.approx(4.0 * 0.25, rel=1e-12)
-    # Gaussian profile normalized (quadrature + tail truncation ~ 1e-6)
-    r = mode.grid
-    norm = np.trapezoid(2 * math.pi * r * mode.b**2, r)
-    assert norm == pytest.approx(1.0, abs=1e-5)
 
 
 def test_hard_wall_transverse_bessel():
@@ -399,44 +395,45 @@ def test_hard_wall_transverse_bessel():
     z1 = float(jn_zeros(0, 1)[0])
     assert mode.e_perp_unit == pytest.approx(z1**2, rel=1e-12)
     assert mode.e_perp == pytest.approx(z1**2 / 4.0, rel=1e-12)
+    assert mode.g == 8.0 * math.pi * 0.25 / 4.0 * 0.6679272899645546
 
 
-def _eager_transverse_mode(trap):
-    """Every field of the transverse mode, built at once with scipy.special's
-    zero of J0: the reference for TransverseMode's fields built on first read."""
+def _closed_form_profile(kind):
+    """(b, b', V, rmax) of the unit-radius ground transverse mode of
+    ``kind``: the Gaussian in the harmonic well, J0 in the hard wall."""
     from scipy.special import j0, j1
-    if trap.transverse == "harmonic":
-        grid = np.linspace(0.0, 6.0, od._MODE_GRID)
-        b = np.exp(-0.5 * grid**2) / math.sqrt(math.pi)
-        e_unit = 2.0
-        int_b4 = 1.0 / (2.0 * math.pi)
-    else:
-        z1 = float(jn_zeros(0, 1)[0])
-        grid = np.linspace(0.0, 1.0, od._MODE_GRID)
-        norm = math.sqrt(math.pi) * abs(float(j1(z1)))
-        b = j0(z1 * grid) / norm
-        e_unit = z1**2
-        rho = grid
-        int_b4 = float(2.0 * math.pi * np.trapezoid(b**4 * rho, rho))
-    g = 8.0 * math.pi * trap.a / trap.r**2 * int_b4
-    return e_unit, e_unit / trap.r**2, grid, b, int_b4, g
+    if kind == "harmonic":
+        b = lambda r: math.exp(-0.5 * r * r) / math.sqrt(math.pi)
+        return b, lambda r: -r * b(r), lambda r: r * r, math.inf
+    z1 = float(jn_zeros(0, 1)[0])
+    norm = math.sqrt(math.pi) * abs(float(j1(z1)))
+    return (lambda r: float(j0(z1 * r)) / norm,
+            lambda r: -z1 * float(j1(z1 * r)) / norm, lambda r: 0.0, 1.0)
 
 
 def test_j0_first_zero_is_scipys():
     assert od._J0_FIRST_ZERO == float(jn_zeros(0, 1)[0])
 
 
-@pytest.mark.parametrize("transverse", ["harmonic", "hard_wall"])
-@pytest.mark.parametrize("r,a", [(1.0, 0.01), (0.5, 1e-4), (2.0, 0.25),
-                                 (0.2, 1e-2)])
-def test_transverse_mode_equals_eager_build(transverse, r, a):
-    trap = od.ElongatedTrap(30.0, 100.0, r, a, transverse=transverse)
-    mode = od.transverse_mode(trap)
-    e_unit, e_perp, grid, b, int_b4, g = _eager_transverse_mode(trap)
-    assert (mode.e_perp_unit, mode.e_perp) == (e_unit, e_perp)
-    assert mode.grid.tobytes() == grid.tobytes()
-    assert mode.b.tobytes() == b.tobytes()
-    assert (mode.int_b4_unit, mode.g) == (int_b4, g)
+@pytest.mark.parametrize("kind", ["harmonic", "hard_wall"])
+def test_unit_mode_constants_match_quadrature_of_the_profile(kind):
+    # int over the plane of b^2 (the profile's normalization), of |b'|^2 +
+    # V b^2 (e_perp) and of b^4, by adaptive quadrature of the closed form
+    from scipy.integrate import quad
+    b, db, V, rmax = _closed_form_profile(kind)
+
+    def plane(f):
+        return quad(lambda r: 2.0 * math.pi * r * f(r), 0.0, rmax,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    assert plane(lambda r: b(r) ** 2) == pytest.approx(1.0, rel=1e-13)
+    e_unit, int_b4 = od._UNIT_MODES[kind]
+    assert plane(lambda r: db(r) ** 2 + V(r) * b(r) ** 2) \
+        == pytest.approx(e_unit, rel=1e-13)
+    assert plane(lambda r: b(r) ** 4) == pytest.approx(int_b4, rel=1e-13)
+    mode = od.transverse_mode(od.ElongatedTrap(30.0, 100.0, 0.5, 1e-4,
+                                               transverse=kind))
+    assert (mode.e_perp_unit, mode.int_b4_unit) == (e_unit, int_b4)
 
 
 def test_transverse_numeric_agreement():
@@ -447,7 +444,18 @@ def test_transverse_numeric_agreement():
     trap = od.ElongatedTrap(1.0, 10.0, 1.0, 0.01, transverse="hard_wall")
     mode = od.transverse_mode(trap)
     assert abs(e_hw - mode.e_perp_unit) < 1e-8
-    assert abs(ib4_hw - mode.int_b4_unit) < 1e-6
+    assert abs(ib4_hw - mode.int_b4_unit) < 1e-8
+
+
+def test_verify_checks_the_hard_wall_int_b4(monkeypatch):
+    # int b^4 of the hard wall 1e-7 off fails its verify entry, by that much
+    e_unit, int_b4 = od._UNIT_MODES["hard_wall"]
+    monkeypatch.setitem(od._UNIT_MODES, "hard_wall", (e_unit, int_b4 + 1e-7))
+    checks = {c["name"]: c for c in verify._onedim_checks()}
+    entry = checks["onedim.transverse_hard_wall"]
+    assert not entry["passed"]
+    assert entry["value"] == pytest.approx(1e-7, rel=1e-3)
+    assert all(c["passed"] for name, c in checks.items() if c is not entry)
 
 
 def test_transverse_numeric_checks_its_order(monkeypatch):

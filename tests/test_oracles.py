@@ -19,7 +19,7 @@ from bosegas import oracles as orc
 # sector (with the Neumann ends the ring solve has no use for), and the loop
 # over windows.  The kernels in bosegas.oracles are checked against them.
 
-def _reference_random_field(n, L, rng, kmax=3, complex_valued=False):
+def _reference_random_field(n, rng, kmax=3, complex_valued=False):
     fhat = np.zeros((n, n, n), dtype=complex)
     for kx in range(-kmax, kmax + 1):
         for ky in range(-kmax, kmax + 1):
@@ -27,13 +27,11 @@ def _reference_random_field(n, L, rng, kmax=3, complex_valued=False):
                 c = rng.normal() + 1j * rng.normal()
                 fhat[kx % n, ky % n, kz % n] = c
     f = np.fft.ifftn(fhat) * n**3
-    if not complex_valued:
-        f = f.real
-    return orc.DiscreteField(f, L)
+    return f if complex_valued else f.real
 
 
 def _reference_random_subset(n, rng, frac_complement):
-    g = _reference_random_field(n, 1.0, rng, kmax=2).values
+    g = _reference_random_field(n, rng, kmax=2)
     thr = np.quantile(g, frac_complement)
     return g >= thr
 
@@ -242,7 +240,7 @@ def test_twisted_fd_second_order_convergence():
 # --- Poincare suites -----------------------------------------------------------
 
 def test_poincare_constant_function_gives_zero():
-    f = orc.DiscreteField(np.ones((12, 12, 12)), 1.0)
+    f = orc.DiscreteField(1.0, np.ones((1, 1, 1)), 12, True)
     mask = np.zeros((12, 12, 12), dtype=bool)
     mask[:6] = True
     assert orc.poincare_check("homogeneous", f, mask).ratio == 0.0
@@ -262,7 +260,7 @@ def test_poincare_scale_invariance(rng):
     f1 = orc.random_field(16, 1.0, rng, kmax=2)
     mask = orc.random_subset(16, rng, 0.3)
     r1 = orc.poincare_check("homogeneous", f1, mask).ratio
-    f2 = orc.DiscreteField(f1.values, 2.0)
+    f2 = orc.DiscreteField(2.0, f1.coeffs, f1.n_grid, f1.real)
     r2 = orc.poincare_check("homogeneous", f2, mask).ratio
     assert abs(r1 - r2) < 1e-10 * max(r1, 1e-12)
 
@@ -281,8 +279,8 @@ def test_poincare_vector_full_cube_nonnegative(rng):
 def test_poincare_inhomogeneous_weight_validation(rng):
     f = orc.random_field(12, 1.0, rng, kmax=2)
     mask = orc.random_subset(12, rng, 0.2)
-    bad = np.ones((12, 12, 12)) * 5.0
-    with pytest.raises(ValueError):
+    bad = orc.DiscreteField(1.0, np.full((1, 1, 1), 5.0), 12, True)
+    with pytest.raises(ValueError, match="integrate to 1"):
         orc.poincare_check("inhomogeneous", f, mask, {"h_weight": bad})
 
 
@@ -299,7 +297,7 @@ def test_poincare_calibration_stable_and_clean():
 
 
 def test_poincare_unknown_variant():
-    f = orc.DiscreteField(np.ones((8, 8, 8)), 1.0)
+    f = orc.DiscreteField(1.0, np.ones((1, 1, 1)), 8, True)
     with pytest.raises(ValueError):
         orc.poincare_check("bogus", f, np.ones((8, 8, 8), dtype=bool))
 
@@ -313,34 +311,64 @@ def _reference_norms(values, L, mask, phi=0.0):
     return float(np.sum(g2[mask])), float(np.sum(g2))
 
 
+def _sampled_check(variant, values, L, mask, weight=None, phi=0.0):
+    """(ratio, lhs, rhs_structural, omega_complement_fraction, pieces) of
+    ``poincare_check``, summed on the grid from the samples with the FFT
+    gradient of ``_reference_norms``: the route the coefficient sums are
+    checked against."""
+    n, d = mask.shape[0], mask.ndim
+    dV = (L / n) ** d
+    frac = (mask.size - np.count_nonzero(mask)) / mask.size
+    if variant == "inhomogeneous":
+        u = values - np.sum(values * weight) / np.sum(weight**2) * weight
+    else:
+        u = values - np.mean(values)
+    norm2 = float(np.sum(np.abs(u) ** 2)) * dV
+    g2_omega, g2_full = (s * dV for s in _reference_norms(u, L, mask, phi))
+    if variant == "homogeneous":
+        rhs = L**2 * g2_omega + (frac * L**d) ** (2.0 / 3.0) * g2_full
+        return (norm2 / rhs, norm2, rhs, frac,
+                {"grad_omega": g2_omega, "grad_full": g2_full})
+    if variant == "inhomogeneous":
+        rhs = g2_omega + frac ** (2.0 / d) * g2_full
+        return norm2 / rhs, norm2, rhs, frac, {}
+    excess = g2_omega - (phi / L) ** 2 * norm2
+    scale = frac**0.5 * g2_full if frac else norm2 / L**2
+    return (excess / scale, excess, g2_full, frac,
+            {"norm2": norm2, "grad_omega": g2_omega})
+
+
 @pytest.mark.parametrize("n,kmax,complex_valued",
                          [(12, 2, False), (16, 3, True), (24, 2, False),
                           (48, 2, True), (48, 3, False)])
 def test_random_field_matches_fft_reference(n, kmax, complex_valued):
     rng, rng_ref = np.random.default_rng(n + kmax), np.random.default_rng(n + kmax)
     f = orc.random_field(n, 1.0, rng, kmax, complex_valued)
-    ref = _reference_random_field(n, 1.0, rng_ref, kmax, complex_valued)
+    ref = _reference_random_field(n, rng_ref, kmax, complex_valued)
     assert rng.normal() == rng_ref.normal()      # the same draws were used
     assert np.isrealobj(f.values) == (not complex_valued)
-    scale = np.max(np.abs(ref.values))
-    assert np.max(np.abs(f.values - ref.values)) <= 1e-12 * scale
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(f.values - ref)) <= 1e-12 * scale
     mask = orc.random_subset(n, rng, 0.3)
     phi = 0.5 * math.pi if complex_valued else 0.0
-    got = orc._gradient_norms(f.values, f.coeffs, f.L, mask, phi)
-    want = _reference_norms(ref.values, ref.L, mask, phi)
+    got = orc._gradient_norms(f.coeffs, f.L, mask, phi)
+    want = _reference_norms(ref, 1.0, mask, phi)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("complex_valued", [False, True])
 def test_gradient_norms_of_sampled_array_match_fft_reference(complex_valued):
-    # no coefficients given: all n modes (Nyquist included) from an FFT
+    # the band is the whole grid: an arbitrary array's K = n coefficients
+    # from an FFT, on an odd grid, whose modes are all paired (on an even
+    # one the Nyquist mode has no partner and its gradient is not real)
     rng = np.random.default_rng(5)
-    vals = rng.normal(size=(10, 10, 10))
+    vals = rng.normal(size=(11, 11, 11))
     if complex_valued:
-        vals = vals + 1j * rng.normal(size=(10, 10, 10))
-    mask = rng.uniform(size=(10, 10, 10)) < 0.7
+        vals = vals + 1j * rng.normal(size=(11, 11, 11))
+    mask = rng.uniform(size=(11, 11, 11)) < 0.7
     phi = 1.1 if complex_valued else 0.0
-    got = orc._gradient_norms(vals, None, 2.5, mask, phi)
+    coeffs = np.fft.fftshift(np.fft.fftn(vals)) / vals.size
+    got = orc._gradient_norms(coeffs, 2.5, mask, phi)
     assert got == pytest.approx(_reference_norms(vals, 2.5, mask, phi),
                                 rel=1e-12)
 
@@ -352,10 +380,9 @@ def test_inhomogeneous_check_band_matches_samples(rng):
     f = orc.random_field(n, 1.0, rng, kmax=2)
     mask = orc.random_subset(n, rng, 0.25)
     band = orc.poincare_check("inhomogeneous", f, mask, {"h_weight": weight})
-    sampled = orc.poincare_check("inhomogeneous",
-                                 orc.DiscreteField(f.values, 1.0), mask,
-                                 {"h_weight": weight.values})
-    assert band.ratio == pytest.approx(sampled.ratio, rel=1e-12)
+    sampled = _sampled_check("inhomogeneous", f.values, 1.0, mask,
+                             weight.values)
+    assert band.ratio == pytest.approx(sampled[0], rel=1e-12)
 
 
 def test_random_subset_masks_match_reference():
@@ -408,21 +435,21 @@ def test_coefficient_sums_match_sampled_route(variant, n):
     # every grid sum by Parseval against the same sums on synthesized samples
     rng = np.random.default_rng(n)
     weight = orc._cosine_weight(n)
-    sampled_weight = orc.DiscreteField(weight.values, 1.0)
+    phi = 0.5 * math.pi if variant == "vector_potential" else 0.0
     for _ in range(8):
         mask = orc.random_subset(n, rng, rng.uniform(0.0, 0.5))
         f = orc.random_field(n, 1.0, rng, kmax=2,
                              complex_valued=(variant == "vector_potential"))
         band = orc.poincare_check(variant, f, mask, {"h_weight": weight})
         assert "values" not in vars(f)              # never synthesized
-        sampled = orc.poincare_check(variant, orc.DiscreteField(f.values, 1.0),
-                                     mask, {"h_weight": sampled_weight})
-        for got, want in [(band.ratio, sampled.ratio), (band.lhs, sampled.lhs),
-                          (band.rhs_structural, sampled.rhs_structural),
-                          *zip(band.pieces.values(), sampled.pieces.values())]:
+        ratio, lhs, rhs, frac, pieces = _sampled_check(
+            variant, f.values, 1.0, mask, weight.values, phi)
+        assert list(band.pieces) == list(pieces)
+        for got, want in [(band.ratio, ratio), (band.lhs, lhs),
+                          (band.rhs_structural, rhs),
+                          (band.omega_complement_fraction, frac),
+                          *zip(band.pieces.values(), pieces.values())]:
             assert got == pytest.approx(want, rel=1e-12)
-        assert band.omega_complement_fraction == \
-            sampled.omega_complement_fraction
 
 
 def test_calibration_synthesizes_the_masks_only(monkeypatch):
@@ -445,8 +472,7 @@ def test_fields_reject_unresolved_band():
     with pytest.raises(ValueError):
         orc.random_field(4, 1.0, np.random.default_rng(0), kmax=2)
     with pytest.raises(ValueError):
-        orc.DiscreteField(np.zeros((4, 4, 4)), 1.0,
-                          coeffs=np.zeros((5, 5, 5), dtype=complex))
+        orc.DiscreteField(1.0, np.zeros((5, 5, 5), dtype=complex), 4, False)
 
 
 # C_hat and min_ratio of the FFT implementation on the verify --seed 7

@@ -104,17 +104,24 @@ def _defaulted(module: str, tree: ast.Module):
                 yield f"{module}.{owner}{fn.name}({arg.arg})", fn.name, None, arg.arg
 
 
-def _calls(node: ast.AST, cls: str | None = None):
+def _calls(node: ast.AST, cls: str | None = None, within: frozenset = frozenset()):
     """(callee name, call) for every call under ``node``, by the called
-    name or attribute; inside a class body ``cls(...)`` calls that class."""
+    name or attribute; inside a class body ``cls(...)`` calls that class.
+    A call inside the body of a function of the callee's name is left out
+    (``within`` holds the enclosing functions' names): a function that
+    passes a parameter on to itself sets it for no other caller."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Call):
             func = child.func
             name = func.id if isinstance(func, ast.Name) else \
                 func.attr if isinstance(func, ast.Attribute) else None
-            yield (cls if name == "cls" and cls else name), child
+            name = cls if name == "cls" and cls else name
+            if name not in within:
+                yield name, child
         inner = child.name if isinstance(child, ast.ClassDef) else cls
-        yield from _calls(child, inner)
+        body = within | {child.name} if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else within
+        yield from _calls(child, inner, body)
 
 
 def defaulted_parameters(src: Path = SRC) -> list[tuple]:
@@ -145,6 +152,20 @@ def unset_parameters(src: Path = SRC) -> list[str]:
 def test_every_defaulted_parameter_is_set_by_a_src_caller():
     unset = unset_parameters()
     assert not unset, f"{len(unset)} set only by tests or by nothing: {', '.join(unset)}"
+
+
+def test_a_recursive_call_sets_no_default(tmp_path):
+    # f passes x only to itself, g passes y from outside: only y is set
+    (tmp_path / "m.py").write_text(
+        "def f(n, x=1):\n"
+        "    def inner():\n"
+        "        return f(n - 1, x)\n"
+        "    return f(n - 1, x) if n else inner\n\n\n"
+        "def g(y=2):\n"
+        "    return f(3) + g(y=y)\n\n\n"
+        "def h():\n"
+        "    return g(1)\n")
+    assert unset_parameters(tmp_path) == ["m.f(x)"]
 
 
 # --- every command-line option is read ---------------------------------------
