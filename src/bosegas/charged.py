@@ -38,6 +38,13 @@ _K_SPLIT = 40.0
 # units of the dilation scale (1/I0)^{4/3}
 _DYSON_GRID = 2048
 _DYSON_RMAX_FACTOR = 30.0
+# Dyson's minimizer at mu = 1: (E*, int |grad Phi|^2, I0 int Phi^{5/2}), by
+# Chebyshev collocation on [-150, 150] with 321 intervals (odd: r = 0 is no
+# node) and the r^2 weight in the Clenshaw-Curtis sums; ten bordered Newton
+# steps on (-Lap phi - (5/4) I0 phi^{3/2} - lambda phi, int phi^2 - 1) from a
+# Gaussian of width 3 (1/I0)^{4/3}.  (R, n) = (120, 241) and (200, 321) agree
+# to 5e-15 in E*; the tests repeat the solve
+_DYSON_UNIT = (-0.0251705878368567, 0.015102352702114127, 0.040272940538970826)
 
 
 @dataclass(frozen=True)
@@ -228,11 +235,14 @@ class TwoComponentEnergy:
     N: float
     length_scale: float       # gas radius ~ mu N^{-1/5}: lengths scale as mu
     correlation_length: float  # ~ mu N^{-2/5}
+    virial_residual: float    # |2 T - (3/4) A| / |E*| of _DYSON_UNIT
 
 
-def two_component_energy(N: float, dm: DysonMinimizer) -> TwoComponentEnergy:
-    """E0(N) ~ N^{7/5} E_star for the two-component gas; dm gives E_star, mu."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    return TwoComponentEnergy(N ** 1.4 * dm.energy, dm.energy, N,
-                              dm.mu * N ** -0.2, dm.mu * N ** -0.4)
+def two_component_energy(N: float, mu: float = 1.0) -> TwoComponentEnergy:
+    """E0(N) ~ N^{7/5} E*(1)/mu for the two-component gas, from _DYSON_UNIT."""
+    if N < 1 or mu <= 0:
+        raise ValueError(f"need N >= 1 and mu > 0, got N = {N}, mu = {mu}")
+    e_one, kinetic, attraction = _DYSON_UNIT
+    return TwoComponentEnergy(N ** 1.4 * (e_one / mu), e_one / mu, N,
+                              mu * N ** -0.2, mu * N ** -0.4,
+                              abs(2.0 * kinetic - 0.75 * attraction) / abs(e_one))

@@ -165,9 +165,6 @@ def cmd_tf(args) -> int:
 
 def cmd_ll(args) -> int:
     if args.emit_curve:
-        if args.t is not None or args.out:
-            raise ConfigError("ll --emit-curve writes the curve only, no "
-                              "record: give --t and --out in a run of their own")
         # the shipped table is the curve's CSV: copy its bytes
         with open(LL_TABLE, "rb") as src, open(args.emit_curve, "wb") as dst:
             dst.write(src.read())
@@ -198,13 +195,11 @@ def cmd_charged(args) -> int:
                    "x_integral_quadrature": fc.x_integral_quadrature,
                    "note": law.infinite_mass_note}
     elif args.mode == "dyson":
-        dm = charged.dyson_functional_minimize(args.mu)
-        tc = charged.two_component_energy(args.N, dm)
+        tc = charged.two_component_energy(args.N, args.mu)
         outputs = {"energy": tc.energy, "E_star": tc.e_star,
-                   "virial_residual": dm.virial_residual,
+                   "virial_residual": tc.virial_residual,
                    "length_scale": tc.length_scale,
-                   "correlation_length": tc.correlation_length,
-                   **dm.solve._asdict()}
+                   "correlation_length": tc.correlation_length}
     elif args.mode == "local":
         le = charged.local_energy_integral(args.nu, args.ell, args.mu)
         outputs = {"value": le.value, "closed_form": le.closed_form,
@@ -419,7 +414,9 @@ def main(argv=None) -> int:
         if config:
             _apply_config(parser, config)
         args = parser.parse_args(argv)
-        problems = validate_params(args.subcommand, _args_echo(args))
+        # every option that is set, also those the record does not echo
+        problems = validate_params(args.subcommand, {
+            k: v for k, v in vars(args).items() if v is not None})
         if problems:
             raise ConfigError("; ".join(problems))
         return args.func(args)

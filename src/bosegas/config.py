@@ -145,8 +145,7 @@ def validate_params(section: str, params: dict) -> list[str]:
                 problems.append(f"{section}.{key}: must be positive, got {val}")
             elif val < 0:
                 problems.append(f"{section}.{key}: must be nonnegative, got {val}")
-    # ll --emit-curve copies the table and writes no record (cli.cmd_ll
-    # refuses the same flags)
+    # ll --emit-curve copies the table and writes no record
     names = {key.replace("-", "_"): key for key in params}
     if section == "ll" and "emit_curve" in names:
         problems += [f"ll.{names[k]}: emit-curve writes the curve only, no "

@@ -445,14 +445,12 @@ class ElongatedTrap:
 # points of the middle of the three finite-difference solves behind
 # transverse_mode_numeric's order check and Richardson step
 _MODE_FD_GRID = 1500
-# the first zero of J0, equal bit for bit to scipy.special.jn_zeros(0, 1)[0]
-_J0_FIRST_ZERO = 2.4048255576957724
 # (e_perp, int |b|^4 d^2x) of the ground transverse mode at unit radius.
-# harmonic: b = exp(-r^2/2) / sqrt(pi).  hard wall: b = J0(j r) /
-# (sqrt(pi) |J1(j)|) with j the first zero of J0, and int b^4 = 2 int_0^1
-# J0(j r)^4 r dr / (pi J1(j)^4), by mpmath at 30 digits
+# harmonic: b = exp(-r^2/2) / sqrt(pi).  hard wall: b = J0(j r) / (sqrt(pi)
+# |J1(j)|), j = 2.40482555769577276862... the first zero of J0; e_perp is j^2
+# correctly rounded, int b^4 = 2 int_0^1 J0(j r)^4 r dr / (pi J1(j)^4) by mpmath
 _UNIT_MODES = {"harmonic": (2.0, 1.0 / (2.0 * math.pi)),
-               "hard_wall": (_J0_FIRST_ZERO**2, 0.6679272899645546)}
+               "hard_wall": (5.783185962946784, 0.6679272899645546)}
 
 
 @dataclass(frozen=True)

@@ -236,8 +236,11 @@ def _charged_checks(seed):
     out.append(_check("charged.dyson_virial", dm.virial_residual, 1e-3))
     out.append(_check("charged.dyson_negative", dm.energy, 0.0,
                       passed=dm.energy < 0.0))
-    tc1 = charged.two_component_energy(50.0, dm)
-    tc2 = charged.two_component_energy(100.0, dm)
+    tc1, tc2 = (charged.two_component_energy(N, 1.0) for N in (50.0, 100.0))
+    # the stored E*(1) against the flow's, refined by its h^2 estimate
+    refined = dm.energy + dm.solve.E_discretization_error
+    out.append(_check("charged.dyson_constant",
+                      abs(tc1.e_star - refined) / abs(tc1.e_star), 1e-8))
     out.append(_check("charged.two_component_ratio",
                       abs(tc2.energy / tc1.energy - 2.0**1.4), 1e-12))
     b = charged.bogolubov_bound(charged.BogolubovParams(1.0, 0.5, 0.0))

@@ -225,8 +225,8 @@ def test_criterion_10_charged():
         never_below &= oracles.fock_quadratic_ground(A, Bp, Bm, 6) >= bb - 1e-9
     dm = charged.dyson_functional_minimize(1.0)
     ok_dyson = dm.virial_residual < 1e-3 and dm.energy < 0.0
-    r = charged.two_component_energy(200.0, dm).energy / \
-        charged.two_component_energy(100.0, dm).energy
+    r = charged.two_component_energy(200.0).energy / \
+        charged.two_component_energy(100.0).energy
     ok_ratio = abs(r - 2.0**1.4) < 1e-12
     _criterion("10 charged gas: x-integral/local/Bogolubov/Dyson/N^{7/5}",
                ok_x and ok_local and (-1e-10 < gap < 1e-3) and never_below

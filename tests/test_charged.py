@@ -185,7 +185,8 @@ def test_dyson_dilation_matches_a_direct_solve(dyson_one, mu):
 
 
 def test_dyson_one_flow_per_caller(monkeypatch, tmp_path):
-    # every minimizer a caller needs is one flow solve, with no memo between
+    # every minimizer a caller needs is one flow solve, with no memo
+    # between; the CLI reads the stored constants and runs none
     from bosegas import cli, verify
     calls = []
     flow = ch._dyson_flow
@@ -197,8 +198,7 @@ def test_dyson_one_flow_per_caller(monkeypatch, tmp_path):
     monkeypatch.setattr(ch, "_dyson_flow", counted)
     assert cli.main(["charged", "dyson", "--N", "100",
                      "--out", str(tmp_path / "dyson.json")]) == 0
-    assert len(calls) == 1
-    calls.clear()
+    assert not calls
     verify._charged_checks(17)
     assert len(calls) == 1
     calls.clear()
@@ -208,18 +208,79 @@ def test_dyson_one_flow_per_caller(monkeypatch, tmp_path):
     assert len(calls) == 2
 
 
-def test_two_component_ratio_exact(dyson_one):
-    e1 = ch.two_component_energy(100.0, dyson_one)
-    e2 = ch.two_component_energy(200.0, dyson_one)
+def test_two_component_ratio_exact():
+    e1 = ch.two_component_energy(100.0)
+    e2 = ch.two_component_energy(200.0)
     assert e2.energy / e1.energy == pytest.approx(2.0**1.4, rel=1e-12)
     assert e1.energy < 0.0 and e2.energy < 0.0
     assert e1.length_scale == pytest.approx(100.0**-0.2)
     assert e1.correlation_length == pytest.approx(100.0**-0.4)
     # at mu = 2 energies halve and lengths double
-    e3 = ch.two_component_energy(100.0, ch.dyson_functional_minimize(2.0))
+    e3 = ch.two_component_energy(100.0, 2.0)
     assert e3.energy == pytest.approx(e1.energy / 2.0, rel=1e-15)
     assert e3.length_scale == pytest.approx(2.0 * 100.0**-0.2, rel=1e-15)
     assert e3.correlation_length == pytest.approx(2.0 * 100.0**-0.4, rel=1e-15)
+    assert e3.virial_residual == e1.virial_residual <= 1e-13
+    for N, mu in ((0.5, 1.0), (100.0, 0.0), (100.0, -1.0)):
+        with pytest.raises(ValueError):
+            ch.two_component_energy(N, mu)
+
+
+def _chebyshev(n, R):
+    """Chebyshev points R cos(pi j / n), j = 0..n, their differentiation
+    matrix and Clenshaw-Curtis weights on [-R, R] (n odd)."""
+    j = np.arange(n + 1)
+    x = np.cos(np.pi * j / n)
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
+    v = np.ones(n - 1)
+    for k in range(1, (n - 1) // 2 + 1):
+        v -= 2.0 * np.cos(2 * k * np.pi * j[1:-1] / n) / (4 * k * k - 1)
+    w = np.concatenate([[1.0 / n**2], 2.0 * v / n, [1.0 / n**2]])
+    return R * x, D / R, R * w
+
+
+def _dyson_chebyshev(R, n):
+    """(E*, kinetic, attraction) of Dyson's functional at mu = 1 by
+    collocation of the radial problem on [-R, R] (r = 0 is no node for odd
+    n, and the r^2 weight is smooth): bordered Newton on (-Lap phi - (5/4)
+    I0 phi^{3/2} - lambda phi, int phi^2 - 1) from a Gaussian."""
+    i0 = ch._i0(1.0)
+    r, D, w = _chebyshev(n, R)
+    lap = (D @ D + (2.0 / r)[:, None] * D)[1:-1, 1:-1]  # phi(+-R) = 0
+    r, D = r[1:-1], D[1:-1, 1:-1]
+    w = 2.0 * math.pi * r**2 * w[1:-1]       # int f d^3x of an even f
+    phi = np.exp(-(r / (3.0 * i0 ** (-4.0 / 3.0))) ** 2)
+    phi /= math.sqrt(w @ phi**2)
+    lam = w @ (-phi * (lap @ phi) - 1.25 * i0 * phi**2.5)
+    m = len(r)
+    for _ in range(10):
+        jac = np.zeros((m + 1, m + 1))
+        jac[:m, :m] = -lap - np.diag(1.875 * i0 * np.abs(phi) ** 0.5 + lam)
+        jac[:m, m] = -phi
+        jac[m, :m] = 2.0 * w * phi
+        residual = np.append(-lap @ phi - 1.25 * i0 * np.abs(phi) ** 1.5
+                             - lam * phi, w @ phi**2 - 1.0)
+        step = np.linalg.solve(jac, -residual)
+        phi, lam = phi + step[:m], lam + step[m]
+    # converged to the rounding floor (quadratic steps reach 1e-14 by the 6th)
+    assert np.max(np.abs(step[:m])) < 1e-11 * np.max(phi)
+    kinetic = w @ (D @ phi) ** 2
+    attraction = i0 * (w @ np.abs(phi) ** 2.5)
+    return kinetic - attraction, kinetic, attraction
+
+
+@pytest.mark.parametrize("R, n", [(120.0, 241), (150.0, 321)])
+def test_dyson_constants_match_a_chebyshev_solve(R, n):
+    # the stored (E*, kinetic, attraction) at mu = 1 by a second, spectral
+    # route; the domain, not n, limits it (at R = 100 the kinetic term is
+    # 4e-12 off)
+    e_star, kinetic, attraction = _dyson_chebyshev(R, n)
+    assert ch._DYSON_UNIT == pytest.approx((e_star, kinetic, attraction),
+                                           rel=1e-13)
+    assert ch.two_component_energy(1.0).e_star == pytest.approx(e_star,
+                                                                rel=1e-13)
 
 
 def test_fock_ground_converges_to_bound():

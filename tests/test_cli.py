@@ -263,6 +263,7 @@ print(json.dumps(loaded()))
 run("charged", "foldy")
 run("charged", "local")
 run("charged", "bogolubov")
+run("charged", "dyson")
 print(json.dumps(loaded()))
 run("bounds", "--rho", "1e-4")
 run("bounds", "--dim", "2", "--rho", "1e-3")
@@ -288,7 +289,6 @@ print(json.dumps(loaded()))
 run("regimes", "--N", "30", "--L", "100", "--r", "0.5", "--a", "1e-4")
 run("regimes", "--N", "30", "--L", "100", "--r", "0.5", "--a", "1e-4",
     "--transverse", "hard_wall")
-run("charged", "dyson")
 print(json.dumps(loaded()))
 run("verify", "--seed", "7")
 print(json.dumps(loaded()))
@@ -316,8 +316,8 @@ def test_cli_import_loads_only_config(tmp_path):
      after_scatter, after_modules, after_tables, after_gp,
      after_flows, after_verify) = map(json.loads, proc.stdout.splitlines())
     assert after_import == ["bosegas", "bosegas.cli", "bosegas.config"]
-    # the closed-form charged queries and the scalar bounds compute with
-    # math alone: no numpy, let alone scipy
+    # the closed-form charged queries (Dyson's from its stored constants)
+    # and the scalar bounds compute with math alone: no numpy, let alone scipy
     assert after_foldy == ["bosegas", "bosegas.charged", "bosegas.cli",
                            "bosegas.config", "bosegas.quadrature"]
     # the closed-form bounds need no scattering solver
@@ -457,10 +457,13 @@ def test_ll_emit_curve_takes_no_record_options(tmp_path, capsys):
     # --emit-curve writes the curve only: --t or --out beside it is refused
     # before anything is written, at a run and in validate
     curve, rec = tmp_path / "curve.csv", tmp_path / "r.json"
-    for extra in (["--t", "1.0"], ["--out", str(rec)],
-                  ["--t", "1.0", "--out", str(rec)]):
+    rule = "emit-curve writes the curve only, no record"
+    for extra, message in ((["--t", "1.0"], f"ll.t: {rule}"),
+                           (["--out", str(rec)], f"ll.out: {rule}"),
+                           (["--t", "1.0", "--out", str(rec)],
+                            f"ll.t: {rule}; ll.out: {rule}")):
         assert run_cli("ll", "--emit-curve", str(curve), *extra) == 2
-        assert "ll --emit-curve writes the curve only" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not curve.exists() and not rec.exists()
     cfg = tmp_path / "ll.cfg"
     cfg.write_text(f"[ll]\nt = 1.0\nemit-curve = {curve}\nout = {rec}\n")
@@ -598,21 +601,36 @@ def test_charged_subcommands(tmp_path):
     assert run_cli("charged", "dyson", "--N", "100", "--out", str(out2)) == 0
     rec2 = ResultRecord.from_json(out2.read_text())
     assert rec2.outputs["energy"] < 0
-    assert rec2.outputs["virial_residual"] < 1e-3
+    assert rec2.outputs["virial_residual"] < 1e-13
     from bosegas import charged
-    dm = charged.dyson_functional_minimize(1.0)
-    assert {k: rec2.outputs[k] for k in dm.solve._fields} == dm.solve._asdict()
-    assert rec2.outputs["E_coarse"] < 0
+    tc = charged.two_component_energy(100.0)
+    assert rec2.outputs == {"energy": tc.energy, "E_star": tc.e_star,
+                            "virial_residual": tc.virial_residual,
+                            "length_scale": tc.length_scale,
+                            "correlation_length": tc.correlation_length}
+
+
+def test_charged_dyson_runs_no_flow(monkeypatch, tmp_path):
+    # the record is read from the stored minimizer at mu = 1
+    from bosegas import charged
+
+    def no_flow(*args):
+        raise AssertionError("the Dyson flow ran")
+    monkeypatch.setattr(charged, "_dyson_flow", no_flow)
+    out = tmp_path / "dyson.json"
+    assert run_cli("charged", "dyson", "--mu", "0.5", "--out", str(out)) == 0
+    assert ResultRecord.from_json(out.read_text()).outputs["E_star"] \
+        == charged.two_component_energy(1.0).e_star / 0.5
 
 
 def test_charged_dyson_below_one_particle_is_config_error(monkeypatch,
                                                          tmp_path, capsys):
-    # E0(N) ~ N^(7/5) E_star needs N >= 1: refused before any flow runs
+    # E0(N) ~ N^(7/5) E_star needs N >= 1: refused before the subcommand runs
     from bosegas import charged
 
-    def no_flow(mu):
-        raise AssertionError("the Dyson flow ran")
-    monkeypatch.setattr(charged, "dyson_functional_minimize", no_flow)
+    def not_run(*args):
+        raise AssertionError("the two-component energy was computed")
+    monkeypatch.setattr(charged, "two_component_energy", not_run)
     assert run_cli("charged", "dyson", "--N", "0.5") == 2
     assert "charged.N: dyson needs N >= 1, got 0.5" in capsys.readouterr().err
     cfg = tmp_path / "charged.cfg"
@@ -654,9 +672,9 @@ def test_charged_dyson_far_from_unit_mu(tmp_path, mu):
     assert run_cli("charged", "dyson", "--N", "100", "--mu", mu,
                    "--out", str(out)) == 0
     rec = ResultRecord.from_json(out.read_text()).outputs
-    e_one = charged.dyson_functional_minimize(1.0).energy
+    e_one = charged.two_component_energy(1.0).e_star
     assert float(mu) * rec["E_star"] == pytest.approx(e_one, rel=1e-15)
-    assert rec["virial_residual"] <= 1e-3
+    assert rec["virial_residual"] <= 1e-13
     assert rec["length_scale"] == pytest.approx(float(mu) * 100.0**-0.2,
                                                 rel=1e-15)
 
@@ -703,10 +721,10 @@ def test_regimes_strong_coupling_converges(tmp_path):
 
 
 def test_records_carry_the_solve_record(tmp_path):
-    # gp and charged dyson carry each field of the flows.Solve record,
-    # regimes each field as a list over its two solves, and tf only the
-    # three counters, all zero
-    from bosegas import charged, flows, meanfield, onedim
+    # gp carries each field of the flows.Solve record, regimes each field
+    # as a list over its two solves, tf only the three counters, all zero,
+    # and charged dyson, which runs no flow, none
+    from bosegas import flows, meanfield, onedim
     fields = flows.Solve._fields
 
     def outputs(*argv):
@@ -721,10 +739,8 @@ def test_records_carry_the_solve_record(tmp_path):
     assert {k: gp[k] for k in fields} == rep.solve._asdict()
 
     dyson = outputs("charged", "dyson", "--mu", "2")
-    dm = charged.dyson_functional_minimize(2.0)
-    assert dyson.keys() - set(fields) == {"energy", "E_star", "virial_residual",
-                                          "length_scale", "correlation_length"}
-    assert {k: dyson[k] for k in fields} == dm.solve._asdict()
+    assert dyson.keys() == {"energy", "E_star", "virial_residual",
+                            "length_scale", "correlation_length"}
 
     reg = outputs("regimes", "--N", "30", "--L", "100", "--r", "0.5",
                   "--a", "1e-4")

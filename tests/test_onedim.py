@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import subprocess
@@ -411,8 +412,12 @@ def _closed_form_profile(kind):
             lambda r: -z1 * float(j1(z1 * r)) / norm, lambda r: 0.0, 1.0)
 
 
-def test_j0_first_zero_is_scipys():
-    assert od._J0_FIRST_ZERO == float(jn_zeros(0, 1)[0])
+def test_hard_wall_e_perp_is_j01_squared_correctly_rounded():
+    # j_{0,1} to 50 digits (OEIS A115368), squared exactly and rounded once
+    # (scipy's jn_zeros(0, 1) is an ulp low, and so was its square)
+    j = decimal.Decimal("2.404825557695772768621631879326454643124244909145614")
+    square = decimal.Context(prec=110).multiply(j, j)
+    assert od._UNIT_MODES["hard_wall"][0] == float(square) == 5.783185962946784
 
 
 @pytest.mark.parametrize("kind", ["harmonic", "hard_wall"])
