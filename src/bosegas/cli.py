@@ -165,9 +165,9 @@ def cmd_tf(args) -> int:
 
 def cmd_ll(args) -> int:
     if args.emit_curve:
-        # the shipped table is the curve's CSV: copy its bytes
-        with open(LL_TABLE, "rb") as src, open(args.emit_curve, "wb") as dst:
-            dst.write(src.read())
+        # the curve's CSV is the shipped table's t,e columns, header included
+        with open(LL_TABLE) as src, open(args.emit_curve, "w") as dst:
+            dst.writelines(line.rsplit(",", 1)[0] + "\n" for line in src)
         return EXIT_OK
     if args.t is None:
         raise ConfigError("ll needs --t or --emit-curve")
@@ -246,7 +246,7 @@ def cmd_validate(args) -> int:
 
 
 def _args_echo(args) -> dict:
-    skip = {"func", "config", "out", "profile_out", "emit_curve"}
+    skip = {"config", "out", "profile_out"}
     return {k: v for k, v in vars(args).items()
             if k not in skip and v is not None and not callable(v)}
 

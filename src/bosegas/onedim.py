@@ -20,12 +20,13 @@ product integration: hat functions on a Chebyshev-graded mesh with the
 Lorentzian kernel integrated exactly (arctan/log primitives), which stays
 accurate down to very small kernel widths.  The solution is even, so only
 half the system is assembled and solved.  The e(t) table ships with the
-package as ``ll_table.csv``, resampled from a sweep of such solves by the
-reference build in the tests, which also checks that the shipped bytes are
-current; at run time ``verify`` solves the equation directly at three widths
-against it.  The curve is validated only against its two known limits, the
-direct solves and the exact-diagonalization oracle, never against external
-tables.
+package as ``ll_table.csv``: one row per kernel width of a sweep of such
+solves, with t, e and the exact slope sigma = d log e/d log t of the
+discrete solution.  The reference build in the tests writes it and checks
+that the shipped bytes are current; at run time ``verify`` solves the
+equation directly at three widths against its e and sigma.  The curve is
+validated only against its two known limits, the direct solves and the
+exact-diagonalization oracle, never against external tables.
 
 The transverse confinement enters through its ground mode b alone, as two
 constants per kind at unit radius: e_perp and int |b|^4 d^2x, which give
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -127,47 +127,31 @@ def solve_ba_density(lam: float, m: int):
 
 
 # the (_MESH + 1)-node mesh the default table was solved on, and that
-# table_error's direct solves use
+# table_error's and slope_error's direct solves use
 _MESH = 440
+# slope_error's step in log lam: its central differences are then good to
+# ~4e-10, below the table's slope error between nodes (8e-9 at t = 11.3)
+_SLOPE_STEP = 1e-4
 
 
-class Pchip:
-    """Monotone piecewise-cubic Hermite interpolant (Fritsch & Carlson,
-    SIAM J. Numer. Anal. 17, 238 (1980)), extrapolating with the end cubics.
+class CubicHermite:
+    """Piecewise-cubic Hermite interpolant on given node slopes,
+    extrapolating with the end cubics.
 
-    A port of scipy's ``PchipInterpolator``: node slopes as in its
-    ``_find_derivatives``/``_edge_case``, coefficients as in
-    ``CubicHermiteSpline`` (``c[:, k]`` are the cubic's coefficients in
-    powers 3..0 of x - x[k]) and evaluation in the order of its power sum,
-    so values and slopes equal scipy's bit for bit.
+    Coefficients as scipy's ``CubicHermiteSpline`` builds them (``c[:, k]``
+    are the cubic's coefficients in powers 3..0 of x - x[k]) and evaluation
+    in the order of its power sum, so values and slopes equal scipy's bit
+    for bit.
     """
 
-    def __init__(self, x, y):
+    def __init__(self, x, y, dydx):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        d = np.asarray(dydx, dtype=float)
         h = np.diff(x)
         if len(x) < 2 or not np.all(h > 0):
             raise ValueError("x must be strictly increasing, with two nodes or more")
         m = np.diff(y) / h
-        d = np.empty_like(y)
-        if len(x) == 2:
-            d[:] = m
-        else:
-            # weighted harmonic mean of the neighbouring slopes, 0 at an
-            # extremum or a flat segment
-            w1 = 2 * h[1:] + h[:-1]
-            w2 = h[1:] + 2 * h[:-1]
-            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-                d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-            # one-sided three-point end slopes, kept shape-preserving
-            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-            end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-            wrong_sign = np.sign(end) != np.sign(m0)
-            overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
-            d[[0, -1]] = np.where(wrong_sign, 0.0,
-                                  np.where(overshoot, 3.0 * m0, end))
         t = (d[:-1] + d[1:] - 2 * m) / h
         self.x = x
         self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
@@ -207,28 +191,31 @@ class Pchip:
 
 @dataclass
 class LLCurve:
-    """Tabulated e(t) on log-spaced nodes with monotone cubic interpolation.
+    """Tabulated e(t), with the slope sigma = d log e/d log t at each node,
+    read by the cubic Hermite interpolant on those slopes in (log t, log e).
 
     Outside the table the limiting forms take over, continuity-matched:
     e = (t/2) * const below, pi^2/3 - deficit * (t_max/t) above.  They are
     matched in value, not in slope, so e'(t) jumps at t_min and t_max.
     ``mesh_error`` is the largest relative difference between the table and
-    doubled-mesh solves at the first, middle and last sweep widths inside
-    the table, measured when the table was built.
+    doubled-mesh solves at the first, middle and last sweep widths, measured
+    when the table was built.
 
     ``f_inverse`` inverts F(t) = 3 e/t^2 - e'/t, the t-form of w'(rho) for
-    w(rho) = rho^3 e(g/rho); the table it needs is built on first use.
+    w(rho) = rho^3 e(g/rho).
     """
 
     nodes_t: np.ndarray
     nodes_e: np.ndarray
+    nodes_sigma: np.ndarray
     mesh_error: float
-    _interp: Pchip = field(init=False, repr=False)
+    _interp: CubicHermite = field(init=False, repr=False)
     _low_ratio: float = field(init=False)
     _high_deficit: float = field(init=False)
 
     def __post_init__(self):
-        self._interp = Pchip(np.log(self.nodes_t), np.log(self.nodes_e))
+        self._interp = CubicHermite(np.log(self.nodes_t), np.log(self.nodes_e),
+                                    self.nodes_sigma)
         self._low_ratio = float(self.nodes_e[0] / (0.5 * self.nodes_t[0]))
         self._high_deficit = float(PI2_3 - self.nodes_e[-1])
 
@@ -278,23 +265,15 @@ class LLCurve:
             return tuple(float(v[0]) for v in out)
         return out
 
-    @cached_property
-    def _log_f_nodes(self) -> np.ndarray:
-        """log F at the table nodes: e = exp(p(log t)) gives
-        F = (e/t^2) (3 - p')."""
-        x = self._interp.x
-        _, dp = self._interp.derivatives(x, 1)
-        return np.log(self.nodes_e) - 2.0 * x + np.log(3.0 - dp)
-
     def f_inverse(self, y):
         """t = F^-1(y) for F(t) = 3 e/t^2 - e'/t, so that w'(rho) = g^2 y
         for w(rho) = rho^3 e(g/rho) at rho = g/t.
 
         F falls with t on each piece of the curve, but the pieces meet in
         value only (see the class docstring).  Across t_min F jumps up
-        (on the default table F(t_min-) = 9983.2 < F(t_min+) = 9993.8), so
-        a y in that band has a root in the table and one in the low tail;
-        across t_max it drops by ~1e-8 relative, so a y in that gap has
+        (on the default table F(t_min-) = 10064.9 < F(t_min+) = 10075.6),
+        so a y in that band has a root in the table and one in the low tail;
+        across t_max it drops by ~2e-11 relative, so a y in that gap has
         none.  The inverse returns the largest t with F(t) >= y, that is
         the smallest root rho, which never decreases as y grows: the table
         root whenever y <= F(t_min+), else the low tail; t_max inside the
@@ -319,8 +298,9 @@ class LLCurve:
         y = np.atleast_1d(y)
         if not np.all(y >= 0):
             raise ValueError("y must be nonnegative")
-        log_f = self._log_f_nodes
         x_nodes = self._interp.x
+        # log F at the table nodes: F = (e/t^2) (3 - sigma)
+        log_f = np.log(self.nodes_e) - 2.0 * x_nodes + np.log(3.0 - self.nodes_sigma)
         q_max = 4.0 * self._high_deficit * self.t_max
         with np.errstate(divide="ignore"):
             ly = np.log(y)
@@ -405,10 +385,25 @@ def table_error(curve: LLCurve, lams) -> float:
     return err
 
 
+def slope_error(curve: LLCurve, lams) -> float:
+    """The largest |sigma - sigma_BA| over the kernel widths ``lams``:
+    sigma_BA = d log e/d log t by central differences of two direct solves
+    at lam exp(+-_SLOPE_STEP), against the table's d log e/d log t at the
+    geometric mean of their t."""
+    err = 0.0
+    for lam in lams:
+        (g_lo, e_lo), (g_hi, e_hi) = (solve_ba_density(lam * math.exp(d), _MESH)
+                                      for d in (-_SLOPE_STEP, _SLOPE_STEP))
+        t = 2.0 * math.sqrt(g_lo * g_hi)
+        e, de = curve.derivatives(t, 1)
+        err = max(err, abs(de * t / e - math.log(e_hi / e_lo) / math.log(g_hi / g_lo)))
+    return err
+
+
 # the default table, as the reference build in tests/test_onedim.py writes
 # it, and that build's mesh_error
 _TABLE = Path(LL_TABLE)
-_TABLE_MESH_ERROR = 0.000979988985987168
+_TABLE_MESH_ERROR = 0.0009862429001419315
 
 _DEFAULT_CURVE: LLCurve | None = None
 
@@ -417,8 +412,8 @@ def default_curve() -> LLCurve:
     """The shipped e(t) table, read once per process."""
     global _DEFAULT_CURVE
     if _DEFAULT_CURVE is None:
-        t, e = np.loadtxt(_TABLE, delimiter=",", skiprows=1).T.copy()
-        _DEFAULT_CURVE = LLCurve(t, e, _TABLE_MESH_ERROR)
+        t, e, sigma = np.loadtxt(_TABLE, delimiter=",", skiprows=1).T.copy()
+        _DEFAULT_CURVE = LLCurve(t, e, sigma, _TABLE_MESH_ERROR)
     return _DEFAULT_CURVE
 
 

@@ -177,9 +177,9 @@ def _meanfield_checks():
 
 
 # kernel widths of the direct Fredholm solves checked against the e(t)
-# table (t = 3.2e-3, 0.347, 42.7): geometric midpoints between widths of the
-# table's sweep, so that no solve repeats one the table was built from
-_LL_DIRECT_WIDTHS = (0.02044, 0.2447, 7.427)
+# table (t = 8.6e-3, 0.953, 11.3): of the geometric midpoints between sweep
+# widths, the worst in t < 1e-2, [1e-2, 1) and [1, 100) (4.2e-9 to 6.0e-8)
+_LL_DIRECT_WIDTHS = (0.03382, 0.441, 2.372)
 
 
 def _onedim_checks():
@@ -189,7 +189,9 @@ def _onedim_checks():
                       0.02))
     out.append(_check("onedim.ll_low_t", abs(curve.e(1e-2) / 5e-3 - 1.0), 0.05))
     out.append(_check("onedim.ll_direct_route",
-                      onedim.table_error(curve, _LL_DIRECT_WIDTHS), 1e-5))
+                      onedim.table_error(curve, _LL_DIRECT_WIDTHS), 1e-6))
+    out.append(_check("onedim.ll_slope_direct",
+                      onedim.slope_error(curve, _LL_DIRECT_WIDTHS), 1e-7))
     rho = np.linspace(0.05, 20.0, 200)
     h = rho**3 * curve.e(1.0 / rho)
     out.append(_check("onedim.ll_convexity", -float(np.min(np.diff(h, 2))), 1e-8))

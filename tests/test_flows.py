@@ -145,7 +145,7 @@ def test_full_1d_flow_pinned(monkeypatch):
     assert [r.iterations for r in results] == [14, 3, 3]
     assert [(r.rejected_steps, r.newton_steps) for r in results] \
         == [(0, 3), (0, 2), (0, 2)]
-    assert energy == pytest.approx(9.322188962301011, rel=1e-13)
+    assert energy == pytest.approx(9.322184640283089, rel=1e-13)
 
 
 def test_dyson_flow_pinned():
@@ -477,7 +477,8 @@ def test_d2q_matches_central_differences_of_dq(case, monkeypatch):
 
 def test_full_d2q_across_the_table_ends(monkeypatch, ll_curve):
     # rho = g / t on both sides of t_min and t_max, at midpoints between
-    # table nodes in log t (e'' jumps at the nodes, the PCHIP being C1)
+    # table nodes in log t (e'' jumps at the nodes, the Hermite cubic being
+    # C1)
     monkeypatch.setattr(onedim, "_N_GRID_1D", 512)
     prob, _ = _flow_input(monkeypatch, lambda: onedim.minimize_1d(
         "full", 30.0, 5.0, 0.5, 2.0))
