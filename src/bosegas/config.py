@@ -36,47 +36,39 @@ EXIT_IO = 3
 
 @dataclass
 class SweepSpec:
-    """lo:hi:n sweep of a named parameter, log-spaced by default."""
+    """lo:hi:n log-spaced sweep of a named parameter."""
 
     name: str
     lo: float
     hi: float
     n: int
-    log: bool = True
 
     @classmethod
     def parse(cls, text: str) -> "SweepSpec":
-        # form: NAME=lo:hi:n  (append ":lin" for a linear sweep)
+        # form: NAME=lo:hi:n
         if "=" not in text:
             raise ConfigError(f"sweep spec {text!r} must look like Y=lo:hi:n")
         name, rest = text.split("=", 1)
         parts = rest.split(":")
-        if len(parts) not in (3, 4):
+        if len(parts) != 3:
             raise ConfigError(f"sweep spec {text!r} must look like Y=lo:hi:n")
         try:
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"sweep spec {text!r} needs numbers lo:hi:n") from None
-        log = True
-        if len(parts) == 4:
-            if parts[3] not in ("lin", "log"):
-                raise ConfigError(f"sweep scale must be lin or log, got {parts[3]!r}")
-            log = parts[3] == "log"
         if not (lo < hi):
             raise ConfigError(f"sweep bounds must be ordered: {text!r}")
         if n < 1:
             raise ConfigError("sweep needs at least one point")
-        if log and lo <= 0:
+        if lo <= 0:
             raise ConfigError("log sweep needs positive bounds")
-        return cls(name.strip(), lo, hi, n, log)
+        return cls(name.strip(), lo, hi, n)
 
     def values(self):
         import numpy as np
         if self.n == 1:
             return np.array([self.lo])
-        if self.log:
-            return np.geomspace(self.lo, self.hi, self.n)
-        return np.linspace(self.lo, self.hi, self.n)
+        return np.geomspace(self.lo, self.hi, self.n)
 
 
 def parse_config_file(path) -> dict:
@@ -114,7 +106,7 @@ N_GRID_MIN = 16
 
 _POSITIVE = {"rho", "a", "mu", "N", "L", "r", "R0", "s", "ell", "nu", "side"}
 _NONNEGATIVE = {"coupling", "v0", "t",   # zero is physical (ideal gas etc.)
-                "A", "B_plus", "B_minus"}
+                "A", "B_plus", "B_minus", "seed"}
 # keys that must be positive in one section only: TF has no zero-coupling limit
 _SECTION_POSITIVE = {"tf": {"coupling"}}
 

@@ -29,10 +29,11 @@ validated only against its two known limits, the direct solves and the
 exact-diagonalization oracle, never against external tables.
 
 The transverse confinement enters through its ground mode b alone, as two
-constants per kind at unit radius: e_perp and int |b|^4 d^2x, which give
-the 1D coupling g = 8 pi a / r^2 int |b|^4.  The harmonic mode is a
-Gaussian and the hard wall's is J0; ``transverse_mode_numeric`` solves
-both by finite differences as the second route.
+constants per kind at unit radius (``UNIT_MODES``): e_perp and
+int |b|^4 d^2x, which ``ElongatedTrap`` scales to its e_perp and 1D
+coupling g = 8 pi a / r^2 int |b|^4.  The harmonic mode is a Gaussian and
+the hard wall's is J0; ``transverse_mode_numeric``, the second route,
+finds both with the radial gradient flow of the trap minimizers.
 """
 
 from __future__ import annotations
@@ -421,6 +422,14 @@ def default_curve() -> LLCurve:
 # transverse confinement
 # --------------------------------------------------------------------------
 
+# (e_perp, int |b|^4 d^2x) of the ground transverse mode at unit radius.
+# harmonic: b = exp(-r^2/2) / sqrt(pi).  hard wall: b = J0(j r) / (sqrt(pi)
+# |J1(j)|), j = 2.40482555769577276862... the first zero of J0; e_perp is j^2
+# correctly rounded, int b^4 = 2 int_0^1 J0(j r)^4 r dr / (pi J1(j)^4) by mpmath
+UNIT_MODES = {"harmonic": (2.0, 1.0 / (2.0 * math.pi)),
+              "hard_wall": (5.783185962946784, 0.6679272899645546)}
+
+
 @dataclass(frozen=True)
 class ElongatedTrap:
     N: float
@@ -431,69 +440,50 @@ class ElongatedTrap:
     transverse: str = "harmonic"   # or hard_wall
 
     def __post_init__(self):
-        if self.transverse not in ("harmonic", "hard_wall"):
+        if self.transverse not in UNIT_MODES:
             raise ValueError("transverse kind must be harmonic or hard_wall")
         if min(self.N, self.L, self.r) <= 0 or self.a < 0 or self.s <= 0:
             raise ValueError("trap parameters must be positive")
 
-
-# points of the middle of the three finite-difference solves behind
-# transverse_mode_numeric's order check and Richardson step
-_MODE_FD_GRID = 1500
-# (e_perp, int |b|^4 d^2x) of the ground transverse mode at unit radius.
-# harmonic: b = exp(-r^2/2) / sqrt(pi).  hard wall: b = J0(j r) / (sqrt(pi)
-# |J1(j)|), j = 2.40482555769577276862... the first zero of J0; e_perp is j^2
-# correctly rounded, int b^4 = 2 int_0^1 J0(j r)^4 r dr / (pi J1(j)^4) by mpmath
-_UNIT_MODES = {"harmonic": (2.0, 1.0 / (2.0 * math.pi)),
-               "hard_wall": (5.783185962946784, 0.6679272899645546)}
-
-
-@dataclass(frozen=True)
-class TransverseMode:
-    """Ground transverse mode of ``trap`` and the effective 1D coupling g,
-    from the two unit-radius constants of its kind in ``_UNIT_MODES``."""
-
-    trap: ElongatedTrap
-    e_perp_unit: float      # ground energy of -Lap + V_perp at unit r
-    int_b4_unit: float      # int |b|^4 d^2x at unit r
-
     @property
     def e_perp(self) -> float:
-        return self.e_perp_unit / self.trap.r**2
+        """Ground energy of -Lap + V_perp: e_perp at unit radius / r^2."""
+        return UNIT_MODES[self.transverse][0] / self.r**2
 
     @property
     def g(self) -> float:
-        """8 pi a / r^2 * int_b4_unit."""
-        return 8.0 * math.pi * self.trap.a / self.trap.r**2 * self.int_b4_unit
+        """The 1D coupling 8 pi a / r^2 * int |b|^4 at unit radius."""
+        return 8.0 * math.pi * self.a / self.r**2 * UNIT_MODES[self.transverse][1]
 
 
-def transverse_mode(trap: ElongatedTrap) -> TransverseMode:
-    """The ground transverse mode of ``trap``."""
-    return TransverseMode(trap, *_UNIT_MODES[trap.transverse])
+# cells of the middle of the three flow solves behind
+# transverse_mode_numeric's order check and Richardson step.  The rounding
+# floor of the sup-norm residual grows as n^2: on the hard wall's [0, 1]
+# grid the finest solve ends at 0.46 of its tolerance at 1000 (2000 cells),
+# and at 1500 the 3000-cell solve stalls at 1.1 of it
+_MODE_FD_GRID = 1000
+
+
+def _no_interaction(y):
+    """q = q' = 0: the linear problem of the transverse mode."""
+    return np.zeros_like(y), np.zeros_like(y)
 
 
 def transverse_mode_numeric(kind: str) -> tuple[float, float]:
-    """Finite-difference radial eigensolve (cell-centered, Richardson in h):
-    returns (e_perp_unit, int b^4).  Independent check of the closed forms;
-    raises RuntimeError when a value does not converge at second order."""
-    from scipy.linalg import eigh_tridiagonal
+    """The ground mode of -Lap + V_perp at unit radius by the radial flow
+    (``flows.cell_problem`` with q = 0, unit mass) on three grids,
+    Richardson in h: returns (e_perp, int b^4), the check of
+    ``UNIT_MODES``.  Raises RuntimeError when a solve does not converge or
+    a value does not converge at second order."""
+    rmax, V = (6.0, np.square) if kind == "harmonic" else (1.0, np.zeros_like)
 
     def solve_once(n):
-        rmax = 6.0 if kind == "harmonic" else 1.0
-        h = rmax / (n + 0.5)
-        r = h * (np.arange(n) + 0.5)
-        edges = h * np.arange(n + 1)
-        ew = edges / h**2
-        diag = (ew[:-1] + ew[1:]) / r
-        off = -ew[1:-1] / np.sqrt(r[:-1] * r[1:])
-        if kind == "harmonic":
-            diag = diag + r**2
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-        # eigenvector of the symmetrized operator; b = vec / sqrt(2 pi r h)
-        b = vecs[:, 0] / np.sqrt(2.0 * math.pi * r * h)
-        b /= math.sqrt(float(np.sum(2.0 * math.pi * r * h * b**2)))
-        ib4 = float(np.sum(2.0 * math.pi * r * h * b**4))
-        return float(vals[0]), ib4
+        fp, res, solve = flows.minimize_nested(
+            lambda m: flows.cell_problem(2, rmax, m, 1.0, V, _no_interaction,
+                                         np.zeros_like, 1.0), n,
+            lambda fp: np.cos(0.5 * math.pi * fp.nodes / rmax))
+        flows.require_converged(f"transverse mode ({kind}, n = {n})", res, solve)
+        return res.mu_chem, float((fp.w * res.psi**4).sum())
 
     coarse, mid, fine = (solve_once(n) for n in (_MODE_FD_GRID // 2, _MODE_FD_GRID,
                                                  2 * _MODE_FD_GRID))
@@ -785,8 +775,7 @@ def regime_classify(trap: ElongatedTrap) -> RegimeReport:
     recomputed once with the region-consistent functional (single fixed-point
     pass; the iteration count is deliberately one).
     """
-    mode = transverse_mode(trap)
-    g = mode.g
+    g = trap.g
     prof0, _, rho_bar = minimize_1d("full", trap.N, trap.L, g, trap.s)
     ratio0 = g / rho_bar
     region0 = _pick_region(ratio0, trap.N)
@@ -803,5 +792,5 @@ def regime_classify(trap: ElongatedTrap) -> RegimeReport:
                         {"rho_bar_full": rho_bar, "ratio_full": ratio0,
                          "region_first_pass": region0
                          if isinstance(region0, int) else list(region0),
-                         "e_perp": mode.e_perp},
+                         "e_perp": trap.e_perp},
                         {k: list(pair) for k, pair in solves})

@@ -188,16 +188,14 @@ def test_criterion_09_regimes():
     ok5 = abs(eg - N * gamma**2 * egB) / abs(eg) < 1e-8
 
     def probe(target):
-        trap0 = onedim.ElongatedTrap(50.0, 200.0, 0.5, 1e-6, 2.0)
-        mode = onedim.transverse_mode(trap0)
-        _, _, rb = onedim.minimize_1d("full", 50.0, 200.0, mode.g, 2.0)
-        trap = trap0
+        trap = onedim.ElongatedTrap(50.0, 200.0, 0.5, 1e-6, 2.0)
+        _, _, rb = onedim.minimize_1d("full", 50.0, 200.0, trap.g, 2.0)
+        int_b4 = onedim.UNIT_MODES["harmonic"][1]
         for _ in range(8):
-            a = target * rb * 0.25 / (8 * math.pi * mode.int_b4_unit)
+            a = target * rb * 0.25 / (8 * math.pi * int_b4)
             trap = onedim.ElongatedTrap(50.0, 200.0, 0.5, a, 2.0)
-            mode = onedim.transverse_mode(trap)
-            _, _, rb = onedim.minimize_1d("full", 50.0, 200.0, mode.g, 2.0)
-            if abs(mode.g / rb - target) / target < 0.02:
+            _, _, rb = onedim.minimize_1d("full", 50.0, 200.0, trap.g, 2.0)
+            if abs(trap.g / rb - target) / target < 0.02:
                 break
         return trap
 

@@ -37,7 +37,7 @@ def read_csv(path):
 
 def test_sweep_spec_parsing():
     sp = SweepSpec.parse("Y=1e-9:1e-4:50")
-    assert sp.name == "Y" and sp.n == 50 and sp.log
+    assert sp.name == "Y" and sp.n == 50
     vals = sp.values()
     assert len(vals) == 50
     assert vals[0] == pytest.approx(1e-9) and vals[-1] == pytest.approx(1e-4)
@@ -47,23 +47,38 @@ def test_sweep_spec_parsing():
         SweepSpec.parse("Y=1:2")
     with pytest.raises(ConfigError):
         SweepSpec.parse("Y=a:1e-4:3")
-    lin = SweepSpec.parse("x=0.5:1.5:3:lin")
-    assert np.allclose(lin.values(), [0.5, 1.0, 1.5])
+    # every sweep is log-spaced: no scale suffix, and no bound at or below 0
+    for spec in ("Y=1e-9:1e-4:3:log", "Y=1e-9:1e-4:3:lin", "Y=-1:1e-4:5"):
+        with pytest.raises(ConfigError):
+            SweepSpec.parse(spec)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(name=st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True),
        lo=st.floats(1e-100, 1e100), ratio=st.floats(1.0 + 1e-6, 1e6),
-       n=st.integers(1, 500), scale=st.sampled_from(["log", "lin"]))
-def test_sweep_spec_values_and_round_trip(name, lo, ratio, n, scale):
+       n=st.integers(1, 500))
+def test_sweep_spec_values_and_round_trip(name, lo, ratio, n):
     hi = lo * ratio
-    spec = SweepSpec(name, lo, hi, n, scale == "log")
+    spec = SweepSpec(name, lo, hi, n)
     v = spec.values()
     assert len(v) == n and v[0] == lo
     if n >= 2:
         assert v[-1] == hi
         assert np.all(np.diff(v) > 0)
-    assert SweepSpec.parse(f"{name}={lo!r}:{hi!r}:{n}:{scale}") == spec
+    assert SweepSpec.parse(f"{name}={lo!r}:{hi!r}:{n}") == spec
+
+
+def test_linear_sweep_is_config_error(tmp_path, capsys):
+    # a Y sweep spans decades, and a bound at or below 0 has no log spacing
+    out = tmp_path / "sweep.csv"
+    assert run_cli("bounds", "--sweep", "Y=-1:1e-4:5:lin", "--out", str(out)) == 2
+    assert "bounds.sweep" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "sweep.cfg"
+    for spec in ("Y=-1:1e-4:5:lin", "Y=1e-9:1e-4:5:lin", "Y=0:1e-4:5"):
+        cfg.write_text(f"[bounds]\nsweep = {spec}\n")
+        assert run_cli("validate", str(cfg)) == 2
+        assert "bounds.sweep" in capsys.readouterr().out
 
 
 def test_config_file_parsing(tmp_path):
@@ -85,12 +100,12 @@ _REQUIRED = {"gp": ["--coupling=0.01"], "tf": ["--coupling=0.01"],
 
 
 def _range_checked_options() -> dict:
-    """{subcommand: [(dest, flag, must be positive)]} for every option whose
-    dest has a sign check."""
+    """{subcommand: [(dest, flag, must be positive, type)]} for every option
+    whose dest has a sign check."""
     cases = {}
     for name, sub in cli._subparsers(cli.build_parser()).items():
         positive = _POSITIVE | _SECTION_POSITIVE.get(name, set())
-        options = [(a.dest, a.option_strings[0], a.dest in positive)
+        options = [(a.dest, a.option_strings[0], a.dest in positive, a.type)
                    for a in sub._actions if a.dest in _POSITIVE | _NONNEGATIVE]
         if options:
             cases[name] = options
@@ -100,9 +115,12 @@ def _range_checked_options() -> dict:
 _RANGE_CHECKED = _range_checked_options()
 
 
-def _bad_value(positive: bool):
+def _bad_value(positive: bool, kind: type):
     """nan, +-inf, or a finite value of the wrong sign (zero and -0.0
-    included when the option must be positive)."""
+    included when the option must be positive); an integer option gets a
+    negative integer."""
+    if kind is int:
+        return st.integers(max_value=0 if positive else -1)
     sign = st.floats(max_value=0.0 if positive else -math.ulp(0.0),
                      allow_nan=False, allow_infinity=False)
     return st.sampled_from([math.nan, math.inf, -math.inf]) | sign
@@ -121,27 +139,27 @@ def test_range_checks_reject_nonfinite_and_wrong_sign(data, tmp_path, capsys):
     # each value is rejected as a flag and as a config key in both
     # spellings, by validate and by a run alike
     assert set(_RANGE_CHECKED) == {"scatter", "bounds", "gp", "tf", "ll",
-                                   "regimes", "charged"}
+                                   "regimes", "charged", "verify"}
     cfg = tmp_path / "bad.cfg"
     for sub, options in _RANGE_CHECKED.items():
-        values = {dest: repr(data.draw(_bad_value(positive),
+        values = {dest: repr(data.draw(_bad_value(positive, kind),
                                        label=f"{sub}.{dest}"))
-                  for dest, _, positive in options}
+                  for dest, _, positive, kind in options}
         run = [sub, *_REQUIRED.get(sub, [])]
         assert run_cli(*run, *(f"{flag}={values[dest]}"
-                               for dest, flag, _ in options)) == 2
+                               for dest, flag, _, _ in options)) == 2
         err = capsys.readouterr().err
-        for dest, _, positive in options:
+        for dest, _, positive, _ in options:
             assert _range_message(f"{sub}.{dest}", values[dest], positive) in err
         for spell in (lambda dest, flag: flag[2:], lambda dest, flag: dest):
-            keys = {dest: spell(dest, flag) for dest, flag, _ in options}
+            keys = {dest: spell(dest, flag) for dest, flag, _, _ in options}
             cfg.write_text(f"[{sub}]\n" + "".join(
-                f"{keys[dest]} = {values[dest]}\n" for dest, _, _ in options))
+                f"{keys[dest]} = {values[dest]}\n" for dest, _, _, _ in options))
             assert run_cli("validate", str(cfg)) == 2
             out = capsys.readouterr().out
             assert run_cli("--config", str(cfg), *run) == 2
             err = capsys.readouterr().err
-            for dest, _, positive in options:
+            for dest, _, positive, _ in options:
                 message = _range_message(f"{sub}.{keys[dest]}", values[dest],
                                          positive)
                 assert message in out and message in err
@@ -914,6 +932,23 @@ def test_repeated_config_key_fails_validate_and_run_alike(tmp_path, capsys,
 def test_n_grid_below_floor_is_config_error(argv, capsys):
     assert run_cli(*argv) == 2
     assert "n_grid: must be an integer >= 16" in capsys.readouterr().err
+
+
+def test_verify_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "card.json"
+    assert run_cli("verify", "--seed", "-5", "--out", str(out)) == 2
+    assert "verify.seed: must be nonnegative, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_negative_seed(tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("[verify]\nseed = -5\n")
+    assert run_cli("validate", str(cfg)) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "verify.seed: must be nonnegative, got -5"]
+    cfg.write_text("[verify]\nseed = 0\n")
+    assert run_cli("validate", str(cfg)) == 0
 
 
 def test_validate_n_grid_floor(tmp_path, capsys):

@@ -466,19 +466,18 @@ def test_negative_t_rejected(ll_curve):
 
 def test_harmonic_transverse_closed_form():
     trap = od.ElongatedTrap(10.0, 50.0, 1.0, 0.25)
-    mode = od.transverse_mode(trap)
-    assert mode.e_perp_unit == 2.0
-    assert mode.int_b4_unit == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
-    assert mode.g == pytest.approx(4.0 * 0.25, rel=1e-12)
+    e_unit, int_b4 = od.UNIT_MODES["harmonic"]
+    assert e_unit == 2.0 == trap.e_perp
+    assert int_b4 == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+    assert trap.g == pytest.approx(4.0 * 0.25, rel=1e-12)
 
 
 def test_hard_wall_transverse_bessel():
     trap = od.ElongatedTrap(10.0, 50.0, 2.0, 0.25, transverse="hard_wall")
-    mode = od.transverse_mode(trap)
     z1 = float(jn_zeros(0, 1)[0])
-    assert mode.e_perp_unit == pytest.approx(z1**2, rel=1e-12)
-    assert mode.e_perp == pytest.approx(z1**2 / 4.0, rel=1e-12)
-    assert mode.g == 8.0 * math.pi * 0.25 / 4.0 * 0.6679272899645546
+    assert od.UNIT_MODES["hard_wall"][0] == pytest.approx(z1**2, rel=1e-12)
+    assert trap.e_perp == pytest.approx(z1**2 / 4.0, rel=1e-12)
+    assert trap.g == 8.0 * math.pi * 0.25 / 4.0 * 0.6679272899645546
 
 
 def _closed_form_profile(kind):
@@ -499,7 +498,7 @@ def test_hard_wall_e_perp_is_j01_squared_correctly_rounded():
     # (scipy's jn_zeros(0, 1) is an ulp low, and so was its square)
     j = decimal.Decimal("2.404825557695772768621631879326454643124244909145614")
     square = decimal.Context(prec=110).multiply(j, j)
-    assert od._UNIT_MODES["hard_wall"][0] == float(square) == 5.783185962946784
+    assert od.UNIT_MODES["hard_wall"][0] == float(square) == 5.783185962946784
 
 
 @pytest.mark.parametrize("kind", ["harmonic", "hard_wall"])
@@ -514,30 +513,47 @@ def test_unit_mode_constants_match_quadrature_of_the_profile(kind):
                     epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
     assert plane(lambda r: b(r) ** 2) == pytest.approx(1.0, rel=1e-13)
-    e_unit, int_b4 = od._UNIT_MODES[kind]
+    e_unit, int_b4 = od.UNIT_MODES[kind]
     assert plane(lambda r: db(r) ** 2 + V(r) * b(r) ** 2) \
         == pytest.approx(e_unit, rel=1e-13)
     assert plane(lambda r: b(r) ** 4) == pytest.approx(int_b4, rel=1e-13)
-    mode = od.transverse_mode(od.ElongatedTrap(30.0, 100.0, 0.5, 1e-4,
-                                               transverse=kind))
-    assert (mode.e_perp_unit, mode.int_b4_unit) == (e_unit, int_b4)
+    # the trap scales them by r^-2 in the expressions it documents
+    trap = od.ElongatedTrap(30.0, 100.0, 0.5, 1e-4, transverse=kind)
+    assert trap.e_perp == e_unit / 0.5**2
+    assert trap.g == 8.0 * math.pi * 1e-4 / 0.5**2 * int_b4
 
 
 def test_transverse_numeric_agreement():
-    e_unit, ib4 = od.transverse_mode_numeric("harmonic")
-    assert abs(e_unit - 2.0) < 1e-8
-    assert abs(ib4 - 1.0 / (2.0 * math.pi)) < 1e-8
-    e_hw, ib4_hw = od.transverse_mode_numeric("hard_wall")
-    trap = od.ElongatedTrap(1.0, 10.0, 1.0, 0.01, transverse="hard_wall")
-    mode = od.transverse_mode(trap)
-    assert abs(e_hw - mode.e_perp_unit) < 1e-8
-    assert abs(ib4_hw - mode.int_b4_unit) < 1e-8
+    # measured: 1.49e-9 (harmonic) and 5.2e-10 (hard wall)
+    for kind, (e_exact, ib4_exact) in od.UNIT_MODES.items():
+        e_unit, ib4 = od.transverse_mode_numeric(kind)
+        assert max(abs(e_unit - e_exact), abs(ib4 - ib4_exact)) < 5e-9, kind
+
+
+def test_transverse_numeric_finest_solve_clears_the_rounding_floor(monkeypatch):
+    # the sup-norm residual's rounding floor grows as n^2; the
+    # finest hard-wall solve must end at no more than half its tolerance,
+    # so that a finer grid that walks it onto the floor fails here first
+    ends = []
+    nested = flows.minimize_nested
+
+    def recording(build, n, start):
+        fp, res, solve = nested(build, n, start)
+        ends.append((n, res.residual / (flows._RTOL * max(abs(res.mu_chem),
+                                                          abs(res.energy)))))
+        return fp, res, solve
+
+    monkeypatch.setattr(flows, "minimize_nested", recording)
+    od.transverse_mode_numeric("hard_wall")
+    n, fraction = ends[-1]
+    assert n == 2 * od._MODE_FD_GRID
+    assert fraction <= 0.5
 
 
 def test_verify_checks_the_hard_wall_int_b4(monkeypatch):
     # int b^4 of the hard wall 1e-7 off fails its verify entry, by that much
-    e_unit, int_b4 = od._UNIT_MODES["hard_wall"]
-    monkeypatch.setitem(od._UNIT_MODES, "hard_wall", (e_unit, int_b4 + 1e-7))
+    e_unit, int_b4 = od.UNIT_MODES["hard_wall"]
+    monkeypatch.setitem(od.UNIT_MODES, "hard_wall", (e_unit, int_b4 + 1e-7))
     checks = {c["name"]: c for c in verify._onedim_checks()}
     entry = checks["onedim.transverse_hard_wall"]
     assert not entry["passed"]
@@ -554,9 +570,9 @@ def test_transverse_numeric_checks_its_order(monkeypatch):
 
 
 def test_g_scales_as_a_over_r_squared():
-    g1 = od.transverse_mode(od.ElongatedTrap(1.0, 10.0, 1.0, 0.02)).g
-    g2 = od.transverse_mode(od.ElongatedTrap(1.0, 10.0, 2.0, 0.02)).g
-    g3 = od.transverse_mode(od.ElongatedTrap(1.0, 10.0, 1.0, 0.04)).g
+    g1 = od.ElongatedTrap(1.0, 10.0, 1.0, 0.02).g
+    g2 = od.ElongatedTrap(1.0, 10.0, 2.0, 0.02).g
+    g3 = od.ElongatedTrap(1.0, 10.0, 1.0, 0.04).g
     assert g2 == pytest.approx(g1 / 4.0, rel=1e-12)
     assert g3 == pytest.approx(2.0 * g1, rel=1e-12)
 
@@ -945,16 +961,14 @@ def test_f_inverse_property(ll_curve, log10_y):
 # --- regime classification ------------------------------------------------------
 
 def _probe_trap(target_ratio, N=50.0, L=200.0, r=0.5, s=2.0):
-    trap0 = od.ElongatedTrap(N, L, r, 1e-6, s)
-    mode = od.transverse_mode(trap0)
-    _, _, rho_bar = od.minimize_1d("full", N, L, mode.g, s)
-    trap = trap0
+    trap = od.ElongatedTrap(N, L, r, 1e-6, s)
+    _, _, rho_bar = od.minimize_1d("full", N, L, trap.g, s)
+    int_b4 = od.UNIT_MODES[trap.transverse][1]
     for _ in range(8):
-        a = target_ratio * rho_bar * r**2 / (8.0 * math.pi * mode.int_b4_unit)
+        a = target_ratio * rho_bar * r**2 / (8.0 * math.pi * int_b4)
         trap = od.ElongatedTrap(N, L, r, a, s)
-        mode = od.transverse_mode(trap)
-        _, _, rho_bar = od.minimize_1d("full", N, L, mode.g, s)
-        if abs(mode.g / rho_bar - target_ratio) / target_ratio < 0.02:
+        _, _, rho_bar = od.minimize_1d("full", N, L, trap.g, s)
+        if abs(trap.g / rho_bar - target_ratio) / target_ratio < 0.02:
             break
     return trap
 

@@ -308,3 +308,44 @@ def private_reads(src: Path = SRC) -> list[str]:
 def test_no_module_reads_another_modules_private_names():
     reads = private_reads()
     assert not reads, f"private names read across modules: {', '.join(reads)}"
+
+
+# --- scipy enters at one place -----------------------------------------------
+
+def scipy_imports(src: Path = SRC) -> list[str]:
+    """``module.function`` (``module`` at top level) of every ``import
+    scipy...`` or ``from scipy... import`` in ``src``, one per import."""
+    found = []
+
+    def walk(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            names = [a.name for a in child.names] if isinstance(child, ast.Import) \
+                else [child.module or ""] if isinstance(child, ast.ImportFrom) \
+                and child.level == 0 else []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(".".join([module, *where]))
+            inner = [*where, child.name] if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else where
+            walk(child, module, inner)
+
+    for path in sorted(src.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, [])
+    return found
+
+
+def test_scipy_is_imported_in_one_place():
+    # the flows' tridiagonal solve is the package's one scipy call
+    assert scipy_imports() == ["flows._solve"]
+
+
+def test_scipy_imports_are_found_at_any_depth(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import scipy\n"
+        "import numpy, scipy.linalg as sl\n"
+        "from . import scipy_like\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        from scipy.special import j0\n"
+        "        def g():\n"
+        "            import scipy.sparse\n")
+    assert scipy_imports(tmp_path) == ["m", "m", "m.C.f", "m.C.f.g"]
