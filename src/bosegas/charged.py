@@ -188,11 +188,11 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
         return np.where(y > 0, -0.3125 * i0 * pos ** -0.75, 0.0)
 
     width = 0.35 * rmax
-    fp, res, solve = flows.minimize_nested(
+    grids, solve = flows.minimize_nested(
         lambda m: flows.sphere_problem(rmax, m, mu, lambda r: np.zeros_like(r),
                                        local, d2q, mass=1.0), n,
-        lambda fp: np.exp(-(fp.nodes / width) ** 2))
-    flows.require_converged("two-component minimization", res, solve)
+        lambda fp: np.exp(-(fp.nodes / width) ** 2), "two-component minimization")
+    fp, res = grids[-1]
     kin, _, inter = fp.energy_parts(res.psi)
     attraction = -inter
     virial = abs(2.0 * kin - 0.75 * attraction) / abs(res.energy)

@@ -40,6 +40,9 @@ and one or two Newton steps.  The coarse energies come for free, and with
 them Richardson's h^2 estimate of the n-grid energy's discretization error.
 What the cascade did, its counters summed over the grids and that
 estimate, is one ``Solve`` record, which every trap result carries.
+``minimize_nested`` returns every grid's problem and result, coarsest first, with that record,
+and raises the one "did not converge" error, naming the caller's problem,
+unless the n grid converged.
 
 ``sphere_problem`` builds the 3D radial grid; ``cell_problem`` the
 cell-centred grid of the 2D radial problem and of the even 1D problems,
@@ -139,43 +142,33 @@ class FlowProblem:
         y = psi**2
         return self._energy_parts(psi, y, self.local(y)[0])
 
-    def energy(self, psi: np.ndarray) -> float:
-        return sum(self.energy_parts(psi))
-
     def _apply_A(self, psi: np.ndarray) -> np.ndarray:
         out = self._diag * psi
         out[:-1] += self._off * psi[1:]
         out[1:] += self._off * psi[:-1]
         return out
 
-    def _terms(self, psi, y, dq):
+    def evaluate(self, psi: np.ndarray):
+        """(E, terms) at ``psi`` from one square and one call of ``local``:
+        the energy, the sum of ``energy_parts``, and terms = (A psi,
+        g = V + q'(psi^2), lam), every Euler-Lagrange piece one flow
+        iterate reads."""
+        y = psi**2
+        q, dq = self.local(y)
         Apsi = self._apply_A(psi)
         g = self.V + dq
         lam = (float(psi @ Apsi) + float((self.w * g * y).sum())) / self.mass
-        return Apsi, g, lam
-
-    def terms(self, psi: np.ndarray):
-        """(A psi, g = V + q'(psi^2), lam) at ``psi``: every Euler-Lagrange
-        piece one flow iterate reads, each evaluated once."""
-        y = psi**2
-        return self._terms(psi, y, self.local(y)[1])
-
-    def evaluate(self, psi: np.ndarray):
-        """(``energy(psi)``, ``terms(psi)``), bit for bit, from one square
-        and one call of ``local``."""
-        y = psi**2
-        q, dq = self.local(y)
-        return sum(self._energy_parts(psi, y, q)), self._terms(psi, y, dq)
+        return sum(self._energy_parts(psi, y, q)), (Apsi, g, lam)
 
     def defect(self, psi: np.ndarray, terms) -> np.ndarray:
         """Euler-Lagrange defect W^-1 A psi + (g - lam) psi at ``psi``;
-        ``terms`` = ``self.terms(psi)``."""
+        ``terms`` are those of ``self.evaluate(psi)``."""
         Apsi, g, lam = terms
         return Apsi / self.w + g * psi - lam * psi
 
     def residual(self, psi: np.ndarray, terms) -> float:
         """Sup-norm of the Euler-Lagrange defect at ``psi``, normalized by
-        sup|psi|; ``terms`` = ``self.terms(psi)``."""
+        sup|psi|; ``terms`` are those of ``self.evaluate(psi)``."""
         return float(np.abs(self.defect(psi, terms)).max()
                      / max(np.abs(psi).max(), 1e-300))
 
@@ -221,8 +214,9 @@ def _implicit_step(prob: FlowProblem, psi: np.ndarray, terms,
     """One normalized backward-Euler step of the linearized flow.
 
     Solves M trial = psi with M = I + dt (W^-1 A + diag(g - lam)), where
-    ``terms`` = ``prob.terms(psi)`` = (A psi, g, lam), and renormalizes;
-    returns None when ``_solve`` fails or the normalization does.
+    (A psi, g, lam) are the ``terms`` of ``prob.evaluate(psi)``, and
+    renormalizes; returns None when ``_solve`` fails or the normalization
+    does.
     """
     _, g, lam = terms
     trial = _solve(prob, 1.0 + dt * (prob._diag_w + (g - lam)), psi, dt)
@@ -237,7 +231,8 @@ def _implicit_step(prob: FlowProblem, psi: np.ndarray, terms,
 def _newton_step(prob: FlowProblem, psi: np.ndarray,
                  terms) -> np.ndarray | None:
     """One Newton step on F(psi, lam) = W^-1 A psi + (g - lam) psi = 0 with
-    sum w psi^2 = N, at the multiplier lam of ``terms`` = ``prob.terms(psi)``.
+    sum w psi^2 = N, at the multiplier lam of the ``terms`` of
+    ``prob.evaluate(psi)``.
 
     The Jacobian J = W^-1 A + diag(g - lam + 2 y q''(y)), y = psi^2, is the
     flow's tridiagonal plus the curvature of q; it is bordered by -psi (the
@@ -290,17 +285,11 @@ def _energy_scale(prob: FlowProblem, terms, e: float) -> float:
     return max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
 
 
-def minimize_flow(prob: FlowProblem, psi0: np.ndarray | None = None) -> FlowResult:
-    """Run the normalized semi-implicit descent until its residual is below
-    a hand-off level (``_HANDOFF_LEVELS``) times the energy scale, then
-    finish with Newton steps."""
-    n = len(prob.nodes)
-    if psi0 is None:
-        psi = np.exp(-np.linspace(0, 4, n) ** 2)
-        psi = psi + 0.05
-    else:
-        psi = np.array(psi0, dtype=float)
-    psi = prob.normalize(psi)
+def minimize_flow(prob: FlowProblem, psi0: np.ndarray) -> FlowResult:
+    """Run the normalized semi-implicit descent from ``psi0`` until its
+    residual is below a hand-off level (``_HANDOFF_LEVELS``) times the
+    energy scale, then finish with Newton steps."""
+    psi = prob.normalize(np.array(psi0, dtype=float))
     e, terms = prob.evaluate(psi)
     scale = _energy_scale(prob, terms, e)
     dt = 1.0 / scale
@@ -379,14 +368,6 @@ def _solve_record(levels: list[FlowResult]) -> Solve:
     return Solve(*counts, e_coarse, estimate, note)
 
 
-def require_converged(what: str, res: FlowResult, solve: Solve) -> None:
-    """RuntimeError naming ``what`` unless the n grid of ``minimize_nested``
-    converged."""
-    if not res.converged:
-        raise RuntimeError(f"{what} did not converge (residual {res.residual:.3e} "
-                           f"after {solve.iterations} iterations)")
-
-
 def _prolong(coarse: FlowProblem, psi: np.ndarray,
              fine: FlowProblem) -> np.ndarray:
     """``psi`` on the nodes of ``fine`` by linear interpolation, the coarse
@@ -404,26 +385,31 @@ def _prolong(coarse: FlowProblem, psi: np.ndarray,
 
 
 def minimize_nested(build: Callable[[int], FlowProblem], n: int,
-                    start: Callable[[FlowProblem], np.ndarray | None]
-                    ) -> tuple[FlowProblem, FlowResult, Solve]:
+                    start: Callable[[FlowProblem], np.ndarray], what: str
+                    ) -> tuple[list[tuple[FlowProblem, FlowResult]], Solve]:
     """Minimize ``build(n)`` by nested iteration.
 
     ``build(m)`` is the problem on m nodes.  n is halved while the next grid
-    keeps ``_COARSEST`` nodes; the coarsest grid starts from ``start(fp)``
-    (None: ``minimize_flow``'s own start), each finer one from the coarser
-    minimizer, prolonged, whether or not that grid converged.  Returns
-    (the n-grid problem, its own FlowResult, the cascade's ``Solve``
-    record).  Convergence is the n grid's alone.
+    keeps ``_COARSEST`` nodes; the coarsest grid starts from ``start(fp)``,
+    each finer one from the coarser minimizer, prolonged, whether or not
+    that grid converged.  Returns every grid's (problem, FlowResult),
+    coarsest first, and the cascade's ``Solve`` record.  RuntimeError
+    naming ``what`` unless the n grid converged.
     """
     sizes = [n]
     while sizes[-1] // 2 >= _COARSEST:
         sizes.append(sizes[-1] // 2)
-    levels, fp = [], None
+    grids, fp = [], None
     for m in reversed(sizes):
         coarse, fp = fp, build(m)
-        psi0 = start(fp) if coarse is None else _prolong(coarse, levels[-1].psi, fp)
-        levels.append(minimize_flow(fp, psi0))
-    return fp, levels[-1], _solve_record(levels)
+        psi0 = start(fp) if coarse is None else _prolong(coarse, grids[-1][1].psi, fp)
+        grids.append((fp, minimize_flow(fp, psi0)))
+    solve = _solve_record([res for _, res in grids])
+    res = grids[-1][1]
+    if not res.converged:
+        raise RuntimeError(f"{what} did not converge (residual {res.residual:.3e} "
+                           f"after {solve.iterations} iterations)")
+    return grids, solve
 
 
 # --- grid builders --------------------------------------------------------

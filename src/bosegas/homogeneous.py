@@ -214,16 +214,14 @@ def soft_potential(R: float, R0: float, dim: int, a: float) -> SoftPotential:
     raise ValueError("dim must be 2 or 3")
 
 
-def soft_potential_norm_report(U: SoftPotential) -> dict:
-    """Numeric check of the defining normalization integral (Simpson, 20001
-    points)."""
+def soft_potential_norm_report(U: SoftPotential) -> float:
+    """The defining normalization integral, 1 by construction, by Simpson
+    on 20001 points: int U r^2 dr (3D) or int U ln(r/a) r dr (2D)."""
     import numpy as np
     r = np.linspace(U.R0, U.R, 20001)
     if U.dimension == 3:
-        val = simpson(U.height * r**2, r)
-        return {"integral": float(val), "target": 1.0}
-    val = simpson(U.height * np.log(r / U.a) * r, r)
-    return {"integral": float(val), "target": 1.0, "nu": U.nu}
+        return float(simpson(U.height * r**2, r))
+    return float(simpson(U.height * np.log(r / U.a) * r, r))
 
 
 def dyson_lemma_residual(r: np.ndarray, psi: np.ndarray, v: RadialPotential,
@@ -241,7 +239,7 @@ def dyson_lemma_residual(r: np.ndarray, psi: np.ndarray, v: RadialPotential,
     mu = 1.0
     if U.R0 < v.core_radius * (1 - 1e-12):
         raise ValueError("U must vanish inside the range of v")
-    norm = soft_potential_norm_report(U)["integral"]
+    norm = soft_potential_norm_report(U)
     if norm > 1.0 + 1e-8:
         raise ValueError("U violates its normalization constraint")
     mask = r <= R1 * (1 + 1e-12)

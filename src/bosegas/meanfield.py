@@ -191,11 +191,13 @@ def _build_problem(problem: GPProblem) -> flows.FlowProblem:
                               local, d2q, problem.N)
 
 
-def _initial_guess(problem: GPProblem, fp: flows.FlowProblem) -> np.ndarray | None:
+def _initial_guess(problem: GPProblem, fp: flows.FlowProblem) -> np.ndarray:
+    """The start of the coarsest grid: TF-shaped at N c >= 10 in a
+    homogeneous trap, else Gaussian-like over the node indices."""
     import numpy as np
     g = problem.N * problem.coupling
     if g < 10.0 or not problem.trap.is_homogeneous:
-        return None
+        return np.exp(-np.linspace(0, 4, len(fp.nodes)) ** 2) + 0.05
     # TF-shaped start speeds up the strongly interacting regime considerably
     mu_tf = _tf_mu(problem.dimension, problem.N, problem.coupling,
                    problem.trap.exponent, problem.mu)
@@ -212,10 +214,10 @@ def gp_minimize(problem: GPProblem) -> tuple[DensityProfile, EnergyReport]:
     import numpy as np
 
     from . import flows
-    fp, res, solve = flows.minimize_nested(
+    grids, solve = flows.minimize_nested(
         lambda m: _build_problem(replace(problem, n_grid=m)), problem.n_grid,
-        lambda fp: _initial_guess(problem, fp))
-    flows.require_converged("GP minimization", res, solve)
+        lambda fp: _initial_guess(problem, fp), "GP minimization")
+    fp, res = grids[-1]
     kin, trap, inter = fp.energy_parts(res.psi)
     quart = inter / (4.0 * math.pi * problem.mu * problem.coupling) \
         if problem.coupling > 0 else float(np.sum(fp.w * res.psi**4))

@@ -456,11 +456,11 @@ class ElongatedTrap:
         return 8.0 * math.pi * self.a / self.r**2 * UNIT_MODES[self.transverse][1]
 
 
-# cells of the middle of the three flow solves behind
-# transverse_mode_numeric's order check and Richardson step.  The rounding
-# floor of the sup-norm residual grows as n^2: on the hard wall's [0, 1]
-# grid the finest solve ends at 0.46 of its tolerance at 1000 (2000 cells),
-# and at 1500 the 3000-cell solve stalls at 1.1 of it
+# cells of the middle of the three grids of transverse_mode_numeric's
+# cascade, behind its order check and Richardson step.  The rounding floor
+# of the sup-norm residual grows as n^2: on the hard wall's [0, 1] grid the
+# finest solve ends at 0.46 of its tolerance at 1000 (2000 cells), and at
+# 1500 the 3000-cell solve stalls at 1.1 of it
 _MODE_FD_GRID = 1000
 
 
@@ -471,26 +471,27 @@ def _no_interaction(y):
 
 def transverse_mode_numeric(kind: str) -> tuple[float, float]:
     """The ground mode of -Lap + V_perp at unit radius by the radial flow
-    (``flows.cell_problem`` with q = 0, unit mass) on three grids,
-    Richardson in h: returns (e_perp, int b^4), the check of
-    ``UNIT_MODES``.  Raises RuntimeError when a solve does not converge or
-    a value does not converge at second order."""
+    (``flows.cell_problem`` with q = 0, unit mass): one cascade from
+    2 ``_MODE_FD_GRID`` cells, whose three grids (``_MODE_FD_GRID`` / 2,
+    ``_MODE_FD_GRID`` and twice that) give Richardson in h.  Returns
+    (e_perp, int b^4), the check of ``UNIT_MODES``.  Raises RuntimeError
+    when a grid does not converge or a value does not converge at second
+    order."""
     rmax, V = (6.0, np.square) if kind == "harmonic" else (1.0, np.zeros_like)
-
-    def solve_once(n):
-        fp, res, solve = flows.minimize_nested(
-            lambda m: flows.cell_problem(2, rmax, m, 1.0, V, _no_interaction,
-                                         np.zeros_like, 1.0), n,
-            lambda fp: np.cos(0.5 * math.pi * fp.nodes / rmax))
-        flows.require_converged(f"transverse mode ({kind}, n = {n})", res, solve)
-        return res.mu_chem, float((fp.w * res.psi**4).sum())
-
-    coarse, mid, fine = (solve_once(n) for n in (_MODE_FD_GRID // 2, _MODE_FD_GRID,
-                                                 2 * _MODE_FD_GRID))
-    # second-order scheme: each value must show that order on the three
-    # grids, and Richardson's step kills its h^2 term
+    n = 2 * _MODE_FD_GRID
+    grids, solve = flows.minimize_nested(
+        lambda m: flows.cell_problem(2, rmax, m, 1.0, V, _no_interaction,
+                                     np.zeros_like, 1.0), n,
+        lambda fp: np.cos(0.5 * math.pi * fp.nodes / rmax),
+        f"transverse mode ({kind}, n = {n})")
+    # the record's note is set when a coarse grid did not converge or the
+    # energies are not second order; each value must show that order too,
+    # and Richardson's step kills its h^2 term
+    if solve.discretization_note:
+        raise RuntimeError(f"transverse mode ({kind}): {solve.discretization_note}")
     out = []
-    for values in zip(coarse, mid, fine):
+    for values in ([res.mu_chem for _, res in grids],
+                   [float((fp.w * res.psi**4).sum()) for fp, res in grids]):
         extrapolated, _, note = quadrature.richardson(values, 2)
         if note:
             raise RuntimeError(f"transverse mode ({kind}): {note}")
@@ -585,12 +586,12 @@ def _minimize_gradient_kind(kind, N, L, g, s, curve):
             e, de, d2e = curve.derivatives(_ll_argument(g, yp), 2)
             out[pos] = 6.0 * yp * e - 4.0 * g * de + g * g * d2e / yp
             return out
-    fp, res, solve = flows.minimize_nested(
+    grids, solve = flows.minimize_nested(
         lambda m: flows.cell_problem(1, zmax, m, 1.0, V, local, d2q, N),
         _N_GRID_1D // 2,
         lambda fp: np.sqrt(np.maximum(1.0 - (fp.nodes / (0.75 * zmax)) ** 2,
-                                      0.0)) + 1e-3)
-    flows.require_converged(f"1D minimization ({kind})", res, solve)
+                                      0.0)) + 1e-3, f"1D minimization ({kind})")
+    fp, res = grids[-1]
     rho = res.psi**2
     prof = Profile1D(fp.nodes.copy(), fp.w, rho, N, solve)
     return prof, res.energy, float(np.sum(fp.w * rho**2) / N)

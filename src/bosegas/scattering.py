@@ -137,11 +137,18 @@ class ScatteringSolution:
     """Radial zero-energy profile with extracted scattering data.
 
     grid / u hold u0(r) in 3D and psi(r) in 2D; ``a`` is the scattering
-    length, ``s`` the kinetic fraction int |grad psi0|^2 / (4 pi a), in
-    (0, 1] (3D with a > 0 only, else None), ``mu`` the kinetic coefficient
+    length, ``s`` the kinetic fraction int |grad psi0|^2 / (4 pi a) (3D
+    with a > 0 only, else None), ``mu`` the kinetic coefficient
     hbar^2/2m, ``a_refined`` the value from a 2x finer grid (Richardson
     check), ``integrals`` the interior (K, P) that ``s`` and
     ``energy_identity_residual`` read (with ``s``, else None).
+
+    For the exact solution s lies in (0, 1], 1 for a hard core only: the
+    potential's share of 4 pi a is 1 - s >= 0.  The interior Simpson sum
+    of psi0'^2 r^2 overshoots it on stiff soft spheres, whose boundary
+    layer, about 1/sqrt(v0) wide, is far below the grid step: ``s`` is
+    1.00051 for ``soft_sphere(1, 1e8)`` and 1.00065 at v0 = 1e12 and 1e16
+    (0.99283 at 1e4).
     """
 
     grid: np.ndarray

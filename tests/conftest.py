@@ -22,10 +22,11 @@ def _fd_gradient_check(prob, psi, direction, h_list):
     against its analytic gradient dE/dpsi = 2 (A psi + W (V + q'(psi^2)) psi),
     exact for the discrete functional; returns deviations per h and the
     fitted convergence order."""
-    Apsi, g, _ = prob.terms(psi)
+    Apsi, g, _ = prob.evaluate(psi)[1]
     g_dot_d = float(2.0 * (Apsi + prob.w * g * psi) @ direction)
-    devs = np.array([abs((prob.energy(psi + h * direction)
-                          - prob.energy(psi - h * direction)) / (2.0 * h) - g_dot_d)
+    energy = lambda x: prob.evaluate(x)[0]
+    devs = np.array([abs((energy(psi + h * direction)
+                          - energy(psi - h * direction)) / (2.0 * h) - g_dot_d)
                      / max(abs(g_dot_d), 1e-300) for h in h_list])
     hs = np.asarray(h_list, dtype=float)
     mask = devs > 1e-14

@@ -91,6 +91,12 @@ def _quartic_d2q(y):
     return np.ones_like(y)
 
 
+def _gaussian_start(prob):
+    """The Gaussian-like start of the weak-coupling GP solves, read on the
+    node indices of ``prob``."""
+    return np.exp(-np.linspace(0, 4, len(prob.nodes)) ** 2) + 0.05
+
+
 def line_problem(zmax, n, kappa, V, local, d2q, mass):
     """Symmetric 1D problem on (-zmax, zmax) with Dirichlet ghosts: the
     grid of the 1D kinds before they solved on the half line."""
@@ -180,11 +186,12 @@ class _Captured(Exception):
 
 
 def _nested_input(monkeypatch, solve):
-    """The (build, n, start) that ``solve`` hands to ``minimize_nested``."""
+    """The (build, n, start, what) that ``solve`` hands to
+    ``minimize_nested``."""
     seen = []
 
-    def capture(build, n, start):
-        seen.append((build, n, start))
+    def capture(build, n, start, what):
+        seen.append((build, n, start, what))
         raise _Captured
 
     with monkeypatch.context() as patch:
@@ -197,12 +204,9 @@ def _nested_input(monkeypatch, solve):
 def _flow_input(monkeypatch, solve):
     """The n-grid FlowProblem of ``solve`` and its normalized single-grid
     start vector."""
-    build, n, start = _nested_input(monkeypatch, solve)
+    build, n, start, _ = _nested_input(monkeypatch, solve)
     prob = build(n)
-    psi0 = start(prob)
-    if psi0 is None:
-        psi0 = np.exp(-np.linspace(0, 4, len(prob.nodes)) ** 2) + 0.05
-    return prob, prob.normalize(np.array(psi0, dtype=float))
+    return prob, prob.normalize(np.array(start(prob), dtype=float))
 
 
 @pytest.mark.parametrize("case", ["gp_2d_cell", "gp_3d_u", "full_1d", "dyson"])
@@ -219,8 +223,8 @@ def test_step_equals_the_banded_reference(case, monkeypatch):
     # the start and the minimizer; dt over the descent's range (up to 1e4
     # over the energy scale) and far beyond it, where M is nearly singular
     for psi in (start, flows.minimize_flow(prob, start).psi):
-        terms = prob.terms(psi)
-        scale = max(abs(terms[2]), abs(prob.energy(psi)) / prob.mass, 1e-12)
+        e, terms = prob.evaluate(psi)
+        scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
         for dt in (1e-2, 1.0, 1e4, 1e6, 1e9, 1e12):
             new = flows._implicit_step(prob, psi, terms, dt / scale)
             ref = _reference_step(prob, psi, dt / scale)
@@ -234,7 +238,7 @@ def test_step_refuses_nonfinite_and_singular_systems():
                                lambda z: np.where(z > 3.5, np.inf, z**2),
                                _free, _zero, 1.0)
     psi = bad_v.normalize(np.ones(64))
-    assert flows._implicit_step(bad_v, psi, bad_v.terms(psi), 0.1) is None
+    assert flows._implicit_step(bad_v, psi, bad_v.evaluate(psi)[1], 0.1) is None
     assert _reference_step(bad_v, psi, 0.1) is None
 
     prob = line_problem(4.0, 64, 1.0, lambda z: z**2, _free, _zero, 1.0)
@@ -242,7 +246,7 @@ def test_step_refuses_nonfinite_and_singular_systems():
     for value in (np.nan, np.inf):
         psi = good.copy()
         psi[10] = value
-        assert flows._implicit_step(prob, psi, prob.terms(good), 0.1) is None
+        assert flows._implicit_step(prob, psi, prob.evaluate(good)[1], 0.1) is None
         assert _reference_step(prob, psi, 0.1) is None
 
     # no kinetic term and lam = mean(V) = 1 exactly: M = I + (V - lam) has
@@ -250,8 +254,9 @@ def test_step_refuses_nonfinite_and_singular_systems():
     singular = flows.FlowProblem(np.arange(3.0), np.ones(3), 0.0, np.ones(4),
                                  np.array([0.0, 1.0, 2.0]), _free, _zero, 3.0)
     psi = np.ones(3)
-    assert singular.terms(psi)[2] == 1.0
-    assert flows._implicit_step(singular, psi, singular.terms(psi), 1.0) is None
+    terms = singular.evaluate(psi)[1]
+    assert terms[2] == 1.0
+    assert flows._implicit_step(singular, psi, terms, 1.0) is None
     assert _reference_step(singular, psi, 1.0) is None
 
 
@@ -301,17 +306,28 @@ _PROBLEMS = {
 }
 
 
+def _reference_terms(prob, psi):
+    """(A psi, g = V + q'(psi^2), lam) at ``psi``, each from its
+    definition, with ``local`` called for q' alone."""
+    y = psi**2
+    Apsi = prob._apply_A(psi)
+    g = prob.V + prob.local(y)[1]
+    lam = (float(psi @ Apsi) + float((prob.w * g * y).sum())) / prob.mass
+    return Apsi, g, lam
+
+
 @pytest.mark.parametrize("case", sorted(_PROBLEMS))
 def test_evaluate_is_energy_and_terms(case, monkeypatch):
-    # one call of ``local`` gives what energy() and terms() give apart,
-    # bit for bit: at the start, at a descent iterate and at the minimizer
+    # one call of ``local`` gives the energy and the Euler-Lagrange terms
+    # as each is defined apart, bit for bit: at the start, at a descent
+    # iterate and at the minimizer
     prob, start = _flow_input(monkeypatch, _PROBLEMS[case])
     e0, terms0 = prob.evaluate(start)
     step = flows._implicit_step(prob, start, terms0, 1.0 / abs(terms0[2]))
     for psi in (start, step, flows.minimize_flow(prob, start).psi):
         e, (Apsi, g, lam) = prob.evaluate(psi)
-        ref_Apsi, ref_g, ref_lam = prob.terms(psi)
-        assert e == prob.energy(psi) == sum(prob.energy_parts(psi))
+        ref_Apsi, ref_g, ref_lam = _reference_terms(prob, psi)
+        assert e == sum(prob.energy_parts(psi))
         assert Apsi.tobytes() == ref_Apsi.tobytes()
         assert g.tobytes() == ref_g.tobytes()
         assert lam == ref_lam
@@ -325,7 +341,7 @@ def test_fall_through_exit_uses_the_loop_scale(monkeypatch):
                               _quartic_d2q, 10.0)
     with monkeypatch.context() as patch:
         patch.setattr(flows, "_RTOL", 1e-11)
-        ground = flows.minimize_flow(base)
+        ground = flows.minimize_flow(base, _gaussian_start(base))
     assert ground.converged
     shifted = line_problem(8.0, 256, 1.0,
                                  lambda z: z**2 - ground.mu_chem, _quartic,
@@ -353,14 +369,13 @@ def _reference_minimize_flow(prob, psi, rtol):
     energy is stationary, then polish by shifted inverse iteration.
     ``psi`` is normalized.  Returns (energy, residual, iterations,
     converged)."""
-    e = prob.energy(psi)
-    terms = prob.terms(psi)
+    e, terms = prob.evaluate(psi)
     scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
     dt = 1.0 / scale
     stagnant = 0
     for it in range(1, _REF_MAX_ITER + 1):
         trial = flows._implicit_step(prob, psi, terms, dt)
-        e_new = math.nan if trial is None else prob.energy(trial)
+        e_new = math.nan if trial is None else prob.evaluate(trial)[0]
         if not np.isfinite(e_new) or e_new > e + 1e-14 * max(1.0, abs(e)):
             dt *= 0.5
             if dt < 1e-18 / scale:
@@ -368,7 +383,7 @@ def _reference_minimize_flow(prob, psi, rtol):
             continue
         de = abs(e_new - e)
         psi, e = trial, e_new
-        terms = prob.terms(psi)
+        terms = prob.evaluate(psi)[1]
         dt = min(dt * 1.1, 1e4 / scale)
         stagnant = stagnant + 1 if de <= 1e-12 * max(1.0, abs(e)) else 0
         if stagnant >= 1:
@@ -379,7 +394,7 @@ def _reference_minimize_flow(prob, psi, rtol):
             if stagnant >= 25 or res <= 1e4 * rtol * scale:
                 psi, terms, res, extra = _reference_polish(prob, psi, terms,
                                                            res, rtol, scale)
-                return prob.energy(psi), res, it + extra, res <= rtol * scale
+                return prob.evaluate(psi)[0], res, it + extra, res <= rtol * scale
     res = prob.residual(psi, terms)
     scale = max(abs(terms[2]), abs(e) / prob.mass, 1e-12)
     return e, res, it, res <= rtol * scale
@@ -396,7 +411,7 @@ def _reference_polish(prob, psi, terms, res, rtol, scale):
         if trial is None:
             dt *= 0.1
             continue
-        trial_terms = prob.terms(trial)
+        trial_terms = prob.evaluate(trial)[1]
         res_new = prob.residual(trial, trial_terms)
         if np.isfinite(res_new) and res_new < res:
             psi, terms, res = trial, trial_terms, res_new
@@ -503,11 +518,11 @@ def test_newton_stall_hands_back_to_the_descent(monkeypatch):
 
     def refuse(prob, psi, terms):
         seen.append(prob.residual(psi, terms)
-                    / max(abs(terms[2]), abs(prob.energy(psi)) / prob.mass))
+                    / max(abs(terms[2]), abs(prob.evaluate(psi)[0]) / prob.mass))
         return None
 
     monkeypatch.setattr(flows, "_newton_step", refuse)
-    res = flows.minimize_flow(prob)
+    res = flows.minimize_flow(prob, _gaussian_start(prob))
     assert not res.converged
     assert res.newton_steps == 3
     assert len(seen) == 3
@@ -519,7 +534,7 @@ def test_newton_converges_on_a_linear_problem():
     # no interaction: the Newton matrix W^-1 A + V - lam is singular at the
     # ground state, and the bordered step must still converge
     prob = line_problem(8.0, 512, 1.0, lambda z: z**2, _free, _zero, 1.0)
-    res = flows.minimize_flow(prob)
+    res = flows.minimize_flow(prob, _gaussian_start(prob))
     assert res.converged and res.newton_steps >= 1
     # the oscillator ground state: -psi'' + z^2 psi = psi
     assert res.mu_chem == pytest.approx(1.0, rel=1e-4)
@@ -528,7 +543,7 @@ def test_newton_converges_on_a_linear_problem():
 
 # --- the cascade against the single-grid solve it replaced -------------------
 
-def _single_grid(build, n, start):
+def _single_grid(build, n, start, what):
     """The solve before ``minimize_nested``: the n grid alone, from the
     caller's start."""
     prob = build(n)
@@ -584,11 +599,14 @@ def test_cascade_sums_counters_over_its_grids(monkeypatch):
     assert rep.solve.E_coarse == results[-2].energy
     assert rep.solve.E_discretization_error \
         == (results[-1].energy - results[-2].energy) / 3.0
-    # the FlowResult returned is the n grid's own, with its own counters
+    # every grid's FlowResult is returned, coarsest first, with its own
+    # counters, next to the problem it solved
     results.clear()
-    _, res, record = flows.minimize_nested(*_nested_input(monkeypatch, solve))
-    assert res is results[-1] and record == rep.solve
-    assert res.iterations < record.iterations
+    grids, record = flows.minimize_nested(*_nested_input(monkeypatch, solve))
+    assert record == rep.solve and len(grids) == len(results)
+    assert all(res is ref for (_, res), ref in zip(grids, results))
+    assert [len(fp.nodes) for fp, _ in grids] == [256, 512, 1024, 2048]
+    assert grids[-1][1].iterations < record.iterations
 
 
 def test_only_the_n_grid_decides_convergence(monkeypatch):
@@ -618,6 +636,8 @@ _UNCONVERGED = {
         meanfield.GPProblem(2, 5.0, 0.1, n_grid=1024)),
     "1D minimization (gp1d)": lambda: onedim.minimize_1d("gp1d", 5.0, 1.0, 2.0),
     "two-component minimization": lambda: charged.dyson_functional_minimize(1.0),
+    f"transverse mode (harmonic, n = {2 * onedim._MODE_FD_GRID})":
+        lambda: onedim.transverse_mode_numeric("harmonic"),
 }
 
 
@@ -650,8 +670,10 @@ def test_cascade_grid_sizes():
                       (1000, [500, 1000]), (1025, [256, 512, 1025]),
                       (2048, [256, 512, 1024, 2048])):
         sizes.clear()
-        _, res, disc = flows.minimize_nested(build, n, lambda prob: None)
-        assert sizes == expect and len(res.psi) == n
+        grids, disc = flows.minimize_nested(build, n, _gaussian_start,
+                                            "line problem")
+        assert sizes == expect and len(grids[-1][1].psi) == n
+        assert [len(fp.nodes) for fp, _ in grids] == expect
         assert (disc.E_coarse is None) == (len(expect) == 1)
         assert (disc.E_discretization_error is None) == (len(expect) < 3)
         assert (disc.discretization_note is None) == (len(expect) >= 3)
@@ -715,12 +737,12 @@ def _u_grid_solve(monkeypatch, solve):
     """``solve`` on the u = r phi grid: its ``minimize_nested`` with
     ``radial_u_problem`` in place of ``flows.sphere_problem`` and the
     caller's start times r.  Returns (problem, result, estimate)."""
-    build, n, start = _nested_input(monkeypatch, solve)
+    build, n, start, what = _nested_input(monkeypatch, solve)
     with monkeypatch.context() as patch:
         patch.setattr(flows, "sphere_problem", radial_u_problem)
-        return flows.minimize_nested(
-            build, n,
-            lambda fp: None if (psi := start(fp)) is None else psi * fp.nodes)
+        grids, disc = flows.minimize_nested(
+            build, n, lambda fp: start(fp) * fp.nodes, what)
+    return (*grids[-1], disc)
 
 
 _TRAP_KINDS = dict(_GP_TRAPS, box=_BOX)
@@ -796,10 +818,11 @@ def test_half_line_is_the_even_line_problem(zmax, n):
     assert half.w[0] == 2.0 * line.w[0]
     psi = np.exp(-half.nodes**2 / 4.0) * (1.0 + 0.3 * np.cos(half.nodes))
     psi_line = np.concatenate((psi[::-1], psi))
-    assert half.energy(psi) == pytest.approx(line.energy(psi_line), rel=1e-14)
+    (e, (Apsi, g, lam)), (e_l, (Apsi_l, g_l, lam_l)) = \
+        half.evaluate(psi), line.evaluate(psi_line)
+    assert e == pytest.approx(e_l, rel=1e-14)
     assert half.normalize(psi) == pytest.approx(
         line.normalize(psi_line)[n:], rel=1e-14)
-    (Apsi, g, lam), (Apsi_l, g_l, lam_l) = half.terms(psi), line.terms(psi_line)
     assert lam == pytest.approx(lam_l, rel=1e-14)
     kinetic = (Apsi_l / line.w)[n:]
     np.testing.assert_allclose(Apsi / half.w, kinetic, rtol=1e-12,
@@ -811,13 +834,14 @@ def _full_line_solve(monkeypatch, kind, N, L, g, s):
     """``kind`` on the symmetric full line, as the 1D kinds solved before
     the half line: ``minimize_nested`` on ``line_problem`` with twice the
     nodes, from the same start.  Returns (problem, result, estimate)."""
-    build, n, start = _nested_input(
+    build, n, start, what = _nested_input(
         monkeypatch, lambda: onedim.minimize_1d(kind, N, L, g, s))
     half = build(n)
     zmax = onedim._zmax_gradient(kind, N, L, g, s)
-    return flows.minimize_nested(
+    grids, disc = flows.minimize_nested(
         lambda m: line_problem(zmax, m, 1.0, lambda z: onedim._v_long(z, L, s),
-                               half.local, half.d2q, N), 2 * n, start)
+                               half.local, half.d2q, N), 2 * n, start, what)
+    return (*grids[-1], disc)
 
 
 def _split_note(note):

@@ -185,14 +185,12 @@ def test_bounds_2d_state_requires_dilute():
 def test_soft_potential_3d_height_and_norm():
     U = hb.soft_potential(2.0, 1.0, 3, 0.5)
     assert U.height == pytest.approx(3.0 / 7.0)
-    rep = hb.soft_potential_norm_report(U)
-    assert rep["integral"] == pytest.approx(1.0, abs=1e-9)
+    assert hb.soft_potential_norm_report(U) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_soft_potential_2d_norm_and_nu():
     U = hb.soft_potential(3.0, 1.5, 2, a=1.0)
-    rep = hb.soft_potential_norm_report(U)
-    assert rep["integral"] == pytest.approx(1.0, abs=1e-12)
+    assert hb.soft_potential_norm_report(U) == pytest.approx(1.0, abs=1e-12)
     # Gauss-Legendre oracle for int ln(r/a) r dr
     x, w = np.polynomial.legendre.leggauss(60)
     r = 1.5 + 0.75 * (x + 1.0)

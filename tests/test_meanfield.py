@@ -98,7 +98,7 @@ def test_uniqueness_two_initializations(rng):
 def test_energy_descent_monotone():
     p = mf.GPProblem(3, 2.0, 0.4, n_grid=1024)
     fp = mf._build_problem(p)
-    res = flows.minimize_flow(fp)
+    res = flows.minimize_flow(fp, mf._initial_guess(p, fp))
     assert res.max_energy_increase <= 1e-12 * max(1.0, abs(res.energy))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 import os
@@ -14,7 +15,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
-from bosegas import flows, onedim as od, verify
+from bosegas import flows, onedim as od, quadrature, verify
 
 
 def mirrored(prof):
@@ -537,17 +538,58 @@ def test_transverse_numeric_finest_solve_clears_the_rounding_floor(monkeypatch):
     ends = []
     nested = flows.minimize_nested
 
-    def recording(build, n, start):
-        fp, res, solve = nested(build, n, start)
+    def recording(build, n, start, what):
+        grids, solve = nested(build, n, start, what)
+        res = grids[-1][1]
         ends.append((n, res.residual / (flows._RTOL * max(abs(res.mu_chem),
                                                           abs(res.energy)))))
-        return fp, res, solve
+        return grids, solve
 
     monkeypatch.setattr(flows, "minimize_nested", recording)
     od.transverse_mode_numeric("hard_wall")
     n, fraction = ends[-1]
     assert n == 2 * od._MODE_FD_GRID
     assert fraction <= 0.5
+
+
+@pytest.mark.parametrize("kind", sorted(od.UNIT_MODES))
+def test_transverse_numeric_is_three_separate_cascades(kind, monkeypatch):
+    # one cascade from 2000 cells solves the 500-, 1000- and 2000-cell
+    # grids, one flow solve each, and gives bit for bit the Richardson
+    # values of three separate cascades to 500, 1000 and 2000 cells
+    seen, sizes = [], []
+    nested, run = flows.minimize_nested, flows.minimize_flow
+
+    def capture(build, n, start, what):
+        seen.append((build, start, what))
+        return nested(build, n, start, what)
+
+    def counting(prob, psi0):
+        sizes.append(len(prob.nodes))
+        return run(prob, psi0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "minimize_nested", capture)
+        patch.setattr(flows, "minimize_flow", counting)
+        got = od.transverse_mode_numeric(kind)
+    assert sizes == [500, 1000, 2000] and len(seen) == 1
+    build, start, what = seen[0]
+    finest = [nested(build, n, start, what)[0][-1] for n in (500, 1000, 2000)]
+    ref = [quadrature.richardson(values, 2)[0] for values in (
+        [res.mu_chem for _, res in finest],
+        [float((fp.w * res.psi**4).sum()) for fp, res in finest])]
+    assert got == tuple(ref)
+
+
+@pytest.mark.parametrize("kind", sorted(od.UNIT_MODES))
+def test_transverse_numeric_raises_on_an_unconverged_coarse_grid(kind,
+                                                                 monkeypatch):
+    run = flows.minimize_flow
+    monkeypatch.setattr(flows, "minimize_flow", lambda prob, psi0: dataclasses.replace(
+        run(prob, psi0), converged=len(prob.nodes) != 500))
+    with pytest.raises(RuntimeError, match=f"transverse mode \\({kind}\\): "
+                                           "a coarse grid did not converge"):
+        od.transverse_mode_numeric(kind)
 
 
 def test_verify_checks_the_hard_wall_int_b4(monkeypatch):
@@ -562,8 +604,10 @@ def test_verify_checks_the_hard_wall_int_b4(monkeypatch):
 
 
 def test_transverse_numeric_checks_its_order(monkeypatch):
-    # on 2-, 4- and 8-cell grids no value converges at second order
+    # on 2-, 4- and 8-cell grids no value converges at second order; the
+    # cascade from 8 cells reaches 2 once its coarsest grid may have 2
     monkeypatch.setattr(od, "_MODE_FD_GRID", 4)
+    monkeypatch.setattr(flows, "_COARSEST", 2)
     for kind in ("harmonic", "hard_wall"):
         with pytest.raises(RuntimeError, match="three-grid ratio"):
             od.transverse_mode_numeric(kind)
