@@ -178,19 +178,17 @@ def _dyson_flow(mu: float, n: int, rmax: float) -> DysonMinimizer:
     from . import flows
     i0 = _i0(mu)
 
-    # E = mu int |grad Phi|^2 - I0 int Phi^{5/2}: q(y) = -I0 y^{5/4}
+    # E = mu int |grad Phi|^2 - I0 int Phi^{5/2}: q(y) = -I0 y^{5/4}; q'' is
+    # infinite at y = 0, where the 2 y q'' the flow reads vanishes
     def local(y):
-        return -i0 * y ** 1.25, -1.25 * i0 * y ** 0.25
-
-    def d2q(y):
-        # infinite at y = 0, where the 2 y q'' the flow reads vanishes
         pos = np.where(y > 0, y, 1.0)
-        return np.where(y > 0, -0.3125 * i0 * pos ** -0.75, 0.0)
+        return (-i0 * y ** 1.25, -1.25 * i0 * y ** 0.25,
+                np.where(y > 0, -0.3125 * i0 * pos ** -0.75, 0.0))
 
     width = 0.35 * rmax
     grids, solve = flows.minimize_nested(
         lambda m: flows.sphere_problem(rmax, m, mu, lambda r: np.zeros_like(r),
-                                       local, d2q, mass=1.0), n,
+                                       local, mass=1.0), n,
         lambda fp: np.exp(-(fp.nodes / width) ** 2), "two-component minimization")
     fp, res = grids[-1]
     kin, _, inter = fp.energy_parts(res.psi)

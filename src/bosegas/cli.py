@@ -14,6 +14,7 @@ import time); importing this module loads only ``config``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -401,8 +402,8 @@ def _apply_config(parser: argparse.ArgumentParser, path) -> None:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    program = argv is None
+    argv = sys.argv[1:] if program else argv
     parser = build_parser()
     # --config is read first, so that its values can stand in for required
     # options; as a main-parser option it precedes the subcommand
@@ -429,6 +430,12 @@ def main(argv=None) -> int:
     except (NumericError, RuntimeError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        # the program ends here: frozen objects skip the shutdown collection
+        # (60-110 ms with scipy loaded).  No output waits on a collector:
+        # every file is closed by its ``with``, verify's pool is joined
+        if program:
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -16,20 +16,20 @@ the linearized backward-Euler system (tridiagonal, LAPACK gtsv) and
 renormalizes; the step size grows by x1.5 (``_DT_GROWTH``) after an
 accepted step and is halved whenever the energy fails to decrease, so the
 energy is monotone nonincreasing along the descent.  Each trial iterate is
-evaluated once (``FlowProblem.evaluate``): one call of the local terms gives
-both the energy the step is judged by and, if it is accepted, the
-Euler-Lagrange pieces the next step reads.  After every accepted step the
-descent measures the sup-norm of the Euler-Lagrange residual; once it is
-below 1e-2 times the energy scale max(|lam|, |E|/N), Newton's method on the
-Euler-Lagrange equation and the mass constraint takes over.  The Newton
-matrix is the flow's tridiagonal plus diag(2 psi^2 q''(psi^2)), bordered by
-psi; Keller's bordering solves it with one gtsv call on two right-hand
-sides.  A Newton step is kept only if it lowers the residual.  Convergence
-is declared when the residual falls below ``_RTOL`` times the energy scale.
-If Newton stalls first, the descent resumes from the last kept iterate and
-hands off again at a 100x lower level, at most twice; after that the result
-is reported as not converged.  ``FlowResult.newton_steps`` counts the Newton
-steps tried.
+evaluated once (``FlowProblem.evaluate``): one call of ``local``, which
+returns q, q' and q'', gives both the energy the step is judged by and, if
+it is accepted, every piece the next step reads.  After every accepted
+step the descent measures the sup-norm of the Euler-Lagrange residual;
+once it is below 1e-2 times the energy scale max(|lam|, |E|/N), Newton's
+method on the Euler-Lagrange equation and the mass constraint takes over.
+The Newton matrix is the flow's tridiagonal plus diag(2 psi^2 q''(psi^2)),
+q'' read from the iterate's evaluation, bordered by psi; Keller's bordering
+solves it with one gtsv call on two right-hand sides.  A Newton step is
+kept only if it lowers the residual.  Convergence is declared when the
+residual falls below ``_RTOL`` times the energy scale.  If Newton stalls
+first, the descent resumes from the last kept iterate and hands off again
+at a 100x lower level, at most twice; after that the result is reported as
+not converged.  ``FlowResult.newton_steps`` counts the Newton steps tried.
 
 ``minimize_nested`` is how every trap minimizer runs the flow: nested
 iteration (A. Brandt, Math. Comp. 31, 333 (1977)), coarse grids first.  It
@@ -87,10 +87,10 @@ class FlowProblem:
     ew       edge weights, length n+1; ew[0]/ew[n] couple to zero ghosts
              (set to 0.0 for a no-flux boundary)
     V        external potential per node
-    local    y -> (q, q'): the interaction energy density q and its
-             derivative in the density y = psi^2, from one evaluation
-    d2q      y -> q''(y); only 2 y q''(y) enters (the Newton step), so d2q
-             may return 0 where y = 0 and q'' is infinite
+    local    y -> (q, q', q''): the interaction energy density in the
+             density y = psi^2 and its two derivatives, from one evaluation
+             (a constant q'' may be a scalar); only 2 y q'' enters (the
+             Newton step), so q'' may be 0 where y = 0 and it is infinite
     mass     constraint value N
 
     The off-diagonals of W^-1 A must be finite: building a problem whose
@@ -103,7 +103,6 @@ class FlowProblem:
     ew: np.ndarray
     V: np.ndarray
     local: Callable
-    d2q: Callable
     mass: float
 
     def __post_init__(self):
@@ -151,19 +150,19 @@ class FlowProblem:
     def evaluate(self, psi: np.ndarray):
         """(E, terms) at ``psi`` from one square and one call of ``local``:
         the energy, the sum of ``energy_parts``, and terms = (A psi,
-        g = V + q'(psi^2), lam), every Euler-Lagrange piece one flow
-        iterate reads."""
+        g = V + q'(psi^2), lam, q''(psi^2)), every piece a flow or Newton
+        step from ``psi`` reads."""
         y = psi**2
-        q, dq = self.local(y)
+        q, dq, d2q = self.local(y)
         Apsi = self._apply_A(psi)
         g = self.V + dq
         lam = (float(psi @ Apsi) + float((self.w * g * y).sum())) / self.mass
-        return sum(self._energy_parts(psi, y, q)), (Apsi, g, lam)
+        return sum(self._energy_parts(psi, y, q)), (Apsi, g, lam, d2q)
 
     def defect(self, psi: np.ndarray, terms) -> np.ndarray:
         """Euler-Lagrange defect W^-1 A psi + (g - lam) psi at ``psi``;
         ``terms`` are those of ``self.evaluate(psi)``."""
-        Apsi, g, lam = terms
+        Apsi, g, lam, _ = terms
         return Apsi / self.w + g * psi - lam * psi
 
     def residual(self, psi: np.ndarray, terms) -> float:
@@ -214,11 +213,11 @@ def _implicit_step(prob: FlowProblem, psi: np.ndarray, terms,
     """One normalized backward-Euler step of the linearized flow.
 
     Solves M trial = psi with M = I + dt (W^-1 A + diag(g - lam)), where
-    (A psi, g, lam) are the ``terms`` of ``prob.evaluate(psi)``, and
+    g and lam are from the ``terms`` of ``prob.evaluate(psi)``, and
     renormalizes; returns None when ``_solve`` fails or the normalization
     does.
     """
-    _, g, lam = terms
+    _, g, lam, _ = terms
     trial = _solve(prob, 1.0 + dt * (prob._diag_w + (g - lam)), psi, dt)
     if trial is None:
         return None
@@ -235,17 +234,16 @@ def _newton_step(prob: FlowProblem, psi: np.ndarray,
     ``prob.evaluate(psi)``.
 
     The Jacobian J = W^-1 A + diag(g - lam + 2 y q''(y)), y = psi^2, is the
-    flow's tridiagonal plus the curvature of q; it is bordered by -psi (the
-    lam column) and by the linearized constraint.  Keller's bordering
-    (H. B. Keller, in *Applications of Bifurcation Theory*, Academic Press
-    1977, p. 359) solves J a = -F and J b = psi in one LAPACK ``gtsv`` call
-    and takes dlam from sum w psi (a + dlam b) = 0; the step is
-    dpsi = a + dlam b, and the new iterate is renormalized.  Returns None
+    flow's tridiagonal plus the curvature of q, q'' from the ``terms``; it
+    is bordered by -psi (the lam column) and by the linearized constraint.
+    Keller's bordering (H. B. Keller, in *Applications of Bifurcation
+    Theory*, Academic Press 1977, p. 359) solves J a = -F and J b = psi in
+    one LAPACK ``gtsv`` call and takes dlam from sum w psi (a + dlam b) = 0;
+    the step is dpsi = a + dlam b, and the new iterate is renormalized.  Returns None
     when ``_solve`` fails or the normalization does.
     """
-    _, g, lam = terms
-    y = psi**2
-    d = prob._diag_w + (g - lam) + 2.0 * y * prob.d2q(y)
+    _, g, lam, d2q = terms
+    d = prob._diag_w + (g - lam) + 2.0 * psi**2 * d2q
     rhs = np.empty((len(psi), 2), order="F")
     rhs[:, 0] = -prob.defect(psi, terms)
     rhs[:, 1] = psi
@@ -415,7 +413,7 @@ def minimize_nested(build: Callable[[int], FlowProblem], n: int,
 # --- grid builders --------------------------------------------------------
 
 def sphere_problem(rmax: float, n: int, mu: float, V: Callable,
-                   local, d2q, mass: float) -> FlowProblem:
+                   local, mass: float) -> FlowProblem:
     """3D radial problem for phi on the vertex grid r_i = i h, i = 1..n,
     h = rmax/(n+1): weights 4 pi r_i^2 h, kin = 4 pi mu and edge weights
     r_e r_(e+1) / h with r_0 = 0 and r_(n+1) = rmax, so no flux through 0
@@ -429,11 +427,11 @@ def sphere_problem(rmax: float, n: int, mu: float, V: Callable,
     edges = h * np.arange(n + 2)
     ew = edges[:-1] * edges[1:] / h
     return FlowProblem(r, 4.0 * math.pi * r**2 * h, 4.0 * math.pi * mu, ew,
-                       np.asarray(V(r), dtype=float), local, d2q, mass)
+                       np.asarray(V(r), dtype=float), local, mass)
 
 
 def cell_problem(d: int, rmax: float, n: int, mu: float, V: Callable,
-                 local, d2q, mass: float) -> FlowProblem:
+                 local, mass: float) -> FlowProblem:
     """Even 1D (d = 1) or radial 2D (d = 2) problem for phi on a
     cell-centred grid: nodes r_i = (i + 1/2) h, no flux through r = 0,
     Dirichlet ghost at rmax.  The measure is omega r^(d-1) dr, omega = 2
@@ -447,4 +445,4 @@ def cell_problem(d: int, rmax: float, n: int, mu: float, V: Callable,
     ew = (h * np.arange(n + 1)) ** (d - 1) / h     # edge 0 at r = 0
     ew[0] = 0.0
     return FlowProblem(r, w, omega * mu, ew, np.asarray(V(r), dtype=float),
-                       local, d2q, mass)
+                       local, mass)

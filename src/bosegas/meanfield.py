@@ -176,19 +176,16 @@ def _domain_radius(problem: GPProblem) -> float:
 
 
 def _build_problem(problem: GPProblem) -> flows.FlowProblem:
-    import numpy as np
-
     from . import flows
     mu, c = problem.mu, problem.coupling
     rmax = _domain_radius(problem)
     g4 = 4.0 * math.pi * mu * c
-    local = lambda y: (g4 * y**2, 2.0 * g4 * y)
-    d2q = lambda y: np.full_like(y, 2.0 * g4)
+    local = lambda y: (g4 * y**2, 2.0 * g4 * y, 2.0 * g4)
     if problem.dimension == 3:
         return flows.sphere_problem(rmax, problem.n_grid, mu, problem.trap,
-                                    local, d2q, problem.N)
+                                    local, problem.N)
     return flows.cell_problem(2, rmax, problem.n_grid, mu, problem.trap,
-                              local, d2q, problem.N)
+                              local, problem.N)
 
 
 def _initial_guess(problem: GPProblem, fp: flows.FlowProblem) -> np.ndarray:

@@ -464,11 +464,6 @@ class ElongatedTrap:
 _MODE_FD_GRID = 1000
 
 
-def _no_interaction(y):
-    """q = q' = 0: the linear problem of the transverse mode."""
-    return np.zeros_like(y), np.zeros_like(y)
-
-
 def transverse_mode_numeric(kind: str) -> tuple[float, float]:
     """The ground mode of -Lap + V_perp at unit radius by the radial flow
     (``flows.cell_problem`` with q = 0, unit mass): one cascade from
@@ -480,8 +475,8 @@ def transverse_mode_numeric(kind: str) -> tuple[float, float]:
     rmax, V = (6.0, np.square) if kind == "harmonic" else (1.0, np.zeros_like)
     n = 2 * _MODE_FD_GRID
     grids, solve = flows.minimize_nested(
-        lambda m: flows.cell_problem(2, rmax, m, 1.0, V, _no_interaction,
-                                     np.zeros_like, 1.0), n,
+        lambda m: flows.cell_problem(2, rmax, m, 1.0, V,
+                                     lambda y: (0.0 * y, 0.0 * y, 0.0), 1.0), n,
         lambda fp: np.cos(0.5 * math.pi * fp.nodes / rmax),
         f"transverse mode ({kind}, n = {n})")
     # the record's note is set when a coarse grid did not converge or the
@@ -551,43 +546,36 @@ def _curve_for(kind: str) -> LLCurve | None:
     return default_curve() if kind in ("full", "ll_no_grad") else None
 
 
-def _interaction_density(kind: str, rho: np.ndarray, g: float, curve) -> np.ndarray:
-    """Interaction energy density w(rho) of a 1D functional."""
+def _local_terms(kind: str, g: float, curve):
+    """rho -> (w, w', w''), the interaction energy density of a 1D kind and
+    its derivatives: the flow's ``local``, and the pointwise energy's w.
+    tf1d and gp1d have g rho^2 / 2, gt pi^2 rho^3 / 3, and ll_no_grad and
+    full rho^3 e(g/rho) from one lookup in ``curve`` (0 at rho = 0), with
+    w' = 3 rho^2 e - g rho e' and w'' = 6 rho e - 4 g e' + g^2 e'' / rho."""
     if kind in ("gp1d", "tf1d"):
-        return 0.5 * g * rho**2
+        return lambda rho: (0.5 * g * rho**2, g * rho, g)
     if kind == "gt":
-        return PI2_3 * rho**3
-    return np.where(rho > 0, rho**3 * curve.e(_ll_argument(g, rho)), 0.0)
+        return lambda rho: (PI2_3 * rho**3, math.pi**2 * rho**2,
+                            2.0 * math.pi**2 * rho)
+
+    def ll_terms(rho):
+        w, dw, d2w = np.zeros((3,) + rho.shape)
+        pos = rho > 0
+        rp = rho[pos]
+        e, de, d2e = curve.derivatives(_ll_argument(g, rp), 2)
+        w[pos] = rp**3 * e
+        dw[pos] = 3.0 * rp ** 2 * e - g * rp * de
+        d2w[pos] = 6.0 * rp * e - 4.0 * g * de + g * g * d2e / rp
+        return w, dw, d2w
+    return ll_terms
 
 
 def _minimize_gradient_kind(kind, N, L, g, s, curve):
     zmax = _zmax_gradient(kind, N, L, g, s)
     V = lambda z: _v_long(z, L, s)
-    if kind == "gp1d":
-        local = lambda y: (0.5 * g * y**2, g * y)
-        d2q = lambda y: np.full_like(y, g)
-    else:
-        # w(rho) = rho^3 e(g/rho): w' = 3 rho^2 e - g rho e',
-        # w'' = 6 rho e - 4 g e' + g^2 e'' / rho
-        def local(y):
-            w = np.zeros_like(y)
-            dw = np.zeros_like(y)
-            pos = y > 0
-            yp = y[pos]
-            e, de = curve.derivatives(_ll_argument(g, yp), 1)
-            w[pos] = yp**3 * e
-            dw[pos] = 3.0 * yp ** 2 * e - g * yp * de
-            return w, dw
-
-        def d2q(y):
-            out = np.zeros_like(y)
-            pos = y > 0
-            yp = y[pos]
-            e, de, d2e = curve.derivatives(_ll_argument(g, yp), 2)
-            out[pos] = 6.0 * yp * e - 4.0 * g * de + g * g * d2e / yp
-            return out
+    local = _local_terms(kind, g, curve)
     grids, solve = flows.minimize_nested(
-        lambda m: flows.cell_problem(1, zmax, m, 1.0, V, local, d2q, N),
+        lambda m: flows.cell_problem(1, zmax, m, 1.0, V, local, N),
         _N_GRID_1D // 2,
         lambda fp: np.sqrt(np.maximum(1.0 - (fp.nodes / (0.75 * zmax)) ** 2,
                                       0.0)) + 1e-3, f"1D minimization ({kind})")
@@ -687,7 +675,7 @@ def _minimize_pointwise_kind(kind, N, L, g, s, curve):
         raise RuntimeError(f"1D normalization ({kind}) did not converge in "
                            f"{_NORM_SWEEPS} sweeps: log mass/N {res:.3e}")
 
-    energy = float(w @ (V * rho + _interaction_density(kind, rho, g, curve)))
+    energy = float(w @ (V * rho + _local_terms(kind, g, curve)(rho)[0]))
     prof = Profile1D(zedge * edge, w, rho, N, flows.Solve(
         sweeps, 0, 0, None, None, "pointwise solution: no coarse grids"))
     return prof, energy, float(w @ rho**2) / N

@@ -22,7 +22,7 @@ def _fd_gradient_check(prob, psi, direction, h_list):
     against its analytic gradient dE/dpsi = 2 (A psi + W (V + q'(psi^2)) psi),
     exact for the discrete functional; returns deviations per h and the
     fitted convergence order."""
-    Apsi, g, _ = prob.evaluate(psi)[1]
+    Apsi, g, _, _ = prob.evaluate(psi)[1]
     g_dot_d = float(2.0 * (Apsi + prob.w * g * psi) @ direction)
     energy = lambda x: prob.evaluate(x)[0]
     devs = np.array([abs((energy(psi + h * direction)

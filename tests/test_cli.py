@@ -1056,6 +1056,24 @@ def test_verify_worker_failure_exit_code(monkeypatch, capsys, tmp_path,
     assert not multiprocessing.active_children()
 
 
+def test_only_the_program_freezes_its_objects_at_exit(monkeypatch, tmp_path):
+    # main() as the program (argv None) freezes the gc before it returns,
+    # sparing the shutdown collection; an in-process main(argv) does not
+    frozen = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+    out = tmp_path / "foldy.json"
+    assert run_cli("charged", "foldy", "--out", str(out)) == 0
+    assert frozen == []
+    monkeypatch.setattr(sys, "argv", ["bosegas", "charged", "foldy", "--out",
+                                      str(out)])
+    assert cli.main() == 0
+    assert frozen == [True]
+    # a failing call freezes too
+    monkeypatch.setattr(sys, "argv", ["bosegas", "charged", "foldy", "--mu", "-1"])
+    assert cli.main() == 2
+    assert frozen == [True, True]
+
+
 def test_verify_joins_worker_when_a_local_section_raises(monkeypatch):
     from bosegas import verify
     for name in ("_meanfield_checks", "_onedim_checks", "_charged_checks",

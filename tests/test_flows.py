@@ -74,21 +74,13 @@ from bosegas import charged, flows, meanfield, onedim, quadrature
 
 
 def _free(y):
-    """No interaction: q = q' = 0."""
-    return 0.0 * y, 0.0 * y
-
-
-def _zero(y):
-    return 0.0 * y
+    """No interaction: q = q' = q'' = 0."""
+    return 0.0 * y, 0.0 * y, 0.0
 
 
 def _quartic(y):
-    """q = y^2 / 2 and q' = y."""
-    return 0.5 * y**2, y
-
-
-def _quartic_d2q(y):
-    return np.ones_like(y)
+    """q = y^2 / 2, q' = y and q'' = 1."""
+    return 0.5 * y**2, y, 1.0
 
 
 def _gaussian_start(prob):
@@ -97,7 +89,7 @@ def _gaussian_start(prob):
     return np.exp(-np.linspace(0, 4, len(prob.nodes)) ** 2) + 0.05
 
 
-def line_problem(zmax, n, kappa, V, local, d2q, mass):
+def line_problem(zmax, n, kappa, V, local, mass):
     """Symmetric 1D problem on (-zmax, zmax) with Dirichlet ghosts: the
     grid of the 1D kinds before they solved on the half line."""
     h = 2.0 * zmax / (n + 1)
@@ -105,28 +97,27 @@ def line_problem(zmax, n, kappa, V, local, d2q, mass):
     w = h * np.ones(n)
     ew = np.full(n + 1, 1.0 / h)
     return flows.FlowProblem(z, w, kappa, ew, np.asarray(V(z), dtype=float),
-                             local, d2q, mass)
+                             local, mass)
 
 
-def radial_u_problem(rmax, n, mu, V, local, d2q, mass):
+def radial_u_problem(rmax, n, mu, V, local, mass):
     """The 3D u = r phi grid as first built, before ``flows.sphere_problem``
     solved for phi: nodes r_i = i h, h = rmax/(n+1), zero ghosts u(0) and
     u(rmax), norm 4 pi int u^2 dr, kinetic term 4 pi mu int u'^2 dr, local
-    terms with weight 4 pi h.  ``local`` and ``d2q`` are phi's, functions of
-    the density; the u grid reads them at y = u^2, as r^2 q(y / r^2)."""
+    terms with weight 4 pi h.  ``local`` is phi's, a function of the
+    density; the u grid reads it at y = u^2, as r^2 q(y / r^2)."""
     h = rmax / (n + 1)
     r = h * np.arange(1, n + 1)
     r2 = r**2
 
     def local_u(y):
-        q, dq = local(y / r2)
-        return r2 * q, dq
+        q, dq, d2q = local(y / r2)
+        return r2 * q, dq, d2q / r2
 
     w = 4.0 * math.pi * h * np.ones(n)
     ew = np.full(n + 1, 1.0 / h)
     return flows.FlowProblem(r, w, 4.0 * math.pi * mu, ew,
-                             np.asarray(V(r), dtype=float), local_u,
-                             lambda y: d2q(y / r2) / r2, mass)
+                             np.asarray(V(r), dtype=float), local_u, mass)
 
 
 def test_gp_3d_harmonic_flow_pinned():
@@ -236,12 +227,12 @@ def test_step_equals_the_banded_reference(case, monkeypatch):
 def test_step_refuses_nonfinite_and_singular_systems():
     bad_v = line_problem(4.0, 64, 1.0,
                                lambda z: np.where(z > 3.5, np.inf, z**2),
-                               _free, _zero, 1.0)
+                               _free, 1.0)
     psi = bad_v.normalize(np.ones(64))
     assert flows._implicit_step(bad_v, psi, bad_v.evaluate(psi)[1], 0.1) is None
     assert _reference_step(bad_v, psi, 0.1) is None
 
-    prob = line_problem(4.0, 64, 1.0, lambda z: z**2, _free, _zero, 1.0)
+    prob = line_problem(4.0, 64, 1.0, lambda z: z**2, _free, 1.0)
     good = prob.normalize(np.ones(64))
     for value in (np.nan, np.inf):
         psi = good.copy()
@@ -252,7 +243,7 @@ def test_step_refuses_nonfinite_and_singular_systems():
     # no kinetic term and lam = mean(V) = 1 exactly: M = I + (V - lam) has
     # a zero first entry
     singular = flows.FlowProblem(np.arange(3.0), np.ones(3), 0.0, np.ones(4),
-                                 np.array([0.0, 1.0, 2.0]), _free, _zero, 3.0)
+                                 np.array([0.0, 1.0, 2.0]), _free, 3.0)
     psi = np.ones(3)
     terms = singular.evaluate(psi)[1]
     assert terms[2] == 1.0
@@ -261,7 +252,7 @@ def test_step_refuses_nonfinite_and_singular_systems():
 
 
 def test_solve_refuses_nonfinite_input_and_a_singular_matrix():
-    prob = line_problem(4.0, 16, 1.0, lambda z: z**2, _free, _zero, 1.0)
+    prob = line_problem(4.0, 16, 1.0, lambda z: z**2, _free, 1.0)
     d = 1.0 + prob._diag_w
     rhs = np.ones(16)
     # gtsv overwrites the diagonal it is given, not the right-hand side
@@ -276,7 +267,7 @@ def test_solve_refuses_nonfinite_input_and_a_singular_matrix():
         assert flows._solve(prob, d, bad) is None
     # no kinetic term: the matrix is diag(d), singular at a zero entry
     flat = flows.FlowProblem(np.arange(3.0), np.ones(3), 0.0, np.ones(4),
-                             np.zeros(3), _free, _zero, 3.0)
+                             np.zeros(3), _free, 3.0)
     assert flows._solve(flat, np.array([1.0, 0.0, 2.0]), np.ones(3)) is None
 
 
@@ -288,11 +279,11 @@ def test_nonfinite_off_diagonal_is_refused_when_built(w):
     # weight makes one of them infinite or NaN
     with pytest.raises(ValueError, match="not finite"):
         flows.FlowProblem(np.arange(3.0), w, 1.0, np.ones(4), np.zeros(3),
-                          _free, _zero, 1.0)
+                          _free, 1.0)
     with pytest.raises(ValueError, match="not finite"):
         flows.FlowProblem(np.arange(3.0), np.ones(3), 1.0,
                           np.array([1.0, np.inf, 1.0, 1.0]), np.zeros(3),
-                          _free, _zero, 1.0)
+                          _free, 1.0)
 
 
 _PROBLEMS = {
@@ -307,45 +298,45 @@ _PROBLEMS = {
 
 
 def _reference_terms(prob, psi):
-    """(A psi, g = V + q'(psi^2), lam) at ``psi``, each from its
-    definition, with ``local`` called for q' alone."""
+    """(A psi, g = V + q'(psi^2), lam, q''(psi^2)) at ``psi``, each from
+    its definition, with ``local`` called for q' and q'' alone."""
     y = psi**2
     Apsi = prob._apply_A(psi)
     g = prob.V + prob.local(y)[1]
     lam = (float(psi @ Apsi) + float((prob.w * g * y).sum())) / prob.mass
-    return Apsi, g, lam
+    return Apsi, g, lam, prob.local(y)[2]
 
 
 @pytest.mark.parametrize("case", sorted(_PROBLEMS))
 def test_evaluate_is_energy_and_terms(case, monkeypatch):
-    # one call of ``local`` gives the energy and the Euler-Lagrange terms
-    # as each is defined apart, bit for bit: at the start, at a descent
+    # one call of ``local`` gives the energy, the Euler-Lagrange terms and
+    # q'' as each is defined apart, bit for bit: at the start, at a descent
     # iterate and at the minimizer
     prob, start = _flow_input(monkeypatch, _PROBLEMS[case])
     e0, terms0 = prob.evaluate(start)
     step = flows._implicit_step(prob, start, terms0, 1.0 / abs(terms0[2]))
     for psi in (start, step, flows.minimize_flow(prob, start).psi):
-        e, (Apsi, g, lam) = prob.evaluate(psi)
-        ref_Apsi, ref_g, ref_lam = _reference_terms(prob, psi)
+        e, (Apsi, g, lam, d2q) = prob.evaluate(psi)
+        ref_Apsi, ref_g, ref_lam, ref_d2q = _reference_terms(prob, psi)
         assert e == sum(prob.energy_parts(psi))
         assert Apsi.tobytes() == ref_Apsi.tobytes()
         assert g.tobytes() == ref_g.tobytes()
         assert lam == ref_lam
+        assert np.asarray(d2q).tobytes() == np.asarray(ref_d2q).tobytes()
 
 
 def test_fall_through_exit_uses_the_loop_scale(monkeypatch):
     # V shifted by -mu puts the chemical potential at ~0 while |E|/N stays
     # O(1); with every step refused the flow leaves through the exit after
     # the loop, which must judge the residual on the loop's scale
-    base = line_problem(8.0, 256, 1.0, lambda z: z**2, _quartic,
-                              _quartic_d2q, 10.0)
+    base = line_problem(8.0, 256, 1.0, lambda z: z**2, _quartic, 10.0)
     with monkeypatch.context() as patch:
         patch.setattr(flows, "_RTOL", 1e-11)
         ground = flows.minimize_flow(base, _gaussian_start(base))
     assert ground.converged
     shifted = line_problem(8.0, 256, 1.0,
                                  lambda z: z**2 - ground.mu_chem, _quartic,
-                                 _quartic_d2q, 10.0)
+                                 10.0)
     monkeypatch.setattr(flows, "_MAX_ITER", 3)
     monkeypatch.setattr(flows, "_implicit_step", lambda *args: None)
     res = flows.minimize_flow(shifted, psi0=ground.psi)
@@ -486,7 +477,8 @@ def test_d2q_matches_central_differences_of_dq(case, monkeypatch):
     y = start**2
     keep = y > 1e-8 * y.max()
     y = y[keep]
-    np.testing.assert_allclose(prob.d2q(y), _central_difference(prob.local, y),
+    np.testing.assert_allclose(prob.local(y)[2],
+                               _central_difference(prob.local, y),
                                rtol=1e-7, atol=0.0)
 
 
@@ -503,17 +495,43 @@ def test_full_d2q_across_the_table_ends(monkeypatch, ll_curve):
     t = np.concatenate((ll_curve.t_min * np.array([0.2, 0.5, 0.9]), inner[:3],
                         inner[-3:], ll_curve.t_max * np.array([1.1, 2.0, 5.0])))
     y = g / t
-    np.testing.assert_allclose(prob.d2q(y),
+    np.testing.assert_allclose(prob.local(y)[2],
                                _central_difference(prob.local, y, 1e-6),
                                rtol=1e-6, atol=0.0)
-    assert prob.d2q(np.zeros(1)) == 0.0
+    assert prob.local(np.zeros(1))[2] == 0.0
+
+
+def test_full_reads_the_table_once_per_evaluation(monkeypatch):
+    # q'' comes with the evaluation of the iterate: a Newton step reads it
+    # from the terms and looks nothing up in the e(t) table
+    calls = {"derivatives": 0, "evaluate": 0, "newton": 0}
+    lookup, evaluate, newton = (onedim.LLCurve.derivatives,
+                                flows.FlowProblem.evaluate, flows._newton_step)
+
+    def counting(name, method):
+        def wrapped(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapped
+
+    def newton_step(*args):
+        before = calls["derivatives"]
+        out = counting("newton", newton)(*args)
+        assert calls["derivatives"] == before
+        return out
+
+    monkeypatch.setattr(onedim.LLCurve, "derivatives", counting("derivatives", lookup))
+    monkeypatch.setattr(flows.FlowProblem, "evaluate", counting("evaluate", evaluate))
+    monkeypatch.setattr(flows, "_newton_step", newton_step)
+    onedim.minimize_1d("full", 30.0, 5.0, 0.5, 2.0)
+    assert calls["newton"] > 0
+    assert calls["derivatives"] == calls["evaluate"]
 
 
 def test_newton_stall_hands_back_to_the_descent(monkeypatch):
     # every Newton step refused: the descent takes over again, hands off at
     # 1e-4 and then 1e-6 times the scale, and the third stall is final
-    prob = line_problem(8.0, 256, 1.0, lambda z: z**2, _quartic,
-                              _quartic_d2q, 10.0)
+    prob = line_problem(8.0, 256, 1.0, lambda z: z**2, _quartic, 10.0)
     seen = []
 
     def refuse(prob, psi, terms):
@@ -533,7 +551,7 @@ def test_newton_stall_hands_back_to_the_descent(monkeypatch):
 def test_newton_converges_on_a_linear_problem():
     # no interaction: the Newton matrix W^-1 A + V - lam is singular at the
     # ground state, and the bordered step must still converge
-    prob = line_problem(8.0, 512, 1.0, lambda z: z**2, _free, _zero, 1.0)
+    prob = line_problem(8.0, 512, 1.0, lambda z: z**2, _free, 1.0)
     res = flows.minimize_flow(prob, _gaussian_start(prob))
     assert res.converged and res.newton_steps >= 1
     # the oscillator ground state: -psi'' + z^2 psi = psi
@@ -663,8 +681,7 @@ def test_cascade_grid_sizes():
 
     def build(m):
         sizes.append(m)
-        return line_problem(8.0, m, 1.0, lambda z: z**2, _free, _zero,
-                                  1.0)
+        return line_problem(8.0, m, 1.0, lambda z: z**2, _free, 1.0)
 
     for n, expect in ((300, [300]), (511, [511]), (512, [256, 512]),
                       (1000, [500, 1000]), (1025, [256, 512, 1025]),
@@ -693,8 +710,7 @@ _BUILDERS = {
     ("radial_cell_problem", False),
     ("half_line_problem", False), ("line_problem", True)])
 def test_prolongation_pads_the_dirichlet_ghosts(make, dirichlet_at_0):
-    coarse, fine = (_BUILDERS[make](4.0, m, 1.0, lambda r: r**2, _free,
-                                    _zero, 1.0)
+    coarse, fine = (_BUILDERS[make](4.0, m, 1.0, lambda r: r**2, _free, 1.0)
                     for m in (64, 128))
     x = coarse.nodes
     left = fine.nodes < x[0]
@@ -716,9 +732,8 @@ def test_prolongation_pads_the_dirichlet_ghosts(make, dirichlet_at_0):
 @pytest.mark.parametrize("n", [16, 257, 4096])
 def test_sphere_problem_is_the_u_grid_at_a_fixed_state(n, rng):
     g4 = 4.0 * math.pi * 0.7
-    local = lambda y: (g4 * y**2, 2.0 * g4 * y)
-    d2q = lambda y: np.full_like(y, 2.0 * g4)
-    sphere, ref = (make(6.0, n, 1.3, lambda r: r**2, local, d2q, 5.0)
+    local = lambda y: (g4 * y**2, 2.0 * g4 * y, 2.0 * g4)
+    sphere, ref = (make(6.0, n, 1.3, lambda r: r**2, local, 5.0)
                    for make in (flows.sphere_problem, radial_u_problem))
     r = sphere.nodes
     assert r.tobytes() == ref.nodes.tobytes()
@@ -779,7 +794,7 @@ def test_sphere_problem_matches_the_u_grid_dyson(monkeypatch):
 
 # --- one cell builder for d = 1 and 2 ----------------------------------------
 
-def _radial_cell_reference(rmax, n, mu, V, local, d2q, mass):
+def _radial_cell_reference(rmax, n, mu, V, local, mass):
     """The 2D radial cell grid as it was built before ``flows.cell_problem``
     served d = 1 as well."""
     h = rmax / (n + 0.5)
@@ -790,14 +805,14 @@ def _radial_cell_reference(rmax, n, mu, V, local, d2q, mass):
     ew = edges / h
     ew[0] = 0.0
     return flows.FlowProblem(r, w, omega * mu, ew, np.asarray(V(r), dtype=float),
-                             local, d2q, mass)
+                             local, mass)
 
 
 @pytest.mark.parametrize("rmax, n, mu", [(4.0, 64, 1.0), (37.3, 2048, 0.31),
                                          (1e3, 1000, 7.0)])
 def test_cell_problem_in_2d_is_the_radial_cell_grid(rmax, n, mu):
-    new = flows.cell_problem(2, rmax, n, mu, lambda r: r**2, _free, _zero, 2.0)
-    ref = _radial_cell_reference(rmax, n, mu, lambda r: r**2, _free, _zero, 2.0)
+    new = flows.cell_problem(2, rmax, n, mu, lambda r: r**2, _free, 2.0)
+    ref = _radial_cell_reference(rmax, n, mu, lambda r: r**2, _free, 2.0)
     assert new.kin == ref.kin
     for key in ("nodes", "w", "ew", "V", "_diag", "_off", "_diag_w"):
         assert getattr(new, key).tobytes() == getattr(ref, key).tobytes(), key
@@ -807,10 +822,8 @@ def test_cell_problem_in_2d_is_the_radial_cell_grid(rmax, n, mu):
 def test_half_line_is_the_even_line_problem(zmax, n):
     # the nodes z > 0 of the 2n-node line, the same h, and on an even psi
     # the same energy and Euler-Lagrange terms
-    half = flows.cell_problem(1, zmax, n, 1.0, lambda z: z**2, _quartic,
-                              _quartic_d2q, 3.0)
-    line = line_problem(zmax, 2 * n, 1.0, lambda z: z**2, _quartic,
-                        _quartic_d2q, 3.0)
+    half = flows.cell_problem(1, zmax, n, 1.0, lambda z: z**2, _quartic, 3.0)
+    line = line_problem(zmax, 2 * n, 1.0, lambda z: z**2, _quartic, 3.0)
     np.testing.assert_allclose(half.nodes, line.nodes[n:], rtol=1e-14,
                                atol=1e-14 * zmax)
     np.testing.assert_allclose(-half.nodes[::-1], line.nodes[:n], rtol=1e-14,
@@ -818,7 +831,7 @@ def test_half_line_is_the_even_line_problem(zmax, n):
     assert half.w[0] == 2.0 * line.w[0]
     psi = np.exp(-half.nodes**2 / 4.0) * (1.0 + 0.3 * np.cos(half.nodes))
     psi_line = np.concatenate((psi[::-1], psi))
-    (e, (Apsi, g, lam)), (e_l, (Apsi_l, g_l, lam_l)) = \
+    (e, (Apsi, g, lam, _)), (e_l, (Apsi_l, g_l, lam_l, _)) = \
         half.evaluate(psi), line.evaluate(psi_line)
     assert e == pytest.approx(e_l, rel=1e-14)
     assert half.normalize(psi) == pytest.approx(
@@ -840,7 +853,7 @@ def _full_line_solve(monkeypatch, kind, N, L, g, s):
     zmax = onedim._zmax_gradient(kind, N, L, g, s)
     grids, disc = flows.minimize_nested(
         lambda m: line_problem(zmax, m, 1.0, lambda z: onedim._v_long(z, L, s),
-                               half.local, half.d2q, N), 2 * n, start, what)
+                               half.local, N), 2 * n, start, what)
     return (*grids[-1], disc)
 
 

@@ -31,7 +31,7 @@ def functional_value(kind, prof, L, g, s=2.0):
     curve = od._curve_for(kind)
     z, rho = mirrored(prof)
     val = float(np.trapezoid(od._v_long(z, L, s) * rho
-                             + od._interaction_density(kind, rho, g, curve), z))
+                             + od._local_terms(kind, g, curve)(rho)[0], z))
     if kind in ("full", "gp1d"):
         val += float(np.trapezoid(np.gradient(np.sqrt(rho), z) ** 2, z))
     return val
@@ -635,8 +635,7 @@ def test_gt_pointwise_matches_gradient_flow(ll_curve):
     fp = flows.FlowProblem(
         z, h * np.ones(n), 0.0, np.zeros(n + 1),
         np.abs(z) ** s / L ** (s + 2.0),
-        lambda y: (od.PI2_3 * y**3, math.pi**2 * y**2),
-        lambda y: 2.0 * math.pi**2 * y,
+        lambda y: (od.PI2_3 * y**3, math.pi**2 * y**2, 2.0 * math.pi**2 * y),
         N)
     res = flows.minimize_flow(fp, psi0=np.sqrt(np.maximum(1 - (z / zmax) ** 2, 0.0) + 1e-4))
     assert abs(res.energy - e_gt) / e_gt < 1e-6
@@ -772,7 +771,7 @@ def _full_grid_route(normalization_root, kind, N, L, g, s=2.0,
 
     mu = normalization_root(mass, N)
     z, V, rho = profile(mu)
-    w = od._interaction_density(kind, rho, g, curve)
+    w = od._local_terms(kind, g, curve)(rho)[0]
     return (float(np.trapezoid(V * rho + w, z)),
             float(np.trapezoid(rho**2, z) / N), mu)
 
@@ -925,7 +924,7 @@ def test_1d_solves_read_the_half_line(monkeypatch, ll_curve):
         od.minimize_1d(kind, 30.0, 5.0, 0.5, 2.0)
         if kind == "full":
             assert grids == [256, 512, 1024]
-    assert sorted(sizes) == ["derivatives0", "derivatives1", "derivatives2", "f_inverse"]
+    assert sorted(sizes) == ["derivatives2", "f_inverse"]
     assert max(max(n) for n in sizes.values()) == 1024
 
 

@@ -710,8 +710,8 @@ def test_fd_gradient_quadratic_is_exact(rng, fd_gradient_check):
     z = np.linspace(-1, 1, n)
     prob = flows.FlowProblem(z, np.full(n, 2.0 / n), 1.0,
                              np.full(n + 1, n / 2.0), z**2,
-                             lambda y: (np.zeros_like(y), np.zeros_like(y)),
-                             lambda y: np.zeros_like(y), 1.0)
+                             lambda y: (np.zeros_like(y), np.zeros_like(y), 0.0),
+                             1.0)
     psi = rng.normal(size=n)
     d = rng.normal(size=n)
     d /= np.linalg.norm(d)
