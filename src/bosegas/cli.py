@@ -7,8 +7,9 @@ field is the timestamp.  Exit codes: 0 ok, 1 numeric failure, 2 config
 error, 3 IO error.
 
 Each subcommand imports the library module it runs inside its ``cmd_*``
-function, so a query pays only for its own imports (scipy is the bulk of
-import time); importing this module loads only ``config``.
+function, so a query pays only for its own imports (numpy is the bulk of
+import time, and no query's flows solve enough to load scipy); importing
+this module loads only ``config``.
 """
 
 from __future__ import annotations
@@ -432,8 +433,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     finally:
         # the program ends here: frozen objects skip the shutdown collection
-        # (60-110 ms with scipy loaded).  No output waits on a collector:
-        # every file is closed by its ``with``, verify's pool is joined
+        # (10-20 ms over numpy's objects; 60-110 ms once a flow past
+        # flows._SCIPY_AFTER rows has loaded scipy too).  No output waits on
+        # a collector: every file is closed by its ``with``, verify's pool
+        # is joined
         if program:
             gc.freeze()
 

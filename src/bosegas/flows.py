@@ -12,7 +12,7 @@ nonnegative by construction.  The geometry lives in the grid builder's
 weights alone: the local term q is a function of the density y = psi^2.
 
 Minimization starts as an imaginary-time style descent: each step solves
-the linearized backward-Euler system (tridiagonal, LAPACK gtsv) and
+the linearized backward-Euler system (tridiagonal, LAPACK's dgtsv) and
 renormalizes; the step size grows by x1.5 (``_DT_GROWTH``) after an
 accepted step and is halved whenever the energy fails to decrease, so the
 energy is monotone nonincreasing along the descent.  Each trial iterate is
@@ -30,6 +30,17 @@ residual falls below ``_RTOL`` times the energy scale.  If Newton stalls
 first, the descent resumes from the last kept iterate and hands off again
 at a 100x lower level, at most twice; after that the result is reported as
 not converged.  ``FlowResult.newton_steps`` counts the Newton steps tried.
+
+Every tridiagonal system goes through ``_solve``, and every one is solved
+by LAPACK's ``dgtsv`` algorithm: by ``_gtsv``, its op-for-op replica on
+Python floats, until the process has solved ``_SCIPY_AFTER`` = 2^19 rows
+times right-hand sides, and by scipy's ``dgtsv`` after that.  Importing
+``scipy.linalg.lapack`` costs 0.20-0.25 s and ~27 MB, the replica 0.33-0.5
+us per row and right-hand side, so the switch sits at their break-even: a
+one-shot CLI call never loads scipy, and a long batch pays for it once.
+The two give the same bits, assuming LAPACK was built without fused
+multiply-adds (the replica's reference test checks it), so no result
+depends on which one ran.
 
 ``minimize_nested`` is how every trap minimizer runs the flow: nested
 iteration (A. Brandt, Math. Comp. 31, 333 (1977)), coarse grids first.  It
@@ -75,6 +86,10 @@ _DT_MIN, _DT_MAX = 1e-18, 1e4
 _RTOL = 1e-9
 # minimize_nested halves n while the next grid keeps at least this many nodes
 _COARSEST = 256
+# _solve runs the dgtsv replica until this process has solved this many rows
+# times right-hand sides, then scipy's dgtsv (the import's break-even)
+_SCIPY_AFTER = 2**19
+_rows_solved = 0
 
 
 @dataclass
@@ -191,21 +206,113 @@ class FlowResult:
     newton_steps: int = 0       # Newton steps tried, refused ones included
 
 
+def _gtsv(dl: list, d: list, du: list, cols: list) -> bool:
+    """LAPACK's ``dgtsv`` (the netlib reference algorithm; E. Anderson et
+    al., *LAPACK Users' Guide*, SIAM 1999) on Python floats, op for op:
+    Gaussian elimination with partial pivoting on the tridiagonal with
+    sub-, main and superdiagonal ``dl``, ``d``, ``du``, then back
+    substitution through the two superdiagonals of U.  Each right-hand side
+    in ``cols``, a list of floats, is replaced by its solution.  Returns
+    False where LAPACK returns info > 0 (an exactly zero pivot), and where
+    it divides by zero and returns inf or NaN: that takes a NaN pivot, so
+    entries near the overflow threshold, and a flow step rejects such a
+    solution as it rejects a failed solve.
+
+    The elimination is done once and recorded (the factor and whether rows
+    were swapped), then replayed on each right-hand side: every operation on
+    a right-hand side reads only that column and the factors, so each gets
+    the bits of LAPACK's interleaved loop.  The Fortran special-cases the
+    last elimination step (I = N-1, no second superdiagonal to fill) and the
+    first back-substitution row (no B(I+2) term); here an exact +0.0 stands
+    for the missing superdiagonal entry and for B(N+1), so both steps
+    compute what the Fortran does: x - (+0.0) is x for every x.
+    """
+    diag, sup, sup2, fac, swap = [], [], [], [], []
+    dcur, ucur = d[0], du[0]
+    try:
+        for low, dnext, unext in zip(dl, d[1:], du[1:] + [0.0]):
+            if abs(dcur) >= abs(low):
+                if dcur == 0.0:
+                    return False
+                f = low / dcur
+                diag.append(dcur)
+                sup.append(ucur)
+                sup2.append(0.0)
+                dcur = dnext - f * ucur
+                ucur = unext
+                swap.append(False)
+            else:                       # interchange rows i and i+1
+                f = dcur / low
+                diag.append(low)
+                sup.append(dnext)
+                sup2.append(unext)
+                dcur = ucur - f * dnext
+                ucur = -f * unext
+                swap.append(True)
+            fac.append(f)
+        if dcur == 0.0:
+            return False
+        for rows in (diag, sup, sup2):
+            rows.reverse()
+        for j, b in enumerate(cols):
+            y, cur = [], b[0]
+            for f, swapped, nxt in zip(fac, swap, b[1:]):
+                if swapped:
+                    y.append(nxt)
+                    cur = cur - f * nxt
+                else:
+                    y.append(cur)
+                    cur = nxt - f * cur
+            x0, x1 = cur / dcur, 0.0
+            x = [x0]
+            y.reverse()
+            for yi, ui, li, di in zip(y, sup, sup2, diag):
+                x0, x1 = (yi - ui * x0 - li * x1) / di, x0
+                x.append(x0)
+            x.reverse()
+            cols[j] = x
+    except ZeroDivisionError:
+        return False
+    return True
+
+
 def _solve(prob: FlowProblem, d, rhs, dt: float = 1.0) -> np.ndarray | None:
-    """LAPACK ``gtsv`` solve with diagonal ``d`` and the off-diagonals of
+    """Tridiagonal solve with diagonal ``d`` and the off-diagonals of
     dt W^-1 A, leaving ``rhs`` intact; None when an entry of ``d`` or
     ``rhs`` is not finite or the matrix is singular.  The off-diagonals of
     W^-1 A were checked when ``prob`` was built, and dt is within the
-    descent's bounds, so dt W^-1 A needs no check."""
-    from scipy.linalg.lapack import dgtsv
+    descent's bounds, so dt W^-1 A needs no check.
+
+    The solver is ``_gtsv``, LAPACK's ``dgtsv`` on Python floats, while
+    ``_rows_solved``, the rows times right-hand sides this process has
+    solved, this call's included, is at most ``_SCIPY_AFTER``; after that
+    it is scipy's ``dgtsv``, imported on first use.  2^19 is the break-even
+    of the 0.20-0.25 s import against the replica's 0.33-0.5 us per row and
+    right-hand side.  A ``gp`` call solves ~3e4 rows, ``regimes`` 2e4 and
+    ``verify``'s worker 2.2e5, so none of them loads scipy; a batch of a
+    few dozen trap minimizations switches once and pays the import once.
+    The two give the same bits provided LAPACK was built without fused
+    multiply-adds, which the replica's reference test in
+    ``tests/test_flows.py`` checks.
+    """
+    global _rows_solved
     if not (np.isfinite(d).all() and np.isfinite(rhs).all()):
         return None
     off = dt * prob._off
     du = off / prob.w[:-1]
     dl = off / prob.w[1:]
-    *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
-                        overwrite_du=1, overwrite_b=0)
-    return x if info == 0 else None
+    _rows_solved += rhs.size
+    if _rows_solved > _SCIPY_AFTER:
+        from scipy.linalg.lapack import dgtsv
+        *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
+                            overwrite_du=1, overwrite_b=0)
+        return x if info == 0 else None
+    # a 2-column rhs is Fortran-ordered, as LAPACK returns it, so that each
+    # solution column is contiguous and later dot products sum alike
+    cols = [rhs.tolist()] if rhs.ndim == 1 else rhs.T.tolist()
+    if not _gtsv(dl.tolist(), d.tolist(), du.tolist(), cols):
+        return None
+    return np.array(cols[0]) if rhs.ndim == 1 else np.array(cols).T
 
 
 def _implicit_step(prob: FlowProblem, psi: np.ndarray, terms,

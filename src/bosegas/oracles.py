@@ -132,16 +132,22 @@ def random_field(n: int, L: float, rng: np.random.Generator, kmax: int = 3,
     return DiscreteField(L, coeffs, n, not complex_valued)
 
 
-def random_subset(n: int, rng: np.random.Generator,
-                  frac_complement: float) -> np.ndarray:
+def random_subset(n: int, rng: np.random.Generator, frac_complement: float,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
     """Smooth random super-level-set mask with |Omega^c|/|K| near the
-    requested fraction."""
+    requested fraction.  ``scratch``, n^3 floats, is where the samples are
+    partitioned; a calibration passes one array to all its calls, where a
+    fresh n^3 copy would be mapped and faulted in every time."""
     g = random_field(n, 1.0, rng, kmax=2).values
     # np.quantile's threshold lies between the lo-th and hi-th smallest
     # samples (lo, hi the floor and ceiling of frac (n^3 - 1)), and no sample
     # lies strictly between them, so its mask is g >= the hi-th smallest
     hi = math.ceil(frac_complement * (g.size - 1))
-    return g >= np.partition(g, hi, axis=None)[hi]
+    if scratch is None:
+        scratch = np.empty(g.size)
+    scratch.reshape(g.shape)[...] = g
+    scratch.partition(hi)
+    return g >= scratch[hi]
 
 
 def _gradient_norms(coeffs: np.ndarray, L: float, omega_mask: np.ndarray,
@@ -317,10 +323,11 @@ def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
     """
     rng = np.random.default_rng(seed)
     weight = _cosine_weight(n) if variant == "inhomogeneous" else None
+    scratch = np.empty(n**3)
     ratios = []
     for _ in range(n_cases):
         frac = rng.uniform(0.0, 0.5)
-        mask = random_subset(n, rng, frac)
+        mask = random_subset(n, rng, frac, scratch)
         f = random_field(n, 1.0, rng, kmax=2,
                          complex_valued=(variant == "vector_potential"))
         if variant == "inhomogeneous":

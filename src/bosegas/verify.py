@@ -346,8 +346,9 @@ def _run_sections(sections) -> dict:
     return out
 
 
-# the sections that run a flow, and so load scipy.linalg: they run in a
-# worker process while the numpy-only ones run in the caller
+# the sections that run a flow: they run in a worker process while the
+# others run in the caller.  Neither process loads scipy (the worker's flows
+# stay below flows._SCIPY_AFTER), so the split only balances their times
 _WORKER_SECTIONS = ("meanfield", "onedim", "charged")
 
 
@@ -355,9 +356,9 @@ def run_all(seed: int = 20240) -> tuple[dict, dict]:
     """Run the whole invariant suite; returns (scorecard, timings).
 
     The sections in ``_WORKER_SECTIONS`` run in one worker process, started
-    first; the others run meanwhile in this one.  The checks are then put
-    together in the sections' order, so the scorecard does not depend on the
-    split.
+    first; the others run meanwhile in this one.  Both need numpy alone, so
+    the split only balances time.  The checks are then put together in the
+    sections' order, so the scorecard does not depend on the split.
 
     ``timings`` holds the wall seconds of each section (scattering,
     homogeneous, meanfield, onedim, charged, oracles) under "sections", the

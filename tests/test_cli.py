@@ -374,16 +374,16 @@ def test_cli_import_loads_only_config(tmp_path, ll_curve):
             "bosegas.oracles"} <= set(after_modules)
     assert not _scipy(after_modules)
     assert not _scipy(after_tables)
-    # a flow step loads scipy.linalg for its banded solve, and nothing else:
-    # the hard-wall transverse mode is two constants, so no scipy.special
+    # a CLI call's flows solve their tridiagonals with the dgtsv replica,
+    # well below the count at which flows._solve turns to scipy, and the
+    # hard-wall transverse mode is two constants: no scipy at all
     for loaded in (after_gp, after_flows):
-        assert "scipy.linalg" in loaded
-        assert not _scipy(loaded, "scipy.optimize", "scipy.interpolate",
-                          "scipy.special")
-    # verify solves its delta gases dense in the zero-momentum sector: no
-    # scipy.sparse, no ARPACK
+        assert "bosegas.flows" in loaded
+        assert not _scipy(loaded)
+    # verify's caller runs no flow, and solves its delta gases dense in the
+    # zero-momentum sector (no scipy.sparse, no ARPACK): no scipy either
     assert "bosegas.verify" in after_verify
-    assert not _scipy(after_verify, "scipy.sparse", "scipy.special")
+    assert not _scipy(after_verify)
 
 
 def test_bounds_sweep_contract(tmp_path):
@@ -1105,8 +1105,8 @@ print(json.dumps(loaded()))
 
 
 def test_verify_sections_import_boundary():
-    # the caller's sections need numpy alone; the worker's load scipy.linalg
-    # for the flows' banded solve, and no scipy.special
+    # the caller's sections need numpy alone, and so do the worker's: their
+    # flows stay below the count at which flows._solve turns to scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -1116,8 +1116,67 @@ def test_verify_sections_import_boundary():
     assert proc.returncode == 0, proc.stderr
     after_local, after_flow = map(json.loads, proc.stdout.splitlines())
     assert after_local == []
-    assert "scipy.linalg" in after_flow
-    assert not _scipy(after_flow, "scipy.special")
+    assert after_flow == []
+
+
+_PAST_THE_SWITCH = """
+import json
+import sys
+from bosegas import cli, flows
+
+flows._rows_solved = flows._SCIPY_AFTER
+assert cli.main(["gp", "--N", "10", "--coupling", "0.1", "--n-grid", "256",
+                 "--out", sys.argv[1]]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_flows_past_the_switch_load_scipy_linalg_alone(tmp_path):
+    # a process that has solved more than flows._SCIPY_AFTER rows pays for
+    # scipy's dgtsv once, and that import brings no other scipy package
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _PAST_THE_SWITCH,
+                           str(tmp_path / "gp.json")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "scipy.linalg" in loaded
+    assert not _scipy(loaded, "scipy.optimize", "scipy.interpolate",
+                      "scipy.special", "scipy.sparse")
+
+
+def _rows_solved(monkeypatch, run, *args):
+    """The rows times right-hand sides that ``run(*args)`` hands to
+    ``flows._solve``."""
+    from bosegas import flows
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "_rows_solved", 0)
+        run(*args)
+        return flows._rows_solved
+
+
+def test_cli_sized_flows_stay_below_the_scipy_switch(monkeypatch, tmp_path):
+    # verify's worker process and the one-shot gp and regimes calls load no
+    # scipy while their flows solve at most flows._SCIPY_AFTER rows; a new
+    # check or a finer default grid that comes within 2x of it fails here
+    # before it brings the ~27 MB import back into those processes
+    from bosegas import flows, verify
+    worker = sum(_rows_solved(monkeypatch, run, *args) for run, args in (
+        (verify._meanfield_checks, ()), (verify._onedim_checks, ()),
+        (verify._charged_checks, (17,))))
+    out = str(tmp_path / "out.json")
+    calls = [("gp", "--coupling", "0.1"),
+             ("gp", "--dim", "2", "--N", "50", "--coupling", "10"),
+             ("regimes", "--N", "30", "--L", "100", "--r", "0.5", "--a", "1e-4"),
+             ("regimes", "--N", "30", "--L", "100", "--r", "0.5", "--a", "1e-4",
+              "--transverse", "hard_wall")]
+    counts = [_rows_solved(monkeypatch, run_cli, *argv, "--out", out)
+              for argv in calls]
+    for count in (worker, *counts):
+        assert 0 < count < flows._SCIPY_AFTER // 2
 
 
 def test_exit_codes(tmp_path):

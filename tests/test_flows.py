@@ -271,6 +271,118 @@ def test_solve_refuses_nonfinite_input_and_a_singular_matrix():
     assert flows._solve(flat, np.array([1.0, 0.0, 2.0]), np.ones(3)) is None
 
 
+# --- the dgtsv replica against LAPACK's ---------------------------------------
+
+def _lapack_gtsv(dl, d, du, b):
+    """scipy's ``dgtsv`` on copies: the solution, None where info > 0."""
+    from scipy.linalg.lapack import dgtsv
+    *_, x, info = dgtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+    return None if info > 0 else x
+
+
+def _replica_gtsv(dl, d, du, b):
+    """``flows._gtsv`` on the same system, as ``flows._solve`` calls it."""
+    cols = [b.tolist()] if b.ndim == 1 else b.T.tolist()
+    if not flows._gtsv(dl.tolist(), d.tolist(), du.tolist(), cols):
+        return None
+    return np.array(cols[0]) if b.ndim == 1 else np.array(cols).T
+
+
+def _tridiagonal(rng, n, interchanges):
+    """(dl, d, du) with the diagonal scaled by 0.1..10.  Without
+    interchanges |d| >= 2 s > |dl|, |du| (s the scale), so every pivot stays
+    above s and partial pivoting never swaps rows; with them the
+    off-diagonals are ~10x the diagonal."""
+    s = rng.uniform(0.1, 10.0)
+    if interchanges:
+        return (10.0 * s * rng.normal(size=n - 1), s * rng.normal(size=n),
+                10.0 * s * rng.normal(size=n - 1))
+    sign = rng.choice([-1.0, 1.0], size=n)
+    return (s * rng.uniform(-1.0, 1.0, n - 1),
+            sign * s * rng.uniform(2.0, 3.0, n),
+            s * rng.uniform(-1.0, 1.0, n - 1))
+
+
+@pytest.mark.parametrize("interchanges", [False, True])
+def test_gtsv_replica_is_lapacks_dgtsv(interchanges):
+    # bit for bit, so both routes of flows._solve give every flow the same
+    # iterates; this would fail against a LAPACK built with fused
+    # multiply-adds, whose products are not rounded before the subtraction
+    rng = np.random.default_rng(43 + interchanges)
+    for n in range(2, 301):
+        for k in (1, 2):
+            dl, d, du = _tridiagonal(rng, n, interchanges)
+            b = rng.normal(size=n) if k == 1 \
+                else np.asfortranarray(rng.normal(size=(n, 2)))
+            ref = _lapack_gtsv(dl, d, du, b)
+            got = _replica_gtsv(dl, d, du, b)
+            assert ref is not None and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+            assert got.flags.f_contiguous == ref.flags.f_contiguous
+
+
+def test_gtsv_replica_fails_where_lapack_reports_a_zero_pivot():
+    rng = np.random.default_rng(4)
+    for n in range(2, 301, 7):
+        for interchanges in (False, True):
+            for k in (1, 2):
+                b = rng.normal(size=n) if k == 1 \
+                    else np.asfortranarray(rng.normal(size=(n, 2)))
+                # row j's pivot is an exact zero once d[j], dl[j] and
+                # du[j-1] are (elimination of row j-1 leaves +-0 there);
+                # a zero d[j] alone is swapped away when dl[j] != 0
+                for j in sorted({0, n // 2, n - 1}):
+                    for zero_row in (False, True):
+                        dl, d, du = _tridiagonal(rng, n, interchanges)
+                        d[j] = 0.0
+                        if zero_row:
+                            if j < n - 1:
+                                dl[j] = 0.0
+                            if j > 0:
+                                du[j - 1] = 0.0
+                        ref = _lapack_gtsv(dl, d, du, b)
+                        got = _replica_gtsv(dl, d, du, b)
+                        assert (ref is None) == zero_row
+                        if zero_row:
+                            assert got is None
+                        else:
+                            assert got.tobytes() == ref.tobytes()
+
+
+def _cascade_bytes(monkeypatch, solved):
+    """Every grid's FlowResult, the energy and the Solve record of one GP
+    cascade, as exact reprs, with the solved-rows counter set to
+    ``solved`` first; and the counter after it."""
+    results = []
+    run = flows.minimize_flow
+
+    def recording(prob, psi0):
+        results.append(run(prob, psi0))
+        return results[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "minimize_flow", recording)
+        patch.setattr(flows, "_rows_solved", solved)
+        _, rep = meanfield.gp_minimize(meanfield.GPProblem(3, 100.0, 0.01,
+                                                           n_grid=4096))
+        after = flows._rows_solved
+    flat = [(r.psi.tobytes(), repr(dataclasses.astuple(
+        dataclasses.replace(r, psi=None)))) for r in results]
+    return (flat, repr(rep.E_total), repr(rep.solve)), after
+
+
+def test_cascade_is_the_same_either_side_of_the_scipy_switch(monkeypatch):
+    limit = flows._SCIPY_AFTER
+    replica, after = _cascade_bytes(monkeypatch, 0)
+    rows = after
+    assert 0 < rows <= limit
+    # the switch in the middle of the cascade, and scipy's dgtsv throughout
+    across, after = _cascade_bytes(monkeypatch, limit - rows // 2)
+    assert after == limit + rows - rows // 2
+    lapack, _ = _cascade_bytes(monkeypatch, limit + 1)
+    assert replica == across == lapack
+
+
 @pytest.mark.parametrize("w", [np.array([1.0, 0.0, 1.0]),
                                np.array([1.0, 1e-320, 1.0]),
                                np.array([1.0, np.nan, 1.0])])

@@ -403,13 +403,15 @@ def _quantile_mask(g, frac_complement):
                                           ("inhomogeneous", 29)])
 def test_partition_masks_equal_quantile_masks_on_verify_corpora(variant,
                                                                 seed):
-    # the corpora of verify --seed 7, drawn as poincare_calibrate draws them
+    # the corpora of verify --seed 7, drawn as poincare_calibrate draws them,
+    # partitioned in one scratch array per corpus
     for n in (24, 48):
         rng = np.random.default_rng(seed)
+        scratch = np.empty(n**3)
         for _ in range(60):
             frac = rng.uniform(0.0, 0.5)
             state = rng.bit_generator.state
-            mask = orc.random_subset(n, rng, frac)
+            mask = orc.random_subset(n, rng, frac, scratch)
             rng.bit_generator.state = state
             g = orc.random_field(n, 1.0, rng, kmax=2).values
             assert np.array_equal(mask, _quantile_mask(g, frac))
