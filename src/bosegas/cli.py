@@ -18,6 +18,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -213,6 +214,14 @@ def cmd_charged(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if "numpy" not in sys.modules:
+        # before BLAS loads: both of verify's workers then run one thread
+        # each (two pools of two contend on two cores), and the scorecard's
+        # bits do not depend on the thread count.  A caller that has loaded
+        # numpy keeps its own pool
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            os.environ[var] = "1"
     from . import verify
     t0 = time.perf_counter()
     card, timings = verify.run_all(args.seed)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -99,20 +100,28 @@ def _phase(K: int, n: int) -> np.ndarray:
     return np.exp((2j * math.pi / n) * kj)
 
 
-def _synthesize(coeffs: np.ndarray, n: int, real: bool) -> np.ndarray:
+def _synthesize(coeffs: np.ndarray, n: int, real: bool,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Samples on the n-point periodic grid of sum_k c_k exp(2 pi i k.j/n),
     or of its real part: one contraction per axis with a K x n phase
-    matrix, K n^d work for the last one instead of an n^d FFT."""
+    matrix, K n^d work for the last one instead of an n^d FFT.  The last
+    contraction writes into ``out`` (n^d C-contiguous floats, a real
+    field's) when it is given, with ``np.tensordot``'s bits."""
     phase = _phase(coeffs.shape[0], n)
-    out = coeffs
+    field = coeffs
     for _ in range(coeffs.ndim - 1):
         # contracting the leading axis moves the new grid axis to the end
-        out = np.tensordot(out, phase, axes=(0, 0))
+        field = np.tensordot(field, phase, axes=(0, 0))
     if real:
         # Re(p e) = Re p Re e - Im p Im e, as one real contraction
-        out = np.concatenate((out.real, out.imag))
+        field = np.concatenate((field.real, field.imag))
         phase = np.concatenate((phase.real, -phase.imag))
-    return np.tensordot(out, phase, axes=(0, 0))
+    if out is None:
+        return np.tensordot(field, phase, axes=(0, 0))
+    # tensordot's own product: the grid axes first, the contracted one last
+    grid = field.transpose((*range(1, field.ndim), 0)).reshape(-1, len(phase))
+    np.dot(grid, phase, out=out.reshape(-1, n))
+    return out
 
 
 def random_field(n: int, L: float, rng: np.random.Generator, kmax: int = 3,
@@ -135,23 +144,26 @@ def random_field(n: int, L: float, rng: np.random.Generator, kmax: int = 3,
 def random_subset(n: int, rng: np.random.Generator, frac_complement: float,
                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Smooth random super-level-set mask with |Omega^c|/|K| near the
-    requested fraction.  ``scratch``, n^3 floats, is where the samples are
-    partitioned; a calibration passes one array to all its calls, where a
-    fresh n^3 copy would be mapped and faulted in every time."""
-    g = random_field(n, 1.0, rng, kmax=2).values
+    requested fraction.  ``scratch``, 2 x n^3 floats, holds the field's
+    samples in its first row and their partitioned copy in its second; a
+    calibration passes one array to all its calls, where fresh n^3 arrays
+    would be mapped and faulted in every time."""
+    if scratch is None:
+        scratch = np.empty((2, n**3))
+    samples, ranked = scratch
+    field = random_field(n, 1.0, rng, kmax=2)
+    g = _synthesize(field.coeffs, n, field.real, samples.reshape(n, n, n))
     # np.quantile's threshold lies between the lo-th and hi-th smallest
     # samples (lo, hi the floor and ceiling of frac (n^3 - 1)), and no sample
     # lies strictly between them, so its mask is g >= the hi-th smallest
     hi = math.ceil(frac_complement * (g.size - 1))
-    if scratch is None:
-        scratch = np.empty(g.size)
-    scratch.reshape(g.shape)[...] = g
-    scratch.partition(hi)
-    return g >= scratch[hi]
+    ranked[...] = samples
+    ranked.partition(hi)
+    return g >= ranked[hi]
 
 
 def _gradient_norms(coeffs: np.ndarray, L: float, omega_mask: np.ndarray,
-                    phi: float = 0.0):
+                    phi: float = 0.0, scratch: np.ndarray | None = None):
     """Sums over Omega and over the whole grid of |grad u + i phi/L e_z u|^2
     (e_z the last axis) for the field u with band coefficients ``coeffs``.
     The grid's size and dimension are the mask's.  The gradient is the exact
@@ -161,7 +173,8 @@ def _gradient_norms(coeffs: np.ndarray, L: float, omega_mask: np.ndarray,
     With coefficients a_k of a component, sum_Omega |g|^2 is the quadratic
     form sum_{k,k'} conj(a_k) a_k' m(k' - k) with m the transform of the
     mask on the 2K - 1 mode differences, and the full sum is Parseval's
-    n^d sum_k |a_k|^2: no gradient is sampled.
+    n^d sum_k |a_k|^2: no gradient is sampled.  The mask's float copy goes
+    to ``scratch`` (n^d floats) when it is given.
     """
     n, d = omega_mask.shape[0], omega_mask.ndim
     K = coeffs.shape[0]
@@ -175,9 +188,16 @@ def _gradient_norms(coeffs: np.ndarray, L: float, omega_mask: np.ndarray,
     # m(q) = sum_x mask(x) exp(2 pi i q.x/n), q in [-(K-1), K-1]^d; the
     # first contraction is of a real array, so it is two real products
     phase = _phase(2 * K - 1, n)
-    m = omega_mask.astype(float)
-    m = (np.tensordot(m, phase.real, axes=(0, 1))
-         + 1j * np.tensordot(m, phase.imag, axes=(0, 1)))
+    # tensordot's operands, (grid axes, x) and (x, q), with the mask's axis
+    # x moved last in one float copy where tensordot would take two
+    if scratch is None:
+        scratch = np.empty(omega_mask.size)
+    grid = scratch.reshape(-1, n)
+    np.copyto(grid.reshape(omega_mask.shape[1:] + (n,)),
+              np.moveaxis(omega_mask, 0, -1))
+    shape = omega_mask.shape[1:] + (2 * K - 1,)
+    m = (np.dot(grid, phase.real.T).reshape(shape)
+         + 1j * np.dot(grid, phase.imag.T).reshape(shape))
     for _ in range(d - 1):
         m = np.tensordot(m, phase, axes=(0, 1))
     # gram[k, k'] = m(k' - k) over the flattened bands
@@ -225,7 +245,8 @@ class PoincareResult:
 
 
 def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
-                   params: dict | None = None) -> PoincareResult:
+                   params: dict | None = None,
+                   scratch: np.ndarray | None = None) -> PoincareResult:
     """Measure one instance of a generalized Poincare inequality.
 
     homogeneous:  |f - <f>|^2_K <= C [ L^2 |grad f|^2_Omega
@@ -245,6 +266,7 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
     grid is taken from them by Parseval, sum_x |u|^2 = n^d sum_k |c_k|^2:
     the mean is the zero mode, and the centred norm, the projection and the
     weight's inner products are sums over modes.  No sample is synthesized.
+    ``scratch``, n^d floats, holds the mask's float copy if it is given.
     """
     params = params or {}
     n, d = omega_mask.shape[0], omega_mask.ndim
@@ -256,7 +278,7 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
         coeffs, lhs = _centred(f, n)
         lhs *= dV
         g2_omega, g2_full = (s * dV for s in _gradient_norms(
-            coeffs, f.L, omega_mask))
+            coeffs, f.L, omega_mask, scratch=scratch))
         rhs = f.L**2 * g2_omega + comp_vol ** (2.0 / 3.0) * g2_full
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         return PoincareResult(ratio, lhs, rhs, comp_vol / vol,
@@ -276,7 +298,8 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
         c = float(np.vdot(b, a).real) / float(np.vdot(b, b).real)
         coeffs = a - c * b
         lhs = _parseval(coeffs, n) * dV
-        g2_omega, g2_full = _gradient_norms(coeffs, f.L, omega_mask)
+        g2_omega, g2_full = _gradient_norms(coeffs, f.L, omega_mask,
+                                            scratch=scratch)
         rhs = g2_omega * dV + (comp_vol / vol) ** (2.0 / d) * g2_full * dV
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         return PoincareResult(ratio, lhs, rhs, comp_vol / vol, {})
@@ -290,7 +313,7 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
         if norm2 == 0.0:
             return PoincareResult(0.0, 0.0, 0.0, comp_vol / vol, {})
         g2_omega, g2_full = (s * dV for s in _gradient_norms(
-            coeffs, f.L, omega_mask, phi))
+            coeffs, f.L, omega_mask, phi, scratch))
         excess = g2_omega - (phi / f.L) ** 2 * norm2
         if comp_vol == 0.0:
             ratio = excess / (norm2 / f.L**2)
@@ -323,7 +346,12 @@ def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
     """
     rng = np.random.default_rng(seed)
     weight = _cosine_weight(n) if variant == "inhomogeneous" else None
-    scratch = np.empty(n**3)
+    # the samples and their partitioned copy of every mask, then the mask's
+    # float copy in the first row: one mapping per calibration instead of
+    # n^3 arrays per case, and unmapped when the calibration ends, where a
+    # freed heap block of its size would stay resident
+    scratch = np.frombuffer(mmap.mmap(-1, 2 * n**3 * 8)).reshape(2, n**3)
+    samples = scratch[0]
     ratios = []
     for _ in range(n_cases):
         frac = rng.uniform(0.0, 0.5)
@@ -331,11 +359,13 @@ def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
         f = random_field(n, 1.0, rng, kmax=2,
                          complex_valued=(variant == "vector_potential"))
         if variant == "inhomogeneous":
-            res = poincare_check(variant, f, mask, {"h_weight": weight})
+            res = poincare_check(variant, f, mask, {"h_weight": weight},
+                                 samples)
         elif variant == "vector_potential":
-            res = poincare_check(variant, f, mask, {"phi": 0.5 * math.pi})
+            res = poincare_check(variant, f, mask, {"phi": 0.5 * math.pi},
+                                 samples)
         else:
-            res = poincare_check(variant, f, mask)
+            res = poincare_check(variant, f, mask, None, samples)
         ratios.append(res.ratio)
     ratios = np.asarray(ratios)
     if variant == "vector_potential":

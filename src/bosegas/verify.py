@@ -346,26 +346,28 @@ def _run_sections(sections) -> dict:
     return out
 
 
-# the sections that run a flow: they run in a worker process while the
-# others run in the caller.  Neither process loads scipy (the worker's flows
-# stay below flows._SCIPY_AFTER), so the split only balances their times
-_WORKER_SECTIONS = ("meanfield", "onedim", "charged")
+# the sections that run a flow: one worker process runs them, and another
+# runs the rest (the scattering solves and the corpora).  Neither loads
+# scipy (the flows stay below flows._SCIPY_AFTER), so the split only
+# balances their times
+_FLOW_SECTIONS = ("meanfield", "onedim", "charged")
 
 
 def run_all(seed: int = 20240) -> tuple[dict, dict]:
     """Run the whole invariant suite; returns (scorecard, timings).
 
-    The sections in ``_WORKER_SECTIONS`` run in one worker process, started
-    first; the others run meanwhile in this one.  Both need numpy alone, so
-    the split only balances time.  The checks are then put together in the
-    sections' order, so the scorecard does not depend on the split.
+    Two worker processes run the sections: one those in
+    ``_FLOW_SECTIONS``, the other the rest, while this process only waits
+    for their checks and puts them together in the sections' order, so the
+    scorecard does not depend on which process ran what.  So the process
+    that imported every module builds no section's arrays on top of them.
 
     ``timings`` holds the wall seconds of each section (scattering,
     homogeneous, meanfield, onedim, charged, oracles) under "sections", the
     peak resident set in MB, after each, of the process that ran it under
-    "max_rss_mb", and each process's sections in run order under
-    "processes"; they are never part of the scorecard, which stays
-    byte-reproducible.
+    "max_rss_mb", and each worker's sections in run order under "processes"
+    ("flows" and "corpora"); they are never part of the scorecard, which
+    stays byte-reproducible.
     """
     sections = (("scattering", _scattering_checks, ()),
                 ("homogeneous", _homogeneous_checks, (seed,)),
@@ -373,12 +375,13 @@ def run_all(seed: int = 20240) -> tuple[dict, dict]:
                 ("onedim", _onedim_checks, ()),
                 ("charged", _charged_checks, (seed + 10,)),
                 ("oracles", _oracle_checks, (seed + 20,)))
-    split = {"main": [s for s in sections if s[0] not in _WORKER_SECTIONS],
-             "worker": [s for s in sections if s[0] in _WORKER_SECTIONS]}
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(_run_sections, split["worker"])
-        done = _run_sections(split["main"])
-        done.update(worker.result())
+    split = {"flows": [s for s in sections if s[0] in _FLOW_SECTIONS],
+             "corpora": [s for s in sections if s[0] not in _FLOW_SECTIONS]}
+    done = {}
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        workers = [pool.submit(_run_sections, run) for run in split.values()]
+        for worker in workers:
+            done.update(worker.result())
     checks = [c for name, _, _ in sections for c in done[name][0]]
     timings = {"sections": {name: done[name][1] for name in done},
                "max_rss_mb": {name: done[name][2] for name in done},

@@ -380,8 +380,9 @@ def test_cli_import_loads_only_config(tmp_path, ll_curve):
     for loaded in (after_gp, after_flows):
         assert "bosegas.flows" in loaded
         assert not _scipy(loaded)
-    # verify's caller runs no flow, and solves its delta gases dense in the
-    # zero-momentum sector (no scipy.sparse, no ARPACK): no scipy either
+    # verify's caller runs no section, and its workers' modules import no
+    # scipy (the delta gases are solved dense in the zero-momentum sector,
+    # no scipy.sparse, no ARPACK): no scipy either
     assert "bosegas.verify" in after_verify
     assert not _scipy(after_verify)
 
@@ -973,14 +974,14 @@ def test_verify_timings_sidecar(tmp_path, ll_curve):
     assert set(sections) == {"scattering", "homogeneous", "meanfield",
                              "onedim", "charged", "oracles"}
     assert all(s > 0.0 for s in sections.values())
-    # the two processes overlap: the suite's wall time is below the sum
+    # the two workers overlap: the suite's wall time is below the sum
     assert 0.0 < timings["total"] <= sum(sections.values())
     assert timings["seed"] == 7 and timings["unit"] == "s"
-    # each process's sections in the order it ran them, with the peak
+    # each worker's sections in the order it ran them, with the peak
     # resident set of that process after each
     assert timings["processes"] == {
-        "main": ["scattering", "homogeneous", "oracles"],
-        "worker": ["meanfield", "onedim", "charged"]}
+        "corpora": ["scattering", "homogeneous", "oracles"],
+        "flows": ["meanfield", "onedim", "charged"]}
     assert set(timings["max_rss_mb"]) == set(sections)
     for order in timings["processes"].values():
         peaks = [timings["max_rss_mb"][name] for name in order]
@@ -1030,8 +1031,12 @@ def _dead_worker(*args):
     os._exit(7)
 
 
-def _local_error(*args):
-    raise ValueError("local section failed")
+def _corpus_error(*args):
+    raise ValueError("corpus section failed")
+
+
+def _pid_check(*args):
+    return [{"name": "pid", "value": float(os.getpid()), "passed": True}]
 
 
 @pytest.mark.parametrize("section,code,message", [
@@ -1074,15 +1079,47 @@ def test_only_the_program_freezes_its_objects_at_exit(monkeypatch, tmp_path):
     assert frozen == [True, True]
 
 
-def test_verify_joins_worker_when_a_local_section_raises(monkeypatch):
+def test_verify_joins_workers_when_a_corpus_section_raises(monkeypatch):
     from bosegas import verify
     for name in ("_meanfield_checks", "_onedim_checks", "_charged_checks",
                  "_homogeneous_checks", "_oracle_checks"):
         monkeypatch.setattr(verify, name, _no_checks)
-    monkeypatch.setattr(verify, "_scattering_checks", _local_error)
-    with pytest.raises(ValueError, match="local section failed"):
+    monkeypatch.setattr(verify, "_scattering_checks", _corpus_error)
+    with pytest.raises(ValueError, match="corpus section failed"):
         verify.run_all(7)
     assert not multiprocessing.active_children()
+
+
+def test_verify_runs_no_section_in_the_calling_process(monkeypatch):
+    from bosegas import verify
+    for name in ("_scattering_checks", "_homogeneous_checks",
+                 "_meanfield_checks", "_onedim_checks", "_charged_checks",
+                 "_oracle_checks"):
+        monkeypatch.setattr(verify, name, _pid_check)
+    card, _ = verify.run_all(7)
+    pids = [c["value"] for c in card["checks"]]
+    assert len(pids) == 6
+    assert float(os.getpid()) not in pids
+    assert not multiprocessing.active_children()
+
+
+def test_cli_verify_bytes_do_not_depend_on_the_blas_thread_count():
+    # the program pins one BLAS thread before numpy loads, so the scorecard
+    # at OPENBLAS_NUM_THREADS=2 is the one-thread scorecard
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cards = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "bosegas.cli", "verify",
+                               "--seed", "7"], env=env, capture_output=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        cards.append(proc.stdout)
+    assert cards[0] == cards[1]
 
 
 _SECTION_IMPORTS = """
@@ -1105,8 +1142,9 @@ print(json.dumps(loaded()))
 
 
 def test_verify_sections_import_boundary():
-    # the caller's sections need numpy alone, and so do the worker's: their
-    # flows stay below the count at which flows._solve turns to scipy
+    # the corpus worker's sections need numpy alone, and so do the flow
+    # worker's: their flows stay below the count at which flows._solve turns
+    # to scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -1114,8 +1152,8 @@ def test_verify_sections_import_boundary():
     proc = subprocess.run([sys.executable, "-c", _SECTION_IMPORTS], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    after_local, after_flow = map(json.loads, proc.stdout.splitlines())
-    assert after_local == []
+    after_corpora, after_flow = map(json.loads, proc.stdout.splitlines())
+    assert after_corpora == []
     assert after_flow == []
 
 
@@ -1159,7 +1197,7 @@ def _rows_solved(monkeypatch, run, *args):
 
 
 def test_cli_sized_flows_stay_below_the_scipy_switch(monkeypatch, tmp_path):
-    # verify's worker process and the one-shot gp and regimes calls load no
+    # verify's flow worker and the one-shot gp and regimes calls load no
     # scipy while their flows solve at most flows._SCIPY_AFTER rows; a new
     # check or a finer default grid that comes within 2x of it fails here
     # before it brings the ~27 MB import back into those processes

@@ -269,6 +269,102 @@ def test_dyson_lemma_rejects_bad_U():
         hb.dyson_lemma_residual(r, np.ones_like(r), v, bad, 8.0)
 
 
+def _reference_dyson_lemma_residual(r, psi, v, U, R1):
+    """``hb.dyson_lemma_residual`` on whole arrays: a boolean mask for the
+    nodes up to R1, ``np.gradient`` and ``np.trapezoid``."""
+    mu = 1.0
+    mask = r <= R1 * (1 + 1e-12)
+    rr, pp = r[mask], psi[mask]
+    dp = np.gradient(pp, rr)
+    vv = np.asarray(v(rr))
+    uu = np.asarray(U(rr))
+    if U.dimension == 3:
+        integrand = (mu * dp**2 + 0.5 * vv * pp**2 - mu * U.a * uu * pp**2) * rr**2
+    else:
+        integrand = (mu * dp**2 + 0.5 * vv * pp**2 - mu * uu * pp**2) * rr
+    return float(np.trapezoid(integrand, rr))
+
+
+def _verify_dyson_grid():
+    """The 64,096-node grid and zero-energy solution of verify's
+    homogeneous.dyson_lemma_saturation entry, with its v, U and R1."""
+    v = sc.soft_sphere(1.0, 25.0)
+    sol = sc.solve_zero_energy(v)
+    a, R = sol.a, 200.0 * sol.a
+    psi_in = np.where(sol.grid > 0, sol.u / np.maximum(sol.grid, 1e-300),
+                      0.0) / sol.du[-1]
+    r_out = np.linspace(sol.grid[-1], 1.03 * R, 60000)[1:]
+    return (np.concatenate([sol.grid, r_out]),
+            np.concatenate([psi_in, 1.0 - a / r_out]),
+            v, hb.soft_potential(R, 0.995 * R, 3, a), 1.02 * R)
+
+
+def _dyson_test_grids():
+    """The grids, v, U and R1 of the four Dyson-lemma tests above."""
+    v3, v2 = sc.soft_sphere(1.0, 9.0), sc.soft_sphere(1.0, 9.0, dimension=2)
+    a3, a2 = sc.solve_zero_energy(v3).a, sc.solve_zero_energy(v2).a
+    r = np.linspace(1e-6, 4.0, 4000)
+    yield r, 1.0 - 0.3 / np.maximum(r, 0.3), v3, hb.soft_potential(6.0, 5.0, 3, a3), 4.0
+    yield _verify_dyson_grid()
+    r = np.linspace(1e-6, 8.0, 6000)
+    psi = 1.0 + 0.2 * np.sin(r / 8.0 * math.pi / 2)
+    yield r, psi, v3, hb.soft_potential(3.0, 1.0, 3, a3), 8.0
+    yield r, psi, v2, hb.soft_potential(4.0, 1.5, 2, a=a2), 8.0
+
+
+def test_dyson_lemma_blocks_keep_the_reference_bits():
+    for r, psi, v, U, R1 in _dyson_test_grids():
+        assert (hb.dyson_lemma_residual(r, psi, v, U, R1)
+                == _reference_dyson_lemma_residual(r, psi, v, U, R1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dyson_lemma_blocks_on_random_increasing_grids(dim):
+    # node counts below, at and across block edges, R1 inside and beyond the
+    # grid, and an evenly spaced grid, which np.gradient treats apart
+    rng = np.random.default_rng(dim)
+    v = sc.soft_sphere(1.0, 9.0, dimension=dim)
+    U = hb.soft_potential(4.0, 1.5, dim, sc.solve_zero_energy(v).a)
+    block = hb._DYSON_BLOCK
+    for n in (2, 3, block, block + 1, block + 2, 2 * block + 1, 3 * block + 7):
+        for grid in ("random", "even"):
+            if grid == "even":
+                r = np.arange(1, n + 1) * 2.0**-8
+                assert np.all(np.diff(r) == r[1] - r[0])
+            else:
+                r = np.cumsum(rng.uniform(0.01, 1.0, n))
+                r *= 8.0 / r[-1]
+            psi = 1.0 + 0.3 * np.sin(rng.normal() * r) + rng.normal(size=n) * 1e-3
+            for R1 in (8.0, 20.0, float(r[rng.integers(1, n)])):
+                assert (hb.dyson_lemma_residual(r, psi, v, U, R1)
+                        == _reference_dyson_lemma_residual(r, psi, v, U, R1))
+
+
+def test_dyson_lemma_needs_increasing_r():
+    v = sc.soft_sphere(1.0, 9.0)
+    U = hb.soft_potential(3.0, 1.0, 3, sc.solve_zero_energy(v).a)
+    r = np.linspace(1e-6, 8.0, 100)
+    for bad in (r[::-1], np.concatenate([r[:50], r[49:99]])):
+        with pytest.raises(ValueError, match="increasing"):
+            hb.dyson_lemma_residual(bad, np.ones_like(bad), v, U, 8.0)
+
+
+def test_homogeneous_section_traced_peak():
+    # the Dyson-lemma entry builds no grid-sized temporaries: whole-array
+    # gradient, integrand and trapezoid terms over its 64,096 nodes take the
+    # section's traced peak past 7 MB
+    import tracemalloc
+
+    from bosegas import verify
+    tracemalloc.start()
+    try:
+        verify._homogeneous_checks(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 # --- Temple ------------------------------------------------------------------
 
 def test_temple_zero_variance_returns_mean():

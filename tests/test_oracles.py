@@ -404,10 +404,10 @@ def _quantile_mask(g, frac_complement):
 def test_partition_masks_equal_quantile_masks_on_verify_corpora(variant,
                                                                 seed):
     # the corpora of verify --seed 7, drawn as poincare_calibrate draws them,
-    # partitioned in one scratch array per corpus
+    # synthesized and partitioned in one scratch array per corpus
     for n in (24, 48):
         rng = np.random.default_rng(seed)
-        scratch = np.empty(n**3)
+        scratch = np.empty((2, n**3))
         for _ in range(60):
             frac = rng.uniform(0.0, 0.5)
             state = rng.bit_generator.state
@@ -458,9 +458,9 @@ def test_calibration_synthesizes_the_masks_only(monkeypatch):
     shapes = []
     synthesize = orc._synthesize
 
-    def counted(coeffs, n, real):
+    def counted(coeffs, n, real, *out):
         shapes.append((coeffs.shape[0], n, real))
-        return synthesize(coeffs, n, real)
+        return synthesize(coeffs, n, real, *out)
 
     monkeypatch.setattr(orc, "_synthesize", counted)
     for variant in ("homogeneous", "vector_potential", "inhomogeneous"):
@@ -468,6 +468,57 @@ def test_calibration_synthesizes_the_masks_only(monkeypatch):
         orc.poincare_calibrate(variant, n=24, n_cases=5, seed=1)
         # one real kmax = 2 field per mask, no test field and no weight
         assert shapes == [(5, 24, True)] * 5
+
+
+def _tensordot_gradient_norms(coeffs, L, omega_mask, phi=0.0):
+    """``orc._gradient_norms`` with the mask's transform by ``np.tensordot``
+    on a float copy of the mask, as it was before the one-copy route."""
+    n, d = omega_mask.shape[0], omega_mask.ndim
+    K = coeffs.shape[0]
+    k = (2.0 * math.pi / L) * (np.arange(K) - K // 2)
+    grads = []
+    for ax in range(d):
+        shape = [1] * d
+        shape[ax] = K
+        mult = 1j * (k + phi / L) if ax == d - 1 else 1j * k
+        grads.append(coeffs * mult.reshape(shape))
+    phase = orc._phase(2 * K - 1, n)
+    m = omega_mask.astype(float)
+    m = (np.tensordot(m, phase.real, axes=(0, 1))
+         + 1j * np.tensordot(m, phase.imag, axes=(0, 1)))
+    for _ in range(d - 1):
+        m = np.tensordot(m, phase, axes=(0, 1))
+    diff = np.arange(K)[None, :] - np.arange(K)[:, None] + K - 1
+    index = []
+    for ax in range(d):
+        shape = [1] * (2 * d)
+        shape[ax] = shape[d + ax] = K
+        index.append(diff.reshape(shape))
+    gram = m[tuple(index)].reshape(K**d, K**d)
+    a = np.stack(grads).reshape(d, -1)
+    omega = float(np.real(np.sum(np.conj(a) * (a @ gram.T))))
+    return omega, n**d * float(np.sum(np.abs(a) ** 2))
+
+
+@pytest.mark.parametrize("n,d", [(24, 3), (48, 3), (11, 2), (7, 1)])
+def test_scratch_routes_keep_tensordot_bits(n, d):
+    # the samples synthesized into a buffer, and the mask's transform from
+    # one float copy in a buffer, equal np.tensordot's bit for bit
+    rng = np.random.default_rng(n + d)
+    scratch = np.empty((2, n**d))
+    for complex_valued in (False, True):
+        z = rng.normal(size=(5**d, 2))
+        coeffs = (z[:, 0] + 1j * z[:, 1]).reshape((5,) * d)
+        if not complex_valued:
+            coeffs = 0.5 * (coeffs + np.conj(coeffs[(slice(None, None, -1),) * d]))
+            values = orc._synthesize(coeffs, n, True)
+            out = orc._synthesize(coeffs, n, True, scratch[1].reshape((n,) * d))
+            assert out.base is not None and np.array_equal(out, values)
+        mask = rng.uniform(size=(n,) * d) < rng.uniform(0.5, 1.0)
+        phi = 1.1 if complex_valued else 0.0
+        want = _tensordot_gradient_norms(coeffs, 1.7, mask, phi)
+        assert orc._gradient_norms(coeffs, 1.7, mask, phi) == want
+        assert orc._gradient_norms(coeffs, 1.7, mask, phi, scratch[0]) == want
 
 
 def test_fields_reject_unresolved_band():
