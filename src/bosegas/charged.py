@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from . import flows
 
 # equal bit for bit to scipy.special.gamma(0.75) / gamma(1.25) (math.gamma is
-# an ulp off), so that only the two-component flow needs scipy
+# an ulp off), so that I0 and the x-integral's closed form load no scipy
 _GAMMA_RATIO = 1.3519564801345691  # Gamma(3/4)/Gamma(5/4)
 
 # tanh-sinh covers the x-integral on [0, _X_SPLIT] and the local energy's

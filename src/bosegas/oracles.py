@@ -6,8 +6,10 @@ the generalized Poincare inequalities, dense diagonalization of small delta
 gases (in their zero-momentum sector) and truncated Fock spaces (by charge
 sector), and window searches for the band-matrix localization bound.  All
 random corpora are seeded; seeds are recorded by callers.  The Poincare
-corpora sum band-limited fields over the grid in coefficient space, so the
-test fields are never sampled.  The module needs numpy alone.
+corpora draw band-limited fields as their Fourier coefficients and take
+every sum over the grid from those, so no test field is sampled: only the
+field behind each random subset is, into the caller's buffer.  The module
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import mmap
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,33 +67,6 @@ def twisted_ground_exact(L: float, phi: float) -> float:
 # generalized Poincare inequalities
 # --------------------------------------------------------------------------
 
-@dataclass
-class DiscreteField:
-    """Complex or real field on a uniform periodic n^d grid over a cube of
-    side L, given by its Fourier coefficients.
-
-    ``coeffs`` holds the Fourier coefficients of the trigonometric
-    polynomial the field is, one axis per dimension, with modes
-    ``np.arange(K) - K // 2`` along each axis (the ``fftshift`` order).
-    The field names its grid size ``n_grid`` and whether it is ``real``,
-    and synthesizes its samples on the first read of ``values``;
-    ``poincare_check`` never reads them.
-    """
-
-    L: float
-    coeffs: np.ndarray = field(repr=False)
-    n_grid: int
-    real: bool
-
-    def __post_init__(self):
-        if self.coeffs.shape[0] > self.n_grid:
-            raise ValueError("the grid must resolve every mode: K <= n")
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return _synthesize(self.coeffs, self.n_grid, self.real)
-
-
 def _phase(K: int, n: int) -> np.ndarray:
     """exp(2 pi i k j / n) for the modes k = np.arange(K) - K // 2 (rows)
     and the grid points j (columns)."""
@@ -100,45 +74,42 @@ def _phase(K: int, n: int) -> np.ndarray:
     return np.exp((2j * math.pi / n) * kj)
 
 
-def _synthesize(coeffs: np.ndarray, n: int, real: bool,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Samples on the n-point periodic grid of sum_k c_k exp(2 pi i k.j/n),
-    or of its real part: one contraction per axis with a K x n phase
-    matrix, K n^d work for the last one instead of an n^d FFT.  The last
-    contraction writes into ``out`` (n^d C-contiguous floats, a real
-    field's) when it is given, with ``np.tensordot``'s bits."""
+def _synthesize(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Samples on the n-point periodic grid of the real part of
+    sum_k c_k exp(2 pi i k.j/n), written into ``out`` (n^d C-contiguous
+    floats): one contraction per axis with a K x n phase matrix, K n^d work
+    for the last one instead of an n^d FFT, with ``np.tensordot``'s bits."""
+    n = out.shape[0]
+    if coeffs.shape[0] > n:
+        raise ValueError("the grid must resolve every mode: K <= n")
     phase = _phase(coeffs.shape[0], n)
     field = coeffs
     for _ in range(coeffs.ndim - 1):
         # contracting the leading axis moves the new grid axis to the end
         field = np.tensordot(field, phase, axes=(0, 0))
-    if real:
-        # Re(p e) = Re p Re e - Im p Im e, as one real contraction
-        field = np.concatenate((field.real, field.imag))
-        phase = np.concatenate((phase.real, -phase.imag))
-    if out is None:
-        return np.tensordot(field, phase, axes=(0, 0))
+    # Re(p e) = Re p Re e - Im p Im e, as one real contraction
+    field = np.concatenate((field.real, field.imag))
+    phase = np.concatenate((phase.real, -phase.imag))
     # tensordot's own product: the grid axes first, the contracted one last
     grid = field.transpose((*range(1, field.ndim), 0)).reshape(-1, len(phase))
     np.dot(grid, phase, out=out.reshape(-1, n))
     return out
 
 
-def random_field(n: int, L: float, rng: np.random.Generator, kmax: int = 3,
-                 complex_valued: bool = False) -> DiscreteField:
-    """Band-limited random field: Fourier modes |k| <= kmax with Gaussian
-    coefficients (smooth by construction).  The coefficients are drawn in
-    (kx, ky, kz) order, real part first; the samples on the n^3 grid are
-    synthesized only when read."""
+def random_field(rng: np.random.Generator, kmax: int,
+                 complex_valued: bool = False) -> np.ndarray:
+    """Band-limited random field: the (K, K, K) Fourier coefficients,
+    K = 2 kmax + 1, of the modes |k_i| <= kmax, Gaussian (smooth by
+    construction), with modes ``np.arange(K) - K // 2`` along each axis (the
+    ``fftshift`` order).  They are drawn in (kx, ky, kz) order, real part
+    first; a real field keeps the coefficients of the real part."""
     K = 2 * kmax + 1
-    if n < K:
-        raise ValueError("grid must resolve the band: n >= 2 kmax + 1")
     z = rng.normal(size=(K**3, 2))
     coeffs = (z[:, 0] + 1j * z[:, 1]).reshape(K, K, K)
     if not complex_valued:
         # coefficients of the real part: c_k -> (c_k + conj(c_-k)) / 2
         coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1, ::-1]))
-    return DiscreteField(L, coeffs, n, not complex_valued)
+    return coeffs
 
 
 def random_subset(n: int, rng: np.random.Generator, frac_complement: float,
@@ -151,8 +122,7 @@ def random_subset(n: int, rng: np.random.Generator, frac_complement: float,
     if scratch is None:
         scratch = np.empty((2, n**3))
     samples, ranked = scratch
-    field = random_field(n, 1.0, rng, kmax=2)
-    g = _synthesize(field.coeffs, n, field.real, samples.reshape(n, n, n))
+    g = _synthesize(random_field(rng, 2), samples.reshape(n, n, n))
     # np.quantile's threshold lies between the lo-th and hi-th smallest
     # samples (lo, hi the floor and ceiling of frac (n^3 - 1)), and no sample
     # lies strictly between them, so its mask is g >= the hi-th smallest
@@ -227,10 +197,11 @@ def _parseval(coeffs: np.ndarray, n: int) -> float:
     return n ** coeffs.ndim * float(np.sum(np.abs(coeffs) ** 2))
 
 
-def _centred(f: DiscreteField, n: int):
-    """The coefficients of u - <u> for the field f on the n^d grid (the mean
-    is the zero mode), and the sum of its |.|^2 over the grid (Parseval's)."""
-    coeffs = f.coeffs.copy()
+def _centred(coeffs: np.ndarray, n: int):
+    """The band coefficients of u - <u> for the field u of ``coeffs`` on the
+    n^d grid (the mean is the zero mode), and the sum of its |.|^2 over the
+    grid (Parseval's)."""
+    coeffs = coeffs.copy()
     coeffs[(coeffs.shape[0] // 2,) * coeffs.ndim] = 0.0
     return coeffs, _parseval(coeffs, n)
 
@@ -244,16 +215,21 @@ class PoincareResult:
     pieces: dict
 
 
-def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
-                   params: dict | None = None,
+def poincare_check(variant: str, coeffs: np.ndarray, L: float,
+                   omega_mask: np.ndarray, weight: np.ndarray | None = None,
+                   phi: float = 0.0,
                    scratch: np.ndarray | None = None) -> PoincareResult:
-    """Measure one instance of a generalized Poincare inequality.
+    """Measure one instance of a generalized Poincare inequality for the
+    field f with band coefficients ``coeffs`` (as ``random_field`` returns
+    them) on the cube K of side L, sampled on the grid of ``omega_mask``,
+    which marks Omega.
 
     homogeneous:  |f - <f>|^2_K <= C [ L^2 |grad f|^2_Omega
                                        + |Omega^c|^{2/3} |grad f|^2_K ]
     inhomogeneous: |f|^2_K <= C [ |grad f|^2_Omega
                                   + (|Omega^c|/|K|)^{2/d} |grad f|^2_K ]
-                  for int f h = 0 with a supplied weight h
+                  for int f h = 0 with the weight h of band coefficients
+                  ``weight``
     vector_potential: with grad_phi = grad + i(0,0,phi/L) and <f> = 0,
                   ratio = (|grad_phi f|^2_Omega - phi^2/L^2 |f|^2_K)
                           / ((|Omega^c|/L^3)^{1/2} |grad_phi f|^2_K);
@@ -262,35 +238,38 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
                   nondegenerate for |phi| < pi).
 
     Returns the measured ratio LHS / structural RHS (no constants folded in).
-    The field and the weight are band coefficients, and every sum over the
-    grid is taken from them by Parseval, sum_x |u|^2 = n^d sum_k |c_k|^2:
-    the mean is the zero mode, and the centred norm, the projection and the
-    weight's inner products are sums over modes.  No sample is synthesized.
-    ``scratch``, n^d floats, holds the mask's float copy if it is given.
+    Every sum over the grid is taken from the coefficients by Parseval,
+    sum_x |u|^2 = n^d sum_k |c_k|^2, which holds only when the grid
+    resolves every mode, K <= n (ValueError otherwise): the mean is the zero
+    mode, and the centred norm, the projection and the weight's inner
+    products are sums over modes.  No sample is synthesized.  ``scratch``,
+    n^d floats, holds the mask's float copy if it is given.
     """
-    params = params or {}
     n, d = omega_mask.shape[0], omega_mask.ndim
-    dV = (f.L / n) ** d
-    vol = f.L ** d
+    if coeffs.shape[0] > n:
+        raise ValueError("the grid must resolve every mode: K <= n")
+    dV = (L / n) ** d
+    vol = L ** d
     comp_vol = float(omega_mask.size - np.count_nonzero(omega_mask)) * dV
 
     if variant == "homogeneous":
-        coeffs, lhs = _centred(f, n)
+        coeffs, lhs = _centred(coeffs, n)
         lhs *= dV
         g2_omega, g2_full = (s * dV for s in _gradient_norms(
-            coeffs, f.L, omega_mask, scratch=scratch))
-        rhs = f.L**2 * g2_omega + comp_vol ** (2.0 / 3.0) * g2_full
+            coeffs, L, omega_mask, scratch=scratch))
+        rhs = L**2 * g2_omega + comp_vol ** (2.0 / 3.0) * g2_full
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         return PoincareResult(ratio, lhs, rhs, comp_vol / vol,
                               {"grad_omega": g2_omega, "grad_full": g2_full})
 
     if variant == "inhomogeneous":
-        weight = params.get("h_weight")
         if weight is None:
             raise ValueError("inhomogeneous variant needs the weight h")
         # enforce int f h = 0 by projection, then measure
-        K = max(f.coeffs.shape[0], weight.coeffs.shape[0])
-        a, b = _padded(f.coeffs, K), _padded(weight.coeffs, K)
+        K = max(coeffs.shape[0], weight.shape[0])
+        if K > n:
+            raise ValueError("the grid must resolve every mode: K <= n")
+        a, b = _padded(coeffs, K), _padded(weight, K)
         # sum_x u conj(w) = n^d sum_k a_k conj(b_k), w real
         wsum = n**d * float(b[(K // 2,) * d].real) * dV
         if abs(wsum - 1.0) > 1e-8:
@@ -298,25 +277,24 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
         c = float(np.vdot(b, a).real) / float(np.vdot(b, b).real)
         coeffs = a - c * b
         lhs = _parseval(coeffs, n) * dV
-        g2_omega, g2_full = _gradient_norms(coeffs, f.L, omega_mask,
+        g2_omega, g2_full = _gradient_norms(coeffs, L, omega_mask,
                                             scratch=scratch)
         rhs = g2_omega * dV + (comp_vol / vol) ** (2.0 / d) * g2_full * dV
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         return PoincareResult(ratio, lhs, rhs, comp_vol / vol, {})
 
     if variant == "vector_potential":
-        phi = float(params.get("phi", 0.5 * math.pi))
         if abs(phi) >= math.pi:
             raise ValueError("vector-potential variant needs |phi| < pi")
-        coeffs, norm2 = _centred(f, n)
+        coeffs, norm2 = _centred(coeffs, n)
         norm2 *= dV
         if norm2 == 0.0:
             return PoincareResult(0.0, 0.0, 0.0, comp_vol / vol, {})
         g2_omega, g2_full = (s * dV for s in _gradient_norms(
-            coeffs, f.L, omega_mask, phi, scratch))
-        excess = g2_omega - (phi / f.L) ** 2 * norm2
+            coeffs, L, omega_mask, phi, scratch))
+        excess = g2_omega - (phi / L) ** 2 * norm2
         if comp_vol == 0.0:
-            ratio = excess / (norm2 / f.L**2)
+            ratio = excess / (norm2 / L**2)
         else:
             ratio = excess / ((comp_vol / vol) ** 0.5 * g2_full)
         return PoincareResult(ratio, excess, g2_full, comp_vol / vol,
@@ -325,12 +303,10 @@ def poincare_check(variant: str, f: DiscreteField, omega_mask: np.ndarray,
     raise ValueError(f"unknown Poincare variant {variant!r}")
 
 
-def _cosine_weight(n: int) -> DiscreteField:
-    """The weight h = 1 + cos(2 pi x)/2 on the unit cube, which integrates
-    to 1: three modes along x, on the n^3 grid."""
-    coeffs = np.zeros((3, 3, 3))
-    coeffs[:, 1, 1] = (0.25, 1.0, 0.25)
-    return DiscreteField(1.0, coeffs, n, True)
+# the band coefficients of the weight h = 1 + cos(2 pi x)/2 on the unit
+# cube, which integrates to 1: three modes along x
+_COSINE_WEIGHT = np.zeros((3, 3, 3))
+_COSINE_WEIGHT[:, 1, 1] = (0.25, 1.0, 0.25)
 
 
 def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
@@ -339,13 +315,13 @@ def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
 
     homogeneous/inhomogeneous: C_hat = max ratio (inequality constant).
     vector_potential: C_hat = max(0, -min ratio) (the error-term constant),
-    at the flux phi = pi/2.
+    at the flux phi = pi/2.  The inhomogeneous weight is
+    h = 1 + cos(2 pi x)/2.
 
     The field bandwidth kmax = 2 stays well below the grid Nyquist so the
     calibrated constant is resolution-stable.
     """
     rng = np.random.default_rng(seed)
-    weight = _cosine_weight(n) if variant == "inhomogeneous" else None
     # the samples and their partitioned copy of every mask, then the mask's
     # float copy in the first row: one mapping per calibration instead of
     # n^3 arrays per case, and unmapped when the calibration ends, where a
@@ -356,17 +332,10 @@ def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
     for _ in range(n_cases):
         frac = rng.uniform(0.0, 0.5)
         mask = random_subset(n, rng, frac, scratch)
-        f = random_field(n, 1.0, rng, kmax=2,
-                         complex_valued=(variant == "vector_potential"))
-        if variant == "inhomogeneous":
-            res = poincare_check(variant, f, mask, {"h_weight": weight},
-                                 samples)
-        elif variant == "vector_potential":
-            res = poincare_check(variant, f, mask, {"phi": 0.5 * math.pi},
-                                 samples)
-        else:
-            res = poincare_check(variant, f, mask, None, samples)
-        ratios.append(res.ratio)
+        coeffs = random_field(rng, 2, variant == "vector_potential")
+        ratios.append(poincare_check(variant, coeffs, 1.0, mask,
+                                     _COSINE_WEIGHT, 0.5 * math.pi,
+                                     samples).ratio)
     ratios = np.asarray(ratios)
     if variant == "vector_potential":
         c_hat = max(0.0, float(-np.min(ratios)))

@@ -20,7 +20,13 @@ from . import SCHEMA_VERSION
 from . import charged, homogeneous, meanfield, onedim, oracles, scattering
 
 
+# (name, perf_counter()) of each check the running section has made: a
+# check's time is the gap to the one before it, or to the section's start
+_STAMPS: list[tuple[str, float]] = []
+
+
 def _check(name, value, tolerance, passed=None, **extra):
+    _STAMPS.append((name, time.perf_counter()))
     if passed is None:
         passed = bool(value <= tolerance)
     entry = {"name": name, "value": float(value), "tolerance": float(tolerance),
@@ -337,12 +343,18 @@ def _max_rss_mb() -> float:
 
 def _run_sections(sections) -> dict:
     """Run ``sections``, (name, function, args) triples, in order; returns
-    each one's checks, wall seconds and this process's peak RSS after it."""
+    each one's checks, wall seconds, this process's peak RSS after it and
+    the seconds of each of its checks since the one before."""
     out = {}
     for name, run, args in sections:
+        _STAMPS.clear()
         t0 = time.perf_counter()
         checks = run(*args)
-        out[name] = (checks, time.perf_counter() - t0, _max_rss_mb())
+        seconds = time.perf_counter() - t0
+        starts = [t0] + [t for _, t in _STAMPS]
+        out[name] = (checks, seconds, _max_rss_mb(),
+                     {check: t - start
+                      for (check, t), start in zip(_STAMPS, starts)})
     return out
 
 
@@ -365,9 +377,10 @@ def run_all(seed: int = 20240) -> tuple[dict, dict]:
     ``timings`` holds the wall seconds of each section (scattering,
     homogeneous, meanfield, onedim, charged, oracles) under "sections", the
     peak resident set in MB, after each, of the process that ran it under
-    "max_rss_mb", and each worker's sections in run order under "processes"
-    ("flows" and "corpora"); they are never part of the scorecard, which
-    stays byte-reproducible.
+    "max_rss_mb", each worker's sections in run order under "processes"
+    ("flows" and "corpora"), and each section's checks with the seconds
+    since the check before (or since the section's start) under "checks";
+    they are never part of the scorecard, which stays byte-reproducible.
     """
     sections = (("scattering", _scattering_checks, ()),
                 ("homogeneous", _homogeneous_checks, (seed,)),
@@ -386,7 +399,8 @@ def run_all(seed: int = 20240) -> tuple[dict, dict]:
     timings = {"sections": {name: done[name][1] for name in done},
                "max_rss_mb": {name: done[name][2] for name in done},
                "processes": {process: [name for name, _, _ in run]
-                             for process, run in split.items()}}
+                             for process, run in split.items()},
+               "checks": {name: done[name][3] for name in done}}
     n_pass = sum(1 for c in checks if c["passed"])
     return {
         "schema_version": SCHEMA_VERSION,

@@ -970,6 +970,8 @@ def test_verify_timings_sidecar(tmp_path, ll_curve):
                    "--timings-out", str(sidecar)) == 0
     assert timed.read_bytes() == plain.read_bytes()
     timings = json.loads(sidecar.read_text())
+    assert set(timings) == {"schema_version", "seed", "unit", "total",
+                            "sections", "max_rss_mb", "processes", "checks"}
     sections = timings["sections"]
     assert set(sections) == {"scattering", "homogeneous", "meanfield",
                              "onedim", "charged", "oracles"}
@@ -988,6 +990,16 @@ def test_verify_timings_sidecar(tmp_path, ll_curve):
         assert all(p > 0.0 for p in peaks)
         assert peaks == sorted(peaks)
     assert "max_rss_mb" not in timed.read_text()
+    # every check's seconds since the one before it in its section: each
+    # scorecard name has one, and a section's add up to no more than it
+    card = json.loads(timed.read_text())
+    per_check = timings["checks"]
+    assert set(per_check) == set(sections)
+    assert sorted(name for times in per_check.values() for name in times) \
+        == sorted(c["name"] for c in card["checks"])
+    for section, times in per_check.items():
+        assert all(t >= 0.0 for t in times.values())
+        assert sum(times.values()) <= sections[section]
 
 
 def _in_process_scorecard(seed):

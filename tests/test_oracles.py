@@ -30,6 +30,33 @@ def _reference_random_field(n, rng, kmax=3, complex_valued=False):
     return f if complex_valued else f.real
 
 
+def _drawn(rng, n, complex_valued=False):
+    """``orc.random_field``'s kmax = 2 coefficients and, from the same draws,
+    the field's samples on the n^3 grid by ``_reference_random_field``."""
+    state = rng.bit_generator.state
+    coeffs = orc.random_field(rng, 2, complex_valued)
+    rng.bit_generator.state = state
+    return coeffs, _reference_random_field(n, rng, 2, complex_valued)
+
+
+def _cosine_weight_samples(n):
+    """h = 1 + cos(2 pi x)/2 on the n^3 grid of the unit cube."""
+    h = 1.0 + 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
+    return np.ones((n, n, n)) * h[:, None, None]
+
+
+def _tensordot_synthesize(coeffs, n):
+    """The real part's samples on the n^d grid by ``np.tensordot`` alone,
+    the product ``orc._synthesize`` writes into its buffer."""
+    phase = orc._phase(coeffs.shape[0], n)
+    field = coeffs
+    for _ in range(coeffs.ndim - 1):
+        field = np.tensordot(field, phase, axes=(0, 0))
+    field = np.concatenate((field.real, field.imag))
+    return np.tensordot(field, np.concatenate((phase.real, -phase.imag)),
+                        axes=(0, 0))
+
+
 def _reference_random_subset(n, rng, frac_complement):
     g = _reference_random_field(n, rng, kmax=2)
     thr = np.quantile(g, frac_complement)
@@ -240,10 +267,10 @@ def test_twisted_fd_second_order_convergence():
 # --- Poincare suites -----------------------------------------------------------
 
 def test_poincare_constant_function_gives_zero():
-    f = orc.DiscreteField(1.0, np.ones((1, 1, 1)), 12, True)
     mask = np.zeros((12, 12, 12), dtype=bool)
     mask[:6] = True
-    assert orc.poincare_check("homogeneous", f, mask).ratio == 0.0
+    assert orc.poincare_check("homogeneous", np.ones((1, 1, 1)), 1.0,
+                              mask).ratio == 0.0
 
 
 def test_poincare_full_cube_classical_bound(rng):
@@ -251,17 +278,16 @@ def test_poincare_full_cube_classical_bound(rng):
     # |f - <f>|^2 <= (L/2pi)^2 |grad f|^2
     full = np.ones((16, 16, 16), dtype=bool)
     for _ in range(10):
-        f = orc.random_field(16, 1.0, rng, kmax=2)
-        res = orc.poincare_check("homogeneous", f, full)
+        res = orc.poincare_check("homogeneous", orc.random_field(rng, 2), 1.0,
+                                 full)
         assert res.ratio <= 1.0 / (4 * math.pi**2) + 1e-12
 
 
 def test_poincare_scale_invariance(rng):
-    f1 = orc.random_field(16, 1.0, rng, kmax=2)
+    coeffs = orc.random_field(rng, 2)
     mask = orc.random_subset(16, rng, 0.3)
-    r1 = orc.poincare_check("homogeneous", f1, mask).ratio
-    f2 = orc.DiscreteField(2.0, f1.coeffs, f1.n_grid, f1.real)
-    r2 = orc.poincare_check("homogeneous", f2, mask).ratio
+    r1 = orc.poincare_check("homogeneous", coeffs, 1.0, mask).ratio
+    r2 = orc.poincare_check("homogeneous", coeffs, 2.0, mask).ratio
     assert abs(r1 - r2) < 1e-10 * max(r1, 1e-12)
 
 
@@ -270,18 +296,18 @@ def test_poincare_vector_full_cube_nonnegative(rng):
     # mean-zero fields (|phi| < pi nondegenerate ground state)
     full = np.ones((12, 12, 12), dtype=bool)
     for _ in range(10):
-        f = orc.random_field(12, 1.0, rng, kmax=2, complex_valued=True)
-        res = orc.poincare_check("vector_potential", f, full,
-                                 {"phi": 0.6 * math.pi})
+        res = orc.poincare_check("vector_potential",
+                                 orc.random_field(rng, 2, True), 1.0, full,
+                                 phi=0.6 * math.pi)
         assert res.ratio >= -1e-10
 
 
 def test_poincare_inhomogeneous_weight_validation(rng):
-    f = orc.random_field(12, 1.0, rng, kmax=2)
+    coeffs = orc.random_field(rng, 2)
     mask = orc.random_subset(12, rng, 0.2)
-    bad = orc.DiscreteField(1.0, np.full((1, 1, 1), 5.0), 12, True)
     with pytest.raises(ValueError, match="integrate to 1"):
-        orc.poincare_check("inhomogeneous", f, mask, {"h_weight": bad})
+        orc.poincare_check("inhomogeneous", coeffs, 1.0, mask,
+                           np.full((1, 1, 1), 5.0))
 
 
 def test_poincare_calibration_stable_and_clean():
@@ -297,9 +323,9 @@ def test_poincare_calibration_stable_and_clean():
 
 
 def test_poincare_unknown_variant():
-    f = orc.DiscreteField(1.0, np.ones((1, 1, 1)), 8, True)
     with pytest.raises(ValueError):
-        orc.poincare_check("bogus", f, np.ones((8, 8, 8), dtype=bool))
+        orc.poincare_check("bogus", np.ones((1, 1, 1)), 1.0,
+                           np.ones((8, 8, 8), dtype=bool))
 
 
 def _reference_norms(values, L, mask, phi=0.0):
@@ -343,15 +369,24 @@ def _sampled_check(variant, values, L, mask, weight=None, phi=0.0):
                           (48, 2, True), (48, 3, False)])
 def test_random_field_matches_fft_reference(n, kmax, complex_valued):
     rng, rng_ref = np.random.default_rng(n + kmax), np.random.default_rng(n + kmax)
-    f = orc.random_field(n, 1.0, rng, kmax, complex_valued)
+    coeffs = orc.random_field(rng, kmax, complex_valued)
     ref = _reference_random_field(n, rng_ref, kmax, complex_valued)
     assert rng.normal() == rng_ref.normal()      # the same draws were used
-    assert np.isrealobj(f.values) == (not complex_valued)
-    scale = np.max(np.abs(ref))
-    assert np.max(np.abs(f.values - ref)) <= 1e-12 * scale
+    # the coefficients are the reference's band in fftshift order, and the
+    # reference has no other mode
+    ref_hat = np.fft.fftshift(np.fft.fftn(ref)) / n**3
+    band = (slice(n // 2 - kmax, n // 2 + kmax + 1),) * 3
+    scale = np.max(np.abs(coeffs))
+    assert np.max(np.abs(ref_hat[band] - coeffs)) <= 1e-12 * scale
+    ref_hat[band] = 0.0
+    assert np.max(np.abs(ref_hat)) <= 1e-12 * scale
+    if not complex_valued:
+        # a real field's samples as a mask's are synthesized
+        values = orc._synthesize(coeffs, np.empty((n, n, n)))
+        assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
     mask = orc.random_subset(n, rng, 0.3)
     phi = 0.5 * math.pi if complex_valued else 0.0
-    got = orc._gradient_norms(f.coeffs, f.L, mask, phi)
+    got = orc._gradient_norms(coeffs, 1.0, mask, phi)
     want = _reference_norms(ref, 1.0, mask, phi)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -376,12 +411,12 @@ def test_gradient_norms_of_sampled_array_match_fft_reference(complex_valued):
 def test_inhomogeneous_check_band_matches_samples(rng):
     # the cosine weight's band (3 modes) is padded into the field's (5)
     n = 16
-    weight = orc._cosine_weight(n)
-    f = orc.random_field(n, 1.0, rng, kmax=2)
+    coeffs, values = _drawn(rng, n)
     mask = orc.random_subset(n, rng, 0.25)
-    band = orc.poincare_check("inhomogeneous", f, mask, {"h_weight": weight})
-    sampled = _sampled_check("inhomogeneous", f.values, 1.0, mask,
-                             weight.values)
+    band = orc.poincare_check("inhomogeneous", coeffs, 1.0, mask,
+                              orc._COSINE_WEIGHT)
+    sampled = _sampled_check("inhomogeneous", values, 1.0, mask,
+                             _cosine_weight_samples(n))
     assert band.ratio == pytest.approx(sampled[0], rel=1e-12)
 
 
@@ -413,10 +448,9 @@ def test_partition_masks_equal_quantile_masks_on_verify_corpora(variant,
             state = rng.bit_generator.state
             mask = orc.random_subset(n, rng, frac, scratch)
             rng.bit_generator.state = state
-            g = orc.random_field(n, 1.0, rng, kmax=2).values
+            g = orc._synthesize(orc.random_field(rng, 2), np.empty((n, n, n)))
             assert np.array_equal(mask, _quantile_mask(g, frac))
-            orc.random_field(n, 1.0, rng, kmax=2,
-                             complex_valued=(variant == "vector_potential"))
+            orc.random_field(rng, 2, variant == "vector_potential")
 
 
 def test_partition_mask_at_the_ends():
@@ -425,8 +459,9 @@ def test_partition_mask_at_the_ends():
     for frac in (0.0, 0.5, 1.0, 1.0 / 215.0, 107.0 / 215.0):
         rng = np.random.default_rng(0)
         got = orc.random_subset(6, rng, frac)
-        ref = _quantile_mask(orc.random_field(
-            6, 1.0, np.random.default_rng(0), kmax=2).values, frac)
+        g = orc._synthesize(orc.random_field(np.random.default_rng(0), 2),
+                            np.empty((6, 6, 6)))
+        ref = _quantile_mask(g, frac)
         assert np.array_equal(got, ref)
 
 
@@ -436,16 +471,15 @@ def test_partition_mask_at_the_ends():
 def test_coefficient_sums_match_sampled_route(variant, n):
     # every grid sum by Parseval against the same sums on synthesized samples
     rng = np.random.default_rng(n)
-    weight = orc._cosine_weight(n)
+    weight = _cosine_weight_samples(n)
     phi = 0.5 * math.pi if variant == "vector_potential" else 0.0
     for _ in range(8):
         mask = orc.random_subset(n, rng, rng.uniform(0.0, 0.5))
-        f = orc.random_field(n, 1.0, rng, kmax=2,
-                             complex_valued=(variant == "vector_potential"))
-        band = orc.poincare_check(variant, f, mask, {"h_weight": weight})
-        assert "values" not in vars(f)              # never synthesized
+        coeffs, values = _drawn(rng, n, variant == "vector_potential")
+        band = orc.poincare_check(variant, coeffs, 1.0, mask,
+                                  orc._COSINE_WEIGHT, phi)
         ratio, lhs, rhs, frac, pieces = _sampled_check(
-            variant, f.values, 1.0, mask, weight.values, phi)
+            variant, values, 1.0, mask, weight, phi)
         assert list(band.pieces) == list(pieces)
         for got, want in [(band.ratio, ratio), (band.lhs, lhs),
                           (band.rhs_structural, rhs),
@@ -458,16 +492,16 @@ def test_calibration_synthesizes_the_masks_only(monkeypatch):
     shapes = []
     synthesize = orc._synthesize
 
-    def counted(coeffs, n, real, *out):
-        shapes.append((coeffs.shape[0], n, real))
-        return synthesize(coeffs, n, real, *out)
+    def counted(coeffs, out):
+        shapes.append((coeffs.shape, out.shape))
+        return synthesize(coeffs, out)
 
     monkeypatch.setattr(orc, "_synthesize", counted)
     for variant in ("homogeneous", "vector_potential", "inhomogeneous"):
         shapes.clear()
         orc.poincare_calibrate(variant, n=24, n_cases=5, seed=1)
         # one real kmax = 2 field per mask, no test field and no weight
-        assert shapes == [(5, 24, True)] * 5
+        assert shapes == [((5, 5, 5), (24, 24, 24))] * 5
 
 
 def _tensordot_gradient_norms(coeffs, L, omega_mask, phi=0.0):
@@ -511,9 +545,9 @@ def test_scratch_routes_keep_tensordot_bits(n, d):
         coeffs = (z[:, 0] + 1j * z[:, 1]).reshape((5,) * d)
         if not complex_valued:
             coeffs = 0.5 * (coeffs + np.conj(coeffs[(slice(None, None, -1),) * d]))
-            values = orc._synthesize(coeffs, n, True)
-            out = orc._synthesize(coeffs, n, True, scratch[1].reshape((n,) * d))
-            assert out.base is not None and np.array_equal(out, values)
+            out = orc._synthesize(coeffs, scratch[1].reshape((n,) * d))
+            assert out.base is not None
+            assert np.array_equal(out, _tensordot_synthesize(coeffs, n))
         mask = rng.uniform(size=(n,) * d) < rng.uniform(0.5, 1.0)
         phi = 1.1 if complex_valued else 0.0
         want = _tensordot_gradient_norms(coeffs, 1.7, mask, phi)
@@ -522,10 +556,18 @@ def test_scratch_routes_keep_tensordot_bits(n, d):
 
 
 def test_fields_reject_unresolved_band():
-    with pytest.raises(ValueError):
-        orc.random_field(4, 1.0, np.random.default_rng(0), kmax=2)
-    with pytest.raises(ValueError):
-        orc.DiscreteField(1.0, np.zeros((5, 5, 5), dtype=complex), 4, False)
+    # Parseval's sums and the synthesized samples need K <= n, n the mask's
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="K <= n"):
+        orc.random_subset(4, rng, 0.3)
+    coeffs, small = orc.random_field(rng, 2), np.ones((4, 4, 4), dtype=bool)
+    for variant in ("homogeneous", "inhomogeneous", "vector_potential"):
+        with pytest.raises(ValueError, match="K <= n"):
+            orc.poincare_check(variant, coeffs, 1.0, small, orc._COSINE_WEIGHT)
+    # the weight's band counts too
+    with pytest.raises(ValueError, match="K <= n"):
+        orc.poincare_check("inhomogeneous", np.ones((1, 1, 1)), 1.0,
+                           np.ones((2, 2, 2), dtype=bool), orc._COSINE_WEIGHT)
 
 
 # C_hat and min_ratio of the FFT implementation on the verify --seed 7

@@ -349,3 +349,38 @@ def test_scipy_imports_are_found_at_any_depth(tmp_path):
         "        def g():\n"
         "            import scipy.sparse\n")
     assert scipy_imports(tmp_path) == ["m", "m", "m.C.f", "m.C.f.g"]
+
+
+# --- oracles stay independent of the code they check -------------------------
+
+def bosegas_imports(path: Path) -> list[str]:
+    """``line module`` of every import, at any depth, in the module at
+    ``path`` of a bosegas module: a relative import or one of ``bosegas``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno} {a.name}" for a in node.names
+                      if a.name.split(".")[0] == "bosegas"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "bosegas"):
+            found.append(f"{node.lineno} {'.' * node.level}{node.module or ''}")
+    return found
+
+
+def test_oracles_import_no_bosegas_module():
+    # an oracle that ran the package's code would check it against itself
+    imports = bosegas_imports(SRC / "oracles.py")
+    assert not imports, f"oracles imports bosegas code: {', '.join(imports)}"
+
+
+def test_bosegas_imports_are_found_at_any_depth(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import numpy\n"
+        "from . import flows\n"
+        "def f():\n"
+        "    from .quadrature import richardson\n"
+        "    import os, bosegas.onedim as od\n"
+        "    from bosegas import charged\n"
+        "from numpy import bosegas\n")
+    assert bosegas_imports(tmp_path / "m.py") == [
+        "2 .", "4 .quadrature", "5 bosegas.onedim", "6 bosegas"]
