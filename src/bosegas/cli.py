@@ -347,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--seed", type=int, default=20240)
     vf.add_argument("--out")
     vf.add_argument("--timings-out",
-                    help="write wall seconds and peak RSS per section to "
-                         "this JSON file")
+                    help="write to this JSON file the wall seconds and "
+                         "peak RSS of each section, the sections each worker "
+                         "process ran, and the seconds of each check")
     vf.set_defaults(func=cmd_verify)
 
     vl = sub.add_parser("validate", help="check a config file without running")

@@ -66,8 +66,6 @@ class SweepSpec:
 
     def values(self):
         import numpy as np
-        if self.n == 1:
-            return np.array([self.lo])
         return np.geomspace(self.lo, self.hi, self.n)
 
 

@@ -26,8 +26,6 @@ LHY_C1 = 128.0 / (15.0 * math.sqrt(math.pi))
 LHY_C2 = 8.0 * (4.0 * math.pi / 3.0 - math.sqrt(3.0))
 # occupation numbers the cell-distribution LP enumerates: 0.._CELL_N_MAX
 _CELL_N_MAX = 20
-# nodes per block of dyson_lemma_residual's pointwise work
-_DYSON_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -237,12 +235,11 @@ def dyson_lemma_residual(r: np.ndarray, psi: np.ndarray, v: RadialPotential,
     U must be admissible: supported outside the range of v, with
     int U r^2 dr <= 1 (3D) resp. int U ln(r/a) r dr <= 1 (2D).
 
-    ``r`` must be increasing, so the nodes up to R1 are a prefix of it.
-    psi' (``np.gradient``'s), the integrand and the trapezoid terms are
-    computed on blocks of ``_DYSON_BLOCK`` nodes, and the terms are summed
-    at once, as ``np.trapezoid`` sums them: the result has the bits of
-    ``np.trapezoid(integrand, r)`` on those nodes without an array of the
-    grid's size per temporary.
+    ``r`` must be increasing, so the nodes up to R1 are a prefix of it;
+    psi' is ``np.gradient``'s on that prefix and the integral is
+    ``np.trapezoid``'s.  U is a strict step on (R0, R), so a node exactly
+    on either edge samples it as 0 and costs the quadrature half a cell;
+    a grid that resolves U puts its nodes just inside the edges.
     """
     import numpy as np
     mu = 1.0
@@ -259,38 +256,14 @@ def dyson_lemma_residual(r: np.ndarray, psi: np.ndarray, v: RadialPotential,
     if n < 2:
         raise ValueError("need two nodes of r up to R1")
     rr, pp = r[:n], psi[:n]
-    d0 = rr[1] - rr[0]
-    # np.gradient takes its uniform-spacing formula when every step is d0
-    uniform = all(np.all(np.diff(rr[i:i + _DYSON_BLOCK + 1]) == d0)
-                  for i in range(0, n - 1, _DYSON_BLOCK))
-    terms = np.empty(n - 1)
-    for i in range(0, n - 1, _DYSON_BLOCK):
-        j = min(i + _DYSON_BLOCK, n - 1)   # terms i..j-1 need nodes i..j
-        lo, hi = max(i - 1, 0), min(j + 2, n)
-        f = pp[lo:hi]
-        if uniform:
-            dp = (f[2:] - f[:-2]) / (2.0 * d0)
-        else:
-            d = np.diff(rr[lo:hi])
-            dx1, dx2 = d[:-1], d[1:]
-            a = -dx2 / (dx1 * (dx1 + dx2))
-            b = (dx2 - dx1) / (dx1 * dx2)
-            c = dx1 / (dx2 * (dx1 + dx2))
-            dp = a * f[:-2] + b * f[1:-1] + c * f[2:]
-        # the one-sided differences at the prefix's ends
-        if i == 0:
-            dp = np.concatenate(([(pp[1] - pp[0]) / d0], dp))
-        if j == n - 1:
-            dp = np.concatenate((dp, [(pp[-1] - pp[-2]) / (rr[-1] - rr[-2])]))
-        x, y = rr[i:j + 1], pp[i:j + 1]
-        vv = np.asarray(v(x))
-        uu = np.asarray(U(x))
-        if U.dimension == 3:
-            integrand = (mu * dp**2 + 0.5 * vv * y**2 - mu * U.a * uu * y**2) * x**2
-        else:
-            integrand = (mu * dp**2 + 0.5 * vv * y**2 - mu * uu * y**2) * x
-        terms[i:j] = np.diff(x) * (integrand[1:] + integrand[:-1]) / 2.0
-    return float(terms.sum())
+    dp = np.gradient(pp, rr)
+    vv = np.asarray(v(rr))
+    uu = np.asarray(U(rr))
+    if U.dimension == 3:
+        integrand = (mu * dp**2 + 0.5 * vv * pp**2 - mu * U.a * uu * pp**2) * rr**2
+    else:
+        integrand = (mu * dp**2 + 0.5 * vv * pp**2 - mu * uu * pp**2) * rr
+    return float(np.trapezoid(integrand, rr))
 
 
 # --- Temple's inequality --------------------------------------------------

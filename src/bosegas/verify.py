@@ -69,6 +69,30 @@ def _scattering_checks():
     return out
 
 
+def _dyson_lemma_grid():
+    """(r, psi, v, U, R1) of the homogeneous.dyson_lemma_saturation entry.
+
+    psi is the soft sphere's zero-energy solution u/r, scaled to 1 at
+    infinity: on the solver's grid (its limit u'(0) at r = 0), then
+    1 - a/r.  Beyond the solver's grid r is geometric out to the annulus
+    (R0, R) = (0.995 R, R) at R = 200a, uniform across it with its end
+    nodes 1e-9 inside the edges (U is a strict step, so an edge node would
+    cost half a cell), and uniform on to R1 = 1.02 R.
+    """
+    v = scattering.soft_sphere(1.0, 25.0)
+    sol = scattering.solve_zero_energy(v)
+    a, R = sol.a, 200.0 * sol.a
+    R0, R1 = 0.995 * R, 1.02 * R
+    psi_in = np.where(sol.grid > 0, sol.u / np.maximum(sol.grid, 1e-300),
+                      sol.du[0]) / sol.du[-1]
+    r_out = np.concatenate([np.geomspace(sol.grid[-1], R0, 500)[1:],
+                            np.linspace(R0 * (1 + 1e-9), R * (1 - 1e-9), 200),
+                            np.linspace(R, R1, 20)])
+    return (np.concatenate([sol.grid, r_out]),
+            np.concatenate([psi_in, 1.0 - a / r_out]),
+            v, homogeneous.soft_potential(R, R0, 3, a), R1)
+
+
 def _homogeneous_checks(seed):
     out = []
     ok = True
@@ -86,23 +110,23 @@ def _homogeneous_checks(seed):
                       abs(homogeneous.dyson_classic_lower_bound(st) / st.leading
                           - 1.0 / (10.0 * math.sqrt(2.0))), 1e-15))
     Ys = np.geomspace(1e-40, 1e-20, 9)
-    errs = [1.0 - homogeneous.lower_bound_3d(
-        homogeneous.GasState3D(Y * 3 / (4 * math.pi), 1.0)).value
-        / homogeneous.GasState3D(Y * 3 / (4 * math.pi), 1.0).leading
-        for Y in Ys]
+    states = [homogeneous.GasState3D(Y * 3 / (4 * math.pi), 1.0) for Y in Ys]
+    errs = [1.0 - homogeneous.lower_bound_3d(st).value / st.leading
+            for st in states]
     slope = float(np.polyfit(np.log(Ys), np.log(errs), 1)[0])
     out.append(_check("homogeneous.lower_exponent",
                       abs(slope - 1.0 / 17.0) * 17.0, 0.1))
     Ys = np.geomspace(1e-9, 1e-4, 12)
-    errs = [homogeneous.upper_bound_3d(homogeneous.GasState3D(Y * 3 / (4 * math.pi), 1.0))
-            / homogeneous.GasState3D(Y * 3 / (4 * math.pi), 1.0).leading - 1.0
-            for Y in Ys]
+    states = [homogeneous.GasState3D(Y * 3 / (4 * math.pi), 1.0) for Y in Ys]
+    errs = [homogeneous.upper_bound_3d(st) / st.leading - 1.0 for st in states]
     slope = float(np.polyfit(np.log(Ys), np.log(errs), 1)[0])
     out.append(_check("homogeneous.upper_exponent", abs(slope - 1 / 3) * 3.0, 0.1))
 
-    ks = [homogeneous.k_factor(n, 50.0, 5.0, 1.0, 0.4, 0.05)
+    # K > 0 for n <= 1136 (163 of the 714 n), then the Temple factor's 0
+    ks = [homogeneous.k_factor(n, 50.0, 5.0, 1.0, 0.4, 1e-5)
           for n in np.arange(2, 5000, 7)]
-    mono = all(ks[i] >= ks[i + 1] - 1e-15 for i in range(len(ks) - 1))
+    mono = ks[0] > 0.0 and all(ks[i] >= ks[i + 1] - 1e-15
+                               for i in range(len(ks) - 1))
     out.append(_check("homogeneous.K_monotone", 0.0 if mono else 1.0, 0.5,
                       passed=mono))
 
@@ -142,15 +166,10 @@ def _homogeneous_checks(seed):
     out.append(_check("homogeneous.cell_min_vs_lp", worst, 1e-12))
 
     # Dyson's lemma on the zero-energy solution with U a thin annulus at
-    # R = 200a: the margin is >= 0 and saturates up to O(a/R) = 5e-3
-    v = scattering.soft_sphere(1.0, 25.0)
-    sol = scattering.solve_zero_energy(v)
-    a, R = sol.a, 200.0 * sol.a
-    psi_in = np.where(sol.grid > 0, sol.u / np.maximum(sol.grid, 1e-300), 0.0) / sol.du[-1]
-    r_out = np.linspace(sol.grid[-1], 1.03 * R, 60000)[1:]   # psi0 = 1 - a/r there
-    margin = homogeneous.dyson_lemma_residual(
-        np.concatenate([sol.grid, r_out]), np.concatenate([psi_in, 1.0 - a / r_out]),
-        v, homogeneous.soft_potential(R, 0.995 * R, 3, a), 1.02 * R) / (sol.mu * a)
+    # R = 200a: the margin (per mu a, mu = 1) is >= 0 and saturates up to
+    # O(a/R) = 5e-3
+    r, psi, v, U, R1 = _dyson_lemma_grid()
+    margin = homogeneous.dyson_lemma_residual(r, psi, v, U, R1) / U.a
     out.append(_check("homogeneous.dyson_lemma_saturation", margin, 1e-2,
                       passed=-1e-9 <= margin <= 1e-2))
     return out

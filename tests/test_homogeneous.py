@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bosegas import homogeneous as hb
 from bosegas import scattering as sc
+from bosegas import verify
 from bosegas.quadrature import simpson
 
 
@@ -106,8 +107,12 @@ def test_finite_box_n1_vanishes():
 
 
 def test_K_monotone_decreasing_in_n():
-    ks = [hb.k_factor(n, 50.0, 5.0, 1.0, 0.4, 0.05)
+    # at a = 0.05 the Temple factor is negative from n = 2 on and every K
+    # is 0; at a = 1e-5, K > 0 up to n = 1133 (195 of the 297 n), so the
+    # sweep runs through positive values and into the trivial bound
+    ks = [hb.k_factor(n, 50.0, 5.0, 1.0, 0.4, 1e-5)
           for n in np.unique(np.geomspace(2, 1e4, 400).astype(int))]
+    assert sum(k > 0.0 for k in ks) > len(ks) / 2 and ks[-1] == 0.0
     assert all(ks[i] >= ks[i + 1] - 1e-15 for i in range(len(ks) - 1))
 
 
@@ -216,22 +221,25 @@ def test_dyson_lemma_trivial_when_support_outside():
 
 def test_dyson_lemma_near_saturation():
     # psi = zero-energy solution, U a narrow annulus far out: the inequality
-    # saturates up to O(a/R)
-    v = sc.soft_sphere(1.0, 25.0)
-    sol = sc.solve_zero_energy(v)
-    a = sol.a
-    R = 200.0 * a
-    U = hb.soft_potential(R, 0.995 * R, 3, a)
-    c = sol.du[-1]
-    psi_in = np.where(sol.grid > 0, sol.u / np.maximum(sol.grid, 1e-300), 0.0) / c
-    # beyond the solver grid the solution is exactly 1 - a/r
-    r_out = np.linspace(sol.grid[-1], 1.03 * R, 60000)[1:]
-    r = np.concatenate([sol.grid, r_out])
-    psi = np.concatenate([psi_in, 1.0 - a / r_out])
-    lhs_scale = sol.mu * a  # per-line energy identity value ~ mu a (1 - a/R)
-    margin = hb.dyson_lemma_residual(r, psi, v, U, 1.02 * R)
-    assert margin >= -1e-9 * lhs_scale
-    assert margin < 0.01 * lhs_scale
+    # saturates up to O(a/R); per-line energy identity value ~ mu a (1 - a/R)
+    r, psi, v, U, R1 = verify._dyson_lemma_grid()
+    margin = hb.dyson_lemma_residual(r, psi, v, U, R1)
+    assert margin >= -1e-9 * U.a
+    assert margin < 0.01 * U.a
+
+
+def test_dyson_lemma_entry_matches_closed_form_exterior():
+    # beyond the solver grid psi = 1 - a/r, so the exterior part of the
+    # margin is a^2 (1/r_end - 1/R1) - a h int_{R0}^{R} (1 - a/r)^2 r^2 dr;
+    # edge nodes on the annulus would put the entry 6.8 % below it
+    r, psi, v, U, R1 = verify._dyson_lemma_grid()
+    a, R0, R = U.a, U.R0, U.R
+    n = len(sc.solve_zero_energy(v).grid)
+    interior = hb.dyson_lemma_residual(r[:n], psi[:n], v, U, r[n - 1])
+    exterior = (a**2 * (1.0 / r[n - 1] - 1.0 / R1) - a * U.height
+                * ((R**3 - R0**3) / 3.0 - a * (R**2 - R0**2) + a**2 * (R - R0)))
+    margin = hb.dyson_lemma_residual(r, psi, v, U, R1)
+    assert margin == pytest.approx(interior + exterior, rel=1e-2)
 
 
 def test_dyson_lemma_random_corpus_3d(rng):
@@ -285,27 +293,13 @@ def _reference_dyson_lemma_residual(r, psi, v, U, R1):
     return float(np.trapezoid(integrand, rr))
 
 
-def _verify_dyson_grid():
-    """The 64,096-node grid and zero-energy solution of verify's
-    homogeneous.dyson_lemma_saturation entry, with its v, U and R1."""
-    v = sc.soft_sphere(1.0, 25.0)
-    sol = sc.solve_zero_energy(v)
-    a, R = sol.a, 200.0 * sol.a
-    psi_in = np.where(sol.grid > 0, sol.u / np.maximum(sol.grid, 1e-300),
-                      0.0) / sol.du[-1]
-    r_out = np.linspace(sol.grid[-1], 1.03 * R, 60000)[1:]
-    return (np.concatenate([sol.grid, r_out]),
-            np.concatenate([psi_in, 1.0 - a / r_out]),
-            v, hb.soft_potential(R, 0.995 * R, 3, a), 1.02 * R)
-
-
 def _dyson_test_grids():
     """The grids, v, U and R1 of the four Dyson-lemma tests above."""
     v3, v2 = sc.soft_sphere(1.0, 9.0), sc.soft_sphere(1.0, 9.0, dimension=2)
     a3, a2 = sc.solve_zero_energy(v3).a, sc.solve_zero_energy(v2).a
     r = np.linspace(1e-6, 4.0, 4000)
     yield r, 1.0 - 0.3 / np.maximum(r, 0.3), v3, hb.soft_potential(6.0, 5.0, 3, a3), 4.0
-    yield _verify_dyson_grid()
+    yield verify._dyson_lemma_grid()
     r = np.linspace(1e-6, 8.0, 6000)
     psi = 1.0 + 0.2 * np.sin(r / 8.0 * math.pi / 2)
     yield r, psi, v3, hb.soft_potential(3.0, 1.0, 3, a3), 8.0
@@ -320,13 +314,12 @@ def test_dyson_lemma_blocks_keep_the_reference_bits():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_dyson_lemma_blocks_on_random_increasing_grids(dim):
-    # node counts below, at and across block edges, R1 inside and beyond the
-    # grid, and an evenly spaced grid, which np.gradient treats apart
+    # short and long grids, R1 inside and beyond the grid, and an evenly
+    # spaced grid, which np.gradient treats apart
     rng = np.random.default_rng(dim)
     v = sc.soft_sphere(1.0, 9.0, dimension=dim)
     U = hb.soft_potential(4.0, 1.5, dim, sc.solve_zero_energy(v).a)
-    block = hb._DYSON_BLOCK
-    for n in (2, 3, block, block + 1, block + 2, 2 * block + 1, 3 * block + 7):
+    for n in (2, 3, 2048, 2049, 2050, 4097, 6151):
         for grid in ("random", "even"):
             if grid == "even":
                 r = np.arange(1, n + 1) * 2.0**-8
@@ -350,12 +343,11 @@ def test_dyson_lemma_needs_increasing_r():
 
 
 def test_homogeneous_section_traced_peak():
-    # the Dyson-lemma entry builds no grid-sized temporaries: whole-array
-    # gradient, integrand and trapezoid terms over its 64,096 nodes take the
-    # section's traced peak past 7 MB
+    # the Dyson-lemma entry's whole-array gradient, integrand and trapezoid
+    # are sized by its grid: its 4,816 nodes keep the section's traced peak
+    # near 2.2 MB, while a uniform grid of 64,096 nodes takes it past 7 MB
     import tracemalloc
 
-    from bosegas import verify
     tracemalloc.start()
     try:
         verify._homogeneous_checks(7)
