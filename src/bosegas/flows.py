@@ -203,7 +203,7 @@ class FlowResult:
     converged: bool
     max_energy_increase: float  # largest accepted uphill move (fp noise scale)
     rejected_steps: int         # step halvings, failed solves included
-    newton_steps: int = 0       # Newton steps tried, refused ones included
+    newton_steps: int           # Newton steps tried, refused ones included
 
 
 def _gtsv(dl: list, d: list, du: list, cols: list) -> bool:

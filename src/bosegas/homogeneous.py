@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .quadrature import simpson
-
 if TYPE_CHECKING:
     import numpy as np
 
@@ -187,7 +185,6 @@ class SoftPotential:
     dimension: int
     height: float
     a: float              # the scattering length of the pair potential
-    nu: float | None = None
 
     def __call__(self, r):
         import numpy as np
@@ -209,19 +206,17 @@ def soft_potential(R: float, R0: float, dim: int, a: float) -> SoftPotential:
     if dim == 2:
         if R0 <= a:
             raise ValueError("2D soft potential requires R0 > a")
-        nu = nu_2d(R, R0, a)
-        return SoftPotential(R0, R, 2, 1.0 / nu, a, nu)
+        return SoftPotential(R0, R, 2, 1.0 / nu_2d(R, R0, a), a)
     raise ValueError("dim must be 2 or 3")
 
 
 def soft_potential_norm_report(U: SoftPotential) -> float:
-    """The defining normalization integral, 1 by construction, by Simpson
-    on 20001 points: int U r^2 dr (3D) or int U ln(r/a) r dr (2D)."""
-    import numpy as np
-    r = np.linspace(U.R0, U.R, 20001)
+    """The defining normalization integral, 1 by construction, in closed
+    form: int U r^2 dr = height (R^3 - R0^3)/3 (3D), int U ln(r/a) r dr =
+    height nu(R) (2D)."""
     if U.dimension == 3:
-        return float(simpson(U.height * r**2, r))
-    return float(simpson(U.height * np.log(r / U.a) * r, r))
+        return U.height * (U.R**3 - U.R0**3) / 3.0
+    return U.height * nu_2d(U.R, U.R0, U.a)
 
 
 def dyson_lemma_residual(r: np.ndarray, psi: np.ndarray, v: RadialPotential,

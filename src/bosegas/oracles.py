@@ -1,7 +1,7 @@
 """Independent brute-force and spectral verifiers.
 
 Everything here exists to check the rest of the package by a second route:
-exact plane-wave spectra for the twisted Laplacian, randomized corpora for
+the twisted Laplacian by central differences, randomized corpora for
 the generalized Poincare inequalities, dense diagonalization of small delta
 gases (in their zero-momentum sector) and truncated Fock spaces (by charge
 sector), and window searches for the band-matrix localization bound.  All
@@ -27,22 +27,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 # twisted periodic Laplacian
 # --------------------------------------------------------------------------
 
-def twisted_spectrum(L: float, phi: float, n_grid: int = 256, n_eigs: int = 6,
-                     basis: str = "plane_wave") -> np.ndarray:
-    """Low eigenvalues of -(d/dz + i phi/L)^2 with periodic boundary.
-
-    plane_wave: exact values ((2 pi m + phi)/L)^2.
-    finite_difference: central-difference matrix; converges at rate dz^2.
-    """
+def twisted_spectrum(L: float, phi: float, n: int, n_eigs: int) -> np.ndarray:
+    """The n_eigs lowest eigenvalues of -(d/dz + i phi/L)^2 with periodic
+    boundary, by its central-difference matrix on n nodes; they converge to
+    ((2 pi m + phi)/L)^2 at rate dz^2."""
     if abs(phi) > math.pi + 1e-12:
         raise ValueError("phi is taken in [-pi, pi]")
-    if basis == "plane_wave":
-        ms = np.arange(-(n_eigs + 2), n_eigs + 3)
-        vals = ((2.0 * math.pi * ms + phi) / L) ** 2
-        return np.sort(vals)[:n_eigs]
-    if basis != "finite_difference":
-        raise ValueError("basis must be plane_wave or finite_difference")
-    n = n_grid
     h = L / n
     main = np.full(n, 2.0 / h**2 + (phi / L) ** 2)
     hop = np.full(n - 1, -1.0 / h**2)
@@ -54,8 +44,7 @@ def twisted_spectrum(L: float, phi: float, n_grid: int = 256, n_eigs: int = 6,
     M += np.diag(np.full(n - 1, +2j * (phi / L) * d1), -1)
     M[0, -1] = -1.0 / h**2 + 2j * (phi / L) * d1
     M[-1, 0] = -1.0 / h**2 - 2j * (phi / L) * d1
-    vals = np.linalg.eigvalsh(M)
-    return np.sort(vals.real)[:n_eigs]
+    return np.linalg.eigvalsh(M)[:n_eigs]
 
 
 def twisted_ground_exact(L: float, phi: float) -> float:
@@ -113,14 +102,12 @@ def random_field(rng: np.random.Generator, kmax: int,
 
 
 def random_subset(n: int, rng: np.random.Generator, frac_complement: float,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
+                  scratch: np.ndarray) -> np.ndarray:
     """Smooth random super-level-set mask with |Omega^c|/|K| near the
     requested fraction.  ``scratch``, 2 x n^3 floats, holds the field's
     samples in its first row and their partitioned copy in its second; a
     calibration passes one array to all its calls, where fresh n^3 arrays
     would be mapped and faulted in every time."""
-    if scratch is None:
-        scratch = np.empty((2, n**3))
     samples, ranked = scratch
     g = _synthesize(random_field(rng, 2), samples.reshape(n, n, n))
     # np.quantile's threshold lies between the lo-th and hi-th smallest
@@ -133,7 +120,7 @@ def random_subset(n: int, rng: np.random.Generator, frac_complement: float,
 
 
 def _gradient_norms(coeffs: np.ndarray, L: float, omega_mask: np.ndarray,
-                    phi: float = 0.0, scratch: np.ndarray | None = None):
+                    scratch: np.ndarray, phi: float = 0.0):
     """Sums over Omega and over the whole grid of |grad u + i phi/L e_z u|^2
     (e_z the last axis) for the field u with band coefficients ``coeffs``.
     The grid's size and dimension are the mask's.  The gradient is the exact
@@ -144,7 +131,7 @@ def _gradient_norms(coeffs: np.ndarray, L: float, omega_mask: np.ndarray,
     form sum_{k,k'} conj(a_k) a_k' m(k' - k) with m the transform of the
     mask on the 2K - 1 mode differences, and the full sum is Parseval's
     n^d sum_k |a_k|^2: no gradient is sampled.  The mask's float copy goes
-    to ``scratch`` (n^d floats) when it is given.
+    to ``scratch`` (n^d floats).
     """
     n, d = omega_mask.shape[0], omega_mask.ndim
     K = coeffs.shape[0]
@@ -160,8 +147,6 @@ def _gradient_norms(coeffs: np.ndarray, L: float, omega_mask: np.ndarray,
     phase = _phase(2 * K - 1, n)
     # tensordot's operands, (grid axes, x) and (x, q), with the mask's axis
     # x moved last in one float copy where tensordot would take two
-    if scratch is None:
-        scratch = np.empty(omega_mask.size)
     grid = scratch.reshape(-1, n)
     np.copyto(grid.reshape(omega_mask.shape[1:] + (n,)),
               np.moveaxis(omega_mask, 0, -1))
@@ -216,9 +201,8 @@ class PoincareResult:
 
 
 def poincare_check(variant: str, coeffs: np.ndarray, L: float,
-                   omega_mask: np.ndarray, weight: np.ndarray | None = None,
-                   phi: float = 0.0,
-                   scratch: np.ndarray | None = None) -> PoincareResult:
+                   omega_mask: np.ndarray, weight: np.ndarray, phi: float,
+                   scratch: np.ndarray) -> PoincareResult:
     """Measure one instance of a generalized Poincare inequality for the
     field f with band coefficients ``coeffs`` (as ``random_field`` returns
     them) on the cube K of side L, sampled on the grid of ``omega_mask``,
@@ -243,7 +227,8 @@ def poincare_check(variant: str, coeffs: np.ndarray, L: float,
     resolves every mode, K <= n (ValueError otherwise): the mean is the zero
     mode, and the centred norm, the projection and the weight's inner
     products are sums over modes.  No sample is synthesized.  ``scratch``,
-    n^d floats, holds the mask's float copy if it is given.
+    n^d floats, holds the mask's float copy; only the inhomogeneous variant
+    reads ``weight``, and only the vector-potential one ``phi``.
     """
     n, d = omega_mask.shape[0], omega_mask.ndim
     if coeffs.shape[0] > n:
@@ -263,8 +248,6 @@ def poincare_check(variant: str, coeffs: np.ndarray, L: float,
                               {"grad_omega": g2_omega, "grad_full": g2_full})
 
     if variant == "inhomogeneous":
-        if weight is None:
-            raise ValueError("inhomogeneous variant needs the weight h")
         # enforce int f h = 0 by projection, then measure
         K = max(coeffs.shape[0], weight.shape[0])
         if K > n:
@@ -291,7 +274,7 @@ def poincare_check(variant: str, coeffs: np.ndarray, L: float,
         if norm2 == 0.0:
             return PoincareResult(0.0, 0.0, 0.0, comp_vol / vol, {})
         g2_omega, g2_full = (s * dV for s in _gradient_norms(
-            coeffs, L, omega_mask, phi, scratch))
+            coeffs, L, omega_mask, scratch, phi))
         excess = g2_omega - (phi / L) ** 2 * norm2
         if comp_vol == 0.0:
             ratio = excess / (norm2 / L**2)
@@ -309,8 +292,7 @@ _COSINE_WEIGHT = np.zeros((3, 3, 3))
 _COSINE_WEIGHT[:, 1, 1] = (0.25, 1.0, 0.25)
 
 
-def poincare_calibrate(variant: str, n: int = 24, n_cases: int = 100,
-                       seed: int = 1234) -> dict:
+def poincare_calibrate(variant: str, n: int, n_cases: int, seed: int) -> dict:
     """Run a seeded corpus; returns the calibrated constant and extremes.
 
     homogeneous/inhomogeneous: C_hat = max ratio (inequality constant).
@@ -483,7 +465,7 @@ class DeltaGasResult:
 
 
 def exact_diag_delta_gas_1d(n: int, ell: float, g: float,
-                            m_base: int = 24) -> DeltaGasResult:
+                            m_base: int) -> DeltaGasResult:
     """Ground energy of n <= 3 bosons with g sum delta(z_i - z_j) on a ring
     of length ell.
 

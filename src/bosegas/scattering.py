@@ -158,9 +158,9 @@ class ScatteringSolution:
     mu: float
     dimension: int
     core_radius: float
-    du: np.ndarray = field(default=None, repr=False)
-    a_refined: float = field(default=float("nan"))
-    integrals: tuple | None = field(default=None, repr=False)
+    du: np.ndarray = field(repr=False)
+    a_refined: float
+    integrals: tuple | None = field(repr=False)
 
     def export_csv(self, path) -> None:
         with open(path, "w") as fh:

@@ -187,15 +187,33 @@ def test_bounds_2d_state_requires_dilute():
 
 # --- soft potentials and the radial-line lemma -------------------------------
 
+def _simpson_norm(U):
+    """The normalization integral by Simpson on 20001 points: the route the
+    closed form of ``hb.soft_potential_norm_report`` is checked against."""
+    r = np.linspace(U.R0, U.R, 20001)
+    if U.dimension == 3:
+        return simpson(U.height * r**2, r)
+    return simpson(U.height * np.log(r / U.a) * r, r)
+
+
 def test_soft_potential_3d_height_and_norm():
     U = hb.soft_potential(2.0, 1.0, 3, 0.5)
     assert U.height == pytest.approx(3.0 / 7.0)
-    assert hb.soft_potential_norm_report(U) == pytest.approx(1.0, abs=1e-9)
+    assert hb.soft_potential_norm_report(U) == pytest.approx(1.0, abs=1e-14)
+    assert _simpson_norm(U) == pytest.approx(1.0, abs=1e-10)
+    # a height off the normalization shows in the report
+    off = hb.SoftPotential(U.R0, U.R, 3, 1.5 * U.height, U.a)
+    assert hb.soft_potential_norm_report(off) == pytest.approx(
+        _simpson_norm(off), abs=1e-10)
 
 
 def test_soft_potential_2d_norm_and_nu():
     U = hb.soft_potential(3.0, 1.5, 2, a=1.0)
-    assert hb.soft_potential_norm_report(U) == pytest.approx(1.0, abs=1e-12)
+    assert hb.soft_potential_norm_report(U) == pytest.approx(1.0, abs=1e-14)
+    assert _simpson_norm(U) == pytest.approx(1.0, abs=1e-10)
+    off = hb.SoftPotential(U.R0, U.R, 2, 0.5 * U.height, U.a)
+    assert hb.soft_potential_norm_report(off) == pytest.approx(
+        _simpson_norm(off), abs=1e-10)
     # Gauss-Legendre oracle for int ln(r/a) r dr
     x, w = np.polynomial.legendre.leggauss(60)
     r = 1.5 + 0.75 * (x + 1.0)
@@ -234,12 +252,28 @@ def test_dyson_lemma_entry_matches_closed_form_exterior():
     # edge nodes on the annulus would put the entry 6.8 % below it
     r, psi, v, U, R1 = verify._dyson_lemma_grid()
     a, R0, R = U.a, U.R0, U.R
-    n = len(sc.solve_zero_energy(v).grid)
+    # the solver's nodes and the one just inside v's range
+    n = len(sc.solve_zero_energy(v).grid) + 1
     interior = hb.dyson_lemma_residual(r[:n], psi[:n], v, U, r[n - 1])
     exterior = (a**2 * (1.0 / r[n - 1] - 1.0 / R1) - a * U.height
                 * ((R**3 - R0**3) / 3.0 - a * (R**2 - R0**2) + a**2 * (R - R0)))
     margin = hb.dyson_lemma_residual(r, psi, v, U, R1)
     assert margin == pytest.approx(interior + exterior, rel=1e-2)
+
+
+def test_dyson_lemma_entry_is_resolved_on_the_solver_grid(monkeypatch):
+    # with a node just inside v's step, the entry moves by 2.5e-5 relative
+    # when the solver's grid doubles; a node on the step drops half a cell
+    # of v psi^2 r^2 and moves it by 18 %
+    def entry():
+        r, psi, v, U, R1 = verify._dyson_lemma_grid()
+        return hb.dyson_lemma_residual(r, psi, v, U, R1) / U.a
+
+    coarse = entry()
+    solve = sc.solve_zero_energy
+    monkeypatch.setattr(sc, "solve_zero_energy",
+                        lambda v: solve(v, 1.0, sc.GridSpec(8192)))
+    assert entry() == pytest.approx(coarse, rel=1e-4)
 
 
 def test_dyson_lemma_random_corpus_3d(rng):

@@ -10,6 +10,8 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from bosegas import oracles as orc
+from bosegas import verify
+from bosegas.quadrature import richardson
 
 
 # --- reference implementations ------------------------------------------------
@@ -55,6 +57,13 @@ def _tensordot_synthesize(coeffs, n):
     field = np.concatenate((field.real, field.imag))
     return np.tensordot(field, np.concatenate((phase.real, -phase.imag)),
                         axes=(0, 0))
+
+
+def _poincare(variant, coeffs, L, mask, weight=orc._COSINE_WEIGHT, phi=0.0):
+    """``orc.poincare_check`` with the calibration's weight and a fresh
+    scratch array; phi is read by the vector-potential variant alone."""
+    return orc.poincare_check(variant, coeffs, L, mask, weight, phi,
+                              np.empty(mask.size))
 
 
 def _reference_random_subset(n, rng, frac_complement):
@@ -227,35 +236,47 @@ def _reference_delta_gas_energy(m, n, ell, g, boundary):
 
 # --- twisted Laplacian --------------------------------------------------------
 
+# at |phi| <= pi the central-difference ground state is the constant mode,
+# whose eigenvalue is (phi/L)^2 exactly: what is left is the eigensolver's
+# rounding, below 1e-11 at n = 64
 def test_twisted_ground_zero_phase():
-    assert orc.twisted_spectrum(1.0, 0.0)[0] == 0.0
+    assert abs(orc.twisted_spectrum(1.0, 0.0, 64, 1)[0]) < 1e-9
 
 
 def test_twisted_ground_half_pi():
-    got = orc.twisted_spectrum(1.0, 0.5 * math.pi)[0]
-    assert got == pytest.approx((0.5 * math.pi) ** 2, rel=1e-14)
+    got = orc.twisted_spectrum(1.0, 0.5 * math.pi, 64, 1)[0]
+    assert abs(got - (0.5 * math.pi) ** 2) < 1e-9
 
 
 def test_twisted_pi_twofold_degenerate():
-    ev = orc.twisted_spectrum(2.0, math.pi, n_eigs=3)
-    assert abs(ev[1] - ev[0]) < 1e-10
-    assert ev[0] == pytest.approx((math.pi / 2.0) ** 2, rel=1e-14)
-    assert ev[2] > ev[1] + 1e-6
+    # the exact levels m = 0, -1 coincide at phi = pi; the FD split is
+    # O(dz^2), and Richardson's step leaves below 1e-5 of the level
+    splits, third = [], []
+    for n in (32, 64, 128):
+        ev = orc.twisted_spectrum(2.0, math.pi, n, 3)
+        assert abs(ev[0] - (math.pi / 2.0) ** 2) < 1e-9
+        splits.append(ev[1] - ev[0])
+        third.append(ev[2])
+    limit, _, note = richardson(splits, 2)
+    assert note is None
+    assert abs(limit) < 1e-5 * (math.pi / 2.0) ** 2
+    assert min(third) > max(splits) + (math.pi / 2.0) ** 2
 
 
 def test_twisted_matches_min_over_m():
     for L, phi in ((1.0, 1.1), (2.5, -2.2), (0.7, 3.0)):
         ms = np.arange(-5, 6)
         exact = np.min(((2 * math.pi * ms + phi) / L) ** 2)
-        assert orc.twisted_spectrum(L, phi)[0] == pytest.approx(exact, rel=1e-14)
+        assert orc.twisted_spectrum(L, phi, 64, 1)[0] == pytest.approx(
+            exact, rel=1e-11)
+        assert orc.twisted_ground_exact(L, phi) == exact
 
 
 def test_twisted_fd_second_order_convergence():
     errs = []
     ns = (32, 64, 128)
     for n in ns:
-        ev = orc.twisted_spectrum(1.0, 1.1, n_grid=n, basis="finite_difference",
-                                  n_eigs=2)
+        ev = orc.twisted_spectrum(1.0, 1.1, n, 2)
         exact = sorted(((2 * math.pi * m + 1.1) ** 2 for m in range(-4, 5)))[:2]
         # ground (constant mode) is exact in FD; rate measured on level 1
         assert abs(ev[0] - exact[0]) < 1e-10
@@ -264,13 +285,40 @@ def test_twisted_fd_second_order_convergence():
     assert abs(rate + 2.0) < 0.2
 
 
+def _without_twist_shift(M):
+    # the diagonal is 2/dz^2 + (phi/L)^2 and the hop -1/dz^2
+    return M - (M[0, 0].real + 2.0 * M[0, 1].real) * np.eye(len(M))
+
+
+def _without_wrap_around(M):
+    M = M.copy()
+    M[0, -1] = M[-1, 0] = 0.0
+    return M
+
+
+@pytest.mark.parametrize("corrupt,failing", [
+    (_without_twist_shift, {"oracles.twisted_exact"}),
+    (_without_wrap_around, {"oracles.twisted_exact",
+                            "oracles.twisted_pi_degeneracy"})])
+def test_twisted_entries_fail_on_a_corrupted_matrix(monkeypatch, corrupt,
+                                                    failing):
+    # a shift of the whole spectrum leaves the split at phi = pi as it is;
+    # the open chain loses the constant mode and the degeneracy with it
+    assert all(c["passed"] for c in verify._twisted_checks())
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M: eigvalsh(corrupt(M)))
+    checks = verify._twisted_checks()
+    assert {c["name"] for c in checks if not c["passed"]} >= failing
+
+
 # --- Poincare suites -----------------------------------------------------------
 
 def test_poincare_constant_function_gives_zero():
     mask = np.zeros((12, 12, 12), dtype=bool)
     mask[:6] = True
-    assert orc.poincare_check("homogeneous", np.ones((1, 1, 1)), 1.0,
-                              mask).ratio == 0.0
+    assert _poincare("homogeneous", np.ones((1, 1, 1)), 1.0,
+                     mask).ratio == 0.0
 
 
 def test_poincare_full_cube_classical_bound(rng):
@@ -278,16 +326,15 @@ def test_poincare_full_cube_classical_bound(rng):
     # |f - <f>|^2 <= (L/2pi)^2 |grad f|^2
     full = np.ones((16, 16, 16), dtype=bool)
     for _ in range(10):
-        res = orc.poincare_check("homogeneous", orc.random_field(rng, 2), 1.0,
-                                 full)
+        res = _poincare("homogeneous", orc.random_field(rng, 2), 1.0, full)
         assert res.ratio <= 1.0 / (4 * math.pi**2) + 1e-12
 
 
 def test_poincare_scale_invariance(rng):
     coeffs = orc.random_field(rng, 2)
-    mask = orc.random_subset(16, rng, 0.3)
-    r1 = orc.poincare_check("homogeneous", coeffs, 1.0, mask).ratio
-    r2 = orc.poincare_check("homogeneous", coeffs, 2.0, mask).ratio
+    mask = orc.random_subset(16, rng, 0.3, np.empty((2, 16**3)))
+    r1 = _poincare("homogeneous", coeffs, 1.0, mask).ratio
+    r2 = _poincare("homogeneous", coeffs, 2.0, mask).ratio
     assert abs(r1 - r2) < 1e-10 * max(r1, 1e-12)
 
 
@@ -296,18 +343,16 @@ def test_poincare_vector_full_cube_nonnegative(rng):
     # mean-zero fields (|phi| < pi nondegenerate ground state)
     full = np.ones((12, 12, 12), dtype=bool)
     for _ in range(10):
-        res = orc.poincare_check("vector_potential",
-                                 orc.random_field(rng, 2, True), 1.0, full,
-                                 phi=0.6 * math.pi)
+        res = _poincare("vector_potential", orc.random_field(rng, 2, True),
+                        1.0, full, phi=0.6 * math.pi)
         assert res.ratio >= -1e-10
 
 
 def test_poincare_inhomogeneous_weight_validation(rng):
     coeffs = orc.random_field(rng, 2)
-    mask = orc.random_subset(12, rng, 0.2)
+    mask = orc.random_subset(12, rng, 0.2, np.empty((2, 12**3)))
     with pytest.raises(ValueError, match="integrate to 1"):
-        orc.poincare_check("inhomogeneous", coeffs, 1.0, mask,
-                           np.full((1, 1, 1), 5.0))
+        _poincare("inhomogeneous", coeffs, 1.0, mask, np.full((1, 1, 1), 5.0))
 
 
 def test_poincare_calibration_stable_and_clean():
@@ -324,8 +369,8 @@ def test_poincare_calibration_stable_and_clean():
 
 def test_poincare_unknown_variant():
     with pytest.raises(ValueError):
-        orc.poincare_check("bogus", np.ones((1, 1, 1)), 1.0,
-                           np.ones((8, 8, 8), dtype=bool))
+        _poincare("bogus", np.ones((1, 1, 1)), 1.0,
+                  np.ones((8, 8, 8), dtype=bool))
 
 
 def _reference_norms(values, L, mask, phi=0.0):
@@ -384,9 +429,9 @@ def test_random_field_matches_fft_reference(n, kmax, complex_valued):
         # a real field's samples as a mask's are synthesized
         values = orc._synthesize(coeffs, np.empty((n, n, n)))
         assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
-    mask = orc.random_subset(n, rng, 0.3)
+    mask = orc.random_subset(n, rng, 0.3, np.empty((2, n**3)))
     phi = 0.5 * math.pi if complex_valued else 0.0
-    got = orc._gradient_norms(coeffs, 1.0, mask, phi)
+    got = orc._gradient_norms(coeffs, 1.0, mask, np.empty(mask.size), phi)
     want = _reference_norms(ref, 1.0, mask, phi)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -403,7 +448,7 @@ def test_gradient_norms_of_sampled_array_match_fft_reference(complex_valued):
     mask = rng.uniform(size=(11, 11, 11)) < 0.7
     phi = 1.1 if complex_valued else 0.0
     coeffs = np.fft.fftshift(np.fft.fftn(vals)) / vals.size
-    got = orc._gradient_norms(coeffs, 2.5, mask, phi)
+    got = orc._gradient_norms(coeffs, 2.5, mask, np.empty(mask.size), phi)
     assert got == pytest.approx(_reference_norms(vals, 2.5, mask, phi),
                                 rel=1e-12)
 
@@ -412,9 +457,8 @@ def test_inhomogeneous_check_band_matches_samples(rng):
     # the cosine weight's band (3 modes) is padded into the field's (5)
     n = 16
     coeffs, values = _drawn(rng, n)
-    mask = orc.random_subset(n, rng, 0.25)
-    band = orc.poincare_check("inhomogeneous", coeffs, 1.0, mask,
-                              orc._COSINE_WEIGHT)
+    mask = orc.random_subset(n, rng, 0.25, np.empty((2, n**3)))
+    band = _poincare("inhomogeneous", coeffs, 1.0, mask)
     sampled = _sampled_check("inhomogeneous", values, 1.0, mask,
                              _cosine_weight_samples(n))
     assert band.ratio == pytest.approx(sampled[0], rel=1e-12)
@@ -424,7 +468,8 @@ def test_random_subset_masks_match_reference():
     for seed in range(8):
         for n in (12, 24, 48):
             frac = np.random.default_rng(seed).uniform(0.0, 0.5)
-            mask = orc.random_subset(n, np.random.default_rng(seed), frac)
+            mask = orc.random_subset(n, np.random.default_rng(seed), frac,
+                                     np.empty((2, n**3)))
             ref = _reference_random_subset(n, np.random.default_rng(seed), frac)
             assert np.array_equal(mask, ref)
 
@@ -458,7 +503,7 @@ def test_partition_mask_at_the_ends():
     # is an integer
     for frac in (0.0, 0.5, 1.0, 1.0 / 215.0, 107.0 / 215.0):
         rng = np.random.default_rng(0)
-        got = orc.random_subset(6, rng, frac)
+        got = orc.random_subset(6, rng, frac, np.empty((2, 6**3)))
         g = orc._synthesize(orc.random_field(np.random.default_rng(0), 2),
                             np.empty((6, 6, 6)))
         ref = _quantile_mask(g, frac)
@@ -474,10 +519,10 @@ def test_coefficient_sums_match_sampled_route(variant, n):
     weight = _cosine_weight_samples(n)
     phi = 0.5 * math.pi if variant == "vector_potential" else 0.0
     for _ in range(8):
-        mask = orc.random_subset(n, rng, rng.uniform(0.0, 0.5))
+        mask = orc.random_subset(n, rng, rng.uniform(0.0, 0.5),
+                                 np.empty((2, n**3)))
         coeffs, values = _drawn(rng, n, variant == "vector_potential")
-        band = orc.poincare_check(variant, coeffs, 1.0, mask,
-                                  orc._COSINE_WEIGHT, phi)
+        band = _poincare(variant, coeffs, 1.0, mask, phi=phi)
         ratio, lhs, rhs, frac, pieces = _sampled_check(
             variant, values, 1.0, mask, weight, phi)
         assert list(band.pieces) == list(pieces)
@@ -551,23 +596,22 @@ def test_scratch_routes_keep_tensordot_bits(n, d):
         mask = rng.uniform(size=(n,) * d) < rng.uniform(0.5, 1.0)
         phi = 1.1 if complex_valued else 0.0
         want = _tensordot_gradient_norms(coeffs, 1.7, mask, phi)
-        assert orc._gradient_norms(coeffs, 1.7, mask, phi) == want
-        assert orc._gradient_norms(coeffs, 1.7, mask, phi, scratch[0]) == want
+        assert orc._gradient_norms(coeffs, 1.7, mask, scratch[0], phi) == want
 
 
 def test_fields_reject_unresolved_band():
     # Parseval's sums and the synthesized samples need K <= n, n the mask's
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="K <= n"):
-        orc.random_subset(4, rng, 0.3)
+        orc.random_subset(4, rng, 0.3, np.empty((2, 4**3)))
     coeffs, small = orc.random_field(rng, 2), np.ones((4, 4, 4), dtype=bool)
     for variant in ("homogeneous", "inhomogeneous", "vector_potential"):
         with pytest.raises(ValueError, match="K <= n"):
-            orc.poincare_check(variant, coeffs, 1.0, small, orc._COSINE_WEIGHT)
+            _poincare(variant, coeffs, 1.0, small)
     # the weight's band counts too
     with pytest.raises(ValueError, match="K <= n"):
-        orc.poincare_check("inhomogeneous", np.ones((1, 1, 1)), 1.0,
-                           np.ones((2, 2, 2), dtype=bool), orc._COSINE_WEIGHT)
+        _poincare("inhomogeneous", np.ones((1, 1, 1)), 1.0,
+                  np.ones((2, 2, 2), dtype=bool))
 
 
 # C_hat and min_ratio of the FFT implementation on the verify --seed 7
@@ -714,7 +758,7 @@ def test_delta_gas_zero_momentum_sector_matches_bosonic_sector(n, m):
 def test_delta_gas_free_limits():
     # noninteracting ground energy is 0 for both boundary conditions; the
     # Richardson step amplifies eigensolver roundoff slightly
-    assert abs(orc.exact_diag_delta_gas_1d(2, 1.0, 0.0).energy) < 1e-8
+    assert abs(orc.exact_diag_delta_gas_1d(2, 1.0, 0.0, 24).energy) < 1e-8
     for m in (24, 36, 48):
         assert abs(_reference_bosonic_delta_gas_energy(
             m, 2, 1.0, 0.0, "neumann")) < 1e-8
@@ -744,7 +788,7 @@ def test_delta_gas_error_estimate_reported():
 
 def test_delta_gas_rejects_large_n():
     with pytest.raises(ValueError):
-        orc.exact_diag_delta_gas_1d(4, 1.0, 1.0)
+        orc.exact_diag_delta_gas_1d(4, 1.0, 1.0, 24)
 
 
 # --- truncated Fock ------------------------------------------------------------

@@ -10,7 +10,9 @@ or nowhere.
 
 A defaulted parameter (or a defaulted ``__init__`` field of a dataclass)
 that no call in ``src/bosegas`` passes takes one value in every run the
-program makes; it is a constant, or it selects a branch nothing uses.
+program makes; it is a constant, or it selects a branch nothing uses.  In
+``oracles``, whose callers pass what ``verify`` checks, the converse holds
+too: a default that every call overrides is a value no run takes.
 """
 
 import ast
@@ -129,29 +131,76 @@ def defaulted_parameters(src: Path = SRC) -> list[tuple]:
             for knob in _defaulted(path.stem, ast.parse(path.read_text()))]
 
 
-def unset_parameters(src: Path = SRC) -> list[str]:
-    """Labels of the defaulted parameters and fields that no call in
-    ``src`` passes, by position, by keyword or through ``*``/``**``."""
+def _src_calls(src: Path) -> dict:
+    """The calls in ``src`` by callee name."""
     calls = {}
     for path in sorted(src.glob("*.py")):
         for name, call in _calls(ast.parse(path.read_text())):
             calls.setdefault(name, []).append(call)
+    return calls
 
-    def passed(position, keyword, call):
-        if any(k.arg in (keyword, None) for k in call.keywords):
-            return True
-        return position is not None and (
-            position < len(call.args)
-            or any(isinstance(a, ast.Starred) for a in call.args))
 
+def _passes(call: ast.Call, position: int | None, keyword: str) -> bool:
+    """Whether ``call`` passes the parameter, by position, by keyword or
+    through ``*``/``**``."""
+    if any(k.arg in (keyword, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        position < len(call.args)
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_parameters(src: Path = SRC) -> list[str]:
+    """Labels of the defaulted parameters and fields that no call in
+    ``src`` passes."""
+    calls = _src_calls(src)
     return [label for label, name, position, keyword in defaulted_parameters(src)
             if label != _PROGRAM_INPUT
-            and not any(passed(position, keyword, c) for c in calls.get(name, []))]
+            and not any(_passes(c, position, keyword) for c in calls.get(name, []))]
 
 
 def test_every_defaulted_parameter_is_set_by_a_src_caller():
     unset = unset_parameters()
     assert not unset, f"{len(unset)} set only by tests or by nothing: {', '.join(unset)}"
+
+
+def always_set_parameters(src: Path = SRC, module: str = "oracles") -> list[str]:
+    """Labels of the defaulted parameters and fields of ``module`` that
+    every call in ``src`` passes: a default that no run takes is a value
+    the reader checks for nothing."""
+    calls = _src_calls(src)
+    return [label for label, name, position, keyword in defaulted_parameters(src)
+            if label.startswith(f"{module}.")
+            and all(_passes(c, position, keyword) for c in calls.get(name, []))]
+
+
+def test_every_oracle_default_is_taken_by_a_src_caller():
+    # the oracles take what verify passes: a default is one that it uses
+    always = always_set_parameters()
+    assert not always, f"{len(always)} defaults no src call takes: {', '.join(always)}"
+
+
+def test_a_default_every_call_passes_is_found(tmp_path):
+    # one call leaves f's x and C's r at their defaults, every call passes
+    # f's y and z and C's q, and n is another module
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    p: int\n"
+        "    q: int = 0\n"
+        "    r: int = 1\n\n\n"
+        "def f(w, x=1, y=2, *, z=3):\n"
+        "    return C(w, q=x), C(w, x, y)\n\n\n"
+        "def g():\n"
+        "    return f(0, y=1, z=2), f(0, 1, 2, z=3)\n")
+    (tmp_path / "n.py").write_text(
+        "def h(v=1):\n"
+        "    return v\n\n\n"
+        "def k():\n"
+        "    return h(2)\n")
+    assert always_set_parameters(tmp_path, "m") == ["m.C.q", "m.f(y)", "m.f(z)"]
+    assert always_set_parameters(tmp_path, "n") == ["n.h(v)"]
 
 
 def test_a_recursive_call_sets_no_default(tmp_path):
