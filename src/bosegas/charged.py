@@ -47,22 +47,13 @@ _DYSON_RMAX_FACTOR = 30.0
 _DYSON_UNIT = (-0.0251705878368567, 0.015102352702114127, 0.040272940538970826)
 
 
-@dataclass(frozen=True)
-class BogolubovParams:
-    A: float
-    B_plus: float
-    B_minus: float = 0.0
-
-    def __post_init__(self):
-        if self.A < 0 or self.B_plus < 0 or self.B_minus < 0:
-            raise ValueError("Bogolubov parameters must be nonnegative")
-
-
-def bogolubov_bound(p: BogolubovParams) -> float:
+def bogolubov_bound(A: float, B_plus: float, B_minus: float) -> float:
     """Sharp lower bound of the paired quadratic form:
     -(A+B) + sqrt((A+B)^2 - B^2) with B = B_plus + B_minus."""
-    B = p.B_plus + p.B_minus
-    s = p.A + B
+    if A < 0 or B_plus < 0 or B_minus < 0:
+        raise ValueError("Bogolubov parameters must be nonnegative")
+    B = B_plus + B_minus
+    s = A + B
     return -s + math.sqrt(max(s * s - B * B, 0.0))
 
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: scatter, bounds, gp, tf, ll, regimes, charged, verify, validate.
-Scalar results go to JSON (ResultRecord), curves and profiles to CSV.  All
+Scalar results go to JSON records, curves and profiles to CSV.  All
 outputs are deterministic for a fixed (config, seed); the only run-dependent
 field is the timestamp.  Exit codes: 0 ok, 1 numeric failure, 2 config
 error, 3 IO error.
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from . import LL_TABLE, SCHEMA_VERSION, __version__
 from .config import (ConfigError, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
-                     ResultRecord, SweepSpec, parse_config_file,
+                     parse_config_file, parse_sweep, record_json,
                      validate_params, write_csv)
 
 if TYPE_CHECKING:
@@ -56,8 +56,7 @@ def _emit_record(args, outputs: dict, profile=None, **provenance) -> int:
     if profile is not None and args.profile_out:
         profile.export_csv(args.profile_out)
     provenance.update(package_version=__version__, schema_version=SCHEMA_VERSION)
-    text = ResultRecord(args.subcommand, _args_echo(args), outputs,
-                        provenance).to_json()
+    text = record_json(args.subcommand, _args_echo(args), outputs, provenance)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -112,10 +111,13 @@ def _bounds_row(Y: float, mu: float) -> tuple:
 
 def cmd_bounds(args) -> int:
     if args.sweep:
-        rows = [_bounds_row(y, args.mu) for y in SweepSpec.parse(args.sweep).values()]
+        import numpy as np
+        _, lo, hi, n = parse_sweep(args.sweep)
+        # Python floats, so that every cell is a float's repr
+        rows = [_bounds_row(y, args.mu) for y in np.geomspace(lo, hi, n).tolist()]
         bad = [row[0] for row in rows if not all(map(math.isfinite, row))]
         if bad:
-            raise NumericError(f"bounds: non-finite row at Y={float(bad[0])!r}")
+            raise NumericError(f"bounds: non-finite row at Y={bad[0]!r}")
         path = args.out or "bounds.csv"
         write_csv(path, ["Y", "lower", "lhy", "upper"], rows)
         return EXIT_OK
@@ -208,8 +210,8 @@ def cmd_charged(args) -> int:
         outputs = {"value": le.value, "closed_form": le.closed_form,
                    "rel_deviation": le.rel_deviation}
     else:
-        p = charged.BogolubovParams(args.A, args.B_plus, args.B_minus)
-        outputs = {"bound": charged.bogolubov_bound(p)}
+        outputs = {"bound": charged.bogolubov_bound(args.A, args.B_plus,
+                                                    args.B_minus)}
     return _emit_record(args, outputs)
 
 

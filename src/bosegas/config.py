@@ -8,10 +8,9 @@ Config files are flat sectioned key=value text (diff-friendly, no nesting):
     a = 0.1
     sweep = Y=1e-9:1e-4:50
 
-JSON records and the ``bounds`` sweep CSV (``write_csv``) carry the schema
-version; their loaders reject unknown major versions.  JSON floats use
-shortest round-trip decimals (bit-exact reload), CSV numbers are written
-with repr for the same reason.
+JSON records (``record_json``) and the ``bounds`` sweep CSV (``write_csv``)
+carry the schema version.  JSON floats use shortest round-trip decimals
+(bit-exact reload), CSV numbers are written with repr for the same reason.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
 
 from . import SCHEMA_VERSION
 
@@ -34,39 +32,25 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-@dataclass
-class SweepSpec:
-    """lo:hi:n log-spaced sweep of a named parameter."""
-
-    name: str
-    lo: float
-    hi: float
-    n: int
-
-    @classmethod
-    def parse(cls, text: str) -> "SweepSpec":
-        # form: NAME=lo:hi:n
-        if "=" not in text:
-            raise ConfigError(f"sweep spec {text!r} must look like Y=lo:hi:n")
-        name, rest = text.split("=", 1)
-        parts = rest.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"sweep spec {text!r} must look like Y=lo:hi:n")
-        try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise ConfigError(f"sweep spec {text!r} needs numbers lo:hi:n") from None
-        if not (lo < hi):
-            raise ConfigError(f"sweep bounds must be ordered: {text!r}")
-        if n < 1:
-            raise ConfigError("sweep needs at least one point")
-        if lo <= 0:
-            raise ConfigError("log sweep needs positive bounds")
-        return cls(name.strip(), lo, hi, n)
-
-    def values(self):
-        import numpy as np
-        return np.geomspace(self.lo, self.hi, self.n)
+def parse_sweep(text: str) -> tuple[str, float, float, int]:
+    """(name, lo, hi, n) of a ``NAME=lo:hi:n`` log-spaced sweep."""
+    if "=" not in text:
+        raise ConfigError(f"sweep spec {text!r} must look like Y=lo:hi:n")
+    name, rest = text.split("=", 1)
+    parts = rest.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"sweep spec {text!r} must look like Y=lo:hi:n")
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ConfigError(f"sweep spec {text!r} needs numbers lo:hi:n") from None
+    if not (lo < hi):
+        raise ConfigError(f"sweep bounds must be ordered: {text!r}")
+    if n < 1:
+        raise ConfigError("sweep needs at least one point")
+    if lo <= 0:
+        raise ConfigError("log sweep needs positive bounds")
+    return name.strip(), lo, hi, n
 
 
 def parse_config_file(path) -> dict:
@@ -119,9 +103,9 @@ def validate_params(section: str, params: dict) -> list[str]:
         name = key.replace("-", "_")
         if name == "sweep":
             try:
-                spec = SweepSpec.parse(val)
-                if section == "bounds" and spec.name != "Y":
-                    raise ConfigError(f"bounds sweeps Y only, got {spec.name!r}")
+                swept = parse_sweep(val)[0]
+                if section == "bounds" and swept != "Y":
+                    raise ConfigError(f"bounds sweeps Y only, got {swept!r}")
             except ConfigError as exc:
                 problems.append(f"{section}.{key}: {exc}")
         elif name == "n_grid":
@@ -167,7 +151,7 @@ def _bounds_domain(params: dict) -> list[str]:
     Checked once ``rho`` and ``a`` are both given; ``dim`` is 3 unless
     given, as in the parser."""
     if params.get("sweep"):
-        Y = SweepSpec.parse(params["sweep"]).hi
+        Y = parse_sweep(params["sweep"])[2]
         rho, a, dim = 3.0 * Y / (4.0 * math.pi), 1.0, 3
     elif "rho" in params and "a" in params:
         rho, a, dim = params["rho"], params["a"], params.get("dim", 3)
@@ -189,59 +173,26 @@ def _bounds_domain(params: dict) -> list[str]:
     return [f"bounds: {dim}D needs {need}, got rho = {rho!r}, a = {a!r}"]
 
 
-@dataclass
-class ResultRecord:
-    """Inputs echo + outputs + provenance; serialization round-trips
-    losslessly through JSON (repr-float encoding)."""
-
-    subcommand: str
-    inputs: dict
-    outputs: dict
-    provenance: dict
-    schema_version: str = SCHEMA_VERSION
-    timestamp: float = field(default_factory=time.time)
-
-    def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "subcommand": self.subcommand,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "provenance": self.provenance,
-            "timestamp": self.timestamp,
-        }
-        return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResultRecord":
-        payload = json.loads(text)
-        check_schema(payload.get("schema_version", ""))
-        return cls(payload["subcommand"], payload["inputs"], payload["outputs"],
-                   payload["provenance"], payload["schema_version"],
-                   payload["timestamp"])
-
-
-def check_schema(version: str) -> None:
-    if not version:
-        raise ConfigError("missing schema_version")
-    major = str(version).split(".", 1)[0]
-    ours = SCHEMA_VERSION.split(".", 1)[0]
-    if major != ours:
-        raise ConfigError(
-            f"unsupported schema major version {version!r} (expected {ours}.x)")
-
-
-def _fmt_cell(x) -> str:
-    if hasattr(x, "item"):            # numpy scalar -> shortest round trip
-        return repr(float(x))
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def record_json(subcommand: str, inputs: dict, outputs: dict,
+                provenance: dict) -> str:
+    """The JSON record of one run: inputs echo, outputs and provenance,
+    stamped with the schema version and the time; a float that is not
+    finite raises ValueError rather than write invalid JSON."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "subcommand": subcommand,
+        "inputs": inputs,
+        "outputs": outputs,
+        "provenance": provenance,
+        "timestamp": time.time(),
+    }
+    return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
 
 
 def write_csv(path, header: list[str], rows) -> None:
+    """Rows of Python numbers, each cell written as its repr."""
     with open(path, "w") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt_cell(x) for x in row) + "\n")
+            fh.write(",".join(map(repr, row)) + "\n")

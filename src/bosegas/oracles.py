@@ -333,22 +333,6 @@ def poincare_calibrate(variant: str, n: int, n_cases: int, seed: int) -> dict:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BandMatrixCase:
-    matrix: np.ndarray
-    psi: np.ndarray
-    M: int
-
-    def __post_init__(self):
-        n = self.matrix.shape[0]
-        if self.matrix.shape != (n, n):
-            raise ValueError("matrix must be square")
-        if abs(np.linalg.norm(self.psi) - 1.0) > 1e-10:
-            raise ValueError("psi must be normalized")
-        if not (1 <= self.M <= n):
-            raise ValueError("window must satisfy 1 <= M <= N+1")
-
-
-@dataclass(frozen=True)
 class LocalizationResult:
     window_start: int
     phi: np.ndarray
@@ -362,23 +346,28 @@ class LocalizationResult:
         return self.lam + C * (self.rhs_term_quadratic + self.rhs_term_tail)
 
 
-def localize_band_matrix(case: BandMatrixCase) -> LocalizationResult:
+def localize_band_matrix(A: np.ndarray, psi: np.ndarray,
+                         M: int) -> LocalizationResult:
     """Search all windows of length M for the minimal Rayleigh quotient and
     report the pieces of the localization inequality
 
         (phi, A phi) <= lambda + (C/M^2) sum_{k<M} k^2 |d_k| + C sum_{k>=M} |d_k|,
 
-    d_k = (psi, A^k psi) over the k-th supra+infra diagonal."""
-    A = case.matrix
-    psi = case.psi
+    d_k = (psi, A^k psi) over the k-th supra+infra diagonal, for the
+    normalized ``psi``."""
     n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("matrix must be square")
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise ValueError("psi must be normalized")
+    if not (1 <= M <= n):
+        raise ValueError("window must satisfy 1 <= M <= N+1")
     # d_k sums Re conj(psi_i) A_ij psi_j over the upper diagonal j - i = k
     i, j = np.triu_indices(n)
     terms = np.real(np.conj(psi[i]) * A[i, j] * psi[j])
     d = np.bincount(j - i, weights=terms, minlength=n)
     d[1:] *= 2.0
     lam = float(np.sum(d))
-    M = case.M
     starts = np.arange(n - M + 1)
     windows = sliding_window_view(A, (M, M))[starts, starts]
     vals, vecs = np.linalg.eigh(windows)

@@ -404,8 +404,9 @@ def solve_zero_energy(v: RadialPotential, mu: float = 1.0,
     s = integrals = None
     if v.dimension == 3 and a > 0:
         integrals = _interior_integrals(grid, u, du, v, mu)
-        # s = int |grad psi0|^2 / (4 pi a) = (K + a^2/R0) / a: psi0' = a/r^2 outside
-        s = (integrals[0] + a**2 / v.core_radius) / a
+        # s = int |grad psi0|^2 / (4 pi a) = K/a + a/R0: psi0' = a/r^2 outside
+        # (no a^2, which under- or overflows at extreme R0)
+        s = integrals[0] / a + a / v.core_radius
     return ScatteringSolution(grid, u, a, s, mu, v.dimension, v.core_radius,
                               du=du, a_refined=a2, integrals=integrals)
 
@@ -444,7 +445,7 @@ def energy_identity_residual(sol: ScatteringSolution, v: RadialPotential,
         raise ValueError("identity check requires a > 0")
     mu, a, r0 = sol.mu, sol.a, v.core_radius
     K, P = sol.integrals
-    lhs = 8.0 * np.pi * mu * (K + P + a**2 * (1.0 / r0 - 1.0 / R))
+    lhs = 8.0 * np.pi * mu * (K + P + a * (a / r0 - a / R))
     rhs = 8.0 * np.pi * mu * a * (1.0 - a / R)
     return {"lhs": float(lhs), "rhs": float(rhs), "R": float(R),
             "residual": float(abs(K + P - a * (1.0 - a / r0)) / a)}

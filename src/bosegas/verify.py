@@ -273,7 +273,7 @@ def _charged_checks(seed):
                       abs(tc1.e_star - refined) / abs(tc1.e_star), 1e-8))
     out.append(_check("charged.two_component_ratio",
                       abs(tc2.energy / tc1.energy - 2.0**1.4), 1e-12))
-    b = charged.bogolubov_bound(charged.BogolubovParams(1.0, 0.5, 0.0))
+    b = charged.bogolubov_bound(1.0, 0.5, 0.0)
     gap = oracles.fock_quadratic_ground(1.0, 0.5, 0.0, 40) - b
     out.append(_check("charged.fock_gap_cutoff40", abs(gap), 1e-3,
                       passed=(gap > -1e-10 and abs(gap) < 1e-3)))
@@ -281,7 +281,7 @@ def _charged_checks(seed):
     viol = 0.0
     for _ in range(60):
         A, Bp, Bm = rng.uniform(0.05, 3.0, 3)
-        bb = charged.bogolubov_bound(charged.BogolubovParams(A, Bp, Bm))
+        bb = charged.bogolubov_bound(A, Bp, Bm)
         e0 = oracles.fock_quadratic_ground(A, Bp, Bm, 6)
         viol = max(viol, bb - e0)
     out.append(_check("charged.fock_never_below_bound", viol, 1e-9, seed=seed))
@@ -349,7 +349,7 @@ def _oracle_checks(seed):
         A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         psi = rng.normal(size=N + 1)
         psi /= np.linalg.norm(psi)
-        res = oracles.localize_band_matrix(oracles.BandMatrixCase(A, psi, 8))
+        res = oracles.localize_band_matrix(A, psi, 8)
         if res.lhs > res.rhs(10.0) + 1e-12:
             viol += 1
     out.append(_check("oracles.band_matrix_corpus", viol, 0.5, seed=seed + 3,

@@ -213,13 +213,13 @@ def test_criterion_10_charged():
         abs(fc.x_integral - 0.8060094626883225) < 1e-6
     le = charged.local_energy_integral(100.0, 1.0, 1.0)
     ok_local = le.rel_deviation < 1e-6
-    bound = charged.bogolubov_bound(charged.BogolubovParams(1.0, 0.5, 0.0))
+    bound = charged.bogolubov_bound(1.0, 0.5, 0.0)
     gap = oracles.fock_quadratic_ground(1.0, 0.5, 0.0, 40) - bound
     rng = np.random.default_rng(424242)
     never_below = True
     for _ in range(200):
         A, Bp, Bm = rng.uniform(0.05, 3.0, 3)
-        bb = charged.bogolubov_bound(charged.BogolubovParams(A, Bp, Bm))
+        bb = charged.bogolubov_bound(A, Bp, Bm)
         never_below &= oracles.fock_quadratic_ground(A, Bp, Bm, 6) >= bb - 1e-9
     dm = charged.dyson_functional_minimize(1.0)
     ok_dyson = dm.virial_residual < 1e-3 and dm.energy < 0.0

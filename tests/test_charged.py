@@ -14,9 +14,9 @@ X_INTEGRAL = 0.8060094626883225
 
 
 def test_bogolubov_bound_trivial_cases():
-    assert ch.bogolubov_bound(ch.BogolubovParams(1.0, 0.0, 0.0)) == 0.0
-    assert ch.bogolubov_bound(ch.BogolubovParams(0.0, 0.7, 0.3)) == pytest.approx(-1.0)
-    assert ch.bogolubov_bound(ch.BogolubovParams(1.0, 1.0, 0.0)) == \
+    assert ch.bogolubov_bound(1.0, 0.0, 0.0) == 0.0
+    assert ch.bogolubov_bound(0.0, 0.7, 0.3) == pytest.approx(-1.0)
+    assert ch.bogolubov_bound(1.0, 1.0, 0.0) == \
         pytest.approx(-2.0 + math.sqrt(3.0), rel=1e-14)
 
 
@@ -24,21 +24,22 @@ def test_bogolubov_bound_monotonicity(rng):
     for _ in range(200):
         A, B = rng.uniform(0.01, 5.0, 2)
         split = rng.uniform(0.0, 1.0)
-        base = ch.bogolubov_bound(ch.BogolubovParams(A, split * B, (1 - split) * B))
+        base = ch.bogolubov_bound(A, split * B, (1 - split) * B)
         # nondecreasing in A at fixed B-total
-        assert ch.bogolubov_bound(ch.BogolubovParams(A * 1.1, split * B,
-                                                     (1 - split) * B)) >= base - 1e-12
+        assert ch.bogolubov_bound(A * 1.1, split * B,
+                                  (1 - split) * B) >= base - 1e-12
         # nonincreasing in the B-total at fixed A
-        assert ch.bogolubov_bound(ch.BogolubovParams(A, split * B * 1.1,
-                                                     (1 - split) * B * 1.1)) <= base + 1e-12
+        assert ch.bogolubov_bound(A, split * B * 1.1,
+                                  (1 - split) * B * 1.1) <= base + 1e-12
         # depends only on B_plus + B_minus
-        assert ch.bogolubov_bound(ch.BogolubovParams(A, B, 0.0)) == \
+        assert ch.bogolubov_bound(A, B, 0.0) == \
             pytest.approx(base, rel=1e-13)
 
 
 def test_bogolubov_rejects_negative():
-    with pytest.raises(ValueError):
-        ch.BogolubovParams(-1.0, 0.0, 0.0)
+    for args in ((-1.0, 0.0, 0.0), (1.0, -0.5, 0.0), (1.0, 0.5, -1e-300)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ch.bogolubov_bound(*args)
 
 
 def test_x_integral_dual_path():
@@ -284,7 +285,7 @@ def test_dyson_constants_match_a_chebyshev_solve(R, n):
 
 
 def test_fock_ground_converges_to_bound():
-    bound = ch.bogolubov_bound(ch.BogolubovParams(1.0, 0.5, 0.0))
+    bound = ch.bogolubov_bound(1.0, 0.5, 0.0)
     gaps = [oracles.fock_quadratic_ground(1.0, 0.5, 0.0, c) - bound
             for c in (4, 8, 16, 40)]
     assert all(g >= -1e-12 for g in gaps)
@@ -298,12 +299,12 @@ def test_fock_ground_converges_to_bound():
 @example(A=0.05, B_plus=3.0, B_minus=0.0)
 @example(A=0.05, B_plus=3.0, B_minus=3.0)
 def test_bogolubov_bound_below_fock_property(A, B_plus, B_minus):
-    bound = ch.bogolubov_bound(ch.BogolubovParams(A, B_plus, B_minus))
+    bound = ch.bogolubov_bound(A, B_plus, B_minus)
     assert bound <= oracles.fock_quadratic_ground(A, B_plus, B_minus, 6) + 1e-9
 
 
 def test_fock_corpus_never_below_bound(rng):
     for _ in range(60):
         A, Bp, Bm = rng.uniform(0.05, 3.0, 3)
-        bound = ch.bogolubov_bound(ch.BogolubovParams(A, Bp, Bm))
+        bound = ch.bogolubov_bound(A, Bp, Bm)
         assert oracles.fock_quadratic_ground(A, Bp, Bm, 6) >= bound - 1e-9

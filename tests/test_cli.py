@@ -12,14 +12,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bosegas import cli
+from bosegas import SCHEMA_VERSION, cli
 from bosegas.config import (_NONNEGATIVE, _POSITIVE, _SECTION_POSITIVE,
-                            ConfigError, ResultRecord, SweepSpec, check_schema,
-                            parse_config_file, write_csv)
+                            ConfigError, parse_config_file, parse_sweep,
+                            record_json, write_csv)
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def same_major(version) -> bool:
+    """Whether a schema version has this package's major version."""
+    return str(version).split(".", 1)[0] == SCHEMA_VERSION.split(".", 1)[0]
+
+
+def read_record(path) -> dict:
+    """The JSON record at ``path``, whose schema major version must be ours."""
+    record = json.loads(Path(path).read_text())
+    assert same_major(record["schema_version"]), record["schema_version"]
+    return record
 
 
 def read_csv(path):
@@ -27,30 +39,28 @@ def read_csv(path):
     without a supported schema_version line is a ConfigError."""
     with open(path) as fh:
         first = fh.readline().strip()
-        if not first.startswith("# schema_version="):
-            raise ConfigError(f"{path}: missing schema_version header")
-        check_schema(first.split("=", 1)[1])
+        if not (first.startswith("# schema_version=")
+                and same_major(first.split("=", 1)[1])):
+            raise ConfigError(f"{path}: no supported schema_version header")
         header = fh.readline().strip().split(",")
         rows = [[float(x) for x in line.split(",")] for line in fh if line.strip()]
     return header, rows
 
 
 def test_sweep_spec_parsing():
-    sp = SweepSpec.parse("Y=1e-9:1e-4:50")
-    assert sp.name == "Y" and sp.n == 50
-    vals = sp.values()
-    assert len(vals) == 50
-    assert vals[0] == pytest.approx(1e-9) and vals[-1] == pytest.approx(1e-4)
-    with pytest.raises(ConfigError):
-        SweepSpec.parse("Y=5:1:10")
-    with pytest.raises(ConfigError):
-        SweepSpec.parse("Y=1:2")
-    with pytest.raises(ConfigError):
-        SweepSpec.parse("Y=a:1e-4:3")
+    assert parse_sweep(" Y =1e-9:1e-4:50") == ("Y", 1e-9, 1e-4, 50)
+    with pytest.raises(ConfigError, match="must be ordered"):
+        parse_sweep("Y=5:1:10")
+    with pytest.raises(ConfigError, match="must look like"):
+        parse_sweep("Y=1:2")
+    with pytest.raises(ConfigError, match="needs numbers"):
+        parse_sweep("Y=a:1e-4:3")
+    with pytest.raises(ConfigError, match="at least one point"):
+        parse_sweep("Y=1e-9:1e-4:0")
     # every sweep is log-spaced: no scale suffix, and no bound at or below 0
     for spec in ("Y=1e-9:1e-4:3:log", "Y=1e-9:1e-4:3:lin", "Y=-1:1e-4:5"):
         with pytest.raises(ConfigError):
-            SweepSpec.parse(spec)
+            parse_sweep(spec)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -58,14 +68,14 @@ def test_sweep_spec_parsing():
        lo=st.floats(1e-100, 1e100), ratio=st.floats(1.0 + 1e-6, 1e6),
        n=st.integers(1, 500))
 def test_sweep_spec_values_and_round_trip(name, lo, ratio, n):
+    # the points bounds --sweep runs: n Python floats from lo to hi
     hi = lo * ratio
-    spec = SweepSpec(name, lo, hi, n)
-    v = spec.values()
-    assert len(v) == n and v[0] == lo
+    assert parse_sweep(f"{name}={lo!r}:{hi!r}:{n}") == (name, lo, hi, n)
+    v = np.geomspace(lo, hi, n).tolist()
+    assert len(v) == n and v[0] == lo and type(v[0]) is float
     if n >= 2:
         assert v[-1] == hi
         assert np.all(np.diff(v) > 0)
-    assert SweepSpec.parse(f"{name}={lo!r}:{hi!r}:{n}") == spec
 
 
 def test_linear_sweep_is_config_error(tmp_path, capsys):
@@ -166,20 +176,51 @@ def test_range_checks_reject_nonfinite_and_wrong_sign(data, tmp_path, capsys):
 
 
 def test_result_record_round_trip():
-    rec = ResultRecord("gp", {"N": 5.0}, {"E": 1.2345678901234567e-7},
+    text = record_json("gp", {"N": 5.0}, {"E": 1.2345678901234567e-7},
                        {"package_version": "x"})
-    back = ResultRecord.from_json(rec.to_json())
-    assert back.outputs["E"] == rec.outputs["E"]   # lossless float
-    assert back.subcommand == "gp"
-    nan = ResultRecord("gp", {}, {"E": float("nan")}, {})
+    back = json.loads(text)
+    assert back["outputs"]["E"] == 1.2345678901234567e-7   # lossless float
+    assert back["subcommand"] == "gp"
+    assert back["schema_version"] == SCHEMA_VERSION
+    with pytest.raises(ValueError):                     # never invalid JSON
+        record_json("gp", {}, {"E": float("nan")}, {})
     with pytest.raises(ValueError):
-        nan.to_json()                              # never invalid JSON
+        record_json("gp", {}, {"E": {"F": -math.inf}}, {})
 
 
-def test_schema_version_rejection():
+# a record's bytes as the format has always written them: sorted keys, a
+# one-space indent and shortest round-trip floats, nested dicts included
+_GOLDEN_RECORD = (
+    '{\n "inputs": {\n  "R0": 1.0,\n  "kind": "hard_core",\n  "n_grid": 4096\n },'
+    '\n "outputs": {\n  "a": 1.0000000000000002,\n  "dimension": 3,'
+    '\n  "identity_residuals": {\n   "2": 1e-300,\n   "8": -0.0\n  },'
+    '\n  "note": "x",\n  "s": 0.1\n },\n "provenance": {\n  "n_grid": 4096,'
+    '\n  "package_version": "0.1.0",\n  "schema_version": "1.0"\n },'
+    '\n "schema_version": "1.0",\n "subcommand": "scatter",'
+    '\n "timestamp": 1792500000.25\n}')
+
+
+def test_record_json_golden_bytes(monkeypatch):
+    import time
+    monkeypatch.setattr(time, "time", lambda: 1792500000.25)
+    text = record_json(
+        "scatter", {"R0": 1.0, "kind": "hard_core", "n_grid": 4096},
+        {"a": 1.0000000000000002, "s": 0.1, "dimension": 3,
+         "identity_residuals": {"2": 1e-300, "8": -0.0}, "note": "x"},
+        {"package_version": "0.1.0", "schema_version": "1.0", "n_grid": 4096})
+    assert text == _GOLDEN_RECORD
+
+
+def test_schema_version_rejection(tmp_path):
+    # a reader compares the major version: 1.x is ours, 2.0 is not
+    assert same_major("1.9") and not same_major("2.0")
+    out = tmp_path / "tf.json"
+    assert run_cli("tf", "--coupling", "0.05", "--out", str(out)) == 0
+    assert read_record(out)["schema_version"] == SCHEMA_VERSION
+    future = tmp_path / "future.csv"
+    future.write_text("# schema_version=2.0\nx\n1.0\n")
     with pytest.raises(ConfigError):
-        check_schema("2.0")
-    check_schema("1.9")   # same major accepted
+        read_csv(future)
 
 
 def test_csv_round_trip(tmp_path):
@@ -200,8 +241,8 @@ def test_scatter_subcommand(tmp_path, capsys):
     code = run_cli("scatter", "--kind", "hard_core", "--R0", "1.0",
                    "--out", str(out))
     assert code == 0
-    rec = ResultRecord.from_json(out.read_text())
-    assert rec.outputs["a"] == pytest.approx(1.0)
+    rec = read_record(out)["outputs"]
+    assert rec["a"] == pytest.approx(1.0)
 
 
 def test_scatter_stiff_disc_exits_numeric(tmp_path, capsys):
@@ -278,6 +319,7 @@ def run(*argv):
     assert bosegas.cli.main([*argv, "--out", f"{sys.argv[1]}/{argv[0]}.json"]) == 0
 
 print(json.dumps(loaded()))
+print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules))))
 run("charged", "foldy")
 run("charged", "local")
 run("charged", "bogolubov")
@@ -337,10 +379,13 @@ def test_cli_import_loads_only_config(tmp_path, ll_curve):
         [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    (after_import, after_foldy, after_bounds, after_closed, after_profile,
-     after_scatter, after_modules, after_tables, after_gp,
+    (after_import, stdlib_after_import, after_foldy, after_bounds, after_closed,
+     after_profile, after_scatter, after_modules, after_tables, after_gp,
      after_flows, after_verify) = map(json.loads, proc.stdout.splitlines())
     assert after_import == ["bosegas", "bosegas.cli", "bosegas.config"]
+    # nor dataclasses, nor the inspect it imports: only a query that imports
+    # a library module pays for them
+    assert stdlib_after_import == []
     # the closed-form charged queries (Dyson's from its stored constants)
     # and the scalar bounds compute with math alone: no numpy, let alone scipy
     assert after_foldy == ["bosegas", "bosegas.charged", "bosegas.cli",
@@ -405,7 +450,7 @@ def test_bounds_sweep_matches_scalar_rows(tmp_path):
     assert run_cli("bounds", "--sweep", "Y=1e-9:1e-6:10", "--mu", "0.5",
                    "--out", str(out)) == 0
     rows = []
-    for Y in SweepSpec.parse("Y=1e-9:1e-6:10").values():
+    for Y in np.geomspace(1e-9, 1e-6, 10).tolist():
         st = hg.GasState3D(3.0 * Y / (4.0 * np.pi), 1.0, 0.5)
         rows.append((Y, hg.lower_bound_3d(st).value, hg.lhy_reference(st),
                      hg.upper_bound_3d(st)))
@@ -595,17 +640,17 @@ def test_gp_subcommand_energy_report(tmp_path):
     code = run_cli("gp", "--coupling", "0.0", "--N", "1", "--out", str(out),
                    "--profile-out", str(prof), "--n-grid", "1024")
     assert code == 0
-    rec = ResultRecord.from_json(out.read_text())
-    assert rec.outputs["E_total"] == pytest.approx(3.0, abs=1e-3)
+    rec = read_record(out)
+    assert rec["outputs"]["E_total"] == pytest.approx(3.0, abs=1e-3)
     # grids 256, 512, 1024: E_1024 - E_512 over 3 is the h^2 correction
-    disc = {k: rec.outputs[k] for k in ("E_coarse", "E_discretization_error",
-                                        "discretization_note")}
+    disc = {k: rec["outputs"][k] for k in ("E_coarse", "E_discretization_error",
+                                           "discretization_note")}
     assert disc["discretization_note"] is None
     assert disc["E_discretization_error"] == \
-        (rec.outputs["E_total"] - disc["E_coarse"]) / 3.0
-    assert abs(rec.outputs["E_total"] + disc["E_discretization_error"] - 3.0) \
-        < 0.1 * abs(rec.outputs["E_total"] - 3.0)
-    assert rec.schema_version == "1.0"
+        (rec["outputs"]["E_total"] - disc["E_coarse"]) / 3.0
+    assert abs(rec["outputs"]["E_total"] + disc["E_discretization_error"] - 3.0) \
+        < 0.1 * abs(rec["outputs"]["E_total"] - 3.0)
+    assert rec["schema_version"] == "1.0"
     assert prof.read_text().startswith("r,phi,rho")
 
 
@@ -613,27 +658,26 @@ def test_tf_subcommand(tmp_path):
     out = tmp_path / "tf.json"
     code = run_cli("tf", "--coupling", "0.05", "--N", "100", "--out", str(out))
     assert code == 0
-    rec = ResultRecord.from_json(out.read_text())
-    assert rec.outputs["mu_TF"] == pytest.approx((15 * 0.05 * 100) ** 0.4,
-                                                 rel=1e-10)
+    rec = read_record(out)["outputs"]
+    assert rec["mu_TF"] == pytest.approx((15 * 0.05 * 100) ** 0.4, rel=1e-10)
 
 
 def test_charged_subcommands(tmp_path):
     out = tmp_path / "foldy.json"
     assert run_cli("charged", "foldy", "--rho", "100", "--out", str(out)) == 0
-    rec = ResultRecord.from_json(out.read_text())
-    assert rec.outputs["energy_per_particle"] < 0
+    rec = read_record(out)["outputs"]
+    assert rec["energy_per_particle"] < 0
     out2 = tmp_path / "dyson.json"
     assert run_cli("charged", "dyson", "--N", "100", "--out", str(out2)) == 0
-    rec2 = ResultRecord.from_json(out2.read_text())
-    assert rec2.outputs["energy"] < 0
-    assert rec2.outputs["virial_residual"] < 1e-13
+    rec2 = read_record(out2)["outputs"]
+    assert rec2["energy"] < 0
+    assert rec2["virial_residual"] < 1e-13
     from bosegas import charged
     tc = charged.two_component_energy(100.0)
-    assert rec2.outputs == {"energy": tc.energy, "E_star": tc.e_star,
-                            "virial_residual": tc.virial_residual,
-                            "length_scale": tc.length_scale,
-                            "correlation_length": tc.correlation_length}
+    assert rec2 == {"energy": tc.energy, "E_star": tc.e_star,
+                    "virial_residual": tc.virial_residual,
+                    "length_scale": tc.length_scale,
+                    "correlation_length": tc.correlation_length}
 
 
 def test_charged_dyson_runs_no_flow(monkeypatch, tmp_path):
@@ -645,7 +689,7 @@ def test_charged_dyson_runs_no_flow(monkeypatch, tmp_path):
     monkeypatch.setattr(charged, "_dyson_flow", no_flow)
     out = tmp_path / "dyson.json"
     assert run_cli("charged", "dyson", "--mu", "0.5", "--out", str(out)) == 0
-    assert ResultRecord.from_json(out.read_text()).outputs["E_star"] \
+    assert read_record(out)["outputs"]["E_star"] \
         == charged.two_component_energy(1.0).e_star / 0.5
 
 
@@ -697,7 +741,7 @@ def test_charged_dyson_far_from_unit_mu(tmp_path, mu):
     out = tmp_path / "dyson.json"
     assert run_cli("charged", "dyson", "--N", "100", "--mu", mu,
                    "--out", str(out)) == 0
-    rec = ResultRecord.from_json(out.read_text()).outputs
+    rec = read_record(out)["outputs"]
     e_one = charged.two_component_energy(1.0).e_star
     assert float(mu) * rec["E_star"] == pytest.approx(e_one, rel=1e-15)
     assert rec["virial_residual"] <= 1e-13
@@ -710,19 +754,19 @@ def test_regimes_subcommand(tmp_path):
     code = run_cli("regimes", "--N", "30", "--L", "100", "--r", "0.5",
                    "--a", "1e-4", "--out", str(out))
     assert code == 0
-    rec = ResultRecord.from_json(out.read_text())
-    assert "region" in rec.outputs and "valid" in rec.outputs
+    rec = read_record(out)["outputs"]
+    assert "region" in rec and "valid" in rec
     # flow counters of the full solve and of the Region 2 (gp1d) solve
-    counters = [rec.outputs[k] for k in ("iterations", "rejected_steps",
-                                         "newton_steps")]
+    counters = [rec[k] for k in ("iterations", "rejected_steps",
+                                 "newton_steps")]
     assert all(len(c) == 2 and all(isinstance(v, int) for v in c)
                for c in counters)
     assert min(counters[0]) > 0 and min(counters[2]) > 0
     # and the coarse grids' energies and error estimates of both solves
     for key in ("E_coarse", "E_discretization_error"):
-        assert len(rec.outputs[key]) == 2
-        assert all(isinstance(v, float) for v in rec.outputs[key])
-    assert rec.outputs["discretization_note"] == [None, None]
+        assert len(rec[key]) == 2
+        assert all(isinstance(v, float) for v in rec[key])
+    assert rec["discretization_note"] == [None, None]
 
 
 def test_regimes_strong_coupling_converges(tmp_path):
@@ -732,18 +776,18 @@ def test_regimes_strong_coupling_converges(tmp_path):
     code = run_cli("regimes", "--N", "1000", "--L", "1", "--r", "0.01",
                    "--a", "0.1", "--out", str(out))
     assert code == 0
-    rec = ResultRecord.from_json(out.read_text())
-    assert rec.outputs["g"] == 4000.0
+    rec = read_record(out)["outputs"]
+    assert rec["g"] == 4000.0
     # the full solve runs the flow, the Region 5 (GT) solve is pointwise:
     # its iterations are the normalization's 2 density sweeps
-    assert rec.outputs["iterations"][0] > 0 and rec.outputs["newton_steps"][0] > 0
-    assert [rec.outputs[k][1] for k in ("iterations", "rejected_steps",
-                                        "newton_steps")] == [2, 0, 0]
+    assert rec["iterations"][0] > 0 and rec["newton_steps"][0] > 0
+    assert [rec[k][1] for k in ("iterations", "rejected_steps",
+                                "newton_steps")] == [2, 0, 0]
     # neither solve has an h^2 estimate: the full energies on three grids
     # are not second order, and GT is solved pointwise
-    assert rec.outputs["E_discretization_error"] == [None, None]
-    assert "25 % of 4" in rec.outputs["discretization_note"][0]
-    assert rec.outputs["E_coarse"][1] is None
+    assert rec["E_discretization_error"] == [None, None]
+    assert "25 % of 4" in rec["discretization_note"][0]
+    assert rec["E_coarse"][1] is None
 
 
 def test_records_carry_the_solve_record(tmp_path):
@@ -756,7 +800,7 @@ def test_records_carry_the_solve_record(tmp_path):
     def outputs(*argv):
         out = tmp_path / "rec.json"
         assert run_cli(*argv, "--out", str(out)) == 0
-        return ResultRecord.from_json(out.read_text()).outputs
+        return read_record(out)["outputs"]
 
     gp = outputs("gp", "--dim", "2", "--N", "5", "--coupling", "0.1",
                  "--n-grid", "1024")
@@ -876,8 +920,8 @@ def test_config_file_defaults_flow(tmp_path):
     code = run_cli("--config", str(cfg), "tf", "--coupling", "0.05",
                    "--out", str(out))
     assert code == 0
-    rec = ResultRecord.from_json(out.read_text())
-    assert rec.inputs["N"] == 100.0
+    rec = read_record(out)
+    assert rec["inputs"]["N"] == 100.0
 
 
 def test_required_options_from_config(tmp_path, capsys):

@@ -133,10 +133,9 @@ def _reference_fock_ground(A, B_plus, B_minus, cutoff):
     return _reference_ground_energy(H)
 
 
-def _reference_localize(case):
+def _reference_localize(A, psi, M):
     """(window_start, lhs, phi, d) from the loop over diagonals and
     windows."""
-    A, psi, M = case.matrix, case.psi, case.M
     n = A.shape[0]
     d = np.empty(n)
     d[0] = float(np.real(np.conj(psi) @ (np.diag(np.diag(A)) @ psi)))
@@ -643,7 +642,7 @@ def test_band_matrix_full_window_trivial(rng):
     A = 0.5 * (A + A.T)
     psi = rng.normal(size=N + 1)
     psi /= np.linalg.norm(psi)
-    res = orc.localize_band_matrix(orc.BandMatrixCase(A, psi, N + 1))
+    res = orc.localize_band_matrix(A, psi, N + 1)
     assert res.lhs <= res.lam + 1e-12
     assert res.rhs_term_tail == 0.0
 
@@ -654,7 +653,7 @@ def test_band_matrix_diagonal_case(rng):
     A = np.diag(diag)
     psi = rng.normal(size=N + 1)
     psi /= np.linalg.norm(psi)
-    res = orc.localize_band_matrix(orc.BandMatrixCase(A, psi, 5))
+    res = orc.localize_band_matrix(A, psi, 5)
     assert np.allclose(res.d[1:], 0.0)
     assert res.lhs == pytest.approx(np.min(diag))
     k = int(np.argmin(diag))
@@ -667,7 +666,7 @@ def test_band_matrix_lambda_decomposition(rng):
     A = 0.5 * (A + A.T)
     psi = rng.normal(size=N + 1)
     psi /= np.linalg.norm(psi)
-    res = orc.localize_band_matrix(orc.BandMatrixCase(A, psi, 6))
+    res = orc.localize_band_matrix(A, psi, 6)
     assert res.lam == pytest.approx(float(psi @ A @ psi), rel=1e-12)
 
 
@@ -680,15 +679,19 @@ def test_band_matrix_corpus_with_calibrated_constant(rng):
         A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         psi = rng.normal(size=N + 1)
         psi /= np.linalg.norm(psi)
-        res = orc.localize_band_matrix(orc.BandMatrixCase(A, psi, M))
+        res = orc.localize_band_matrix(A, psi, M)
         assert res.lhs <= res.rhs(10.0) + 1e-12
 
 
 def test_band_matrix_validation():
-    with pytest.raises(ValueError):
-        orc.BandMatrixCase(np.eye(4), np.array([1.0, 1.0, 0.0, 0.0]), 2)
-    with pytest.raises(ValueError):
-        orc.BandMatrixCase(np.eye(4), np.array([1.0, 0.0, 0.0, 0.0]), 9)
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="square"):
+        orc.localize_band_matrix(np.ones((4, 3)), e0, 2)
+    with pytest.raises(ValueError, match="normalized"):
+        orc.localize_band_matrix(np.eye(4), np.array([1.0, 1.0, 0.0, 0.0]), 2)
+    for M in (0, 5):
+        with pytest.raises(ValueError, match="window"):
+            orc.localize_band_matrix(np.eye(4), e0, M)
 
 
 def _band_corpus(rng, count):
@@ -704,13 +707,13 @@ def _band_corpus(rng, count):
             A = rng.normal(size=(N + 1, N + 1))
             A = 0.5 * (A + A.T)
         psi = rng.normal(size=N + 1)
-        yield orc.BandMatrixCase(A, psi / np.linalg.norm(psi), M)
+        yield A, psi / np.linalg.norm(psi), M
 
 
 def test_band_windows_match_reference_loop():
     for case in _band_corpus(np.random.default_rng(2024), 300):
-        res = orc.localize_band_matrix(case)
-        start, lhs, phi, d = _reference_localize(case)
+        res = orc.localize_band_matrix(*case)
+        start, lhs, phi, d = _reference_localize(*case)
         assert res.window_start == start
         assert abs(res.lhs - lhs) <= 2e-14 * max(1.0, abs(lhs))
         assert abs(abs(res.phi @ phi) - 1.0) <= 1e-8   # same vector up to sign
@@ -722,7 +725,7 @@ def test_band_window_ties_take_the_first():
     # every window holding the smallest diagonal entry has the same minimum
     A = np.diag([3.0, 2.0, -1.0, 4.0, 5.0, 6.0])
     psi = np.full(6, 1.0 / math.sqrt(6.0))
-    res = orc.localize_band_matrix(orc.BandMatrixCase(A, psi, 3))
+    res = orc.localize_band_matrix(A, psi, 3)
     assert res.window_start == 0 and res.lhs == -1.0
 
 

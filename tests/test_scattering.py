@@ -286,6 +286,18 @@ def test_s_parameter_hard_core_is_one():
         assert sol.s == 1.0
 
 
+@pytest.mark.parametrize("R0", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+def test_hard_core_s_and_identity_at_extreme_radii(R0):
+    # a = R0 and s = 1 at every scale: no a^2, which under- or overflows
+    hc = sc.hard_core(R0)
+    sol = sc.solve_zero_energy(hc)
+    assert sol.a == R0 and sol.s == 1.0
+    res = sc.energy_identity_residual(sol, hc, 2.0 * R0)
+    assert all(map(math.isfinite, res.values()))
+    assert res["residual"] == 0.0
+    assert res["lhs"] == pytest.approx(4.0 * math.pi * R0, rel=1e-15)
+
+
 def test_s_parameter_weak_potential_small_and_monotone():
     previous = 0.0
     for v0 in (0.5, 2.0, 8.0, 32.0):

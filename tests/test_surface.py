@@ -1,12 +1,14 @@
 """The library surface: every public top-level function or class in
-``src/bosegas`` is reached from the command line, and every parameter with a
-default is set by some caller in ``src/bosegas``.
+``src/bosegas``, and every public method of its top-level classes, is
+reached from the command line, and every parameter with a default is set by
+some caller in ``src/bosegas``.
 
 The closure is by name: start from the body of ``cli.main``, collect every
 name and attribute it mentions, add the body of every top-level definition
 of that name in any module, and repeat.  A public definition the closure
 never reaches has no caller outside the tests, so it belongs in ``tests/``
-or nowhere.
+or nowhere.  A method is reached by its attribute name; dunders such as
+``__post_init__`` are not public.
 
 A defaulted parameter (or a defaulted ``__init__`` field of a dataclass)
 that no call in ``src/bosegas`` passes takes one value in every run the
@@ -21,17 +23,24 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "bosegas"
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def unreached_definitions(src: Path = SRC) -> list[str]:
     defs, public = {}, []
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append(node)
-                if not node.name.startswith("_"):
-                    public.append((path.stem, node.name))
+            if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+                continue
+            defs.setdefault(node.name, []).append(node)
+            public.append((path.stem, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                public += [(path.stem, f"{node.name}.{m.name}", m.name)
+                           for m in node.body if isinstance(m, _FUNCTIONS)]
+    public = [p for p in public if not p[2].startswith("_")]
     main = [n for n in ast.parse((src / "cli.py").read_text()).body
             if isinstance(n, ast.FunctionDef) and n.name == "main"]
-    seen, stack = set(), main
+    seen, stack = {"main"}, main
     while stack:
         for sub in ast.walk(stack.pop()):
             name = sub.id if isinstance(sub, ast.Name) else \
@@ -39,12 +48,36 @@ def unreached_definitions(src: Path = SRC) -> list[str]:
             if name is not None and name not in seen:
                 seen.add(name)
                 stack += defs.get(name, [])
-    return [f"{module}.{name}" for module, name in public if name not in seen]
+    return [f"{module}.{label}" for module, label, name in public
+            if name not in seen]
 
 
 def test_every_public_definition_is_reached_from_cli_main():
     unreached = unreached_definitions()
     assert not unreached, f"{len(unreached)} reached only from tests: {', '.join(unreached)}"
+
+
+def test_unreached_methods_are_found(tmp_path):
+    # main builds a C and calls its method used: C.unused and g are never
+    # named, and dunders and private names are not public
+    (tmp_path / "cli.py").write_text(
+        "from .m import C\n\n\n"
+        "def main():\n"
+        "    return C().used()\n")
+    (tmp_path / "m.py").write_text(
+        "class C:\n"
+        "    def __post_init__(self):\n"
+        "        pass\n\n"
+        "    def used(self):\n"
+        "        return self._helper()\n\n"
+        "    def _helper(self):\n"
+        "        return 1\n\n"
+        "    @classmethod\n"
+        "    def unused(cls):\n"
+        "        return cls()\n\n\n"
+        "def g():\n"
+        "    return 2\n")
+    assert unreached_definitions(tmp_path) == ["m.C.unused", "m.g"]
 
 
 # the program's input: the console script and perfbench/cli_child.py pass it
