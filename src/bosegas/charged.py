@@ -96,19 +96,15 @@ def foldy_constant(mu: float = 1.0) -> FoldyConstant:
                          x_integral_quadrature())
 
 
-@dataclass(frozen=True)
-class FoldyLaw:
-    energy_per_particle: float
-    i0: float
-    infinite_mass_note = "infinite-mass reference scales as -rho^(1/3)"
+INFINITE_MASS_NOTE = "infinite-mass reference scales as -rho^(1/3)"
 
 
-def foldy_law(rho: float, mu: float = 1.0) -> FoldyLaw:
-    """High-density one-component asymptote e0(rho) ~ -I0 rho^{1/4}."""
+def foldy_law(rho: float, mu: float = 1.0) -> float:
+    """High-density one-component asymptote e0(rho) ~ -I0 rho^{1/4}: the
+    energy per particle."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    i0 = _i0(mu)
-    return FoldyLaw(-i0 * rho**0.25, i0)
+    return -_i0(mu) * rho**0.25
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,6 @@ def dyson_functional_minimize(mu: float = 1.0) -> DysonMinimizer:
 class TwoComponentEnergy:
     energy: float
     e_star: float
-    N: float
     length_scale: float       # gas radius ~ mu N^{-1/5}: lengths scale as mu
     correlation_length: float  # ~ mu N^{-2/5}
     virial_residual: float    # |2 T - (3/4) A| / |E*| of _DYSON_UNIT
@@ -232,6 +227,6 @@ def two_component_energy(N: float, mu: float = 1.0) -> TwoComponentEnergy:
     if N < 1 or mu <= 0:
         raise ValueError(f"need N >= 1 and mu > 0, got N = {N}, mu = {mu}")
     e_one, kinetic, attraction = _DYSON_UNIT
-    return TwoComponentEnergy(N ** 1.4 * (e_one / mu), e_one / mu, N,
+    return TwoComponentEnergy(N ** 1.4 * (e_one / mu), e_one / mu,
                               mu * N ** -0.2, mu * N ** -0.4,
                               abs(2.0 * kinetic - 0.75 * attraction) / abs(e_one))

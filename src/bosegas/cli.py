@@ -131,11 +131,8 @@ def cmd_bounds(args) -> int:
                    "dyson_classic": homogeneous.dyson_classic_lower_bound(st)}
     else:
         st2 = homogeneous.GasState2D(args.rho, args.a, args.mu)
-        b2 = homogeneous.bounds_2d(st2)
-        outputs = {"rho_a2": args.rho * args.a**2, "upper": b2.upper,
-                   "lower": b2.lower, "b": b2.b,
-                   "upper_error_scale": b2.upper_error_scale,
-                   "lower_error_scale": b2.lower_error_scale}
+        outputs = {"rho_a2": args.rho * args.a**2,
+                   **homogeneous.bounds_2d(st2)}
     return _emit_record(args, outputs)
 
 
@@ -186,19 +183,17 @@ def cmd_regimes(args) -> int:
     from . import onedim
     trap = onedim.ElongatedTrap(args.N, args.L, args.r, args.a, args.s,
                                 args.transverse)
-    report = onedim.regime_classify(trap)
-    return _emit_record(args, report.as_dict())
+    return _emit_record(args, onedim.regime_classify(trap))
 
 
 def cmd_charged(args) -> int:
     from . import charged
     if args.mode == "foldy":
-        law = charged.foldy_law(args.rho, args.mu)
         fc = charged.foldy_constant(args.mu)
-        outputs = {"energy_per_particle": law.energy_per_particle,
-                   "I0": law.i0, "x_integral": fc.x_integral,
+        outputs = {"energy_per_particle": charged.foldy_law(args.rho, args.mu),
+                   "I0": fc.i0, "x_integral": fc.x_integral,
                    "x_integral_quadrature": fc.x_integral_quadrature,
-                   "note": law.infinite_mass_note}
+                   "note": charged.INFINITE_MASS_NOTE}
     elif args.mode == "dyson":
         tc = charged.two_component_energy(args.N, args.mu)
         outputs = {"energy": tc.energy, "E_star": tc.e_star,

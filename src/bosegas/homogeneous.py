@@ -140,22 +140,13 @@ def k_factor(n: float, ell: float, R: float, R0: float, eps: float,
 
 # --- 2D bounds -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bounds2D:
-    upper: float
-    lower: float
-    b: float
-    upper_error_scale: float   # O(1/ln(b/a)) relative size, unit constant
-    lower_error_scale: float   # O(|ln rho a^2|^{-1/5}), unit constant
-
-
-def bounds_2d(state: GasState2D) -> Bounds2D:
-    """Leading-order 2D bounds.
+def bounds_2d(state: GasState2D) -> dict:
+    """Leading-order 2D bounds, as a dict.
 
     upper: 2 pi mu rho / (ln(b/a) - pi rho b^2) at its minimizing
-    b = (2 pi rho)^{-1/2}; lower: 4 pi mu rho/|ln rho a^2|.
-    Error-term magnitudes are reported separately (unit constants) and are
-    never folded into the returned bounds.
+    b = (2 pi rho)^{-1/2}; lower: 4 pi mu rho/|ln rho a^2|.  The relative
+    error sizes 1/ln(b/a) and |ln rho a^2|^{-1/5} (unit constants) are
+    reported as upper_ and lower_error_scale, never folded into the bounds.
     """
     b = (2.0 * math.pi * state.rho) ** -0.5
     # b <= a makes ln(b/a) <= 0, so this check covers it too
@@ -164,9 +155,9 @@ def bounds_2d(state: GasState2D) -> Bounds2D:
         raise ValueError("ln(b/a) - pi rho b^2 must be positive")
     upper = 2.0 * math.pi * state.mu * state.rho / den
     lower = 4.0 * math.pi * state.mu * state.rho / state.logY
-    return Bounds2D(upper, lower, b,
-                    upper_error_scale=1.0 / math.log(b / state.a),
-                    lower_error_scale=state.logY ** -0.2)
+    return {"upper": upper, "lower": lower, "b": b,
+            "upper_error_scale": 1.0 / math.log(b / state.a),
+            "lower_error_scale": state.logY ** -0.2}
 
 
 # --- soft potentials and the radial-line lemma ---------------------------

@@ -86,8 +86,6 @@ class DensityProfile:
     grid: np.ndarray
     phi: np.ndarray
     rho: np.ndarray
-    mass: float
-    dimension: int
 
     def export_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -105,8 +103,6 @@ class TFProfile:
     mu_tf: float
     exponent: float
     denom: float
-    mass: float
-    dimension: int
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -221,8 +217,7 @@ def gp_minimize(problem: GPProblem) -> tuple[DensityProfile, EnergyReport]:
     report = EnergyReport(res.energy, kin, trap, inter, res.mu_chem,
                           res.residual, quart, solve)
     phi = np.abs(res.psi)
-    return DensityProfile(fp.nodes.copy(), phi, phi**2, problem.N,
-                          problem.dimension), report
+    return DensityProfile(fp.nodes.copy(), phi, phi**2), report
 
 
 def gp_energy(dimension: int, N: float, coupling: float, mu: float = 1.0,
@@ -271,7 +266,7 @@ def tf_solve(dimension: int, N: float, coupling: float,
     # the explicit minimizer satisfies its EL identity exactly: residual 0
     report = EnergyReport(trap_e + inter_e, 0.0, trap_e, inter_e, mu_tf, 0.0,
                           inter_e / (4.0 * math.pi * mu * coupling))
-    prof = TFProfile(mu_tf, s, 8.0 * math.pi * mu * coupling, N, dimension)
+    prof = TFProfile(mu_tf, s, 8.0 * math.pi * mu * coupling)
     return prof, report, mu_tf
 
 

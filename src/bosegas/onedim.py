@@ -722,47 +722,26 @@ _REGION_SCALING = {
 }
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    region: int | tuple
-    g: float
-    rho_bar: float
-    ratio: float
-    validity_value: float
-    valid: bool
-    scaling: str
-    diagnostics: dict
-    # the ``flows.Solve`` records of the two solves (full, then the
-    # region's kind): each field a list of two
-    counters: dict
-
-    def as_dict(self) -> dict:
-        d = {"region": list(self.region) if isinstance(self.region, tuple) else self.region,
-             "g": self.g, "rho_bar": self.rho_bar, "ratio": self.ratio,
-             "validity_value": self.validity_value, "valid": self.valid,
-             "scaling": self.scaling, **self.counters}
-        d.update({f"diag_{k}": v for k, v in self.diagnostics.items()})
-        return d
-
-
 def _pick_region(ratio: float, N: float):
-    """Region from g/rhobar against N^-2 and 1; returns an int, or a tuple
+    """Region from g/rhobar against N^-2 and 1; returns an int, or a list
     of the two candidates when the ratio sits in a boundary band."""
     edges = [_CUT_LOW / N**2, _CUT_HIGH / N**2, _CUT_LOW, _CUT_HIGH]
     for region, edge in enumerate(edges, 1):
         if ratio < edge / _BOUNDARY_BAND:
             return region
         if ratio <= edge * _BOUNDARY_BAND:
-            return (region, region + 1)
+            return [region, region + 1]
     return 5
 
 
-def regime_classify(trap: ElongatedTrap) -> RegimeReport:
+def regime_classify(trap: ElongatedTrap) -> dict:
     """Classify an elongated trap into Regions 1-5.
 
     g comes from the transverse mode; rhobar from the full functional, then
     recomputed once with the region-consistent functional (single fixed-point
-    pass; the iteration count is deliberately one).
+    pass; the iteration count is deliberately one).  Returns the ``regimes``
+    record's outputs, with each ``flows.Solve`` field of the two solves (full,
+    then the region's kind) as a list of two, and the first pass's ``diag_*``.
     """
     g = trap.g
     prof0, _, rho_bar = minimize_1d("full", trap.N, trap.L, g, trap.s)
@@ -776,10 +755,8 @@ def regime_classify(trap: ElongatedTrap) -> RegimeReport:
     scaling = _REGION_SCALING[region1 if isinstance(region1, int)
                               else region1[0]]
     solves = zip(flows.Solve._fields, zip(prof0.solve, prof1.solve))
-    return RegimeReport(region1, g, rho_bar1, ratio1, validity,
-                        validity < _VALIDITY_CUT, scaling,
-                        {"rho_bar_full": rho_bar, "ratio_full": ratio0,
-                         "region_first_pass": region0
-                         if isinstance(region0, int) else list(region0),
-                         "e_perp": trap.e_perp},
-                        {k: list(pair) for k, pair in solves})
+    return {"region": region1, "g": g, "rho_bar": rho_bar1, "ratio": ratio1,
+            "validity_value": validity, "valid": validity < _VALIDITY_CUT,
+            "scaling": scaling, **{k: list(pair) for k, pair in solves},
+            "diag_rho_bar_full": rho_bar, "diag_ratio_full": ratio0,
+            "diag_region_first_pass": region0, "diag_e_perp": trap.e_perp}

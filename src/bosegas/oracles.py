@@ -8,8 +8,9 @@ sector), and window searches for the band-matrix localization bound.  All
 random corpora are seeded; seeds are recorded by callers.  The Poincare
 corpora draw band-limited fields as their Fourier coefficients and take
 every sum over the grid from those, so no test field is sampled: only the
-field behind each random subset is, into the caller's buffer.  The module
-needs numpy alone.
+field behind each random subset is, into the caller's buffer.  An oracle
+returns the numbers its caller reads: a ratio, an energy, or the pieces
+of an inequality.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import mmap
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -191,18 +191,9 @@ def _centred(coeffs: np.ndarray, n: int):
     return coeffs, _parseval(coeffs, n)
 
 
-@dataclass(frozen=True)
-class PoincareResult:
-    ratio: float
-    lhs: float
-    rhs_structural: float
-    omega_complement_fraction: float
-    pieces: dict
-
-
 def poincare_check(variant: str, coeffs: np.ndarray, L: float,
                    omega_mask: np.ndarray, weight: np.ndarray, phi: float,
-                   scratch: np.ndarray) -> PoincareResult:
+                   scratch: np.ndarray) -> float:
     """Measure one instance of a generalized Poincare inequality for the
     field f with band coefficients ``coeffs`` (as ``random_field`` returns
     them) on the cube K of side L, sampled on the grid of ``omega_mask``,
@@ -243,9 +234,7 @@ def poincare_check(variant: str, coeffs: np.ndarray, L: float,
         g2_omega, g2_full = (s * dV for s in _gradient_norms(
             coeffs, L, omega_mask, scratch=scratch))
         rhs = L**2 * g2_omega + comp_vol ** (2.0 / 3.0) * g2_full
-        ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
-        return PoincareResult(ratio, lhs, rhs, comp_vol / vol,
-                              {"grad_omega": g2_omega, "grad_full": g2_full})
+        return lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
 
     if variant == "inhomogeneous":
         # enforce int f h = 0 by projection, then measure
@@ -263,8 +252,7 @@ def poincare_check(variant: str, coeffs: np.ndarray, L: float,
         g2_omega, g2_full = _gradient_norms(coeffs, L, omega_mask,
                                             scratch=scratch)
         rhs = g2_omega * dV + (comp_vol / vol) ** (2.0 / d) * g2_full * dV
-        ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
-        return PoincareResult(ratio, lhs, rhs, comp_vol / vol, {})
+        return lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
 
     if variant == "vector_potential":
         if abs(phi) >= math.pi:
@@ -272,16 +260,13 @@ def poincare_check(variant: str, coeffs: np.ndarray, L: float,
         coeffs, norm2 = _centred(coeffs, n)
         norm2 *= dV
         if norm2 == 0.0:
-            return PoincareResult(0.0, 0.0, 0.0, comp_vol / vol, {})
+            return 0.0
         g2_omega, g2_full = (s * dV for s in _gradient_norms(
             coeffs, L, omega_mask, scratch, phi))
         excess = g2_omega - (phi / L) ** 2 * norm2
         if comp_vol == 0.0:
-            ratio = excess / (norm2 / L**2)
-        else:
-            ratio = excess / ((comp_vol / vol) ** 0.5 * g2_full)
-        return PoincareResult(ratio, excess, g2_full, comp_vol / vol,
-                              {"norm2": norm2, "grad_omega": g2_omega})
+            return excess / (norm2 / L**2)
+        return excess / ((comp_vol / vol) ** 0.5 * g2_full)
 
     raise ValueError(f"unknown Poincare variant {variant!r}")
 
@@ -317,7 +302,7 @@ def poincare_calibrate(variant: str, n: int, n_cases: int, seed: int) -> dict:
         coeffs = random_field(rng, 2, variant == "vector_potential")
         ratios.append(poincare_check(variant, coeffs, 1.0, mask,
                                      _COSINE_WEIGHT, 0.5 * math.pi,
-                                     samples).ratio)
+                                     samples))
     ratios = np.asarray(ratios)
     if variant == "vector_potential":
         c_hat = max(0.0, float(-np.min(ratios)))
@@ -332,29 +317,14 @@ def poincare_calibrate(variant: str, n: int, n_cases: int, seed: int) -> dict:
 # band-matrix localization (large-matrix lemma)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalizationResult:
-    window_start: int
-    phi: np.ndarray
-    lhs: float
-    lam: float
-    d: np.ndarray
-    rhs_term_quadratic: float   # (1/M^2) sum_{k<M} k^2 |d_k|
-    rhs_term_tail: float        # sum_{k>=M} |d_k|
-
-    def rhs(self, C: float) -> float:
-        return self.lam + C * (self.rhs_term_quadratic + self.rhs_term_tail)
-
-
-def localize_band_matrix(A: np.ndarray, psi: np.ndarray,
-                         M: int) -> LocalizationResult:
-    """Search all windows of length M for the minimal Rayleigh quotient and
-    report the pieces of the localization inequality
-
-        (phi, A phi) <= lambda + (C/M^2) sum_{k<M} k^2 |d_k| + C sum_{k>=M} |d_k|,
-
-    d_k = (psi, A^k psi) over the k-th supra+infra diagonal, for the
-    normalized ``psi``."""
+def localize_band_matrix(A: np.ndarray, psi: np.ndarray, M: int) -> tuple:
+    """The pieces (lhs, lambda, quadratic, tail) of the localization
+    inequality  lhs <= lambda + C (quadratic + tail):  lhs is the minimal
+    (phi, A phi) over normalized phi in a window of length M, the lowest
+    eigenvalue of any diagonal M x M block; lambda = (psi, A psi) = sum_k d_k
+    for the normalized ``psi``, d_k = (psi, A^k psi) over the k-th
+    supra+infra diagonal; quadratic = (1/M^2) sum_{k<M} k^2 |d_k|; and
+    tail = sum_{k>=M} |d_k|."""
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
@@ -370,15 +340,11 @@ def localize_band_matrix(A: np.ndarray, psi: np.ndarray,
     lam = float(np.sum(d))
     starts = np.arange(n - M + 1)
     windows = sliding_window_view(A, (M, M))[starts, starts]
-    vals, vecs = np.linalg.eigh(windows)
-    best_start = int(np.argmin(vals[:, 0]))       # the first minimal window
-    best_val = float(vals[best_start, 0])
-    phi = np.zeros(n)
-    phi[best_start:best_start + M] = vecs[best_start, :, 0]
+    lhs = float(np.linalg.eigvalsh(windows)[:, 0].min())
     ks = np.arange(1, M)
     quad = float(np.sum(ks**2 * np.abs(d[1:M]))) / M**2
     tail = float(np.sum(np.abs(d[M:])))
-    return LocalizationResult(best_start, phi, best_val, lam, d, quad, tail)
+    return lhs, lam, quad, tail
 
 
 # --------------------------------------------------------------------------
@@ -445,32 +411,22 @@ def _delta_gas_energy_at(m: int, n: int, ell: float, g: float) -> float:
     return float(np.linalg.eigvalsh(H)[0])
 
 
-@dataclass(frozen=True)
-class DeltaGasResult:
-    energy: float            # Richardson-extrapolated ground energy
-    energies_raw: tuple      # values at the sampled resolutions
-    resolutions: tuple
-    error_estimate: float    # disagreement of successive extrapolants
-
-
 def exact_diag_delta_gas_1d(n: int, ell: float, g: float,
-                            m_base: int) -> DeltaGasResult:
+                            m_base: int) -> float:
     """Ground energy of n <= 3 bosons with g sum delta(z_i - z_j) on a ring
     of length ell.
 
     The contact interaction is an on-site potential g/dz (standard grid
     realization); the leading grid error is O(dz), removed by Richardson
-    extrapolation over three resolutions.
+    extrapolation between the resolutions int(1.5 m_base) and 2 m_base.
     """
     if n < 1 or n > 3:
         raise ValueError("n must be 1, 2 or 3")
-    ms = (m_base, int(1.5 * m_base), 2 * m_base)
-    es = [_delta_gas_energy_at(m, n, ell, g) for m in ms]
-    # E(h) = E0 + c h: eliminate pairwise, report the spread
-    h = np.array([ell / m for m in ms])
-    e01 = (es[1] * h[0] - es[0] * h[1]) / (h[0] - h[1])
-    e12 = (es[2] * h[1] - es[1] * h[2]) / (h[1] - h[2])
-    return DeltaGasResult(e12, tuple(es), ms, abs(e12 - e01))
+    ms = (int(1.5 * m_base), 2 * m_base)
+    e1, e2 = (_delta_gas_energy_at(m, n, ell, g) for m in ms)
+    # E(h) = E0 + c h: eliminate c
+    h1, h2 = ell / ms[0], ell / ms[1]
+    return (e2 * h1 - e1 * h2) / (h1 - h2)
 
 
 # --------------------------------------------------------------------------

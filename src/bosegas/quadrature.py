@@ -50,12 +50,10 @@ def tanh_sinh(f, a: float, b: float, level: int = 10) -> float:
     successive refinements agree to ``_TANH_SINH_RTOL`` or ``level``
     halvings are done.
     Endpoint singularities integrable in the tanh-sinh sense are handled by
-    construction (nodes never touch a or b).
+    construction (nodes never touch a or b).  With a > b the half-width
+    is negative and the rule gives -tanh_sinh(f, b, a) bit for bit; [a, a]
+    gives 0.
     """
-    if a == b:
-        return 0.0
-    if a > b:
-        return -tanh_sinh(f, b, a, level)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     piov2 = 0.5 * math.pi

@@ -415,8 +415,11 @@ def _interior_integrals(grid, u, du, v: RadialPotential, mu: float):
     """(K, P) = (int psi0'^2 r^2 dr, int v psi0^2 r^2 dr / (2 mu)) over
     [0, R0], by Simpson on the interior nodes, with psi0 = u / r scaled by
     the exterior slope du[-1] of u, so that psi0 -> 1 at infinity.  At R0
-    the inside-limit value of v is used."""
+    the inside-limit value of v is used.  A hard core's interior is the
+    one node R0, where both are 0."""
     k = int(np.searchsorted(grid, v.core_radius, side="right"))
+    if k < 2:
+        return 0.0, 0.0
     r, u, du = grid[:k], u[:k], du[:k]
     with np.errstate(divide="ignore", invalid="ignore"):
         dpsi = np.where(r > 0, (du * r - u) / np.maximum(r, 1e-300) ** 2, 0.0) / du[-1]

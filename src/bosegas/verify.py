@@ -349,17 +349,17 @@ def _oracle_checks(seed):
         A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         psi = rng.normal(size=N + 1)
         psi /= np.linalg.norm(psi)
-        res = oracles.localize_band_matrix(A, psi, 8)
-        if res.lhs > res.rhs(10.0) + 1e-12:
+        lhs, lam, quad, tail = oracles.localize_band_matrix(A, psi, 8)
+        if lhs > lam + 10.0 * (quad + tail) + 1e-12:
             viol += 1
     out.append(_check("oracles.band_matrix_corpus", viol, 0.5, seed=seed + 3,
                       calibrated_C=10.0))
 
     worst = -math.inf
     for g in (1.0, 10.0):
-        e3 = oracles.exact_diag_delta_gas_1d(3, 1.0, g, 16).energy
-        e2 = oracles.exact_diag_delta_gas_1d(2, 1.0, g, 16).energy
-        e1 = oracles.exact_diag_delta_gas_1d(1, 1.0, g, 16).energy
+        e3 = oracles.exact_diag_delta_gas_1d(3, 1.0, g, 16)
+        e2 = oracles.exact_diag_delta_gas_1d(2, 1.0, g, 16)
+        e1 = oracles.exact_diag_delta_gas_1d(1, 1.0, g, 16)
         worst = max(worst, (e2 + e1) - e3)
     out.append(_check("oracles.delta_gas_superadditivity", worst, 1e-9))
 

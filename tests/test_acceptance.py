@@ -159,8 +159,8 @@ def test_criterion_08_lieb_liniger(ll_curve):
     h = rho**3 * ll_curve.e(1.0 / rho)
     ok_cvx = float(np.min(np.diff(h, 2))) >= -1e-8
     # ring oracle at t = 10 (rho = 1): extrapolate E/N over n = 2, 3 in 1/n^2
-    E2 = oracles.exact_diag_delta_gas_1d(2, 2.0, 10.0, 44).energy
-    E3 = oracles.exact_diag_delta_gas_1d(3, 3.0, 10.0, 30).energy
+    E2 = oracles.exact_diag_delta_gas_1d(2, 2.0, 10.0, 44)
+    E3 = oracles.exact_diag_delta_gas_1d(3, 3.0, 10.0, 30)
     einf = (9.0 * E3 / 3.0 - 4.0 * E2 / 2.0) / 5.0
     dev = abs(einf / ll_curve.e(10.0) - 1.0)
     _criterion("8 Lieb-Liniger asymptotics/convexity/ring oracle",
@@ -199,7 +199,7 @@ def test_criterion_09_regimes():
                 break
         return trap
 
-    regions = [onedim.regime_classify(probe(t)).region
+    regions = [onedim.regime_classify(probe(t))["region"]
                for t in (1e-4 * 50.0**-2, 1.0, 1e3)]
     ok_probe = regions == [1, 4, 5]
     _criterion("9 region scalings 2-5 + classifier probes 1/4/5",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bosegas import charged as ch
 from bosegas import oracles
+from bosegas.quadrature import tanh_sinh
 
 # dual-path value of int_0^inf (1 + x^4 - x^2 sqrt(2+x^4)) dx, frozen from
 # the Gamma-function arithmetic 2^{3/4} sqrt(pi) Gamma(3/4)/(5 Gamma(5/4))
@@ -69,16 +70,27 @@ def test_foldy_constant_mu_scaling():
 
 def test_foldy_law_sign_and_scaling():
     for rho in (0.1, 1.0, 1e4):
-        assert ch.foldy_law(rho).energy_per_particle < 0.0
-    assert ch.foldy_law(16.0).energy_per_particle / \
-        ch.foldy_law(1.0).energy_per_particle == pytest.approx(2.0, rel=1e-14)
+        assert ch.foldy_law(rho) < 0.0
+    assert ch.foldy_law(16.0) / ch.foldy_law(1.0) == pytest.approx(2.0,
+                                                                  rel=1e-14)
 
 
 def test_foldy_law_matches_i0():
-    law = ch.foldy_law(2.0, mu=3.0)
     i0 = ch.foldy_constant(3.0).i0
-    assert law.energy_per_particle == pytest.approx(-i0 * 2.0**0.25, rel=1e-14)
-    assert "rho^(1/3)" in law.infinite_mass_note
+    assert ch.foldy_law(2.0, mu=3.0) == pytest.approx(-i0 * 2.0**0.25,
+                                                      rel=1e-14)
+    assert "rho^(1/3)" in ch.INFINITE_MASS_NOTE
+
+
+def test_tanh_sinh_reversed_and_empty_intervals():
+    # over [b, a] the rule has a negative half-width and gives
+    # -tanh_sinh(f, a, b) bit for bit; over [a, a] it gives 0
+    integrands = (math.exp, math.cos, lambda x: 1.0 / (1.0 + x * x),
+                  lambda x: math.log1p(x**4))
+    for f in integrands:
+        for a, b in ((0.0, 1.0), (-2.0, 3.0), (0.5, 7.25)):
+            assert tanh_sinh(f, b, a) == -tanh_sinh(f, a, b)
+            assert tanh_sinh(f, a, a) == 0.0
 
 
 def test_local_energy_matches_closed_form():

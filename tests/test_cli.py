@@ -409,7 +409,7 @@ def test_cli_import_loads_only_config(tmp_path, ll_curve):
     mu_tf = json.loads((tmp_path / "tf.json").read_text())["outputs"]["mu_TF"]
     r = np.linspace(0.0, 1.05 * mu_tf ** (1.0 / s), 20000)
     rho = np.maximum(mu_tf - r**s, 0.0) / (8.0 * math.pi * 1.0 * coupling)
-    mf.DensityProfile(r, np.sqrt(rho), rho, N, 3).export_csv(tmp_path / "ref.csv")
+    mf.DensityProfile(r, np.sqrt(rho), rho).export_csv(tmp_path / "ref.csv")
     assert (tmp_path / "tf.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert "numpy" in after_scatter
     assert "bosegas.scattering" in after_scatter
@@ -815,9 +815,9 @@ def test_records_carry_the_solve_record(tmp_path):
     reg = outputs("regimes", "--N", "30", "--L", "100", "--r", "0.5",
                   "--a", "1e-4")
     report = onedim.regime_classify(onedim.ElongatedTrap(30.0, 100.0, 0.5, 1e-4))
-    assert tuple(report.counters) == fields
+    assert reg.keys() == report.keys() >= set(fields)
     assert all(len(reg[k]) == 2 for k in fields)
-    full = onedim.minimize_1d("full", 30.0, 100.0, report.g)[0].solve
+    full = onedim.minimize_1d("full", 30.0, 100.0, report["g"])[0].solve
     assert {k: reg[k][0] for k in fields} == full._asdict()
 
     tf = outputs("tf", "--coupling", "0.05", "--N", "100")

@@ -159,8 +159,8 @@ def test_bounds_2d_limits_and_errors():
     st = hb.GasState2D(1e-4, 1e-3)
     out = hb.bounds_2d(st)
     lead = 4.0 * math.pi * st.mu * st.rho / st.logY
-    assert out.lower == pytest.approx(lead)
-    assert out.b == pytest.approx((2.0 * math.pi * st.rho) ** -0.5)
+    assert out["lower"] == pytest.approx(lead)
+    assert out["b"] == pytest.approx((2.0 * math.pi * st.rho) ** -0.5)
     # rho a^2 >= 1/(2 pi e) puts b = (2 pi rho)^{-1/2} at or below e^{1/2} a,
     # where ln(b/a) - pi rho b^2 = ln(b/a) - 1/2 <= 0; at rho a^2 = 0.5, b < a
     for rho_a2 in (1.0 / (2.0 * math.pi * math.e), 0.1, 0.5):
@@ -173,7 +173,7 @@ def test_bounds_2d_converge_together():
     for rho_a2 in (1e-10, 1e-20, 1e-40, 1e-80):
         st = hb.GasState2D(1e-4, math.sqrt(rho_a2 / 1e-4))
         out = hb.bounds_2d(st)
-        ratio = out.upper / out.lower
+        ratio = out["upper"] / out["lower"]
         assert abs(ratio - 1.0) < 3.0 * st.logY ** -0.2
         if prev is not None:
             assert abs(ratio - 1.0) < prev
