@@ -1,7 +1,7 @@
 """Closed-form energy bounds for the homogeneous dilute gas, plus the
 inequality machinery used to prove them: Temple's bound, the soft-potential
 construction, the two radial-line lemmas, and the cell-distribution
-combinatorics.
+combinatorics; and the Bogoliubov integral that gives the LHY constant.
 
 Conventions: mu = hbar^2/2m, Y = 4 pi rho a^3 / 3 (3D diluteness), all
 potentials nonnegative with finite range.
@@ -110,6 +110,37 @@ def lhy_reference(state: GasState3D) -> float:
         raise ValueError("expansion requires rho a^3 < 1")
     corr = 1.0 + LHY_C1 * math.sqrt(x) + LHY_C2 * x * math.log(x)
     return state.leading * corr
+
+
+# tanh-sinh covers the Bogoliubov integral on [0, _LHY_SPLIT]; the tail
+# series covers the rest
+_LHY_SPLIT = 20.0
+
+
+def lhy_integral() -> float:
+    """LHY_C1 by the Bogoliubov integral (Lee, Huang & Yang 1957).
+
+    With g = 8 pi a and k = sqrt(g rho) x, the Bogoliubov energy per
+    particle beyond 4 pi mu rho a is 4 pi mu rho a (8 sqrt 2/sqrt pi) I
+    (rho a^3)^{1/2}, where I = int_0^inf [x^2 (x sqrt(x^2+2) - x^2 - 1)
+    + 1/2] dx (8 sqrt 2/15 in closed form).  I is tanh-sinh on [0, X] plus
+    the tail: the integrand expands to x^-2/2 - 5x^-4/8 + 7x^-6/8
+    - 21x^-8/16 + 33x^-10/16 + ..., so the tail contributes 1/(2X)
+    - 5/(24X^3) + 7/(40X^5) - 3/(16X^7) + 11/(48X^9) + O(X^-11);
+    X = _LHY_SPLIT."""
+    from .quadrature import tanh_sinh
+
+    def integrand(x):
+        # x sqrt(x^2+2) - x^2 - 1 = -1/(x sqrt(x^2+2) + x^2 + 1): the form
+        # as written cancels at large x, this one does not
+        root = math.sqrt(x * x + 2.0)
+        return (1.0 + 2.0 * x / (root + x)) / (2.0 * (x * root + x * x + 1.0))
+
+    X = _LHY_SPLIT
+    tail = (1.0 / (2.0 * X) - 5.0 / (24.0 * X**3) + 7.0 / (40.0 * X**5)
+            - 3.0 / (16.0 * X**7) + 11.0 / (48.0 * X**9))
+    head = tanh_sinh(integrand, 0.0, X)
+    return 8.0 * math.sqrt(2.0 / math.pi) * (head + tail)
 
 
 # --- finite-box cell-method bound ---------------------------------------

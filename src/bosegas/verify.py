@@ -13,11 +13,17 @@ import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from importlib import import_module
 
 import numpy as np
+# numpy.random loads here, before the pool forks: a forked worker's resident
+# set counts only the inherited pages it touches, so both workers share the
+# import instead of each paying for its own (4.5 MB, most of it OpenSSL's
+# libcrypto through secrets and hmac).  The section modules load in the
+# workers that run them
+from numpy.random import default_rng
 
 from . import SCHEMA_VERSION
-from . import charged, homogeneous, meanfield, onedim, oracles, quadrature, scattering
 
 
 # (name, perf_counter()) of each check the running section has made: a
@@ -36,6 +42,7 @@ def _check(name, value, tolerance, passed=None, **extra):
 
 
 def _scattering_checks():
+    from . import scattering
     out = []
     hc = scattering.hard_core(1.0)
     sol = scattering.solve_zero_energy(hc)
@@ -80,6 +87,7 @@ def _dyson_lemma_grid():
     geometric out to the annulus (R0, R) = (0.995 R, R) at R = 200a, uniform
     across it with its end nodes 1e-9 inside the edges, and on to R1 = 1.02 R.
     """
+    from . import homogeneous, scattering
     v = scattering.soft_sphere(1.0, 25.0)
     sol = scattering.solve_zero_energy(v)
     a, R = sol.a, 200.0 * sol.a
@@ -99,6 +107,7 @@ def _dyson_lemma_grid():
 
 
 def _homogeneous_checks(seed):
+    from . import homogeneous
     out = []
     ok = True
     for Y in np.geomspace(1e-9, 1e-4, 12):
@@ -114,6 +123,11 @@ def _homogeneous_checks(seed):
     out.append(_check("homogeneous.dyson_classic",
                       abs(homogeneous.dyson_classic_lower_bound(st) / st.leading
                           - 1.0 / (10.0 * math.sqrt(2.0))), 1e-15))
+    # LHY_C1 against the Bogoliubov integral it comes from: the gap is
+    # 1.3e-15, rounding and the tail series' O(X^-11) (tolerance x75)
+    out.append(_check("homogeneous.lhy_dual_path",
+                      abs(homogeneous.lhy_integral() / homogeneous.LHY_C1 - 1.0),
+                      1e-13))
     Ys = np.geomspace(1e-40, 1e-20, 9)
     states = [homogeneous.GasState3D(Y * 3 / (4 * math.pi), 1.0) for Y in Ys]
     errs = [1.0 - homogeneous.lower_bound_3d(st).value / st.leading
@@ -135,7 +149,7 @@ def _homogeneous_checks(seed):
     out.append(_check("homogeneous.K_monotone", 0.0 if mono else 1.0, 0.5,
                       passed=mono))
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     viol = 0
     for _ in range(2000):
         H = rng.normal(size=(5, 5))
@@ -153,7 +167,7 @@ def _homogeneous_checks(seed):
             viol += 1
     out.append(_check("homogeneous.temple_corpus", viol, 0.5, seed=seed))
 
-    rng = np.random.default_rng(seed + 1)
+    rng = default_rng(seed + 1)
     x = rng.uniform(1e-9, 1 - 1e-9, 20000)
     b = rng.uniform(1e-9, 1 - 1e-9, 20000)
     k = rng.uniform(1.0, 1e4, 20000)
@@ -181,6 +195,7 @@ def _homogeneous_checks(seed):
 
 
 def _meanfield_checks():
+    from . import meanfield
     out = []
     _, rep = meanfield.gp_minimize(meanfield.GPProblem(3, 1.0, 0.0, n_grid=2048))
     out.append(_check("meanfield.oscillator_energy", abs(rep.E_total - 3.0), 1e-4))
@@ -213,6 +228,7 @@ _LL_DIRECT_WIDTHS = (0.03382, 0.441, 2.372)
 
 
 def _onedim_checks():
+    from . import onedim
     out = []
     curve = onedim.default_curve()
     out.append(_check("onedim.ll_high_t", abs(curve.e(1e3) * 3.0 / math.pi**2 - 1.0),
@@ -256,6 +272,7 @@ def _onedim_checks():
 
 
 def _charged_checks(seed):
+    from . import charged, oracles
     out = []
     fc = charged.foldy_constant(1.0)
     out.append(_check("charged.x_integral_dual_path",
@@ -277,7 +294,7 @@ def _charged_checks(seed):
     gap = oracles.fock_quadratic_ground(1.0, 0.5, 0.0, 40) - b
     out.append(_check("charged.fock_gap_cutoff40", abs(gap), 1e-3,
                       passed=(gap > -1e-10 and abs(gap) < 1e-3)))
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     viol = 0.0
     for _ in range(60):
         A, Bp, Bm = rng.uniform(0.05, 3.0, 3)
@@ -289,6 +306,7 @@ def _charged_checks(seed):
 
 
 def _twisted_checks():
+    from . import oracles, quadrature
     out = []
     # at |phi| <= pi the FD ground state is the constant mode, (phi/L)^2
     # exactly: the gap is rounding, 4.2e-12 at n = 64 (tolerance x240)
@@ -316,6 +334,7 @@ def _twisted_checks():
 
 
 def _oracle_checks(seed):
+    from . import oracles
     out = _twisted_checks()
 
     consts = {}
@@ -340,7 +359,7 @@ def _oracle_checks(seed):
                       0.0 if no_counterexamples else 1.0, 0.5,
                       passed=no_counterexamples))
 
-    rng = np.random.default_rng(seed + 3)
+    rng = default_rng(seed + 3)
     viol = 0
     for _ in range(300):
         N = 64
@@ -378,11 +397,16 @@ def _max_rss_mb() -> float:
 
 
 def _run_sections(sections) -> dict:
-    """Run ``sections``, (name, function, args) triples, in order; returns
-    each one's checks, wall seconds, this process's peak RSS after it and
-    the seconds of each of its checks since the one before."""
+    """Run ``sections``, (name, function, args, modules) tuples, in order,
+    after importing every section's modules, so that no section's clock
+    counts an import; returns each one's checks, wall seconds, this
+    process's peak RSS after it and the seconds of each of its checks since
+    the one before."""
+    for *_, modules in sections:
+        for module in modules:
+            import_module(f".{module}", __package__)
     out = {}
-    for name, run, args in sections:
+    for name, run, args, _ in sections:
         _STAMPS.clear()
         t0 = time.perf_counter()
         checks = run(*args)
@@ -395,35 +419,45 @@ def _run_sections(sections) -> dict:
 
 
 # the sections that run a flow: one worker process runs them, and another
-# runs the rest (the scattering solves and the corpora).  Neither loads
-# scipy (the flows stay below flows._SCIPY_AFTER), so the split only
-# balances their times
+# runs the rest (the scattering solves and the corpora).  Each imports only
+# its own sections' modules, so the corpus worker loads no flow and the
+# flow worker no scattering solver; neither loads scipy (the flows stay
+# below flows._SCIPY_AFTER), so the split only balances their times
 _FLOW_SECTIONS = ("meanfield", "onedim", "charged")
 
 
 def run_all(seed: int) -> tuple[dict, dict]:
     """Run the whole invariant suite; returns (scorecard, timings).
 
-    Two worker processes run the sections: one those in
+    Two forked worker processes run the sections: one those in
     ``_FLOW_SECTIONS``, the other the rest, while this process only waits
     for their checks and puts them together in the sections' order, so the
-    scorecard does not depend on which process ran what.  So the process
-    that imported every module builds no section's arrays on top of them.
+    scorecard does not depend on which process ran what.  This process
+    imports no section module: each worker imports those of its own
+    sections before their clocks start, on top of the numpy and
+    numpy.random pages it shares with this process.
 
     ``timings`` holds the wall seconds of each section (scattering,
     homogeneous, meanfield, onedim, charged, oracles) under "sections", the
     peak resident set in MB, after each, of the process that ran it under
     "max_rss_mb", each worker's sections in run order under "processes"
-    ("flows" and "corpora"), and each section's checks with the seconds
-    since the check before (or since the section's start) under "checks";
-    they are never part of the scorecard, which stays byte-reproducible.
+    ("flows" and "corpora"), each section's checks with the seconds since
+    the check before (or since the section's start) under "checks", and
+    this process's own peak once the workers are joined under
+    "caller_max_rss_mb"; they are never part of the scorecard, which stays
+    byte-reproducible.
     """
-    sections = (("scattering", _scattering_checks, ()),
-                ("homogeneous", _homogeneous_checks, (seed,)),
-                ("meanfield", _meanfield_checks, ()),
-                ("onedim", _onedim_checks, ()),
-                ("charged", _charged_checks, (seed + 10,)),
-                ("oracles", _oracle_checks, (seed + 20,)))
+    # (name, checks, their arguments, the bosegas modules to import
+    # before the clocks start)
+    sections = (("scattering", _scattering_checks, (), ("scattering",)),
+                ("homogeneous", _homogeneous_checks, (seed,),
+                 ("homogeneous", "scattering")),
+                ("meanfield", _meanfield_checks, (), ("meanfield", "flows")),
+                ("onedim", _onedim_checks, (), ("onedim",)),
+                ("charged", _charged_checks, (seed + 10,),
+                 ("charged", "flows", "oracles")),
+                ("oracles", _oracle_checks, (seed + 20,),
+                 ("oracles", "quadrature")))
     split = {"flows": [s for s in sections if s[0] in _FLOW_SECTIONS],
              "corpora": [s for s in sections if s[0] not in _FLOW_SECTIONS]}
     done = {}
@@ -431,12 +465,13 @@ def run_all(seed: int) -> tuple[dict, dict]:
         workers = [pool.submit(_run_sections, run) for run in split.values()]
         for worker in workers:
             done.update(worker.result())
-    checks = [c for name, _, _ in sections for c in done[name][0]]
+    checks = [c for name, *_ in sections for c in done[name][0]]
     timings = {"sections": {name: done[name][1] for name in done},
                "max_rss_mb": {name: done[name][2] for name in done},
-               "processes": {process: [name for name, _, _ in run]
+               "processes": {process: [name for name, *_ in run]
                              for process, run in split.items()},
-               "checks": {name: done[name][3] for name in done}}
+               "checks": {name: done[name][3] for name in done},
+               "caller_max_rss_mb": _max_rss_mb()}
     n_pass = sum(1 for c in checks if c["passed"])
     return {
         "schema_version": SCHEMA_VERSION,

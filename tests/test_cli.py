@@ -355,6 +355,19 @@ print(json.dumps(loaded()))
 """
 
 
+def _fresh_python(script, *argv):
+    """The stdout lines of ``script``, run with ``argv`` in a fresh
+    interpreter with ``src`` on its path, each parsed as JSON."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
 def _scipy(modules, *packages):
     """The modules under scipy (or under the given scipy packages)."""
     packages = packages or ("scipy",)
@@ -371,17 +384,9 @@ def _emitted_curve(curve):
 
 def test_cli_import_loads_only_config(tmp_path, ll_curve):
     from bosegas import meanfield as mf
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
     (after_import, stdlib_after_import, after_foldy, after_bounds, after_closed,
      after_profile, after_scatter, after_modules, after_tables, after_gp,
-     after_flows, after_verify) = map(json.loads, proc.stdout.splitlines())
+     after_flows, after_verify) = _fresh_python(_IMPORT_PROBE, str(tmp_path))
     assert after_import == ["bosegas", "bosegas.cli", "bosegas.config"]
     # nor dataclasses, nor the inspect it imports: only a query that imports
     # a library module pays for them
@@ -1015,7 +1020,8 @@ def test_verify_timings_sidecar(tmp_path, ll_curve):
     assert timed.read_bytes() == plain.read_bytes()
     timings = json.loads(sidecar.read_text())
     assert set(timings) == {"schema_version", "seed", "unit", "total",
-                            "sections", "max_rss_mb", "processes", "checks"}
+                            "sections", "max_rss_mb", "processes", "checks",
+                            "caller_max_rss_mb"}
     sections = timings["sections"]
     assert set(sections) == {"scattering", "homogeneous", "meanfield",
                              "onedim", "charged", "oracles"}
@@ -1034,6 +1040,8 @@ def test_verify_timings_sidecar(tmp_path, ll_curve):
         assert all(p > 0.0 for p in peaks)
         assert peaks == sorted(peaks)
     assert "max_rss_mb" not in timed.read_text()
+    # the calling process's own peak, once the workers are joined
+    assert timings["caller_max_rss_mb"] > 0.0
     # every check's seconds since the one before it in its section: each
     # scorecard name has one, and a section's add up to no more than it
     card = json.loads(timed.read_text())
@@ -1201,16 +1209,71 @@ def test_verify_sections_import_boundary():
     # the corpus worker's sections need numpy alone, and so do the flow
     # worker's: their flows stay below the count at which flows._solve turns
     # to scipy
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _SECTION_IMPORTS], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    after_corpora, after_flow = map(json.loads, proc.stdout.splitlines())
+    after_corpora, after_flow = _fresh_python(_SECTION_IMPORTS)
     assert after_corpora == []
     assert after_flow == []
+
+
+_SECTION_MODULES = {"bosegas.charged", "bosegas.flows", "bosegas.homogeneous",
+                    "bosegas.meanfield", "bosegas.onedim", "bosegas.oracles",
+                    "bosegas.scattering"}
+
+_LOADED = """
+import json
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m == "numpy.random" or m.startswith("bosegas."))
+"""
+
+
+def test_verify_caller_loads_numpy_random_and_no_section():
+    # numpy.random loads before the pool forks, so both workers share its
+    # pages; the section modules load only in the workers that run them
+    [caller] = _fresh_python(_LOADED + "import bosegas.verify\n"
+                             "print(json.dumps(loaded()))\n")
+    assert "numpy.random" in caller
+    assert not _SECTION_MODULES & set(caller)
+
+
+_WORKER_IMPORTS = _LOADED + """
+from bosegas import verify
+
+corpora_last, flows_last = verify._oracle_checks, verify._charged_checks
+
+# each worker's last section reports the modules its process has loaded
+def corpora_report(seed):
+    return corpora_last(seed) + [{"name": "corpora", "passed": True,
+                                  "modules": loaded()}]
+
+def flows_report(seed):
+    return flows_last(seed) + [{"name": "flows", "passed": True,
+                                "modules": loaded()}]
+
+verify._oracle_checks, verify._charged_checks = corpora_report, flows_report
+card, _ = verify.run_all(7)
+print(json.dumps({c["name"]: c["modules"] for c in card["checks"]
+                  if "modules" in c}))
+print(json.dumps(loaded()))
+"""
+
+
+def test_verify_workers_load_only_their_sections_modules():
+    # a fresh interpreter: forked workers would inherit pytest's modules.
+    # The corpus worker loads no flow and the flow worker no scattering
+    # solver, and the caller still loads no section module after the run
+    workers, caller = _fresh_python(_WORKER_IMPORTS)
+    assert not _SECTION_MODULES & set(caller)
+    assert set(workers) == {"corpora", "flows"}
+    corpora, flows = (set(workers[name]) for name in ("corpora", "flows"))
+    assert {"bosegas.scattering", "bosegas.homogeneous",
+            "bosegas.oracles"} <= corpora
+    assert not corpora & {"bosegas.flows", "bosegas.meanfield",
+                          "bosegas.onedim", "bosegas.charged"}
+    assert {"bosegas.meanfield", "bosegas.onedim", "bosegas.charged",
+            "bosegas.flows", "bosegas.oracles"} <= flows
+    assert not flows & {"bosegas.scattering", "bosegas.homogeneous"}
 
 
 _PAST_THE_SWITCH = """
@@ -1228,15 +1291,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 def test_flows_past_the_switch_load_scipy_linalg_alone(tmp_path):
     # a process that has solved more than flows._SCIPY_AFTER rows pays for
     # scipy's dgtsv once, and that import brings no other scipy package
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _PAST_THE_SWITCH,
-                           str(tmp_path / "gp.json")], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    [loaded] = _fresh_python(_PAST_THE_SWITCH, str(tmp_path / "gp.json"))
     assert "scipy.linalg" in loaded
     assert not _scipy(loaded, "scipy.optimize", "scipy.interpolate",
                       "scipy.special", "scipy.sparse")

@@ -67,6 +67,30 @@ def test_lhy_coefficients_dual_path():
     assert hb.lhy_reference(st) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("split", [10.0, 20.0, 40.0])
+def test_lhy_integral_gives_lhy_c1(monkeypatch, split):
+    # the Bogoliubov integral's I = 8 sqrt 2/15 gives LHY_C1 = 128/(15
+    # sqrt pi); where the tail series takes over moves it by its O(X^-11)
+    monkeypatch.setattr(hb, "_LHY_SPLIT", split)
+    assert hb.lhy_integral() == pytest.approx(hb.LHY_C1, rel=1e-11)
+    if split >= 20.0:
+        assert hb.lhy_integral() == pytest.approx(hb.LHY_C1, rel=1e-14)
+
+
+def _lhy_entry(seed=7):
+    [entry] = [c for c in verify._homogeneous_checks(seed)
+               if c["name"] == "homogeneous.lhy_dual_path"]
+    return entry
+
+
+def test_verify_lhy_entry_fails_on_a_corrupted_constant(monkeypatch):
+    assert _lhy_entry()["passed"]
+    monkeypatch.setattr(hb, "LHY_C1", hb.LHY_C1 * (1.0 + 1e-12))
+    entry = _lhy_entry()
+    assert not entry["passed"]
+    assert entry["value"] == pytest.approx(1e-12, rel=1e-2)
+
+
 def test_bracketing_sweep():
     for Y in np.geomspace(1e-9, 1e-4, 25):
         st = state_at_Y(Y)
