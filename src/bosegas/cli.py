@@ -101,39 +101,27 @@ def cmd_scatter(args) -> int:
     return _emit_record(args, outputs, sol, n_grid=args.n_grid)
 
 
-def _bounds_row(Y: float, mu: float) -> tuple:
-    from . import homogeneous
-    rho = 3.0 * Y / (4.0 * math.pi)   # a = 1 parametrization of the sweep
-    st = homogeneous.GasState3D(rho, 1.0, mu)
-    return (Y, homogeneous.lower_bound_3d(st).value,
-            homogeneous.lhy_reference(st), homogeneous.upper_bound_3d(st))
-
-
 def cmd_bounds(args) -> int:
+    from . import homogeneous
     if args.sweep:
         import numpy as np
         _, lo, hi, n = parse_sweep(args.sweep)
-        # Python floats, so that every cell is a float's repr
-        rows = [_bounds_row(y, args.mu) for y in np.geomspace(lo, hi, n).tolist()]
+        rows = []
+        # Python floats, so that every cell is a float's repr; a = 1
+        for Y in np.geomspace(lo, hi, n).tolist():
+            out = homogeneous.bounds_3d(homogeneous.GasState3D(
+                3.0 * Y / (4.0 * math.pi), 1.0, args.mu))
+            rows.append((Y, out["lower"], out["lhy"], out["upper"]))
         bad = [row[0] for row in rows if not all(map(math.isfinite, row))]
         if bad:
             raise NumericError(f"bounds: non-finite row at Y={bad[0]!r}")
-        path = args.out or "bounds.csv"
-        write_csv(path, ["Y", "lower", "lhy", "upper"], rows)
+        write_csv(args.out or "bounds.csv", ["Y", "lower", "lhy", "upper"], rows)
         return EXIT_OK
-    from . import homogeneous
     if args.dim == 3:
         st = homogeneous.GasState3D(args.rho, args.a, args.mu)
-        lb = homogeneous.lower_bound_3d(st)
-        outputs = {"Y": st.Y, "lower": lb.value, "lower_clamped": lb.clamped,
-                   "lhy": homogeneous.lhy_reference(st),
-                   "upper": homogeneous.upper_bound_3d(st),
-                   "dyson_classic": homogeneous.dyson_classic_lower_bound(st)}
-    else:
-        st2 = homogeneous.GasState2D(args.rho, args.a, args.mu)
-        outputs = {"rho_a2": args.rho * args.a**2,
-                   **homogeneous.bounds_2d(st2)}
-    return _emit_record(args, outputs)
+        return _emit_record(args, homogeneous.bounds_3d(st))
+    st2 = homogeneous.GasState2D(args.rho, args.a, args.mu)
+    return _emit_record(args, homogeneous.bounds_2d(st2))
 
 
 def _trap_from_args(args) -> TrapPotential:
@@ -176,6 +164,7 @@ def cmd_ll(args) -> int:
     from . import onedim
     curve = onedim.default_curve()
     return _emit_record(args, {"t": args.t, "e": curve.e(args.t),
+                               "e_source": curve.e_source(args.t),
                                "e_table_mesh_error": curve.mesh_error})
 
 

@@ -1,4 +1,5 @@
-"""Closed-form energy bounds for the homogeneous dilute gas, plus the
+"""Closed-form energy bounds for the homogeneous dilute gas (``bounds_3d``
+and ``bounds_2d`` each give a ``bounds`` record's outputs whole), plus the
 inequality machinery used to prove them: Temple's bound, the soft-potential
 construction, the two radial-line lemmas, and the cell-distribution
 combinatorics; and the Bogoliubov integral that gives the LHY constant.
@@ -60,56 +61,34 @@ class GasState2D:
         if self.rho * self.a**2 >= 1:
             raise ValueError("2D state must be dilute: rho a^2 < 1")
 
-    @property
-    def logY(self) -> float:
-        return abs(math.log(self.rho * self.a**2))
-
 
 # --- 3D bounds -----------------------------------------------------------
 
-def upper_bound_3d(state: GasState3D) -> float:
-    """Variational upper bound on e0(rho), energy per particle, in the
-    thermodynamic form at b = (4 pi rho/3)^{-1/3}:
-
-        e0 / (4 pi mu rho a) <= (1 - Y^{1/3} + Y^{2/3} - Y/2)/(1 - Y^{1/3})^8.
-    """
-    y3 = state.Y ** (1.0 / 3.0)
-    if y3 >= 1:
-        raise ValueError("upper bound requires Y < 1")
-    return state.leading * (1.0 - y3 + y3**2 - 0.5 * y3**3) / (1.0 - y3) ** 8
-
-
-@dataclass(frozen=True)
-class LowerBound:
-    value: float
-    clamped: bool
-
-
-def lower_bound_3d(state: GasState3D) -> LowerBound:
-    """Lower bound 4 pi mu rho a (1 - C Y^{1/17}), C = LOWER_BOUND_C, clamped
-    at the trivial bound 0 when the correction exceeds 1."""
-    factor = 1.0 - LOWER_BOUND_C * state.Y ** (1.0 / 17.0)
-    if factor <= 0.0:
-        return LowerBound(0.0, True)
-    return LowerBound(state.leading * factor, False)
-
-
-def dyson_classic_lower_bound(state: GasState3D) -> float:
-    """Dyson's 1957 hard-sphere bound: e0 >= 4 pi mu rho a / (10 sqrt 2)."""
-    return state.leading * DYSON_CLASSIC
-
-
-def lhy_reference(state: GasState3D) -> float:
-    """Low-density expansion including the (rho a^3)^{1/2} and log terms:
-
-    4 pi mu rho a [1 + (128/15 sqrt(pi)) (rho a^3)^{1/2}
-                     + 8(4 pi/3 - sqrt 3)(rho a^3) ln(rho a^3)].
-    """
+def bounds_3d(state: GasState3D) -> dict:
+    """The 3D record: Y, and e0(rho) per particle bounded, in units of 4 pi
+    mu rho a: upper (1 - Y^{1/3} + Y^{2/3} - Y/2)/(1 - Y^{1/3})^8, the
+    variational bound at b = (4 pi rho/3)^{-1/3}; lower 1 - C Y^{1/17},
+    C = LOWER_BOUND_C, or 0 (lower_clamped) where that is not positive; lhy
+    1 + (128/15 sqrt pi)(rho a^3)^{1/2} + 8(4 pi/3 - sqrt 3)(rho a^3)
+    ln(rho a^3); dyson_classic 1/(10 sqrt 2), Dyson's 1957 bound.  Raises
+    ValueError unless 0 < rho a^3 < 1, then unless Y < 1."""
     x = state.rho * state.a**3
     if x >= 1:
         raise ValueError("expansion requires rho a^3 < 1")
-    corr = 1.0 + LHY_C1 * math.sqrt(x) + LHY_C2 * x * math.log(x)
-    return state.leading * corr
+    if x == 0:
+        raise ValueError("rho a^3 underflows to 0")
+    Y, leading = state.Y, state.leading
+    y3 = Y ** (1.0 / 3.0)
+    if y3 >= 1:
+        raise ValueError("upper bound requires Y < 1")
+    factor = 1.0 - LOWER_BOUND_C * Y ** (1.0 / 17.0)
+    clamped = factor <= 0.0
+    return {"Y": Y, "lower": 0.0 if clamped else leading * factor,
+            "lower_clamped": clamped,
+            "lhy": leading * (1.0 + LHY_C1 * math.sqrt(x)
+                              + LHY_C2 * x * math.log(x)),
+            "upper": leading * (1.0 - y3 + y3**2 - 0.5 * y3**3) / (1.0 - y3) ** 8,
+            "dyson_classic": leading * DYSON_CLASSIC}
 
 
 # tanh-sinh covers the Bogoliubov integral on [0, _LHY_SPLIT]; the tail
@@ -172,23 +151,28 @@ def k_factor(n: float, ell: float, R: float, R0: float, eps: float,
 # --- 2D bounds -----------------------------------------------------------
 
 def bounds_2d(state: GasState2D) -> dict:
-    """Leading-order 2D bounds, as a dict.
+    """Leading-order 2D bounds, and rho a^2, as a dict.
 
     upper: 2 pi mu rho / (ln(b/a) - pi rho b^2) at its minimizing
     b = (2 pi rho)^{-1/2}; lower: 4 pi mu rho/|ln rho a^2|.  The relative
     error sizes 1/ln(b/a) and |ln rho a^2|^{-1/5} (unit constants) are
     reported as upper_ and lower_error_scale, never folded into the bounds.
+    Raises ValueError if rho a^2 underflows to 0 or ln(b/a) - pi rho b^2
+    is not positive.
     """
+    rho_a2 = state.rho * state.a**2
+    if rho_a2 == 0:
+        raise ValueError("rho a^2 underflows to 0")
     b = (2.0 * math.pi * state.rho) ** -0.5
     # b <= a makes ln(b/a) <= 0, so this check covers it too
     den = math.log(b / state.a) - math.pi * state.rho * b**2
     if den <= 0:
         raise ValueError("ln(b/a) - pi rho b^2 must be positive")
-    upper = 2.0 * math.pi * state.mu * state.rho / den
-    lower = 4.0 * math.pi * state.mu * state.rho / state.logY
-    return {"upper": upper, "lower": lower, "b": b,
+    log_y = abs(math.log(rho_a2))
+    return {"rho_a2": rho_a2, "upper": 2.0 * math.pi * state.mu * state.rho / den,
+            "lower": 4.0 * math.pi * state.mu * state.rho / log_y, "b": b,
             "upper_error_scale": 1.0 / math.log(b / state.a),
-            "lower_error_scale": state.logY ** -0.2}
+            "lower_error_scale": log_y ** -0.2}
 
 
 # --- soft potentials and the radial-line lemma ---------------------------

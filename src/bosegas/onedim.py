@@ -231,6 +231,11 @@ class LLCurve:
     def e(self, t):
         return self.derivatives(t, 0)[0]
 
+    def e_source(self, t: float) -> str:
+        """The piece of the curve e(t) comes from, as ``derivatives`` picks it."""
+        return "low_tail" if t < self.t_min else \
+            "high_tail" if t > self.t_max else "table"
+
     def derivatives(self, t, order: int):
         """(e, e', e'')[:order + 1] at t from one table lookup.  Inside the
         table e = exp(p(log t)), so e' = e p'/t and e'' = e (p'^2 + p'' -

@@ -109,19 +109,22 @@ def _dyson_lemma_grid():
 def _homogeneous_checks(seed):
     from . import homogeneous
     out = []
-    ok = True
-    for Y in np.geomspace(1e-9, 1e-4, 12):
-        rho = Y * 3.0 / (4.0 * math.pi)
-        st = homogeneous.GasState3D(rho, 1.0)
-        lo = homogeneous.lower_bound_3d(st).value
-        mid = homogeneous.lhy_reference(st)
-        up = homogeneous.upper_bound_3d(st)
-        ok &= lo <= mid <= up
+
+    def bounds(Ys):
+        """(leading, bounds_3d record) at each Y, a = 1."""
+        states = [homogeneous.GasState3D(Y * 3 / (4 * math.pi), 1.0) for Y in Ys]
+        return [(st.leading, homogeneous.bounds_3d(st)) for st in states]
+
+    # the lower bound is clamped at 0 here: only upper can break the bracket
+    dilute = np.geomspace(1e-9, 1e-4, 12)
+    near = bounds(dilute)
+    ok = all(b["lower"] <= b["lhy"] <= b["upper"] for _, b in near)
     out.append(_check("homogeneous.bracketing", 0.0 if ok else 1.0, 0.5,
                       passed=ok))
     st = homogeneous.GasState3D(1e-4, 1.0)
+    # a transcription: the stored constant against the same literal
     out.append(_check("homogeneous.dyson_classic",
-                      abs(homogeneous.dyson_classic_lower_bound(st) / st.leading
+                      abs(homogeneous.bounds_3d(st)["dyson_classic"] / st.leading
                           - 1.0 / (10.0 * math.sqrt(2.0))), 1e-15))
     # LHY_C1 against the Bogoliubov integral it comes from: the gap is
     # 1.3e-15, rounding and the tail series' O(X^-11) (tolerance x75)
@@ -129,16 +132,12 @@ def _homogeneous_checks(seed):
                       abs(homogeneous.lhy_integral() / homogeneous.LHY_C1 - 1.0),
                       1e-13))
     Ys = np.geomspace(1e-40, 1e-20, 9)
-    states = [homogeneous.GasState3D(Y * 3 / (4 * math.pi), 1.0) for Y in Ys]
-    errs = [1.0 - homogeneous.lower_bound_3d(st).value / st.leading
-            for st in states]
+    errs = [1.0 - b["lower"] / leading for leading, b in bounds(Ys)]
     slope = float(np.polyfit(np.log(Ys), np.log(errs), 1)[0])
     out.append(_check("homogeneous.lower_exponent",
                       abs(slope - 1.0 / 17.0) * 17.0, 0.1))
-    Ys = np.geomspace(1e-9, 1e-4, 12)
-    states = [homogeneous.GasState3D(Y * 3 / (4 * math.pi), 1.0) for Y in Ys]
-    errs = [homogeneous.upper_bound_3d(st) / st.leading - 1.0 for st in states]
-    slope = float(np.polyfit(np.log(Ys), np.log(errs), 1)[0])
+    errs = [b["upper"] / leading - 1.0 for leading, b in near]
+    slope = float(np.polyfit(np.log(dilute), np.log(errs), 1)[0])
     out.append(_check("homogeneous.upper_exponent", abs(slope - 1 / 3) * 3.0, 0.1))
 
     # K > 0 for n <= 1136 (163 of the 714 n), then the Temple factor's 0
@@ -233,6 +232,17 @@ def _onedim_checks():
     curve = onedim.default_curve()
     out.append(_check("onedim.ll_high_t", abs(curve.e(1e3) * 3.0 / math.pi**2 - 1.0),
                       0.02))
+
+    # the strong-coupling series through gamma^-3 at gamma = t/2: its
+    # O(gamma^-4) truncation, 2.0e-9 at t = 1e3, falls 1e4-fold per decade
+    # of t (tolerance x5)
+    def strong(g):
+        return math.pi**2 / 3.0 * (1.0 - 4.0 / g + 12.0 / g**2
+                                   - 32.0 * (1.0 - math.pi**2 / 15.0) / g**3)
+
+    out.append(_check("onedim.ll_strong_series",
+                      max(abs(curve.e(t) / strong(t / 2.0) - 1.0)
+                          for t in (1e3, 1e4, 1e5)), 1e-8))
     out.append(_check("onedim.ll_low_t", abs(curve.e(1e-2) / 5e-3 - 1.0), 0.05))
     out.append(_check("onedim.ll_direct_route",
                       onedim.table_error(curve, _LL_DIRECT_WIDTHS), 1e-6))

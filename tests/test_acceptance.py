@@ -59,21 +59,22 @@ def test_criterion_02_scattering_2d():
 
 
 def test_criterion_03_bounds_bracket():
+    def at_Y(Y):
+        st = homogeneous.GasState3D(3 * Y / (4 * math.pi), 1.0)
+        return st.leading, homogeneous.bounds_3d(st)
+
     ok_bracket = True
     for Y in np.geomspace(1e-9, 1e-4, 26):
-        st = homogeneous.GasState3D(3 * Y / (4 * math.pi), 1.0)
-        lo = homogeneous.lower_bound_3d(st).value
-        ok_bracket &= lo <= homogeneous.lhy_reference(st) <= homogeneous.upper_bound_3d(st)
+        out = at_Y(Y)[1]
+        ok_bracket &= out["lower"] <= out["lhy"] <= out["upper"]
     st = homogeneous.GasState3D(1e-4, 1.0)
-    ok_dyson = homogeneous.dyson_classic_lower_bound(st) / st.leading == \
+    ok_dyson = homogeneous.bounds_3d(st)["dyson_classic"] / st.leading == \
         1.0 / (10.0 * math.sqrt(2.0))
     Ys = np.geomspace(1e-40, 1e-20, 9)
-    errs = [1 - homogeneous.lower_bound_3d(homogeneous.GasState3D(3 * Y / (4 * math.pi), 1.0)).value
-            / homogeneous.GasState3D(3 * Y / (4 * math.pi), 1.0).leading for Y in Ys]
+    errs = [1 - out["lower"] / leading for leading, out in map(at_Y, Ys)]
     s_lo = np.polyfit(np.log(Ys), np.log(errs), 1)[0]
     Ys = np.geomspace(1e-9, 1e-4, 11)
-    errs = [homogeneous.upper_bound_3d(homogeneous.GasState3D(3 * Y / (4 * math.pi), 1.0))
-            / homogeneous.GasState3D(3 * Y / (4 * math.pi), 1.0).leading - 1 for Y in Ys]
+    errs = [out["upper"] / leading - 1 for leading, out in map(at_Y, Ys)]
     s_up = np.polyfit(np.log(Ys), np.log(errs), 1)[0]
     ok_exp = abs(s_lo - 1 / 17) < 0.1 / 17 and abs(s_up - 1 / 3) < 0.1 / 3
     _criterion("3 bounds bracket + Dyson constant + error exponents",

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from bosegas import SCHEMA_VERSION, cli
 from bosegas.config import (_NONNEGATIVE, _POSITIVE, _SECTION_POSITIVE,
                             ConfigError, parse_config_file, parse_sweep,
-                            record_json, write_csv)
+                            record_json, validate_params, write_csv)
 
 
 def run_cli(*argv):
@@ -456,9 +456,8 @@ def test_bounds_sweep_matches_scalar_rows(tmp_path):
                    "--out", str(out)) == 0
     rows = []
     for Y in np.geomspace(1e-9, 1e-6, 10).tolist():
-        st = hg.GasState3D(3.0 * Y / (4.0 * np.pi), 1.0, 0.5)
-        rows.append((Y, hg.lower_bound_3d(st).value, hg.lhy_reference(st),
-                     hg.upper_bound_3d(st)))
+        out3 = hg.bounds_3d(hg.GasState3D(3.0 * Y / (4.0 * np.pi), 1.0, 0.5))
+        rows.append((Y, out3["lower"], out3["lhy"], out3["upper"]))
     write_csv(ref, ["Y", "lower", "lhy", "upper"], rows)
     assert out.read_bytes() == ref.read_bytes()
 
@@ -473,7 +472,9 @@ def test_bounds_workers_option_rejected(capsys):
 def test_bounds_sweep_nonfinite_row_writes_nothing(tmp_path, monkeypatch,
                                                    capsys):
     from bosegas import homogeneous as hg
-    monkeypatch.setattr(hg, "lhy_reference", lambda st: float("nan"))
+    real = hg.bounds_3d
+    monkeypatch.setattr(hg, "bounds_3d",
+                        lambda st: {**real(st), "lhy": float("nan")})
     out = tmp_path / "sweep.csv"
     assert run_cli("bounds", "--sweep", "Y=1e-9:1e-6:10",
                    "--out", str(out)) == 1
@@ -594,6 +595,8 @@ def test_tf_takes_no_n_grid(tmp_path, capsys):
     (("--rho", "0.1", "--a", "2"), "3D needs Y = 4 pi rho a^3/3 below 1"),
     (("--sweep", "Y=0.5:2:3"), "3D needs Y = 4 pi rho a^3/3 below 1"),
     (("--rho", "1e300", "--a", "1e300"), "overflow the 3D bounds"),
+    (("--rho", "1e-300", "--a", "1e-10"), "rho a^3 underflows to 0"),
+    (("--dim", "2", "--rho", "1e-300", "--a", "1e-30"), "rho a^2 underflows to 0"),
 ])
 def test_bounds_outside_their_domain_are_config_errors(argv, message, tmp_path,
                                                        capsys):
@@ -613,6 +616,53 @@ def test_bounds_inside_their_domain_run(tmp_path, capsys):
                  ("--sweep", "Y=0.5:0.99:3", "--out", str(tmp_path / "b.csv"))):
         assert run_cli("bounds", *argv) == 0
     capsys.readouterr()
+
+
+def _bounds_refused(dim, rho, a) -> bool:
+    """Whether the formulas behind a ``bounds`` record refuse (rho, a)."""
+    from bosegas import homogeneous as hg
+    try:
+        if dim == 3:
+            hg.bounds_3d(hg.GasState3D(rho, a))
+        else:
+            hg.bounds_2d(hg.GasState2D(rho, a))
+    except (ValueError, ArithmeticError):
+        return True
+    return False
+
+
+@pytest.mark.parametrize("dim", [3, 2])
+def test_bounds_validate_refuses_what_the_formulas_refuse(dim):
+    # a 125 x 125 log grid of (rho, a): over part of it rho a^dim underflows
+    # to 0, whose logarithm the lower bound (2D) or the LHY series (3D) takes
+    grid = np.geomspace(1e-320, 1e300, 125).tolist()
+    mismatched, underflows = [], 0
+    for rho in grid:
+        for a in grid:
+            problems = validate_params("bounds", {"dim": dim, "rho": rho, "a": a})
+            underflows += any("underflows to 0" in p for p in problems)
+            if bool(problems) != _bounds_refused(dim, rho, a):
+                mismatched.append((rho, a))
+    assert not mismatched, f"{len(mismatched)} states, e.g. {mismatched[:3]}"
+    assert underflows > 1000
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (5e-324, 1e-300), (1e-323, 1e-300), (2e-323, 1e-300), (1e-320, 1e-300),
+    (1e-9, 0.99), (1e-9, 1.0), (1e-9, 8.0)])
+def test_bounds_sweep_ends_are_checked(lo, hi, tmp_path, capsys):
+    # the sweep's rho = 3 Y/(4 pi) at a = 1 rounds to 0 at its lowest Y and
+    # leaves the 3D domain at Y >= 1: either end refuses the run with exit 2
+    spec = f"Y={lo!r}:{hi!r}:3"
+    refused = any(_bounds_refused(3, 3.0 * Y / (4.0 * math.pi), 1.0)
+                  for Y in np.geomspace(lo, hi, 3).tolist())
+    assert refused == (lo < 2e-323 or hi >= 1.0)
+    assert bool(validate_params("bounds", {"sweep": spec})) == refused
+    out = tmp_path / "sweep.csv"
+    assert run_cli("bounds", "--sweep", spec, "--out", str(out)) == \
+        (2 if refused else 0)
+    assert out.exists() != refused
+    assert ("underflows to 0" in capsys.readouterr().err) == (lo < 2e-323)
 
 
 def test_tf_nonpositive_coupling_is_config_error(tmp_path, capsys):
@@ -637,6 +687,7 @@ def test_ll_reports_table_mesh_error(capsys, ll_curve):
     outputs = json.loads(capsys.readouterr().out)["outputs"]
     assert outputs["e_table_mesh_error"] == onedim._TABLE_MESH_ERROR
     assert outputs["e"] == ll_curve.e(1.0)
+    assert outputs["e_source"] == "table"
 
 
 def test_gp_subcommand_energy_report(tmp_path):

@@ -23,11 +23,12 @@ def test_Y_definition():
 def test_upper_bound_limits():
     # Y -> 0: every correction factor -> 1
     st = state_at_Y(1e-30)
-    assert hb.upper_bound_3d(st) / st.leading == pytest.approx(1.0, rel=1e-8)
-    with pytest.raises(ValueError):
-        hb.upper_bound_3d(state_at_Y(1.0))  # b = a singular
-    with pytest.raises(ValueError):
-        hb.upper_bound_3d(state_at_Y(8.0))
+    assert hb.bounds_3d(st)["upper"] / st.leading == pytest.approx(1.0, rel=1e-8)
+    with pytest.raises(ValueError, match="upper bound requires Y < 1"):
+        hb.bounds_3d(state_at_Y(1.0))  # b = a singular
+    # rho a^3 >= 1 is refused first, by the expansion
+    with pytest.raises(ValueError, match="expansion requires rho a"):
+        hb.bounds_3d(state_at_Y(8.0))
 
 
 def test_upper_bound_thermodynamic_form_dual_path():
@@ -35,25 +36,25 @@ def test_upper_bound_thermodynamic_form_dual_path():
     st = state_at_Y(1e-3)
     y3 = 1e-1
     expected = st.leading * (1 - y3 + y3**2 - 0.5 * y3**3) / (1 - y3) ** 8
-    assert hb.upper_bound_3d(st) == pytest.approx(expected, rel=1e-13)
+    assert hb.bounds_3d(st)["upper"] == pytest.approx(expected, rel=1e-13)
 
 
 def test_lower_bound_explicit_and_clamp():
     st = state_at_Y(1e-40)
-    lb = hb.lower_bound_3d(st)
-    assert not lb.clamped
-    assert lb.value / st.leading == pytest.approx(1.0 - 8.9 * 1e-40 ** (1 / 17))
-    lb2 = hb.lower_bound_3d(state_at_Y(1e-4))
-    assert lb2.clamped and lb2.value == 0.0
+    out = hb.bounds_3d(st)
+    assert not out["lower_clamped"]
+    assert out["lower"] / st.leading == pytest.approx(1.0 - 8.9 * 1e-40 ** (1 / 17))
+    out2 = hb.bounds_3d(state_at_Y(1e-4))
+    assert out2["lower_clamped"] and out2["lower"] == 0.0
     # Y = 0 limit approached: ratio -> 1
     tiny = state_at_Y(1e-300)
-    assert hb.lower_bound_3d(tiny).value / tiny.leading == \
+    assert hb.bounds_3d(tiny)["lower"] / tiny.leading == \
         pytest.approx(1.0, abs=1e-12)
 
 
 def test_dyson_classic_constant():
     st = hb.GasState3D(2e-5, 0.3, 1.7)
-    assert hb.dyson_classic_lower_bound(st) / st.leading == \
+    assert hb.bounds_3d(st)["dyson_classic"] / st.leading == \
         1.0 / (10.0 * math.sqrt(2.0))
 
 
@@ -64,7 +65,16 @@ def test_lhy_coefficients_dual_path():
     x = st.rho * st.a**3
     expected = st.leading * (1 + hb.LHY_C1 * math.sqrt(x)
                              + hb.LHY_C2 * x * math.log(x))
-    assert hb.lhy_reference(st) == pytest.approx(expected, rel=1e-14)
+    assert hb.bounds_3d(st)["lhy"] == pytest.approx(expected, rel=1e-14)
+
+
+def test_bounds_refuse_an_underflowed_rho_a_d():
+    # the logarithm of rho a^d has no value at 0: each record names the
+    # underflow, in config's words
+    with pytest.raises(ValueError, match="rho a\\^3 underflows to 0"):
+        hb.bounds_3d(hb.GasState3D(1e-300, 1e-10))
+    with pytest.raises(ValueError, match="rho a\\^2 underflows to 0"):
+        hb.bounds_2d(hb.GasState2D(1e-300, 1e-30))
 
 
 @pytest.mark.parametrize("split", [10.0, 20.0, 40.0])
@@ -91,11 +101,49 @@ def test_verify_lhy_entry_fails_on_a_corrupted_constant(monkeypatch):
     assert entry["value"] == pytest.approx(1e-12, rel=1e-2)
 
 
+@pytest.mark.parametrize("entry,field,corrupt,moves", [
+    # upper's excess over 4 pi mu rho a is 7.0e-3 at Y = 1e-9 against LHY's
+    # 7.4e-5: scaled by 1e-2 it falls below LHY.  (upper x (1 - 1e-2) would
+    # fall below 4 pi mu rho a too, and upper_exponent's logarithm with it.)
+    # The slope upper_exponent fits is blind to the factor, up to rounding
+    ("homogeneous.bracketing", "upper",
+     lambda Y, leading, out: leading + 1e-2 * (out["upper"] - leading),
+     "homogeneous.upper_exponent"),
+    # exponent 1/15 in place of 1/17: the entry reads |1/15 - 1/17| 17 = 0.133
+    ("homogeneous.lower_exponent", "lower",
+     lambda Y, leading, out: max(0.0, leading * (1 - 8.9 * Y ** (1 / 15))),
+     None),
+    # Y^0.4 in place of Y^(1/3): the entry reads about 0.2, and the bracket
+    # still holds
+    ("homogeneous.upper_exponent", "upper",
+     lambda Y, leading, out: leading * (1 - Y**0.4 + Y**0.8 - 0.5 * Y**1.2)
+     / (1 - Y**0.4) ** 8, None),
+])
+def test_verify_bounds_entries_fail_on_a_corrupted_record(monkeypatch, entry,
+                                                          field, corrupt, moves):
+    before = {c["name"]: c for c in verify._homogeneous_checks(7)}
+    assert before[entry]["passed"]
+    real = hb.bounds_3d
+
+    def corrupted(state):
+        out = real(state)
+        return {**out, field: corrupt(state.Y, state.leading, out)}
+
+    monkeypatch.setattr(hb, "bounds_3d", corrupted)
+    after = {c["name"]: c for c in verify._homogeneous_checks(7)}
+    assert not after[entry]["passed"]
+    for name in before.keys() - {entry, moves}:
+        assert after[name] == before[name]
+    if moves is not None:
+        assert after[moves]["passed"]
+        assert after[moves]["value"] == pytest.approx(before[moves]["value"],
+                                                      rel=1e-9)
+
+
 def test_bracketing_sweep():
     for Y in np.geomspace(1e-9, 1e-4, 25):
-        st = state_at_Y(Y)
-        lo = hb.lower_bound_3d(st).value
-        assert lo <= hb.lhy_reference(st) <= hb.upper_bound_3d(st)
+        out = hb.bounds_3d(state_at_Y(Y))
+        assert out["lower"] <= out["lhy"] <= out["upper"]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -103,19 +151,18 @@ def test_bracketing_sweep():
 @example(log10_Y=-12.0)
 @example(log10_Y=-3.0)
 def test_bracketing_property(log10_Y):
-    state = state_at_Y(10.0**log10_Y)
-    lo = hb.lower_bound_3d(state).value
-    assert lo <= hb.lhy_reference(state) <= hb.upper_bound_3d(state)
+    out = hb.bounds_3d(state_at_Y(10.0**log10_Y))
+    assert out["lower"] <= out["lhy"] <= out["upper"]
 
 
 def test_error_exponent_fits():
     Ys = np.geomspace(1e-40, 1e-20, 11)
-    errs = [1.0 - hb.lower_bound_3d(state_at_Y(Y)).value / state_at_Y(Y).leading
+    errs = [1.0 - hb.bounds_3d(state_at_Y(Y))["lower"] / state_at_Y(Y).leading
             for Y in Ys]
     slope = np.polyfit(np.log(Ys), np.log(errs), 1)[0]
     assert abs(slope - 1.0 / 17.0) < 0.1 / 17.0
     Ys = np.geomspace(1e-9, 1e-4, 11)
-    errs = [hb.upper_bound_3d(state_at_Y(Y)) / state_at_Y(Y).leading - 1.0
+    errs = [hb.bounds_3d(state_at_Y(Y))["upper"] / state_at_Y(Y).leading - 1.0
             for Y in Ys]
     slope = np.polyfit(np.log(Ys), np.log(errs), 1)[0]
     assert abs(slope - 1.0 / 3.0) < 0.1 / 3.0
@@ -182,7 +229,8 @@ def test_thermodynamic_cell_bound_positive_for_tiny_Y():
 def test_bounds_2d_limits_and_errors():
     st = hb.GasState2D(1e-4, 1e-3)
     out = hb.bounds_2d(st)
-    lead = 4.0 * math.pi * st.mu * st.rho / st.logY
+    assert out["rho_a2"] == st.rho * st.a**2
+    lead = 4.0 * math.pi * st.mu * st.rho / abs(math.log(out["rho_a2"]))
     assert out["lower"] == pytest.approx(lead)
     assert out["b"] == pytest.approx((2.0 * math.pi * st.rho) ** -0.5)
     # rho a^2 >= 1/(2 pi e) puts b = (2 pi rho)^{-1/2} at or below e^{1/2} a,
@@ -198,7 +246,7 @@ def test_bounds_2d_converge_together():
         st = hb.GasState2D(1e-4, math.sqrt(rho_a2 / 1e-4))
         out = hb.bounds_2d(st)
         ratio = out["upper"] / out["lower"]
-        assert abs(ratio - 1.0) < 3.0 * st.logY ** -0.2
+        assert abs(ratio - 1.0) < 3.0 * abs(math.log(out["rho_a2"])) ** -0.2
         if prev is not None:
             assert abs(ratio - 1.0) < prev
         prev = abs(ratio - 1.0)

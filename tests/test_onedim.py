@@ -56,6 +56,45 @@ def test_e_limiting_values(ll_curve):
     assert abs(ll_curve.e(1e-2) / 5e-3 - 1.0) < 0.05
 
 
+def test_e_source_names_each_piece(ll_curve):
+    # the ends of the table are the table's; past them the tails take over
+    c = ll_curve
+    for t, source in ((0.0, "low_tail"), (np.nextafter(c.t_min, 0.0), "low_tail"),
+                      (c.t_min, "table"), (1.0, "table"), (c.t_max, "table"),
+                      (np.nextafter(c.t_max, math.inf), "high_tail"),
+                      (1e9, "high_tail")):
+        assert c.e_source(float(t)) == source
+
+
+def _strong_series_entry(monkeypatch, curve):
+    monkeypatch.setattr(od, "default_curve", lambda: curve)
+    [entry] = [c for c in verify._onedim_checks()
+               if c["name"] == "onedim.ll_strong_series"]
+    return entry
+
+
+def test_verify_strong_series_entry_sees_a_shifted_table(monkeypatch, ll_curve):
+    # the shipped table meets the series to its O(gamma^-4) truncation
+    assert _strong_series_entry(monkeypatch, ll_curve)["value"] < 3e-9
+    c = ll_curve
+    e = np.where(c.nodes_t > 1e2, c.nodes_e * (1.0 + 1e-7), c.nodes_e)
+    entry = _strong_series_entry(
+        monkeypatch, od.LLCurve(c.nodes_t, e, c.nodes_sigma, c.mesh_error))
+    assert not entry["passed"]
+    assert entry["value"] == pytest.approx(1e-7, rel=1e-3)
+
+
+def test_strong_series_residual_falls_as_gamma_to_the_minus_four(ll_curve):
+    # 1e4-fold per decade of t: the series' truncation, not the table
+    def residual(t):
+        g = t / 2.0
+        s = math.pi**2 / 3.0 * (1 - 4 / g + 12 / g**2
+                                - 32 * (1 - math.pi**2 / 15) / g**3)
+        return abs(ll_curve.e(t) / s - 1.0)
+
+    assert residual(1e3) / residual(1e4) == pytest.approx(1e4, rel=0.05)
+
+
 def _reference_ba_density(lam, m=440):
     """The Fredholm solve as first written: full Chebyshev mesh, the matrix
     assembled one column at a time, full-system LU.  The reference the
