@@ -109,19 +109,15 @@ def cmd_bounds(args) -> int:
         rows = []
         # Python floats, so that every cell is a float's repr; a = 1
         for Y in np.geomspace(lo, hi, n).tolist():
-            out = homogeneous.bounds_3d(homogeneous.GasState3D(
-                3.0 * Y / (4.0 * math.pi), 1.0, args.mu))
+            out = homogeneous.bounds_3d(3.0 * Y / (4.0 * math.pi), 1.0, args.mu)
             rows.append((Y, out["lower"], out["lhy"], out["upper"]))
         bad = [row[0] for row in rows if not all(map(math.isfinite, row))]
         if bad:
             raise NumericError(f"bounds: non-finite row at Y={bad[0]!r}")
         write_csv(args.out or "bounds.csv", ["Y", "lower", "lhy", "upper"], rows)
         return EXIT_OK
-    if args.dim == 3:
-        st = homogeneous.GasState3D(args.rho, args.a, args.mu)
-        return _emit_record(args, homogeneous.bounds_3d(st))
-    st2 = homogeneous.GasState2D(args.rho, args.a, args.mu)
-    return _emit_record(args, homogeneous.bounds_2d(st2))
+    bounds = homogeneous.bounds_3d if args.dim == 3 else homogeneous.bounds_2d
+    return _emit_record(args, bounds(args.rho, args.a, args.mu))
 
 
 def _trap_from_args(args) -> TrapPotential:

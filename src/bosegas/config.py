@@ -143,43 +143,29 @@ def validate_params(section: str, params: dict) -> list[str]:
 
 
 def _bounds_domain(params: dict) -> list[str]:
-    """The gas states the ``bounds`` formulas are defined on, in the
-    expressions ``homogeneous`` evaluates.  3D: Y^(1/3) < 1, Y = 4 pi rho
-    a^3 / 3 (the upper bound; the LHY series needs rho a^3 < 1, which that
-    implies); a sweep runs Y at a = 1 from its lower to its upper end.  2D:
-    ln(b/a) - pi rho b^2 > 0 at b = (2 pi rho)^(-1/2), so rho a^2 <
-    1/(2 pi e).  Either way rho a^d must not underflow to 0: the LHY series
-    (3D) and the lower bound (2D) take its logarithm.  Checked once ``rho``
-    and ``a`` are both given; ``dim`` is 3 unless given, as in the parser."""
+    """What ``homogeneous.bounds_3d``/``bounds_2d`` refuse of the given
+    state, or of both ends of a sweep (Y at a = 1, 3D).  Checked once
+    ``rho`` and ``a`` are both given; ``dim`` and ``mu`` take the parser's
+    defaults."""
+    from . import homogeneous
+    mu = params.get("mu", 1.0)
     if params.get("sweep"):
         _, lo, hi, _ = parse_sweep(params["sweep"])
-        states, dim = [(3.0 * Y / (4.0 * math.pi), 1.0) for Y in (lo, hi)], 3
+        states = [(3.0 * Y / (4.0 * math.pi), 1.0, mu) for Y in (lo, hi)]
+        bounds = homogeneous.bounds_3d
     elif "rho" in params and "a" in params:
-        states, dim = [(params["rho"], params["a"])], params.get("dim", 3)
+        states = [(params["rho"], params["a"], mu)]
+        bounds = homogeneous.bounds_2d if params.get("dim", 3) == 2 \
+            else homogeneous.bounds_3d
     else:
         return []
-    return [p for rho, a in states for p in _bounds_state(rho, a, dim)]
-
-
-def _bounds_state(rho: float, a: float, dim: int) -> list[str]:
-    try:
-        if dim == 3:
-            inside = (4.0 * math.pi * rho * a**3 / 3.0) ** (1.0 / 3.0) < 1.0
-        else:
-            b = (2.0 * math.pi * rho) ** -0.5
-            # b / a underflows to 0 only far outside the domain
-            inside = b / a > 0 and math.log(b / a) - math.pi * rho * b**2 > 0
-        # rho a^dim can underflow to 0 inside the domain
-        if inside and rho * a**dim == 0:
-            return [f"bounds: rho a^{dim} underflows to 0, got rho = {rho!r}, "
-                    f"a = {a!r}"]
-    except OverflowError:
-        return [f"bounds: rho = {rho!r}, a = {a!r} overflow the {dim}D bounds"]
-    if inside:
-        return []
-    need = "Y = 4 pi rho a^3/3 below 1" if dim == 3 else \
-        "rho a^2 below 1/(2 pi e) = 0.05855"
-    return [f"bounds: {dim}D needs {need}, got rho = {rho!r}, a = {a!r}"]
+    problems = []
+    for state in states:
+        try:
+            bounds(*state)
+        except ValueError as exc:
+            problems.append(f"bounds: {exc}")
+    return problems
 
 
 def record_json(subcommand: str, inputs: dict, outputs: dict,

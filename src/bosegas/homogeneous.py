@@ -1,8 +1,12 @@
 """Closed-form energy bounds for the homogeneous dilute gas (``bounds_3d``
-and ``bounds_2d`` each give a ``bounds`` record's outputs whole), plus the
+and ``bounds_2d`` each give a ``bounds`` record's outputs whole, and what
+they refuse is the ``bounds`` domain ``validate`` checks), plus the
 inequality machinery used to prove them: Temple's bound, the soft-potential
 construction, the two radial-line lemmas, and the cell-distribution
 combinatorics; and the Bogoliubov integral that gives the LHY constant.
+
+Imports only ``math`` (numpy inside the functions that take arrays), since
+``config`` imports it to validate a ``[bounds]`` section.
 
 Conventions: mu = hbar^2/2m, Y = 4 pi rho a^3 / 3 (3D diluteness), all
 potentials nonnegative with finite range.
@@ -11,8 +15,7 @@ potentials nonnegative with finite range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -27,68 +30,52 @@ LHY_C2 = 8.0 * (4.0 * math.pi / 3.0 - math.sqrt(3.0))
 _CELL_N_MAX = 20
 
 
-@dataclass(frozen=True)
-class GasState3D:
-    """Homogeneous 3D gas: density rho, scattering length a, kinetic mu."""
-
-    rho: float
-    a: float
-    mu: float = 1.0
-
-    def __post_init__(self):
-        if self.rho <= 0 or self.a <= 0 or self.mu <= 0:
-            raise ValueError("rho, a, mu must be positive")
-
-    @property
-    def Y(self) -> float:
-        return 4.0 * math.pi * self.rho * self.a**3 / 3.0
-
-    @property
-    def leading(self) -> float:
-        """4 pi mu rho a, the low-density energy scale per particle."""
-        return 4.0 * math.pi * self.mu * self.rho * self.a
-
-
-@dataclass(frozen=True)
-class GasState2D:
-    rho: float
-    a: float
-    mu: float = 1.0
-
-    def __post_init__(self):
-        if self.rho <= 0 or self.a <= 0 or self.mu <= 0:
-            raise ValueError("rho, a, mu must be positive")
-        if self.rho * self.a**2 >= 1:
-            raise ValueError("2D state must be dilute: rho a^2 < 1")
-
-
 # --- 3D bounds -----------------------------------------------------------
 
-def bounds_3d(state: GasState3D) -> dict:
-    """The 3D record: Y, and e0(rho) per particle bounded, in units of 4 pi
+def bounds_3d(rho: float, a: float, mu: float) -> dict:
+    """The 3D record at density rho, scattering length a and kinetic mu:
+    Y = 4 pi rho a^3/3, and e0(rho) per particle bounded, in units of 4 pi
     mu rho a: upper (1 - Y^{1/3} + Y^{2/3} - Y/2)/(1 - Y^{1/3})^8, the
     variational bound at b = (4 pi rho/3)^{-1/3}; lower 1 - C Y^{1/17},
     C = LOWER_BOUND_C, or 0 (lower_clamped) where that is not positive; lhy
     1 + (128/15 sqrt pi)(rho a^3)^{1/2} + 8(4 pi/3 - sqrt 3)(rho a^3)
-    ln(rho a^3); dyson_classic 1/(10 sqrt 2), Dyson's 1957 bound.  Raises
-    ValueError unless 0 < rho a^3 < 1, then unless Y < 1."""
-    x = state.rho * state.a**3
-    if x >= 1:
-        raise ValueError("expansion requires rho a^3 < 1")
-    if x == 0:
-        raise ValueError("rho a^3 underflows to 0")
-    Y, leading = state.Y, state.leading
+    ln(rho a^3); dyson_classic 1/(10 sqrt 2), Dyson's 1957 bound.
+
+    This is the 3D ``bounds`` domain, which ``validate`` reads too: raises
+    ValueError if a^3 overflows, unless Y < 1 (which implies rho a^3 < 1,
+    as the LHY series needs), if rho a^3 underflows to 0, or if an output
+    is not finite (4 pi mu overflowing, say)."""
+    try:
+        x = rho * a**3
+        Y = 4.0 * math.pi * rho * a**3 / 3.0
+    except OverflowError:
+        raise ValueError(f"rho = {rho!r}, a = {a!r} overflow the 3D bounds") from None
     y3 = Y ** (1.0 / 3.0)
     if y3 >= 1:
-        raise ValueError("upper bound requires Y < 1")
+        raise ValueError(f"3D needs Y = 4 pi rho a^3/3 below 1, got rho = {rho!r}, "
+                         f"a = {a!r}")
+    if x == 0:
+        raise ValueError(f"rho a^3 underflows to 0, got rho = {rho!r}, a = {a!r}")
+    leading = 4.0 * math.pi * mu * rho * a
     factor = 1.0 - LOWER_BOUND_C * Y ** (1.0 / 17.0)
     clamped = factor <= 0.0
-    return {"Y": Y, "lower": 0.0 if clamped else leading * factor,
-            "lower_clamped": clamped,
-            "lhy": leading * (1.0 + LHY_C1 * math.sqrt(x)
-                              + LHY_C2 * x * math.log(x)),
-            "upper": leading * (1.0 - y3 + y3**2 - 0.5 * y3**3) / (1.0 - y3) ** 8,
-            "dyson_classic": leading * DYSON_CLASSIC}
+    return _finite({"Y": Y, "lower": 0.0 if clamped else leading * factor,
+                    "lower_clamped": clamped,
+                    "lhy": leading * (1.0 + LHY_C1 * math.sqrt(x)
+                                      + LHY_C2 * x * math.log(x)),
+                    "upper": leading * (1.0 - y3 + y3**2 - 0.5 * y3**3)
+                    / (1.0 - y3) ** 8,
+                    "dyson_classic": leading * DYSON_CLASSIC}, rho, a, mu)
+
+
+def _finite(record: dict, rho: float, a: float, mu: float) -> dict:
+    """``record``, unless one of its floats is not finite."""
+    bad = [k for k, v in record.items()
+           if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"non-finite {', '.join(bad)} at rho = {rho!r}, "
+                         f"a = {a!r}, mu = {mu!r}")
+    return record
 
 
 # tanh-sinh covers the Bogoliubov integral on [0, _LHY_SPLIT]; the tail
@@ -150,35 +137,43 @@ def k_factor(n: float, ell: float, R: float, R0: float, eps: float,
 
 # --- 2D bounds -----------------------------------------------------------
 
-def bounds_2d(state: GasState2D) -> dict:
-    """Leading-order 2D bounds, and rho a^2, as a dict.
+def bounds_2d(rho: float, a: float, mu: float) -> dict:
+    """Leading-order 2D bounds at density rho, scattering length a and
+    kinetic mu, and rho a^2, as a dict.
 
     upper: 2 pi mu rho / (ln(b/a) - pi rho b^2) at its minimizing
     b = (2 pi rho)^{-1/2}; lower: 4 pi mu rho/|ln rho a^2|.  The relative
     error sizes 1/ln(b/a) and |ln rho a^2|^{-1/5} (unit constants) are
     reported as upper_ and lower_error_scale, never folded into the bounds.
-    Raises ValueError if rho a^2 underflows to 0 or ln(b/a) - pi rho b^2
-    is not positive.
+
+    This is the 2D ``bounds`` domain, which ``validate`` reads too: raises
+    ValueError if b^2 or a^2 overflows, unless ln(b/a) - pi rho b^2 > 0
+    (rho a^2 below 1/(2 pi e)), if rho a^2 underflows to 0, or if an output
+    is not finite.
     """
-    rho_a2 = state.rho * state.a**2
+    try:
+        b = (2.0 * math.pi * rho) ** -0.5
+        # b / a underflows to 0 only far outside the domain, and b <= a
+        # makes ln(b/a) <= 0
+        den = math.log(b / a) - math.pi * rho * b**2 if b / a > 0 else 0.0
+        if den <= 0:
+            raise ValueError(f"2D needs rho a^2 below 1/(2 pi e) = 0.05855, "
+                             f"got rho = {rho!r}, a = {a!r}")
+        rho_a2 = rho * a**2
+    except OverflowError:
+        raise ValueError(f"rho = {rho!r}, a = {a!r} overflow the 2D bounds") from None
     if rho_a2 == 0:
-        raise ValueError("rho a^2 underflows to 0")
-    b = (2.0 * math.pi * state.rho) ** -0.5
-    # b <= a makes ln(b/a) <= 0, so this check covers it too
-    den = math.log(b / state.a) - math.pi * state.rho * b**2
-    if den <= 0:
-        raise ValueError("ln(b/a) - pi rho b^2 must be positive")
+        raise ValueError(f"rho a^2 underflows to 0, got rho = {rho!r}, a = {a!r}")
     log_y = abs(math.log(rho_a2))
-    return {"rho_a2": rho_a2, "upper": 2.0 * math.pi * state.mu * state.rho / den,
-            "lower": 4.0 * math.pi * state.mu * state.rho / log_y, "b": b,
-            "upper_error_scale": 1.0 / math.log(b / state.a),
-            "lower_error_scale": log_y ** -0.2}
+    return _finite({"rho_a2": rho_a2, "upper": 2.0 * math.pi * mu * rho / den,
+                    "lower": 4.0 * math.pi * mu * rho / log_y, "b": b,
+                    "upper_error_scale": 1.0 / math.log(b / a),
+                    "lower_error_scale": log_y ** -0.2}, rho, a, mu)
 
 
 # --- soft potentials and the radial-line lemma ---------------------------
 
-@dataclass(frozen=True)
-class SoftPotential:
+class SoftPotential(NamedTuple):
     """The flat annular potential U_R supported on (R0, R).
 
     3D: height 3/(R^3 - R0^3), normalized so int U r^2 dr = 1.

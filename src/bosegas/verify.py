@@ -111,9 +111,10 @@ def _homogeneous_checks(seed):
     out = []
 
     def bounds(Ys):
-        """(leading, bounds_3d record) at each Y, a = 1."""
-        states = [homogeneous.GasState3D(Y * 3 / (4 * math.pi), 1.0) for Y in Ys]
-        return [(st.leading, homogeneous.bounds_3d(st)) for st in states]
+        """(leading 4 pi mu rho a, bounds_3d record) at each Y, a = mu = 1."""
+        rhos = [Y * 3 / (4 * math.pi) for Y in Ys]
+        return [(4.0 * math.pi * rho, homogeneous.bounds_3d(rho, 1.0, 1.0))
+                for rho in rhos]
 
     # the lower bound is clamped at 0 here: only upper can break the bracket
     dilute = np.geomspace(1e-9, 1e-4, 12)
@@ -121,10 +122,10 @@ def _homogeneous_checks(seed):
     ok = all(b["lower"] <= b["lhy"] <= b["upper"] for _, b in near)
     out.append(_check("homogeneous.bracketing", 0.0 if ok else 1.0, 0.5,
                       passed=ok))
-    st = homogeneous.GasState3D(1e-4, 1.0)
     # a transcription: the stored constant against the same literal
     out.append(_check("homogeneous.dyson_classic",
-                      abs(homogeneous.bounds_3d(st)["dyson_classic"] / st.leading
+                      abs(homogeneous.bounds_3d(1e-4, 1.0, 1.0)["dyson_classic"]
+                          / (4.0 * math.pi * 1e-4)
                           - 1.0 / (10.0 * math.sqrt(2.0))), 1e-15))
     # LHY_C1 against the Bogoliubov integral it comes from: the gap is
     # 1.3e-15, rounding and the tail series' O(X^-11) (tolerance x75)

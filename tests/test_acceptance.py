@@ -60,15 +60,15 @@ def test_criterion_02_scattering_2d():
 
 def test_criterion_03_bounds_bracket():
     def at_Y(Y):
-        st = homogeneous.GasState3D(3 * Y / (4 * math.pi), 1.0)
-        return st.leading, homogeneous.bounds_3d(st)
+        rho = 3 * Y / (4 * math.pi)
+        return 4 * math.pi * rho, homogeneous.bounds_3d(rho, 1.0, 1.0)
 
     ok_bracket = True
     for Y in np.geomspace(1e-9, 1e-4, 26):
         out = at_Y(Y)[1]
         ok_bracket &= out["lower"] <= out["lhy"] <= out["upper"]
-    st = homogeneous.GasState3D(1e-4, 1.0)
-    ok_dyson = homogeneous.bounds_3d(st)["dyson_classic"] / st.leading == \
+    ok_dyson = homogeneous.bounds_3d(1e-4, 1.0, 1.0)["dyson_classic"] \
+        / (4 * math.pi * 1e-4) == \
         1.0 / (10.0 * math.sqrt(2.0))
     Ys = np.geomspace(1e-40, 1e-20, 9)
     errs = [1 - out["lower"] / leading for leading, out in map(at_Y, Ys)]

@@ -437,6 +437,29 @@ def test_cli_import_loads_only_config(tmp_path, ll_curve):
     assert not _scipy(after_verify)
 
 
+_BOUNDS_PROBE = """
+import json
+import sys
+import bosegas.cli
+
+cfg = f"{sys.argv[1]}/bounds.cfg"
+with open(cfg, "w") as fh:
+    fh.write("[bounds]\\nrho = 1e-4\\na = 0.5\\nmu = 1.3\\nsweep = Y=1e-9:1e-4:3\\n")
+for argv in (["bounds", "--rho", "1e-4", "--a", "0.5"],
+             ["bounds", "--dim", "2", "--rho", "1e-4", "--a", "0.5"]):
+    assert bosegas.cli.main([*argv, "--out", f"{sys.argv[1]}/b.json"]) == 0
+assert bosegas.cli.main(["validate", cfg]) == 0
+print(json.dumps(sorted({"numpy", "dataclasses", "inspect"} & set(sys.modules))))
+"""
+
+
+def test_bounds_domain_check_loads_no_dataclasses(tmp_path):
+    # validate evaluates the bounds formulas themselves, so config imports
+    # homogeneous: that import, and a scalar bounds run, load neither numpy
+    # nor dataclasses (nor the inspect it imports)
+    assert _fresh_python(_BOUNDS_PROBE, str(tmp_path)) == [[]]
+
+
 def test_bounds_sweep_contract(tmp_path):
     out = tmp_path / "bounds.csv"
     code = run_cli("bounds", "--sweep", "Y=1e-9:1e-4:50", "--out", str(out))
@@ -456,7 +479,7 @@ def test_bounds_sweep_matches_scalar_rows(tmp_path):
                    "--out", str(out)) == 0
     rows = []
     for Y in np.geomspace(1e-9, 1e-6, 10).tolist():
-        out3 = hg.bounds_3d(hg.GasState3D(3.0 * Y / (4.0 * np.pi), 1.0, 0.5))
+        out3 = hg.bounds_3d(3.0 * Y / (4.0 * np.pi), 1.0, 0.5)
         rows.append((Y, out3["lower"], out3["lhy"], out3["upper"]))
     write_csv(ref, ["Y", "lower", "lhy", "upper"], rows)
     assert out.read_bytes() == ref.read_bytes()
@@ -474,7 +497,7 @@ def test_bounds_sweep_nonfinite_row_writes_nothing(tmp_path, monkeypatch,
     from bosegas import homogeneous as hg
     real = hg.bounds_3d
     monkeypatch.setattr(hg, "bounds_3d",
-                        lambda st: {**real(st), "lhy": float("nan")})
+                        lambda *state: {**real(*state), "lhy": float("nan")})
     out = tmp_path / "sweep.csv"
     assert run_cli("bounds", "--sweep", "Y=1e-9:1e-6:10",
                    "--out", str(out)) == 1
@@ -597,6 +620,11 @@ def test_tf_takes_no_n_grid(tmp_path, capsys):
     (("--rho", "1e300", "--a", "1e300"), "overflow the 3D bounds"),
     (("--rho", "1e-300", "--a", "1e-10"), "rho a^3 underflows to 0"),
     (("--dim", "2", "--rho", "1e-300", "--a", "1e-30"), "rho a^2 underflows to 0"),
+    # 4 pi mu overflows: every output but the clamped lower bound is infinite
+    (("--rho", "1", "--a", "0.5", "--mu", "1e308"),
+     "non-finite lhy, upper, dyson_classic"),
+    (("--dim", "2", "--rho", "1e-3", "--a", "1", "--mu", "1e308"),
+     "non-finite upper, lower"),
 ])
 def test_bounds_outside_their_domain_are_config_errors(argv, message, tmp_path,
                                                        capsys):
@@ -618,51 +646,62 @@ def test_bounds_inside_their_domain_run(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _bounds_refused(dim, rho, a) -> bool:
-    """Whether the formulas behind a ``bounds`` record refuse (rho, a)."""
+def _bounds_refused(dim, rho, a, mu) -> bool:
+    """Whether the formulas behind a ``bounds`` record refuse (rho, a, mu):
+    they raise, or give a record that a run would not write."""
     from bosegas import homogeneous as hg
     try:
-        if dim == 3:
-            hg.bounds_3d(hg.GasState3D(rho, a))
-        else:
-            hg.bounds_2d(hg.GasState2D(rho, a))
+        out = (hg.bounds_3d if dim == 3 else hg.bounds_2d)(rho, a, mu)
     except (ValueError, ArithmeticError):
         return True
-    return False
+    return bool(cli._nonfinite_keys(out))
 
 
 @pytest.mark.parametrize("dim", [3, 2])
 def test_bounds_validate_refuses_what_the_formulas_refuse(dim):
-    # a 125 x 125 log grid of (rho, a): over part of it rho a^dim underflows
-    # to 0, whose logarithm the lower bound (2D) or the LHY series (3D) takes
+    # a 125 x 125 log grid of (rho, a) at three mu: over part of it rho a^dim
+    # underflows to 0, whose logarithm the lower bound (2D) or the LHY series
+    # (3D) takes, and at mu = 1e308 4 pi mu overflows, so that no record in
+    # the domain is finite
     grid = np.geomspace(1e-320, 1e300, 125).tolist()
-    mismatched, underflows = [], 0
-    for rho in grid:
-        for a in grid:
-            problems = validate_params("bounds", {"dim": dim, "rho": rho, "a": a})
-            underflows += any("underflows to 0" in p for p in problems)
-            if bool(problems) != _bounds_refused(dim, rho, a):
-                mismatched.append((rho, a))
+    mismatched, underflows, overflows = [], 0, 0
+    for mu in (1e-300, 1.0, 1e308):
+        for rho in grid:
+            for a in grid:
+                problems = validate_params("bounds", {"dim": dim, "rho": rho,
+                                                      "a": a, "mu": mu})
+                underflows += any("underflows to 0" in p for p in problems)
+                overflows += any("non-finite" in p for p in problems)
+                if bool(problems) != _bounds_refused(dim, rho, a, mu):
+                    mismatched.append((rho, a, mu))
     assert not mismatched, f"{len(mismatched)} states, e.g. {mismatched[:3]}"
-    assert underflows > 1000
+    assert underflows > 3000 and overflows > 100
 
 
-@pytest.mark.parametrize("lo,hi", [
-    (5e-324, 1e-300), (1e-323, 1e-300), (2e-323, 1e-300), (1e-320, 1e-300),
-    (1e-9, 0.99), (1e-9, 1.0), (1e-9, 8.0)])
-def test_bounds_sweep_ends_are_checked(lo, hi, tmp_path, capsys):
+_SWEEP_ENDS = [
+    (5e-324, 1e-300, 1.0), (1e-323, 1e-300, 1.0), (2e-323, 1e-300, 1.0),
+    (1e-320, 1e-300, 1.0), (1e-9, 0.99, 1.0), (1e-9, 1.0, 1.0),
+    (1e-9, 8.0, 1.0), (1e-9, 1e-4, 1e308)]
+
+
+@pytest.mark.parametrize("lo,hi,mu", _SWEEP_ENDS, ids=[
+    f"{lo}-{hi}" + ("" if mu == 1.0 else f"-mu={mu}") for lo, hi, mu in _SWEEP_ENDS])
+def test_bounds_sweep_ends_are_checked(lo, hi, mu, tmp_path, capsys):
     # the sweep's rho = 3 Y/(4 pi) at a = 1 rounds to 0 at its lowest Y and
-    # leaves the 3D domain at Y >= 1: either end refuses the run with exit 2
+    # leaves the 3D domain at Y >= 1, and at mu = 1e308 4 pi mu overflows
+    # before rho enters: each refuses the run with exit 2
     spec = f"Y={lo!r}:{hi!r}:3"
-    refused = any(_bounds_refused(3, 3.0 * Y / (4.0 * math.pi), 1.0)
+    refused = any(_bounds_refused(3, 3.0 * Y / (4.0 * math.pi), 1.0, mu)
                   for Y in np.geomspace(lo, hi, 3).tolist())
-    assert refused == (lo < 2e-323 or hi >= 1.0)
-    assert bool(validate_params("bounds", {"sweep": spec})) == refused
+    assert refused == (lo < 2e-323 or hi >= 1.0 or mu > 1e307)
+    assert bool(validate_params("bounds", {"sweep": spec, "mu": mu})) == refused
     out = tmp_path / "sweep.csv"
-    assert run_cli("bounds", "--sweep", spec, "--out", str(out)) == \
-        (2 if refused else 0)
+    assert run_cli("bounds", "--sweep", spec, "--mu", repr(mu),
+                   "--out", str(out)) == (2 if refused else 0)
     assert out.exists() != refused
-    assert ("underflows to 0" in capsys.readouterr().err) == (lo < 2e-323)
+    err = capsys.readouterr().err
+    assert ("underflows to 0" in err) == (lo < 2e-323)
+    assert ("non-finite" in err) == (mu > 1e307)
 
 
 def test_tf_nonpositive_coupling_is_config_error(tmp_path, capsys):

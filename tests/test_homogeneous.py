@@ -12,49 +12,54 @@ from bosegas.quadrature import simpson
 
 
 def state_at_Y(Y, mu=1.0):
-    return hb.GasState3D(3.0 * Y / (4.0 * math.pi), 1.0, mu)
+    """(rho, a, mu) at diluteness Y and a = 1."""
+    return 3.0 * Y / (4.0 * math.pi), 1.0, mu
+
+
+def leading(rho, a, mu):
+    """4 pi mu rho a, the low-density energy scale per particle."""
+    return 4.0 * math.pi * mu * rho * a
 
 
 def test_Y_definition():
-    st = hb.GasState3D(1e-3, 0.1)
-    assert st.Y == pytest.approx(4.0 * math.pi * 1e-3 * 0.1**3 / 3.0, rel=1e-15)
+    assert hb.bounds_3d(1e-3, 0.1, 1.0)["Y"] == \
+        pytest.approx(4.0 * math.pi * 1e-3 * 0.1**3 / 3.0, rel=1e-15)
 
 
 def test_upper_bound_limits():
     # Y -> 0: every correction factor -> 1
     st = state_at_Y(1e-30)
-    assert hb.bounds_3d(st)["upper"] / st.leading == pytest.approx(1.0, rel=1e-8)
-    with pytest.raises(ValueError, match="upper bound requires Y < 1"):
-        hb.bounds_3d(state_at_Y(1.0))  # b = a singular
-    # rho a^3 >= 1 is refused first, by the expansion
-    with pytest.raises(ValueError, match="expansion requires rho a"):
-        hb.bounds_3d(state_at_Y(8.0))
+    assert hb.bounds_3d(*st)["upper"] / leading(*st) == pytest.approx(1.0, rel=1e-8)
+    # Y >= 1 (rho a^3 >= 1 among it): b <= a, where the bound is singular
+    for Y in (1.0, 8.0):
+        with pytest.raises(ValueError, match="3D needs Y = 4 pi rho a\\^3/3 below 1"):
+            hb.bounds_3d(*state_at_Y(Y))
 
 
 def test_upper_bound_thermodynamic_form_dual_path():
     # independent re-implementation of the rational expression
     st = state_at_Y(1e-3)
     y3 = 1e-1
-    expected = st.leading * (1 - y3 + y3**2 - 0.5 * y3**3) / (1 - y3) ** 8
-    assert hb.bounds_3d(st)["upper"] == pytest.approx(expected, rel=1e-13)
+    expected = leading(*st) * (1 - y3 + y3**2 - 0.5 * y3**3) / (1 - y3) ** 8
+    assert hb.bounds_3d(*st)["upper"] == pytest.approx(expected, rel=1e-13)
 
 
 def test_lower_bound_explicit_and_clamp():
     st = state_at_Y(1e-40)
-    out = hb.bounds_3d(st)
+    out = hb.bounds_3d(*st)
     assert not out["lower_clamped"]
-    assert out["lower"] / st.leading == pytest.approx(1.0 - 8.9 * 1e-40 ** (1 / 17))
-    out2 = hb.bounds_3d(state_at_Y(1e-4))
+    assert out["lower"] / leading(*st) == pytest.approx(1.0 - 8.9 * 1e-40 ** (1 / 17))
+    out2 = hb.bounds_3d(*state_at_Y(1e-4))
     assert out2["lower_clamped"] and out2["lower"] == 0.0
     # Y = 0 limit approached: ratio -> 1
     tiny = state_at_Y(1e-300)
-    assert hb.bounds_3d(tiny)["lower"] / tiny.leading == \
+    assert hb.bounds_3d(*tiny)["lower"] / leading(*tiny) == \
         pytest.approx(1.0, abs=1e-12)
 
 
 def test_dyson_classic_constant():
-    st = hb.GasState3D(2e-5, 0.3, 1.7)
-    assert hb.bounds_3d(st)["dyson_classic"] / st.leading == \
+    st = (2e-5, 0.3, 1.7)
+    assert hb.bounds_3d(*st)["dyson_classic"] / leading(*st) == \
         1.0 / (10.0 * math.sqrt(2.0))
 
 
@@ -62,19 +67,19 @@ def test_lhy_coefficients_dual_path():
     assert hb.LHY_C1 == pytest.approx(4.814417779607521, abs=1e-14)
     assert hb.LHY_C2 == pytest.approx(19.653915177740107, abs=1e-13)
     st = state_at_Y(1e-8)
-    x = st.rho * st.a**3
-    expected = st.leading * (1 + hb.LHY_C1 * math.sqrt(x)
+    x = st[0] * st[1]**3
+    expected = leading(*st) * (1 + hb.LHY_C1 * math.sqrt(x)
                              + hb.LHY_C2 * x * math.log(x))
-    assert hb.bounds_3d(st)["lhy"] == pytest.approx(expected, rel=1e-14)
+    assert hb.bounds_3d(*st)["lhy"] == pytest.approx(expected, rel=1e-14)
 
 
 def test_bounds_refuse_an_underflowed_rho_a_d():
     # the logarithm of rho a^d has no value at 0: each record names the
     # underflow, in config's words
     with pytest.raises(ValueError, match="rho a\\^3 underflows to 0"):
-        hb.bounds_3d(hb.GasState3D(1e-300, 1e-10))
+        hb.bounds_3d(1e-300, 1e-10, 1.0)
     with pytest.raises(ValueError, match="rho a\\^2 underflows to 0"):
-        hb.bounds_2d(hb.GasState2D(1e-300, 1e-30))
+        hb.bounds_2d(1e-300, 1e-30, 1.0)
 
 
 @pytest.mark.parametrize("split", [10.0, 20.0, 40.0])
@@ -101,6 +106,10 @@ def test_verify_lhy_entry_fails_on_a_corrupted_constant(monkeypatch):
     assert entry["value"] == pytest.approx(1e-12, rel=1e-2)
 
 
+def _homogeneous_entries():
+    return {c["name"]: c for c in verify._homogeneous_checks(7)}
+
+
 @pytest.mark.parametrize("entry,field,corrupt,moves", [
     # upper's excess over 4 pi mu rho a is 7.0e-3 at Y = 1e-9 against LHY's
     # 7.4e-5: scaled by 1e-2 it falls below LHY.  (upper x (1 - 1e-2) would
@@ -121,16 +130,16 @@ def test_verify_lhy_entry_fails_on_a_corrupted_constant(monkeypatch):
 ])
 def test_verify_bounds_entries_fail_on_a_corrupted_record(monkeypatch, entry,
                                                           field, corrupt, moves):
-    before = {c["name"]: c for c in verify._homogeneous_checks(7)}
+    before = _homogeneous_entries()
     assert before[entry]["passed"]
     real = hb.bounds_3d
 
-    def corrupted(state):
-        out = real(state)
-        return {**out, field: corrupt(state.Y, state.leading, out)}
+    def corrupted(rho, a, mu):
+        out = real(rho, a, mu)
+        return {**out, field: corrupt(out["Y"], leading(rho, a, mu), out)}
 
     monkeypatch.setattr(hb, "bounds_3d", corrupted)
-    after = {c["name"]: c for c in verify._homogeneous_checks(7)}
+    after = _homogeneous_entries()
     assert not after[entry]["passed"]
     for name in before.keys() - {entry, moves}:
         assert after[name] == before[name]
@@ -140,9 +149,44 @@ def test_verify_bounds_entries_fail_on_a_corrupted_record(monkeypatch, entry,
                                                       rel=1e-9)
 
 
+def _flipped_correction(real):
+    """``lemma_xb_margin`` with (1 - 1/(2|ln b|)^2) in place of
+    (1 + 1/(2|ln b|)^2) in its k^2 term."""
+    def margin(x, b, k):
+        lb = -np.log1p(b - 1.0)
+        return real(x, b, k) - 2.0 * (b**2 / lb) / (2.0 * lb) ** 2 * k**2
+    return margin
+
+
+@pytest.mark.parametrize("entry,function,corrupt", [
+    # <H> in place of Temple's bound lies above E0
+    ("homogeneous.temple_corpus", "temple_bound",
+     lambda real: lambda h_mean, h2_mean, E1: h_mean),
+    # K n grows with n where K is positive
+    ("homogeneous.K_monotone", "k_factor",
+     lambda real: lambda n, *rest: n * real(n, *rest)),
+    ("homogeneous.lemma_xb", "lemma_xb_margin", _flipped_correction),
+    # the entry reads exactly 0.0: the closed form equals the LP minimum
+    ("homogeneous.cell_min_vs_lp", "cell_distribution_min",
+     lambda real: lambda k, p: (real(k, p)[0] + 1e-9, real(k, p)[1])),
+    # the margin per a reads 0.1 above its O(a/R) saturation
+    ("homogeneous.dyson_lemma_saturation", "dyson_lemma_residual",
+     lambda real: lambda r, psi, v, U, R1: real(r, psi, v, U, R1) + 0.1 * U.a),
+])
+def test_verify_homogeneous_entries_fail_on_a_corrupted_function(
+        monkeypatch, entry, function, corrupt):
+    before = _homogeneous_entries()
+    assert before[entry]["passed"]
+    monkeypatch.setattr(hb, function, corrupt(getattr(hb, function)))
+    after = _homogeneous_entries()
+    assert not after[entry]["passed"]
+    for name in before.keys() - {entry}:
+        assert after[name] == before[name]
+
+
 def test_bracketing_sweep():
     for Y in np.geomspace(1e-9, 1e-4, 25):
-        out = hb.bounds_3d(state_at_Y(Y))
+        out = hb.bounds_3d(*state_at_Y(Y))
         assert out["lower"] <= out["lhy"] <= out["upper"]
 
 
@@ -151,18 +195,18 @@ def test_bracketing_sweep():
 @example(log10_Y=-12.0)
 @example(log10_Y=-3.0)
 def test_bracketing_property(log10_Y):
-    out = hb.bounds_3d(state_at_Y(10.0**log10_Y))
+    out = hb.bounds_3d(*state_at_Y(10.0**log10_Y))
     assert out["lower"] <= out["lhy"] <= out["upper"]
 
 
 def test_error_exponent_fits():
     Ys = np.geomspace(1e-40, 1e-20, 11)
-    errs = [1.0 - hb.bounds_3d(state_at_Y(Y))["lower"] / state_at_Y(Y).leading
+    errs = [1.0 - hb.bounds_3d(*state_at_Y(Y))["lower"] / leading(*state_at_Y(Y))
             for Y in Ys]
     slope = np.polyfit(np.log(Ys), np.log(errs), 1)[0]
     assert abs(slope - 1.0 / 17.0) < 0.1 / 17.0
     Ys = np.geomspace(1e-9, 1e-4, 11)
-    errs = [hb.bounds_3d(state_at_Y(Y))["upper"] / state_at_Y(Y).leading - 1.0
+    errs = [hb.bounds_3d(*state_at_Y(Y))["upper"] / leading(*state_at_Y(Y)) - 1.0
             for Y in Ys]
     slope = np.polyfit(np.log(Ys), np.log(errs), 1)[0]
     assert abs(slope - 1.0 / 3.0) < 0.1 / 3.0
@@ -171,10 +215,10 @@ def test_error_exponent_fits():
 # --- finite-box bound -------------------------------------------------------
 
 def test_finite_box_n1_vanishes():
-    st = hb.GasState3D(1e-4, 0.05)
+    mu, a = 1.0, 0.05
     n, ell = 1.0, 10.0
-    assert (4.0 * math.pi * st.mu * st.a * n * (n - 1.0) / ell**3
-            * hb.k_factor(n, ell, 1.0, 0.2, 0.3, st.a)) == 0.0
+    assert (4.0 * math.pi * mu * a * n * (n - 1.0) / ell**3
+            * hb.k_factor(n, ell, 1.0, 0.2, 0.3, a)) == 0.0
 
 
 def test_K_monotone_decreasing_in_n():
@@ -190,26 +234,26 @@ def test_K_monotone_decreasing_in_n():
 def test_k_factor_is_first_order_times_epsilon_and_temple_factors():
     # the bound is the first-order nearest-neighbor expectation
     # mu a <W_R>_0, times 1 - eps and the Temple factor
-    st = hb.GasState3D(1e-3, 1e-5)
+    mu, a = 1.0, 1e-5
     n, ell, R, R0, eps = 40.0, 8.0, 1.0, 0.2, 0.3
-    got = (4.0 * math.pi * st.mu * st.a * n * (n - 1.0) / ell**3
-           * hb.k_factor(n, ell, R, R0, eps, st.a))
+    got = (4.0 * math.pi * mu * a * n * (n - 1.0) / ell**3
+           * hb.k_factor(n, ell, R, R0, eps, a))
     rho_cell = n / ell**3
-    first_order = (4.0 * math.pi * st.mu * st.a * rho_cell * (1 - 1 / n) * n
+    first_order = (4.0 * math.pi * mu * a * rho_cell * (1 - 1 / n) * n
                    * (1 - 2 * R / ell) ** 3
                    / (1 + 4 * math.pi * rho_cell * (R**3 - R0**3) / 3))
-    temple = 1.0 - (3.0 / math.pi) * st.a * n / (
-        (R**3 - R0**3) * (math.pi * eps / ell**2 - 4.0 * st.a * n * (n - 1.0) / ell**3))
+    temple = 1.0 - (3.0 / math.pi) * a * n / (
+        (R**3 - R0**3) * (math.pi * eps / ell**2 - 4.0 * a * n * (n - 1.0) / ell**3))
     assert 0.0 < temple < 1.0
     assert got == pytest.approx(first_order * (1.0 - eps) * temple, rel=1e-12)
 
 
 def test_finite_box_trivial_bound_when_temple_fails():
-    st = hb.GasState3D(1e-3, 0.5)
+    mu, a = 1.0, 0.5
     # huge n drives the Temple denominator negative
     n, ell = 1e4, 5.0
-    assert (4.0 * math.pi * st.mu * st.a * n * (n - 1.0) / ell**3
-            * hb.k_factor(n, ell, 1.0, 0.2, 1e-6, st.a)) == 0.0
+    assert (4.0 * math.pi * mu * a * n * (n - 1.0) / ell**3
+            * hb.k_factor(n, ell, 1.0, 0.2, 1e-6, a)) == 0.0
 
 
 def test_thermodynamic_cell_bound_positive_for_tiny_Y():
@@ -217,34 +261,34 @@ def test_thermodynamic_cell_bound_positive_for_tiny_Y():
     # R0 = 0 and n = 4 rho ell^3: the per-particle cell bound
     # 4 pi mu rho a (1 - 1/(rho ell^3)) K(n, ell) is positive
     Y = 1e-25
-    st = state_at_Y(Y)
-    eps, ell = Y ** (1.0 / 17.0), st.a * Y ** (-6.0 / 17.0)
+    rho, a, mu = state_at_Y(Y)
+    eps, ell = Y ** (1.0 / 17.0), a * Y ** (-6.0 / 17.0)
     R = Y ** (1.0 / 17.0) * ell
-    K = hb.k_factor(4.0 * st.rho * ell**3, ell, R, 0.0, eps, st.a)
-    assert 0.0 < st.leading * (1.0 - 1.0 / (st.rho * ell**3)) * K < st.leading
+    K = hb.k_factor(4.0 * rho * ell**3, ell, R, 0.0, eps, a)
+    lead = leading(rho, a, mu)
+    assert 0.0 < lead * (1.0 - 1.0 / (rho * ell**3)) * K < lead
 
 
 # --- 2D bounds ---------------------------------------------------------------
 
 def test_bounds_2d_limits_and_errors():
-    st = hb.GasState2D(1e-4, 1e-3)
-    out = hb.bounds_2d(st)
-    assert out["rho_a2"] == st.rho * st.a**2
-    lead = 4.0 * math.pi * st.mu * st.rho / abs(math.log(out["rho_a2"]))
+    rho, a, mu = 1e-4, 1e-3, 1.0
+    out = hb.bounds_2d(rho, a, mu)
+    assert out["rho_a2"] == rho * a**2
+    lead = 4.0 * math.pi * mu * rho / abs(math.log(out["rho_a2"]))
     assert out["lower"] == pytest.approx(lead)
-    assert out["b"] == pytest.approx((2.0 * math.pi * st.rho) ** -0.5)
+    assert out["b"] == pytest.approx((2.0 * math.pi * rho) ** -0.5)
     # rho a^2 >= 1/(2 pi e) puts b = (2 pi rho)^{-1/2} at or below e^{1/2} a,
     # where ln(b/a) - pi rho b^2 = ln(b/a) - 1/2 <= 0; at rho a^2 = 0.5, b < a
     for rho_a2 in (1.0 / (2.0 * math.pi * math.e), 0.1, 0.5):
         with pytest.raises(ValueError):
-            hb.bounds_2d(hb.GasState2D(rho_a2, 1.0))
+            hb.bounds_2d(rho_a2, 1.0, 1.0)
 
 
 def test_bounds_2d_converge_together():
     prev = None
     for rho_a2 in (1e-10, 1e-20, 1e-40, 1e-80):
-        st = hb.GasState2D(1e-4, math.sqrt(rho_a2 / 1e-4))
-        out = hb.bounds_2d(st)
+        out = hb.bounds_2d(1e-4, math.sqrt(rho_a2 / 1e-4), 1.0)
         ratio = out["upper"] / out["lower"]
         assert abs(ratio - 1.0) < 3.0 * abs(math.log(out["rho_a2"])) ** -0.2
         if prev is not None:
@@ -253,8 +297,8 @@ def test_bounds_2d_converge_together():
 
 
 def test_bounds_2d_state_requires_dilute():
-    with pytest.raises(ValueError):
-        hb.GasState2D(1.0, 2.0)
+    with pytest.raises(ValueError, match="2D needs rho a\\^2 below"):
+        hb.bounds_2d(1.0, 2.0, 1.0)
 
 
 # --- soft potentials and the radial-line lemma -------------------------------
